@@ -12,10 +12,11 @@
 //!
 //! The doomed victim is always an ancestor-or-self of a transaction some
 //! worker is actively executing (held locks lie on that worker's current
-//! depth-first path), so the victim's worker notices the doom at its next
-//! blocked acquire, slot boundary, or commit attempt, unwinds to the
-//! victim's frame, aborts it there, and — when retry is configured — hands
-//! the slot to the `nt-faults` backoff machinery.
+//! depth-first path), so the victim's worker notices the doom when the
+//! sweep resolves its queued acquire, or at its next slot boundary or
+//! commit attempt, unwinds to the victim's frame, aborts it there, and —
+//! when retry is configured — hands the slot to the `nt-faults` backoff
+//! machinery.
 
 use crate::locktable::LockTable;
 use crate::status::StatusTable;
@@ -82,7 +83,7 @@ pub fn detect_loop<T: TreeView>(
         }
         if let Some(victim) = scan_once(tree, status, table) {
             out.victims.push(victim);
-            table.notify_all_shards();
+            table.doom_sweep();
         }
     }
     out
@@ -102,16 +103,16 @@ pub fn scan_once<T: TreeView, U: TreeView>(
     // Group-level edges gw -> gb, each remembering one concrete
     // (waiter, blocker) witness pair.
     let mut edges: BTreeMap<TxId, BTreeMap<TxId, (TxId, TxId)>> = BTreeMap::new();
-    for (waiter, blockers) in &snapshot {
-        let gw = tree.child_toward(TxId::ROOT, *waiter);
-        for &b in blockers {
+    for edge in &snapshot {
+        let gw = tree.child_toward(TxId::ROOT, edge.waiter);
+        for &b in &edge.blockers {
             let gb = tree.child_toward(TxId::ROOT, b);
             if gw != gb {
                 edges
                     .entry(gw)
                     .or_default()
                     .entry(gb)
-                    .or_insert((*waiter, b));
+                    .or_insert((edge.waiter, b));
             }
         }
     }

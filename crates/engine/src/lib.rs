@@ -7,8 +7,9 @@
 //!
 //! * a **sharded lock table** ([`LockTable`]) implements Moss' read/write
 //!   locking rules (§5.2) — the same [`nt_locking::moss_precondition`] the
-//!   simulated `M1_X` automaton uses — with real blocking on condition
-//!   variables and fair (earliest-eligible-ticket) wakeup;
+//!   simulated `M1_X` automaton uses — with queued, non-blocking waits
+//!   that the releaser grants in place, earliest eligible ticket first
+//!   (a thin blocking wrapper parks in-process callers on the ticket);
 //! * a **wait-for-graph deadlock detector** (a dedicated thread) dooms one
 //!   victim per detected cycle, chosen as the lowest incomplete transaction
 //!   on a blocker's ancestor chain (mirroring the simulator's policy);
@@ -43,7 +44,9 @@ pub mod tree_view;
 
 pub use config::{DurabilityMode, EngineConfig};
 pub use detector::DetectorOutcome;
-pub use locktable::{Acquired, LockTable, ShardCounters};
+pub use locktable::{
+    Acquired, Acquisition, LockTable, ShardCounters, Ticket, WaitEdge, WakeHandle,
+};
 pub use nt_sgt_live::{FeedHandle, LiveCertifier, LiveStatus};
 pub use recorder::{ActionSink, SeqClock, WorkerLog};
 pub use run::{
@@ -51,7 +54,8 @@ pub use run::{
     Victim,
 };
 pub use session::{
-    AccessOutcome, BeginOutcome, CommitOutcome, RecoveredSeed, Session, SessionEngine, SessionError,
+    AccessOutcome, AccessStep, BeginOutcome, CommitOutcome, ParkedAccess, RecoveredSeed, Session,
+    SessionEngine, SessionError,
 };
 pub use session_tree::{SessionTree, TreeError};
 pub use status::StatusTable;

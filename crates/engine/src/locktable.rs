@@ -1,31 +1,41 @@
-//! Sharded Moss lock table with real blocking.
+//! Sharded Moss lock table with non-blocking, grant-in-place waits.
 //!
 //! Each shard owns a disjoint slice of the objects (`object_id & mask`)
-//! behind one mutex + condvar pair, so lock traffic on disjoint objects
-//! never contends on a shared line. Grant decisions use the exact
+//! behind one mutex, so lock traffic on disjoint objects never contends on
+//! a shared line. Grant decisions use the exact
 //! [`nt_locking::moss_precondition`] the simulated `M1_X` automaton uses:
 //! an access is granted only when every conflicting lockholder is an
 //! ancestor.
 //!
-//! ## Fairness and lost wakeups
+//! ## Fairness: grant in place
 //!
-//! Waiters carry monotone *tickets*. A waiter may acquire only when it is
-//! eligible (Moss precondition holds) **and** no eligible waiter on the
-//! same object holds an earlier ticket — earliest-eligible wins. Strict
-//! FIFO would be wrong here: under the ancestor rules a child's request is
-//! often eligible while an unrelated earlier waiter is not, and parking the
-//! child behind it can stall forever (the earlier waiter may be waiting on
-//! the child's own subtree to finish).
+//! A request that cannot be granted on arrival is *queued*, not blocked:
+//! [`LockTable::try_acquire`] returns [`Acquisition::Queued`] with a
+//! [`Ticket`]. Waiters sit in ticket (arrival) order. Whoever changes an
+//! object's lock state — `release_inherit`, `discard`, a cancelled
+//! ticket, the detector's [`LockTable::doom_sweep`] — walks that object's
+//! queue *under the shard mutex* and resolves every waiter it can:
+//! a doomed one to [`Acquired::Doomed`], an eligible one (Moss
+//! precondition holds) to [`Acquired::Granted`], inserting the lock and
+//! stamping the `REQUEST_COMMIT` right there, exactly as an immediate
+//! grant does. The walk is earliest-eligible: strict FIFO would be wrong
+//! under the ancestor rules (a child's request is often eligible while an
+//! unrelated earlier waiter is not, and parking the child behind it can
+//! stall forever — the earlier waiter may be waiting on the child's own
+//! subtree to finish), so an ineligible waiter is skipped, not waited on.
 //!
-//! Every state change that can affect eligibility — a grant (removes a
-//! waiter other waiters defer to), lock inheritance, an abort-time discard,
-//! a doomed waiter deregistering — happens while the shard mutex is held
-//! and broadcasts the shard condvar before releasing it. Waiters re-check
-//! eligibility under the same mutex before parking, so a wakeup cannot
-//! fall between check and wait. A bounded `wait_timeout` slice backstops
-//! the argument; grants that land *immediately after* a timed-out wait are
-//! counted in [`LockTable::timeout_rescues`], which the stress tests assert
-//! stays at (or near) zero — the broadcasts, not the timeouts, do the work.
+//! Because every state change settles the queue before releasing the
+//! mutex, **no queued waiter is ever eligible** between critical
+//! sections; a new arrival therefore only has to test its own
+//! precondition, and there is no wakeup to lose — the resolver writes the
+//! outcome into the ticket and fires its [`WakeHandle`] (a server
+//! connection's resume) or signals its condvar (the blocking
+//! [`LockTable::acquire`] wrapper). One forward pass suffices: a grant
+//! only adds a holder, which can make no other waiter eligible.
+//!
+//! The blocking wrapper parks on its ticket with a long backstop timeout;
+//! a grant first observed right after a timed-out park is counted in
+//! [`LockTable::timeout_rescues`], which the stress tests pin at zero.
 
 use crate::recorder::{ActionSink, SeqClock, WorkerLog};
 use crate::status::StatusTable;
@@ -39,7 +49,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Result of a lock acquisition attempt.
+/// How a lock request resolved.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Acquired {
     /// Lock granted; the value is the access's `REQUEST_COMMIT` return
@@ -52,11 +62,107 @@ pub enum Acquired {
     Doomed(TxId),
 }
 
-/// One parked request.
+/// What [`LockTable::try_acquire`] returns: resolved now, or queued.
+pub enum Acquisition {
+    /// Granted on arrival (see [`Acquired::Granted`]).
+    Granted(Value),
+    /// Doomed on arrival (see [`Acquired::Doomed`]).
+    Doomed(TxId),
+    /// A conflicting non-ancestor holds the lock: the request waits in
+    /// the object's queue and resolves through the ticket.
+    Queued(Ticket),
+}
+
+/// What a queued request fires when it resolves: a continuation's resume
+/// hook, plus the label diagnostics show for its owner (the server passes
+/// the connection id). Fired under the shard mutex, so it must not call
+/// back into the lock table — push to a queue, wake a thread, return.
+#[derive(Clone)]
+pub struct WakeHandle {
+    owner: u64,
+    wake: Arc<dyn Fn() + Send + Sync>,
+}
+
+impl WakeHandle {
+    /// A handle owned by `owner` that runs `wake` on resolution.
+    pub fn new(owner: u64, wake: impl Fn() + Send + Sync + 'static) -> WakeHandle {
+        WakeHandle {
+            owner,
+            wake: Arc::new(wake),
+        }
+    }
+
+    /// Fire the hook (the lock table does on resolution; other parties a
+    /// continuation waits on — the certifier's drain barrier — may too).
+    pub fn wake(&self) {
+        (self.wake)();
+    }
+}
+
+/// Where a queued request's outcome lands.
+struct TicketCell {
+    outcome: Mutex<Option<Acquired>>,
+    /// The blocking wrapper parks here.
+    resolved: Condvar,
+    wake: Option<WakeHandle>,
+}
+
+impl TicketCell {
+    fn resolve(&self, outcome: Acquired) {
+        *self.outcome.lock().expect("ticket poisoned") = Some(outcome);
+        self.resolved.notify_all();
+        if let Some(w) = &self.wake {
+            w.wake();
+        }
+    }
+}
+
+/// A queued lock request. Hand it back to the table — [`LockTable::
+/// try_resolve`] after its wake fired, [`LockTable::park`] to block on
+/// it, or [`LockTable::cancel`] to withdraw it; dropping it instead
+/// leaves the request queued and its eventual grant unowned.
+pub struct Ticket {
+    t: TxId,
+    x: ObjId,
+    no: u64,
+    cell: Arc<TicketCell>,
+    /// Queue time, kept only while telemetry is enabled.
+    since: Option<Instant>,
+}
+
+impl Ticket {
+    /// The requesting access.
+    pub fn tx(&self) -> TxId {
+        self.t
+    }
+
+    /// The object it waits for.
+    pub fn obj(&self) -> ObjId {
+        self.x
+    }
+}
+
+/// One queued request, in its object's arrival-ordered queue.
 struct Waiter {
     ticket: u64,
     t: TxId,
-    write_like: bool,
+    /// `Some(data)` for a write-like request, `None` for a read.
+    write: Option<i64>,
+    cell: Arc<TicketCell>,
+}
+
+/// One edge set of the wait-for relation: a queued request and the
+/// lockholders currently blocking it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct WaitEdge {
+    /// The queued access.
+    pub waiter: TxId,
+    /// The object it waits for.
+    pub obj: ObjId,
+    /// Its [`WakeHandle`] owner label (0 for a blocking in-process wait).
+    pub owner: u64,
+    /// The non-ancestor holders of conflicting locks.
+    pub blockers: Vec<TxId>,
 }
 
 /// Lock state of one object.
@@ -94,8 +200,22 @@ impl ObjLocks {
             .1
     }
 
-    #[cfg(debug_assertions)]
+    /// Moss' precondition for `t` against the current holders.
+    fn eligible(&self, tree: &impl TreeView, t: TxId, write_like: bool) -> bool {
+        moss_precondition_by(
+            |a, b| tree.is_ancestor(a, b),
+            t,
+            write_like,
+            self.write.keys().copied(),
+            self.read.iter().copied(),
+        )
+    }
+
+    /// Debug builds only: lockholders of `x` are pairwise related.
     fn check_lemma9(&self, tree: &impl TreeView, x: ObjId) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
         for &w in self.write.keys() {
             for other in self.write.keys().chain(self.read.iter()) {
                 assert!(
@@ -113,7 +233,7 @@ impl ObjLocks {
 pub struct ShardCounters {
     /// Lock grants on this shard.
     pub grants: u64,
-    /// Acquires that parked at least once on this shard.
+    /// Acquires that queued on this shard.
     pub waits: u64,
     /// Total lock hold time released on this shard, microseconds
     /// (tracked only while telemetry is enabled).
@@ -130,10 +250,10 @@ struct ShardState {
     log: WorkerLog,
 }
 
-struct Shard {
-    state: Mutex<ShardState>,
-    cv: Condvar,
-}
+/// How long the blocking wrapper parks before it re-settles its object's
+/// queue itself. Grants are delivered by the resolver, so this is only a
+/// watchdog on that argument: long enough never to fire in a healthy run.
+const PARK_BACKSTOP: Duration = Duration::from_millis(250);
 
 /// The sharded lock manager, generic over the tree representation: the
 /// batch engine passes a frozen `Arc<TxTree>` (the default), the session
@@ -143,9 +263,8 @@ pub struct LockTable<T: TreeView = Arc<TxTree>> {
     status: Arc<StatusTable>,
     clock: Arc<SeqClock>,
     initials: RwInitials,
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<ShardState>>,
     mask: usize,
-    wait_slice: Duration,
     give_up: AtomicBool,
     granted: AtomicU64,
     blocked: AtomicU64,
@@ -169,18 +288,16 @@ impl<T: TreeView> LockTable<T> {
             clock,
             initials,
             shards: (0..shards)
-                .map(|_| Shard {
-                    state: Mutex::new(ShardState {
+                .map(|_| {
+                    Mutex::new(ShardState {
                         objects: BTreeMap::new(),
                         next_ticket: 0,
                         counters: ShardCounters::default(),
                         log: WorkerLog::new(),
-                    }),
-                    cv: Condvar::new(),
+                    })
                 })
                 .collect(),
             mask: shards - 1,
-            wait_slice: Duration::from_millis(5),
             give_up: AtomicBool::new(false),
             granted: AtomicU64::new(0),
             blocked: AtomicU64::new(0),
@@ -203,8 +320,7 @@ impl<T: TreeView> LockTable<T> {
     /// persisted order still equals stamp order per object.
     pub fn with_sink(mut self, sink: Arc<dyn ActionSink>) -> Self {
         for shard in &mut self.shards {
-            shard.state.get_mut().expect("shard poisoned").log =
-                WorkerLog::with_sink(Arc::clone(&sink));
+            shard.get_mut().expect("shard poisoned").log = WorkerLog::with_sink(Arc::clone(&sink));
         }
         self
     }
@@ -214,135 +330,239 @@ impl<T: TreeView> LockTable<T> {
     /// when both are mounted — `with_sink` replaces the shard logs).
     pub fn with_feed(mut self, feed: nt_sgt_live::FeedHandle) -> Self {
         for shard in &mut self.shards {
-            let st = shard.state.get_mut().expect("shard poisoned");
+            let st = shard.get_mut().expect("shard poisoned");
             st.log = std::mem::take(&mut st.log).with_feed(feed.clone());
         }
         self
     }
 
-    fn shard_of(&self, x: ObjId) -> &Shard {
+    fn shard_of(&self, x: ObjId) -> &Mutex<ShardState> {
         &self.shards[x.index() & self.mask]
     }
 
-    /// Acquire the lock access `t` needs for `op` on `x`, blocking until
-    /// granted or doomed. `op` must be a read/write-register operation.
-    pub fn acquire(&self, t: TxId, x: ObjId, op: &Op) -> Acquired {
-        let write_like = !op.is_rw_read();
-        let shard = self.shard_of(x);
-        let mut st = shard.state.lock().expect("shard poisoned");
-        let mut my_ticket: Option<u64> = None;
-        let mut last_wait_timed_out = false;
-        // Set when this acquire first parks; telemetry-only, so the
-        // uncontended grant path never reads the wall clock.
-        let mut wait_start: Option<Instant> = None;
+    /// The transaction whose frame must abort if `t` may not proceed: the
+    /// highest doomed ancestor-or-self, or — once the watchdog fired —
+    /// `t`'s top-level ancestor.
+    fn doom_of(&self, t: TxId) -> Option<TxId> {
+        self.status.doomed_ancestor(&self.tree, t).or_else(|| {
+            self.give_up
+                .load(Ordering::Acquire)
+                .then(|| self.tree.child_toward(TxId::ROOT, t))
+        })
+    }
+
+    /// Give `t` its lock on `x` and stamp the `REQUEST_COMMIT` — the one
+    /// grant path, for arrivals and queued waiters alike. The caller
+    /// holds the shard mutex and has checked the precondition.
+    fn grant(
+        &self,
+        x: ObjId,
+        locks: &mut ObjLocks,
+        counters: &mut ShardCounters,
+        log: &mut WorkerLog,
+        t: TxId,
+        write: Option<i64>,
+    ) -> Value {
+        let value = match write {
+            Some(data) => {
+                locks.write.insert(t, data);
+                Value::Ok
+            }
+            None => {
+                let v = locks.read_value(&self.tree);
+                locks.read.insert(t);
+                Value::Int(v)
+            }
+        };
+        if self.telemetry.is_enabled() {
+            locks.since.insert(t, Instant::now());
+        }
+        locks.check_lemma9(&self.tree, x);
+        counters.grants += 1;
+        log.record(&self.clock, Action::RequestCommit(t, value.clone()));
+        self.granted.fetch_add(1, Ordering::Relaxed);
+        value
+    }
+
+    /// Resolve every waiter of `x` that can be resolved now, in arrival
+    /// order: doomed ones leave, eligible ones are granted in place. Runs
+    /// under the shard mutex after every change to `x`'s lock state.
+    fn settle(
+        &self,
+        x: ObjId,
+        locks: &mut ObjLocks,
+        counters: &mut ShardCounters,
+        log: &mut WorkerLog,
+    ) {
+        let mut i = 0;
+        while i < locks.waiters.len() {
+            let (t, write) = (locks.waiters[i].t, locks.waiters[i].write);
+            let outcome = if let Some(d) = self.doom_of(t) {
+                Acquired::Doomed(d)
+            } else if locks.eligible(&self.tree, t, write.is_some()) {
+                Acquired::Granted(self.grant(x, locks, counters, log, t, write))
+            } else {
+                i += 1;
+                continue;
+            };
+            locks.waiters.remove(i).cell.resolve(outcome);
+        }
+    }
+
+    /// Request the lock access `t` needs for `op` on `x` without
+    /// blocking: granted or doomed now, or queued behind the conflicting
+    /// holders with `wake` fired on resolution. `op` must be a
+    /// read/write-register operation.
+    pub fn try_acquire(
+        &self,
+        t: TxId,
+        x: ObjId,
+        op: &Op,
+        wake: Option<&WakeHandle>,
+    ) -> Acquisition {
+        let write =
+            (!op.is_rw_read()).then(|| op.write_data().expect("write-like rw op carries data"));
+        let mut guard = self.shard_of(x).lock().expect("shard poisoned");
+        let st = &mut *guard;
+        if let Some(d) = self.doom_of(t) {
+            return Acquisition::Doomed(d);
+        }
+        let locks = st
+            .objects
+            .entry(x.0)
+            .or_insert_with(|| ObjLocks::new(self.initials.initial(x)));
+        // No queued waiter is eligible (every state change settles the
+        // queue), so the arrival defers to nobody: its own precondition
+        // decides.
+        if locks.eligible(&self.tree, t, write.is_some()) {
+            let v = self.grant(x, locks, &mut st.counters, &mut st.log, t, write);
+            return Acquisition::Granted(v);
+        }
+        let no = st.next_ticket;
+        st.next_ticket += 1;
+        let cell = Arc::new(TicketCell {
+            outcome: Mutex::new(None),
+            resolved: Condvar::new(),
+            wake: wake.cloned(),
+        });
+        locks.waiters.push(Waiter {
+            ticket: no,
+            t,
+            write,
+            cell: Arc::clone(&cell),
+        });
+        st.counters.waits += 1;
+        self.blocked.fetch_add(1, Ordering::Relaxed);
+        Acquisition::Queued(Ticket {
+            t,
+            x,
+            no,
+            cell,
+            since: self.telemetry.is_enabled().then(Instant::now),
+        })
+    }
+
+    /// The queue → resolution interval of a resolved ticket.
+    fn observe_blocked(&self, ticket: &Ticket) {
+        if let Some(since) = ticket.since {
+            self.telemetry
+                .observe_lock_blocked(since.elapsed().as_micros() as u64);
+        }
+    }
+
+    /// Take a queued request's outcome if it has resolved; otherwise hand
+    /// the ticket back (its wake has not fired yet).
+    pub fn try_resolve(&self, ticket: Ticket) -> Result<Acquired, Ticket> {
+        let outcome = ticket.cell.outcome.lock().expect("ticket poisoned").take();
+        match outcome {
+            Some(a) => {
+                self.observe_blocked(&ticket);
+                Ok(a)
+            }
+            None => Err(ticket),
+        }
+    }
+
+    /// Block the calling thread until the ticket resolves.
+    pub fn park(&self, ticket: Ticket) -> Acquired {
+        let mut rescued = false;
         loop {
-            // Doom / watchdog checks come first so a doomed waiter leaves
-            // the queue promptly (its departure can unblock others).
-            let doomed = self.status.doomed_ancestor(&self.tree, t).or_else(|| {
-                if self.give_up.load(Ordering::Acquire) {
-                    Some(self.tree.child_toward(TxId::ROOT, t))
-                } else {
-                    None
+            let guard = ticket.cell.outcome.lock().expect("ticket poisoned");
+            let (mut guard, _) = ticket
+                .cell
+                .resolved
+                .wait_timeout_while(guard, PARK_BACKSTOP, |o| o.is_none())
+                .expect("ticket poisoned");
+            if let Some(a) = guard.take() {
+                drop(guard);
+                if rescued {
+                    self.timeout_rescues.fetch_add(1, Ordering::Relaxed);
                 }
-            });
-            let locks = st
-                .objects
-                .entry(x.0)
-                .or_insert_with(|| ObjLocks::new(self.initials.initial(x)));
-            if let Some(d) = doomed {
-                if my_ticket.is_some() {
-                    locks.waiters.retain(|w| w.t != t);
-                    shard.cv.notify_all();
-                }
-                return Acquired::Doomed(d);
+                self.observe_blocked(&ticket);
+                return a;
             }
-            let eligible = moss_precondition_by(
-                |a, b| self.tree.is_ancestor(a, b),
-                t,
-                write_like,
-                locks.write.keys().copied(),
-                locks.read.iter().copied(),
-            );
-            let earlier_eligible = locks.waiters.iter().any(|w| {
-                my_ticket.is_none_or(|mine| w.ticket < mine)
-                    && w.t != t
-                    && moss_precondition_by(
-                        |a, b| self.tree.is_ancestor(a, b),
-                        w.t,
-                        w.write_like,
-                        locks.write.keys().copied(),
-                        locks.read.iter().copied(),
-                    )
-            });
-            if eligible && !earlier_eligible {
-                let value = if write_like {
-                    let data = op.write_data().expect("write-like rw op carries data");
-                    locks.write.insert(t, data);
-                    Value::Ok
-                } else {
-                    let v = locks.read_value(&self.tree);
-                    locks.read.insert(t);
-                    Value::Int(v)
-                };
-                if self.telemetry.is_enabled() {
-                    locks.since.insert(t, Instant::now());
-                }
-                #[cfg(debug_assertions)]
-                locks.check_lemma9(&self.tree, x);
-                if my_ticket.is_some() {
-                    locks.waiters.retain(|w| w.t != t);
-                    if last_wait_timed_out {
-                        self.timeout_rescues.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                st.counters.grants += 1;
-                st.log
-                    .record(&self.clock, Action::RequestCommit(t, value.clone()));
-                self.granted.fetch_add(1, Ordering::Relaxed);
-                shard.cv.notify_all();
-                if let Some(start) = wait_start {
-                    self.telemetry
-                        .observe_lock_blocked(start.elapsed().as_micros() as u64);
-                }
-                return Acquired::Granted(value);
-            }
-            if my_ticket.is_none() {
-                let ticket = st.next_ticket;
-                st.next_ticket += 1;
-                st.objects
-                    .get_mut(&x.0)
-                    .expect("just inserted")
-                    .waiters
-                    .push(Waiter {
-                        ticket,
-                        t,
-                        write_like,
-                    });
-                my_ticket = Some(ticket);
-                st.counters.waits += 1;
-                self.blocked.fetch_add(1, Ordering::Relaxed);
-                if self.telemetry.is_enabled() {
-                    wait_start = Some(Instant::now());
-                }
-            }
-            let (next, timeout) = shard
-                .cv
-                .wait_timeout(st, self.wait_slice)
-                .expect("shard poisoned");
-            st = next;
-            last_wait_timed_out = timeout.timed_out();
+            drop(guard);
+            // Timed out: settle the queue ourselves. An outcome that is
+            // there right afterwards rode the backstop, not a resolver.
+            self.resettle(ticket.x);
+            rescued = ticket
+                .cell
+                .outcome
+                .lock()
+                .expect("ticket poisoned")
+                .is_some();
+        }
+    }
+
+    /// Acquire the lock access `t` needs for `op` on `x`, blocking until
+    /// granted or doomed: [`try_acquire`](Self::try_acquire), then
+    /// [`park`](Self::park) on the ticket.
+    pub fn acquire(&self, t: TxId, x: ObjId, op: &Op) -> Acquired {
+        match self.try_acquire(t, x, op, None) {
+            Acquisition::Granted(v) => Acquired::Granted(v),
+            Acquisition::Doomed(d) => Acquired::Doomed(d),
+            Acquisition::Queued(ticket) => self.park(ticket),
+        }
+    }
+
+    /// Withdraw a queued request (its owner is going away). `Some` means
+    /// it had already resolved — a grant the caller now owns and must
+    /// release like any other.
+    pub fn cancel(&self, ticket: Ticket) -> Option<Acquired> {
+        let mut guard = self.shard_of(ticket.x).lock().expect("shard poisoned");
+        let st = &mut *guard;
+        if let Some(locks) = st.objects.get_mut(&ticket.x.0) {
+            locks.waiters.retain(|w| w.ticket != ticket.no);
+            self.settle(ticket.x, locks, &mut st.counters, &mut st.log);
+        }
+        drop(guard);
+        ticket.cell.outcome.lock().expect("ticket poisoned").take()
+    }
+
+    /// Settle `x`'s queue outside any state change (the park backstop).
+    fn resettle(&self, x: ObjId) {
+        let mut guard = self.shard_of(x).lock().expect("shard poisoned");
+        let st = &mut *guard;
+        if let Some(locks) = st.objects.get_mut(&x.0) {
+            self.settle(x, locks, &mut st.counters, &mut st.log);
         }
     }
 
     /// `INFORM_COMMIT(t)` for every object in `objs`: move `t`'s locks
-    /// (and tentative value) up to `parent(t)`.
+    /// (and tentative value) up to `parent(t)`, then grant whoever that
+    /// unblocks.
     pub fn release_inherit(&self, t: TxId, objs: impl IntoIterator<Item = ObjId>) {
         let parent = self.tree.parent(t).expect("cannot inherit from T0");
         for x in objs {
-            let shard = self.shard_of(x);
-            let mut st = shard.state.lock().expect("shard poisoned");
-            let mut held_us = None;
-            if let Some(locks) = st.objects.get_mut(&x.0) {
+            let mut guard = self.shard_of(x).lock().expect("shard poisoned");
+            let ShardState {
+                objects,
+                counters,
+                log,
+                ..
+            } = &mut *guard;
+            let mut locks = objects.get_mut(&x.0);
+            if let Some(locks) = locks.as_deref_mut() {
                 if let Some(v) = locks.write.remove(&t) {
                     locks.write.insert(parent, v);
                 }
@@ -352,29 +572,33 @@ impl<T: TreeView> LockTable<T> {
                 // `t`'s hold ends here; the inherited lock starts the
                 // parent's hold clock (unless it already holds one).
                 if let Some(start) = locks.since.remove(&t) {
-                    held_us = Some(start.elapsed().as_micros() as u64);
+                    let us = start.elapsed().as_micros() as u64;
                     locks.since.entry(parent).or_insert_with(Instant::now);
+                    counters.hold_us += us;
+                    self.telemetry.observe_lock_hold(us);
                 }
-                #[cfg(debug_assertions)]
                 locks.check_lemma9(&self.tree, x);
             }
-            if let Some(us) = held_us {
-                st.counters.hold_us += us;
-                self.telemetry.observe_lock_hold(us);
+            log.record(&self.clock, Action::InformCommit(x, t));
+            if let Some(locks) = locks {
+                self.settle(x, locks, counters, log);
             }
-            st.log.record(&self.clock, Action::InformCommit(x, t));
-            shard.cv.notify_all();
         }
     }
 
     /// `INFORM_ABORT(d)` for every object in `objs`: discard all locks held
-    /// by descendants-or-self of `d`.
+    /// by descendants-or-self of `d`, then grant whoever that unblocks.
     pub fn discard(&self, d: TxId, objs: impl IntoIterator<Item = ObjId>) {
         for x in objs {
-            let shard = self.shard_of(x);
-            let mut st = shard.state.lock().expect("shard poisoned");
-            let mut discarded_us = Vec::new();
-            if let Some(locks) = st.objects.get_mut(&x.0) {
+            let mut guard = self.shard_of(x).lock().expect("shard poisoned");
+            let ShardState {
+                objects,
+                counters,
+                log,
+                ..
+            } = &mut *guard;
+            let mut locks = objects.get_mut(&x.0);
+            if let Some(locks) = locks.as_deref_mut() {
                 locks.write.retain(|h, _| !self.tree.is_ancestor(d, *h));
                 locks.read.retain(|h| !self.tree.is_ancestor(d, *h));
                 let dead: Vec<TxId> = locks
@@ -385,39 +609,45 @@ impl<T: TreeView> LockTable<T> {
                     .collect();
                 for h in dead {
                     if let Some(start) = locks.since.remove(&h) {
-                        discarded_us.push(start.elapsed().as_micros() as u64);
+                        let us = start.elapsed().as_micros() as u64;
+                        counters.hold_us += us;
+                        self.telemetry.observe_lock_hold(us);
                     }
                 }
             }
-            for us in discarded_us {
-                st.counters.hold_us += us;
-                self.telemetry.observe_lock_hold(us);
+            log.record(&self.clock, Action::InformAbort(x, d));
+            if let Some(locks) = locks {
+                self.settle(x, locks, counters, log);
             }
-            st.log.record(&self.clock, Action::InformAbort(x, d));
-            shard.cv.notify_all();
         }
     }
 
-    /// Snapshot of the wait-for relation for the deadlock detector: each
-    /// parked waiter with the lockholders currently blocking it. Shards are
-    /// locked one at a time, so the snapshot is per-shard (not globally)
-    /// consistent — the detector re-confirms any cycle by dooming through
-    /// the status CAS, which refuses completed transactions.
-    pub fn waiting_snapshot(&self) -> Vec<(TxId, Vec<TxId>)> {
+    /// Snapshot of the wait-for relation for the deadlock detector and
+    /// the diagnostics dumps: each queued waiter with the lockholders
+    /// currently blocking it. Shards are locked one at a time, so the
+    /// snapshot is per-shard (not globally) consistent — the detector
+    /// re-confirms any cycle by dooming through the status CAS, which
+    /// refuses completed transactions.
+    pub fn waiting_snapshot(&self) -> Vec<WaitEdge> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let st = shard.state.lock().expect("shard poisoned");
-            for locks in st.objects.values() {
+            let st = shard.lock().expect("shard poisoned");
+            for (&x, locks) in &st.objects {
                 for w in &locks.waiters {
                     let blockers = moss_blockers_by(
                         |a, b| self.tree.is_ancestor(a, b),
                         w.t,
-                        w.write_like,
+                        w.write.is_some(),
                         locks.write.keys().copied(),
                         locks.read.iter().copied(),
                     );
                     if !blockers.is_empty() {
-                        out.push((w.t, blockers));
+                        out.push(WaitEdge {
+                            waiter: w.t,
+                            obj: ObjId(x),
+                            owner: w.cell.wake.as_ref().map_or(0, |h| h.owner),
+                            blockers,
+                        });
                     }
                 }
             }
@@ -425,19 +655,24 @@ impl<T: TreeView> LockTable<T> {
         out
     }
 
-    /// Broadcast every shard's condvar (after the detector doomed a victim,
-    /// so its blocked frames re-check their ancestry promptly).
-    pub fn notify_all_shards(&self) {
+    /// Settle every queue (after the detector doomed a victim, so its
+    /// queued requests resolve to [`Acquired::Doomed`] promptly).
+    pub fn doom_sweep(&self) {
         for shard in &self.shards {
-            let _st = shard.state.lock().expect("shard poisoned");
-            shard.cv.notify_all();
+            let mut guard = shard.lock().expect("shard poisoned");
+            let st = &mut *guard;
+            for (&x, locks) in &mut st.objects {
+                if !locks.waiters.is_empty() {
+                    self.settle(ObjId(x), locks, &mut st.counters, &mut st.log);
+                }
+            }
         }
     }
 
     /// Watchdog: make every current and future waiter give up.
     pub fn give_up(&self) {
         self.give_up.store(true, Ordering::Release);
-        self.notify_all_shards();
+        self.doom_sweep();
     }
 
     /// Did the watchdog fire?
@@ -449,7 +684,7 @@ impl<T: TreeView> LockTable<T> {
     pub fn drain_logs(&self) -> Vec<WorkerLog> {
         self.shards
             .iter()
-            .map(|s| std::mem::take(&mut s.state.lock().expect("shard poisoned").log))
+            .map(|s| std::mem::take(&mut s.lock().expect("shard poisoned").log))
             .collect()
     }
 
@@ -459,7 +694,7 @@ impl<T: TreeView> LockTable<T> {
     /// still-buffered tail too, or the maintainer parks at the hole.
     pub fn flush_feeds(&self) {
         for shard in &self.shards {
-            shard.state.lock().expect("shard poisoned").log.flush_feed();
+            shard.lock().expect("shard poisoned").log.flush_feed();
         }
     }
 
@@ -469,7 +704,7 @@ impl<T: TreeView> LockTable<T> {
     pub fn snapshot_logs(&self) -> Vec<WorkerLog> {
         self.shards
             .iter()
-            .map(|s| s.state.lock().expect("shard poisoned").log.clone())
+            .map(|s| s.lock().expect("shard poisoned").log.clone())
             .collect()
     }
 
@@ -478,14 +713,16 @@ impl<T: TreeView> LockTable<T> {
         self.granted.load(Ordering::Relaxed)
     }
 
-    /// Requests that parked at least once.
+    /// Requests that queued.
     pub fn blocked(&self) -> u64 {
         self.blocked.load(Ordering::Relaxed)
     }
 
-    /// Grants that landed immediately after a timed-out condvar wait — a
-    /// nonzero burst here would indicate a lost-wakeup bug that the timeout
-    /// backstop papered over.
+    /// Outcomes the blocking wrapper found only by settling the queue
+    /// itself after a timed-out [`park`](Self::park) — nonzero means a
+    /// resolver failed to deliver a grant and the backstop papered over
+    /// it. Continuations ([`WakeHandle`]) have no backstop and never
+    /// count here.
     pub fn timeout_rescues(&self) -> u64 {
         self.timeout_rescues.load(Ordering::Relaxed)
     }
@@ -495,7 +732,7 @@ impl<T: TreeView> LockTable<T> {
     pub fn shard_counters(&self) -> Vec<ShardCounters> {
         self.shards
             .iter()
-            .map(|s| s.state.lock().expect("shard poisoned").counters)
+            .map(|s| s.lock().expect("shard poisoned").counters)
             .collect()
     }
 }

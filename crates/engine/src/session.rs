@@ -20,7 +20,7 @@
 
 use crate::detector::scan_once;
 pub use crate::detector::Victim;
-use crate::locktable::{Acquired, LockTable, ShardCounters};
+use crate::locktable::{Acquired, Acquisition, LockTable, ShardCounters, Ticket, WakeHandle};
 use crate::recorder::{merge, ActionSink, SeqClock, WorkerLog};
 use crate::session_tree::{SessionTree, TreeError};
 use crate::status::StatusTable;
@@ -96,6 +96,37 @@ pub enum AccessOutcome {
     Done(Value),
     /// A deadlock victim (ancestor-or-self) was aborted instead.
     Aborted(TxId),
+}
+
+/// One step of a resumable access ([`Session::access_start`]).
+pub enum AccessStep {
+    /// The access finished.
+    Done(AccessOutcome),
+    /// Its lock request is queued; the [`WakeHandle`] fires when it
+    /// resolves, and [`Session::access_resume`] then finishes it.
+    Parked(ParkedAccess),
+}
+
+/// An access whose lock request is queued: created and recorded, not yet
+/// answered. Give it back to its session — `access_resume` once woken,
+/// or `access_cancel` if the client goes away first.
+pub struct ParkedAccess {
+    parent: TxId,
+    ticket: Ticket,
+    /// Park time, kept only while telemetry is enabled.
+    since: Option<Instant>,
+}
+
+impl ParkedAccess {
+    /// The access transaction that waits.
+    pub fn tx(&self) -> TxId {
+        self.ticket.tx()
+    }
+
+    /// The object it waits for.
+    pub fn obj(&self) -> ObjId {
+        self.ticket.obj()
+    }
 }
 
 /// Outcome of `commit`.
@@ -303,7 +334,7 @@ impl SessionEngine {
                     e.detector_passes.fetch_add(1, Ordering::Relaxed);
                     if let Some(v) = scan_once(&*e.tree, &e.status, &*e.table) {
                         e.victims.lock().expect("victims poisoned").push(v);
-                        e.table.notify_all_shards();
+                        e.table.doom_sweep();
                     }
                 }
             })
@@ -379,8 +410,9 @@ impl SessionEngine {
         self.table.blocked()
     }
 
-    /// Grants that landed right after a timed-out wait (lost-wakeup
-    /// backstop metric).
+    /// Grants a blocking [`Session::access`] found only after a
+    /// timed-out park (lost-wakeup backstop metric; see
+    /// [`LockTable::timeout_rescues`]).
     pub fn timeout_rescues(&self) -> u64 {
         self.table.timeout_rescues()
     }
@@ -391,17 +423,21 @@ impl SessionEngine {
     }
 
     /// On-demand wait-for-graph snapshot as one JSON object:
-    /// `{"wait_for": [{"waiter": t, "blockers": [u, ...]}, ...]}`. Each
-    /// edge is a parked lock request and the holders currently blocking
-    /// it — the same relation the deadlock detector folds into cycles.
+    /// `{"wait_for": [{"waiter": t, "obj": x, "conn": c, "blockers":
+    /// [u, ...]}, ...]}`. Each edge is a queued lock request — a parked
+    /// continuation of connection `c` (0 for a blocking in-process
+    /// wait) — and the holders currently blocking it: the same relation
+    /// the deadlock detector folds into cycles.
     pub fn wait_for_json(&self) -> String {
         let snapshot = self.table.waiting_snapshot();
         let edges: Vec<String> = snapshot
             .iter()
-            .map(|(waiter, blockers)| {
+            .map(|e| {
                 let mut o = JsonObj::new();
-                o.num("waiter", u64::from(waiter.0));
-                let ids: Vec<u64> = blockers.iter().map(|b| u64::from(b.0)).collect();
+                o.num("waiter", u64::from(e.waiter.0))
+                    .num("obj", u64::from(e.obj.0))
+                    .num("conn", e.owner);
+                let ids: Vec<u64> = e.blockers.iter().map(|b| u64::from(b.0)).collect();
                 o.num_arr("blockers", &ids);
                 o.build()
             })
@@ -593,14 +629,76 @@ impl Session {
     }
 
     /// Run one access under `parent`: create the access transaction,
-    /// acquire its Moss lock (blocking; the detector breaks deadlocks),
-    /// commit it, and inherit the lock to `parent`.
+    /// acquire its Moss lock (blocking this thread while it is queued;
+    /// the detector breaks deadlocks), commit it, and inherit the lock to
+    /// `parent`. A park-on-ticket wrapper over [`Session::access_start`].
     pub fn access(
         &mut self,
         parent: TxId,
         x: ObjId,
         op: Op,
     ) -> Result<AccessOutcome, SessionError> {
+        match self.access_begin(parent, x, op, None)? {
+            AccessStep::Done(out) => Ok(out),
+            AccessStep::Parked(p) => {
+                let (t, x) = (p.tx(), p.obj());
+                let acquired = self.engine.table.park(p.ticket);
+                self.note_lock_wait(p.since);
+                Ok(self.finish_access(t, p.parent, x, acquired))
+            }
+        }
+    }
+
+    /// [`Session::access`] without blocking: when the lock request has to
+    /// queue, the access comes back [`AccessStep::Parked`] and `wake`
+    /// fires (from whichever thread releases the lock or dooms the
+    /// waiter) once [`Session::access_resume`] can finish it.
+    pub fn access_start(
+        &mut self,
+        parent: TxId,
+        x: ObjId,
+        op: Op,
+        wake: &WakeHandle,
+    ) -> Result<AccessStep, SessionError> {
+        self.access_begin(parent, x, op, Some(wake))
+    }
+
+    /// Finish a parked access whose wake fired. A request that has not
+    /// resolved after all comes back [`AccessStep::Parked`] unchanged.
+    pub fn access_resume(&mut self, p: ParkedAccess) -> AccessStep {
+        let (t, x) = (p.tx(), p.obj());
+        match self.engine.table.try_resolve(p.ticket) {
+            Ok(acquired) => {
+                self.note_lock_wait(p.since);
+                AccessStep::Done(self.finish_access(t, p.parent, x, acquired))
+            }
+            Err(ticket) => AccessStep::Parked(ParkedAccess { ticket, ..p }),
+        }
+    }
+
+    /// Withdraw a parked access (the client hung up). A request that had
+    /// already resolved is finished normally, so a granted lock is owned
+    /// by this session's bookkeeping and goes away with its top.
+    pub fn access_cancel(&mut self, p: ParkedAccess) {
+        let (t, x) = (p.tx(), p.obj());
+        if let Some(acquired) = self.engine.table.cancel(p.ticket) {
+            self.finish_access(t, p.parent, x, acquired);
+        }
+    }
+
+    fn note_lock_wait(&mut self, since: Option<Instant>) {
+        if let Some(since) = since {
+            self.lock_wait_us += since.elapsed().as_micros() as u64;
+        }
+    }
+
+    fn access_begin(
+        &mut self,
+        parent: TxId,
+        x: ObjId,
+        op: Op,
+        wake: Option<&WakeHandle>,
+    ) -> Result<AccessStep, SessionError> {
         if !op.is_rw_read() && !op.is_rw_write() {
             return Err(SessionError::NonRwOp);
         }
@@ -612,7 +710,8 @@ impl Session {
             return Err(SessionError::Completed(parent));
         }
         if let Some(v) = self.dead_ancestor(parent) {
-            return Ok(AccessOutcome::Aborted(self.ensure_aborted(v)));
+            let out = AccessOutcome::Aborted(self.ensure_aborted(v));
+            return Ok(AccessStep::Done(out));
         }
         let t = self
             .tree()
@@ -620,13 +719,31 @@ impl Session {
             .map_err(SessionError::from)?;
         self.record(Action::RequestCreate(t));
         self.record(Action::Create(t));
-        let acquire_start = self.engine.telemetry.is_enabled().then(Instant::now);
-        let acquired = self.engine.table.acquire(t, x, &op);
-        if let Some(start) = acquire_start {
-            self.lock_wait_us += start.elapsed().as_micros() as u64;
-        }
+        let acquired = match self.engine.table.try_acquire(t, x, &op, wake) {
+            Acquisition::Granted(v) => Acquired::Granted(v),
+            Acquisition::Doomed(d) => Acquired::Doomed(d),
+            Acquisition::Queued(ticket) => {
+                return Ok(AccessStep::Parked(ParkedAccess {
+                    parent,
+                    ticket,
+                    since: self.engine.telemetry.is_enabled().then(Instant::now),
+                }));
+            }
+        };
+        Ok(AccessStep::Done(self.finish_access(t, parent, x, acquired)))
+    }
+
+    /// The access's lock request resolved: commit it and pass the lock
+    /// up, or abort the doomed subtree.
+    fn finish_access(
+        &mut self,
+        t: TxId,
+        parent: TxId,
+        x: ObjId,
+        acquired: Acquired,
+    ) -> AccessOutcome {
         match acquired {
-            Acquired::Doomed(d) => Ok(AccessOutcome::Aborted(self.ensure_aborted(d))),
+            Acquired::Doomed(d) => AccessOutcome::Aborted(self.ensure_aborted(d)),
             Acquired::Granted(v) => {
                 self.held.entry(t).or_default().insert(x);
                 if self.engine.status.try_commit(t) {
@@ -636,10 +753,10 @@ impl Session {
                         self.held.entry(parent).or_default().extend(objs);
                     }
                     self.record(Action::ReportCommit(t, v.clone()));
-                    Ok(AccessOutcome::Done(v))
+                    AccessOutcome::Done(v)
                 } else {
                     let d = self.dead_ancestor(t).unwrap_or(t);
-                    Ok(AccessOutcome::Aborted(self.ensure_aborted(d)))
+                    AccessOutcome::Aborted(self.ensure_aborted(d))
                 }
             }
         }
@@ -804,6 +921,80 @@ mod tests {
         assert_eq!(
             s.begin_child(top).expect("begin on aborted"),
             BeginOutcome::Aborted(top)
+        );
+        e.shutdown();
+        let cert = certify(&e);
+        assert!(cert.is_serially_correct(), "{}", cert.verdict.name());
+    }
+
+    /// Two sessions driven from ONE thread: the second's access parks as
+    /// a continuation, the first's commit grants it in place and fires its
+    /// wake, and the resume finishes it — no thread ever blocks.
+    #[test]
+    fn parked_access_resumes_on_the_releasing_commit_single_threaded() {
+        let e = engine();
+        let mut a = e.open_session();
+        let mut b = e.open_session();
+        let ta = a.begin_top().expect("top");
+        let tb = b.begin_top().expect("top");
+        assert_eq!(
+            a.access(ta, ObjId(0), Op::Write(3)).expect("write"),
+            AccessOutcome::Done(Value::Ok)
+        );
+        let fired = Arc::new(AtomicU64::new(0));
+        let f = Arc::clone(&fired);
+        let wake = WakeHandle::new(42, move || {
+            f.fetch_add(1, Ordering::SeqCst);
+        });
+        let parked = match b.access_start(tb, ObjId(0), Op::Read, &wake).expect("read") {
+            AccessStep::Parked(p) => p,
+            AccessStep::Done(out) => panic!("must park behind a's write lock, got {out:?}"),
+        };
+        assert_eq!(parked.obj(), ObjId(0));
+        let wf = e.wait_for_json();
+        assert!(
+            wf.contains("\"conn\":42") && wf.contains("\"obj\":0"),
+            "{wf}"
+        );
+        // Not resolved yet: a resume hands the continuation back.
+        let parked = match b.access_resume(parked) {
+            AccessStep::Parked(p) => p,
+            AccessStep::Done(out) => panic!("resolved with the lock still held: {out:?}"),
+        };
+        assert_eq!(fired.load(Ordering::SeqCst), 0);
+        assert_eq!(a.commit(ta).expect("commit"), CommitOutcome::Committed);
+        assert_eq!(
+            fired.load(Ordering::SeqCst),
+            1,
+            "the commit granted in place"
+        );
+        match b.access_resume(parked) {
+            AccessStep::Done(out) => assert_eq!(out, AccessOutcome::Done(Value::Int(3))),
+            AccessStep::Parked(_) => panic!("still parked after its wake fired"),
+        }
+        assert_eq!(b.commit(tb).expect("commit"), CommitOutcome::Committed);
+
+        // A cancelled continuation leaves nothing queued.
+        let tc = a.begin_top().expect("top");
+        let td = b.begin_top().expect("top");
+        assert_eq!(
+            a.access(tc, ObjId(1), Op::Write(1)).expect("write"),
+            AccessOutcome::Done(Value::Ok)
+        );
+        let AccessStep::Parked(p) = b
+            .access_start(td, ObjId(1), Op::Write(2), &wake)
+            .expect("w")
+        else {
+            panic!("must park");
+        };
+        b.access_cancel(p);
+        b.abort(td).expect("abort");
+        assert!(e.wait_for_json().contains("\"edges\":0"));
+        assert_eq!(a.commit(tc).expect("commit"), CommitOutcome::Committed);
+        assert_eq!(
+            fired.load(Ordering::SeqCst),
+            1,
+            "a cancelled ticket never wakes"
         );
         e.shutdown();
         let cert = certify(&e);

@@ -1,14 +1,19 @@
 //! Lock-manager integration tests: the Moss ancestor-holder rule under
-//! real blocking, a seeded condvar stress proving wakeups are not lost,
-//! and a deliberate two-party deadlock resolved by the detector with the
-//! victim salvaged through a retry replica.
+//! real blocking, releaser-side grant-in-place (earliest-eligible order,
+//! cancelled tickets), a seeded hand-off stress proving no grant rides the
+//! park backstop, and a deliberate two-party deadlock resolved by the
+//! detector with the victim salvaged through a retry replica.
 
-use nt_engine::{run_plan, Acquired, EngineConfig, EnginePlan, LockTable, SeqClock, StatusTable};
+use nt_engine::{
+    run_plan, Acquired, Acquisition, EngineConfig, EnginePlan, LockTable, SeqClock, StatusTable,
+    Ticket, WakeHandle,
+};
 use nt_model::rw::RwInitials;
 use nt_model::{Op, TxId, TxTree, Value};
 use nt_serial::ObjectTypes;
 use nt_sim::{ChildOrder, ScriptPlan};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -65,7 +70,7 @@ fn upgrade_waits_for_unrelated_reader_not_for_ancestor() {
         assert!(
             snapshot
                 .iter()
-                .any(|(w, blockers)| *w == aw && blockers.contains(&b)),
+                .any(|e| e.waiter == aw && e.obj == x && e.blockers.contains(&b)),
             "snapshot must show aw blocked on B: {snapshot:?}"
         );
         // B aborts; its read lock is discarded. A's own read lock remains,
@@ -80,15 +85,138 @@ fn upgrade_waits_for_unrelated_reader_not_for_ancestor() {
     assert_eq!(table.blocked(), 1);
 }
 
-/// Seeded condvar stress: four top-level transactions ping-pong write locks
-/// on one object through park/notify cycles. Every grant that lands only
-/// after a *timed-out* wait is counted by the table; if broadcasts were
-/// being lost, every handoff would ride the 5 ms timeout backstop and the
-/// counter would explode. A small residue is tolerated (a release can race
-/// a concurrent timeout benignly); the bound fails long before the
-/// backstop becomes the actual wakeup mechanism.
+/// A wake handle that counts its firings.
+fn counting_wake(owner: u64) -> (WakeHandle, Arc<AtomicU64>) {
+    let fired = Arc::new(AtomicU64::new(0));
+    let f = Arc::clone(&fired);
+    let wake = WakeHandle::new(owner, move || {
+        f.fetch_add(1, Ordering::SeqCst);
+    });
+    (wake, fired)
+}
+
+fn queued(a: Acquisition) -> Ticket {
+    match a {
+        Acquisition::Queued(t) => t,
+        Acquisition::Granted(v) => panic!("expected a queued request, granted {v:?}"),
+        Acquisition::Doomed(d) => panic!("expected a queued request, doomed {d}"),
+    }
+}
+
+/// The releaser grants in place, earliest *eligible* first: B holds a
+/// child's write lock on x; a stranger C queues first, then B's own
+/// second child. When the first child's lock passes up to B, the stranger
+/// is still blocked (B is no ancestor of it) but B's child is not — it
+/// must be granted past the earlier ticket, by the releasing call itself,
+/// with its wake fired and nobody parked on a thread.
 #[test]
-fn condvar_stress_loses_no_wakeups() {
+fn releaser_grants_the_earliest_eligible_waiter_in_place() {
+    let mut tree = TxTree::new();
+    let x = tree.add_object();
+    let b = tree.add_inner(TxId::ROOT);
+    let b1 = tree.add_access(b, x, Op::Write(1));
+    let b2 = tree.add_access(b, x, Op::Read);
+    let c = tree.add_inner(TxId::ROOT);
+    let c1 = tree.add_access(c, x, Op::Write(9));
+    let tree = Arc::new(tree);
+    let table = table_for(&tree, 1);
+
+    assert_eq!(
+        table.acquire(b1, x, &Op::Write(1)),
+        Acquired::Granted(Value::Ok)
+    );
+    let (wake_c, fired_c) = counting_wake(7);
+    let (wake_b, fired_b) = counting_wake(8);
+    let stranger = queued(table.try_acquire(c1, x, &Op::Write(9), Some(&wake_c)));
+    let child = queued(table.try_acquire(b2, x, &Op::Read, Some(&wake_b)));
+    assert_eq!((stranger.tx(), stranger.obj()), (c1, x));
+    let snapshot = table.waiting_snapshot();
+    assert_eq!(snapshot.len(), 2, "{snapshot:?}");
+    assert_eq!(snapshot[0].owner, 7, "the wake's owner labels the edge");
+
+    // b1 commits: its lock moves to B. Only B's child becomes eligible.
+    table.release_inherit(b1, [x]);
+    assert_eq!(fired_b.load(Ordering::SeqCst), 1, "child granted in place");
+    assert_eq!(fired_c.load(Ordering::SeqCst), 0, "stranger still blocked");
+    let child = table.try_resolve(child);
+    assert!(
+        matches!(child, Ok(Acquired::Granted(Value::Int(1)))),
+        "the child reads its sibling's inherited write"
+    );
+    let Err(stranger) = table.try_resolve(stranger) else {
+        panic!("the stranger resolved with B still holding the lock");
+    };
+
+    // The whole of B passes up to T0: now the stranger's turn.
+    table.release_inherit(b2, [x]);
+    table.release_inherit(b, [x]);
+    assert_eq!(fired_c.load(Ordering::SeqCst), 1);
+    assert!(matches!(
+        table.try_resolve(stranger),
+        Ok(Acquired::Granted(Value::Ok))
+    ));
+    assert!(table.waiting_snapshot().is_empty());
+    assert_eq!(table.granted(), 3);
+    assert_eq!(table.blocked(), 2);
+}
+
+/// A cancelled ticket (its connection hung up while parked) leaves no
+/// waiter behind, is never granted, and does not stand in the next
+/// waiter's way.
+#[test]
+fn cancelled_ticket_leaves_no_waiter_and_unblocks_the_next() {
+    let mut tree = TxTree::new();
+    let x = tree.add_object();
+    let tops: Vec<TxId> = (0..3).map(|_| tree.add_inner(TxId::ROOT)).collect();
+    let acc: Vec<TxId> = tops
+        .iter()
+        .map(|&t| tree.add_access(t, x, Op::Write(t.0 as i64)))
+        .collect();
+    let tree = Arc::new(tree);
+    let table = table_for(&tree, 1);
+    let op = |i: usize| tree.op_of(acc[i]).expect("op").clone();
+
+    assert_eq!(
+        table.acquire(acc[0], x, &op(0)),
+        Acquired::Granted(Value::Ok)
+    );
+    let (wake1, fired1) = counting_wake(1);
+    let (wake2, fired2) = counting_wake(2);
+    let gone = queued(table.try_acquire(acc[1], x, &op(1), Some(&wake1)));
+    let next = queued(table.try_acquire(acc[2], x, &op(2), Some(&wake2)));
+
+    assert_eq!(table.cancel(gone), None, "cancelled before it resolved");
+    let waiting: Vec<TxId> = table.waiting_snapshot().iter().map(|e| e.waiter).collect();
+    assert_eq!(waiting, vec![acc[2]], "the cancelled request is gone");
+
+    // The holder aborts: the lock goes to the surviving waiter only.
+    table.discard(tops[0], [x]);
+    assert_eq!(fired1.load(Ordering::SeqCst), 0);
+    assert_eq!(fired2.load(Ordering::SeqCst), 1);
+    assert!(matches!(
+        table.try_resolve(next),
+        Ok(Acquired::Granted(Value::Ok))
+    ));
+    assert_eq!(
+        table.granted(),
+        2,
+        "the cancelled request was never granted"
+    );
+
+    // Cancelling a ticket that already resolved hands the grant over.
+    let late = queued(table.try_acquire(acc[1], x, &op(1), None));
+    table.discard(tops[2], [x]);
+    assert_eq!(table.cancel(late), Some(Acquired::Granted(Value::Ok)));
+}
+
+/// Seeded hand-off stress: four top-level transactions ping-pong write
+/// locks on one object through queue/grant-in-place cycles, each lane a
+/// thread parked in the blocking wrapper. Every one of the 100 acquires
+/// must land, and none may be found by the park backstop: a grant the
+/// releaser failed to deliver would sit until the 250 ms timeout and be
+/// counted in `timeout_rescues`.
+#[test]
+fn handoff_stress_grants_all_without_a_timed_out_park() {
     const TOPS: usize = 4;
     const ROUNDS: usize = 25;
     let mut tree = TxTree::new();
@@ -116,7 +244,7 @@ fn condvar_stress_loses_no_wakeups() {
                     }
                     // Hand the lock all the way to T0 so every other lane's
                     // next access becomes eligible (T0 is everyone's
-                    // ancestor) — maximal park/notify traffic.
+                    // ancestor) — maximal queue/grant traffic.
                     table.release_inherit(acc, [x]);
                     table.release_inherit(*t, [x]);
                 }
@@ -124,13 +252,16 @@ fn condvar_stress_loses_no_wakeups() {
         }
     });
 
-    let granted = table.granted();
-    assert_eq!(granted, (TOPS * ROUNDS) as u64, "every acquire must land");
-    let rescues = table.timeout_rescues();
-    assert!(
-        rescues <= granted / 10,
-        "timed-out-wait grants must be rare ({rescues} of {granted} grants \
-         rode the timeout backstop — wakeups are being lost)"
+    assert_eq!(
+        table.granted(),
+        (TOPS * ROUNDS) as u64,
+        "every acquire must land"
+    );
+    assert!(table.waiting_snapshot().is_empty());
+    assert_eq!(
+        table.timeout_rescues(),
+        0,
+        "a grant was found by the park backstop, not delivered by its releaser"
     );
 }
 

@@ -75,25 +75,19 @@ fn cli_rejects_the_batch_framing_fixture() {
 }
 
 #[test]
-fn cli_rejects_the_reactor_knob_fixture() {
-    // A server config pairing the threaded frontend with a worker pool
-    // (a reactor-only knob) and oversubscribing it: both rules must fire.
-    let fixture = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/malformed.reactor.net.json"
-    );
-    let out = Command::new(env!("CARGO_BIN_EXE_nt-lint"))
-        .args(["net", fixture])
-        .output()
-        .expect("spawn nt-lint");
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "bad reactor knobs must fail the net pass"
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("oversubscribes"), "{stdout}");
-    assert!(stdout.contains("reactor knob"), "{stdout}");
+fn retired_workers_knob_is_an_unknown_key() {
+    // The reactor's executor pool is gone and `workers` with it: a
+    // server config still carrying the key must fail the pass as an
+    // unparsable document, not be silently accepted.
+    let doc = r#"{"schema":"nt-net-config-v1","role":"server","addr":"127.0.0.1:0","workers":4}"#;
+    let fs = net::lint_config_json("stale.net.json", doc);
+    let errors: Vec<_> = fs
+        .iter()
+        .filter(|f| f.severity == Severity::Error)
+        .collect();
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    assert!(errors[0].message.contains("unknown"), "{errors:?}");
+    assert!(errors[0].message.contains("workers"), "{errors:?}");
 }
 
 #[test]
@@ -142,12 +136,4 @@ fn committed_fixture_matches_the_library_verdict() {
         .filter(|f| f.severity == Severity::Error)
         .collect();
     assert_eq!(errors.len(), 1, "{errors:?}");
-
-    let doc = include_str!("fixtures/malformed.reactor.net.json");
-    let fs = net::lint_config_json("malformed.reactor.net.json", doc);
-    let errors: Vec<_> = fs
-        .iter()
-        .filter(|f| f.severity == Severity::Error)
-        .collect();
-    assert_eq!(errors.len(), 2, "{errors:?}");
 }

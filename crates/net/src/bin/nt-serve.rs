@@ -6,7 +6,7 @@
 //!          [--port-file FILE] [--journal FILE] [--static-gate]
 //!          [--metrics-out FILE] [--trace-out FILE] [--live-certify]
 //!          [--data-dir DIR] [--durability none|fsync|group:WINDOW_US]
-//!          [--reactor | --threaded] [--workers N]
+//!          [--reactor | --threaded]
 //! ```
 //!
 //! Binds (port 0 = ephemeral), prints `nt-serve listening on ADDR`,
@@ -37,16 +37,18 @@
 //! one JSON line (`nt-serve recovery {...}`) *before* the listening
 //! line, so orchestration can gate on it. `--durability` picks the ack
 //! barrier (default `none`): `fsync` fsyncs before every mutating ack,
-//! `group:250` runs a 250 µs group-commit flusher.
+//! `group:250` runs a 250 µs group-commit flusher — on `--threaded`
+//! only; the reactor syncs once per poll round in either mode (the
+//! round is the group).
 //!
-//! `--reactor` (the default) serves connections from the readiness-based
-//! `nt-reactor` event loop: one nonblocking poller thread multiplexes
-//! every socket and a per-connection executor runs the engine work, so
-//! replies coalesce and one durability barrier covers a whole batch.
-//! `--threaded` restores the legacy connection-per-thread front end for
-//! differential testing. `--workers N` (reactor only) switches the
-//! executors to a fixed pool of N shards — an experiment knob; the
-//! per-connection default is required for liveness under lock conflicts.
+//! `--reactor` (the default) serves connections from the run-to-completion
+//! `nt-reactor` event loop: one thread multiplexes every socket *and*
+//! executes every frame inline, a lock wait parks its connection as a
+//! continuation instead of a thread, replies coalesce, and one durability
+//! barrier covers a whole poll round. The server's thread count does not
+//! depend on the number of connections. `--threaded` selects the legacy
+//! connection-per-thread front end — kept for this one PR only, as the
+//! differential reference the reactor is tested against (ROADMAP item 2).
 //!
 //! `SIGTERM`/`SIGINT` initiate the same graceful drain as a wire
 //! `Shutdown`: in-flight work finishes, the store rotates into a fresh
@@ -66,7 +68,7 @@ use std::time::Duration;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: nt-serve [--config FILE.net.json] [--addr HOST:PORT] [--port-file FILE] [--journal FILE] [--static-gate] [--metrics-out FILE] [--trace-out FILE] [--live-certify] [--data-dir DIR] [--durability none|fsync|group:WINDOW_US] [--reactor | --threaded] [--workers N]"
+        "usage: nt-serve [--config FILE.net.json] [--addr HOST:PORT] [--port-file FILE] [--journal FILE] [--static-gate] [--metrics-out FILE] [--trace-out FILE] [--live-certify] [--data-dir DIR] [--durability none|fsync|group:WINDOW_US] [--reactor | --threaded]"
     );
     ExitCode::from(2)
 }
@@ -97,7 +99,6 @@ fn main() -> ExitCode {
     let mut data_dir: Option<String> = None;
     let mut durability: Option<DurabilityMode> = None;
     let mut frontend: Option<Frontend> = None;
-    let mut workers: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -183,19 +184,6 @@ fn main() -> ExitCode {
                 frontend = Some(Frontend::Threaded);
                 i += 1;
             }
-            "--workers" => {
-                let Some(n) = args.get(i + 1) else {
-                    return usage();
-                };
-                match n.parse() {
-                    Ok(n) => workers = Some(n),
-                    Err(_) => {
-                        eprintln!("nt-serve: bad worker count {n:?}");
-                        return ExitCode::from(2);
-                    }
-                }
-                i += 2;
-            }
             "--durability" => {
                 let Some(m) = args.get(i + 1) else {
                     return usage();
@@ -226,9 +214,6 @@ fn main() -> ExitCode {
     }
     if let Some(f) = frontend {
         cfg.frontend = f;
-    }
-    if let Some(w) = workers {
-        cfg.workers = w;
     }
     if metrics_out.is_some() || trace_out.is_some() {
         // A traced server should also report SGT health: the live

@@ -20,13 +20,14 @@ pub const SCHEMA_ID: &str = "nt-net-config-v1";
 /// Which server front end frames sockets and schedules request execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Frontend {
-    /// The readiness-based reactor (nt-reactor): one poll loop owns every
-    /// socket, a small worker pool executes, replies coalesce. The
-    /// default — it scales monotonically with connections.
+    /// The run-to-completion reactor (nt-reactor): one poll thread owns
+    /// every socket and executes every frame inline; lock waits park as
+    /// continuations, replies coalesce. The default.
     #[default]
     Reactor,
     /// The legacy connection-per-thread front end (two threads per
-    /// connection), kept for differential testing against the reactor.
+    /// connection). Kept for this one PR only, as the differential
+    /// reference for the reactor; ROADMAP item 2 removes it next.
     Threaded,
 }
 
@@ -97,18 +98,15 @@ pub struct ServerConfig {
     /// journaled and a restart recovers (and re-certifies) the history.
     pub data_dir: Option<String>,
     /// When to acknowledge relative to the fsync: never wait, fsync per
-    /// commit, or group-commit batching. Requires `data_dir`.
+    /// commit, or group-commit batching. Requires `data_dir`. On the
+    /// reactor front end the poll round is the group: a group-commit mode
+    /// syncs inline at the round's barrier and its window is unused.
     pub durability: DurabilityMode,
-    /// Which front end serves connections (reactor by default; the
-    /// threaded path is kept for differential testing).
+    /// Which front end serves connections: the run-to-completion reactor
+    /// (default), or the threaded path — kept for this one PR only, as
+    /// the differential reference the reactor is tested against
+    /// (ROADMAP item 2 deletes it next).
     pub frontend: Frontend,
-    /// Reactor executor model. `0` (default): one executor thread per
-    /// connection — required for liveness, since request execution can
-    /// block on another connection's lock. `N > 0`: a fixed pool of `N`
-    /// workers sharded by connection id — fewer threads, but a blocked
-    /// lock waiter can starve the lock holder queued on its shard
-    /// (experiments only). Ignored by the threaded front end.
-    pub workers: usize,
 }
 
 impl Default for ServerConfig {
@@ -130,7 +128,6 @@ impl Default for ServerConfig {
             data_dir: None,
             durability: DurabilityMode::None,
             frontend: Frontend::default(),
-            workers: 0,
         }
     }
 }
@@ -285,15 +282,6 @@ impl ServerConfig {
                 self.durability
             ));
         }
-        if self.workers > 64 {
-            out.push(format!(
-                "workers {} oversubscribes any plausible host (cap 64)",
-                self.workers
-            ));
-        }
-        if self.frontend == Frontend::Threaded && self.workers != 0 {
-            out.push("workers is a reactor knob; the threaded frontend ignores it".to_string());
-        }
         out
     }
 
@@ -314,8 +302,7 @@ impl ServerConfig {
             .bool("live_certify", self.live_certify)
             .num("metrics_period_ms", self.metrics_period_ms)
             .num("drain_timeout_ms", self.drain_timeout_ms)
-            .str("frontend", self.frontend.tag())
-            .num("workers", self.workers as u64);
+            .str("frontend", self.frontend.tag());
         if let Some(plan) = &self.fault {
             o.raw("fault", plan.to_json());
         }
@@ -482,7 +469,6 @@ impl NetConfig {
                                     .ok_or_else(|| "frontend must be a string".to_string())?,
                             )?;
                         }
-                        "workers" => c.workers = num_field(val, key)? as usize,
                         other => return Err(format!("unknown net server config key {other:?}")),
                     }
                 }
@@ -571,7 +557,6 @@ mod tests {
             data_dir: Some("/tmp/nt-data".to_string()),
             durability: DurabilityMode::GroupCommit { window_us: 250 },
             frontend: Frontend::Threaded,
-            workers: 0,
             ..ServerConfig::default()
         };
         match NetConfig::from_json(&s.to_json()).expect("server roundtrip") {
@@ -597,6 +582,11 @@ mod tests {
         let err = NetConfig::from_json(r#"{"role":"load","connection_count":4}"#)
             .expect_err("typo rejected");
         assert!(err.contains("connection_count"), "{err}");
+        // The executor-pool knob went away with the pool: a config still
+        // carrying it is refused like any other unknown key.
+        let err =
+            NetConfig::from_json(r#"{"role":"server","workers":4}"#).expect_err("retired knob");
+        assert!(err.contains("workers"), "{err}");
         let err = NetConfig::from_json(r#"{"role":"proxy"}"#).expect_err("role rejected");
         assert!(err.contains("proxy"), "{err}");
         let err = NetConfig::from_json(r#"{"shards":4}"#).expect_err("missing role");
@@ -641,22 +631,6 @@ mod tests {
         assert!(probs.iter().any(|p| p.contains("rate_tps")), "{probs:?}");
         assert!(probs.iter().any(|p| p.contains("batch")), "{probs:?}");
 
-        let s = ServerConfig {
-            frontend: Frontend::Threaded,
-            workers: 4,
-            ..ServerConfig::default()
-        };
-        let probs = s.problems();
-        assert!(probs.iter().any(|p| p.contains("workers")), "{probs:?}");
-        let s = ServerConfig {
-            workers: 100,
-            ..ServerConfig::default()
-        };
-        let probs = s.problems();
-        assert!(
-            probs.iter().any(|p| p.contains("oversubscribes")),
-            "{probs:?}"
-        );
         assert!(LoadConfig::default().problems().is_empty());
         assert!(ServerConfig::default().problems().is_empty());
     }

@@ -1,18 +1,25 @@
 //! The reactor front end's per-connection protocol service.
 //!
-//! `nt_reactor` owns the sockets (one poll thread, all reads and writes)
-//! and a small worker pool; this module supplies the [`Service`] each
-//! accepted connection runs on its worker. The service is the moral
-//! equivalent of the threaded front end's executor thread — it owns the
-//! connection's [`Session`], its per-`seq` exactly-once cache, and its
-//! open-top ledger — but replies are *buffered*, not written: every
-//! reply (single responses, `BATCH_RESP` frames, protocol errors, the
-//! `Shutdown` ack) is appended to one `pending` buffer in execution
-//! order, and emitted in a single [`ReplySink::send`] when the worker's
-//! queue runs dry ([`Service::flush`]). That flush is also the
-//! group-commit point: mutating ops journal their cached responses
-//! eagerly but the `wait_durable` barrier is paid once per flush,
-//! covering every frame of the burst (the `coalesce` telemetry phase).
+//! `nt_reactor` owns the sockets and runs everything on one poll thread;
+//! this module supplies the [`Service`] each accepted connection runs
+//! there. The service owns the connection's [`Session`], its per-`seq`
+//! exactly-once cache, and its open-top ledger, and it **never blocks**:
+//!
+//! * Replies are *buffered*, not written: every reply (single responses,
+//!   `BATCH_RESP` frames, protocol errors, the `Shutdown` ack) is appended
+//!   to one `pending` buffer in execution order and emitted in a single
+//!   [`ReplySink::send`] at the round's [`Service::flush`]. That flush is
+//!   also the group-commit point: mutating ops journal their cached
+//!   responses eagerly, and the first flush of a poll round pays one
+//!   `wait_durable` barrier for every connection's burst (the `coalesce`
+//!   telemetry phase).
+//! * A frame that cannot finish now **parks as a continuation**: an
+//!   `ACCESS` whose lock another connection holds (the lock table queued
+//!   it; the releaser grants it in place and fires our wake), a `CERT`
+//!   behind the certifier's drain barrier, or a fault-plan `Delay` (a
+//!   deadline fed into the poll timeout). The parked frame keeps its ops
+//!   cursor and the answers so far; every later frame of the connection
+//!   queues behind it, and [`Service::resume`] continues them in order.
 //!
 //! Routing everything through the single pending buffer is what keeps
 //! the per-connection reply order equal to the execution order — the
@@ -20,18 +27,19 @@
 //! the engine's stamp order (what the certifier consumes) is identical
 //! to the threaded front end's.
 
-use crate::server::{answer_batch, answer_op, count_answer, pay_durability, Shared};
+use crate::server::{pay_durability, OpsRun, Parked, Shared, Step};
 use crate::wire::{
     decode_batch_request, encode_batch_response, encode_response, err_code, parse_frame,
     parse_request, Request, Response, WireError, KIND_BATCH_REQ,
 };
-use nt_engine::Session;
+use nt_engine::{Session, WakeHandle};
 use nt_faults::FrameFate;
 use nt_model::TxId;
 use nt_obs::Event;
-use nt_reactor::{BadFrame, ReplySink, Service, ServiceFactory};
+use nt_reactor::{BadFrame, ReplySink, ResumeHandle, Service, ServiceFactory};
 use nt_telemetry::ReqSpan;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -50,47 +58,94 @@ impl ServiceFactory for ReactorFactory {
     fn open(&self, conn: u64, sink: ReplySink) -> Box<dyn Service> {
         self.shared.stats.update(|s| s.conns += 1);
         self.shared.emit(Event::ConnAccepted { conn });
+        let resume = sink.resume_handle();
+        let wake = {
+            let resume = resume.clone();
+            WakeHandle::new(conn, move || resume.resume())
+        };
         Box::new(ConnService {
             session: self.shared.engine.open_session(),
             shared: Arc::clone(&self.shared),
             conn,
             sink,
+            resume,
+            wake,
             cache: BTreeMap::new(),
             open_tops: BTreeSet::new(),
             frame_no: 0,
             pending: Vec::new(),
             pending_frames: 0,
-            owes_barrier: false,
+            waiting: None,
+            backlog: VecDeque::new(),
             closed: false,
         })
     }
 }
 
-/// One decoded request frame (the worker-side unit of execution).
+/// One decoded request frame (the unit of execution).
 #[derive(Clone)]
 enum Decoded {
     Single(u64, Request),
     Batch(u64, Vec<(u64, Request)>),
 }
 
+/// A frame mid-execution: its ops run plus what the reply and the span
+/// need once it finishes.
+struct InFlight {
+    /// The frame's wire seq (the `BATCH` outer seq for a batch).
+    seq: u64,
+    /// Its request kind (`KIND_BATCH_REQ` for a batch).
+    kind: u8,
+    run: OpsRun,
+    /// A fault-plan duplicate: execute this copy (from cache) right after.
+    echo: Option<Decoded>,
+    t_dispatch: u64,
+    t_dequeue: u64,
+    seq_decode: u64,
+    /// Batch assembly timing (telemetry only).
+    t_asm: Option<Instant>,
+}
+
+/// Why the connection's head frame is not executing.
+enum Waiting {
+    /// One of its ops waits on a lock grant or the certifier.
+    Op(Box<InFlight>, Parked),
+    /// A fault-plan delay: it executes once the deadline passes.
+    Delay {
+        until: Instant,
+        decoded: Decoded,
+        queue_us: u64,
+    },
+}
+
+/// What arrived behind a waiting frame.
+enum Arrived {
+    Frame(Vec<u8>, Instant),
+    Corrupt(BadFrame),
+}
+
 struct ConnService {
     shared: Arc<Shared>,
     conn: u64,
     sink: ReplySink,
+    resume: ResumeHandle,
+    /// Fired by whoever resolves a parked op; schedules our `resume`.
+    wake: WakeHandle,
     session: Session,
     /// Per-`seq` exactly-once response cache (full frames, prefix
     /// included), same contract as the threaded executor's.
     cache: BTreeMap<u64, Vec<u8>>,
     open_tops: BTreeSet<TxId>,
-    /// Frames seen on this connection (the fault plan's key).
+    /// Frames processed on this connection (the fault plan's key).
     frame_no: u64,
     /// Replies buffered since the last flush, in execution order.
     pending: Vec<u8>,
     /// Dispatched frames those buffered bytes account for.
     pending_frames: u64,
-    /// A fresh mutating execution journaled its response; the next flush
-    /// pays one `wait_durable` barrier covering the whole burst.
-    owes_barrier: bool,
+    /// The head frame, when it cannot finish now.
+    waiting: Option<Waiting>,
+    /// Frames that arrived behind it, in arrival order.
+    backlog: VecDeque<Arrived>,
     /// A protocol error closed the connection; late-arriving frames are
     /// accounted but not executed.
     closed: bool,
@@ -113,123 +168,8 @@ impl ConnService {
         self.closed = true;
     }
 
-    /// Execute one decoded frame, buffering its reply. `queue_us` is the
-    /// reactor-dispatch → worker-pickup wait (zero for the echo of a
-    /// fault-plan duplicate).
-    fn handle(&mut self, d: Decoded, queue_us: u64) {
-        let enabled = self.shared.telemetry.is_enabled();
-        let t_dequeue = self.shared.telemetry.now_us();
-        // Decode and enqueue are contiguous with dispatch on this path;
-        // reconstruct the dispatch instant so `queue_wait` is real.
-        let t_dispatch = t_dequeue.saturating_sub(queue_us);
-        let seq_decode = self.shared.engine.clock_now();
-        match d {
-            Decoded::Single(seq, req) => {
-                let Some(ans) = answer_op(
-                    &self.shared,
-                    &mut self.session,
-                    &mut self.cache,
-                    &mut self.open_tops,
-                    seq,
-                    &req,
-                ) else {
-                    self.protocol_error(WireError::BadPayload(
-                        "response encoding failed".to_string(),
-                    ));
-                    return;
-                };
-                count_answer(&self.shared, ans.from_cache);
-                self.owes_barrier |= ans.mutated;
-                self.pending.extend_from_slice(&ans.bytes);
-                self.pending_frames += 1;
-                if enabled {
-                    self.record_span(
-                        seq,
-                        req.kind(),
-                        t_dispatch,
-                        t_dequeue,
-                        ans.lock_wait_us,
-                        seq_decode,
-                    );
-                }
-                if !ans.from_cache && matches!(req, Request::Shutdown) {
-                    // The drain stops reads and accepts; this buffered
-                    // ack still flushes before the socket closes.
-                    self.shared.begin_drain();
-                }
-            }
-            Decoded::Batch(seq, ops) => {
-                let t_asm = enabled.then(Instant::now);
-                let Some((entries, lock_wait_us, owes, shutdown)) = answer_batch(
-                    &self.shared,
-                    &mut self.session,
-                    &mut self.cache,
-                    &mut self.open_tops,
-                    &ops,
-                ) else {
-                    self.protocol_error(WireError::BadPayload(
-                        "response encoding failed".to_string(),
-                    ));
-                    return;
-                };
-                if let Some(t_asm) = t_asm {
-                    self.shared
-                        .telemetry
-                        .observe_phase("batch_assemble", t_asm.elapsed().as_micros() as u64);
-                }
-                self.owes_barrier |= owes;
-                let bytes = encode_batch_response(seq, &entries);
-                self.pending.extend_from_slice(&bytes);
-                self.pending_frames += 1;
-                if enabled {
-                    self.record_span(
-                        seq,
-                        KIND_BATCH_REQ,
-                        t_dispatch,
-                        t_dequeue,
-                        lock_wait_us,
-                        seq_decode,
-                    );
-                }
-                if shutdown {
-                    self.shared.begin_drain();
-                }
-            }
-        }
-    }
-
-    /// One lifecycle span for a frame answered on this path. The barrier
-    /// is deferred to flush, so `log_wait_us` is 0 here — the coalesced
-    /// barrier shows up in the `coalesce` phase histogram instead.
-    fn record_span(
-        &self,
-        seq: u64,
-        kind: u8,
-        t_dispatch: u64,
-        t_dequeue: u64,
-        lock_wait_us: u64,
-        seq_decode: u64,
-    ) {
-        let t_done = self.shared.telemetry.now_us();
-        self.shared.telemetry.record_span(ReqSpan {
-            conn: self.conn,
-            seq,
-            kind,
-            t_decode: t_dispatch,
-            t_enqueue: t_dispatch,
-            t_dequeue,
-            t_exec_end: t_done,
-            t_respond: t_done,
-            lock_wait_us,
-            log_wait_us: 0,
-            seq_decode,
-            seq_respond: self.shared.engine.clock_now(),
-        });
-    }
-}
-
-impl Service for ConnService {
-    fn frame(&mut self, frame: Vec<u8>, enqueued: Instant) {
+    /// Decode one frame, apply the fault plan, execute it.
+    fn process(&mut self, frame: &[u8], enqueued: Instant) {
         if self.closed {
             // Dispatched after a protocol error: account it so the
             // reactor's outstanding count drains, but never execute.
@@ -239,21 +179,15 @@ impl Service for ConnService {
         self.frame_no += 1;
         self.shared.stats.update(|s| s.frames += 1);
         let queue_us = enqueued.elapsed().as_micros() as u64;
-        let decoded = match parse_frame(&frame) {
-            Ok((KIND_BATCH_REQ, seq, body)) => match decode_batch_request(body) {
-                Ok(ops) => Decoded::Batch(seq, ops),
-                Err(e) => {
-                    self.protocol_error(e);
-                    return;
-                }
-            },
-            Ok(_) => match parse_request(&frame) {
-                Ok((seq, req)) => Decoded::Single(seq, req),
-                Err(e) => {
-                    self.protocol_error(e);
-                    return;
-                }
-            },
+        let decoded = match parse_frame(frame) {
+            Ok((KIND_BATCH_REQ, seq, body)) => {
+                decode_batch_request(body).map(|ops| Decoded::Batch(seq, ops))
+            }
+            Ok(_) => parse_request(frame).map(|(seq, req)| Decoded::Single(seq, req)),
+            Err(e) => Err(e),
+        };
+        let decoded = match decoded {
+            Ok(d) => d,
             Err(e) => {
                 self.protocol_error(e);
                 return;
@@ -265,51 +199,180 @@ impl Service for ConnService {
             .fault
             .map(|p| p.fate(self.frame_no))
             .unwrap_or(FrameFate::Deliver);
+        let fault = |name: &'static str| Event::FrameFault {
+            conn: self.conn,
+            frame: self.frame_no,
+            fault: name,
+        };
         match fate {
-            FrameFate::Deliver => self.handle(decoded, queue_us),
+            FrameFate::Deliver => self.handle(decoded, queue_us, None),
             FrameFate::Drop => {
                 self.shared.stats.update(|s| s.dropped += 1);
-                self.shared.emit(Event::FrameFault {
-                    conn: self.conn,
-                    frame: self.frame_no,
-                    fault: "drop",
-                });
+                self.shared.emit(fault("drop"));
                 // Consumed but intentionally unanswered: account the
                 // frame with no reply bytes.
                 self.pending_frames += 1;
             }
             FrameFate::Duplicate => {
                 self.shared.stats.update(|s| s.duplicated += 1);
-                self.shared.emit(Event::FrameFault {
-                    conn: self.conn,
-                    frame: self.frame_no,
-                    fault: "duplicate",
-                });
-                self.handle(decoded.clone(), queue_us);
-                // The echo executes immediately and answers from cache.
-                self.handle(decoded, 0);
+                self.shared.emit(fault("duplicate"));
+                // The echo executes right after and answers from cache.
+                self.handle(decoded.clone(), queue_us, Some(decoded));
             }
             FrameFate::Delay(us) => {
                 self.shared.stats.update(|s| s.delayed += 1);
-                self.shared.emit(Event::FrameFault {
-                    conn: self.conn,
-                    frame: self.frame_no,
-                    fault: "delay",
+                self.shared.emit(fault("delay"));
+                // Park until the deadline; the poll thread serves every
+                // other connection meanwhile.
+                let until = Instant::now() + Duration::from_micros(us);
+                self.resume.resume_at(until);
+                self.waiting = Some(Waiting::Delay {
+                    until,
+                    decoded,
+                    queue_us,
                 });
-                // On a worker thread: stalls this shard, never the poll.
-                std::thread::sleep(Duration::from_micros(us));
-                self.handle(decoded, queue_us);
+            }
+        }
+    }
+
+    /// Start executing one decoded frame. `queue_us` is the time the
+    /// frame spent behind earlier work (zero for the echo of a fault-plan
+    /// duplicate).
+    fn handle(&mut self, d: Decoded, queue_us: u64, echo: Option<Decoded>) {
+        let t_dequeue = self.shared.telemetry.now_us();
+        let (seq, kind, ops) = match d {
+            Decoded::Single(seq, req) => (seq, req.kind(), vec![(seq, req)]),
+            Decoded::Batch(seq, ops) => (seq, KIND_BATCH_REQ, ops),
+        };
+        let batch = kind == KIND_BATCH_REQ;
+        let inflight = InFlight {
+            seq,
+            kind,
+            run: OpsRun::new(ops),
+            echo,
+            // Decode and dispatch are contiguous on this path;
+            // reconstruct the dispatch instant so `queue_wait` is real.
+            t_dispatch: t_dequeue.saturating_sub(queue_us),
+            t_dequeue,
+            seq_decode: self.shared.engine.clock_now(),
+            t_asm: (batch && self.shared.telemetry.is_enabled()).then(Instant::now),
+        };
+        self.drive(inflight, None);
+    }
+
+    /// Run the frame's ops until it finishes or one parks.
+    fn drive(&mut self, mut f: InFlight, resumed: Option<Parked>) {
+        let step = f.run.step(
+            &self.shared,
+            &mut self.session,
+            &mut self.cache,
+            &mut self.open_tops,
+            Some(&self.wake),
+            resumed,
+        );
+        match step {
+            Step::Finished => self.complete(f),
+            Step::Parked(p) => self.waiting = Some(Waiting::Op(Box::new(f), p)),
+            Step::Fatal => {
+                self.protocol_error(WireError::BadPayload(
+                    "response encoding failed".to_string(),
+                ));
+            }
+        }
+    }
+
+    /// Every op is answered: buffer the frame's reply and record its span.
+    fn complete(&mut self, mut f: InFlight) {
+        let bytes = if f.kind == KIND_BATCH_REQ {
+            let Some(entries) = f.run.batch_entries() else {
+                self.protocol_error(WireError::BadPayload(
+                    "response encoding failed".to_string(),
+                ));
+                return;
+            };
+            if let Some(t_asm) = f.t_asm {
+                self.shared
+                    .telemetry
+                    .observe_phase("batch_assemble", t_asm.elapsed().as_micros() as u64);
+            }
+            encode_batch_response(f.seq, &entries)
+        } else {
+            f.run.answers.swap_remove(0)
+        };
+        if f.run.owes_barrier {
+            self.shared.owes_barrier.store(true, Ordering::Release);
+        }
+        self.pending.extend_from_slice(&bytes);
+        self.pending_frames += 1;
+        if self.shared.telemetry.is_enabled() {
+            // The barrier is deferred to flush, so `log_wait_us` is 0
+            // here — the round's barrier shows up in the `coalesce`
+            // phase histogram instead.
+            let t_done = self.shared.telemetry.now_us();
+            self.shared.telemetry.record_span(ReqSpan {
+                conn: self.conn,
+                seq: f.seq,
+                kind: f.kind,
+                t_decode: f.t_dispatch,
+                t_enqueue: f.t_dispatch,
+                t_dequeue: f.t_dequeue,
+                t_exec_end: t_done,
+                t_respond: t_done,
+                lock_wait_us: f.run.lock_wait_us,
+                log_wait_us: 0,
+                seq_decode: f.seq_decode,
+                seq_respond: self.shared.engine.clock_now(),
+            });
+        }
+        if f.run.shutdown {
+            // The drain stops reads and accepts; this buffered ack
+            // still flushes before the socket closes.
+            self.shared.begin_drain();
+        }
+        if let Some(echo) = f.echo {
+            self.handle(echo, 0, None);
+        }
+    }
+}
+
+impl Service for ConnService {
+    fn frame(&mut self, frame: Vec<u8>, enqueued: Instant) {
+        if self.waiting.is_some() {
+            self.backlog.push_back(Arrived::Frame(frame, enqueued));
+        } else {
+            self.process(&frame, enqueued);
+        }
+    }
+
+    fn resume(&mut self) {
+        if matches!(&self.waiting, Some(Waiting::Delay { until, .. }) if Instant::now() < *until) {
+            return; // Woken early; the timer is still armed.
+        }
+        match self.waiting.take() {
+            Some(Waiting::Op(f, p)) => self.drive(*f, Some(p)),
+            Some(Waiting::Delay {
+                decoded, queue_us, ..
+            }) => self.handle(decoded, queue_us, None),
+            None => {}
+        }
+        // The head frame finished: run what queued behind it, in order,
+        // until one of those waits too.
+        while self.waiting.is_none() {
+            match self.backlog.pop_front() {
+                Some(Arrived::Frame(frame, enqueued)) => self.process(&frame, enqueued),
+                Some(Arrived::Corrupt(bad)) => self.corrupt(bad),
+                None => break,
             }
         }
     }
 
     fn flush(&mut self) {
-        if self.owes_barrier {
-            // One group-commit barrier for the whole burst since the
-            // last flush — the reactor path's coalescing win.
+        if self.shared.owes_barrier.swap(false, Ordering::AcqRel) {
+            // One group-commit barrier per poll round: every frame of
+            // the round, on every connection, executed before this first
+            // flush, so it covers them all.
             let us = pay_durability(&self.shared);
             self.shared.telemetry.observe_phase("coalesce", us);
-            self.owes_barrier = false;
         }
         if self.pending_frames > 0 {
             self.sink
@@ -319,6 +382,10 @@ impl Service for ConnService {
     }
 
     fn corrupt(&mut self, bad: BadFrame) {
+        if self.waiting.is_some() {
+            self.backlog.push_back(Arrived::Corrupt(bad));
+            return;
+        }
         self.protocol_error(WireError::BadLength {
             len: bad.len,
             max: bad.max,
@@ -327,8 +394,12 @@ impl Service for ConnService {
 
     fn hangup(&mut self, frames: u64) {
         // The client is gone (EOF, protocol error, write failure, or
-        // drain): abort whatever it left open so held locks cannot
-        // starve other sessions, and free its admission slots.
+        // drain): withdraw a queued lock request, abort whatever it left
+        // open so held locks cannot starve other sessions, and free its
+        // admission slots.
+        if let Some(Waiting::Op(_, Parked::Access(p))) = self.waiting.take() {
+            self.session.access_cancel(p);
+        }
         for t in std::mem::take(&mut self.open_tops) {
             let _ = self.session.abort(t);
             self.shared.release_admission(t);

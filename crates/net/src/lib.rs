@@ -9,10 +9,13 @@
 //!   protocol (`BEGIN_TOP`/`BEGIN_CHILD`/`ACCESS`/`COMMIT`/`ABORT`/
 //!   `HISTORY_FETCH`), with client-assigned sequence numbers that make
 //!   the transport at-least-once with exactly-once execution;
-//! * [`server`] — connection-per-thread TCP server: per-connection
-//!   reader + executor threads around a bounded queue (backpressure),
-//!   per-`seq` response cache, deterministic transport fault injection
-//!   (`nt_faults::TransportPlan`) on the receive path, graceful drain;
+//! * [`server`] — the TCP server: by default the run-to-completion
+//!   `nt-reactor` front end (one poll thread executes every frame; a
+//!   lock wait parks its connection as a continuation), with the legacy
+//!   connection-per-thread front end kept one more PR as the
+//!   differential reference; per-`seq` response cache, deterministic
+//!   transport fault injection (`nt_faults::TransportPlan`) on the
+//!   receive path, graceful drain;
 //! * [`client`] — pipelining connection with retry-with-backoff
 //!   (`nt_faults::BackoffPolicy`) and the post-run fetch-and-certify
 //!   path: pull the server's recorded history over the wire and run it

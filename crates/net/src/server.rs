@@ -1,8 +1,13 @@
-//! The networked nested-transaction server: a connection-per-thread TCP
-//! front end over `nt_engine::SessionEngine`.
+//! The networked nested-transaction server over
+//! `nt_engine::SessionEngine`: the shared protocol core (`OpsRun`: answer
+//! a frame's ops from cache or by execution, resumably), the default
+//! reactor front end's mounting (`serve_reactor`; its per-connection
+//! service lives in `front_reactor.rs`), and the legacy
+//! connection-per-thread front end, kept this one PR as the differential
+//! reference.
 //!
-//! Each accepted connection gets two threads: a **reader** that frames
-//! bytes off the socket, applies the deterministic transport fault plan
+//! On the threaded front end each accepted connection gets two threads:
+//! a **reader** that frames bytes off the socket, applies the deterministic transport fault plan
 //! (drop / duplicate / delay, keyed on the connection's own frame
 //! counter), and feeds a **bounded** `sync_channel` (backpressure: a
 //! client that pipelines faster than the executor drains simply blocks in
@@ -40,8 +45,8 @@ use crate::wire::{
     Request, Response, WireError, KIND_BATCH_REQ,
 };
 use nt_engine::{
-    AccessOutcome, ActionSink, BeginOutcome, CommitOutcome, RecoveredSeed, Session, SessionEngine,
-    SessionError,
+    AccessOutcome, AccessStep, ActionSink, BeginOutcome, CommitOutcome, DurabilityMode,
+    ParkedAccess, RecoveredSeed, Session, SessionEngine, SessionError, WakeHandle,
 };
 use nt_faults::FrameFate;
 use nt_model::{ObjId, TxId};
@@ -56,7 +61,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -122,6 +127,12 @@ pub(crate) struct Shared {
     /// The reactor front end's drain trigger (reactor front end only),
     /// registered by `serve` and fired by `begin_drain`.
     reactor_drain: Mutex<Option<nt_reactor::Drainer>>,
+    /// The running reactor's counters (`reactor.*` in the stats document).
+    reactor_probe: OnceLock<nt_reactor::ReactorProbe>,
+    /// Reactor front end: some connection journaled a mutating response
+    /// since the last durability barrier. The first flush of a poll round
+    /// pays one `wait_durable` for every connection's burst.
+    pub(crate) owes_barrier: AtomicBool,
 }
 
 impl Shared {
@@ -169,6 +180,15 @@ impl Shared {
             .num_arr("shard_hold_us", &hold_us)
             .raw("telemetry", self.telemetry.to_json())
             .raw("wait_for", self.engine.wait_for_json());
+        if let Some(probe) = self.reactor_probe.get() {
+            let r = probe.stats();
+            let mut ro = JsonObj::new();
+            ro.num("poll_rounds", r.poll_rounds)
+                .num("frames", r.frames)
+                .num("parked_now", r.parked_now)
+                .num("resumes", r.resumes);
+            o.raw("reactor", ro.build());
+        }
         if let Some(store) = &self.store {
             o.num("wal_appended", store.wal().appended_count())
                 .num("wal_syncs", store.wal().sync_count())
@@ -200,8 +220,37 @@ impl Shared {
                 // the drain barrier certifies up to a stamp hole.
                 self.engine.flush_feeds();
                 lc.drain();
-                lc.status().cert_json()
             }
+            None => return cert_disabled_json(),
+        }
+        drop(guard);
+        self.cert_status_json()
+    }
+
+    /// [`Shared::cert_json`] for an event loop: start the certifier's
+    /// drain barrier and park on it — `wake` fires once the verdict covers
+    /// every action recorded before this call.
+    fn cert_start(&self, wake: &WakeHandle) -> Exec {
+        let guard = self.live.lock().expect("live poisoned");
+        let Some(lc) = guard.as_ref() else {
+            return Exec::Done(Response::Cert {
+                json: cert_disabled_json(),
+            });
+        };
+        self.engine.flush_feeds();
+        let drained = Arc::new(AtomicBool::new(false));
+        let (flag, wake) = (Arc::clone(&drained), wake.clone());
+        lc.drain_then(move || {
+            flag.store(true, Ordering::Release);
+            wake.wake();
+        });
+        Exec::Parked(Parked::Cert(drained))
+    }
+
+    /// The certifier's status document as last published.
+    fn cert_status_json(&self) -> String {
+        match self.live.lock().expect("live poisoned").as_ref() {
+            Some(lc) => lc.status().cert_json(),
             None => cert_disabled_json(),
         }
     }
@@ -379,7 +428,18 @@ impl NetServer {
         };
         let (store, recovered_cache, seed) = match &cfg.data_dir {
             Some(dir) => {
-                let (store, recovered) = Store::open(Path::new(dir), cfg.durability)
+                // The reactor executes on one thread, so parking it on a
+                // group-commit window would keep every other connection
+                // from appending: the window would collect nothing. The
+                // poll round is the group there — sync inline at its
+                // barrier and start no flusher.
+                let mode = match (cfg.frontend, cfg.durability) {
+                    (Frontend::Reactor, DurabilityMode::GroupCommit { .. }) => {
+                        DurabilityMode::FsyncPerCommit
+                    }
+                    (_, mode) => mode,
+                };
+                let (store, recovered) = Store::open(Path::new(dir), mode)
                     .map_err(|e| std::io::Error::other(format!("store open: {e}")))?;
                 (Some(Arc::new(store)), recovered.cache, recovered.seed)
             }
@@ -420,6 +480,8 @@ impl NetServer {
             store,
             recovered_cache,
             reactor_drain: Mutex::new(None),
+            reactor_probe: OnceLock::new(),
+            owes_barrier: AtomicBool::new(false),
         });
         Ok(NetServer { listener, shared })
     }
@@ -486,11 +548,11 @@ impl NetServer {
         }
     }
 
-    /// Spawn the readiness-based reactor front end (DESIGN.md §8j): one
-    /// poll thread owns the listener and every socket, a small worker
-    /// pool runs the per-connection protocol services, and replies
-    /// coalesce into as few `write` syscalls (and `wait_durable`
-    /// barriers) as readiness allows.
+    /// Spawn the run-to-completion reactor front end (DESIGN.md §8j): one
+    /// poll thread owns the listener and every socket and runs every
+    /// connection's protocol service inline; replies coalesce into as few
+    /// `write` syscalls as readiness allows, and one `wait_durable`
+    /// barrier covers each poll round.
     fn serve_reactor(self) -> ServerHandle {
         let drainer = nt_reactor::Drainer::new();
         *self
@@ -504,7 +566,6 @@ impl NetServer {
                 as nt_reactor::PhaseObserver
         });
         let rcfg = nt_reactor::ReactorConfig {
-            workers: self.shared.cfg.workers,
             min_frame_len: crate::wire::HEADER_LEN,
             max_frame_len: self.shared.cfg.max_frame_len,
             queue_depth: self.shared.cfg.queue_depth.max(1),
@@ -515,6 +576,7 @@ impl NetServer {
         )));
         let handle = nt_reactor::spawn(self.listener, rcfg, factory, drainer)
             .expect("reactor spawn: nonblocking listener + self-pipe");
+        let _ = self.shared.reactor_probe.set(handle.probe());
         ServerHandle {
             shared: self.shared,
             front: Front::Reactor(handle),
@@ -607,7 +669,7 @@ impl ServerHandle {
                 }
             }
             // Blocks until the drain completes: every dispatched frame
-            // answered, every output buffer flushed, workers joined.
+            // answered, every output buffer flushed, every service hung up.
             Front::Reactor(handle) => handle.join(),
         }
         let monitor = self.shared.monitor.lock().expect("monitor poisoned").take();
@@ -842,41 +904,35 @@ pub(crate) struct OpAnswer {
     pub(crate) mutated: bool,
 }
 
-/// Answer one op: per-connection cache, then the recovered pre-crash
-/// cache (exactly-once across restart), then a fresh execution whose
-/// response is cached and — for mutating ops with a store — journaled.
-/// The durability *barrier* is the caller's: a single request pays it
-/// immediately, a batch pays one barrier for all members (group commit).
-/// `None` only on response-encoding failure (connection-fatal).
-pub(crate) fn answer_op(
+/// A cached answer for `seq`: the connection's own exactly-once cache,
+/// then the recovered pre-crash cache (a request resent after restart
+/// gets the byte-identical response, never a second execution).
+fn cached_answer(shared: &Shared, cache: &BTreeMap<u64, Vec<u8>>, seq: u64) -> Option<OpAnswer> {
+    let bytes = cache
+        .get(&seq)
+        .or_else(|| shared.recovered_cache.get(&seq))?;
+    Some(OpAnswer {
+        bytes: bytes.clone(),
+        from_cache: true,
+        lock_wait_us: 0,
+        mutated: false,
+    })
+}
+
+/// A fresh execution produced `resp`: encode it, cache it, and — for
+/// mutating ops with a store — journal it. The durability *barrier* is
+/// the caller's. `None` only on response-encoding failure
+/// (connection-fatal).
+fn finish_op(
     shared: &Shared,
     session: &mut Session,
     cache: &mut BTreeMap<u64, Vec<u8>>,
-    open_tops: &mut BTreeSet<TxId>,
     seq: u64,
     req: &Request,
+    resp: &Response,
 ) -> Option<OpAnswer> {
-    if let Some(bytes) = cache.get(&seq) {
-        return Some(OpAnswer {
-            bytes: bytes.clone(),
-            from_cache: true,
-            lock_wait_us: 0,
-            mutated: false,
-        });
-    }
-    // A pre-crash request resent after restart: answer with the
-    // recovered byte-identical response, never a second execution.
-    if let Some(bytes) = shared.recovered_cache.get(&seq) {
-        return Some(OpAnswer {
-            bytes: bytes.clone(),
-            from_cache: true,
-            lock_wait_us: 0,
-            mutated: false,
-        });
-    }
-    let resp = execute(shared, session, open_tops, req);
     let lock_wait_us = session.take_lock_wait_us();
-    let bytes = encode_response(seq, &resp).ok()?;
+    let bytes = encode_response(seq, resp).ok()?;
     cache.insert(seq, bytes.clone());
     let mut mutated = false;
     if let Some(store) = &shared.store {
@@ -893,8 +949,106 @@ pub(crate) fn answer_op(
     })
 }
 
+/// What an [`OpsRun`] step came to.
+pub(crate) enum Step {
+    /// Every op of the frame is answered.
+    Finished,
+    /// The op at the cursor cannot finish now; hand the token back to
+    /// [`OpsRun::step`] once its wake fired.
+    Parked(Parked),
+    /// Response encoding failed (connection-fatal).
+    Fatal,
+}
+
+/// One request frame's ops mid-execution — a single request is a run of
+/// one — with the answers so far. Both front ends execute through this:
+/// the threaded executor with no wake handle (an `ACCESS` blocks its
+/// thread, a step always finishes), the reactor with one (an `ACCESS`
+/// whose lock is held elsewhere, or a `CERT` barrier, parks the run).
+pub(crate) struct OpsRun {
+    ops: Vec<(u64, Request)>,
+    /// Full single-response frames, one per answered op, in op order.
+    pub(crate) answers: Vec<Vec<u8>>,
+    /// Summed lock wait of the fresh executions.
+    pub(crate) lock_wait_us: u64,
+    /// Some member journaled a response: a durability barrier is owed
+    /// before the reply is acked.
+    pub(crate) owes_barrier: bool,
+    /// A fresh `Shutdown` was executed.
+    pub(crate) shutdown: bool,
+}
+
+impl OpsRun {
+    pub(crate) fn new(ops: Vec<(u64, Request)>) -> OpsRun {
+        OpsRun {
+            answers: Vec::with_capacity(ops.len()),
+            ops,
+            lock_wait_us: 0,
+            owes_barrier: false,
+            shutdown: false,
+        }
+    }
+
+    /// Answer ops in order from the cursor — cache, else execute, cache
+    /// and journal — until the frame is finished or an op parks.
+    /// `resumed` continues the op that parked last time.
+    pub(crate) fn step(
+        &mut self,
+        shared: &Shared,
+        session: &mut Session,
+        cache: &mut BTreeMap<u64, Vec<u8>>,
+        open_tops: &mut BTreeSet<TxId>,
+        wake: Option<&WakeHandle>,
+        mut resumed: Option<Parked>,
+    ) -> Step {
+        while let Some((seq, req)) = self.ops.get(self.answers.len()) {
+            let ans = match (resumed.take(), cached_answer(shared, cache, *seq)) {
+                (None, Some(ans)) => ans,
+                (parked, _) => {
+                    let exec = match parked {
+                        Some(p) => resume(shared, session, open_tops, p),
+                        None => execute(shared, session, open_tops, req, wake),
+                    };
+                    let resp = match exec {
+                        Exec::Done(resp) => resp,
+                        Exec::Parked(p) => return Step::Parked(p),
+                    };
+                    match finish_op(shared, session, cache, *seq, req, &resp) {
+                        Some(ans) => ans,
+                        None => return Step::Fatal,
+                    }
+                }
+            };
+            count_answer(shared, ans.from_cache);
+            self.lock_wait_us += ans.lock_wait_us;
+            self.owes_barrier |= ans.mutated;
+            self.shutdown |= !ans.from_cache && matches!(req, Request::Shutdown);
+            self.answers.push(ans.bytes);
+        }
+        Step::Finished
+    }
+
+    /// The answers as `BATCH_RESP` entries: each cached single-response
+    /// frame (4-byte length prefix + header + body) lifted into its kind
+    /// and body. `None` on a malformed cached frame (connection-fatal).
+    pub(crate) fn batch_entries(&self) -> Option<Vec<crate::wire::BatchEntry>> {
+        self.ops
+            .iter()
+            .zip(&self.answers)
+            .map(|((seq, _), bytes)| {
+                let (kind, _seq, body) = parse_frame(&bytes[4..]).ok()?;
+                Some(crate::wire::BatchEntry {
+                    seq: *seq,
+                    kind,
+                    body: body.to_vec(),
+                })
+            })
+            .collect()
+    }
+}
+
 /// Record one answered op in the coherent counter snapshot.
-pub(crate) fn count_answer(shared: &Shared, from_cache: bool) {
+fn count_answer(shared: &Shared, from_cache: bool) {
     shared.stats.update(|s| {
         if from_cache {
             s.cache_hits += 1;
@@ -913,42 +1067,6 @@ pub(crate) fn pay_durability(shared: &Shared) -> u64 {
     t0.map(|t0| t0.elapsed().as_micros() as u64).unwrap_or(0)
 }
 
-/// Assemble the per-op entries of a `BATCH_RESP` by executing each op in
-/// order through [`answer_op`]. Returns the entries, the summed lock
-/// wait, whether any member owes a durability barrier, and whether a
-/// fresh `Shutdown` was executed. `None` on encoding failure.
-pub(crate) fn answer_batch(
-    shared: &Shared,
-    session: &mut Session,
-    cache: &mut BTreeMap<u64, Vec<u8>>,
-    open_tops: &mut BTreeSet<TxId>,
-    ops: &[(u64, Request)],
-) -> Option<(Vec<crate::wire::BatchEntry>, u64, bool, bool)> {
-    let mut entries = Vec::with_capacity(ops.len());
-    let mut lock_wait_us = 0;
-    let mut owes_barrier = false;
-    let mut shutdown = false;
-    for (op_seq, req) in ops {
-        let ans = answer_op(shared, session, cache, open_tops, *op_seq, req)?;
-        count_answer(shared, ans.from_cache);
-        lock_wait_us += ans.lock_wait_us;
-        owes_barrier |= ans.mutated;
-        if !ans.from_cache && matches!(req, Request::Shutdown) {
-            shutdown = true;
-        }
-        // The cached bytes are a full single-response frame (4-byte
-        // length prefix + header + body); lift its kind and body into a
-        // batch entry.
-        let (kind, _seq, body) = parse_frame(&ans.bytes[4..]).ok()?;
-        entries.push(crate::wire::BatchEntry {
-            seq: *op_seq,
-            kind,
-            body: body.to_vec(),
-        });
-    }
-    Some((entries, lock_wait_us, owes_barrier, shutdown))
-}
-
 /// Execute requests in order, answering retries/duplicates from the
 /// per-`seq` cache; on exit, abort every top this connection left open so
 /// no lock outlives its client.
@@ -965,46 +1083,44 @@ fn execute_loop(
         match work {
             Work::Req(rw) => {
                 let t_dequeue = shared.telemetry.now_us();
-                let Some(ans) = answer_op(
-                    shared,
-                    &mut session,
-                    &mut cache,
-                    &mut open_tops,
-                    rw.seq,
-                    &rw.req,
-                ) else {
+                let kind = rw.req.kind();
+                let mut run = OpsRun::new(vec![(rw.seq, rw.req)]);
+                // No wake handle: an ACCESS blocks this thread on its
+                // ticket, so the step always finishes.
+                let Step::Finished =
+                    run.step(shared, &mut session, &mut cache, &mut open_tops, None, None)
+                else {
                     break;
                 };
                 // Durability barrier: wait for the WAL watermark *before*
                 // the ack goes on the wire, so an acknowledged effect
                 // (and its cached answer) survives a crash.
-                let log_wait_us = if ans.mutated {
+                let log_wait_us = if run.owes_barrier {
                     pay_durability(shared)
                 } else {
                     0
                 };
-                count_answer(shared, ans.from_cache);
                 let t_exec_end = shared.telemetry.now_us();
-                if stream.write_all(&ans.bytes).is_err() {
+                if stream.write_all(&run.answers[0]).is_err() {
                     break;
                 }
                 if shared.telemetry.is_enabled() {
                     shared.telemetry.record_span(ReqSpan {
                         conn,
                         seq: rw.seq,
-                        kind: rw.req.kind(),
+                        kind,
                         t_decode: rw.t_decode,
                         t_enqueue: rw.t_enqueue,
                         t_dequeue,
                         t_exec_end,
                         t_respond: shared.telemetry.now_us(),
-                        lock_wait_us: ans.lock_wait_us,
+                        lock_wait_us: run.lock_wait_us,
                         log_wait_us,
                         seq_decode: rw.seq_decode,
                         seq_respond: shared.engine.clock_now(),
                     });
                 }
-                if !ans.from_cache && matches!(rw.req, Request::Shutdown) {
+                if run.shutdown {
                     let _ = stream.flush();
                     shared.begin_drain();
                 }
@@ -1012,9 +1128,13 @@ fn execute_loop(
             Work::Batch(bw) => {
                 let t_dequeue = shared.telemetry.now_us();
                 let t_asm = shared.telemetry.is_enabled().then(Instant::now);
-                let Some((entries, lock_wait_us, owes_barrier, shutdown)) =
-                    answer_batch(shared, &mut session, &mut cache, &mut open_tops, &bw.ops)
+                let mut run = OpsRun::new(bw.ops);
+                let Step::Finished =
+                    run.step(shared, &mut session, &mut cache, &mut open_tops, None, None)
                 else {
+                    break;
+                };
+                let Some(entries) = run.batch_entries() else {
                     break;
                 };
                 if let Some(t_asm) = t_asm {
@@ -1024,12 +1144,12 @@ fn execute_loop(
                 }
                 // One group-commit barrier covers every member of the
                 // batch — this is the coalescing the BATCH frame buys.
-                let log_wait_us = if owes_barrier {
+                let log_wait_us = if run.owes_barrier {
                     pay_durability(shared)
                 } else {
                     0
                 };
-                if owes_barrier {
+                if run.owes_barrier {
                     shared.telemetry.observe_phase("coalesce", log_wait_us);
                 }
                 let bytes = crate::wire::encode_batch_response(bw.seq, &entries);
@@ -1047,13 +1167,13 @@ fn execute_loop(
                         t_dequeue,
                         t_exec_end,
                         t_respond: shared.telemetry.now_us(),
-                        lock_wait_us,
+                        lock_wait_us: run.lock_wait_us,
                         log_wait_us,
                         seq_decode: bw.seq_decode,
                         seq_respond: shared.engine.clock_now(),
                     });
                 }
-                if shutdown {
+                if run.shutdown {
                     let _ = stream.flush();
                     shared.begin_drain();
                 }
@@ -1096,13 +1216,77 @@ fn mutates(req: &Request) -> bool {
     )
 }
 
+/// How far one op's execution got.
+pub(crate) enum Exec {
+    /// It produced its response.
+    Done(Response),
+    /// It waits on another party; the wake handle fires when [`resume`]
+    /// can finish it.
+    Parked(Parked),
+}
+
+/// What a parked op waits for.
+pub(crate) enum Parked {
+    /// An `ACCESS` whose Moss lock a non-ancestor holds.
+    Access(ParkedAccess),
+    /// A `CERT` whose certifier drain barrier has not come back (the
+    /// flag is set just before the wake fires).
+    Cert(Arc<AtomicBool>),
+}
+
+/// The response of an access that ran to its outcome.
+fn access_response(
+    shared: &Shared,
+    open_tops: &mut BTreeSet<TxId>,
+    outcome: AccessOutcome,
+) -> Response {
+    match outcome {
+        AccessOutcome::Done(v) => Response::AccessOk { value: v },
+        AccessOutcome::Aborted(v) => {
+            open_tops.remove(&v);
+            shared.release_admission(v);
+            Response::Aborted { victim: v.0 }
+        }
+    }
+}
+
+/// Continue a parked op after its wake fired (spurious wakes park again).
+fn resume(
+    shared: &Shared,
+    session: &mut Session,
+    open_tops: &mut BTreeSet<TxId>,
+    parked: Parked,
+) -> Exec {
+    match parked {
+        Parked::Access(p) => match session.access_resume(p) {
+            AccessStep::Done(out) => Exec::Done(access_response(shared, open_tops, out)),
+            AccessStep::Parked(p) => Exec::Parked(Parked::Access(p)),
+        },
+        Parked::Cert(drained) => {
+            if drained.load(Ordering::Acquire) {
+                Exec::Done(Response::Cert {
+                    json: shared.cert_status_json(),
+                })
+            } else {
+                Exec::Parked(Parked::Cert(drained))
+            }
+        }
+    }
+}
+
+/// Execute one request against the session. With a `wake` handle (the
+/// reactor), the two ops that wait on another party — an `ACCESS` behind
+/// a lock, a `CERT` behind the certifier's queue — park instead of
+/// blocking; without one (the threaded front end) they block this thread
+/// and the result is always [`Exec::Done`].
 fn execute(
     shared: &Shared,
     session: &mut Session,
     open_tops: &mut BTreeSet<TxId>,
     req: &Request,
-) -> Response {
-    match req {
+    wake: Option<&WakeHandle>,
+) -> Exec {
+    Exec::Done(match req {
         Request::BeginTop => match session.begin_top() {
             Ok(t) => {
                 open_tops.insert(t);
@@ -1113,7 +1297,7 @@ fn execute(
         Request::BeginTopDeclared { reads, writes } => {
             if !shared.cfg.static_gate {
                 // Gate disabled: a declared begin degrades to BeginTop.
-                return execute(shared, session, open_tops, &Request::BeginTop);
+                return execute(shared, session, open_tops, &Request::BeginTop, wake);
             }
             let sets = DeclaredSets::new(reads, writes);
             // Hold the ledger across check + record so two connections
@@ -1125,10 +1309,10 @@ fn execute(
                     reason: format!("static gate refusal: {msg}"),
                 });
                 shared.dump_diagnostics("static gate refusal");
-                return Response::Error {
+                return Exec::Done(Response::Error {
                     code: err_code::STATIC_GATE,
                     msg: format!("static gate refused the top: {msg}"),
-                };
+                });
             }
             match session.begin_top() {
                 Ok(t) => {
@@ -1151,13 +1335,16 @@ fn execute(
             Err(e) => session_error_response(&e),
         },
         Request::Access { parent, obj, op } => {
-            match session.access(TxId(*parent), ObjId(*obj), op.clone()) {
-                Ok(AccessOutcome::Done(v)) => Response::AccessOk { value: v },
-                Ok(AccessOutcome::Aborted(v)) => {
-                    open_tops.remove(&v);
-                    shared.release_admission(v);
-                    Response::Aborted { victim: v.0 }
-                }
+            let (parent, obj) = (TxId(*parent), ObjId(*obj));
+            let step = match wake {
+                Some(wake) => session.access_start(parent, obj, op.clone(), wake),
+                None => session
+                    .access(parent, obj, op.clone())
+                    .map(AccessStep::Done),
+            };
+            match step {
+                Ok(AccessStep::Done(out)) => access_response(shared, open_tops, out),
+                Ok(AccessStep::Parked(p)) => return Exec::Parked(Parked::Access(p)),
                 Err(e) => session_error_response(&e),
             }
         }
@@ -1197,8 +1384,11 @@ fn execute(
         Request::Stats => Response::Stats {
             json: shared.stats_json(),
         },
-        Request::Cert => Response::Cert {
-            json: shared.cert_json(),
+        Request::Cert => match wake {
+            Some(wake) => return shared.cert_start(wake),
+            None => Response::Cert {
+                json: shared.cert_json(),
+            },
         },
-    }
+    })
 }

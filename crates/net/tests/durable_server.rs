@@ -245,6 +245,40 @@ fn wal_counters_surface_in_the_stats_document() {
     handle.wait();
 }
 
+#[test]
+fn group_commit_on_the_reactor_syncs_at_the_round_not_the_window() {
+    // A window no ack could afford to sleep out: on the reactor the poll
+    // round is the group, so every mutating ack is synced inline at the
+    // round's barrier and the window never enters the request path.
+    const WINDOW_US: u64 = 2_000_000;
+    let dir = Scratch::new("round-group");
+    let server = NetServer::bind(durable_cfg(
+        &dir,
+        DurabilityMode::GroupCommit {
+            window_us: WINDOW_US,
+        },
+    ))
+    .expect("bind");
+    let addr = server.local_addr().to_string();
+    let handle = server.serve();
+    let mut conn = Conn::connect(&addr, 1, ConnConfig::default()).expect("connect");
+    let t0 = std::time::Instant::now();
+    for i in 0..3 {
+        commit_write(&mut conn, 0, i);
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_micros(WINDOW_US),
+        "nine durable acks took {elapsed:?}: something slept the group window"
+    );
+    let stats = conn.stats().expect("stats");
+    let v = nt_obs::json::Json::parse(&stats).expect("stats parses");
+    let syncs = v.get("wal_syncs").and_then(nt_obs::json::Json::as_num);
+    assert!(syncs > Some(0.0), "acks must have been synced: {stats}");
+    drop(conn);
+    handle.wait();
+}
+
 #[cfg(unix)]
 mod signals {
     use super::Scratch;

@@ -247,3 +247,53 @@ fn malformed_frame_yields_protocol_error_then_close() {
     let report = handle.wait();
     assert_eq!(report.stats.executed, 0);
 }
+
+/// A fault-plan `Delay` parks its frame as a deadline on the poll thread,
+/// it does not sleep there: while connection A's third frame sits out a
+/// 150 ms delay (with a fourth queued behind it), connection B's round
+/// trips finish well inside that window — and A's replies still come back
+/// in request order once the deadline passes.
+#[test]
+fn fault_plan_delay_on_one_connection_does_not_delay_another() {
+    let delay = std::time::Duration::from_millis(150);
+    let (addr, handle) = start_server(ServerConfig {
+        fault: Some(TransportPlan {
+            delay_period: 3,
+            delay_us: delay.as_micros() as u64,
+            ..TransportPlan::default()
+        }),
+        ..ServerConfig::default()
+    });
+    let cfg = ConnConfig {
+        timeout_ms: 5_000,
+        ..ConnConfig::default()
+    };
+    let mut a = Conn::connect(&addr, 1, cfg).expect("connect a");
+    let mut b = Conn::connect(&addr, 2, cfg).expect("connect b");
+    let start = std::time::Instant::now();
+    // A's frames 1..=4; the plan delays its third.
+    let seqs: Vec<u64> = (0..4)
+        .map(|_| a.send(&Request::Ping).expect("send"))
+        .collect();
+    // B's frames 1 and 2 are untouched by the plan.
+    for _ in 0..2 {
+        assert!(matches!(b.request(&Request::Ping), Ok(Response::Pong)));
+    }
+    let b_done = start.elapsed();
+    assert!(
+        b_done < delay / 2,
+        "B's pings took {b_done:?} beside a {delay:?} delay on A"
+    );
+    for (k, seq) in seqs.into_iter().enumerate() {
+        assert!(matches!(a.recv(seq), Ok(Response::Pong)), "frame {}", k + 1);
+        if k == 2 {
+            assert!(
+                start.elapsed() >= delay,
+                "the delayed frame came back early"
+            );
+        }
+    }
+    drop((a, b));
+    let report = handle.wait();
+    assert_eq!(report.stats.delayed, 1);
+}

@@ -1,5 +1,7 @@
 //! Incremental length-prefixed frame accumulation for nonblocking reads.
 
+use std::io::Read;
+
 /// A declared frame length outside the configured `[min, max]` window.
 /// The stream past this point is garbage (there is no way to resynchronize
 /// a length-prefixed stream after a corrupt prefix), so the reactor stops
@@ -13,13 +15,22 @@ pub struct BadFrame {
     pub max: usize,
 }
 
+/// Smallest spare region a read is offered, and the growth step.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Accumulates raw socket bytes and yields complete `u32le`-length-prefixed
 /// frames (sans prefix). The nonblocking twin of nt-net's blocking
 /// `FrameReader`: bytes go in whenever the socket is readable, frames come
 /// out whenever enough have arrived, and a partial tail just waits.
+///
+/// `buf[start..end]` holds the unread bytes; `buf[end..]` is initialised
+/// spare capacity that [`FrameBuf::read_from`] reads straight into, so a
+/// readiness event costs no zeroing and no intermediate copy.
 #[derive(Default)]
 pub struct FrameBuf {
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 impl FrameBuf {
@@ -28,43 +39,83 @@ impl FrameBuf {
         FrameBuf::default()
     }
 
-    /// Append freshly read socket bytes.
+    /// Make `buf[end..]` at least `want` bytes long, sliding the unread
+    /// bytes to the front before growing.
+    fn reserve(&mut self, want: usize) {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+        if self.buf.len() - self.end >= want {
+            return;
+        }
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.buf.len() < self.end + want {
+            self.buf.resize(self.end + want, 0);
+        }
+    }
+
+    /// Append bytes already in hand.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.reserve(bytes.len());
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// One `read` from `r` into the spare capacity. Returns the byte count
+    /// and whether it filled the region offered — a short read from a
+    /// nonblocking socket means the kernel buffer is drained, so the
+    /// caller can skip the `read` that would only report `WouldBlock`.
+    pub fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<(usize, bool)> {
+        self.reserve(READ_CHUNK);
+        let spare = &mut self.buf[self.end..];
+        let n = r.read(spare)?;
+        let full = n == spare.len();
+        self.end += n;
+        Ok((n, full))
     }
 
     /// Buffered bytes not yet popped (partial frames included).
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.end - self.start
     }
 
     /// Whether nothing is buffered (a clean frame boundary).
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.start == self.end
     }
 
     /// Discard everything buffered (drain: undispatched bytes are dropped,
     /// mirroring the threaded path's read-half shutdown mid-stream).
     pub fn clear(&mut self) {
-        self.buf.clear();
+        self.start = 0;
+        self.end = 0;
     }
 
     /// Pop the next complete frame, `Ok(None)` when more bytes are needed,
     /// or [`BadFrame`] when the prefix declares a length below `min_len`
     /// (too short to hold a header) or above `max_len`.
     pub fn pop(&mut self, min_len: usize, max_len: usize) -> Result<Option<Vec<u8>>, BadFrame> {
-        if self.buf.len() < 4 {
+        let unread = &self.buf[self.start..self.end];
+        if unread.len() < 4 {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
+        let len = u32::from_le_bytes(unread[..4].try_into().expect("4 bytes")) as usize;
         if len < min_len || len > max_len {
             return Err(BadFrame { len, max: max_len });
         }
-        if self.buf.len() < 4 + len {
+        if unread.len() < 4 + len {
             return Ok(None);
         }
-        let frame = self.buf[4..4 + len].to_vec();
-        self.buf.drain(..4 + len);
+        let frame = unread[4..4 + len].to_vec();
+        self.start += 4 + len;
+        if self.start == self.end && self.buf.len() > 4 * READ_CHUNK {
+            // A large frame passed through: give its room back.
+            self.buf = Vec::new();
+            self.clear();
+        }
         Ok(Some(frame))
     }
 }
@@ -110,5 +161,34 @@ mod tests {
         let mut fb = FrameBuf::new();
         fb.extend(&framed(b"xy"));
         assert_eq!(fb.pop(16, 1024), Err(BadFrame { len: 2, max: 1024 }));
+    }
+
+    #[test]
+    fn read_from_fills_spare_capacity_and_reports_short_reads() {
+        // A frame larger than one chunk, so the reads span a growth and a
+        // slide of the unread tail.
+        let big = vec![7u8; 3 * READ_CHUNK];
+        let mut wire = framed(b"first");
+        wire.extend_from_slice(&framed(&big));
+        let mut src: &[u8] = &wire;
+        let mut fb = FrameBuf::new();
+        let (n, full) = fb.read_from(&mut src).expect("read");
+        assert_eq!(
+            (n, full),
+            (READ_CHUNK, true),
+            "region filled: more may wait"
+        );
+        assert_eq!(fb.pop(1, 1 << 20), Ok(Some(b"first".to_vec())));
+        assert_eq!(fb.pop(1, 1 << 20), Ok(None));
+        let mut short = false;
+        while !short {
+            let (n, full) = fb.read_from(&mut src).expect("read");
+            short = !full;
+            assert!(n > 0 || short);
+        }
+        assert_eq!(fb.pop(1, 1 << 20), Ok(Some(big)));
+        assert!(fb.is_empty());
+        let (n, full) = fb.read_from(&mut src).expect("read");
+        assert_eq!((n, full), (0, false), "EOF is a zero-byte short read");
     }
 }

@@ -1,45 +1,49 @@
-//! nt-reactor: a readiness-based nonblocking server front end.
+//! nt-reactor: a readiness-based, run-to-completion server front end.
 //!
 //! The connection-per-thread server (nt-net PR 5) anti-scales: past a
 //! couple of connections, every pipelined client costs two parked threads
-//! and a kernel context switch per frame, and BENCH_net.json showed
-//! throughput *falling* from 2 connections toward 8. This crate replaces
-//! that front end with the classic reactor shape, hand-rolled over
-//! `poll(2)` (via `pollshim`, the workspace's second and last unsafe FFI
-//! shim) so the workspace stays dependency-free:
+//! and a kernel context switch per frame. PR 10 replaced it with a
+//! `poll(2)` reactor that still handed every frame to an executor thread
+//! and took every reply back through a self-pipe wake — two thread
+//! hand-offs per request. This crate is the shape that removes them:
+//! **one thread** owns the listener and every connection *and runs the
+//! protocol logic*, hand-rolled over `poll(2)` (via `pollshim`, the
+//! workspace's second and last unsafe FFI shim) so the workspace stays
+//! dependency-free.
 //!
-//! - One **reactor thread** owns the listener and every connection. It
-//!   polls for readiness, accepts nonblockingly, reads socket bytes into a
-//!   per-connection [`FrameBuf`], and dispatches each complete
-//!   length-prefixed frame to a worker. It also owns all writes: replies
-//!   from workers arrive on a completion queue (a self-pipe [`Waker`]
-//!   interrupts the poll), are appended to per-connection output buffers,
-//!   and are flushed with as few `write` syscalls as readiness allows —
-//!   many replies **coalesce** into one syscall.
-//! - **Executors** run the protocol logic, which the embedder supplies
-//!   as a [`Service`] per connection via a [`ServiceFactory`]. Two
-//!   models, chosen by [`ReactorConfig::workers`]: a fixed pool sharded
-//!   by connection id (only safe when `Service::frame` never waits on
-//!   another connection's progress), or — the default — one executor
-//!   thread per connection, created at accept and reaped at hangup,
-//!   which a blocking service (two-phase lock waits) requires for
-//!   liveness. Either way a connection's frames execute in order, and
-//!   when an executor's queue runs dry it calls [`Service::flush`] on
-//!   every connection it touched — the natural group-commit point: a
-//!   service can defer its durability barrier across a burst of frames
-//!   and pay it once.
+//! A round is: `poll` → read every readable socket into its
+//! [`FrameBuf`] → call [`Service::frame`] inline for every complete
+//! frame → [`Service::resume`] for every connection whose resume handle
+//! fired → one [`Service::flush`] per connection touched this round →
+//! write. The embedder supplies one [`Service`] per connection via a
+//! [`ServiceFactory`]. A service never blocks: the one case that cannot
+//! finish now (in nt-net, an `ACCESS` whose lock is held by another
+//! connection) keeps its own continuation, takes a [`ResumeHandle`] from
+//! its [`ReplySink`], and returns; whoever unblocks it — possibly
+//! another thread — calls [`ResumeHandle::resume`], and the reactor calls
+//! `Service::resume` on the poll thread. Because executors never wait,
+//! one thread is live no matter how many connections are parked.
+//!
+//! `flush` is the group-commit point: every frame of the round, across
+//! all connections, has executed before the first `flush` runs, so a
+//! durability barrier paid there covers the whole round's burst.
+//!
+//! [`ReplySink::send`] appends straight to the connection's output buffer
+//! (a mutex the poll thread otherwise has to itself). A send or resume
+//! from another thread writes the self-pipe [`Waker`] only when the
+//! reactor may actually be inside `poll` and no wake byte is in flight —
+//! a burst of grants costs one wake; from the poll thread it costs none.
 //!
 //! Backpressure is by readiness, not blocking: a connection with more than
-//! `queue_depth` dispatched-but-unanswered frames is simply removed from
-//! the poll interest set until its backlog drains, which pushes the stall
-//! into the client's TCP window exactly like the old bounded channel did.
+//! `queue_depth` dispatched-but-unanswered frames (only a parked
+//! connection accumulates them) is removed from the poll interest set
+//! until its backlog drains, which pushes the stall into the client's TCP
+//! window.
 //!
 //! Ordering invariant (the one the certifier cares about): frames of one
-//! connection are dispatched in arrival order to one worker, executed in
-//! that order, and their replies are appended to the output buffer in
-//! completion-queue order — so coalescing changes *when* bytes hit the
-//! wire, never the per-connection execution or reply order, and the
-//! engine's stamp order is untouched.
+//! connection are handed to its service in arrival order, and its replies
+//! reach the output buffer in `send` order — so coalescing changes *when*
+//! bytes hit the wire, never the per-connection execution or reply order.
 
 #![forbid(unsafe_code)]
 
@@ -51,21 +55,18 @@ pub use waker::Waker;
 
 use pollshim::{poll, PollFd, POLLIN, POLLOUT};
 use std::collections::BTreeMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Per-`poll` timeout: wakes are delivered by the self-pipe, so this is
-/// only a belt-and-braces bound on how long a lost wake could stall drain.
+/// Per-`poll` timeout when no timer is pending: wakes are delivered by
+/// the self-pipe, so this is only a belt-and-braces bound on how long a
+/// lost wake could stall drain.
 const POLL_TIMEOUT_MS: i32 = 500;
-
-/// Read chunk size per readiness event.
-const READ_CHUNK: usize = 16 * 1024;
 
 /// Observer for reactor phase timings: called with a phase name
 /// (`"poll_wait"`) and a duration in µs. The embedder maps this onto its
@@ -74,16 +75,6 @@ pub type PhaseObserver = Arc<dyn Fn(&'static str, u64) + Send + Sync>;
 
 /// Reactor tuning knobs.
 pub struct ReactorConfig {
-    /// Executor model. `0` (the default): one executor thread per
-    /// connection, created at accept and reaped at hangup — required
-    /// when the [`Service`] can block on another connection's progress
-    /// (e.g. two-phase-lock waits: with a shared pool, the lock holder's
-    /// frames can sit queued behind the blocked waiter on the same
-    /// shard, a scheduling deadlock no lock-cycle detector can see).
-    /// `N > 0`: a fixed pool of `N` workers sharded by connection id —
-    /// fewer threads, but only safe for services whose `frame` calls
-    /// never wait on other connections.
-    pub workers: usize,
     /// Smallest acceptable declared frame length (protocol header size).
     pub min_frame_len: usize,
     /// Largest acceptable declared frame length.
@@ -99,7 +90,6 @@ pub struct ReactorConfig {
 impl Default for ReactorConfig {
     fn default() -> ReactorConfig {
         ReactorConfig {
-            workers: 0,
             min_frame_len: 1,
             max_frame_len: 1 << 22,
             queue_depth: 64,
@@ -108,24 +98,29 @@ impl Default for ReactorConfig {
     }
 }
 
-/// One connection's protocol state, owned by exactly one worker thread.
-/// All methods run on that worker; replies go through the [`ReplySink`]
-/// handed to [`ServiceFactory::open`].
+/// One connection's protocol state. Every method runs on the poll thread
+/// and must not block; replies go through the [`ReplySink`] handed to
+/// [`ServiceFactory::open`].
 pub trait Service: Send {
     /// One complete frame (sans length prefix) arrived. `enqueued` is the
-    /// reactor-thread dispatch instant, so the service can report real
-    /// dispatch→execution queue wait. The service may reply now via the
-    /// sink or buffer the reply until [`Service::flush`]; either way every
-    /// frame must eventually be accounted for through `ReplySink::send`'s
-    /// `frames_done` (an intentionally unanswered frame — e.g. a
-    /// fault-plan drop — sends empty bytes with `frames_done = 1`).
+    /// instant the reactor popped it off the socket buffer. The service
+    /// may reply now via the sink, buffer the reply until
+    /// [`Service::flush`], or — when it cannot finish yet — keep the
+    /// frame (and any later ones) and answer after [`Service::resume`];
+    /// either way every frame must eventually be accounted for through
+    /// `ReplySink::send`'s `frames_done` (an intentionally unanswered
+    /// frame — e.g. a fault-plan drop — sends empty bytes with
+    /// `frames_done = 1`).
     fn frame(&mut self, frame: Vec<u8>, enqueued: Instant);
 
-    /// The worker's queue ran dry after a burst that touched this
-    /// connection: emit buffered replies. This is the group-commit point —
-    /// a durability barrier paid here covers every frame since the last
-    /// flush.
+    /// Every frame of this round has executed: emit buffered replies.
+    /// This is the group-commit point — a durability barrier paid here
+    /// covers every frame, of every connection, since the last round.
     fn flush(&mut self) {}
+
+    /// This connection's [`ResumeHandle`] fired (or its timer came due):
+    /// continue whatever was parked. May fire spuriously.
+    fn resume(&mut self) {}
 
     /// The stream past this point cannot be framed (corrupt length
     /// prefix). Typically: flush buffered replies, send a protocol error
@@ -150,142 +145,162 @@ pub trait ServiceFactory: Send + Sync + 'static {
     fn open(&self, conn: u64, sink: ReplySink) -> Box<dyn Service>;
 }
 
-enum Completion {
-    Reply {
-        conn: u64,
-        bytes: Vec<u8>,
-        frames_done: u64,
-    },
-    Close {
-        conn: u64,
-    },
-    Drain,
+// --- Cross-thread mailbox --------------------------------------------------
+
+/// What other parties leave for the poll thread between rounds.
+#[derive(Default)]
+struct Inbox {
+    /// Connections whose outbox changed (bytes, answered frames, close).
+    dirty: Vec<u64>,
+    /// Connections whose resume handle fired.
+    resumes: Vec<u64>,
+    /// Resume requests with a deadline.
+    timers: Vec<(Instant, u64)>,
 }
 
-/// A worker-side handle for answering one connection.
+impl Inbox {
+    fn is_empty(&self) -> bool {
+        self.dirty.is_empty() && self.resumes.is_empty() && self.timers.is_empty()
+    }
+}
+
+/// Live counters ([`ReactorProbe::stats`]).
+#[derive(Default)]
+struct Counters {
+    poll_rounds: AtomicU64,
+    frames: AtomicU64,
+    resumes: AtomicU64,
+    parked_now: AtomicU64,
+}
+
+/// State shared between the poll thread and every sink/handle.
+struct Hub {
+    /// Set while the reactor may be inside `poll`: only then does a post
+    /// from another thread need the self-pipe. (`SeqCst` with the inbox
+    /// mutex: the reactor stores `true` *then* checks the inbox; a poster
+    /// fills the inbox *then* loads this — one of them sees the other.)
+    polling: AtomicBool,
+    /// A wake byte is in the pipe and not yet drained.
+    woken: AtomicBool,
+    waker: Waker,
+    inbox: Mutex<Inbox>,
+    draining: Arc<AtomicBool>,
+    counters: Counters,
+}
+
+impl Hub {
+    fn post(&self, f: impl FnOnce(&mut Inbox)) {
+        f(&mut self.inbox.lock().expect("inbox poisoned"));
+        self.notify();
+    }
+
+    fn notify(&self) {
+        if self.polling.load(Ordering::SeqCst) && !self.woken.swap(true, Ordering::SeqCst) {
+            self.waker.wake();
+        }
+    }
+
+    fn mark_dirty(&self, conn: u64) {
+        self.post(|ib| {
+            if ib.dirty.last() != Some(&conn) {
+                ib.dirty.push(conn);
+            }
+        });
+    }
+}
+
+/// A connection's output side, shared with its [`ReplySink`].
+#[derive(Default)]
+struct Outbox {
+    /// Reply bytes not yet written to the socket.
+    buf: Vec<u8>,
+    /// Frames answered since the reactor last looked.
+    done: u64,
+    /// Close once everything is answered and flushed.
+    close: bool,
+}
+
+/// A handle for answering one connection, from any thread.
 #[derive(Clone)]
 pub struct ReplySink {
     conn: u64,
-    tx: Sender<Completion>,
-    waker: Waker,
+    out: Arc<Mutex<Outbox>>,
+    hub: Arc<Hub>,
 }
 
 impl ReplySink {
-    /// Queue `bytes` for the connection and mark `frames_done` dispatched
-    /// frames as answered. Bytes from successive sends are coalesced into
-    /// as few `write` syscalls as socket readiness allows, in send order.
+    /// Append `bytes` to the connection's output buffer and mark
+    /// `frames_done` dispatched frames as answered. Bytes from successive
+    /// sends are coalesced into as few `write` syscalls as socket
+    /// readiness allows, in send order.
     pub fn send(&self, bytes: Vec<u8>, frames_done: u64) {
-        let _ = self.tx.send(Completion::Reply {
-            conn: self.conn,
-            bytes,
-            frames_done,
-        });
-        self.waker.wake();
+        {
+            let mut out = self.out.lock().expect("outbox poisoned");
+            if out.buf.is_empty() {
+                out.buf = bytes;
+            } else {
+                out.buf.extend_from_slice(&bytes);
+            }
+            out.done += frames_done;
+        }
+        self.hub.mark_dirty(self.conn);
     }
 
     /// Ask the reactor to close this connection once its output buffer has
     /// flushed (protocol-error hangup).
     pub fn close(&self) {
-        let _ = self.tx.send(Completion::Close { conn: self.conn });
-        self.waker.wake();
+        self.out.lock().expect("outbox poisoned").close = true;
+        self.hub.mark_dirty(self.conn);
     }
 
     /// Ask the whole reactor to drain: stop accepting and reading, answer
     /// everything dispatched, flush, then shut down.
     pub fn drain(&self) {
-        let _ = self.tx.send(Completion::Drain);
-        self.waker.wake();
+        self.hub.draining.store(true, Ordering::Release);
+        self.hub.notify();
     }
-}
 
-// --- Worker pool -----------------------------------------------------------
-
-enum WorkerMsg {
-    Open(u64, Box<dyn Service>),
-    Frame(u64, Vec<u8>, Instant),
-    Corrupt(u64, BadFrame),
-    Hangup(u64, u64),
-    Stop,
-}
-
-fn worker_loop(rx: &Receiver<WorkerMsg>) {
-    let mut services: BTreeMap<u64, Box<dyn Service>> = BTreeMap::new();
-    // Connections touched since their last flush (group-commit window).
-    let mut dirty: Vec<u64> = Vec::new();
-    let process = |msg: WorkerMsg,
-                   services: &mut BTreeMap<u64, Box<dyn Service>>,
-                   dirty: &mut Vec<u64>|
-     -> bool {
-        match msg {
-            WorkerMsg::Open(conn, svc) => {
-                services.insert(conn, svc);
-            }
-            WorkerMsg::Frame(conn, frame, enqueued) => {
-                if let Some(svc) = services.get_mut(&conn) {
-                    svc.frame(frame, enqueued);
-                    if !dirty.contains(&conn) {
-                        dirty.push(conn);
-                    }
-                }
-            }
-            WorkerMsg::Corrupt(conn, bad) => {
-                if let Some(svc) = services.get_mut(&conn) {
-                    svc.corrupt(bad);
-                    dirty.retain(|&c| c != conn);
-                }
-            }
-            WorkerMsg::Hangup(conn, frames) => {
-                if let Some(mut svc) = services.remove(&conn) {
-                    if dirty.contains(&conn) {
-                        svc.flush();
-                        dirty.retain(|&c| c != conn);
-                    }
-                    svc.hangup(frames);
-                }
-            }
-            WorkerMsg::Stop => return false,
-        }
-        true
-    };
-    'outer: loop {
-        let Ok(msg) = rx.recv() else { break };
-        if !process(msg, &mut services, &mut dirty) {
-            break;
-        }
-        // Greedy drain: execute everything already queued, then flush the
-        // touched connections once — the group-commit coalescing point.
-        loop {
-            match rx.try_recv() {
-                Ok(msg) => {
-                    if !process(msg, &mut services, &mut dirty) {
-                        break 'outer;
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => break 'outer,
-            }
-        }
-        for conn in dirty.drain(..) {
-            if let Some(svc) = services.get_mut(&conn) {
-                svc.flush();
-            }
+    /// The handle that gets this connection's [`Service::resume`] called.
+    pub fn resume_handle(&self) -> ResumeHandle {
+        ResumeHandle {
+            conn: self.conn,
+            hub: Arc::clone(&self.hub),
         }
     }
 }
 
-// --- Drain control ---------------------------------------------------------
-
-struct DrainerInner {
-    draining: AtomicBool,
-    waker: Mutex<Option<Waker>>,
+/// Schedules [`Service::resume`] for one connection; safe to fire from
+/// any thread (a lock releaser, a certifier worker) and any number of
+/// times.
+#[derive(Clone)]
+pub struct ResumeHandle {
+    conn: u64,
+    hub: Arc<Hub>,
 }
+
+impl ResumeHandle {
+    /// Resume the connection's service on the poll thread, this round if
+    /// fired from the poll thread, else as soon as it wakes.
+    pub fn resume(&self) {
+        self.hub.post(|ib| ib.resumes.push(self.conn));
+    }
+
+    /// Resume the connection's service no earlier than `when` (the
+    /// deadline feeds the poll timeout; granularity is a millisecond).
+    pub fn resume_at(&self, when: Instant) {
+        self.hub.post(|ib| ib.timers.push((when, self.conn)));
+    }
+}
+
+// --- Drain control and live counters ---------------------------------------
 
 /// A clonable external drain trigger, usable before and during the
 /// reactor's lifetime (a drain requested before spawn is honored at
 /// startup).
 #[derive(Clone)]
 pub struct Drainer {
-    inner: Arc<DrainerInner>,
+    draining: Arc<AtomicBool>,
+    hub: Arc<Mutex<Option<Arc<Hub>>>>,
 }
 
 impl Default for Drainer {
@@ -298,28 +313,55 @@ impl Drainer {
     /// A fresh, un-triggered drain control.
     pub fn new() -> Drainer {
         Drainer {
-            inner: Arc::new(DrainerInner {
-                draining: AtomicBool::new(false),
-                waker: Mutex::new(None),
-            }),
+            draining: Arc::new(AtomicBool::new(false)),
+            hub: Arc::new(Mutex::new(None)),
         }
     }
 
     /// Request a graceful drain (idempotent, returns immediately).
     pub fn drain(&self) {
-        self.inner.draining.store(true, Ordering::Release);
-        if let Some(w) = self.inner.waker.lock().expect("waker poisoned").as_ref() {
-            w.wake();
+        self.draining.store(true, Ordering::Release);
+        if let Some(hub) = self.hub.lock().expect("drainer poisoned").as_ref() {
+            hub.notify();
         }
     }
 
     /// Whether a drain has been requested.
     pub fn is_draining(&self) -> bool {
-        self.inner.draining.load(Ordering::Acquire)
+        self.draining.load(Ordering::Acquire)
     }
+}
 
-    fn register(&self, waker: Waker) {
-        *self.inner.waker.lock().expect("waker poisoned") = Some(waker);
+/// A point-in-time reading of the reactor's counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReactorStats {
+    /// Returns from `poll`.
+    pub poll_rounds: u64,
+    /// Frames handed to services.
+    pub frames: u64,
+    /// `Service::resume` calls.
+    pub resumes: u64,
+    /// Connections with a dispatched frame still unanswered at the end of
+    /// the last round — parked continuations.
+    pub parked_now: u64,
+}
+
+/// A clonable live view of a running reactor's counters.
+#[derive(Clone)]
+pub struct ReactorProbe {
+    hub: Arc<Hub>,
+}
+
+impl ReactorProbe {
+    /// Read the counters (each one individually coherent).
+    pub fn stats(&self) -> ReactorStats {
+        let c = &self.hub.counters;
+        ReactorStats {
+            poll_rounds: c.poll_rounds.load(Ordering::Relaxed),
+            frames: c.frames.load(Ordering::Relaxed),
+            resumes: c.resumes.load(Ordering::Relaxed),
+            parked_now: c.parked_now.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -328,19 +370,20 @@ impl Drainer {
 struct ConnState {
     stream: TcpStream,
     inbuf: FrameBuf,
-    out: Vec<u8>,
-    /// Frames dispatched to the worker but not yet `frames_done`-answered.
+    svc: Box<dyn Service>,
+    out: Arc<Mutex<Outbox>>,
+    /// The outbox holds bytes the socket has not taken yet.
+    out_pending: bool,
+    /// Frames handed to the service but not yet `frames_done`-answered.
     outstanding: u64,
     /// Frames dispatched over the connection's lifetime.
     frames: u64,
     /// No more reads: peer EOF, corrupt framing, or drain.
     read_closed: bool,
-    /// Close once `outstanding == 0` and `out` is flushed.
+    /// Close once `outstanding == 0` and the outbox is flushed.
     close_after_flush: bool,
-    /// The socket died mid-write; drop output instead of buffering it.
+    /// The socket died; drop output instead of buffering it.
     dead: bool,
-    /// Worker has been told to hang this connection up.
-    hangup_sent: bool,
 }
 
 impl ConnState {
@@ -349,7 +392,34 @@ impl ConnState {
     }
 
     fn wants_write(&self) -> bool {
-        !self.dead && !self.out.is_empty()
+        !self.dead && self.out_pending
+    }
+
+    /// Write as much pending output as the socket takes.
+    fn write_ready(&mut self) {
+        let mut out = self.out.lock().expect("outbox poisoned");
+        let mut written = 0usize;
+        while written < out.buf.len() {
+            match self.stream.write(&out.buf[written..]) {
+                Ok(0) => {
+                    self.dead = true;
+                    break;
+                }
+                Ok(n) => written += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.dead = true;
+                    break;
+                }
+            }
+        }
+        if self.dead || written == out.buf.len() {
+            out.buf.clear();
+        } else {
+            out.buf.drain(..written);
+        }
+        self.out_pending = !out.buf.is_empty();
     }
 
     /// Fully answered, fully flushed, and no longer readable.
@@ -357,7 +427,7 @@ impl ConnState {
         self.dead
             || ((self.read_closed || self.close_after_flush)
                 && self.outstanding == 0
-                && self.out.is_empty())
+                && !self.out_pending)
     }
 }
 
@@ -365,6 +435,7 @@ impl ConnState {
 pub struct ReactorHandle {
     thread: JoinHandle<()>,
     drainer: Drainer,
+    probe: ReactorProbe,
 }
 
 impl ReactorHandle {
@@ -374,8 +445,13 @@ impl ReactorHandle {
         self.drainer.clone()
     }
 
+    /// A live view of the reactor's counters.
+    pub fn probe(&self) -> ReactorProbe {
+        self.probe.clone()
+    }
+
     /// Block until the reactor has drained: every dispatched frame
-    /// answered, every output buffer flushed, every worker joined.
+    /// answered, every output buffer flushed, every service hung up.
     pub fn join(self) {
         let _ = self.thread.join();
     }
@@ -392,95 +468,58 @@ pub fn spawn(
 ) -> std::io::Result<ReactorHandle> {
     listener.set_nonblocking(true)?;
     let (waker_rd, waker) = waker::waker_pair()?;
-    drainer.register(waker.clone());
-    let (comp_tx, comp_rx) = mpsc::channel::<Completion>();
-    let mut pool_txs = Vec::with_capacity(cfg.workers);
-    let mut pool_threads = Vec::with_capacity(cfg.workers);
-    for _ in 0..cfg.workers {
-        let (tx, rx) = mpsc::channel::<WorkerMsg>();
-        pool_txs.push(tx);
-        pool_threads.push(std::thread::spawn(move || worker_loop(&rx)));
-    }
-    let loop_drainer = drainer.clone();
+    let hub = Arc::new(Hub {
+        polling: AtomicBool::new(false),
+        woken: AtomicBool::new(false),
+        waker,
+        inbox: Mutex::new(Inbox::default()),
+        draining: Arc::clone(&drainer.draining),
+        counters: Counters::default(),
+    });
+    *drainer.hub.lock().expect("drainer poisoned") = Some(Arc::clone(&hub));
+    let probe = ReactorProbe {
+        hub: Arc::clone(&hub),
+    };
     let thread = std::thread::spawn(move || {
-        let mut r = ReactorLoop {
+        ReactorLoop {
             listener,
             cfg,
             factory,
-            drainer: loop_drainer,
+            hub,
             waker_rd,
-            waker,
-            comp_tx,
-            comp_rx,
-            pool_txs,
-            conn_txs: BTreeMap::new(),
-            conn_workers: Vec::new(),
             conns: BTreeMap::new(),
+            timers: Vec::new(),
+            touched: Vec::new(),
             next_conn: 1,
             drain_seen: false,
-        };
-        r.run();
-        for tx in &r.pool_txs {
-            let _ = tx.send(WorkerMsg::Stop);
         }
-        for h in pool_threads {
-            let _ = h.join();
-        }
-        // Per-connection executors: every surviving sender gets a Stop
-        // (normally all conns finished and already got one), then join.
-        for tx in r.conn_txs.values() {
-            let _ = tx.send(WorkerMsg::Stop);
-        }
-        for h in r.conn_workers.drain(..) {
-            let _ = h.join();
-        }
+        .run();
     });
-    Ok(ReactorHandle { thread, drainer })
+    Ok(ReactorHandle {
+        thread,
+        drainer,
+        probe,
+    })
 }
 
 struct ReactorLoop {
     listener: TcpListener,
     cfg: ReactorConfig,
     factory: Arc<dyn ServiceFactory>,
-    drainer: Drainer,
+    hub: Arc<Hub>,
     waker_rd: waker::WakerReader,
-    waker: Waker,
-    comp_tx: Sender<Completion>,
-    comp_rx: Receiver<Completion>,
-    /// Fixed pool senders (`workers > 0`), sharded by connection id.
-    pool_txs: Vec<Sender<WorkerMsg>>,
-    /// Per-connection executor senders (`workers == 0`).
-    conn_txs: BTreeMap<u64, Sender<WorkerMsg>>,
-    /// Per-connection executor threads awaiting their opportunistic join.
-    conn_workers: Vec<JoinHandle<()>>,
     conns: BTreeMap<u64, ConnState>,
+    /// Pending `resume_at` deadlines.
+    timers: Vec<(Instant, u64)>,
+    /// Connections whose service ran this round and is owed a `flush`.
+    touched: Vec<u64>,
     next_conn: u64,
     drain_seen: bool,
 }
 
 impl ReactorLoop {
-    fn dispatch(&self, conn: u64, msg: WorkerMsg) {
-        if self.pool_txs.is_empty() {
-            if let Some(tx) = self.conn_txs.get(&conn) {
-                let _ = tx.send(msg);
-            }
-        } else {
-            let _ = self.pool_txs[(conn % self.pool_txs.len() as u64) as usize].send(msg);
-        }
-    }
-
-    /// Join per-connection executor threads that have already exited
-    /// (they stop right after their connection's hangup).
-    fn reap_workers(&mut self) {
-        let mut i = 0;
-        while i < self.conn_workers.len() {
-            if self.conn_workers[i].is_finished() {
-                let h = self.conn_workers.swap_remove(i);
-                let _ = h.join();
-            } else {
-                i += 1;
-            }
-        }
+    fn draining(&self) -> bool {
+        self.hub.draining.load(Ordering::Acquire)
     }
 
     fn run(&mut self) {
@@ -488,8 +527,11 @@ impl ReactorLoop {
         // fds[i] belongs to conn ids[i]; 0 marks the waker/listener slots.
         let mut ids: Vec<u64> = Vec::new();
         loop {
-            if self.drainer.is_draining() && !self.drain_seen {
+            if self.draining() && !self.drain_seen {
                 self.enter_drain();
+                // Idle connections are finished the moment reads close;
+                // hang them up now rather than after a poll timeout.
+                self.sweep_finished();
             }
             if self.drain_seen && self.conns.is_empty() {
                 return;
@@ -517,18 +559,26 @@ impl ReactorLoop {
                 }
             }
             let t0 = self.cfg.phase.is_some().then(Instant::now);
-            match poll(&mut fds, POLL_TIMEOUT_MS) {
+            self.hub.polling.store(true, Ordering::SeqCst);
+            let timeout = self.poll_timeout_ms();
+            let polled = poll(&mut fds, timeout);
+            self.hub.polling.store(false, Ordering::SeqCst);
+            match polled {
                 Ok(_) => {}
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => return,
             }
+            self.hub
+                .counters
+                .poll_rounds
+                .fetch_add(1, Ordering::Relaxed);
             if let (Some(obs), Some(t0)) = (&self.cfg.phase, t0) {
                 obs("poll_wait", t0.elapsed().as_micros() as u64);
             }
             if fds[0].readable() {
                 self.waker_rd.drain();
+                self.hub.woken.store(false, Ordering::SeqCst);
             }
-            self.drain_completions();
             if accepting && fds[1].readable() {
                 self.accept_ready();
             }
@@ -538,20 +588,43 @@ impl ReactorLoop {
                     self.read_ready(id);
                 }
             }
-            // Replies may have landed while reading (fast workers); pick
-            // them up before the write pass so they coalesce into it.
-            self.drain_completions();
-            let writable: Vec<u64> = self
-                .conns
-                .iter()
-                .filter(|(_, c)| c.wants_write())
-                .map(|(&id, _)| id)
-                .collect();
-            for id in writable {
-                self.write_ready(id);
+            self.run_resumes();
+            // Every frame of the round has executed: one flush per
+            // touched connection (the first one's durability barrier
+            // covers them all).
+            for id in std::mem::take(&mut self.touched) {
+                if let Some(c) = self.conns.get_mut(&id) {
+                    c.svc.flush();
+                }
+            }
+            self.sync_outboxes();
+            for c in self.conns.values_mut().filter(|c| c.wants_write()) {
+                c.write_ready();
             }
             self.sweep_finished();
+            let parked = self.conns.values().filter(|c| c.outstanding > 0).count();
+            self.hub
+                .counters
+                .parked_now
+                .store(parked as u64, Ordering::Relaxed);
         }
+    }
+
+    /// How long `poll` may sleep: not at all with mail or a drain request
+    /// pending (checked *after* `polling` was raised, so a poster that
+    /// missed the flag is seen here), else until the next timer.
+    fn poll_timeout_ms(&self) -> i32 {
+        if !self.hub.inbox.lock().expect("inbox poisoned").is_empty()
+            || (self.draining() && !self.drain_seen)
+        {
+            return 0;
+        }
+        let Some(next) = self.timers.iter().map(|&(when, _)| when).min() else {
+            return POLL_TIMEOUT_MS;
+        };
+        let until = next.saturating_duration_since(Instant::now());
+        // Round up: waking a hair early would spin through an empty round.
+        (until.as_micros().div_ceil(1000) as i32).min(POLL_TIMEOUT_MS)
     }
 
     fn enter_drain(&mut self) {
@@ -563,30 +636,64 @@ impl ReactorLoop {
         }
     }
 
-    fn drain_completions(&mut self) {
-        while let Ok(comp) = self.comp_rx.try_recv() {
-            match comp {
-                Completion::Reply {
-                    conn,
-                    bytes,
-                    frames_done,
-                } => {
-                    if let Some(c) = self.conns.get_mut(&conn) {
-                        c.outstanding = c.outstanding.saturating_sub(frames_done);
-                        if !c.dead && !bytes.is_empty() {
-                            c.out.extend_from_slice(&bytes);
-                        }
+    fn touch(&mut self, id: u64) {
+        if !self.touched.contains(&id) {
+            self.touched.push(id);
+        }
+    }
+
+    /// Call `Service::resume` for every fired handle and due timer,
+    /// repeating while resumed services fire further handles (a resumed
+    /// commit releases locks, granting the next parked connection).
+    fn run_resumes(&mut self) {
+        loop {
+            let mut due = {
+                let mut ib = self.hub.inbox.lock().expect("inbox poisoned");
+                self.timers.append(&mut ib.timers);
+                std::mem::take(&mut ib.resumes)
+            };
+            if !self.timers.is_empty() {
+                let now = Instant::now();
+                self.timers.retain(|&(when, conn)| {
+                    let is_due = when <= now;
+                    if is_due {
+                        due.push(conn);
                     }
-                }
-                Completion::Close { conn } => {
-                    if let Some(c) = self.conns.get_mut(&conn) {
-                        c.close_after_flush = true;
-                        c.read_closed = true;
-                        c.inbuf.clear();
-                    }
-                }
-                Completion::Drain => self.drainer.drain(),
+                    !is_due
+                });
             }
+            if due.is_empty() {
+                return;
+            }
+            for id in due {
+                if let Some(c) = self.conns.get_mut(&id) {
+                    c.svc.resume();
+                    self.hub.counters.resumes.fetch_add(1, Ordering::Relaxed);
+                    self.touch(id);
+                }
+            }
+        }
+    }
+
+    /// Fold every dirty outbox into its connection's state: answered
+    /// frames, close requests, pending output.
+    fn sync_outboxes(&mut self) {
+        let dirty = std::mem::take(&mut self.hub.inbox.lock().expect("inbox poisoned").dirty);
+        for id in dirty {
+            let Some(c) = self.conns.get_mut(&id) else {
+                continue;
+            };
+            let mut out = c.out.lock().expect("outbox poisoned");
+            c.outstanding = c.outstanding.saturating_sub(std::mem::take(&mut out.done));
+            if out.close {
+                c.close_after_flush = true;
+                c.read_closed = true;
+                c.inbuf.clear();
+            }
+            if c.dead {
+                out.buf.clear();
+            }
+            c.out_pending = !out.buf.is_empty();
         }
     }
 
@@ -601,31 +708,25 @@ impl ReactorLoop {
                     let _ = stream.set_nodelay(true);
                     let conn = self.next_conn;
                     self.next_conn += 1;
+                    let out = Arc::new(Mutex::new(Outbox::default()));
                     let sink = ReplySink {
                         conn,
-                        tx: self.comp_tx.clone(),
-                        waker: self.waker.clone(),
+                        out: Arc::clone(&out),
+                        hub: Arc::clone(&self.hub),
                     };
-                    let svc = self.factory.open(conn, sink);
-                    if self.pool_txs.is_empty() {
-                        let (tx, rx) = mpsc::channel::<WorkerMsg>();
-                        self.conn_txs.insert(conn, tx);
-                        self.conn_workers
-                            .push(std::thread::spawn(move || worker_loop(&rx)));
-                    }
-                    self.dispatch(conn, WorkerMsg::Open(conn, svc));
                     self.conns.insert(
                         conn,
                         ConnState {
                             stream,
                             inbuf: FrameBuf::new(),
-                            out: Vec::new(),
+                            svc: self.factory.open(conn, sink),
+                            out,
+                            out_pending: false,
                             outstanding: 0,
                             frames: 0,
                             read_closed: false,
                             close_after_flush: false,
                             dead: false,
-                            hangup_sent: false,
                         },
                     );
                 }
@@ -636,85 +737,60 @@ impl ReactorLoop {
         }
     }
 
+    /// Read what the socket holds, then run every complete frame through
+    /// the connection's service, inline.
     fn read_ready(&mut self, id: u64) {
-        let mut frames: Vec<Vec<u8>> = Vec::new();
-        let mut corrupt: Option<BadFrame> = None;
-        {
-            let Some(c) = self.conns.get_mut(&id) else {
-                return;
-            };
-            if c.read_closed || c.dead {
-                return;
-            }
-            let mut chunk = [0u8; READ_CHUNK];
-            loop {
-                match c.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        c.read_closed = true;
-                        break;
-                    }
-                    Ok(n) => c.inbuf.extend(&chunk[..n]),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        c.read_closed = true;
-                        c.dead = true;
-                        break;
-                    }
-                }
-            }
-            loop {
-                match c.inbuf.pop(self.cfg.min_frame_len, self.cfg.max_frame_len) {
-                    Ok(Some(frame)) => {
-                        c.frames += 1;
-                        c.outstanding += 1;
-                        frames.push(frame);
-                    }
-                    Ok(None) => break,
-                    Err(bad) => {
-                        // Unframeable stream: stop reading, let the
-                        // service answer with a protocol error and close.
-                        c.read_closed = true;
-                        c.inbuf.clear();
-                        c.outstanding += 1;
-                        corrupt = Some(bad);
-                        break;
-                    }
-                }
-            }
-        }
-        for frame in frames {
-            self.dispatch(id, WorkerMsg::Frame(id, frame, Instant::now()));
-        }
-        if let Some(bad) = corrupt {
-            self.dispatch(id, WorkerMsg::Corrupt(id, bad));
-        }
-    }
-
-    fn write_ready(&mut self, id: u64) {
         let Some(c) = self.conns.get_mut(&id) else {
             return;
         };
-        let mut written = 0usize;
-        while written < c.out.len() {
-            match c.stream.write(&c.out[written..]) {
-                Ok(0) => {
-                    c.dead = true;
+        if c.read_closed || c.dead {
+            return;
+        }
+        loop {
+            match c.inbuf.read_from(&mut c.stream) {
+                Ok((0, _)) => {
+                    c.read_closed = true;
                     break;
                 }
-                Ok(n) => written += n,
+                // The read filled the region offered: more may wait.
+                Ok((_, true)) => continue,
+                // A short read drained the socket; poll is
+                // level-triggered, so anything newer re-arms it.
+                Ok((_, false)) => break,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
+                    c.read_closed = true;
                     c.dead = true;
                     break;
                 }
             }
         }
-        if c.dead {
-            c.out.clear();
-        } else {
-            c.out.drain(..written);
+        let mut ran = false;
+        loop {
+            match c.inbuf.pop(self.cfg.min_frame_len, self.cfg.max_frame_len) {
+                Ok(Some(frame)) => {
+                    c.frames += 1;
+                    c.outstanding += 1;
+                    c.svc.frame(frame, Instant::now());
+                    self.hub.counters.frames.fetch_add(1, Ordering::Relaxed);
+                    ran = true;
+                }
+                Ok(None) => break,
+                Err(bad) => {
+                    // Unframeable stream: stop reading, let the
+                    // service answer with a protocol error and close.
+                    c.read_closed = true;
+                    c.inbuf.clear();
+                    c.outstanding += 1;
+                    c.svc.corrupt(bad);
+                    ran = true;
+                    break;
+                }
+            }
+        }
+        if ran {
+            self.touch(id);
         }
     }
 
@@ -722,22 +798,13 @@ impl ReactorLoop {
         let finished: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, c)| c.finished() && !c.hangup_sent)
+            .filter(|(_, c)| c.finished())
             .map(|(&id, _)| id)
             .collect();
         for id in finished {
-            let c = self.conns.get_mut(&id).expect("conn present");
-            c.hangup_sent = true;
-            let frames = c.frames;
+            let mut c = self.conns.remove(&id).expect("conn present");
             let _ = c.stream.shutdown(Shutdown::Both);
-            self.dispatch(id, WorkerMsg::Hangup(id, frames));
-            // A per-connection executor has nothing left after its
-            // connection's hangup: stop it and reap it opportunistically.
-            if let Some(tx) = self.conn_txs.remove(&id) {
-                let _ = tx.send(WorkerMsg::Stop);
-            }
-            self.conns.remove(&id);
+            c.svc.hangup(c.frames);
         }
-        self.reap_workers();
     }
 }

@@ -1,14 +1,20 @@
 //! End-to-end reactor tests over real loopback sockets, with a tiny echo
 //! protocol: each frame is `len u32le | payload`, and the service echoes
 //! the payload back in its own frame. Exercises accept, nonblocking
-//! framing across partial writes, worker dispatch, reply coalescing,
-//! per-connection ordering, corrupt-prefix handling, and graceful drain.
+//! framing across partial writes, inline execution, reply coalescing,
+//! per-connection ordering, corrupt-prefix handling, graceful drain, and
+//! parked continuations (resume handles and deadlines).
 
-use nt_reactor::{spawn, BadFrame, Drainer, ReactorConfig, ReplySink, Service, ServiceFactory};
+use nt_reactor::{
+    spawn, BadFrame, Drainer, ReactorConfig, ReplySink, ResumeHandle, Service, ServiceFactory,
+};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn framed(body: &[u8]) -> Vec<u8> {
     let mut out = (body.len() as u32).to_le_bytes().to_vec();
@@ -97,7 +103,6 @@ fn start(
         hangups: Arc::clone(&hangups),
     });
     let cfg = ReactorConfig {
-        workers: 2,
         min_frame_len: 1,
         max_frame_len: max_frame,
         queue_depth: 16,
@@ -202,5 +207,158 @@ fn external_drainer_stops_an_idle_reactor() {
     let _idle = TcpStream::connect(addr).expect("connect");
     drainer.drain();
     assert!(drainer.is_draining());
+    handle.join();
+}
+
+// --- Parked continuations ---------------------------------------------------
+
+/// An echo service whose `PARK` frame cannot finish until something
+/// outside fires its resume handle: the reactor-level shape of a lock
+/// wait. Frames behind a parked one queue in the service.
+struct Parker {
+    sink: ReplySink,
+    resume: ResumeHandle,
+    /// Hands the resume handle of a `PARK` frame to the test.
+    parked_tx: mpsc::Sender<ResumeHandle>,
+    /// Set by the test before it fires the handle.
+    released: Arc<AtomicU64>,
+    waiting: Option<Vec<u8>>,
+    backlog: VecDeque<Vec<u8>>,
+    pending: Vec<u8>,
+    pending_frames: u64,
+}
+
+impl Parker {
+    fn run(&mut self, frame: Vec<u8>) {
+        if frame == b"PARK" {
+            self.parked_tx
+                .send(self.resume.clone())
+                .expect("test listens");
+            self.waiting = Some(frame);
+        } else {
+            self.reply(&frame);
+        }
+    }
+
+    fn reply(&mut self, body: &[u8]) {
+        self.pending.extend_from_slice(&framed(body));
+        self.pending_frames += 1;
+    }
+}
+
+impl Service for Parker {
+    fn frame(&mut self, frame: Vec<u8>, _enqueued: Instant) {
+        if self.waiting.is_some() {
+            self.backlog.push_back(frame);
+        } else {
+            self.run(frame);
+        }
+    }
+
+    fn resume(&mut self) {
+        match self.waiting.take() {
+            Some(frame) if self.released.load(Ordering::SeqCst) == 0 => {
+                self.waiting = Some(frame); // spurious
+            }
+            Some(frame) => self.reply(&frame),
+            None => {}
+        }
+        while self.waiting.is_none() {
+            match self.backlog.pop_front() {
+                Some(frame) => self.run(frame),
+                None => break,
+            }
+        }
+    }
+
+    fn flush(&mut self) {
+        if self.pending_frames > 0 {
+            self.sink
+                .send(std::mem::take(&mut self.pending), self.pending_frames);
+            self.pending_frames = 0;
+        }
+    }
+}
+
+struct ParkerFactory {
+    parked_tx: mpsc::Sender<ResumeHandle>,
+    released: Arc<AtomicU64>,
+}
+
+impl ServiceFactory for ParkerFactory {
+    fn open(&self, _conn: u64, sink: ReplySink) -> Box<dyn Service> {
+        Box::new(Parker {
+            resume: sink.resume_handle(),
+            sink,
+            parked_tx: self.parked_tx.clone(),
+            released: Arc::clone(&self.released),
+            waiting: None,
+            backlog: VecDeque::new(),
+            pending: Vec::new(),
+            pending_frames: 0,
+        })
+    }
+}
+
+fn start_parker() -> (
+    std::net::SocketAddr,
+    nt_reactor::ReactorHandle,
+    mpsc::Receiver<ResumeHandle>,
+    Arc<AtomicU64>,
+) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let released = Arc::new(AtomicU64::new(0));
+    let factory = Arc::new(ParkerFactory {
+        parked_tx,
+        released: Arc::clone(&released),
+    });
+    let handle = spawn(listener, ReactorConfig::default(), factory, Drainer::new()).expect("spawn");
+    (addr, handle, parked_rx, released)
+}
+
+/// A parked frame holds back the pipelined frames behind it — and only
+/// them: a second connection is served while the first is parked, and
+/// after the (off-thread) resume the first connection's replies come back
+/// in request order.
+#[test]
+fn parked_frame_keeps_order_and_does_not_stall_other_connections() {
+    let (addr, handle, parked_rx, released) = start_parker();
+    let mut a = TcpStream::connect(addr).expect("connect");
+    let mut b = TcpStream::connect(addr).expect("connect");
+    for msg in [&b"before"[..], b"PARK", b"after-1", b"after-2"] {
+        a.write_all(&framed(msg)).expect("write");
+    }
+    assert_eq!(read_frame(&mut a).expect("reply"), b"before".to_vec());
+    let resume = parked_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the PARK frame parked");
+    // The poll thread is not waiting on anything: b gets its answers.
+    for k in 0..3 {
+        let msg = format!("ping-{k}");
+        b.write_all(&framed(msg.as_bytes())).expect("write");
+        assert_eq!(read_frame(&mut b).expect("pong"), msg.into_bytes());
+    }
+    assert_eq!(handle.probe().stats().parked_now, 1);
+    // Nothing of a's came back past the parked frame.
+    a.set_read_timeout(Some(Duration::from_millis(50)))
+        .expect("timeout");
+    assert!(
+        read_frame(&mut a).is_none(),
+        "replies overtook a parked frame"
+    );
+    a.set_read_timeout(None).expect("timeout");
+    // A spurious resume changes nothing; the real one releases the queue.
+    resume.resume();
+    released.store(1, Ordering::SeqCst);
+    resume.resume();
+    for want in [&b"PARK"[..], b"after-1", b"after-2"] {
+        assert_eq!(read_frame(&mut a).expect("reply"), want.to_vec());
+    }
+    let stats = handle.probe().stats();
+    assert!(stats.resumes >= 2, "{stats:?}");
+    assert_eq!(stats.frames, 7, "{stats:?}");
+    handle.drainer().drain();
     handle.join();
 }

@@ -16,7 +16,7 @@ use crate::report::{ViolationReport, CERT_SCHEMA};
 use nt_model::{Action, ObjId, Op, TxId};
 use nt_obs::json::JsonObj;
 use nt_telemetry::TelemetryHandle;
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -54,7 +54,9 @@ enum Msg {
         entries: Vec<(u64, Action)>,
         resume_at: u64,
     },
-    Flush(SyncSender<()>),
+    /// Barrier: run the callback once everything sent before it has been
+    /// processed and published.
+    Flush(Box<dyn FnOnce() + Send>),
     Stop,
 }
 
@@ -198,13 +200,24 @@ impl LiveCertifier {
         let _ = self.tx.send(Msg::Preload { entries, resume_at });
     }
 
+    /// Non-blocking barrier: `then` runs on the certifier thread once
+    /// every event sent before this call has been processed and the
+    /// published status is current (inline, if the certifier is gone).
+    /// Event loops park a continuation on this instead of a thread.
+    pub fn drain_then(&self, then: impl FnOnce() + Send + 'static) {
+        if let Err(mpsc::SendError(Msg::Flush(then))) = self.tx.send(Msg::Flush(Box::new(then))) {
+            then();
+        }
+    }
+
     /// Barrier: returns once every event sent before this call has been
     /// processed and the published status is current.
     pub fn drain(&self) {
         let (ack_tx, ack_rx) = mpsc::sync_channel(1);
-        if self.tx.send(Msg::Flush(ack_tx)).is_ok() {
-            let _ = ack_rx.recv();
-        }
+        self.drain_then(move || {
+            let _ = ack_tx.send(());
+        });
+        let _ = ack_rx.recv();
     }
 
     /// The status as of the last publish (call [`drain`](Self::drain)
@@ -273,31 +286,32 @@ fn run(
     let mut check_us: u64 = 0;
     let mut samples: u64 = 0;
     // Returns true when a shutdown was requested.
-    let handle = |m: &mut SgtMaintainer, msg: Msg, acks: &mut Vec<SyncSender<()>>| match msg {
-        Msg::Event(FeedEvent::TreeAdd { t, parent, access }) => {
-            m.tree_add(t, parent, access);
-            false
-        }
-        Msg::Event(FeedEvent::Act { stamp, action }) => {
-            m.apply(stamp, action);
-            false
-        }
-        Msg::Acts(entries) => {
-            for (stamp, action) in entries {
-                m.apply(stamp, action);
+    let handle =
+        |m: &mut SgtMaintainer, msg: Msg, acks: &mut Vec<Box<dyn FnOnce() + Send>>| match msg {
+            Msg::Event(FeedEvent::TreeAdd { t, parent, access }) => {
+                m.tree_add(t, parent, access);
+                false
             }
-            false
-        }
-        Msg::Preload { entries, resume_at } => {
-            m.preload(&entries, resume_at);
-            false
-        }
-        Msg::Flush(ack) => {
-            acks.push(ack);
-            false
-        }
-        Msg::Stop => true,
-    };
+            Msg::Event(FeedEvent::Act { stamp, action }) => {
+                m.apply(stamp, action);
+                false
+            }
+            Msg::Acts(entries) => {
+                for (stamp, action) in entries {
+                    m.apply(stamp, action);
+                }
+                false
+            }
+            Msg::Preload { entries, resume_at } => {
+                m.preload(&entries, resume_at);
+                false
+            }
+            Msg::Flush(ack) => {
+                acks.push(ack);
+                false
+            }
+            Msg::Stop => true,
+        };
     let mut stopping = false;
     while !stopping {
         let Ok(first) = rx.recv() else { break };
@@ -312,7 +326,7 @@ fn run(
         samples += 1;
         publish(&m, &telemetry, &shared, check_us, samples);
         for ack in acks {
-            let _ = ack.send(());
+            ack();
         }
     }
     // Stop requested or every producer gone. Process any parked

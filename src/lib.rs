@@ -28,8 +28,8 @@
 //!   policies, and fault-schedule minimization (experiment E14);
 //! * [`sim`] — workload generation and simulation;
 //! * [`engine`] — the multi-threaded nested-transaction engine: sharded
-//!   Moss lock tables with real blocking, wait-for-graph deadlock
-//!   detection, and post-hoc SGT certification of every concurrent run
+//!   Moss lock tables with queued waits granted in place by the
+//!   releaser, wait-for-graph deadlock detection, and post-hoc SGT certification of every concurrent run
 //!   (experiment E15).
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
