@@ -2,18 +2,18 @@
 //! E16 and E21.
 //!
 //! E16 sweeps client connection counts over a contended closed-loop
-//! workload against a fresh loopback server per cell (now fronted by the
-//! `nt-reactor` event loop by default), keeping the *total* number of
-//! top-level transactions constant so cells are comparable: more
-//! connections means the same work arriving with more concurrency.
+//! workload against a fresh loopback server per cell, keeping the
+//! *total* number of top-level transactions constant so cells are
+//! comparable: more connections means the same work arriving with more
+//! concurrency.
 //!
 //! E21 pushes the reactor out to 64 connections with `BATCH` framing:
 //! per-connection work is held constant (so offered load scales with the
 //! connection count) and every pipelined sibling-access run goes out as
-//! batch frames — one syscall round-trip, and under durability one
-//! group-commit barrier, per frame. A final cell mounts a WAL in
-//! `group:100` durability with batching on, the configuration E19
-//! measured at its slowest, to show the coalesced barrier amortizing.
+//! batch frames — one syscall round-trip per frame. A final cell mounts
+//! a WAL in `fsync` durability with batching on — E19's durable
+//! configuration with fewer, fuller poll rounds — to show the round's
+//! barrier amortizing.
 //!
 //! Each cell's recorded history is fetched over the wire and certified
 //! against Theorem 17 post-hoc; a cell that fails certification fails
@@ -169,17 +169,16 @@ fn run_cell(cfg: ServerConfig, load: &LoadConfig) -> Row {
     row
 }
 
-/// The batched group-commit cell: the E19 durability configuration that
-/// measured slowest (`group:100`), re-run with `BATCH` framing so one
-/// `wait_durable` barrier covers a whole frame of ops. Compared in
-/// `tools/check_benches.sh` against the unbatched `group:100` row of
-/// `BENCH_store.json`.
+/// The batched group-commit cell: E19's durable configuration (`fsync`)
+/// re-run with `BATCH` framing, so the round's one `wait_durable` barrier
+/// covers whole frames of ops. Compared in `tools/check_benches.sh`
+/// against the unbatched `fsync` row of `BENCH_store.json`.
 fn run_group_commit_cell(batch: usize) -> Row {
     let dir = std::env::temp_dir().join(format!("nt-net-bench-gc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = ServerConfig {
         data_dir: Some(dir.to_string_lossy().into_owned()),
-        durability: DurabilityMode::GroupCommit { window_us: 100 },
+        durability: DurabilityMode::FsyncPerCommit,
         ..ServerConfig::default()
     };
     // The E19 shape: 4 connections, 64 total tops — but batched.
@@ -247,7 +246,7 @@ fn main() {
     println!(
         "|-------|-------|----------|-----------|---------|----------|------------|---------|---------|-----------|"
     );
-    // E16: fixed total work, unbatched, reactor front end (the default).
+    // E16: fixed total work, unbatched.
     let rows: Vec<Row> = CONN_SWEEP
         .iter()
         .map(|&c| run_cell(ServerConfig::default(), &sweep_load(c)))
@@ -257,7 +256,7 @@ fn main() {
         .iter()
         .map(|&c| run_cell(ServerConfig::default(), &e21_load(c)))
         .collect();
-    // The batched group-commit cell (vs E19's unbatched group:100).
+    // The batched group-commit cell (vs E19's unbatched fsync row).
     let gc = run_group_commit_cell(E21_BATCH);
     let mut doc = JsonObj::new();
     doc.str("benchmark", "net_bench")

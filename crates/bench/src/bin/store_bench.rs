@@ -1,16 +1,14 @@
 //! Durability-cost harness for the WAL-backed store (`nt-store`),
 //! experiment E19.
 //!
-//! Sweeps the server's [`DurabilityMode`] — no durability wait, fsync
-//! before every mutating ack, and group commit at two windows — over
-//! the *same* contended closed-loop workload on a fresh data directory
-//! per cell, so the only variable is where the ack barrier sits. Each
-//! cell records with runtime telemetry enabled: the durability wait is
-//! attributed by phase histogram — `log_wait` on the threaded front end
-//! (one barrier per mutating ack) or `coalesce` on the reactor front
-//! end (one barrier per reply flush, covering the whole burst) — and
-//! the server's WAL counters report the fsync amortization
-//! (`syncs / committed top`). Every cell's history
+//! Sweeps the server's [`DurabilityMode`] — no durability wait, and an
+//! fsync before the mutating acks of each poll round — over the *same*
+//! contended closed-loop workload on a fresh data directory per cell, so
+//! the only variable is whether the ack barrier is paid. Each cell
+//! records with runtime telemetry enabled: the durability wait is the
+//! `coalesce` phase histogram (one barrier per poll round, covering
+//! every connection's burst), and the server's WAL counters report the
+//! fsync amortization (`syncs / committed top`). Every cell's history
 //! is fetched and certified (Theorem 17) and every cell's data dir is
 //! reopened afterward to prove the recovery path certifies what the
 //! load left behind. Results land in `BENCH_store.json`.
@@ -29,20 +27,7 @@ use std::path::PathBuf;
 const TOTAL_TOPS: usize = 64;
 const CONNECTIONS: usize = 4;
 
-fn modes() -> Vec<(String, DurabilityMode)> {
-    vec![
-        ("none".to_string(), DurabilityMode::None),
-        ("fsync".to_string(), DurabilityMode::FsyncPerCommit),
-        (
-            "group:100".to_string(),
-            DurabilityMode::GroupCommit { window_us: 100 },
-        ),
-        (
-            "group:500".to_string(),
-            DurabilityMode::GroupCommit { window_us: 500 },
-        ),
-    ]
-}
+const MODES: [DurabilityMode; 2] = [DurabilityMode::None, DurabilityMode::FsyncPerCommit];
 
 fn sweep_load() -> LoadConfig {
     LoadConfig {
@@ -64,8 +49,6 @@ struct Row {
     wall_us: u64,
     wal_appends: u64,
     wal_syncs: u64,
-    log_wait_mean_us: f64,
-    log_wait_p95_us: u64,
     coalesce_mean_us: f64,
     coalesce_p95_us: u64,
     req_p50_us: u64,
@@ -95,8 +78,6 @@ impl Row {
             .num("wal_appends", self.wal_appends)
             .num("wal_syncs", self.wal_syncs)
             .float("syncs_per_commit", self.syncs_per_commit())
-            .float("log_wait_mean_us", self.log_wait_mean_us)
-            .num("log_wait_p95_us", self.log_wait_p95_us)
             .float("coalesce_mean_us", self.coalesce_mean_us)
             .num("coalesce_p95_us", self.coalesce_p95_us)
             .num("request_us_p50", self.req_p50_us)
@@ -119,7 +100,8 @@ fn num(v: &Json, path: &[&str]) -> f64 {
 
 /// Run one durability cell on a fresh data dir, then reopen the dir
 /// through the recovery path to prove what the run left is certifiable.
-fn run_cell(tag: &str, mode: DurabilityMode, dir: &PathBuf) -> Row {
+fn run_cell(mode: DurabilityMode, dir: &PathBuf) -> Row {
+    let tag = mode.tag();
     let _ = std::fs::remove_dir_all(dir);
     let cfg = ServerConfig {
         data_dir: Some(dir.to_string_lossy().into_owned()),
@@ -157,8 +139,6 @@ fn run_cell(tag: &str, mode: DurabilityMode, dir: &PathBuf) -> Row {
         wall_us: report.wall_us,
         wal_appends: num(&stats, &["wal_appended"]) as u64,
         wal_syncs: num(&stats, &["wal_syncs"]) as u64,
-        log_wait_mean_us: num(&tele, &["phases", "log_wait", "mean_us"]),
-        log_wait_p95_us: num(&tele, &["phases", "log_wait", "p95_us"]) as u64,
         coalesce_mean_us: num(&tele, &["phases", "coalesce", "mean_us"]),
         coalesce_p95_us: num(&tele, &["phases", "coalesce", "p95_us"]) as u64,
         req_p50_us: report.req_hist.p50_p95_p99().0,
@@ -176,7 +156,7 @@ fn run_cell(tag: &str, mode: DurabilityMode, dir: &PathBuf) -> Row {
         row.throughput(),
         row.wal_syncs,
         row.syncs_per_commit(),
-        row.log_wait_mean_us.max(row.coalesce_mean_us),
+        row.coalesce_mean_us,
         row.req_p95_us,
         if row.certified && row.reopen_certified {
             "acyclic"
@@ -200,7 +180,7 @@ fn scratch(name: &str) -> PathBuf {
 fn smoke() {
     // The CI gate: one fsync cell plus its recovery reopen, exit 0.
     let dir = scratch("smoke");
-    let row = run_cell("fsync", DurabilityMode::FsyncPerCommit, &dir);
+    let row = run_cell(DurabilityMode::FsyncPerCommit, &dir);
     SmokeLine::new("store-bench-smoke")
         .str("mode", &row.mode)
         .num("committed_tops", row.committed)
@@ -234,9 +214,9 @@ fn main() {
     println!(
         "|-----------|----------|-----------|------------|-----------|----------|--------------|---------|-----------|"
     );
-    let rows: Vec<Row> = modes()
+    let rows: Vec<Row> = MODES
         .iter()
-        .map(|(tag, mode)| run_cell(tag, *mode, &scratch(tag)))
+        .map(|mode| run_cell(*mode, &scratch(mode.tag())))
         .collect();
     let mut doc = JsonObj::new();
     doc.str("benchmark", "store_bench")

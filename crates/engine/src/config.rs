@@ -14,63 +14,41 @@ pub enum DurabilityMode {
     /// replays the durable prefix).
     #[default]
     None,
-    /// Fsync the WAL before acknowledging every state-changing request —
-    /// strongest guarantee, one fsync per request on the critical path.
+    /// Fsync the WAL before acknowledging state-changing requests. The
+    /// caller decides how many acknowledgments one fsync covers: the
+    /// server pays one barrier per poll round (its group commit).
     FsyncPerCommit,
-    /// Group commit: a background flusher fsyncs every `window_us`
-    /// microseconds and acknowledgments park until their records are
-    /// durable — amortizes the fsync across concurrent requests.
-    GroupCommit {
-        /// Flush window in microseconds (must be > 0).
-        window_us: u64,
-    },
 }
 
 impl DurabilityMode {
-    /// The JSON tag `to_json`/`from_json` use for this mode.
+    /// The JSON tag (and `nt-serve --durability` spelling) of this mode.
     pub fn tag(&self) -> &'static str {
         match self {
             DurabilityMode::None => "none",
             DurabilityMode::FsyncPerCommit => "fsync",
-            DurabilityMode::GroupCommit { .. } => "group",
         }
     }
 
-    /// Parse from the JSON tag plus the optional window key. `window_us`
-    /// is required (and must be > 0 to pass `problems`) only for `group`.
-    pub fn from_tag(tag: &str, window_us: Option<u64>) -> Result<DurabilityMode, String> {
-        match (tag, window_us) {
-            ("none", None) => Ok(DurabilityMode::None),
-            ("fsync", None) => Ok(DurabilityMode::FsyncPerCommit),
-            ("group", Some(window_us)) => Ok(DurabilityMode::GroupCommit { window_us }),
-            ("group", None) => Err("durability \"group\" requires group_commit_window_us".into()),
-            ("none" | "fsync", Some(_)) => Err(format!(
-                "durability {tag:?} takes no group_commit_window_us"
+    /// Parse the tag. The retired `group` / `group:WINDOW_US` spellings
+    /// are refused by name: silently mapping them would hide that the
+    /// window no longer exists.
+    pub fn from_tag(tag: &str) -> Result<DurabilityMode, String> {
+        match tag {
+            "none" => Ok(DurabilityMode::None),
+            "fsync" => Ok(DurabilityMode::FsyncPerCommit),
+            t if t == "group" || t.starts_with("group:") => Err(format!(
+                "durability {tag:?} was removed: use \"fsync\" (one fsync per poll round is the group commit)"
             )),
             _ => Err(format!(
-                "unknown durability {tag:?} (expected \"none\", \"fsync\", or \"group\")"
+                "unknown durability {tag:?} (expected \"none\" or \"fsync\")"
             )),
-        }
-    }
-
-    /// Rule violations for this mode (folded into the owning config's
-    /// `problems`).
-    pub fn problems(&self) -> Vec<String> {
-        match self {
-            DurabilityMode::GroupCommit { window_us: 0 } => {
-                vec!["durability group_commit_window_us must be > 0".to_string()]
-            }
-            _ => Vec::new(),
         }
     }
 }
 
 impl std::fmt::Display for DurabilityMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DurabilityMode::GroupCommit { window_us } => write!(f, "group:{window_us}"),
-            other => write!(f, "{}", other.tag()),
-        }
+        f.write_str(self.tag())
     }
 }
 
@@ -103,10 +81,6 @@ pub struct EngineConfig {
     /// reported with `gave_up = true` and still certifies (aborted work is
     /// invisible to `T0`).
     pub max_wall_ms: u64,
-    /// Acknowledgment/durability coupling when a WAL store is mounted
-    /// (`nt-store`). The batch engine runs in memory and ignores it; the
-    /// session engine behind `nt-serve --data-dir` enforces it.
-    pub durability: DurabilityMode,
     /// Maintain the serialization graph *live* while the run executes
     /// (`nt-sgt-live`): every recorded action streams to a certifier
     /// thread that detects cycles incrementally and garbage-collects the
@@ -125,7 +99,6 @@ impl Default for EngineConfig {
             backoff_round_us: 50,
             access_latency_us: 0,
             max_wall_ms: 30_000,
-            durability: DurabilityMode::None,
             live_certify: false,
         }
     }
@@ -167,7 +140,6 @@ impl EngineConfig {
         if self.max_wall_ms == 0 {
             out.push("max_wall_ms must be > 0 (the watchdog is the liveness backstop)".to_string());
         }
-        out.extend(self.durability.problems());
         out
     }
 
@@ -211,20 +183,6 @@ impl EngineConfig {
                 },
             ),
             (
-                "durable-fsync",
-                EngineConfig {
-                    durability: DurabilityMode::FsyncPerCommit,
-                    ..EngineConfig::default()
-                },
-            ),
-            (
-                "durable-group",
-                EngineConfig {
-                    durability: DurabilityMode::GroupCommit { window_us: 500 },
-                    ..EngineConfig::default()
-                },
-            ),
-            (
                 "live-certify",
                 EngineConfig {
                     live_certify: true,
@@ -254,11 +212,7 @@ impl EngineConfig {
         o.num("backoff_round_us", self.backoff_round_us)
             .num("access_latency_us", self.access_latency_us)
             .num("max_wall_ms", self.max_wall_ms)
-            .str("durability", self.durability.tag());
-        if let DurabilityMode::GroupCommit { window_us } = self.durability {
-            o.num("group_commit_window_us", window_us);
-        }
-        o.bool("live_certify", self.live_certify);
+            .bool("live_certify", self.live_certify);
         o.build()
     }
 
@@ -272,7 +226,7 @@ impl EngineConfig {
         let Json::Obj(map) = &parsed else {
             return Err("engine config must be a JSON object".to_string());
         };
-        const KNOWN: [&str; 10] = [
+        const KNOWN: [&str; 8] = [
             "threads",
             "shards",
             "detector_period_us",
@@ -280,8 +234,6 @@ impl EngineConfig {
             "backoff_round_us",
             "access_latency_us",
             "max_wall_ms",
-            "durability",
-            "group_commit_window_us",
             "live_certify",
         ];
         for key in map.keys() {
@@ -323,23 +275,6 @@ impl EngineConfig {
             }
             Some(_) => return Err("backoff must be an object or null".to_string()),
         };
-        // Optional for compatibility with pre-durability documents.
-        let durability = match parsed.get("durability") {
-            None => {
-                if parsed.get("group_commit_window_us").is_some() {
-                    return Err("group_commit_window_us requires durability \"group\"".to_string());
-                }
-                DurabilityMode::None
-            }
-            Some(Json::Str(tag)) => {
-                let window = match parsed.get("group_commit_window_us") {
-                    None => None,
-                    Some(_) => Some(uint("group_commit_window_us")?),
-                };
-                DurabilityMode::from_tag(tag, window)?
-            }
-            Some(_) => return Err("durability must be a string tag".to_string()),
-        };
         // Optional for compatibility with pre-live-certify documents.
         let live_certify = match parsed.get("live_certify") {
             None => false,
@@ -354,7 +289,6 @@ impl EngineConfig {
             backoff_round_us: uint("backoff_round_us")?,
             access_latency_us: uint("access_latency_us")?,
             max_wall_ms: uint("max_wall_ms")?,
-            durability,
             live_certify,
         })
     }
@@ -403,44 +337,27 @@ mod tests {
     #[test]
     fn unknown_keys_rejected() {
         assert!(EngineConfig::from_json("{\"threads\":1,\"bogus\":2}").is_err());
+        // `run_plan` mounts no store, so the engine config never had a
+        // reader for `durability`: a document still carrying it is stale.
+        let stale =
+            EngineConfig::default()
+                .to_json()
+                .replacen('{', "{\"durability\":\"fsync\",", 1);
+        let err = EngineConfig::from_json(&stale).expect_err("retired key");
+        assert!(err.contains("durability"), "{err}");
         assert!(EngineConfig::from_json("[1,2]").is_err());
         assert!(EngineConfig::from_json("{\"threads\":\"two\"}").is_err());
     }
 
     #[test]
-    fn durability_modes_round_trip_and_validate() {
-        for mode in [
-            DurabilityMode::None,
-            DurabilityMode::FsyncPerCommit,
-            DurabilityMode::GroupCommit { window_us: 250 },
-        ] {
-            let cfg = EngineConfig {
-                durability: mode,
-                ..EngineConfig::default()
-            };
-            assert!(cfg.problems().is_empty(), "{mode}: {:?}", cfg.problems());
-            assert_eq!(
-                EngineConfig::from_json(&cfg.to_json()).expect("round trip"),
-                cfg
-            );
+    fn durability_tags_round_trip_and_retired_spellings_name_the_replacement() {
+        for mode in [DurabilityMode::None, DurabilityMode::FsyncPerCommit] {
+            assert_eq!(DurabilityMode::from_tag(mode.tag()), Ok(mode));
         }
-        // A zero group window is structurally parseable but semantically bad.
-        let zero = EngineConfig {
-            durability: DurabilityMode::GroupCommit { window_us: 0 },
-            ..EngineConfig::default()
-        };
-        assert_eq!(zero.problems().len(), 1);
-        // Missing durability defaults to none (pre-durability documents).
-        let legacy = EngineConfig::default()
-            .to_json()
-            .replace(",\"durability\":\"none\"", "");
-        assert_eq!(
-            EngineConfig::from_json(&legacy).expect("legacy doc"),
-            EngineConfig::default()
-        );
-        // Tag/window mismatches are structural errors.
-        assert!(DurabilityMode::from_tag("group", None).is_err());
-        assert!(DurabilityMode::from_tag("fsync", Some(5)).is_err());
-        assert!(DurabilityMode::from_tag("paranoid", None).is_err());
+        for retired in ["group", "group:100"] {
+            let err = DurabilityMode::from_tag(retired).expect_err("retired mode");
+            assert!(err.contains("fsync"), "{err}");
+        }
+        assert!(DurabilityMode::from_tag("paranoid").is_err());
     }
 }

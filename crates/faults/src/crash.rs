@@ -11,9 +11,9 @@
 //!
 //! The plan itself is execution-free data — the driver lives in `nt-net`
 //! (`nt-crash`), which owns the process spawning and the wire client.
-//! Durability is carried as its CLI string (`none`, `fsync`,
-//! `group:WINDOW_US`) rather than the engine enum so this crate keeps
-//! its no-engine dependency rule.
+//! Durability is carried as its CLI string (`none` or `fsync`) rather
+//! than the engine enum so this crate keeps its no-engine dependency
+//! rule.
 //!
 //! Determinism: run `i` of a plan derives its workload seed and its
 //! kill point from `splitmix64` over `(base_seed, i)` — the same plan
@@ -40,7 +40,7 @@ pub struct CrashPlan {
     /// Latest kill point (inclusive), milliseconds after load starts.
     pub kill_max_ms: u64,
     /// Durability mode as its `nt-serve --durability` string
-    /// (`none`, `fsync`, or `group:WINDOW_US`).
+    /// (`none` or `fsync`).
     pub durability: String,
 }
 
@@ -207,7 +207,7 @@ mod tests {
         let p = CrashPlan {
             runs: 12,
             base_seed: 99,
-            durability: "group:250".to_string(),
+            durability: "none".to_string(),
             ..CrashPlan::default()
         };
         let q = CrashPlan::from_json(&p.to_json()).expect("roundtrip");

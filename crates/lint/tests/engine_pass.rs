@@ -86,6 +86,18 @@ fn cli_rejects_engine_configs_with_unknown_keys() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("threds"), "{stdout}");
+
+    // `durability` was an engine-config key no code read (`run_plan`
+    // mounts no store); a document still carrying it is refused the same
+    // way, by name.
+    let stale = include_str!("fixtures/unknown-key.engine.json")
+        .replace("\"threds\"", "\"threads\"")
+        .replacen('{', "{\"durability\": \"fsync\",", 1);
+    let fs = engine::lint_config_json("stale.engine.json", &stale);
+    assert_eq!(fs.len(), 1, "{fs:?}");
+    assert_eq!(fs[0].severity, Severity::Error);
+    assert!(fs[0].message.contains("unknown"), "{fs:?}");
+    assert!(fs[0].message.contains("durability"), "{fs:?}");
 }
 
 #[test]

@@ -75,19 +75,34 @@ fn cli_rejects_the_batch_framing_fixture() {
 }
 
 #[test]
-fn retired_workers_knob_is_an_unknown_key() {
-    // The reactor's executor pool is gone and `workers` with it: a
-    // server config still carrying the key must fail the pass as an
-    // unparsable document, not be silently accepted.
-    let doc = r#"{"schema":"nt-net-config-v1","role":"server","addr":"127.0.0.1:0","workers":4}"#;
-    let fs = net::lint_config_json("stale.net.json", doc);
-    let errors: Vec<_> = fs
-        .iter()
-        .filter(|f| f.severity == Severity::Error)
-        .collect();
-    assert_eq!(errors.len(), 1, "{errors:?}");
-    assert!(errors[0].message.contains("unknown"), "{errors:?}");
-    assert!(errors[0].message.contains("workers"), "{errors:?}");
+fn retired_knobs_fail_the_pass_by_name() {
+    // The reactor's executor pool is gone and `workers` with it; so are
+    // the threaded front end and the WAL's group-commit window. A server
+    // config still carrying one of them must fail the pass as an
+    // unparsable document — naming the key, and for the two with a
+    // replacement, the replacement — not be silently accepted.
+    for (knob, names) in [
+        (r#""workers":4"#, "workers"),
+        (
+            r#""frontend":"threaded""#,
+            "the reactor is the only front end",
+        ),
+        (
+            r#""durability":"group","group_commit_window_us":100"#,
+            "fsync",
+        ),
+    ] {
+        let doc = format!(
+            r#"{{"schema":"nt-net-config-v1","role":"server","addr":"127.0.0.1:0",{knob}}}"#
+        );
+        let fs = net::lint_config_json("stale.net.json", &doc);
+        let errors: Vec<_> = fs
+            .iter()
+            .filter(|f| f.severity == Severity::Error)
+            .collect();
+        assert_eq!(errors.len(), 1, "{knob}: {errors:?}");
+        assert!(errors[0].message.contains(names), "{knob}: {errors:?}");
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! nt-crash [--plan FILE.json] [--runs N] [--seed S]
-//!          [--durability none|fsync|group:WINDOW_US]
+//!          [--durability none|fsync]
 //!          [--smoke] [--out FILE] [--serve-bin PATH] [--scratch DIR]
 //! ```
 //!

@@ -5,8 +5,7 @@
 //! nt-serve [--config FILE.net.json] [--addr HOST:PORT]
 //!          [--port-file FILE] [--journal FILE] [--static-gate]
 //!          [--metrics-out FILE] [--trace-out FILE] [--live-certify]
-//!          [--data-dir DIR] [--durability none|fsync|group:WINDOW_US]
-//!          [--reactor | --threaded]
+//!          [--data-dir DIR] [--durability none|fsync]
 //! ```
 //!
 //! Binds (port 0 = ephemeral), prints `nt-serve listening on ADDR`,
@@ -36,19 +35,15 @@
 //! before the listener accepts work. The recovery report is printed as
 //! one JSON line (`nt-serve recovery {...}`) *before* the listening
 //! line, so orchestration can gate on it. `--durability` picks the ack
-//! barrier (default `none`): `fsync` fsyncs before every mutating ack,
-//! `group:250` runs a 250 µs group-commit flusher — on `--threaded`
-//! only; the reactor syncs once per poll round in either mode (the
-//! round is the group).
+//! barrier (default `none`): under `fsync` no mutating ack is written
+//! before an fsync covering it returns — one per poll round, shared by
+//! every connection that round served (the round is the group commit).
 //!
-//! `--reactor` (the default) serves connections from the run-to-completion
-//! `nt-reactor` event loop: one thread multiplexes every socket *and*
+//! Connections are served by the run-to-completion `nt-reactor` event
+//! loop, the only front end: one thread multiplexes every socket *and*
 //! executes every frame inline, a lock wait parks its connection as a
-//! continuation instead of a thread, replies coalesce, and one durability
-//! barrier covers a whole poll round. The server's thread count does not
-//! depend on the number of connections. `--threaded` selects the legacy
-//! connection-per-thread front end — kept for this one PR only, as the
-//! differential reference the reactor is tested against (ROADMAP item 2).
+//! continuation instead of a thread, and replies coalesce. The server's
+//! thread count does not depend on the number of connections.
 //!
 //! `SIGTERM`/`SIGINT` initiate the same graceful drain as a wire
 //! `Shutdown`: in-flight work finishes, the store rotates into a fresh
@@ -59,7 +54,7 @@
 //! reader never observes a torn snapshot.
 
 use nt_engine::DurabilityMode;
-use nt_net::{Frontend, NetConfig, NetServer, ServerConfig};
+use nt_net::{NetConfig, NetServer, ServerConfig};
 use nt_obs::json::JsonObj;
 use nt_store::write_atomic;
 use std::path::Path;
@@ -68,22 +63,9 @@ use std::time::Duration;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: nt-serve [--config FILE.net.json] [--addr HOST:PORT] [--port-file FILE] [--journal FILE] [--static-gate] [--metrics-out FILE] [--trace-out FILE] [--live-certify] [--data-dir DIR] [--durability none|fsync|group:WINDOW_US] [--reactor | --threaded]"
+        "usage: nt-serve [--config FILE.net.json] [--addr HOST:PORT] [--port-file FILE] [--journal FILE] [--static-gate] [--metrics-out FILE] [--trace-out FILE] [--live-certify] [--data-dir DIR] [--durability none|fsync]\n(the reactor is the only front end and takes no flag; fsync covers a poll round, the only group commit)"
     );
     ExitCode::from(2)
-}
-
-/// Parse the `--durability` flag: `none`, `fsync`, or `group:WINDOW_US`.
-fn parse_durability(s: &str) -> Result<DurabilityMode, String> {
-    match s.split_once(':') {
-        Some((tag, window)) => {
-            let window_us: u64 = window
-                .parse()
-                .map_err(|_| format!("bad durability window {window:?}"))?;
-            DurabilityMode::from_tag(tag, Some(window_us))
-        }
-        None => DurabilityMode::from_tag(s, None),
-    }
 }
 
 fn main() -> ExitCode {
@@ -98,7 +80,6 @@ fn main() -> ExitCode {
     let mut trace_out: Option<String> = None;
     let mut data_dir: Option<String> = None;
     let mut durability: Option<DurabilityMode> = None;
-    let mut frontend: Option<Frontend> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -176,19 +157,11 @@ fn main() -> ExitCode {
                 data_dir = Some(d.clone());
                 i += 2;
             }
-            "--reactor" => {
-                frontend = Some(Frontend::Reactor);
-                i += 1;
-            }
-            "--threaded" => {
-                frontend = Some(Frontend::Threaded);
-                i += 1;
-            }
             "--durability" => {
                 let Some(m) = args.get(i + 1) else {
                     return usage();
                 };
-                match parse_durability(m) {
+                match DurabilityMode::from_tag(m) {
                     Ok(mode) => durability = Some(mode),
                     Err(e) => {
                         eprintln!("nt-serve: {e}");
@@ -211,9 +184,6 @@ fn main() -> ExitCode {
     }
     if let Some(m) = durability {
         cfg.durability = m;
-    }
-    if let Some(f) = frontend {
-        cfg.frontend = f;
     }
     if metrics_out.is_some() || trace_out.is_some() {
         // A traced server should also report SGT health: the live

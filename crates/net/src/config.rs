@@ -17,41 +17,6 @@ use nt_obs::json::{Json, JsonObj};
 /// The schema identifier embedded in every `*.net.json` document.
 pub const SCHEMA_ID: &str = "nt-net-config-v1";
 
-/// Which server front end frames sockets and schedules request execution.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Frontend {
-    /// The run-to-completion reactor (nt-reactor): one poll thread owns
-    /// every socket and executes every frame inline; lock waits park as
-    /// continuations, replies coalesce. The default.
-    #[default]
-    Reactor,
-    /// The legacy connection-per-thread front end (two threads per
-    /// connection). Kept for this one PR only, as the differential
-    /// reference for the reactor; ROADMAP item 2 removes it next.
-    Threaded,
-}
-
-impl Frontend {
-    /// The config-file tag.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Frontend::Reactor => "reactor",
-            Frontend::Threaded => "threaded",
-        }
-    }
-
-    /// Parse a config-file tag.
-    pub fn from_tag(tag: &str) -> Result<Frontend, String> {
-        match tag {
-            "reactor" => Ok(Frontend::Reactor),
-            "threaded" => Ok(Frontend::Threaded),
-            other => Err(format!(
-                "unknown frontend {other:?} (expected \"reactor\" or \"threaded\")"
-            )),
-        }
-    }
-}
-
 /// Server-role settings.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServerConfig {
@@ -97,16 +62,11 @@ pub struct ServerConfig {
     /// server purely in memory; set, every applied action and response is
     /// journaled and a restart recovers (and re-certifies) the history.
     pub data_dir: Option<String>,
-    /// When to acknowledge relative to the fsync: never wait, fsync per
-    /// commit, or group-commit batching. Requires `data_dir`. On the
-    /// reactor front end the poll round is the group: a group-commit mode
-    /// syncs inline at the round's barrier and its window is unused.
+    /// When to acknowledge relative to the fsync: never wait (`none`), or
+    /// only after it (`fsync`). The poll round is the group commit: one
+    /// fsync at the round's barrier covers every connection's mutating
+    /// acks of that round. `fsync` requires `data_dir`.
     pub durability: DurabilityMode,
-    /// Which front end serves connections: the run-to-completion reactor
-    /// (default), or the threaded path — kept for this one PR only, as
-    /// the differential reference the reactor is tested against
-    /// (ROADMAP item 2 deletes it next).
-    pub frontend: Frontend,
 }
 
 impl Default for ServerConfig {
@@ -127,7 +87,6 @@ impl Default for ServerConfig {
             drain_timeout_ms: 10_000,
             data_dir: None,
             durability: DurabilityMode::None,
-            frontend: Frontend::default(),
         }
     }
 }
@@ -255,7 +214,7 @@ impl ServerConfig {
             out.push("detector_period_us of 0 busy-spins the detector".to_string());
         }
         if self.queue_depth == 0 {
-            out.push("queue_depth of 0 deadlocks the connection pipeline".to_string());
+            out.push("queue_depth of 0 lets no frame be dispatched".to_string());
         }
         if self.max_frame_len < crate::wire::HEADER_LEN + 64 {
             out.push(format!(
@@ -275,7 +234,6 @@ impl ServerConfig {
         if self.drain_timeout_ms == 0 {
             out.push("drain_timeout_ms of 0 dumps diagnostics on every drain".to_string());
         }
-        out.extend(self.durability.problems());
         if self.durability != DurabilityMode::None && self.data_dir.is_none() {
             out.push(format!(
                 "durability {} needs a data_dir to journal into",
@@ -301,8 +259,7 @@ impl ServerConfig {
             .num("span_ring", self.span_ring as u64)
             .bool("live_certify", self.live_certify)
             .num("metrics_period_ms", self.metrics_period_ms)
-            .num("drain_timeout_ms", self.drain_timeout_ms)
-            .str("frontend", self.frontend.tag());
+            .num("drain_timeout_ms", self.drain_timeout_ms);
         if let Some(plan) = &self.fault {
             o.raw("fault", plan.to_json());
         }
@@ -310,9 +267,6 @@ impl ServerConfig {
             o.str("data_dir", dir);
         }
         o.str("durability", self.durability.tag());
-        if let DurabilityMode::GroupCommit { window_us } = self.durability {
-            o.num("group_commit_window_us", window_us);
-        }
         o.build()
     }
 }
@@ -416,8 +370,6 @@ impl NetConfig {
         match role {
             "server" => {
                 let mut c = ServerConfig::default();
-                let mut durability_tag: Option<String> = None;
-                let mut group_window: Option<u64> = None;
                 for (key, val) in fields {
                     match key.as_str() {
                         "schema" | "role" => {}
@@ -456,30 +408,20 @@ impl NetConfig {
                             );
                         }
                         "durability" => {
-                            durability_tag = Some(
+                            c.durability = DurabilityMode::from_tag(
                                 val.as_str()
-                                    .ok_or_else(|| "durability must be a string".to_string())?
-                                    .to_string(),
-                            );
-                        }
-                        "group_commit_window_us" => group_window = Some(num_field(val, key)?),
-                        "frontend" => {
-                            c.frontend = Frontend::from_tag(
-                                val.as_str()
-                                    .ok_or_else(|| "frontend must be a string".to_string())?,
+                                    .ok_or_else(|| "durability must be a string".to_string())?,
                             )?;
+                        }
+                        // Retired with the threaded front end: refused with
+                        // the reason, not silently accepted.
+                        "frontend" => {
+                            return Err("net server config key \"frontend\" was removed: \
+                                        the reactor is the only front end"
+                                .to_string());
                         }
                         other => return Err(format!("unknown net server config key {other:?}")),
                     }
-                }
-                match durability_tag {
-                    Some(tag) => c.durability = DurabilityMode::from_tag(&tag, group_window)?,
-                    None if group_window.is_some() => {
-                        return Err(
-                            "group_commit_window_us without a \"durability\" mode".to_string()
-                        );
-                    }
-                    None => {}
                 }
                 Ok(NetConfig::Server(c))
             }
@@ -555,8 +497,7 @@ mod tests {
             metrics_period_ms: 250,
             drain_timeout_ms: 5_000,
             data_dir: Some("/tmp/nt-data".to_string()),
-            durability: DurabilityMode::GroupCommit { window_us: 250 },
-            frontend: Frontend::Threaded,
+            durability: DurabilityMode::FsyncPerCommit,
             ..ServerConfig::default()
         };
         match NetConfig::from_json(&s.to_json()).expect("server roundtrip") {
@@ -659,8 +600,5 @@ mod tests {
             NetConfig::Server(back) => assert_eq!(back, ok),
             other => panic!("wrong role: {other:?}"),
         }
-        let err = NetConfig::from_json(r#"{"role":"server","group_commit_window_us":100}"#)
-            .expect_err("orphan window rejected");
-        assert!(err.contains("durability"), "{err}");
     }
 }

@@ -1,4 +1,4 @@
-//! The reactor front end's per-connection protocol service.
+//! The per-connection protocol service the server mounts on the reactor.
 //!
 //! `nt_reactor` owns the sockets and runs everything on one poll thread;
 //! this module supplies the [`Service`] each accepted connection runs
@@ -24,8 +24,8 @@
 //! Routing everything through the single pending buffer is what keeps
 //! the per-connection reply order equal to the execution order — the
 //! reactor coalesces *when* bytes hit the wire, never their order — so
-//! the engine's stamp order (what the certifier consumes) is identical
-//! to the threaded front end's.
+//! the engine's stamp order (what the certifier consumes) is the order
+//! each client saw its answers in.
 
 use crate::server::{pay_durability, OpsRun, Parked, Shared, Step};
 use crate::wire::{
@@ -133,7 +133,8 @@ struct ConnService {
     wake: WakeHandle,
     session: Session,
     /// Per-`seq` exactly-once response cache (full frames, prefix
-    /// included), same contract as the threaded executor's.
+    /// included): a retried or duplicated frame is answered from here,
+    /// never re-executed.
     cache: BTreeMap<u64, Vec<u8>>,
     open_tops: BTreeSet<TxId>,
     /// Frames processed on this connection (the fault plan's key).
@@ -267,7 +268,7 @@ impl ConnService {
             &mut self.session,
             &mut self.cache,
             &mut self.open_tops,
-            Some(&self.wake),
+            &self.wake,
             resumed,
         );
         match step {
@@ -305,9 +306,8 @@ impl ConnService {
         self.pending.extend_from_slice(&bytes);
         self.pending_frames += 1;
         if self.shared.telemetry.is_enabled() {
-            // The barrier is deferred to flush, so `log_wait_us` is 0
-            // here — the round's barrier shows up in the `coalesce`
-            // phase histogram instead.
+            // The barrier is deferred to flush: the span ends here and the
+            // round's fsync shows up in the `coalesce` phase histogram.
             let t_done = self.shared.telemetry.now_us();
             self.shared.telemetry.record_span(ReqSpan {
                 conn: self.conn,
@@ -319,7 +319,6 @@ impl ConnService {
                 t_exec_end: t_done,
                 t_respond: t_done,
                 lock_wait_us: f.run.lock_wait_us,
-                log_wait_us: 0,
                 seq_decode: f.seq_decode,
                 seq_respond: self.shared.engine.clock_now(),
             });

@@ -9,13 +9,12 @@
 //!   protocol (`BEGIN_TOP`/`BEGIN_CHILD`/`ACCESS`/`COMMIT`/`ABORT`/
 //!   `HISTORY_FETCH`), with client-assigned sequence numbers that make
 //!   the transport at-least-once with exactly-once execution;
-//! * [`server`] — the TCP server: by default the run-to-completion
-//!   `nt-reactor` front end (one poll thread executes every frame; a
-//!   lock wait parks its connection as a continuation), with the legacy
-//!   connection-per-thread front end kept one more PR as the
-//!   differential reference; per-`seq` response cache, deterministic
-//!   transport fault injection (`nt_faults::TransportPlan`) on the
-//!   receive path, graceful drain;
+//! * [`server`] — the TCP server on the run-to-completion `nt-reactor`
+//!   loop (one poll thread executes every frame; a lock wait parks its
+//!   connection as a continuation); per-`seq` response cache,
+//!   deterministic transport fault injection
+//!   (`nt_faults::TransportPlan`) on the receive path, one durability
+//!   barrier per poll round, graceful drain;
 //! * [`client`] — pipelining connection with retry-with-backoff
 //!   (`nt_faults::BackoffPolicy`) and the post-run fetch-and-certify
 //!   path: pull the server's recorded history over the wire and run it
@@ -42,10 +41,10 @@
 //! stamps, the `STATS` wire op returning one `nt-net/stats/v1`
 //! document (coherent counters, lock-table shard totals, phase
 //! histograms, SGT health gauges, live wait-for graph), `nt-serve
-//! --metrics-out`/`--trace-out`, an optional monitor thread that
-//! certifies the recorded prefix through the Theorem 17 gate while the
-//! server runs, and a flight-recorder ring dumped on watchdog fires,
-//! stuck drains, and static-gate refusals.
+//! --metrics-out`/`--trace-out`, the live certifier running the
+//! recorded actions through the Theorem 17 gate while the server runs,
+//! and a flight-recorder ring dumped on stuck drains, static-gate
+//! refusals, and certifier violations.
 
 #![forbid(unsafe_code)]
 
@@ -61,7 +60,7 @@ pub mod wire;
 
 pub use admission::{AdmissionLedger, DeclaredSets};
 pub use client::{certify_history, fetch_and_certify, Conn, ConnConfig};
-pub use config::{Frontend, LoadConfig, LoadMode, NetConfig, ServerConfig};
+pub use config::{LoadConfig, LoadMode, NetConfig, ServerConfig};
 pub use history::HistoryDoc;
 pub use load::{run_load, workload_spec, LoadReport};
 pub use server::{DrainReport, NetServer, ServerHandle, ServerProbe, ServerStats};

@@ -1,24 +1,24 @@
 //! The networked nested-transaction server over
-//! `nt_engine::SessionEngine`: the shared protocol core (`OpsRun`: answer
-//! a frame's ops from cache or by execution, resumably), the default
-//! reactor front end's mounting (`serve_reactor`; its per-connection
-//! service lives in `front_reactor.rs`), and the legacy
-//! connection-per-thread front end, kept this one PR as the differential
-//! reference.
+//! `nt_engine::SessionEngine`: the protocol core (`OpsRun`: answer a
+//! frame's ops from cache or by execution, resumably) and its one way of
+//! serving — [`NetServer::serve`] mounts the per-connection service of
+//! `front_reactor.rs` on the run-to-completion `nt-reactor` loop.
 //!
-//! On the threaded front end each accepted connection gets two threads:
-//! a **reader** that frames bytes off the socket, applies the deterministic transport fault plan
-//! (drop / duplicate / delay, keyed on the connection's own frame
-//! counter), and feeds a **bounded** `sync_channel` (backpressure: a
-//! client that pipelines faster than the executor drains simply blocks in
-//! TCP); and an **executor** that owns the connection's
-//! [`Session`](nt_engine::Session), executes requests in order, and
-//! writes responses. A per-`seq` response cache makes execution
-//! exactly-once under the at-least-once transport: a retried or
-//! duplicated frame is answered from cache, never re-executed.
+//! One poll thread owns the listener and every socket and executes every
+//! frame inline; nothing here blocks it. The two ops that wait on another
+//! party — an `ACCESS` whose Moss lock a non-ancestor holds, a `CERT`
+//! behind the certifier's queue — park as continuations and resume when
+//! the releaser (or the certifier) fires the connection's wake handle. A
+//! per-`seq` response cache makes execution exactly-once under the
+//! at-least-once transport: a retried or duplicated frame is answered
+//! from cache, never re-executed. With a durable store mounted, mutating
+//! ops journal their response eagerly and the round's first flush pays
+//! one `wait_durable` for every connection's burst, so **no mutating ack
+//! is written before the `flush_durable` of its round returns** — the
+//! poll round is the group commit.
 //!
-//! When the config enables telemetry, both threads stamp each request's
-//! lifecycle (decode → enqueue → dequeue → execute → respond) into an
+//! When the config enables telemetry, each request's lifecycle
+//! (dispatch → dequeue → execute → buffered reply) is stamped into an
 //! [`nt_telemetry::ReqSpan`] carrying dual wall-clock/`SeqClock` stamps.
 //! With `live_certify` on, every recorded action also streams into an
 //! [`nt_sgt_live::LiveCertifier`] — an incremental Theorem 17 gate that
@@ -26,41 +26,35 @@
 //! acyclic prefix behind a watermark, publishes SGT health gauges
 //! (`sgt.nodes`, `sgt.edges`, `sgt.watermark`, `sgt.check_us`, `sgt.ok`,
 //! and the `sgt.live.*` mirrors), and answers the `CERT` wire op with its
-//! verdict. A **monitor thread** surfaces deadlock victims and watchdog
-//! rescues as structured events; a bounded flight-recorder ring mirrors
-//! the journal and is dumped to stderr on a deadlock-watchdog fire, a
-//! drain timeout, or a static-gate refusal.
+//! verdict. A **monitor thread** surfaces deadlock victims as structured
+//! events; a bounded flight-recorder ring mirrors the journal and is
+//! dumped to stderr on a drain timeout, a static-gate refusal, or a live
+//! certifier violation.
 //!
 //! Graceful drain (`ServerHandle::drain`, or a wire `Shutdown` request)
-//! stops the acceptor, half-closes every connection's read side so
-//! readers see EOF at a frame boundary, lets executors finish everything
-//! already queued, and only then tears the engine down — so a drained
-//! server's recorded history is complete and certifiable.
+//! wakes the poll loop, which stops accepting and reading, answers every
+//! frame already dispatched, flushes every output buffer, and exits; only
+//! then is the engine torn down — so a drained server's recorded history
+//! is complete and certifiable.
 
 use crate::admission::{AdmissionLedger, DeclaredSets};
-use crate::config::{Frontend, ServerConfig};
+use crate::config::ServerConfig;
 use crate::history::HistoryDoc;
-use crate::wire::{
-    decode_batch_request, encode_response, err_code, parse_frame, parse_request, FrameReader,
-    Request, Response, WireError, KIND_BATCH_REQ,
-};
+use crate::wire::{encode_response, err_code, parse_frame, Request, Response};
 use nt_engine::{
-    AccessOutcome, AccessStep, ActionSink, BeginOutcome, CommitOutcome, DurabilityMode,
-    ParkedAccess, RecoveredSeed, Session, SessionEngine, SessionError, WakeHandle,
+    AccessOutcome, AccessStep, ActionSink, BeginOutcome, CommitOutcome, ParkedAccess,
+    RecoveredSeed, Session, SessionEngine, SessionError, WakeHandle,
 };
-use nt_faults::FrameFate;
 use nt_model::{ObjId, TxId};
 use nt_obs::json::JsonObj;
 use nt_obs::{Event, Stamped, TraceHandle};
 use nt_sgt_live::{cert_disabled_json, LiveCertifier, SgtConfig};
 use nt_store::{RecoveryReport, Store};
-use nt_telemetry::{ReqSpan, StatsCell, TelemetryHandle};
+use nt_telemetry::{StatsCell, TelemetryHandle};
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -68,7 +62,7 @@ use std::time::{Duration, Instant};
 /// Flight-recorder ring capacity (journal tail kept for crash dumps).
 const FLIGHT_CAPACITY: usize = 256;
 
-/// Monitor-thread sample period (victim/watchdog surfacing).
+/// Monitor-thread sample period (victim surfacing).
 const MONITOR_PERIOD_MS: u64 = 50;
 
 /// Monotone counters the server exposes while serving and after a drain.
@@ -103,15 +97,12 @@ pub(crate) struct Shared {
     /// Bounded journal tail for diagnostic dumps.
     flight: TraceHandle,
     addr: SocketAddr,
-    draining: AtomicBool,
+    /// The drain trigger: wakes the poll loop, which stops accepting and
+    /// reading, answers everything already dispatched, flushes, and exits.
+    drainer: nt_reactor::Drainer,
     pub(crate) stats: StatsCell<ServerStats>,
     journal: Mutex<Vec<String>>,
     jseq: AtomicU64,
-    /// Read-half clones, shut down on drain to unblock readers
-    /// (threaded front end only).
-    read_halves: Mutex<Vec<TcpStream>>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
-    monitor: Mutex<Option<JoinHandle<()>>>,
     /// Declared summaries of live tops (the static admission gate).
     admission: Mutex<AdmissionLedger>,
     /// The live serialization-graph certifier (`live_certify`); taken
@@ -124,14 +115,12 @@ pub(crate) struct Shared {
     /// identical cached answer instead of a second execution. Read-only
     /// after bind.
     pub(crate) recovered_cache: BTreeMap<u64, Vec<u8>>,
-    /// The reactor front end's drain trigger (reactor front end only),
-    /// registered by `serve` and fired by `begin_drain`.
-    reactor_drain: Mutex<Option<nt_reactor::Drainer>>,
-    /// The running reactor's counters (`reactor.*` in the stats document).
+    /// The running reactor's counters (`reactor.*` in the stats
+    /// document), set by `serve`.
     reactor_probe: OnceLock<nt_reactor::ReactorProbe>,
-    /// Reactor front end: some connection journaled a mutating response
-    /// since the last durability barrier. The first flush of a poll round
-    /// pays one `wait_durable` for every connection's burst.
+    /// Some connection journaled a mutating response since the last
+    /// durability barrier. The first flush of a poll round pays one
+    /// `wait_durable` for every connection's burst.
     pub(crate) owes_barrier: AtomicBool,
 }
 
@@ -199,37 +188,17 @@ impl Shared {
     }
 
     /// Dump the flight ring and a stats snapshot to stderr (called on a
-    /// deadlock-watchdog fire, a drain timeout, or a static-gate refusal).
+    /// drain timeout, a static-gate refusal, or a certifier violation).
     fn dump_diagnostics(&self, reason: &str) {
         self.flight.dump_flight_to_stderr(reason);
         eprintln!("=== nt-net stats snapshot ({reason}) ===");
         eprintln!("{}", self.stats_json());
     }
 
-    /// The live certificate document: drain the certifier's queue (so the
-    /// verdict covers every action recorded before this call), then
-    /// serialize its status. Without `live_certify`, a `"disabled"`
+    /// Start the certifier's drain barrier and park on it — `wake` fires
+    /// once the verdict covers every action recorded before this call.
+    /// Without `live_certify`, answers at once with a `"disabled"`
     /// document (schema `nt-sgt/cert/v1`).
-    fn cert_json(&self) -> String {
-        let guard = self.live.lock().expect("live poisoned");
-        match guard.as_ref() {
-            Some(lc) => {
-                // Producer-side feed buffers flush at transaction
-                // resolutions; push the buffered tails (and the root
-                // log's lone `Create(ROOT)`) into the channel first, or
-                // the drain barrier certifies up to a stamp hole.
-                self.engine.flush_feeds();
-                lc.drain();
-            }
-            None => return cert_disabled_json(),
-        }
-        drop(guard);
-        self.cert_status_json()
-    }
-
-    /// [`Shared::cert_json`] for an event loop: start the certifier's
-    /// drain barrier and park on it — `wake` fires once the verdict covers
-    /// every action recorded before this call.
     fn cert_start(&self, wake: &WakeHandle) -> Exec {
         let guard = self.live.lock().expect("live poisoned");
         let Some(lc) = guard.as_ref() else {
@@ -237,6 +206,10 @@ impl Shared {
                 json: cert_disabled_json(),
             });
         };
+        // Producer-side feed buffers flush at transaction resolutions;
+        // push the buffered tails (and the root log's lone
+        // `Create(ROOT)`) into the channel first, or the drain barrier
+        // certifies up to a stamp hole.
         self.engine.flush_feeds();
         let drained = Arc::new(AtomicBool::new(false));
         let (flag, wake) = (Arc::clone(&drained), wake.clone());
@@ -265,51 +238,23 @@ impl Shared {
 
     /// Initiate a graceful drain (idempotent, non-blocking).
     pub(crate) fn begin_drain(&self) {
-        if self.draining.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Reactor front end: the drainer wakes the poll loop, which stops
-        // accepting and reading, answers everything already dispatched,
-        // flushes, and exits.
-        if let Some(d) = self
-            .reactor_drain
-            .lock()
-            .expect("reactor drain poisoned")
-            .as_ref()
-        {
-            d.drain();
-            return;
-        }
-        // Threaded front end: half-close every reader so it sees EOF at a
-        // frame boundary.
-        for s in self
-            .read_halves
-            .lock()
-            .expect("read halves poisoned")
-            .iter()
-        {
-            let _ = s.shutdown(Shutdown::Read);
-        }
-        // Wake the acceptor with a throwaway connection; it observes the
-        // draining flag and exits instead of serving it.
-        let _ = TcpStream::connect(self.addr);
+        self.drainer.drain();
     }
 }
 
 /// Samples the engine on a fixed period, surfacing new deadlock victims
-/// and timeout rescues as structured events (dumping diagnostics on a
-/// watchdog fire). SGT health is no longer sampled here: the live
+/// as structured events. SGT health is not sampled here: the live
 /// certifier (`live_certify`) checks every conflict edge as it forms and
-/// publishes the `sgt.*` gauges itself — continuously, in O(affected
-/// region) per edge, instead of this thread's old O(history) re-fold.
+/// publishes the `sgt.*` gauges itself. Nor are `timeout_rescues`: the
+/// server parks lock waits as continuations and never enters the blocking
+/// wrapper that counts them (the key stays in the stats document).
 fn monitor_loop(shared: &Shared) {
     let period = Duration::from_millis(MONITOR_PERIOD_MS);
     let mut seen_victims = 0usize;
-    let mut seen_rescues = 0u64;
     loop {
         let mut slept = Duration::ZERO;
         while slept < period {
-            if shared.draining.load(Ordering::Acquire) {
+            if shared.drainer.is_draining() {
                 return;
             }
             let step = period.min(Duration::from_millis(20));
@@ -325,14 +270,6 @@ fn monitor_loop(shared: &Shared) {
             });
         }
         seen_victims = victims.len();
-        let rescues = shared.engine.timeout_rescues();
-        if rescues > seen_rescues {
-            shared.emit(Event::WatchdogFired {
-                stalled_rounds: rescues - seen_rescues,
-            });
-            shared.dump_diagnostics("deadlock watchdog fired");
-        }
-        seen_rescues = rescues;
     }
 }
 
@@ -342,17 +279,11 @@ pub struct NetServer {
     shared: Arc<Shared>,
 }
 
-/// The running front end: either the legacy acceptor thread
-/// (connection-per-thread) or the reactor's handle.
-enum Front {
-    Threaded(JoinHandle<()>),
-    Reactor(nt_reactor::ReactorHandle),
-}
-
 /// A serving server: drain it, then wait for it.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    front: Front,
+    reactor: nt_reactor::ReactorHandle,
+    monitor: JoinHandle<()>,
 }
 
 /// A clonable live view of a serving server, for metrics writers and
@@ -386,12 +317,12 @@ impl ServerProbe {
 
     /// Whether a drain has been initiated.
     pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::Acquire)
+        self.shared.drainer.is_draining()
     }
 
     /// Initiate a graceful drain (idempotent, returns immediately). The
     /// probe variant lets a signal-watcher thread trigger the drain while
-    /// `ServerHandle::join` parks on the acceptor.
+    /// `ServerHandle::join` parks on the reactor.
     pub fn drain(&self) {
         self.shared.begin_drain();
     }
@@ -428,18 +359,7 @@ impl NetServer {
         };
         let (store, recovered_cache, seed) = match &cfg.data_dir {
             Some(dir) => {
-                // The reactor executes on one thread, so parking it on a
-                // group-commit window would keep every other connection
-                // from appending: the window would collect nothing. The
-                // poll round is the group there — sync inline at its
-                // barrier and start no flusher.
-                let mode = match (cfg.frontend, cfg.durability) {
-                    (Frontend::Reactor, DurabilityMode::GroupCommit { .. }) => {
-                        DurabilityMode::FsyncPerCommit
-                    }
-                    (_, mode) => mode,
-                };
-                let (store, recovered) = Store::open(Path::new(dir), mode)
+                let (store, recovered) = Store::open(Path::new(dir), cfg.durability)
                     .map_err(|e| std::io::Error::other(format!("store open: {e}")))?;
                 (Some(Arc::new(store)), recovered.cache, recovered.seed)
             }
@@ -468,18 +388,14 @@ impl NetServer {
             telemetry,
             flight: nt_obs::Recorder::flight(FLIGHT_CAPACITY),
             addr,
-            draining: AtomicBool::new(false),
+            drainer: nt_reactor::Drainer::new(),
             stats: StatsCell::default(),
             journal: Mutex::new(Vec::new()),
             jseq: AtomicU64::new(0),
-            read_halves: Mutex::new(Vec::new()),
-            conn_threads: Mutex::new(Vec::new()),
-            monitor: Mutex::new(None),
             admission: Mutex::new(AdmissionLedger::new()),
             live: Mutex::new(live),
             store,
             recovered_cache,
-            reactor_drain: Mutex::new(None),
             reactor_probe: OnceLock::new(),
             owes_barrier: AtomicBool::new(false),
         });
@@ -496,70 +412,16 @@ impl NetServer {
         self.shared.store.as_ref().map(|s| s.report().clone())
     }
 
-    /// Start accepting connections on the configured front end: the
-    /// readiness-based reactor (default) or the legacy
-    /// connection-per-thread acceptor (`frontend = "threaded"`).
-    pub fn serve(self) -> ServerHandle {
-        {
-            let shared = Arc::clone(&self.shared);
-            let handle = std::thread::spawn(move || monitor_loop(&shared));
-            *self.shared.monitor.lock().expect("monitor poisoned") = Some(handle);
-        }
-        if self.shared.cfg.frontend == Frontend::Reactor {
-            return self.serve_reactor();
-        }
-        let shared = Arc::clone(&self.shared);
-        let listener = self.listener;
-        let acceptor = std::thread::spawn(move || {
-            for incoming in listener.incoming() {
-                if shared.draining.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok(stream) = incoming else { continue };
-                // Small request/response frames stall badly under Nagle +
-                // delayed ACK once a client pipelines (E18 measured ~6 ms
-                // client-side against a ~20 µs server span before this).
-                let _ = stream.set_nodelay(true);
-                let conn = shared.stats.update(|s| {
-                    s.conns += 1;
-                    s.conns
-                });
-                shared.emit(Event::ConnAccepted { conn });
-                let Ok(read_half) = stream.try_clone() else {
-                    continue;
-                };
-                shared
-                    .read_halves
-                    .lock()
-                    .expect("read halves poisoned")
-                    .push(read_half);
-                let shared2 = Arc::clone(&shared);
-                let handle = std::thread::spawn(move || run_conn(shared2, conn, stream));
-                shared
-                    .conn_threads
-                    .lock()
-                    .expect("threads poisoned")
-                    .push(handle);
-            }
-        });
-        ServerHandle {
-            shared: self.shared,
-            front: Front::Threaded(acceptor),
-        }
-    }
-
-    /// Spawn the run-to-completion reactor front end (DESIGN.md §8j): one
+    /// Start serving on the run-to-completion reactor (DESIGN.md §8j): one
     /// poll thread owns the listener and every socket and runs every
     /// connection's protocol service inline; replies coalesce into as few
     /// `write` syscalls as readiness allows, and one `wait_durable`
     /// barrier covers each poll round.
-    fn serve_reactor(self) -> ServerHandle {
-        let drainer = nt_reactor::Drainer::new();
-        *self
-            .shared
-            .reactor_drain
-            .lock()
-            .expect("reactor drain poisoned") = Some(drainer.clone());
+    pub fn serve(self) -> ServerHandle {
+        let monitor = {
+            let shared = Arc::clone(&self.shared);
+            std::thread::spawn(move || monitor_loop(&shared))
+        };
         let phase = self.shared.telemetry.is_enabled().then(|| {
             let telemetry = self.shared.telemetry.clone();
             Arc::new(move |name: &'static str, us: u64| telemetry.observe_phase(name, us))
@@ -574,12 +436,13 @@ impl NetServer {
         let factory = Arc::new(crate::front_reactor::ReactorFactory::new(Arc::clone(
             &self.shared,
         )));
-        let handle = nt_reactor::spawn(self.listener, rcfg, factory, drainer)
+        let reactor = nt_reactor::spawn(self.listener, rcfg, factory, self.shared.drainer.clone())
             .expect("reactor spawn: nonblocking listener + self-pipe");
-        let _ = self.shared.reactor_probe.set(handle.probe());
+        let _ = self.shared.reactor_probe.set(reactor.probe());
         ServerHandle {
             shared: self.shared,
-            front: Front::Reactor(handle),
+            reactor,
+            monitor,
         }
     }
 }
@@ -616,8 +479,8 @@ impl ServerHandle {
 
     /// Block until something else initiates a drain — a wire `Shutdown`
     /// request or a `drain()` call from another thread — then finish it.
-    /// This is how `nt-serve` parks: the acceptor thread only exits once
-    /// the draining flag is set.
+    /// This is how `nt-serve` parks: the poll thread only exits once a
+    /// drain has been requested and completed.
     pub fn join(self) -> DrainReport {
         // Drain watchdog: armed the moment a drain is initiated; if
         // connections then fail to quiesce within the configured timeout,
@@ -633,7 +496,7 @@ impl ServerHandle {
                     match done_rx.recv_timeout(Duration::from_millis(20)) {
                         Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => return,
                         Err(mpsc::RecvTimeoutError::Timeout) => {
-                            if shared.draining.load(Ordering::Acquire) {
+                            if shared.drainer.is_draining() {
                                 break;
                             }
                         }
@@ -650,32 +513,10 @@ impl ServerHandle {
                 }
             })
         };
-        match self.front {
-            Front::Threaded(acceptor) => {
-                let _ = acceptor.join();
-                loop {
-                    let handle = self
-                        .shared
-                        .conn_threads
-                        .lock()
-                        .expect("threads poisoned")
-                        .pop();
-                    match handle {
-                        Some(h) => {
-                            let _ = h.join();
-                        }
-                        None => break,
-                    }
-                }
-            }
-            // Blocks until the drain completes: every dispatched frame
-            // answered, every output buffer flushed, every service hung up.
-            Front::Reactor(handle) => handle.join(),
-        }
-        let monitor = self.shared.monitor.lock().expect("monitor poisoned").take();
-        if let Some(m) = monitor {
-            let _ = m.join();
-        }
+        // Blocks until the drain completes: every dispatched frame
+        // answered, every output buffer flushed, every service hung up.
+        self.reactor.join();
+        let _ = self.monitor.join();
         let _ = done_tx.send(());
         let _ = watchdog.join();
         let (_, stats) = self.shared.stats.snapshot();
@@ -695,7 +536,7 @@ impl ServerHandle {
             }
         }
         // Fold the WAL into a fresh checkpoint so the next open replays
-        // from a compact image, then stop the group-commit flusher.
+        // from a compact image, then fsync the tail.
         if let Some(store) = &self.shared.store {
             if let Err(e) = store.rotate() {
                 eprintln!("nt-serve: checkpoint rotation on drain failed: {e}");
@@ -710,168 +551,6 @@ impl ServerHandle {
             victims: shared.engine.victims().len(),
         }
     }
-}
-
-/// One parsed request with its lifecycle stamps (all zero when telemetry
-/// is disabled — the stamping calls are single-branch no-ops).
-#[derive(Clone)]
-struct ReqWork {
-    seq: u64,
-    req: Request,
-    /// Wall µs (telemetry epoch) when the reader finished decoding.
-    t_decode: u64,
-    /// Wall µs when the reader handed the request to the queue.
-    t_enqueue: u64,
-    /// Engine `SeqClock` reading at decode time.
-    seq_decode: u64,
-}
-
-/// One decoded `BATCH` frame: many ops under one outer seq, answered by
-/// one `BATCH_RESP` and covered by one durability barrier.
-#[derive(Clone)]
-struct BatchWork {
-    seq: u64,
-    ops: Vec<(u64, Request)>,
-    t_decode: u64,
-    t_enqueue: u64,
-    seq_decode: u64,
-}
-
-/// What the reader hands the executor.
-enum Work {
-    Req(ReqWork),
-    Batch(BatchWork),
-    Malformed(WireError),
-}
-
-/// Stamp the enqueue time (as close to the channel hand-off as possible,
-/// so `queue_wait` excludes fault-plan delay sleeps) and send.
-fn send_stamped(shared: &Shared, tx: &SyncSender<Work>, mut work: Work) -> bool {
-    match &mut work {
-        Work::Req(rw) => rw.t_enqueue = shared.telemetry.now_us(),
-        Work::Batch(bw) => bw.t_enqueue = shared.telemetry.now_us(),
-        Work::Malformed(_) => {}
-    }
-    tx.send(work).is_ok()
-}
-
-fn run_conn(shared: Arc<Shared>, conn: u64, stream: TcpStream) {
-    let (tx, rx) = mpsc::sync_channel::<Work>(shared.cfg.queue_depth.max(1));
-    let reader = {
-        let shared = Arc::clone(&shared);
-        let Ok(read_stream) = stream.try_clone() else {
-            return;
-        };
-        std::thread::spawn(move || read_loop(&shared, conn, read_stream, &tx))
-    };
-    let session = shared.engine.open_session();
-    execute_loop(&shared, conn, stream, session, &rx);
-    let frames = reader.join().unwrap_or(0);
-    shared.emit(Event::ConnClosed { conn, frames });
-}
-
-/// Frame the socket, apply the fault plan, feed the bounded queue.
-/// Returns the number of frames read.
-fn read_loop(shared: &Shared, conn: u64, mut stream: TcpStream, tx: &SyncSender<Work>) -> u64 {
-    let mut fr = FrameReader::new();
-    let mut frame_no = 0u64;
-    loop {
-        match fr.read_frame(&mut stream, shared.cfg.max_frame_len) {
-            Ok(None) => break,
-            Ok(Some(frame)) => {
-                frame_no += 1;
-                shared.stats.update(|s| s.frames += 1);
-                let work = match decode_work(shared, &frame) {
-                    Ok(work) => work,
-                    Err(e) => {
-                        let _ = tx.send(Work::Malformed(e));
-                        break;
-                    }
-                };
-                let fate = shared
-                    .cfg
-                    .fault
-                    .map(|p| p.fate(frame_no))
-                    .unwrap_or(FrameFate::Deliver);
-                let sent = match fate {
-                    FrameFate::Deliver => send_stamped(shared, tx, work),
-                    FrameFate::Drop => {
-                        shared.stats.update(|s| s.dropped += 1);
-                        shared.emit(Event::FrameFault {
-                            conn,
-                            frame: frame_no,
-                            fault: "drop",
-                        });
-                        true
-                    }
-                    FrameFate::Duplicate => {
-                        shared.stats.update(|s| s.duplicated += 1);
-                        shared.emit(Event::FrameFault {
-                            conn,
-                            frame: frame_no,
-                            fault: "duplicate",
-                        });
-                        match work {
-                            Work::Req(rw) => {
-                                let copy = Work::Req(rw.clone());
-                                send_stamped(shared, tx, Work::Req(rw))
-                                    && send_stamped(shared, tx, copy)
-                            }
-                            Work::Batch(bw) => {
-                                let copy = Work::Batch(bw.clone());
-                                send_stamped(shared, tx, Work::Batch(bw))
-                                    && send_stamped(shared, tx, copy)
-                            }
-                            Work::Malformed(_) => send_stamped(shared, tx, work),
-                        }
-                    }
-                    FrameFate::Delay(us) => {
-                        shared.stats.update(|s| s.delayed += 1);
-                        shared.emit(Event::FrameFault {
-                            conn,
-                            frame: frame_no,
-                            fault: "delay",
-                        });
-                        std::thread::sleep(Duration::from_micros(us));
-                        send_stamped(shared, tx, work)
-                    }
-                };
-                if !sent {
-                    break;
-                }
-            }
-            Err(WireError::TimedOut) => continue,
-            Err(e) => {
-                let _ = tx.send(Work::Malformed(e));
-                break;
-            }
-        }
-    }
-    frame_no
-}
-
-/// Decode one frame into executor work: a single request, or a `BATCH`
-/// carrying many per-seq ops under one outer seq.
-fn decode_work(shared: &Shared, frame: &[u8]) -> Result<Work, WireError> {
-    let (kind, seq, body) = parse_frame(frame)?;
-    if kind == KIND_BATCH_REQ {
-        let ops = decode_batch_request(body)?;
-        return Ok(Work::Batch(BatchWork {
-            seq,
-            ops,
-            t_decode: shared.telemetry.now_us(),
-            t_enqueue: 0,
-            seq_decode: shared.engine.clock_now(),
-        }));
-    }
-    let (seq, req) = parse_request(frame)?;
-    Ok(Work::Req(ReqWork {
-        seq,
-        req,
-        t_decode: shared.telemetry.now_us(),
-        t_enqueue: 0,
-        seq_decode: shared.engine.clock_now(),
-    }))
 }
 
 pub(crate) fn session_error_response(e: &SessionError) -> Response {
@@ -961,10 +640,8 @@ pub(crate) enum Step {
 }
 
 /// One request frame's ops mid-execution — a single request is a run of
-/// one — with the answers so far. Both front ends execute through this:
-/// the threaded executor with no wake handle (an `ACCESS` blocks its
-/// thread, a step always finishes), the reactor with one (an `ACCESS`
-/// whose lock is held elsewhere, or a `CERT` barrier, parks the run).
+/// one — with the answers so far. An `ACCESS` whose lock is held
+/// elsewhere, or a `CERT` barrier, parks the run.
 pub(crate) struct OpsRun {
     ops: Vec<(u64, Request)>,
     /// Full single-response frames, one per answered op, in op order.
@@ -998,7 +675,7 @@ impl OpsRun {
         session: &mut Session,
         cache: &mut BTreeMap<u64, Vec<u8>>,
         open_tops: &mut BTreeSet<TxId>,
-        wake: Option<&WakeHandle>,
+        wake: &WakeHandle,
         mut resumed: Option<Parked>,
     ) -> Step {
         while let Some((seq, req)) = self.ops.get(self.answers.len()) {
@@ -1058,146 +735,14 @@ fn count_answer(shared: &Shared, from_cache: bool) {
     });
 }
 
-/// Pay the durability barrier (WAL group-commit watermark), returning the
-/// time spent waiting in µs when telemetry is enabled.
+/// Pay the durability barrier (`wait_durable`: one fsync covering
+/// everything appended so far), returning the time spent in µs when
+/// telemetry is enabled.
 pub(crate) fn pay_durability(shared: &Shared) -> u64 {
     let Some(store) = &shared.store else { return 0 };
     let t0 = shared.telemetry.is_enabled().then(Instant::now);
     store.wait_durable();
     t0.map(|t0| t0.elapsed().as_micros() as u64).unwrap_or(0)
-}
-
-/// Execute requests in order, answering retries/duplicates from the
-/// per-`seq` cache; on exit, abort every top this connection left open so
-/// no lock outlives its client.
-fn execute_loop(
-    shared: &Shared,
-    conn: u64,
-    mut stream: TcpStream,
-    mut session: Session,
-    rx: &Receiver<Work>,
-) {
-    let mut cache: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    let mut open_tops: BTreeSet<TxId> = BTreeSet::new();
-    for work in rx.iter() {
-        match work {
-            Work::Req(rw) => {
-                let t_dequeue = shared.telemetry.now_us();
-                let kind = rw.req.kind();
-                let mut run = OpsRun::new(vec![(rw.seq, rw.req)]);
-                // No wake handle: an ACCESS blocks this thread on its
-                // ticket, so the step always finishes.
-                let Step::Finished =
-                    run.step(shared, &mut session, &mut cache, &mut open_tops, None, None)
-                else {
-                    break;
-                };
-                // Durability barrier: wait for the WAL watermark *before*
-                // the ack goes on the wire, so an acknowledged effect
-                // (and its cached answer) survives a crash.
-                let log_wait_us = if run.owes_barrier {
-                    pay_durability(shared)
-                } else {
-                    0
-                };
-                let t_exec_end = shared.telemetry.now_us();
-                if stream.write_all(&run.answers[0]).is_err() {
-                    break;
-                }
-                if shared.telemetry.is_enabled() {
-                    shared.telemetry.record_span(ReqSpan {
-                        conn,
-                        seq: rw.seq,
-                        kind,
-                        t_decode: rw.t_decode,
-                        t_enqueue: rw.t_enqueue,
-                        t_dequeue,
-                        t_exec_end,
-                        t_respond: shared.telemetry.now_us(),
-                        lock_wait_us: run.lock_wait_us,
-                        log_wait_us,
-                        seq_decode: rw.seq_decode,
-                        seq_respond: shared.engine.clock_now(),
-                    });
-                }
-                if run.shutdown {
-                    let _ = stream.flush();
-                    shared.begin_drain();
-                }
-            }
-            Work::Batch(bw) => {
-                let t_dequeue = shared.telemetry.now_us();
-                let t_asm = shared.telemetry.is_enabled().then(Instant::now);
-                let mut run = OpsRun::new(bw.ops);
-                let Step::Finished =
-                    run.step(shared, &mut session, &mut cache, &mut open_tops, None, None)
-                else {
-                    break;
-                };
-                let Some(entries) = run.batch_entries() else {
-                    break;
-                };
-                if let Some(t_asm) = t_asm {
-                    shared
-                        .telemetry
-                        .observe_phase("batch_assemble", t_asm.elapsed().as_micros() as u64);
-                }
-                // One group-commit barrier covers every member of the
-                // batch — this is the coalescing the BATCH frame buys.
-                let log_wait_us = if run.owes_barrier {
-                    pay_durability(shared)
-                } else {
-                    0
-                };
-                if run.owes_barrier {
-                    shared.telemetry.observe_phase("coalesce", log_wait_us);
-                }
-                let bytes = crate::wire::encode_batch_response(bw.seq, &entries);
-                let t_exec_end = shared.telemetry.now_us();
-                if stream.write_all(&bytes).is_err() {
-                    break;
-                }
-                if shared.telemetry.is_enabled() {
-                    shared.telemetry.record_span(ReqSpan {
-                        conn,
-                        seq: bw.seq,
-                        kind: KIND_BATCH_REQ,
-                        t_decode: bw.t_decode,
-                        t_enqueue: bw.t_enqueue,
-                        t_dequeue,
-                        t_exec_end,
-                        t_respond: shared.telemetry.now_us(),
-                        lock_wait_us: run.lock_wait_us,
-                        log_wait_us,
-                        seq_decode: bw.seq_decode,
-                        seq_respond: shared.engine.clock_now(),
-                    });
-                }
-                if run.shutdown {
-                    let _ = stream.flush();
-                    shared.begin_drain();
-                }
-            }
-            Work::Malformed(e) => {
-                let resp = Response::Error {
-                    code: err_code::PROTOCOL,
-                    msg: e.to_string(),
-                };
-                if let Ok(bytes) = encode_response(0, &resp) {
-                    let _ = stream.write_all(&bytes);
-                }
-                break;
-            }
-        }
-    }
-    // The client is gone (EOF, protocol error, or drain). Abort whatever
-    // it left open so held locks cannot starve other sessions, and free
-    // its admission slots so declared tops cannot block future clients.
-    for t in open_tops {
-        let _ = session.abort(t);
-        shared.release_admission(t);
-    }
-    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// Whether a request can change engine state — only these pay the
@@ -1274,17 +819,15 @@ fn resume(
     }
 }
 
-/// Execute one request against the session. With a `wake` handle (the
-/// reactor), the two ops that wait on another party — an `ACCESS` behind
-/// a lock, a `CERT` behind the certifier's queue — park instead of
-/// blocking; without one (the threaded front end) they block this thread
-/// and the result is always [`Exec::Done`].
+/// Execute one request against the session. The two ops that wait on
+/// another party — an `ACCESS` behind a lock, a `CERT` behind the
+/// certifier's queue — park on `wake` instead of blocking.
 fn execute(
     shared: &Shared,
     session: &mut Session,
     open_tops: &mut BTreeSet<TxId>,
     req: &Request,
-    wake: Option<&WakeHandle>,
+    wake: &WakeHandle,
 ) -> Exec {
     Exec::Done(match req {
         Request::BeginTop => match session.begin_top() {
@@ -1336,13 +879,7 @@ fn execute(
         },
         Request::Access { parent, obj, op } => {
             let (parent, obj) = (TxId(*parent), ObjId(*obj));
-            let step = match wake {
-                Some(wake) => session.access_start(parent, obj, op.clone(), wake),
-                None => session
-                    .access(parent, obj, op.clone())
-                    .map(AccessStep::Done),
-            };
-            match step {
+            match session.access_start(parent, obj, op.clone(), wake) {
                 Ok(AccessStep::Done(out)) => access_response(shared, open_tops, out),
                 Ok(AccessStep::Parked(p)) => return Exec::Parked(Parked::Access(p)),
                 Err(e) => session_error_response(&e),
@@ -1384,11 +921,6 @@ fn execute(
         Request::Stats => Response::Stats {
             json: shared.stats_json(),
         },
-        Request::Cert => match wake {
-            Some(wake) => return shared.cert_start(wake),
-            None => Response::Cert {
-                json: shared.cert_json(),
-            },
-        },
+        Request::Cert => return shared.cert_start(wake),
     })
 }

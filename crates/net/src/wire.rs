@@ -34,38 +34,10 @@ pub const HEADER_LEN: usize = 16;
 /// Default cap on `len` (prefix value); larger frames are a protocol error.
 pub const DEFAULT_MAX_FRAME: usize = 1 << 22;
 
-// --- CRC-32 (IEEE 802.3, reflected), const-built table -------------------
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// IEEE CRC-32 of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
+/// IEEE CRC-32 (reflected, 0xEDB88320): the one implementation the WAL's
+/// record frames also use. The two length-prefixed framers keep their own
+/// headers; only the checksum is shared.
+pub use nt_store::record::crc32;
 
 // --- Errors ---------------------------------------------------------------
 

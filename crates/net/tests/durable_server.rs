@@ -6,7 +6,10 @@
 
 use nt_engine::DurabilityMode;
 use nt_model::{Op, Value};
+use nt_net::wire::{encode_request, parse_response};
 use nt_net::{Conn, ConnConfig, NetServer, Request, Response, ServerConfig};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 
 /// A per-test scratch dir (fresh on entry, removed on drop).
@@ -36,6 +39,18 @@ fn durable_cfg(dir: &Scratch, durability: DurabilityMode) -> ServerConfig {
         durability,
         ..ServerConfig::default()
     }
+}
+
+/// Read one length-prefixed frame off a raw socket, returning it *with*
+/// the prefix.
+fn read_frame(s: &mut TcpStream) -> Vec<u8> {
+    let mut len = [0u8; 4];
+    s.read_exact(&mut len).expect("frame length");
+    let n = u32::from_le_bytes(len) as usize;
+    let mut frame = vec![0u8; 4 + n];
+    frame[..4].copy_from_slice(&len);
+    s.read_exact(&mut frame[4..]).expect("frame body");
+    frame
 }
 
 fn begin_top(conn: &mut Conn) -> u32 {
@@ -126,20 +141,7 @@ fn durable_server_state_survives_a_drain_and_restart() {
 /// identical from the recovered durable cache — no double-execution.
 #[test]
 fn whole_batch_resend_across_restart_replies_byte_identical() {
-    use nt_net::wire::{encode_batch_request, encode_request, parse_frame, KIND_BATCH_RESP};
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
-
-    /// Read one length-prefixed frame, returning it *with* the prefix.
-    fn read_frame(s: &mut TcpStream) -> Vec<u8> {
-        let mut len = [0u8; 4];
-        s.read_exact(&mut len).expect("frame length");
-        let n = u32::from_le_bytes(len) as usize;
-        let mut frame = vec![0u8; 4 + n];
-        frame[..4].copy_from_slice(&len);
-        s.read_exact(&mut frame[4..]).expect("frame body");
-        frame
-    }
+    use nt_net::wire::{encode_batch_request, parse_frame, KIND_BATCH_RESP};
 
     let dir = Scratch::new("batch-resend");
     // Seqs from connection 7's band, exactly as a real client would draw
@@ -221,11 +223,7 @@ fn whole_batch_resend_across_restart_replies_byte_identical() {
 #[test]
 fn wal_counters_surface_in_the_stats_document() {
     let dir = Scratch::new("stats");
-    let server = NetServer::bind(durable_cfg(
-        &dir,
-        DurabilityMode::GroupCommit { window_us: 200 },
-    ))
-    .expect("bind");
+    let server = NetServer::bind(durable_cfg(&dir, DurabilityMode::FsyncPerCommit)).expect("bind");
     let addr = server.local_addr().to_string();
     let handle = server.serve();
     let mut conn = Conn::connect(&addr, 1, ConnConfig::default()).expect("connect");
@@ -245,38 +243,113 @@ fn wal_counters_surface_in_the_stats_document() {
     handle.wait();
 }
 
+/// The poll round is the group commit: mutating frames that reach the
+/// server together — three pipelined in one TCP write on each of two
+/// connections — are acked behind **one** fsync per round, not one each.
+/// Losing the round barrier (syncing per frame) makes `wal_syncs` equal
+/// the number of mutating acks; losing the barrier altogether fails the
+/// reopen, which must find every acked op in the durable cache and pass
+/// Theorem 17.
 #[test]
-fn group_commit_on_the_reactor_syncs_at_the_round_not_the_window() {
-    // A window no ack could afford to sleep out: on the reactor the poll
-    // round is the group, so every mutating ack is synced inline at the
-    // round's barrier and the window never enters the request path.
-    const WINDOW_US: u64 = 2_000_000;
-    let dir = Scratch::new("round-group");
-    let server = NetServer::bind(durable_cfg(
-        &dir,
-        DurabilityMode::GroupCommit {
-            window_us: WINDOW_US,
-        },
-    ))
-    .expect("bind");
+fn one_round_barrier_covers_pipelined_mutating_frames_on_two_connections() {
+    let dir = Scratch::new("round-barrier");
+    let server = NetServer::bind(durable_cfg(&dir, DurabilityMode::FsyncPerCommit)).expect("bind");
     let addr = server.local_addr().to_string();
     let handle = server.serve();
-    let mut conn = Conn::connect(&addr, 1, ConnConfig::default()).expect("connect");
-    let t0 = std::time::Instant::now();
-    for i in 0..3 {
-        commit_write(&mut conn, 0, i);
+    let mut mutating_acks = 0u64;
+    let mut socks = Vec::new();
+    for k in 0..2u64 {
+        let mut s = TcpStream::connect(&addr).expect("connect");
+        let base = Conn::seq_base(k + 1);
+        s.write_all(&encode_request(base, &Request::BeginTop).expect("encode"))
+            .expect("send begin");
+        let top = match parse_response(&read_frame(&mut s)[4..]).expect("begun") {
+            (_, Response::Begun { tx }) => tx,
+            other => panic!("expected Begun, got {other:?}"),
+        };
+        mutating_acks += 1;
+        socks.push((s, base, top, k));
     }
-    let elapsed = t0.elapsed();
-    assert!(
-        elapsed < std::time::Duration::from_micros(WINDOW_US),
-        "nine durable acks took {elapsed:?}: something slept the group window"
-    );
+    // Disjoint objects, so no frame waits on a lock. Each connection's
+    // burst is one `write`: the server reads (and executes) the three
+    // frames in one poll round.
+    for (s, base, top, k) in &mut socks {
+        let obj = *k as u32 * 2;
+        let mut burst = Vec::new();
+        for (i, req) in [
+            Request::Access {
+                parent: *top,
+                obj,
+                op: Op::Write(10 + *k as i64),
+            },
+            Request::Access {
+                parent: *top,
+                obj: obj + 1,
+                op: Op::Write(20 + *k as i64),
+            },
+            Request::Commit { tx: *top },
+        ]
+        .iter()
+        .enumerate()
+        {
+            burst.extend(encode_request(*base + 1 + i as u64, req).expect("encode"));
+        }
+        s.write_all(&burst).expect("send burst");
+    }
+    for (s, base, ..) in &mut socks {
+        for i in 0..3 {
+            let (seq, resp) = parse_response(&read_frame(s)[4..]).expect("ack");
+            assert_eq!(seq, *base + 1 + i, "replies keep request order");
+            assert!(nt_net::client::tx_reply(resp).is_ok(), "frame rejected");
+            mutating_acks += 1;
+        }
+    }
+    drop(socks);
+    let mut conn = Conn::connect(&addr, 9, ConnConfig::default()).expect("connect");
     let stats = conn.stats().expect("stats");
     let v = nt_obs::json::Json::parse(&stats).expect("stats parses");
-    let syncs = v.get("wal_syncs").and_then(nt_obs::json::Json::as_num);
-    assert!(syncs > Some(0.0), "acks must have been synced: {stats}");
+    let syncs = v
+        .get("wal_syncs")
+        .and_then(nt_obs::json::Json::as_num)
+        .expect("wal_syncs present");
+    assert!(syncs > 0.0, "acks must have been synced: {stats}");
+    assert!(
+        syncs < mutating_acks as f64,
+        "{syncs} syncs for {mutating_acks} mutating acks: the round barrier is gone"
+    );
     drop(conn);
     handle.wait();
+
+    let server = NetServer::bind(durable_cfg(&dir, DurabilityMode::None)).expect("rebind");
+    let report = server.recovery_report().expect("store mounted");
+    assert!(report.certified, "recovered history must pass Theorem 17");
+    assert!(report.cache_entries >= mutating_acks as usize);
+    assert!(report.losers.is_empty(), "both tops committed");
+    let addr = server.local_addr().to_string();
+    let handle = server.serve();
+    let mut conn = Conn::connect(&addr, 10, ConnConfig::default()).expect("connect");
+    assert_eq!(read_committed(&mut conn, 1), Value::Int(20));
+    assert_eq!(read_committed(&mut conn, 3), Value::Int(21));
+    drop(conn);
+    handle.wait();
+}
+
+/// A flag or mode that was removed is refused with a message naming what
+/// replaced it — never accepted as a silent alias.
+#[test]
+fn nt_serve_refuses_retired_flags_naming_the_replacement() {
+    for (args, names) in [
+        (&["--threaded"][..], "the reactor is the only front end"),
+        (&["--durability", "group:100"][..], "fsync"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_nt-serve"))
+            .args(args)
+            .output()
+            .expect("spawn nt-serve");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(names), "{args:?}: {stderr}");
+    }
 }
 
 #[cfg(unix)]

@@ -124,6 +124,41 @@ fn contended_connections_certify_acyclic() {
     handle.wait();
 }
 
+/// Every top of a seeded, contended workload commits — victims are
+/// retried to completion — single-op and batched, the recorded history
+/// passes Theorem 17, and no lock grant was found by the blocking
+/// wrapper's backstop: continuations have none, and the server never
+/// enters the wrapper that has.
+#[test]
+fn every_seeded_top_commits_unbatched_and_batched_with_no_rescues() {
+    for batch in [1, 8] {
+        let (addr, handle) = start_server(ServerConfig::default());
+        let load = LoadConfig {
+            addr: addr.clone(),
+            connections: 4,
+            tops_per_conn: 24,
+            objects: 4,
+            hotspot: 0.6,
+            read_ratio: 0.3,
+            max_depth: 2,
+            seed: 41,
+            // Generous: a victim is retried until it commits, so the set
+            // of committed tops is the whole workload.
+            top_retries: 200,
+            batch,
+            ..LoadConfig::default()
+        };
+        let report = run_load(&addr, &load).expect("load runs");
+        let cert = fetch_and_certify(&addr, ConnConfig::from(&load)).expect("certify");
+        assert_eq!(cert.violations, 0, "batch {batch}: history has violations");
+        assert!(cert.is_serially_correct(), "batch {batch}: not certified");
+        assert_eq!(report.gave_up, 0, "batch {batch}");
+        assert_eq!(report.committed_tops, 4 * 24, "batch {batch}: lost tops");
+        assert_eq!(handle.engine().timeout_rescues(), 0, "batch {batch}");
+        handle.wait();
+    }
+}
+
 #[test]
 fn faulty_transport_still_certifies_with_retries() {
     let fault = TransportPlan {

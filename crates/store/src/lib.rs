@@ -6,8 +6,9 @@
 //! stamp, before it is acknowledged** (the engine's recorder tees into
 //! the WAL through [`nt_engine::ActionSink`], drawing stamps under the
 //! WAL's append mutex so file order equals stamp order). Durability cost
-//! is a policy ([`nt_engine::DurabilityMode`]): no wait, fsync per
-//! commit, or group-commit batching.
+//! is a policy ([`nt_engine::DurabilityMode`]): no wait, or an fsync before
+//! the acknowledgment — one per batch of acknowledgments the caller
+//! chooses to cover with it (the server's poll round).
 //!
 //! Opening a data dir runs full crash recovery ([`recover::analyze`]):
 //! decode the durable prefix (stopping, with a typed error, at the first
@@ -286,8 +287,8 @@ impl Store {
         })
     }
 
-    /// Stop the flusher and fsync the tail. Idempotent.
+    /// Fsync the tail, whatever the mode. Idempotent.
     pub fn close(&self) {
-        self.wal.close();
+        self.wal.flush_durable();
     }
 }

@@ -1,5 +1,8 @@
-//! The append side of the store: one file, one append mutex, a durability
-//! policy, and an optional group-commit flusher thread.
+//! The append side of the store: one file, one append mutex and a
+//! durability policy. The WAL starts no thread: whoever acknowledges
+//! calls [`Wal::wait_durable`], and how many acknowledgments one fsync
+//! covers (the group commit) is that caller's batching — the server pays
+//! one barrier per poll round.
 //!
 //! The WAL implements [`ActionSink`], the engine recorder's durable tee.
 //! The critical ordering property lives in [`Wal::append_action`]: the
@@ -19,9 +22,8 @@ use nt_model::{Action, ObjId, Op, TxId};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 struct WalInner {
     file: File,
@@ -42,12 +44,9 @@ pub struct Wal {
     inner: Mutex<WalInner>,
     /// Frames known durable (fsync completed past them).
     durable: Mutex<u64>,
-    durable_cv: Condvar,
     /// A dup of the file handle used for fsync outside the append mutex,
-    /// so group-commit flushes never stall appenders.
+    /// so a flush never stalls appenders.
     sync_handle: File,
-    stop: Arc<AtomicBool>,
-    flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// Total fsync calls issued (the E19 cost driver).
     syncs: AtomicU64,
     /// I/O failures observed on the append path (the engine keeps
@@ -59,7 +58,6 @@ impl Wal {
     /// Open `path` for appending at `valid_len` (the recovery-verified
     /// prefix — any torn tail beyond it is truncated away), or create it
     /// with a fresh `Header{kind: Wal, gen}` when it does not exist.
-    /// Starts the group-commit flusher if the mode asks for one.
     pub fn open(
         path: &Path,
         gen: u64,
@@ -95,7 +93,7 @@ impl Wal {
             file.sync_data().map_err(io)?;
         }
         let sync_handle = file.try_clone().map_err(io)?;
-        let wal = Arc::new(Wal {
+        Ok(Arc::new(Wal {
             path: path.to_path_buf(),
             mode,
             inner: Mutex::new(WalInner {
@@ -105,24 +103,10 @@ impl Wal {
                 len,
             }),
             durable: Mutex::new(appended),
-            durable_cv: Condvar::new(),
             sync_handle,
-            stop: Arc::new(AtomicBool::new(false)),
-            flusher: Mutex::new(None),
             syncs: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
-        });
-        if let DurabilityMode::GroupCommit { window_us } = mode {
-            let w = Arc::clone(&wal);
-            let handle = std::thread::spawn(move || {
-                while !w.stop.load(Ordering::Acquire) {
-                    std::thread::sleep(Duration::from_micros(window_us.max(1)));
-                    w.flush_durable();
-                }
-            });
-            *wal.flusher.lock().expect("flusher poisoned") = Some(handle);
-        }
-        Ok(wal)
+        }))
     }
 
     /// The file path this WAL appends to.
@@ -165,8 +149,10 @@ impl Wal {
         });
     }
 
-    /// Fsync now and advance the durability watermark (called by the
-    /// flusher thread, by per-commit waits, and at close).
+    /// Fsync now and advance the durability watermark (called by
+    /// [`Wal::wait_durable`], by recovery, and at
+    /// [`Store::close`](crate::Store::close)). Returns without a sync when
+    /// nothing was appended since the last one.
     pub fn flush_durable(&self) {
         let target = self.inner.lock().expect("wal poisoned").appended;
         {
@@ -187,34 +173,14 @@ impl Wal {
         if *d < target {
             *d = target;
         }
-        self.durable_cv.notify_all();
     }
 
     /// Block until everything appended so far is durable, per the mode:
-    /// no-op (`None`), an inline fsync (`FsyncPerCommit`), or parking on
-    /// the flusher's watermark (`GroupCommit`).
+    /// no-op (`None`) or an inline fsync (`FsyncPerCommit`).
     pub fn wait_durable(&self) {
         match self.mode {
             DurabilityMode::None => {}
             DurabilityMode::FsyncPerCommit => self.flush_durable(),
-            DurabilityMode::GroupCommit { .. } => {
-                let target = self.inner.lock().expect("wal poisoned").appended;
-                let mut d = self.durable.lock().expect("durable poisoned");
-                while *d < target {
-                    if self.stop.load(Ordering::Acquire) {
-                        // The flusher is gone (close raced a late call);
-                        // fall back to an inline sync.
-                        drop(d);
-                        self.flush_durable();
-                        return;
-                    }
-                    let (next, _) = self
-                        .durable_cv
-                        .wait_timeout(d, Duration::from_millis(5))
-                        .expect("durable poisoned");
-                    d = next;
-                }
-            }
         }
     }
 
@@ -262,27 +228,6 @@ impl Wal {
         inner.file.sync_data().map_err(io)?;
         inner.len = header.len() as u64;
         Ok(())
-    }
-
-    /// Stop the flusher (if any) and fsync the tail. Idempotent.
-    pub fn close(&self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.flusher.lock().expect("flusher poisoned").take() {
-            let _ = h.join();
-        }
-        self.flush_durable();
-        self.durable_cv.notify_all();
-    }
-}
-
-impl Drop for Wal {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Ok(mut guard) = self.flusher.lock() {
-            if let Some(h) = guard.take() {
-                let _ = h.join();
-            }
-        }
     }
 }
 

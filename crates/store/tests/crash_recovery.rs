@@ -309,27 +309,6 @@ fn corrupt_checkpoint_refuses_to_open() {
     }
 }
 
-#[test]
-fn group_commit_wait_durable_reaches_the_watermark() {
-    let scratch = Scratch::new("group");
-    let (store, rec) =
-        Store::open(&scratch.0, DurabilityMode::GroupCommit { window_us: 200 }).expect("open");
-    let engine = boot(&store, rec);
-    for i in 0..8 {
-        commit_write(&engine, ObjId(0), i);
-    }
-    store.wait_durable();
-    assert!(store.wal().sync_count() >= 1);
-    let appended = store.wal().appended_count();
-    engine.shutdown();
-    store.close();
-    assert!(appended > 0);
-    let (store, rec) = Store::open(&scratch.0, DurabilityMode::None).expect("reopen");
-    assert!(rec.report.certified);
-    assert!(rec.seed.initials.contains(&(ObjId(0), 7)));
-    store.close();
-}
-
 mod record_roundtrip_props {
     //! Property tests over the frame codec driven through real files:
     //! random record sequences written through a [`Store`]-level WAL

@@ -43,12 +43,11 @@ pub const DEFAULT_SPAN_RING: usize = 4096;
 /// The fixed request phases aggregated into histograms. Order is the
 /// lifecycle order (the last three are reactor phases observed outside
 /// the span lifecycle); names are the JSON keys.
-pub const PHASES: [&str; 10] = [
+pub const PHASES: [&str; 9] = [
     "decode_enqueue",
     "queue_wait",
     "execute",
     "lock_wait",
-    "log_wait",
     "respond",
     "total",
     "poll_wait",
@@ -67,9 +66,6 @@ pub struct PhaseHists {
     pub execute: WallHist,
     /// Blocked in the lock table (subset of execute).
     pub lock_wait: WallHist,
-    /// Waiting for the WAL durability watermark (subset of execute's
-    /// tail; zero without a durable store).
-    pub log_wait: WallHist,
     /// Response encode + socket write.
     pub respond: WallHist,
     /// Whole server-side span.
@@ -80,8 +76,9 @@ pub struct PhaseHists {
     /// Decoding a `BATCH` frame's ops and assembling its per-op response
     /// entries (per batch frame; excludes the durability barrier).
     pub batch_assemble: WallHist,
-    /// The coalesced group-commit durability barrier: one `wait_durable`
-    /// covering every mutating op since the last flush (per barrier).
+    /// The durability barrier: one `wait_durable` covering every mutating
+    /// op of a poll round (per barrier, not per request — the only place
+    /// fsync time is attributed).
     pub coalesce: WallHist,
 }
 
@@ -93,7 +90,6 @@ impl PhaseHists {
             ("queue_wait", self.queue_wait.snapshot()),
             ("execute", self.execute.snapshot()),
             ("lock_wait", self.lock_wait.snapshot()),
-            ("log_wait", self.log_wait.snapshot()),
             ("respond", self.respond.snapshot()),
             ("total", self.total.snapshot()),
             ("poll_wait", self.poll_wait.snapshot()),
@@ -169,7 +165,6 @@ impl TelemetryHandle {
         t.phases.queue_wait.observe(span.queue_wait_us());
         t.phases.execute.observe(span.execute_us());
         t.phases.lock_wait.observe(span.lock_wait_us);
-        t.phases.log_wait.observe(span.log_wait_us);
         t.phases.respond.observe(span.respond_us());
         t.phases.total.observe(span.total_us());
         let mut ring = t.spans.lock().expect("span ring poisoned");
@@ -196,7 +191,7 @@ impl TelemetryHandle {
     /// Record one observation into a named reactor phase histogram
     /// (`poll_wait`, `batch_assemble`, `coalesce`). These phases are fed
     /// outside the request-span lifecycle — the reactor's poll loop and
-    /// the worker's group-commit flush have no single request to pin a
+    /// the round's durability barrier have no single request to pin a
     /// span to. Unknown names are ignored.
     pub fn observe_phase(&self, name: &str, us: u64) {
         let Some(t) = &self.0 else { return };

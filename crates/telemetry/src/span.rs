@@ -36,10 +36,6 @@ pub struct ReqSpan {
     pub t_respond: u64,
     /// Time spent blocked in the lock table during execution.
     pub lock_wait_us: u64,
-    /// Time spent waiting for the WAL durability watermark before the
-    /// response was acknowledged (zero when the server runs without a
-    /// store or with `DurabilityMode::None`).
-    pub log_wait_us: u64,
     /// Logical clock when the frame was decoded.
     pub seq_decode: u64,
     /// Logical clock when the response was written.
@@ -109,7 +105,6 @@ pub fn spans_to_chrome_trace(spans: &[ReqSpan]) -> String {
             args.num("seq", s.seq)
                 .num("kind", u64::from(s.kind))
                 .num("lock_wait_us", s.lock_wait_us)
-                .num("log_wait_us", s.log_wait_us)
                 .num("seq_decode", s.seq_decode)
                 .num("seq_respond", s.seq_respond);
             let mut o = JsonObj::new();
@@ -142,7 +137,6 @@ mod tests {
             t_exec_end: 400,
             t_respond: 420,
             lock_wait_us: 200,
-            log_wait_us: 30,
             seq_decode: 5,
             seq_respond: 12,
         }

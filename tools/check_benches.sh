@@ -117,7 +117,7 @@ fi
 # multi-core host the reactor should be flat-to-monotone (tput@64 >=
 # tput@8); a single core has no parallelism to expose, so only a bounded
 # decline is required there (see EXPERIMENTS.md E21). The batched
-# group-commit cell must beat the unbatched group:100 row of E19 on the
+# group-commit cell must beat the unbatched fsync row of E19 on the
 # same host (again with single-core slack for run-to-run noise).
 if python3 - <<'EOF'
 import json
@@ -137,12 +137,12 @@ assert t64 >= t8 * floor, (
     f"E21: tput@64 ({t64:.0f} tps) fell below {floor:.2f}x tput@8 "
     f"({t8:.0f} tps) on a {cores}-core host")
 store = json.load(open("BENCH_store.json"))
-g100 = next(r for r in store["rows"] if r["mode"] == "group:100")
+unbatched = next(r for r in store["rows"] if r["mode"] == "fsync")
 gc = doc["group_commit"]["throughput_tps"]
 margin = 1.0 if cores > 1 else 0.7
-assert gc >= g100["throughput_tps"] * margin, (
+assert gc >= unbatched["throughput_tps"] * margin, (
     f"E21: batched group-commit ({gc:.0f} tps) did not beat the "
-    f"unbatched group:100 row ({g100['throughput_tps']:.0f} tps, "
+    f"unbatched fsync row ({unbatched['throughput_tps']:.0f} tps, "
     f"margin {margin:.2f} on {cores} cores)")
 EOF
 then

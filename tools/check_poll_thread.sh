@@ -2,9 +2,9 @@
 # The reactor's liveness argument (DESIGN §8j) is that nothing on the poll
 # thread ever sleeps or waits on another thread, except the one
 # `wait_durable` barrier per round. This gate greps the code that runs
-# there — the reactor crate and nt-net's per-connection service — for the
-# calls that would break it, and checks that what the run-to-completion
-# reactor replaced stays deleted.
+# there — the reactor crate, nt-net's per-connection service and the
+# protocol core it executes — for the calls that would break it, and checks
+# that what the run-to-completion reactor replaced stays deleted.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,10 +19,13 @@ if grep -nE "$blocking" "${poll_thread[@]}" | grep -v 'self\.thread\.join()'; th
     fail=1
 fi
 
-# The blocking session/certifier entry points have resumable twins; the
-# service must use those (it passes a wake handle to every step).
-if grep -nE 'session\.access\(|cert_json\(|\.drain\(\);' crates/net/src/front_reactor.rs; then
-    echo "check_poll_thread: front_reactor.rs calls a blocking entry point" >&2
+# The blocking session/certifier entry points (`Session::access`,
+# `LiveCertifier::drain`) have resumable twins; the service and the
+# protocol core must use those (every step takes a wake handle).
+# `Drainer::drain` only sets a flag and wakes the loop.
+if grep -nE 'session\.access\(|\.drain\(\)' crates/net/src/front_reactor.rs \
+    crates/net/src/server.rs | grep -v 'drainer\.drain()'; then
+    echo "check_poll_thread: the server calls a blocking entry point (above)" >&2
     fail=1
 fi
 
@@ -35,6 +38,18 @@ fi
 
 if grep -rnE 'fn worker_loop|WorkerMsg|conn_workers' crates/; then
     echo "check_poll_thread: the executor pool is back (above)" >&2
+    fail=1
+fi
+
+# The connection-per-thread front end, its selector, and the WAL's
+# group-commit window with its flusher thread.
+if grep -rnE 'fn run_conn|fn read_loop|fn execute_loop|enum Frontend|GroupCommit|group_commit_window_us' \
+    crates/ --include='*.rs' | grep -v '/tests/'; then
+    echo "check_poll_thread: the threaded front end or the group:N flusher is back (above)" >&2
+    fail=1
+fi
+if grep -nE 'thread::spawn|Condvar|wait_timeout' crates/store/src/wal.rs; then
+    echo "check_poll_thread: the WAL starts a thread or waits on one (above)" >&2
     fail=1
 fi
 
