@@ -82,10 +82,10 @@ pub struct EngineConfig {
     /// invisible to `T0`).
     pub max_wall_ms: u64,
     /// Maintain the serialization graph *live* while the run executes
-    /// (`nt-sgt-live`): every recorded action streams to a certifier
-    /// thread that detects cycles incrementally and garbage-collects the
-    /// certified prefix. Off the hot path (a channel send per action);
-    /// the verdict lands in `EngineReport::live`.
+    /// (`nt-sgt-live`): the thread that records an action also steps the
+    /// incremental maintainer with it, which detects cycles as their
+    /// closing edge forms and garbage-collects the certified prefix; the
+    /// verdict lands in `EngineReport::live`.
     pub live_certify: bool,
 }
 

@@ -47,7 +47,7 @@ pub use detector::DetectorOutcome;
 pub use locktable::{
     Acquired, Acquisition, LockTable, ShardCounters, Ticket, WaitEdge, WakeHandle,
 };
-pub use nt_sgt_live::{FeedHandle, LiveCertifier, LiveStatus};
+pub use nt_sgt_live::{LiveCertifier, LiveStatus};
 pub use recorder::{ActionSink, SeqClock, WorkerLog};
 pub use run::{
     run_plan, run_plan_gated, run_workload, EnginePlan, EngineReport, EngineStats, PreflightGate,

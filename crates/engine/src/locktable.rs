@@ -325,13 +325,13 @@ impl<T: TreeView> LockTable<T> {
         self
     }
 
-    /// Tee every shard's object actions into the live certifier
+    /// Step the live certifier with every shard's object actions
     /// (builder-style, before the table is shared; after [`with_sink`]
     /// when both are mounted — `with_sink` replaces the shard logs).
-    pub fn with_feed(mut self, feed: nt_sgt_live::FeedHandle) -> Self {
+    pub fn with_certifier(mut self, certifier: nt_sgt_live::LiveCertifier) -> Self {
         for shard in &mut self.shards {
             let st = shard.get_mut().expect("shard poisoned");
-            st.log = std::mem::take(&mut st.log).with_feed(feed.clone());
+            st.log = std::mem::take(&mut st.log).with_certifier(certifier.clone());
         }
         self
     }
@@ -686,16 +686,6 @@ impl<T: TreeView> LockTable<T> {
             .iter()
             .map(|s| std::mem::take(&mut s.lock().expect("shard poisoned").log))
             .collect()
-    }
-
-    /// Ship every shard log's buffered feed entries to the live
-    /// certifier now. Feed sends are batched at transaction resolutions
-    /// ([`WorkerLog::record`]); a certifier barrier (`CERT`) needs the
-    /// still-buffered tail too, or the maintainer parks at the hole.
-    pub fn flush_feeds(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("shard poisoned").log.flush_feed();
-        }
     }
 
     /// Clone the per-shard object-action logs without draining them — the

@@ -22,25 +22,25 @@
 //! WAL frames loses a *suffix* of stamps, never punches a hole in the
 //! middle of the recorded history.
 //!
-//! ## Live certification feed
+//! ## Live certification
 //!
-//! A log may additionally carry a [`FeedHandle`] to the live
-//! serialization-graph certifier (`nt-sgt-live`). Recorded
-//! `(stamp, action)` pairs destined for the feed are *buffered in the
-//! log* and shipped with one `act_batch` channel send per flush instead
-//! of one send per action. A flush fires when the recorded action
-//! resolves a transaction (`COMMIT`/`ABORT`/`REPORT_*`/`INFORM_*`),
-//! when the buffer hits [`FEED_BUF_CAP`], and when the log is dropped —
-//! so a buffered stamp is held no longer than the lifetime of the
-//! transaction that drew it, which is also exactly how long the
-//! maintainer's GC watermark would have been pinned by that live
-//! transaction anyway. The certifier reorders racy arrivals by stamp,
-//! but it only advances through a *contiguous* stamp sequence, so
-//! **every** log sharing a clock must carry the feed (a stamp drawn by
-//! an unfed log would park the maintainer until the end-of-run flush).
+//! A log may additionally carry a [`LiveCertifier`] handle
+//! (`nt-sgt-live`). [`WorkerLog::record`] then draws the stamp *inside the
+//! certifier's lock* and steps the serialization-graph maintainer with the
+//! action before it returns: the recording thread is the certifier.
+//! Nothing is buffered and nothing is handed to another thread, so the
+//! maintainer has stepped every stamp the clock has issued whenever no
+//! thread is inside `record`, and it sees the stamps in order. **Every**
+//! log sharing a clock must carry the handle: a stamp drawn by a log
+//! without it never reaches the maintainer, which advances only through a
+//! contiguous stamp sequence.
+//!
+//! Lock order: the caller's own lock (a shard mutex, a session log's
+//! mutex) → certifier → write-ahead log append. The certifier and the
+//! sink call nothing back.
 
 use nt_model::{Action, ObjId, Op, TxId};
-use nt_sgt_live::FeedHandle;
+use nt_sgt_live::LiveCertifier;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -91,34 +91,14 @@ pub trait ActionSink: Send + Sync {
     fn append_tree_add(&self, t: TxId, parent: TxId, access: Option<(ObjId, &Op)>);
 }
 
-/// Feed entries buffered in one log before a forced flush. Caps how
-/// stale the live certifier's view of a long access run can get (and
-/// how much memory a buffer pins) between transaction resolutions.
-pub const FEED_BUF_CAP: usize = 64;
-
 /// One worker's (or the main thread's, or a shard-stamped) action buffer.
-#[derive(Default)]
+/// Clones copy the recorded entries — `HISTORY_FETCH` snapshots a live
+/// server's logs that way.
+#[derive(Clone, Default)]
 pub struct WorkerLog {
     entries: Vec<(u64, Action)>,
     sink: Option<Arc<dyn ActionSink>>,
-    feed: Option<FeedHandle>,
-    /// Entries recorded since the last feed flush (empty when no feed).
-    feed_buf: Vec<(u64, Action)>,
-}
-
-impl Clone for WorkerLog {
-    /// Clones are history *snapshots* (`HISTORY_FETCH` on a live server):
-    /// they copy the recorded entries but not the pending feed buffer —
-    /// the original log keeps the responsibility of shipping those to
-    /// the certifier exactly once.
-    fn clone(&self) -> Self {
-        WorkerLog {
-            entries: self.entries.clone(),
-            sink: self.sink.clone(),
-            feed: self.feed.clone(),
-            feed_buf: Vec::new(),
-        }
-    }
+    certifier: Option<LiveCertifier>,
 }
 
 impl fmt::Debug for WorkerLog {
@@ -126,17 +106,8 @@ impl fmt::Debug for WorkerLog {
         f.debug_struct("WorkerLog")
             .field("entries", &self.entries)
             .field("sink", &self.sink.is_some())
-            .field("feed", &self.feed.is_some())
-            .field("feed_buf", &self.feed_buf.len())
+            .field("certifier", &self.certifier.is_some())
             .finish()
-    }
-}
-
-impl Drop for WorkerLog {
-    fn drop(&mut self) {
-        // Ship any still-buffered entries: a dropped log must never
-        // strand a stamp, or the certifier parks at the hole forever.
-        self.flush_feed();
     }
 }
 
@@ -149,17 +120,16 @@ impl WorkerLog {
     /// An empty log that tees every record into a durable sink.
     pub fn with_sink(sink: Arc<dyn ActionSink>) -> Self {
         WorkerLog {
-            entries: Vec::new(),
             sink: Some(sink),
-            feed: None,
-            feed_buf: Vec::new(),
+            ..WorkerLog::default()
         }
     }
 
-    /// Tee every record into the live certifier (builder-style; composes
-    /// with a sink — the WAL stamps, then the feed observes).
-    pub fn with_feed(mut self, feed: FeedHandle) -> Self {
-        self.feed = Some(feed);
+    /// Step the live certifier with every record (builder-style; composes
+    /// with a sink — the WAL stamps and appends under the certifier's
+    /// lock).
+    pub fn with_certifier(mut self, certifier: LiveCertifier) -> Self {
+        self.certifier = Some(certifier);
         self
     }
 
@@ -169,50 +139,22 @@ impl WorkerLog {
     pub fn from_entries(entries: Vec<(u64, Action)>) -> Self {
         WorkerLog {
             entries,
-            sink: None,
-            feed: None,
-            feed_buf: Vec::new(),
+            ..WorkerLog::default()
         }
     }
 
-    /// Stamp and append one action (write-ahead when a sink is mounted,
-    /// buffered toward the live certifier when a feed is attached).
-    ///
-    /// Feed buffering: one `act_batch` send per transaction resolution
-    /// instead of one send per action. A resolution action is flushed
-    /// *with* the buffer, so the certifier sees a commit and everything
-    /// that led to it in a single message.
+    /// Stamp and append one action: write-ahead when a sink is mounted,
+    /// and certified before this returns when a certifier is attached.
     pub fn record(&mut self, clock: &SeqClock, action: Action) {
-        let stamp = match &self.sink {
+        let draw = || match &self.sink {
             Some(sink) => sink.append_action(clock, &action),
             None => clock.next(),
         };
-        if self.feed.is_some() {
-            let resolves = matches!(
-                action,
-                Action::Commit(_)
-                    | Action::Abort(_)
-                    | Action::ReportCommit(..)
-                    | Action::ReportAbort(_)
-                    | Action::InformCommit(..)
-                    | Action::InformAbort(..)
-            );
-            self.feed_buf.push((stamp, action.clone()));
-            if resolves || self.feed_buf.len() >= FEED_BUF_CAP {
-                self.flush_feed();
-            }
-        }
+        let stamp = match &self.certifier {
+            Some(certifier) => certifier.record(draw, &action),
+            None => draw(),
+        };
         self.entries.push((stamp, action));
-    }
-
-    /// Ship the buffered feed entries now (one channel send). No-op
-    /// without a feed or with an empty buffer.
-    pub fn flush_feed(&mut self) {
-        if let Some(feed) = &self.feed {
-            if !self.feed_buf.is_empty() {
-                feed.act_batch(std::mem::take(&mut self.feed_buf));
-            }
-        }
     }
 
     /// Actions recorded.
@@ -229,10 +171,7 @@ impl WorkerLog {
 /// Merge per-worker logs into one behavior, ordered by stamp. Stamps are
 /// unique (one `fetch_add` each), so the order is total.
 pub fn merge(logs: impl IntoIterator<Item = WorkerLog>) -> Vec<Action> {
-    let mut all: Vec<(u64, Action)> = logs
-        .into_iter()
-        .flat_map(|mut l| std::mem::take(&mut l.entries))
-        .collect();
+    let mut all: Vec<(u64, Action)> = logs.into_iter().flat_map(|l| l.entries).collect();
     all.sort_by_key(|&(s, _)| s);
     all.into_iter().map(|(_, a)| a).collect()
 }

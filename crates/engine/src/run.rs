@@ -43,7 +43,7 @@ use nt_model::{Action, ObjId, TxId, TxTree, Value};
 use nt_obs::{Event, TraceHandle};
 use nt_serial::ObjectTypes;
 use nt_sgt::{certify_recorded, ConflictSource, RecordedCertificate};
-use nt_sgt_live::{FeedHandle, LiveCertifier, LiveStatus, SgtConfig};
+use nt_sgt_live::{LiveCertifier, LiveStatus, SgtConfig};
 use nt_sim::{ScriptPlan, Workload};
 use nt_telemetry::{HistSnapshot, TelemetryHandle};
 use std::collections::{BTreeMap, BTreeSet};
@@ -147,7 +147,7 @@ pub struct EngineReport {
     /// backoff), microseconds — merged across workers for p50/p95/p99.
     pub top_latency: HistSnapshot,
     /// Final status of the live serialization-graph certifier, when
-    /// `cfg.live_certify` streamed the run into one (`None` otherwise).
+    /// `cfg.live_certify` stepped one along with the run (`None` otherwise).
     /// `live.ok == false` means the maintainer caught a cycle *during*
     /// the run, with the inserting edge in `live.violation`.
     pub live: Option<LiveStatus>,
@@ -191,6 +191,14 @@ impl EngineReport {
     }
 }
 
+/// A fresh log, stepping `certifier` when the run has one.
+fn new_log(certifier: &Option<LiveCertifier>) -> WorkerLog {
+    match certifier {
+        Some(c) => WorkerLog::new().with_certifier(c.clone()),
+        None => WorkerLog::new(),
+    }
+}
+
 /// How one frame of the depth-first execution resolved.
 enum TxResult {
     Committed,
@@ -215,7 +223,7 @@ struct Ctx<'a> {
     status: &'a StatusTable,
     clock: &'a SeqClock,
     next_slot: &'a AtomicUsize,
-    feed: Option<FeedHandle>,
+    certifier: Option<LiveCertifier>,
 }
 
 /// One worker thread's state.
@@ -233,10 +241,7 @@ struct Worker<'a> {
 
 impl<'a> Worker<'a> {
     fn new(ctx: &'a Ctx<'a>) -> Self {
-        let log = match &ctx.feed {
-            Some(f) => WorkerLog::new().with_feed(f.clone()),
-            None => WorkerLog::new(),
-        };
+        let log = new_log(&ctx.certifier);
         Worker {
             ctx,
             log,
@@ -490,25 +495,13 @@ pub fn run_plan(plan: &EnginePlan, cfg: &EngineConfig) -> Result<EngineReport, S
     let clock = Arc::new(SeqClock::new());
     // Live certification: the whole (static) naming tree seeds the
     // maintainer before any action is stamped, then every log sharing
-    // the clock carries the feed (the maintainer advances through a
+    // the clock carries the handle (the maintainer advances through a
     // contiguous stamp sequence, so none may be left out).
-    let live_cert = cfg.live_certify.then(|| {
-        let lc = LiveCertifier::start(SgtConfig::default(), TelemetryHandle::disabled());
-        let feed = lc.handle();
-        for t in plan.tree.all_tx() {
-            if t == TxId::ROOT {
-                continue;
-            }
-            let parent = plan.tree.parent(t).expect("non-root has a parent");
-            let access = plan
-                .tree
-                .object_of(t)
-                .map(|x| (x, plan.tree.op_of(t).expect("access has an op").clone()));
-            feed.tree_add(t, parent, access);
-        }
-        lc
+    let certifier = cfg.live_certify.then(|| {
+        let c = LiveCertifier::new(SgtConfig::default(), TelemetryHandle::disabled());
+        c.seed_tree(&plan.tree);
+        c
     });
-    let feed = live_cert.as_ref().map(LiveCertifier::handle);
     let mut table = LockTable::new(
         Arc::clone(&plan.tree),
         Arc::clone(&status),
@@ -516,8 +509,8 @@ pub fn run_plan(plan: &EnginePlan, cfg: &EngineConfig) -> Result<EngineReport, S
         plan.initials.clone(),
         cfg.shards,
     );
-    if let Some(f) = &feed {
-        table = table.with_feed(f.clone());
+    if let Some(c) = &certifier {
+        table = table.with_certifier(c.clone());
     }
     let table = table;
     let next_slot = AtomicUsize::new(0);
@@ -529,12 +522,9 @@ pub fn run_plan(plan: &EnginePlan, cfg: &EngineConfig) -> Result<EngineReport, S
         status: &status,
         clock: &clock,
         next_slot: &next_slot,
-        feed: feed.clone(),
+        certifier: certifier.clone(),
     };
-    let mut main_log = match &feed {
-        Some(f) => WorkerLog::new().with_feed(f.clone()),
-        None => WorkerLog::new(),
-    };
+    let mut main_log = new_log(&certifier);
     main_log.record(&clock, Action::Create(TxId::ROOT));
     let start = Instant::now();
     let (workers, detector) = std::thread::scope(|s| {
@@ -582,10 +572,6 @@ pub fn run_plan(plan: &EnginePlan, cfg: &EngineConfig) -> Result<EngineReport, S
     }
     logs.extend(table.drain_logs());
     let history = merge(logs);
-    let live = live_cert.map(|lc| {
-        let (status, _maintainer) = lc.stop();
-        status
-    });
     Ok(EngineReport {
         tree: Arc::clone(&plan.tree),
         types: plan.types.clone(),
@@ -603,7 +589,8 @@ pub fn run_plan(plan: &EnginePlan, cfg: &EngineConfig) -> Result<EngineReport, S
             detector_passes: detector.passes,
         },
         top_latency,
-        live,
+        // Every recording thread has been joined: the status is final.
+        live: certifier.map(|c| c.status()),
     })
 }
 
@@ -697,6 +684,14 @@ mod tests {
         assert!(live.ok, "live certifier must agree with post-hoc");
         assert!(live.violation.is_none());
         assert_eq!(live.processed, r.history.len() as u64);
+        // Stamps are drawn under the certifier lock, so no worker ever
+        // steps the maintainer ahead of another's stamp.
+        assert!(
+            live.parked_max <= cfg.threads,
+            "reorder heap grew to {} with {} recording threads",
+            live.parked_max,
+            cfg.threads
+        );
         assert!(
             live.watermark > 0,
             "committed work must advance the GC watermark"

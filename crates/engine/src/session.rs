@@ -28,7 +28,7 @@ use crate::tree_view::TreeView;
 use nt_model::rw::RwInitials;
 use nt_model::{Action, ObjId, Op, TxId, TxTree, Value};
 use nt_obs::json::JsonObj;
-use nt_sgt_live::FeedHandle;
+use nt_sgt_live::LiveCertifier;
 use nt_telemetry::TelemetryHandle;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -174,7 +174,7 @@ pub struct SessionEngine {
     clock: Arc<SeqClock>,
     telemetry: TelemetryHandle,
     sink: Option<Arc<dyn ActionSink>>,
-    feed: Option<FeedHandle>,
+    certifier: Option<LiveCertifier>,
     logs: Mutex<Vec<Arc<Mutex<WorkerLog>>>>,
     victims: Mutex<Vec<Victim>>,
     detector_passes: Arc<AtomicU64>,
@@ -225,12 +225,12 @@ impl SessionEngine {
     /// status table, per-object committed values seed the lock table's
     /// initials, and the clock resumes past the recovered stamps.
     ///
-    /// With a live-certifier `feed`, every registration and recorded
-    /// action streams to the maintainer: recovered registrations replay
-    /// through the feed first, then the recovered history preloads (its
-    /// unresolved tops finalize as aborted — recovery rolled them back),
-    /// and only then does live recording begin, so the certifier sees one
-    /// seamless behavior across the crash boundary.
+    /// With a live `certifier`, every registration and recorded action
+    /// steps the maintainer on the thread that makes it: recovered
+    /// registrations replay first, then the recovered history preloads
+    /// (its unresolved tops finalize as aborted — recovery rolled them
+    /// back), and only then does live recording begin, so the certifier
+    /// sees one seamless behavior across the crash boundary.
     #[allow(clippy::too_many_arguments)]
     pub fn start_recovered(
         capacity: usize,
@@ -239,14 +239,14 @@ impl SessionEngine {
         telemetry: TelemetryHandle,
         seed: RecoveredSeed,
         sink: Option<Arc<dyn ActionSink>>,
-        feed: Option<FeedHandle>,
+        certifier: Option<LiveCertifier>,
     ) -> Result<Arc<SessionEngine>, TreeError> {
         let mut bare = SessionTree::new(capacity);
-        if let Some(f) = &feed {
+        if let Some(c) = &certifier {
             // Attached before the seed replays: recovered registrations
             // are new to this incarnation's maintainer (unlike the WAL
             // sink, which must not see them twice).
-            bare = bare.with_feed(f.clone());
+            bare = bare.with_certifier(c.clone());
         }
         for (parent, access) in &seed.nodes {
             match access {
@@ -258,10 +258,10 @@ impl SessionEngine {
             Some(s) => bare.with_sink(Arc::clone(s)),
             None => bare,
         });
-        if let Some(f) = &feed {
-            // FIFO channel: the preload lands after the registrations
-            // above and before any live action recorded below.
-            f.preload(seed.entries.clone(), seed.next_stamp);
+        if let Some(c) = &certifier {
+            // After the registrations above, before any live action is
+            // recorded below.
+            c.preload(&seed.entries, seed.next_stamp);
         }
         let status = Arc::new(StatusTable::new(capacity));
         for &t in &seed.committed {
@@ -286,9 +286,9 @@ impl SessionEngine {
         if let Some(s) = &sink {
             table = table.with_sink(Arc::clone(s));
         }
-        if let Some(f) = &feed {
+        if let Some(c) = &certifier {
             // After `with_sink` — the sink swap replaces the shard logs.
-            table = table.with_feed(f.clone());
+            table = table.with_certifier(c.clone());
         }
         let table = Arc::new(table);
         let fresh = seed.entries.is_empty();
@@ -302,8 +302,8 @@ impl SessionEngine {
             Some(s) => WorkerLog::with_sink(Arc::clone(s)),
             None => WorkerLog::new(),
         };
-        if let Some(f) = &feed {
-            root_log = root_log.with_feed(f.clone());
+        if let Some(c) = &certifier {
+            root_log = root_log.with_certifier(c.clone());
         }
         if fresh {
             root_log.record(&clock, Action::Create(TxId::ROOT));
@@ -316,7 +316,7 @@ impl SessionEngine {
             clock,
             telemetry,
             sink,
-            feed,
+            certifier,
             logs: Mutex::new(logs),
             victims: Mutex::new(Vec::new()),
             detector_passes: Arc::new(AtomicU64::new(0)),
@@ -357,8 +357,8 @@ impl SessionEngine {
             Some(s) => WorkerLog::with_sink(Arc::clone(s)),
             None => WorkerLog::new(),
         };
-        if let Some(f) = &self.feed {
-            session_log = session_log.with_feed(f.clone());
+        if let Some(c) = &self.certifier {
+            session_log = session_log.with_certifier(c.clone());
         }
         let log = Arc::new(Mutex::new(session_log));
         self.logs
@@ -448,22 +448,11 @@ impl SessionEngine {
         o.build()
     }
 
-    /// Ship every log's buffered live-certifier feed entries now: the
-    /// session logs' and the lock shards'. Feed sends are batched at
-    /// transaction resolutions, so a log whose tail is unresolved work —
-    /// or the root log, whose only entry is the unresolving
-    /// `Create(ROOT)` — strands its stamps until the next resolution; the
-    /// certifier, which processes in dense stamp order, parks at the
-    /// hole. A certifier barrier (`CERT`) must call this first so the
-    /// verdict actually covers everything recorded before it.
-    pub fn flush_feeds(&self) {
-        if self.feed.is_none() {
-            return;
-        }
-        for log in self.logs.lock().expect("logs poisoned").iter() {
-            log.lock().expect("session log poisoned").flush_feed();
-        }
-        self.table.flush_feeds();
+    /// The live certifier every log of this engine steps (`None` unless
+    /// the engine was started with one). Its status is current whenever
+    /// no thread is inside a record.
+    pub fn certifier(&self) -> Option<&LiveCertifier> {
+        self.certifier.as_ref()
     }
 
     /// Snapshot the run so far: the frozen tree and the merged recorded

@@ -22,7 +22,7 @@
 use crate::recorder::ActionSink;
 use crate::tree_view::TreeView;
 use nt_model::{ObjId, Op, TxId, TxTree};
-use nt_sgt_live::FeedHandle;
+use nt_sgt_live::LiveCertifier;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -65,7 +65,7 @@ pub struct SessionTree {
     num_objects: AtomicU32,
     append: Mutex<()>,
     sink: Option<Arc<dyn ActionSink>>,
-    feed: Option<FeedHandle>,
+    certifier: Option<LiveCertifier>,
 }
 
 impl SessionTree {
@@ -86,7 +86,7 @@ impl SessionTree {
             num_objects: AtomicU32::new(0),
             append: Mutex::new(()),
             sink: None,
-            feed: None,
+            certifier: None,
         }
     }
 
@@ -100,11 +100,11 @@ impl SessionTree {
         self
     }
 
-    /// Tee every registration into the live certifier. Sent under the
-    /// append mutex before the slot is published, so the certifier learns
-    /// a transaction's shape strictly before any action naming it.
-    pub fn with_feed(mut self, feed: FeedHandle) -> Self {
-        self.feed = Some(feed);
+    /// Register every transaction with the live certifier too — under
+    /// the append mutex, before the slot is published, so the maintainer
+    /// knows a transaction's shape strictly before any action naming it.
+    pub fn with_certifier(mut self, certifier: LiveCertifier) -> Self {
+        self.certifier = Some(certifier);
         self
     }
 
@@ -169,12 +169,12 @@ impl SessionTree {
             };
             sink.append_tree_add(TxId(i as u32), parent, access);
         }
-        if let Some(feed) = &self.feed {
+        if let Some(certifier) = &self.certifier {
             let access = match &kind {
                 NodeKind::Access { object, op } => Some((*object, op.clone())),
                 NodeKind::Inner => None,
             };
-            feed.tree_add(TxId(i as u32), parent, access);
+            certifier.tree_add(TxId(i as u32), parent, access);
         }
         self.slots[i]
             .set(Node {

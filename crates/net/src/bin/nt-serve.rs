@@ -26,7 +26,7 @@
 //! the live serialization-graph certifier, so snapshots carry the
 //! `sgt.*` gauges the certifier publishes as conflict edges form.
 //! `--live-certify` turns the certifier on by itself: every recorded
-//! action streams through the incremental Theorem 17 gate and the `CERT`
+//! action steps the incremental Theorem 17 gate inline and the `CERT`
 //! wire op serves the live verdict (`nt-sgt/cert/v1`).
 //!
 //! `--data-dir DIR` mounts an `nt-store` WAL + checkpoint under the

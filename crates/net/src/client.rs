@@ -327,10 +327,10 @@ impl Conn {
     }
 
     /// Fetch the server's live serialization-graph certificate (schema
-    /// `nt-sgt/cert/v1`) as a JSON string. The server drains its
-    /// certifier queue first, so the verdict covers every action recorded
-    /// before this request; a server without `live_certify` answers with
-    /// a `"disabled"` document.
+    /// `nt-sgt/cert/v1`) as a JSON string. The certifier is stepped by
+    /// the thread that records each action, so the verdict covers every
+    /// action recorded before this request; a server without
+    /// `live_certify` answers with a `"disabled"` document.
     pub fn cert(&mut self) -> Result<String, WireError> {
         match self.request(&Request::Cert)? {
             Response::Cert { json } => Ok(json),

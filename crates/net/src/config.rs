@@ -48,7 +48,7 @@ pub struct ServerConfig {
     /// telemetry is enabled.
     pub span_ring: usize,
     /// Run the live serialization-graph certifier: every recorded action
-    /// streams into an incremental Theorem 17 gate (cycle check per
+    /// steps an incremental Theorem 17 gate inline (cycle check per
     /// conflict edge, watermark GC bounding memory), the `CERT` wire op
     /// serves its verdict, and the `sgt.*`/`sgt.live.*` gauges publish
     /// its health.

@@ -15,24 +15,23 @@
 //!   telemetry phase).
 //! * A frame that cannot finish now **parks as a continuation**: an
 //!   `ACCESS` whose lock another connection holds (the lock table queued
-//!   it; the releaser grants it in place and fires our wake), a `CERT`
-//!   behind the certifier's drain barrier, or a fault-plan `Delay` (a
-//!   deadline fed into the poll timeout). The parked frame keeps its ops
+//!   it; the releaser grants it in place and fires our wake) or a
+//!   fault-plan `Delay` (a deadline fed into the poll timeout). The parked frame keeps its ops
 //!   cursor and the answers so far; every later frame of the connection
 //!   queues behind it, and [`Service::resume`] continues them in order.
 //!
 //! Routing everything through the single pending buffer is what keeps
 //! the per-connection reply order equal to the execution order — the
 //! reactor coalesces *when* bytes hit the wire, never their order — so
-//! the engine's stamp order (what the certifier consumes) is the order
-//! each client saw its answers in.
+//! the engine's stamp order (what the certifier steps through) is the
+//! order each client saw its answers in.
 
-use crate::server::{pay_durability, OpsRun, Parked, Shared, Step};
+use crate::server::{pay_durability, OpsRun, Shared, Step};
 use crate::wire::{
     decode_batch_request, encode_batch_response, encode_response, err_code, parse_frame,
     parse_request, Request, Response, WireError, KIND_BATCH_REQ,
 };
-use nt_engine::{Session, WakeHandle};
+use nt_engine::{ParkedAccess, Session, WakeHandle};
 use nt_faults::FrameFate;
 use nt_model::TxId;
 use nt_obs::Event;
@@ -108,8 +107,8 @@ struct InFlight {
 
 /// Why the connection's head frame is not executing.
 enum Waiting {
-    /// One of its ops waits on a lock grant or the certifier.
-    Op(Box<InFlight>, Parked),
+    /// One of its ops waits on a lock grant.
+    Op(Box<InFlight>, ParkedAccess),
     /// A fault-plan delay: it executes once the deadline passes.
     Delay {
         until: Instant,
@@ -262,7 +261,7 @@ impl ConnService {
     }
 
     /// Run the frame's ops until it finishes or one parks.
-    fn drive(&mut self, mut f: InFlight, resumed: Option<Parked>) {
+    fn drive(&mut self, mut f: InFlight, resumed: Option<ParkedAccess>) {
         let step = f.run.step(
             &self.shared,
             &mut self.session,
@@ -366,6 +365,7 @@ impl Service for ConnService {
     }
 
     fn flush(&mut self) {
+        self.shared.surface_violation();
         if self.shared.owes_barrier.swap(false, Ordering::AcqRel) {
             // One group-commit barrier per poll round: every frame of
             // the round, on every connection, executed before this first
@@ -396,7 +396,7 @@ impl Service for ConnService {
         // drain): withdraw a queued lock request, abort whatever it left
         // open so held locks cannot starve other sessions, and free its
         // admission slots.
-        if let Some(Waiting::Op(_, Parked::Access(p))) = self.waiting.take() {
+        if let Some(Waiting::Op(_, p)) = self.waiting.take() {
             self.session.access_cancel(p);
         }
         for t in std::mem::take(&mut self.open_tops) {

@@ -5,11 +5,10 @@
 //! `front_reactor.rs` on the run-to-completion `nt-reactor` loop.
 //!
 //! One poll thread owns the listener and every socket and executes every
-//! frame inline; nothing here blocks it. The two ops that wait on another
-//! party — an `ACCESS` whose Moss lock a non-ancestor holds, a `CERT`
-//! behind the certifier's queue — park as continuations and resume when
-//! the releaser (or the certifier) fires the connection's wake handle. A
-//! per-`seq` response cache makes execution exactly-once under the
+//! frame inline; nothing here blocks it. The one op that waits on another
+//! party — an `ACCESS` whose Moss lock a non-ancestor holds — parks as a
+//! continuation and resumes when the releaser fires the connection's wake
+//! handle. A per-`seq` response cache makes execution exactly-once under the
 //! at-least-once transport: a retried or duplicated frame is answered
 //! from cache, never re-executed. With a durable store mounted, mutating
 //! ops journal their response eagerly and the round's first flush pays
@@ -20,13 +19,15 @@
 //! When the config enables telemetry, each request's lifecycle
 //! (dispatch → dequeue → execute → buffered reply) is stamped into an
 //! [`nt_telemetry::ReqSpan`] carrying dual wall-clock/`SeqClock` stamps.
-//! With `live_certify` on, every recorded action also streams into an
-//! [`nt_sgt_live::LiveCertifier`] — an incremental Theorem 17 gate that
-//! checks each conflict edge as it forms, garbage-collects the committed
-//! acyclic prefix behind a watermark, publishes SGT health gauges
-//! (`sgt.nodes`, `sgt.edges`, `sgt.watermark`, `sgt.check_us`, `sgt.ok`,
-//! and the `sgt.live.*` mirrors), and answers the `CERT` wire op with its
-//! verdict. A **monitor thread** surfaces deadlock victims as structured
+//! With `live_certify` on, the thread that records an action also steps an
+//! [`nt_sgt_live::LiveCertifier`] with it — an incremental Theorem 17 gate
+//! that checks each conflict edge as it forms, garbage-collects the
+//! committed acyclic prefix behind a watermark, publishes SGT health
+//! gauges (`sgt.nodes`, `sgt.edges`, `sgt.watermark`, `sgt.check_us`,
+//! `sgt.ok`, and the `sgt.live.*` mirrors), and answers the `CERT` wire op
+//! and the `sgt_live` section of `STATS` from its current state. A
+//! violation is journaled and dumped by the poll thread on the first
+//! flush after it closes. A **monitor thread** surfaces deadlock victims as structured
 //! events; a bounded flight-recorder ring mirrors the journal and is
 //! dumped to stderr on a drain timeout, a static-gate refusal, or a live
 //! certifier violation.
@@ -105,9 +106,8 @@ pub(crate) struct Shared {
     jseq: AtomicU64,
     /// Declared summaries of live tops (the static admission gate).
     admission: Mutex<AdmissionLedger>,
-    /// The live serialization-graph certifier (`live_certify`); taken
-    /// (stopped) once during the drain's final join.
-    live: Mutex<Option<LiveCertifier>>,
+    /// The live certifier's violation has been journaled and dumped.
+    violation_surfaced: AtomicBool,
     /// The durable store, when the config mounts one (`data_dir`).
     pub(crate) store: Option<Arc<Store>>,
     /// Responses recovered from the previous incarnation's WAL, keyed by
@@ -141,7 +141,8 @@ impl Shared {
 
     /// One live runtime snapshot (schema `nt-net/stats/v1`): coherent
     /// server counters, engine/lock-shard counters, telemetry histograms
-    /// and gauges, and the current wait-for graph.
+    /// and gauges, the live certifier's state (`sgt_live`, absent without
+    /// `live_certify`), and the current wait-for graph.
     fn stats_json(&self) -> String {
         let (generation, s) = self.stats.snapshot();
         let shards = self.engine.shard_counters();
@@ -178,6 +179,20 @@ impl Shared {
                 .num("resumes", r.resumes);
             o.raw("reactor", ro.build());
         }
+        if let Some(live) = self.engine.certifier() {
+            let s = live.status();
+            let mut lo = JsonObj::new();
+            lo.bool("ok", s.ok)
+                .num("processed", s.processed)
+                .num("watermark", s.watermark)
+                .num("nodes", s.nodes as u64)
+                .num("edges", s.edges as u64)
+                .num("live_tops", s.live_tops as u64)
+                // Stamps drawn that the maintainer has not stepped: zero
+                // unless a thread is inside a record right now.
+                .num("lag", self.engine.clock_now().saturating_sub(s.processed));
+            o.raw("sgt_live", lo.build());
+        }
         if let Some(store) = &self.store {
             o.num("wal_appended", store.wal().appended_count())
                 .num("wal_syncs", store.wal().sync_count())
@@ -195,36 +210,27 @@ impl Shared {
         eprintln!("{}", self.stats_json());
     }
 
-    /// Start the certifier's drain barrier and park on it — `wake` fires
-    /// once the verdict covers every action recorded before this call.
-    /// Without `live_certify`, answers at once with a `"disabled"`
-    /// document (schema `nt-sgt/cert/v1`).
-    fn cert_start(&self, wake: &WakeHandle) -> Exec {
-        let guard = self.live.lock().expect("live poisoned");
-        let Some(lc) = guard.as_ref() else {
-            return Exec::Done(Response::Cert {
-                json: cert_disabled_json(),
-            });
-        };
-        // Producer-side feed buffers flush at transaction resolutions;
-        // push the buffered tails (and the root log's lone
-        // `Create(ROOT)`) into the channel first, or the drain barrier
-        // certifies up to a stamp hole.
-        self.engine.flush_feeds();
-        let drained = Arc::new(AtomicBool::new(false));
-        let (flag, wake) = (Arc::clone(&drained), wake.clone());
-        lc.drain_then(move || {
-            flag.store(true, Ordering::Release);
-            wake.wake();
-        });
-        Exec::Parked(Parked::Cert(drained))
+    /// The certifier's verdict document (schema `nt-sgt/cert/v1`), read
+    /// from its current state: every action recorded before this call has
+    /// already been stepped. Without `live_certify`, a `"disabled"`
+    /// document.
+    fn cert_json(&self) -> String {
+        match self.engine.certifier() {
+            Some(live) => live.status().cert_json(),
+            None => cert_disabled_json(),
+        }
     }
 
-    /// The certifier's status document as last published.
-    fn cert_status_json(&self) -> String {
-        match self.live.lock().expect("live poisoned").as_ref() {
-            Some(lc) => lc.status().cert_json(),
-            None => cert_disabled_json(),
+    /// Journal and dump a live-certifier violation, once. The poll thread
+    /// calls this on every flush, so a cycle surfaces in the round that
+    /// closed it; the check is one atomic load.
+    pub(crate) fn surface_violation(&self) {
+        let violated = self.engine.certifier().is_some_and(|live| !live.ok());
+        if violated && !self.violation_surfaced.swap(true, Ordering::AcqRel) {
+            self.emit(Event::Violation {
+                reason: "live certifier found a serialization cycle".to_string(),
+            });
+            self.dump_diagnostics("live certifier violation");
         }
     }
 
@@ -368,10 +374,9 @@ impl NetServer {
         let sink = store
             .as_ref()
             .map(|s| Arc::clone(s.wal()) as Arc<dyn ActionSink>);
-        let live = cfg
+        let certifier = cfg
             .live_certify
-            .then(|| LiveCertifier::start(SgtConfig::default(), telemetry.clone()));
-        let feed = live.as_ref().map(LiveCertifier::handle);
+            .then(|| LiveCertifier::new(SgtConfig::default(), telemetry.clone()));
         let engine = SessionEngine::start_recovered(
             cfg.capacity,
             cfg.shards.max(1),
@@ -379,7 +384,7 @@ impl NetServer {
             telemetry.clone(),
             seed,
             sink,
-            feed,
+            certifier,
         )
         .map_err(|e| std::io::Error::other(format!("recovered seed replay: {e}")))?;
         let shared = Arc::new(Shared {
@@ -393,7 +398,7 @@ impl NetServer {
             journal: Mutex::new(Vec::new()),
             jseq: AtomicU64::new(0),
             admission: Mutex::new(AdmissionLedger::new()),
-            live: Mutex::new(live),
+            violation_surfaced: AtomicBool::new(false),
             store,
             recovered_cache,
             reactor_probe: OnceLock::new(),
@@ -524,17 +529,9 @@ impl ServerHandle {
             .emit(Event::ServerDrained { conns: stats.conns });
         self.shared.engine.shutdown();
         // Every connection and the detector are gone, so the recorded
-        // history is complete: stop the live certifier (final flush +
-        // gauge publish) and surface a violation verdict loudly.
-        if let Some(lc) = self.shared.live.lock().expect("live poisoned").take() {
-            let (status, _maintainer) = lc.stop();
-            if !status.ok {
-                self.shared.emit(Event::Violation {
-                    reason: "live certifier found a serialization cycle".to_string(),
-                });
-                self.shared.dump_diagnostics("live certifier violation");
-            }
-        }
+        // history is complete and the certifier has stepped all of it;
+        // the drain's own hangup aborts resolve tops after the last flush.
+        self.shared.surface_violation();
         // Fold the WAL into a fresh checkpoint so the next open replays
         // from a compact image, then fsync the tail.
         if let Some(store) = &self.shared.store {
@@ -632,16 +629,16 @@ fn finish_op(
 pub(crate) enum Step {
     /// Every op of the frame is answered.
     Finished,
-    /// The op at the cursor cannot finish now; hand the token back to
-    /// [`OpsRun::step`] once its wake fired.
-    Parked(Parked),
+    /// The `ACCESS` at the cursor waits for a Moss lock a non-ancestor
+    /// holds; hand the token back to [`OpsRun::step`] once its wake fired.
+    Parked(ParkedAccess),
     /// Response encoding failed (connection-fatal).
     Fatal,
 }
 
 /// One request frame's ops mid-execution — a single request is a run of
 /// one — with the answers so far. An `ACCESS` whose lock is held
-/// elsewhere, or a `CERT` barrier, parks the run.
+/// elsewhere parks the run.
 pub(crate) struct OpsRun {
     ops: Vec<(u64, Request)>,
     /// Full single-response frames, one per answered op, in op order.
@@ -676,7 +673,7 @@ impl OpsRun {
         cache: &mut BTreeMap<u64, Vec<u8>>,
         open_tops: &mut BTreeSet<TxId>,
         wake: &WakeHandle,
-        mut resumed: Option<Parked>,
+        mut resumed: Option<ParkedAccess>,
     ) -> Step {
         while let Some((seq, req)) = self.ops.get(self.answers.len()) {
             let ans = match (resumed.take(), cached_answer(shared, cache, *seq)) {
@@ -765,18 +762,9 @@ fn mutates(req: &Request) -> bool {
 pub(crate) enum Exec {
     /// It produced its response.
     Done(Response),
-    /// It waits on another party; the wake handle fires when [`resume`]
-    /// can finish it.
-    Parked(Parked),
-}
-
-/// What a parked op waits for.
-pub(crate) enum Parked {
-    /// An `ACCESS` whose Moss lock a non-ancestor holds.
-    Access(ParkedAccess),
-    /// A `CERT` whose certifier drain barrier has not come back (the
-    /// flag is set just before the wake fires).
-    Cert(Arc<AtomicBool>),
+    /// An `ACCESS` whose Moss lock a non-ancestor holds; the wake handle
+    /// fires when [`resume`] can finish it.
+    Parked(ParkedAccess),
 }
 
 /// The response of an access that ran to its outcome.
@@ -795,33 +783,23 @@ fn access_response(
     }
 }
 
-/// Continue a parked op after its wake fired (spurious wakes park again).
+/// Continue a parked access after its wake fired (spurious wakes park
+/// again).
 fn resume(
     shared: &Shared,
     session: &mut Session,
     open_tops: &mut BTreeSet<TxId>,
-    parked: Parked,
+    parked: ParkedAccess,
 ) -> Exec {
-    match parked {
-        Parked::Access(p) => match session.access_resume(p) {
-            AccessStep::Done(out) => Exec::Done(access_response(shared, open_tops, out)),
-            AccessStep::Parked(p) => Exec::Parked(Parked::Access(p)),
-        },
-        Parked::Cert(drained) => {
-            if drained.load(Ordering::Acquire) {
-                Exec::Done(Response::Cert {
-                    json: shared.cert_status_json(),
-                })
-            } else {
-                Exec::Parked(Parked::Cert(drained))
-            }
-        }
+    match session.access_resume(parked) {
+        AccessStep::Done(out) => Exec::Done(access_response(shared, open_tops, out)),
+        AccessStep::Parked(p) => Exec::Parked(p),
     }
 }
 
-/// Execute one request against the session. The two ops that wait on
-/// another party — an `ACCESS` behind a lock, a `CERT` behind the
-/// certifier's queue — park on `wake` instead of blocking.
+/// Execute one request against the session. The one op that waits on
+/// another party — an `ACCESS` behind a lock — parks on `wake` instead of
+/// blocking.
 fn execute(
     shared: &Shared,
     session: &mut Session,
@@ -881,7 +859,7 @@ fn execute(
             let (parent, obj) = (TxId(*parent), ObjId(*obj));
             match session.access_start(parent, obj, op.clone(), wake) {
                 Ok(AccessStep::Done(out)) => access_response(shared, open_tops, out),
-                Ok(AccessStep::Parked(p)) => return Exec::Parked(Parked::Access(p)),
+                Ok(AccessStep::Parked(p)) => return Exec::Parked(p),
                 Err(e) => session_error_response(&e),
             }
         }
@@ -921,6 +899,8 @@ fn execute(
         Request::Stats => Response::Stats {
             json: shared.stats_json(),
         },
-        Request::Cert => return shared.cert_start(wake),
+        Request::Cert => Response::Cert {
+            json: shared.cert_json(),
+        },
     })
 }

@@ -6,7 +6,7 @@
 use nt_faults::TransportPlan;
 use nt_net::{
     run_load, Conn, ConnConfig, LoadConfig, NetServer, Request, Response, ServerConfig,
-    ServerHandle,
+    ServerHandle, ServerProbe,
 };
 use nt_obs::json::Json;
 use std::time::Duration;
@@ -22,6 +22,11 @@ fn telemetry_cfg() -> ServerConfig {
         telemetry: true,
         ..ServerConfig::default()
     }
+}
+
+fn gauge_of(probe: &ServerProbe, name: &str) -> Option<u64> {
+    let gauges = probe.telemetry().gauges();
+    gauges.into_iter().find(|(n, _)| *n == name).map(|(_, v)| v)
 }
 
 fn small_load(addr: &str) -> LoadConfig {
@@ -181,9 +186,9 @@ fn live_certifier_publishes_health_gauges() {
     let load = small_load(&addr);
     run_load(&addr, &load).expect("load runs");
 
-    // A CERT round-trip drains the certifier queue, so the verdict (and
-    // the gauges published alongside it) covers every action the load
-    // recorded — a drained load's history must certify.
+    // The recording thread steps the certifier, so the verdict (and the
+    // gauges published at each top's resolution) already covers every
+    // action the load recorded — a finished load's history must certify.
     let mut conn = Conn::connect(&addr, 9, ConnConfig::default()).expect("connect");
     let doc = conn.cert().expect("cert answered");
     let v = Json::parse(&doc).expect("cert document parses");
@@ -196,14 +201,7 @@ fn live_certifier_publishes_health_gauges() {
     assert!(v.get("processed").and_then(Json::as_num).unwrap_or(0.0) > 0.0);
     assert!(v.get("watermark").and_then(Json::as_num).unwrap_or(0.0) > 0.0);
 
-    let gauge = |name: &str| {
-        probe
-            .telemetry()
-            .gauges()
-            .into_iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v)
-    };
+    let gauge = |name: &str| gauge_of(&probe, name);
     assert_eq!(gauge("sgt.ok"), Some(1), "drained history must certify");
     // `sgt.nodes` now reports *resident* graph size: after the load
     // drains, the watermark GC may have pruned the committed prefix all
@@ -214,9 +212,143 @@ fn live_certifier_publishes_health_gauges() {
     assert!(gauge("sgt.samples").unwrap_or(0) > 0);
     assert!(gauge("sgt.live.watermark").unwrap_or(0) > 0);
 
+    // STATS carries the same state, read at request time, plus the lag.
+    let stats = Json::parse(&conn.stats().expect("stats answered")).expect("stats parse");
+    let live = stats.get("sgt_live").expect("sgt_live section");
+    assert_eq!(live.get("ok"), Some(&Json::Bool(true)));
+    assert_eq!(live.get("processed"), v.get("processed"));
+    assert_eq!(live.get("lag").and_then(Json::as_num), Some(0.0));
+
     conn.shutdown_server().expect("shutdown");
     drop(conn);
     handle.wait();
+}
+
+/// The stranded-stamp regression (PR 10 – PR 15): the root log's
+/// `Create(T0)` at stamp 0 sat in a feed buffer until a `CERT` flushed it,
+/// so the maintainer — which advances through contiguous stamps — parked
+/// every later action and "live" certification saw nothing. This server
+/// is never sent `CERT`: the certifier must still have stepped everything.
+#[test]
+fn certifier_keeps_up_without_ever_being_asked() {
+    let (addr, handle) = start(ServerConfig {
+        live_certify: true,
+        ..telemetry_cfg()
+    });
+    let probe = handle.probe();
+    let engine = handle.engine();
+    let sgt_live = |key: &str| {
+        let doc = Json::parse(&probe.stats_json()).expect("stats parse");
+        let live = doc.get("sgt_live").expect("sgt_live section");
+        live.get(key).and_then(Json::as_num).expect("numeric key") as u64
+    };
+    let gauge = |name: &str| gauge_of(&probe, name);
+
+    // An open top pins the GC watermark at its first stamp, so every top
+    // the load resolves meanwhile stays resident: what the samples below
+    // see does not depend on timing.
+    let mut pin = Conn::connect(&addr, 9, ConnConfig::default()).expect("connect");
+    let Ok(Response::Begun { tx }) = pin.request(&Request::BeginTop) else {
+        panic!("begin refused");
+    };
+    let driver = {
+        let load = small_load(&addr);
+        std::thread::spawn(move || run_load(&load.addr.clone(), &load).expect("load runs"))
+    };
+    let mut mid_load_nodes = 0;
+    while !driver.is_finished() {
+        mid_load_nodes = mid_load_nodes.max(sgt_live("nodes"));
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    driver.join().expect("driver thread");
+    mid_load_nodes = mid_load_nodes.max(sgt_live("nodes"));
+    assert!(mid_load_nodes > 0, "no resident node seen under load");
+    assert!(gauge("sgt.live.nodes").unwrap_or(0) > 0, "resident gauge");
+    assert!(
+        gauge("sgt.live.watermark").unwrap_or(0) > 0,
+        "watermark gauge"
+    );
+
+    // Quiescent: every stamp the clock issued has been stepped.
+    assert!(matches!(
+        pin.request(&Request::Commit { tx }),
+        Ok(Response::Committed)
+    ));
+    assert_eq!(sgt_live("processed"), engine.clock_now());
+    assert_eq!(sgt_live("lag"), 0);
+    assert_eq!(sgt_live("nodes"), 0, "nothing pinned: the graph prunes");
+    let status = engine.certifier().expect("live_certify").status();
+    assert!(status.ok);
+    assert_eq!(status.parked_max, 0, "nothing ever waited for a stamp");
+
+    pin.shutdown_server().expect("shutdown");
+    drop(pin);
+    handle.wait();
+}
+
+/// A violation surfaces when it closes, not at drain: the poll thread
+/// journals it (once) on the first flush after the verdict flips. The
+/// cycle is planted straight into the server's certifier — the crossed
+/// two-top history, under transaction names the engine never issued.
+#[test]
+fn violation_is_journaled_on_the_next_flush_once() {
+    use nt_model::{Action, ObjId, Op, TxId, Value};
+    let (addr, handle) = start(ServerConfig {
+        live_certify: true,
+        ..ServerConfig::default()
+    });
+    let engine = handle.engine();
+    let live = engine.certifier().expect("live_certify");
+    let [a, b, ax, ay, bx, by] = [900, 901, 902, 903, 904, 905].map(TxId);
+    let (x, y) = (ObjId(0), ObjId(1));
+    live.tree_add(a, TxId::ROOT, None);
+    live.tree_add(b, TxId::ROOT, None);
+    live.tree_add(ax, a, Some((x, Op::Write(1))));
+    live.tree_add(ay, a, Some((y, Op::Read)));
+    live.tree_add(bx, b, Some((x, Op::Read)));
+    live.tree_add(by, b, Some((y, Op::Write(2))));
+    let crossed = [
+        Action::RequestCreate(a),
+        Action::RequestCreate(b),
+        Action::RequestCommit(ax, Value::Ok),
+        Action::Commit(ax),
+        Action::RequestCommit(by, Value::Ok),
+        Action::Commit(by),
+        Action::RequestCommit(bx, Value::Int(1)),
+        Action::Commit(bx),
+        Action::RequestCommit(ay, Value::Int(2)),
+        Action::Commit(ay),
+        Action::Commit(a),
+        Action::Commit(b),
+    ];
+    // No session has recorded yet, so the clock is where the maintainer is.
+    let base = engine.clock_now();
+    for (i, act) in crossed.iter().enumerate() {
+        live.act(base + i as u64, act);
+    }
+    assert!(!live.ok());
+
+    let mut conn = Conn::connect(&addr, 4, ConnConfig::default()).expect("connect");
+    for _ in 0..3 {
+        assert!(matches!(conn.request(&Request::Ping), Ok(Response::Pong)));
+    }
+    conn.shutdown_server().expect("shutdown");
+    drop(conn);
+    let journal = handle.wait().journal;
+    let at = |needle: &str| -> Vec<usize> {
+        let hits = journal
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.contains(needle));
+        hits.map(|(i, _)| i).collect()
+    };
+    let violations = at("live certifier found a serialization cycle");
+    assert_eq!(violations.len(), 1, "journaled once: {journal:?}");
+    let closed = at("conn_closed");
+    assert!(
+        violations[0] < *closed.first().expect("the pinging connection closed"),
+        "journaled while serving, not at drain: {journal:?}"
+    );
 }
 
 #[test]

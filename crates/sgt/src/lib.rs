@@ -16,9 +16,9 @@
 //!   eagerly, everything else at top finalization), honoring
 //!   `commutes_backward` and the nested ancestor-collapse rules, plus the
 //!   watermark GC that prunes the committed acyclic prefix.
-//! * [`live`] — [`LiveCertifier`]: the maintainer on its own thread
-//!   behind a cloneable [`FeedHandle`], publishing `sgt.live.*` gauges
-//!   through `nt-telemetry`.
+//! * [`live`] — [`LiveCertifier`]: the maintainer behind a mutex, stepped
+//!   inline by whichever thread records an action (no thread, no
+//!   channel), publishing `sgt.live.*` gauges through `nt-telemetry`.
 //! * [`report`] — [`ViolationReport`] (cycle + inserting edge + flight
 //!   ring history slice) and the JSON schemas consumed by `nt-lint sgt`
 //!   and the `CERT` wire op.
@@ -36,7 +36,7 @@ pub mod maintainer;
 pub mod report;
 pub mod topo;
 
-pub use live::{cert_disabled_json, FeedEvent, FeedHandle, LiveCertifier, LiveStatus};
+pub use live::{cert_disabled_json, LiveCertifier, LiveStatus};
 pub use maintainer::{LiveConflicts, SgtConfig, SgtMaintainer};
 pub use report::{ReportEdge, ViolationReport, CERT_SCHEMA, LIVE_SCHEMA, VIOLATION_SCHEMA};
 pub use topo::{DynTopo, EdgeMeta, Insert};

@@ -1,109 +1,65 @@
-//! The live certifier: an [`SgtMaintainer`] owned by a dedicated thread,
-//! fed through a cheap cloneable [`FeedHandle`] so recording threads never
-//! pay for graph maintenance on the hot path.
+//! The live certifier: one [`SgtMaintainer`] behind a mutex, stepped by
+//! whichever thread records an action, before that thread returns from
+//! recording it. There is no certifier thread, no channel and no buffer:
+//! [`LiveCertifier`] is a passive, cloneable handle, and the verdict it
+//! reports is current at every instant no thread is inside
+//! [`record`](LiveCertifier::record).
 //!
-//! Producers (the engine's worker logs, lock-table shards, session tree)
-//! send [`FeedEvent`]s over an unbounded channel; the certifier thread
-//! drains them in batches, lets the maintainer reorder racy stamp
-//! arrivals, and after each batch publishes the `sgt.live.*` gauges (plus
-//! the `sgt.*` compatibility names the PR 7 sampling monitor used, so
-//! `--metrics-out` consumers keep working). Wall time spent inside the
-//! maintainer is accumulated into `sgt.live.check_us` — the certify cost
-//! the hot path *didn't* pay.
+//! ## Why stepping inline is sound
+//!
+//! `SG(β)` is a function of the recorded behavior `β`, and `β` has one
+//! order: the recorder's stamp order. Visibility to `T0` is monotone, so
+//! every edge, once determined by a prefix of `β`, is in the graph of
+//! every extension (see [`maintainer`](crate::maintainer)). A state
+//! machine stepped once per action in stamp order therefore computes
+//! exactly the graph the post-hoc gate builds from the finished history —
+//! nothing in the construction asks for a second agent, only for the
+//! order. [`record`](LiveCertifier::record) gives it that order by
+//! construction: the stamp is drawn *while the certifier lock is held*,
+//! so the order in which threads win the lock is the stamp order, and the
+//! maintainer never sees a stamp before its predecessor.
+//!
+//! ## The reorder heap is bounded
+//!
+//! The maintainer keeps its reorder heap for callers that stamp first and
+//! feed later ([`act`](LiveCertifier::act), [`SgtMaintainer::replay`] of
+//! shuffled feeds). On the engine's path a stamp is missing only while
+//! the thread that drew it is inside `record` — which holds the lock — so
+//! nothing is ever parked: the heap's high-water mark
+//! ([`LiveStatus::parked_max`]) is zero, hence bounded by
+//! the number of recording threads (the poll thread and the deadlock
+//! detector on the server, the workers in `run_plan`).
+//!
+//! ## Lock order
+//!
+//! Callers hold their own lock when they record — a lock-table shard
+//! mutex, a session log's mutex, the session tree's append mutex — and
+//! take the certifier lock under it: *shard → certifier*, *session log →
+//! certifier*, *tree append → certifier*. Under the certifier lock run
+//! only the stamp draw (an atomic increment, or the write-ahead log's
+//! append, which takes the log's own mutex and calls nothing back) and
+//! the gauge publication (the telemetry handle's mutex, likewise a
+//! leaf). The maintainer calls nothing back, so no cycle can form.
+//!
+//! ## Gauges and cost
+//!
+//! With telemetry on, the `sgt.live.*` gauges (and the `sgt.*` names the
+//! PR 7 sampling monitor published, which `--metrics-out` consumers and
+//! CI still read) are written once per resolved top-level transaction —
+//! the only steps that change the graph's shape. `check_us` accumulates
+//! the wall time of those steps (finalization plus watermark GC).
 
 use crate::maintainer::{SgtConfig, SgtMaintainer};
 use crate::report::{ViolationReport, CERT_SCHEMA};
-use nt_model::{Action, ObjId, Op, TxId};
+use nt_model::{Action, ObjId, Op, TxId, TxTree};
 use nt_obs::json::JsonObj;
 use nt_telemetry::TelemetryHandle;
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// One event streamed from the engine to the certifier.
-#[derive(Clone, Debug)]
-pub enum FeedEvent {
-    /// Transaction registration; unstamped, but the session tree emits it
-    /// under its append mutex *before* any action naming `t` is stamped,
-    /// so processing it immediately on receipt is safe.
-    TreeAdd {
-        /// The new transaction.
-        t: TxId,
-        /// Its parent.
-        parent: TxId,
-        /// For leaf accesses: the object and operation.
-        access: Option<(ObjId, Op)>,
-    },
-    /// A stamped recorded action.
-    Act {
-        /// Recorder stamp (dense, totally ordered).
-        stamp: u64,
-        /// The action.
-        action: Action,
-    },
-}
-
-enum Msg {
-    Event(FeedEvent),
-    /// Many stamped actions in one channel send (a producer-side buffer
-    /// flushed at commit/abort boundaries — see `WorkerLog` in
-    /// `nt-engine`). Equivalent to that many `Event(Act)` messages.
-    Acts(Vec<(u64, Action)>),
-    Preload {
-        entries: Vec<(u64, Action)>,
-        resume_at: u64,
-    },
-    /// Barrier: run the callback once everything sent before it has been
-    /// processed and published.
-    Flush(Box<dyn FnOnce() + Send>),
-    Stop,
-}
-
-/// Cloneable producer handle. Sends never block and never panic: after
-/// the certifier stops, they become no-ops.
-#[derive(Clone)]
-pub struct FeedHandle {
-    tx: Sender<Msg>,
-}
-
-impl FeedHandle {
-    /// Register a transaction (must precede any action naming it).
-    pub fn tree_add(&self, t: TxId, parent: TxId, access: Option<(ObjId, Op)>) {
-        let _ = self
-            .tx
-            .send(Msg::Event(FeedEvent::TreeAdd { t, parent, access }));
-    }
-
-    /// Stream one stamped action.
-    pub fn act(&self, stamp: u64, action: Action) {
-        let _ = self.tx.send(Msg::Event(FeedEvent::Act { stamp, action }));
-    }
-
-    /// Stream many stamped actions in one channel send. Semantically
-    /// identical to calling [`act`](Self::act) per entry — the maintainer
-    /// reorders by stamp either way — but amortizes the channel traffic
-    /// to one send per producer-side flush (the engine's worker logs
-    /// flush at commit/abort boundaries instead of per action).
-    pub fn act_batch(&self, entries: Vec<(u64, Action)>) {
-        if entries.is_empty() {
-            return;
-        }
-        let _ = self.tx.send(Msg::Acts(entries));
-    }
-
-    /// Replay a recovered prefix (see [`LiveCertifier::preload`]) — the
-    /// handle variant lets an engine booting from a crash seed preload
-    /// without holding the certifier itself. Send it before any live
-    /// `act`: the channel is FIFO, so ordering at the send sites is
-    /// ordering at the maintainer.
-    pub fn preload(&self, entries: Vec<(u64, Action)>, resume_at: u64) {
-        let _ = self.tx.send(Msg::Preload { entries, resume_at });
-    }
-}
-
-/// A point-in-time summary of the maintainer, as last published by the
-/// certifier thread.
+/// A point-in-time summary of the maintainer, read under the certifier
+/// lock.
 #[derive(Clone, Debug, Default)]
 pub struct LiveStatus {
     /// No cycle detected so far.
@@ -118,10 +74,17 @@ pub struct LiveStatus {
     pub edges: usize,
     /// Unresolved top-level transactions.
     pub live_tops: usize,
-    /// Cumulative wall time spent in the maintainer (µs).
+    /// Cumulative wall time spent resolving top-level transactions —
+    /// finalization plus watermark GC (µs).
     pub check_us: u64,
-    /// Gauge publications so far.
+    /// Top-level resolutions stepped so far (one gauge publication each
+    /// when telemetry is on).
     pub samples: u64,
+    /// High-water mark of the maintainer's reorder heap: the most actions
+    /// ever left parked behind a missing stamp. Zero when every action
+    /// came through [`LiveCertifier::record`] (see the module docs); a
+    /// debugging aid, not part of the verdict document.
+    pub parked_max: usize,
     /// The latched violation, if any.
     pub violation: Option<Arc<ViolationReport>>,
 }
@@ -156,196 +119,162 @@ pub fn cert_disabled_json() -> String {
     o.build()
 }
 
-/// Handle to the certifier thread. [`stop`](LiveCertifier::stop) sends an
-/// explicit shutdown message (so outstanding [`FeedHandle`] clones can't
-/// keep the thread alive), flushes, returns the final status, and hands
-/// back the maintainer for export. Dropping the certifier without `stop`
-/// also shuts the thread down once every `FeedHandle` is gone.
+struct State {
+    m: SgtMaintainer,
+    check_ns: u64,
+    samples: u64,
+    parked_max: usize,
+}
+
+struct Shared {
+    state: Mutex<State>,
+    /// Mirror of `state.m.ok()`, so the poll thread can test for a
+    /// violation on every flush without taking the lock. Stored with
+    /// `Release` under the lock, loaded with `Acquire`; a reader that
+    /// sees `false` then takes the lock for the report itself.
+    ok: AtomicBool,
+    telemetry: TelemetryHandle,
+}
+
+/// The live certifier handle. Clone freely — one per recording site; all
+/// clones step the same maintainer.
+#[derive(Clone)]
 pub struct LiveCertifier {
-    tx: Sender<Msg>,
-    shared: Arc<Mutex<LiveStatus>>,
-    join: Option<JoinHandle<SgtMaintainer>>,
+    shared: Arc<Shared>,
 }
 
 impl LiveCertifier {
-    /// Spawn the certifier thread.
-    pub fn start(cfg: SgtConfig, telemetry: TelemetryHandle) -> LiveCertifier {
-        let (tx, rx) = mpsc::channel::<Msg>();
-        let shared = Arc::new(Mutex::new(LiveStatus {
-            ok: true,
-            ..LiveStatus::default()
-        }));
-        let shared_thread = Arc::clone(&shared);
-        let join = std::thread::Builder::new()
-            .name("nt-sgt-live".to_string())
-            .spawn(move || run(rx, cfg, telemetry, shared_thread))
-            .expect("spawn certifier thread");
+    /// A fresh certifier. Gauges go to `telemetry` when it is enabled.
+    pub fn new(cfg: SgtConfig, telemetry: TelemetryHandle) -> LiveCertifier {
         LiveCertifier {
-            tx,
-            shared,
-            join: Some(join),
+            shared: Arc::new(Shared {
+                state: Mutex::new(State {
+                    m: SgtMaintainer::new(cfg),
+                    check_ns: 0,
+                    samples: 0,
+                    parked_max: 0,
+                }),
+                ok: AtomicBool::new(true),
+                telemetry,
+            }),
         }
     }
 
-    /// A producer handle (clone freely; one per recording site).
-    pub fn handle(&self) -> FeedHandle {
-        FeedHandle {
-            tx: self.tx.clone(),
-        }
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.shared.state.lock().expect("certifier poisoned")
+    }
+
+    /// Register a transaction (must precede any action naming it; the
+    /// session tree calls this under its append mutex, before the slot is
+    /// published).
+    pub fn tree_add(&self, t: TxId, parent: TxId, access: Option<(ObjId, Op)>) {
+        self.lock().m.tree_add(t, parent, access);
+    }
+
+    /// Register every transaction of a statically known tree.
+    pub fn seed_tree(&self, tree: &TxTree) {
+        self.lock().m.seed_tree(tree);
     }
 
     /// Replay a recovered prefix into the maintainer before live traffic
     /// (crash–restart). `resume_at` is the recovered clock's next stamp.
-    pub fn preload(&self, entries: Vec<(u64, Action)>, resume_at: u64) {
-        let _ = self.tx.send(Msg::Preload { entries, resume_at });
+    pub fn preload(&self, entries: &[(u64, Action)], resume_at: u64) {
+        let mut st = self.lock();
+        st.m.preload(entries, resume_at);
+        self.mirror_verdict(&st);
     }
 
-    /// Non-blocking barrier: `then` runs on the certifier thread once
-    /// every event sent before this call has been processed and the
-    /// published status is current (inline, if the certifier is gone).
-    /// Event loops park a continuation on this instead of a thread.
-    pub fn drain_then(&self, then: impl FnOnce() + Send + 'static) {
-        if let Err(mpsc::SendError(Msg::Flush(then))) = self.tx.send(Msg::Flush(Box::new(then))) {
-            then();
+    /// Draw a stamp with `draw` and step the maintainer with
+    /// `(stamp, action)`, both under the certifier lock, so stamp order is
+    /// step order. Returns the stamp. This is the engine's recording
+    /// path.
+    pub fn record(&self, draw: impl FnOnce() -> u64, action: &Action) -> u64 {
+        let mut st = self.lock();
+        let stamp = draw();
+        // Only a top-level completion changes the graph's shape
+        // (finalization + GC); everything else is O(1) bookkeeping.
+        let resolves = matches!(action, Action::Commit(t) | Action::Abort(t) if st.m.is_top(*t));
+        let started = resolves.then(Instant::now);
+        st.m.apply(stamp, action.clone());
+        st.parked_max = st.parked_max.max(st.m.parked());
+        self.mirror_verdict(&st);
+        if let Some(started) = started {
+            st.check_ns += started.elapsed().as_nanos() as u64;
+            st.samples += 1;
+            self.publish(&st);
+        }
+        stamp
+    }
+
+    /// Step the maintainer with an action stamped elsewhere. Arrivals
+    /// ahead of their predecessors park in the maintainer's reorder heap
+    /// until the stamp sequence is contiguous.
+    pub fn act(&self, stamp: u64, action: &Action) {
+        self.record(|| stamp, action);
+    }
+
+    fn mirror_verdict(&self, st: &State) {
+        if !st.m.ok() {
+            self.shared.ok.store(false, Ordering::Release);
         }
     }
 
-    /// Barrier: returns once every event sent before this call has been
-    /// processed and the published status is current.
-    pub fn drain(&self) {
-        let (ack_tx, ack_rx) = mpsc::sync_channel(1);
-        self.drain_then(move || {
-            let _ = ack_tx.send(());
-        });
-        let _ = ack_rx.recv();
+    /// Write the gauges (telemetry on only; once per resolved top).
+    fn publish(&self, st: &State) {
+        let telemetry = &self.shared.telemetry;
+        if telemetry.is_enabled() {
+            let s = status_of(st);
+            telemetry.gauge_set("sgt.live.nodes", s.nodes as u64);
+            telemetry.gauge_set("sgt.live.edges", s.edges as u64);
+            telemetry.gauge_set("sgt.live.watermark", s.watermark);
+            telemetry.gauge_set("sgt.live.check_us", s.check_us);
+            // Compatibility names published by the retired sampling monitor.
+            telemetry.gauge_set("sgt.nodes", s.nodes as u64);
+            telemetry.gauge_set("sgt.edges", s.edges as u64);
+            telemetry.gauge_set("sgt.watermark", s.watermark);
+            telemetry.gauge_set("sgt.check_us", s.check_us);
+            telemetry.gauge_set("sgt.ok", u64::from(s.ok));
+            telemetry.gauge_set("sgt.samples", s.samples);
+        }
     }
 
-    /// The status as of the last publish (call [`drain`](Self::drain)
-    /// first for an up-to-the-event view).
+    /// `false` iff a cycle has been detected (latched). Lock-free.
+    pub fn ok(&self) -> bool {
+        self.shared.ok.load(Ordering::Acquire)
+    }
+
+    /// The maintainer's state right now.
     pub fn status(&self) -> LiveStatus {
-        self.shared.lock().expect("status lock").clone()
-    }
-
-    /// Stop the certifier: flush every parked event, publish a final
-    /// status, and return it together with the maintainer (for snapshot
-    /// or violation export).
-    pub fn stop(mut self) -> (LiveStatus, SgtMaintainer) {
-        let join = self.join.take().expect("not yet stopped");
-        let _ = self.tx.send(Msg::Stop);
-        let maintainer = join.join().expect("certifier thread panicked");
-        let status = self.shared.lock().expect("status lock").clone();
-        (status, maintainer)
+        status_of(&self.lock())
     }
 }
 
-fn status_of(m: &SgtMaintainer, check_us: u64, samples: u64) -> LiveStatus {
+fn status_of(st: &State) -> LiveStatus {
     LiveStatus {
-        ok: m.ok(),
-        watermark: m.watermark(),
-        processed: m.processed(),
-        nodes: m.node_count(),
-        edges: m.edge_count(),
-        live_tops: m.live_tops(),
-        check_us,
-        samples,
-        violation: m.violation(),
+        ok: st.m.ok(),
+        watermark: st.m.watermark(),
+        processed: st.m.processed(),
+        nodes: st.m.node_count(),
+        edges: st.m.edge_count(),
+        live_tops: st.m.live_tops(),
+        check_us: st.check_ns / 1_000,
+        samples: st.samples,
+        parked_max: st.parked_max,
+        violation: st.m.violation(),
     }
-}
-
-fn publish(
-    m: &SgtMaintainer,
-    telemetry: &TelemetryHandle,
-    shared: &Mutex<LiveStatus>,
-    check_us: u64,
-    samples: u64,
-) {
-    let status = status_of(m, check_us, samples);
-    if telemetry.is_enabled() {
-        telemetry.gauge_set("sgt.live.nodes", status.nodes as u64);
-        telemetry.gauge_set("sgt.live.edges", status.edges as u64);
-        telemetry.gauge_set("sgt.live.watermark", status.watermark);
-        telemetry.gauge_set("sgt.live.check_us", status.check_us);
-        // Compatibility names published by the retired sampling monitor.
-        telemetry.gauge_set("sgt.nodes", status.nodes as u64);
-        telemetry.gauge_set("sgt.edges", status.edges as u64);
-        telemetry.gauge_set("sgt.watermark", status.watermark);
-        telemetry.gauge_set("sgt.check_us", status.check_us);
-        telemetry.gauge_set("sgt.ok", u64::from(status.ok));
-        telemetry.gauge_set("sgt.samples", samples);
-    }
-    *shared.lock().expect("status lock") = status;
-}
-
-fn run(
-    rx: Receiver<Msg>,
-    cfg: SgtConfig,
-    telemetry: TelemetryHandle,
-    shared: Arc<Mutex<LiveStatus>>,
-) -> SgtMaintainer {
-    let mut m = SgtMaintainer::new(cfg);
-    let mut check_us: u64 = 0;
-    let mut samples: u64 = 0;
-    // Returns true when a shutdown was requested.
-    let handle =
-        |m: &mut SgtMaintainer, msg: Msg, acks: &mut Vec<Box<dyn FnOnce() + Send>>| match msg {
-            Msg::Event(FeedEvent::TreeAdd { t, parent, access }) => {
-                m.tree_add(t, parent, access);
-                false
-            }
-            Msg::Event(FeedEvent::Act { stamp, action }) => {
-                m.apply(stamp, action);
-                false
-            }
-            Msg::Acts(entries) => {
-                for (stamp, action) in entries {
-                    m.apply(stamp, action);
-                }
-                false
-            }
-            Msg::Preload { entries, resume_at } => {
-                m.preload(&entries, resume_at);
-                false
-            }
-            Msg::Flush(ack) => {
-                acks.push(ack);
-                false
-            }
-            Msg::Stop => true,
-        };
-    let mut stopping = false;
-    while !stopping {
-        let Ok(first) = rx.recv() else { break };
-        // Batch: process everything already queued, then publish once.
-        let mut acks = Vec::new();
-        let started = Instant::now();
-        stopping |= handle(&mut m, first, &mut acks);
-        while let Ok(msg) = rx.try_recv() {
-            stopping |= handle(&mut m, msg, &mut acks);
-        }
-        check_us += started.elapsed().as_micros() as u64;
-        samples += 1;
-        publish(&m, &telemetry, &shared, check_us, samples);
-        for ack in acks {
-            ack();
-        }
-    }
-    // Stop requested or every producer gone. Process any parked
-    // out-of-order remainder and publish the final state.
-    let started = Instant::now();
-    m.flush();
-    check_us += started.elapsed().as_micros() as u64;
-    samples += 1;
-    publish(&m, &telemetry, &shared, check_us, samples);
-    m
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nt_model::{TxTree, Value};
+    use nt_model::Value;
+
+    fn gauges_of(t: &TelemetryHandle) -> std::collections::HashMap<&'static str, u64> {
+        t.gauges().into_iter().collect()
+    }
 
     #[test]
-    fn feed_through_thread_matches_inline_replay() {
+    fn handle_matches_inline_replay() {
         let mut tree = TxTree::new();
         let x = tree.add_object();
         let a = tree.add_inner(TxId::ROOT);
@@ -363,40 +292,108 @@ mod tests {
             Action::Commit(b),
         ];
         let telemetry = TelemetryHandle::enabled(64);
-        let live = LiveCertifier::start(SgtConfig::default(), telemetry.clone());
-        let feed = live.handle();
-        for t in tree.all_tx() {
-            if t == TxId::ROOT {
-                continue;
-            }
-            feed.tree_add(
-                t,
-                tree.parent(t).expect("non-root"),
-                tree.object_of(t)
-                    .map(|x| (x, tree.op_of(t).unwrap().clone())),
+        let live = LiveCertifier::new(SgtConfig::default(), telemetry.clone());
+        live.seed_tree(&tree);
+        // Two clones, as two recording sites would hold; stamps are drawn
+        // under the certifier lock from a plain counter.
+        let other = live.clone();
+        let mut clock = 0u64;
+        for (i, act) in beta.iter().enumerate() {
+            let site = if i % 2 == 0 { &live } else { &other };
+            let stamp = site.record(
+                || {
+                    clock += 1;
+                    clock - 1
+                },
+                act,
             );
+            assert_eq!(stamp, i as u64);
+            // No barrier of any kind: the status is current after each step.
+            assert_eq!(live.status().processed, i as u64 + 1);
         }
-        for (i, a) in beta.iter().enumerate() {
-            feed.act(i as u64, a.clone());
-        }
-        live.drain();
+        let m = SgtMaintainer::replay(&tree, &beta, SgtConfig::default());
         let status = live.status();
-        assert!(status.ok);
-        assert_eq!(status.processed, beta.len() as u64);
-        assert_eq!(status.watermark, beta.len() as u64);
-        assert!(status.samples > 0);
-        let gauges: std::collections::HashMap<&str, u64> = telemetry.gauges().into_iter().collect();
+        assert!(status.ok && live.ok() && m.ok());
+        assert_eq!(status.processed, m.processed());
+        assert_eq!(status.watermark, m.watermark());
+        assert_eq!(status.nodes, m.node_count());
+        assert_eq!(status.edges, m.edge_count());
+        assert_eq!(status.live_tops, m.live_tops());
+        assert_eq!(status.samples, 2, "one per resolved top");
+        assert_eq!(status.parked_max, 0);
+        let gauges = gauges_of(&telemetry);
         assert_eq!(gauges.get("sgt.ok"), Some(&1));
-        assert!(gauges.contains_key("sgt.live.watermark"));
-        let (final_status, m) = live.stop();
-        assert!(final_status.ok);
-        assert!(m.ok());
+        assert_eq!(gauges.get("sgt.samples"), Some(&2));
+        assert_eq!(gauges.get("sgt.live.watermark"), Some(&status.watermark));
+    }
+
+    /// The crossed two-top history of the maintainer's
+    /// `root_cycle_detected_at_inserting_edge`, fed through the handle: the
+    /// violation and its witness are visible the moment the closing action
+    /// has been stepped, through both the lock-free mirror and the status.
+    #[test]
+    fn violation_is_visible_when_it_closes() {
+        let mut tree = TxTree::new();
+        let x = tree.add_object();
+        let y = tree.add_object();
+        let a = tree.add_inner(TxId::ROOT);
+        let b = tree.add_inner(TxId::ROOT);
+        let ax = tree.add_access(a, x, Op::Write(1));
+        let ay = tree.add_access(a, y, Op::Read);
+        let bx = tree.add_access(b, x, Op::Read);
+        let by = tree.add_access(b, y, Op::Write(2));
+        let beta = [
+            Action::RequestCreate(a),                 // 0
+            Action::RequestCreate(b),                 // 1
+            Action::RequestCommit(ax, Value::Ok),     // 2
+            Action::Commit(ax),                       // 3
+            Action::RequestCommit(by, Value::Ok),     // 4
+            Action::Commit(by),                       // 5
+            Action::RequestCommit(bx, Value::Int(1)), // 6: a→b (2,6)
+            Action::Commit(bx),                       // 7
+            Action::RequestCommit(ay, Value::Int(2)), // 8: b→a (4,8)
+            Action::Commit(ay),                       // 9
+            Action::RequestCommit(a, Value::Ok),      // 10
+            Action::Commit(a),                        // 11
+            Action::RequestCommit(b, Value::Ok),      // 12
+            Action::Commit(b),                        // 13: cycle closes
+        ];
+        let telemetry = TelemetryHandle::enabled(64);
+        let live = LiveCertifier::new(SgtConfig::default(), telemetry.clone());
+        live.seed_tree(&tree);
+        let (last, prefix) = beta.split_last().expect("non-empty");
+        for (i, act) in prefix.iter().enumerate() {
+            live.act(i as u64, act);
+        }
+        assert!(live.ok() && live.status().ok, "acyclic until b commits");
+        live.act(prefix.len() as u64, last);
+        assert!(!live.ok(), "lock-free mirror flips with the verdict");
+        let status = live.status();
+        assert!(!status.ok);
+        let rep = status.violation.expect("latched");
+        assert_eq!(rep.edge.witness, (4, 8));
+        assert_eq!(gauges_of(&telemetry).get("sgt.ok"), Some(&0));
+    }
+
+    #[test]
+    fn out_of_order_acts_park_and_converge() {
+        let mut tree = TxTree::new();
+        let a = tree.add_inner(TxId::ROOT);
+        let live = LiveCertifier::new(SgtConfig::default(), TelemetryHandle::disabled());
+        live.seed_tree(&tree);
+        live.act(1, &Action::Commit(a));
+        let status = live.status();
+        assert_eq!(status.processed, 0, "stamp 0 is missing");
+        assert_eq!(status.parked_max, 1);
+        live.act(0, &Action::RequestCreate(a));
+        let status = live.status();
+        assert_eq!(status.processed, 2);
+        assert_eq!(status.watermark, 2);
     }
 
     #[test]
     fn cert_documents_render() {
-        let live = LiveCertifier::start(SgtConfig::default(), TelemetryHandle::disabled());
-        live.drain();
+        let live = LiveCertifier::new(SgtConfig::default(), TelemetryHandle::disabled());
         let doc = live.status().cert_json();
         let v = nt_obs::json::Json::parse(&doc).expect("valid json");
         assert_eq!(v.get("schema").unwrap().as_str(), Some(CERT_SCHEMA));
@@ -405,6 +402,5 @@ mod tests {
         let off = cert_disabled_json();
         let v = nt_obs::json::Json::parse(&off).expect("valid json");
         assert_eq!(v.get("mode").unwrap().as_str(), Some("disabled"));
-        let (_s, _m) = live.stop();
     }
 }

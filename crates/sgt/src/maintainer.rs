@@ -246,9 +246,9 @@ impl SgtMaintainer {
         }
     }
 
-    /// Feed one stamped action. Out-of-order arrivals (concurrent
-    /// producers racing between stamp draw and channel send) are parked
-    /// in a heap and processed once the stamp sequence is contiguous.
+    /// Feed one stamped action. Out-of-order arrivals (a producer that
+    /// stamps first and feeds later) are parked in a heap and processed
+    /// once the stamp sequence is contiguous.
     pub fn apply(&mut self, stamp: u64, action: Action) {
         self.pending.push(Reverse(StampedAct(stamp, action)));
         while self
@@ -339,6 +339,16 @@ impl SgtMaintainer {
     /// Unresolved top-level transactions.
     pub fn live_tops(&self) -> usize {
         self.live_firsts.len()
+    }
+
+    /// Is `t` a registered (and not yet pruned) child of `T0`?
+    pub fn is_top(&self, t: TxId) -> bool {
+        self.nodes.get(&t).is_some_and(|n| n.parent == TxId::ROOT)
+    }
+
+    /// Out-of-order arrivals currently parked in the reorder heap.
+    pub fn parked(&self) -> usize {
+        self.pending.len()
     }
 
     /// Render the maintained root graph as an `nt-sgt/live/v1` document.

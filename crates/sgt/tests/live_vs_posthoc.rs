@@ -63,11 +63,11 @@ fn fresh_seeded_runs_agree_with_posthoc() {
         assert_eq!(live.processed, r.history.len() as u64, "seed {seed}");
         assert!(live.watermark > 0, "seed {seed}: watermark never advanced");
 
-        // Gauge parity: the engine feeds the certifier through buffered
-        // `act_batch` sends (one per commit/abort boundary, not one per
-        // action), so the published gauges must still land exactly where
-        // a from-scratch in-order replay of the same history lands —
-        // same graph shape, same GC watermark, same live-top count.
+        // Gauge parity: the workers step the shared maintainer inline, one
+        // recorded action at a time from several threads, so its final
+        // state must land exactly where a from-scratch in-order replay of
+        // the same history lands — same graph shape, same GC watermark,
+        // same live-top count.
         let m = nt_sgt_live::SgtMaintainer::replay(&r.tree, &r.history, SgtConfig::default());
         assert_eq!(live.nodes, m.node_count(), "seed {seed}: node gauge");
         assert_eq!(live.edges, m.edge_count(), "seed {seed}: edge gauge");
@@ -125,9 +125,9 @@ fn net_recorded_history_agrees_with_posthoc() {
     handle.wait();
 }
 
-/// Stamps racing between draw and channel send arrive out of order; the
-/// maintainer's reorder heap must converge to the in-order verdict. Here
-/// the recorded history is re-fed under seeded bounded shuffles.
+/// A producer that stamps first and feeds later delivers out of order;
+/// the maintainer's reorder heap must converge to the in-order verdict.
+/// Here the recorded history is re-fed under seeded bounded shuffles.
 #[test]
 fn shuffled_feed_converges_to_in_order_verdict() {
     let w = WorkloadSpec {
@@ -146,7 +146,7 @@ fn shuffled_feed_converges_to_in_order_verdict() {
         let mut m = SgtMaintainer::new(SgtConfig::default());
         m.seed_tree(&r.tree);
         // Shuffle within windows of 8: bounded reordering, as produced
-        // by concurrent workers racing to the feed channel.
+        // by concurrent producers racing between stamp draw and feed.
         let mut stamped: Vec<(u64, Action)> = r
             .history
             .iter()

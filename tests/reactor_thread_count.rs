@@ -2,6 +2,8 @@
 //! number of connections: frames execute on the poll thread and a lock
 //! wait parks a continuation, so there is nothing per connection to
 //! spawn. (At PR 10 every accepted connection cost an executor thread.)
+//! Nor is it a function of `live_certify`: the thread that records an
+//! action steps the certifier. (Until PR 16 it had a thread of its own.)
 //!
 //! One `#[test]` only: the count is the whole process's, and a sibling
 //! test running beside it would move it.
@@ -30,7 +32,7 @@ fn open(addr: &str, id: u64) -> Conn {
 }
 
 #[test]
-fn thread_count_is_the_same_with_1_and_32_connections() {
+fn thread_count_is_the_same_with_1_and_32_connections_and_with_live_certify() {
     let server = NetServer::bind(ServerConfig::default()).expect("bind");
     let addr = server.local_addr().to_string();
     let handle = server.serve();
@@ -50,5 +52,21 @@ fn thread_count_is_the_same_with_1_and_32_connections() {
         "the server grew threads with its connection count"
     );
     drop(conns);
+    handle.wait();
+
+    let server = NetServer::bind(ServerConfig {
+        live_certify: true,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().to_string();
+    let handle = server.serve();
+    let conn = open(&addr, 1);
+    assert_eq!(
+        process_threads(),
+        with_one,
+        "live certification changed the server's thread count"
+    );
+    drop(conn);
     handle.wait();
 }

@@ -19,10 +19,9 @@ if grep -nE "$blocking" "${poll_thread[@]}" | grep -v 'self\.thread\.join()'; th
     fail=1
 fi
 
-# The blocking session/certifier entry points (`Session::access`,
-# `LiveCertifier::drain`) have resumable twins; the service and the
-# protocol core must use those (every step takes a wake handle).
-# `Drainer::drain` only sets a flag and wakes the loop.
+# The blocking session entry point (`Session::access`) has a resumable
+# twin; the service and the protocol core must use that (every step takes
+# a wake handle). `Drainer::drain` only sets a flag and wakes the loop.
 if grep -nE 'session\.access\(|\.drain\(\)' crates/net/src/front_reactor.rs \
     crates/net/src/server.rs | grep -v 'drainer\.drain()'; then
     echo "check_poll_thread: the server calls a blocking entry point (above)" >&2
@@ -50,6 +49,18 @@ if grep -rnE 'fn run_conn|fn read_loop|fn execute_loop|enum Frontend|GroupCommit
 fi
 if grep -nE 'thread::spawn|Condvar|wait_timeout' crates/store/src/wal.rs; then
     echo "check_poll_thread: the WAL starts a thread or waits on one (above)" >&2
+    fail=1
+fi
+
+# The certifier is stepped by the recording thread: no thread, no channel
+# and no wait of its own, and the feed batching it replaced stays gone.
+if grep -rnE 'thread::spawn|mpsc|Condvar|\.recv\(' crates/sgt/src; then
+    echo "check_poll_thread: the certifier starts a thread or waits on one (above)" >&2
+    fail=1
+fi
+if grep -rnE 'fn drain_then|act_batch|FEED_BUF_CAP|fn flush_feeds|Parked::Cert' \
+    crates/ src/ tests/; then
+    echo "check_poll_thread: the certifier feed or the CERT continuation is back (above)" >&2
     fail=1
 fi
 
