@@ -70,16 +70,16 @@ pub struct EngineConfig {
     /// when `backoff` is set): the policy's round counts become real
     /// sleeps.
     pub backoff_round_us: u64,
-    /// Simulated storage latency per access in microseconds, applied while
-    /// the access holds its lock (0 = none). With it the workload is
-    /// latency-bound, so the throughput benchmark measures the engine's
-    /// ability to overlap access latency across workers — meaningful even
-    /// on a single hardware core.
+    /// Simulated storage latency per access in microseconds, slept after
+    /// the access returns, while its parent holds the inherited lock (0 =
+    /// none). With it the workload is latency-bound, so the throughput
+    /// benchmark measures the engine's ability to overlap access latency
+    /// across workers — meaningful even on a single hardware core.
     pub access_latency_us: u64,
-    /// Watchdog: the detector thread aborts all in-flight work after this
-    /// many wall-clock milliseconds (must be > 0). A run that trips it is
-    /// reported with `gave_up = true` and still certifies (aborted work is
-    /// invisible to `T0`).
+    /// Watchdog: `run_plan`'s calling thread aborts all in-flight work
+    /// after this many wall-clock milliseconds (must be > 0). A run that
+    /// trips it is reported with `gave_up = true` and still certifies
+    /// (aborted work is invisible to `T0`).
     pub max_wall_ms: u64,
     /// Maintain the serialization graph *live* while the run executes
     /// (`nt-sgt-live`): the thread that records an action also steps the

@@ -1,30 +1,30 @@
-//! Wait-for-graph deadlock detector (a dedicated thread) and the run
-//! watchdog.
+//! Wait-for-graph deadlock detection: one pass ([`scan_once`]) over the
+//! lock table's queued requests. There is one loop that runs it — the
+//! detector thread [`SessionEngine`](crate::SessionEngine) starts, every
+//! detector period — and tests drive single passes by hand.
 //!
-//! Every `detector_period_us` the detector snapshots the lock table's
-//! wait-for relation, collapses it to *top-level groups* (deadlock in this
-//! engine is always between top-level subtrees — each subtree runs
-//! depth-first on one worker, so there is no intra-subtree waiting), and
-//! looks for a cycle. For one cycle edge it dooms a single victim: the
-//! lowest (deepest) incomplete transaction on the blocking lockholder's
-//! ancestor chain — the same policy the simulator's deadlock module uses —
-//! claimed through the status table's CAS so a racing commit wins cleanly.
+//! A pass snapshots the lock table's wait-for relation, collapses it to
+//! *top-level groups* (a session drives each of its subtrees depth-first,
+//! so there is no intra-subtree waiting and deadlock is always between
+//! top-level subtrees), and looks for a cycle. For one cycle edge it dooms
+//! a single victim: the lowest (deepest) incomplete transaction on the
+//! blocking lockholder's ancestor chain — the same policy the simulator's
+//! deadlock module uses — claimed through the status table's CAS so a
+//! racing commit wins cleanly.
 //!
 //! The doomed victim is always an ancestor-or-self of a transaction some
-//! worker is actively executing (held locks lie on that worker's current
-//! depth-first path), so the victim's worker notices the doom when the
-//! sweep resolves its queued acquire, or at its next slot boundary or
-//! commit attempt, unwinds to the victim's frame, aborts it there, and —
-//! when retry is configured — hands the slot to the `nt-faults` backoff
-//! machinery.
+//! session is actively executing (held locks lie on that session's current
+//! depth-first path), so its session notices the doom when the sweep
+//! resolves its queued acquire, or at its next operation on the victim's
+//! subtree, aborts the subtree there, and reports `Aborted(victim)` to
+//! its caller — who may retry (the plan driver hands the slot to the
+//! `nt-faults` backoff machinery).
 
 use crate::locktable::LockTable;
 use crate::status::StatusTable;
 use crate::tree_view::TreeView;
 use nt_model::TxId;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
 
 /// One doomed deadlock victim, with the wait-for edge that convicted it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,57 +36,6 @@ pub struct Victim {
     /// The lockholder blocking `waiter`; `victim` is its lowest incomplete
     /// ancestor-or-self.
     pub blocker: TxId,
-}
-
-/// What the detector thread did over the whole run.
-#[derive(Debug, Default)]
-pub struct DetectorOutcome {
-    /// Scan passes performed.
-    pub passes: u64,
-    /// Victims doomed, in doom order.
-    pub victims: Vec<Victim>,
-    /// True iff the wall-clock watchdog fired and the run was abandoned.
-    pub gave_up: bool,
-}
-
-/// The detector thread body: scan every `period` until `stop` is set.
-/// Also hosts the watchdog — after `max_wall` the whole run is abandoned
-/// (every incomplete top-level transaction is doomed and the lock table is
-/// put into give-up mode).
-#[allow(clippy::too_many_arguments)] // one call site, in run_plan
-pub fn detect_loop<T: TreeView>(
-    tree: &T,
-    status: &StatusTable,
-    table: &LockTable<T>,
-    top: &[TxId],
-    period: Duration,
-    max_wall: Duration,
-    start: Instant,
-    stop: &AtomicBool,
-) -> DetectorOutcome {
-    let mut out = DetectorOutcome::default();
-    while !stop.load(Ordering::Acquire) {
-        std::thread::sleep(period);
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        out.passes += 1;
-        if !out.gave_up && start.elapsed() >= max_wall {
-            out.gave_up = true;
-            for &t in top {
-                if !status.is_complete(t) {
-                    status.mark_doomed(t);
-                }
-            }
-            table.give_up();
-            continue;
-        }
-        if let Some(victim) = scan_once(tree, status, table) {
-            out.victims.push(victim);
-            table.doom_sweep();
-        }
-    }
-    out
 }
 
 /// One detector pass: snapshot, build the group-level wait-for graph, doom

@@ -1,22 +1,31 @@
 //! # nt-engine
 //!
 //! A multi-threaded nested-transaction engine. Everything else in the
-//! workspace executes serially under a logical clock; this crate runs the
-//! same `WorkloadSpec`/`ScriptedTx` workloads under genuine OS-thread
-//! concurrency and then *proves* each run correct after the fact:
+//! workspace executes serially under a logical clock; this crate runs
+//! transactions under genuine OS-thread concurrency and then *proves* each
+//! run correct after the fact:
 //!
+//! * **sessions** ([`SessionEngine`], [`Session`]) are the one execution
+//!   core: a client grows the transaction tree interactively — `begin_top`
+//!   / `begin_child` / `access` / `commit` / `abort` — and the session
+//!   performs the paper's controller transitions (create, answer, commit
+//!   with lock inheritance, abort with `INFORM_ABORT` to every touched
+//!   object). The networked server runs one session per connection;
+//!   [`run_plan`] drives the same `WorkloadSpec`/`ScriptedTx` workloads the
+//!   simulator runs through one session per worker thread;
 //! * a **sharded lock table** ([`LockTable`]) implements Moss' read/write
 //!   locking rules (§5.2) — the same [`nt_locking::moss_precondition`] the
 //!   simulated `M1_X` automaton uses — with queued, non-blocking waits
 //!   that the releaser grants in place, earliest eligible ticket first
 //!   (a thin blocking wrapper parks in-process callers on the ticket);
-//! * a **wait-for-graph deadlock detector** (a dedicated thread) dooms one
-//!   victim per detected cycle, chosen as the lowest incomplete transaction
-//!   on a blocker's ancestor chain (mirroring the simulator's policy);
-//!   victims flow into the `nt-faults` retry/backoff machinery via the
-//!   workload's pre-materialized replica chains;
+//! * a **wait-for-graph deadlock detector** (the session engine's one
+//!   background thread) dooms one victim per detected cycle, chosen as the
+//!   lowest incomplete transaction on a blocker's ancestor chain
+//!   (mirroring the simulator's policy); under [`run_plan`] victims flow
+//!   into the `nt-faults` retry/backoff machinery via the workload's
+//!   pre-materialized replica chains;
 //! * a **concurrent history recorder** ([`recorder`]) stamps every action
-//!   from one global sequence counter into per-worker append buffers;
+//!   from one global sequence counter into per-session append buffers;
 //!   object-level actions are stamped while the owning lock shard is held,
 //!   so the merged history linearizes exactly the synchronization the
 //!   engine actually performed;
@@ -24,11 +33,12 @@
 //!   concurrent run against Theorem 17 post-hoc: the serialization graph
 //!   must be acyclic and every return value appropriate.
 //!
-//! The engine executes each top-level transaction's subtree depth-first on
-//! one worker (a legal interleaving for both `Parallel` and `Sequential`
-//! child orders — transaction well-formedness never *requires* intra-
-//! transaction concurrency); concurrency happens *between* top-level
-//! transactions, which is where the paper's serializability questions live.
+//! A session executes each of its top-level transactions' subtrees
+//! depth-first on the calling thread (a legal interleaving for both
+//! `Parallel` and `Sequential` child orders — transaction well-formedness
+//! never *requires* intra-transaction concurrency); concurrency happens
+//! *between* top-level transactions, which is where the paper's
+//! serializability questions live.
 
 #![forbid(unsafe_code)]
 
@@ -43,7 +53,6 @@ pub mod status;
 pub mod tree_view;
 
 pub use config::{DurabilityMode, EngineConfig};
-pub use detector::DetectorOutcome;
 pub use locktable::{
     Acquired, Acquisition, LockTable, ShardCounters, Ticket, WaitEdge, WakeHandle,
 };

@@ -256,8 +256,10 @@ struct ShardState {
 const PARK_BACKSTOP: Duration = Duration::from_millis(250);
 
 /// The sharded lock manager, generic over the tree representation: the
-/// batch engine passes a frozen `Arc<TxTree>` (the default), the session
-/// engine a growable [`SessionTree`](crate::session_tree::SessionTree).
+/// session engine passes a growable
+/// [`SessionTree`](crate::session_tree::SessionTree); a frozen
+/// `Arc<TxTree>` (the default) serves callers that drive the table
+/// directly over a tree known up front.
 pub struct LockTable<T: TreeView = Arc<TxTree>> {
     tree: T,
     status: Arc<StatusTable>,
@@ -678,14 +680,6 @@ impl<T: TreeView> LockTable<T> {
     /// Did the watchdog fire?
     pub fn gave_up(&self) -> bool {
         self.give_up.load(Ordering::Acquire)
-    }
-
-    /// Drain the per-shard object-action logs (after the run).
-    pub fn drain_logs(&self) -> Vec<WorkerLog> {
-        self.shards
-            .iter()
-            .map(|s| std::mem::take(&mut s.lock().expect("shard poisoned").log))
-            .collect()
     }
 
     /// Clone the per-shard object-action logs without draining them — the

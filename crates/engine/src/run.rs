@@ -1,53 +1,58 @@
-//! The engine proper: a pool of OS-thread workers executing a workload's
-//! script plans under the sharded lock table, with a detector thread on the
-//! side and a post-hoc certification hook.
+//! `run_plan`: a plan *driver* over the session engine, with a post-hoc
+//! certification hook.
 //!
 //! ## Execution model
 //!
-//! Workers claim top-level slots from a shared counter and execute each
-//! claimed subtree *depth-first* on one thread — a legal interleaving for
-//! both `Parallel` and `Sequential` child orders (transaction
-//! well-formedness never requires intra-transaction concurrency).
-//! Concurrency happens between top-level transactions, which is where the
-//! paper's serializability questions live.
+//! There is one execution core, [`SessionEngine`]: the driver starts one
+//! (its own detector thread included), and each of `cfg.threads` workers
+//! opens a [`Session`] and plays the plan through the public session API
+//! — `begin_top` / `begin_child` / `access` / `commit` — exactly as a
+//! network client would. Every recorded action of a run is therefore
+//! recorded by the code the server runs; this module records none and
+//! touches no lock, status or clock state.
 //!
-//! Every serial action a frame performs is stamped into the worker's
-//! private log; object-level actions (`REQUEST_COMMIT` answers,
-//! `INFORM_*`) are stamped by the lock table while the owning shard mutex
-//! is held. Merging all logs by stamp therefore yields a history that
-//! refines both per-worker program order and each object's actual
-//! serialization — the history the run *really* performed, which
-//! [`EngineReport::certify`] then proves serially correct (or not) via
-//! `nt_sgt::certify_recorded`.
+//! What the driver adds on top: workers claim top-level slots from a
+//! shared counter and walk each claimed subtree *depth-first* on one
+//! thread — a legal interleaving for both `Parallel` and `Sequential`
+//! child orders (transaction well-formedness never requires intra-
+//! transaction concurrency), so concurrency happens between top-level
+//! transactions, which is where the paper's serializability questions
+//! live; `access_latency_us` is slept after each access returns (its
+//! parent then holds the lock, as on the server); and the main thread is
+//! the `max_wall_ms` watchdog ([`SessionEngine::give_up`]).
+//!
+//! Sessions name transactions as they begin them, so a run's ids are not
+//! the plan's: [`EngineReport::plan_ids`] maps one to the other. The
+//! report's tree, history and victims are self-consistent in run ids,
+//! which is all [`EngineReport::certify`] needs.
 //!
 //! ## Doom and unwinding
 //!
-//! The detector (or watchdog) dooms a victim through the status table; the
-//! victim's worker notices at its next blocked acquire, frame entry, or
-//! commit attempt, unwinds its call stack to the victim's frame
-//! ([`TxResult::Doomed`] carries the target), aborts exactly that subtree
-//! (one `ABORT`, one `INFORM_ABORT` per touched object, one
-//! `REPORT_ABORT`), and — when the config enables backoff — re-runs the
-//! slot with the workload's next pre-materialized replica after a real
-//! wall-clock backoff sleep.
+//! The detector (or watchdog) dooms a victim; the session API reports it
+//! as `Aborted(victim)` from the victim's worker's next call inside that
+//! subtree, having aborted exactly that subtree (one `ABORT`, one
+//! `INFORM_ABORT` per touched object, one `REPORT_ABORT`). The driver
+//! unwinds its call stack to the frame that began `victim` and — when the
+//! config enables backoff — re-runs the slot with the workload's next
+//! pre-materialized replica after a real wall-clock backoff sleep.
 
 use crate::config::EngineConfig;
 pub use crate::detector::Victim;
-use crate::detector::{detect_loop, DetectorOutcome};
-use crate::locktable::{Acquired, LockTable};
-use crate::recorder::{merge, SeqClock, WorkerLog};
-use crate::status::StatusTable;
+use crate::session::{
+    AccessOutcome, BeginOutcome, CommitOutcome, RecoveredSeed, Session, SessionEngine,
+};
 use nt_faults::{RetryLedger, RetryOutcome, RetryRecord};
 use nt_model::rw::RwInitials;
-use nt_model::{Action, ObjId, TxId, TxTree, Value};
+use nt_model::{Action, ObjId, TxId, TxTree};
 use nt_obs::{Event, TraceHandle};
 use nt_serial::ObjectTypes;
 use nt_sgt::{certify_recorded, ConflictSource, RecordedCertificate};
 use nt_sgt_live::{LiveCertifier, LiveStatus, SgtConfig};
 use nt_sim::{ScriptPlan, Workload};
 use nt_telemetry::{HistSnapshot, TelemetryHandle};
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -82,17 +87,22 @@ impl EnginePlan {
         }
     }
 
-    /// Structural validation: every inner transaction has a plan, every
-    /// access is a read/write-register operation (the lock table implements
-    /// Moss' read/write rules; other data types belong to the simulator's
-    /// commutativity-based protocols).
+    /// Structural validation — what the driver relies on without
+    /// checking again. Every inner transaction has a plan and every access
+    /// is a read/write-register operation (the lock table implements Moss'
+    /// read/write rules; other data types belong to the simulator's
+    /// commutativity-based protocols); top-level slots are inner children
+    /// of `T0`; a plan's children are its transaction's children; and a
+    /// retry chain set has one chain per child slot, of replicas that are
+    /// siblings of the original and of its kind.
     fn validate(&self) -> Result<(), String> {
-        for t in self.tree.all_tx() {
+        let tree = &self.tree;
+        for t in tree.all_tx() {
             if t == TxId::ROOT {
                 continue;
             }
-            if self.tree.is_access(t) {
-                let op = self.tree.op_of(t).expect("access carries an op");
+            if tree.is_access(t) {
+                let op = tree.op_of(t).expect("access carries an op");
                 if !op.is_rw_read() && !op.is_rw_write() {
                     return Err(format!(
                         "access {t} uses non-read/write op {op:?}; the engine's \
@@ -101,6 +111,44 @@ impl EnginePlan {
                 }
             } else if !self.plans.contains_key(&t) {
                 return Err(format!("inner transaction {t} has no script plan"));
+            }
+        }
+        let child_of = |c: TxId, p: TxId| c.index() < tree.len() && tree.parent(c) == Some(p);
+        for &t in &self.top {
+            if !child_of(t, TxId::ROOT) || tree.is_access(t) {
+                return Err(format!(
+                    "top-level slot {t} is not an inner child of T0 (sessions \
+                     cannot run an access directly under T0)"
+                ));
+            }
+        }
+        for (&t, script) in &self.plans {
+            if let Some(c) = script.children.iter().find(|&&c| !child_of(c, t)) {
+                return Err(format!("the plan of {t} lists {c}, which is not its child"));
+            }
+        }
+        for (&p, chains) in &self.retry_chains {
+            let slots: &[TxId] = if p == TxId::ROOT {
+                &self.top
+            } else {
+                self.plans.get(&p).map_or(&[], |script| &script.children)
+            };
+            if chains.len() != slots.len() {
+                return Err(format!(
+                    "{p} has {} child slots but {} retry chains",
+                    slots.len(),
+                    chains.len()
+                ));
+            }
+            for (&original, chain) in slots.iter().zip(chains) {
+                let same_kind =
+                    |r: TxId| child_of(r, p) && tree.is_access(r) == tree.is_access(original);
+                if let Some(r) = chain.iter().find(|&&r| !same_kind(r)) {
+                    return Err(format!(
+                        "replica {r} of slot {original} is not a child of {p} of \
+                         the same kind (access or inner) as the original"
+                    ));
+                }
             }
         }
         Ok(())
@@ -115,7 +163,7 @@ pub struct EngineStats {
     /// Acquisitions that parked at least once.
     pub blocked: u64,
     /// Grants that landed only after a timed-out condvar wait (see
-    /// [`LockTable::timeout_rescues`]).
+    /// [`SessionEngine::timeout_rescues`]).
     pub timeout_rescues: u64,
     /// Deadlock-detector scan passes.
     pub detector_passes: u64,
@@ -123,12 +171,17 @@ pub struct EngineStats {
 
 /// The outcome of one threaded run.
 pub struct EngineReport {
-    /// The tree the run executed (for certification).
+    /// The tree the run grew (for certification): the instantiated part of
+    /// the plan's tree, in run ids.
     pub tree: Arc<TxTree>,
     /// Serial types (for certification).
     pub types: ObjectTypes,
     /// The merged recorded history, in stamp order.
     pub history: Vec<Action>,
+    /// Run id → plan id: which transaction of the executed plan each
+    /// transaction of `tree` (and so each name in `history` and `victims`)
+    /// instantiated.
+    pub plan_ids: BTreeMap<TxId, TxId>,
     /// Top-level slots where some attempt committed.
     pub committed_top: usize,
     /// Top-level slots that failed (every attempt aborted).
@@ -191,270 +244,149 @@ impl EngineReport {
     }
 }
 
-/// A fresh log, stepping `certifier` when the run has one.
-fn new_log(certifier: &Option<LiveCertifier>) -> WorkerLog {
-    match certifier {
-        Some(c) => WorkerLog::new().with_certifier(c.clone()),
-        None => WorkerLog::new(),
-    }
-}
+/// A validated plan never misuses the session API.
+const LEGAL: &str = "a validated plan drives the session API legally";
 
-/// How one frame of the depth-first execution resolved.
-enum TxResult {
-    Committed,
-    Aborted,
-    /// A *proper ancestor* of this frame was doomed: unwind (recording
-    /// nothing) until the ancestor's own frame aborts it.
-    Doomed(TxId),
-}
-
-/// How one child slot (original + optional replica attempts) resolved.
-enum SlotResult {
-    Committed,
-    Failed,
-    Doomed(TxId),
-}
-
-/// Shared per-run context.
-struct Ctx<'a> {
-    plan: &'a EnginePlan,
-    cfg: &'a EngineConfig,
-    table: &'a LockTable,
-    status: &'a StatusTable,
-    clock: &'a SeqClock,
-    next_slot: &'a AtomicUsize,
-    certifier: Option<LiveCertifier>,
-}
-
-/// One worker thread's state.
-struct Worker<'a> {
-    ctx: &'a Ctx<'a>,
-    log: WorkerLog,
-    /// Objects whose locks each live transaction currently holds (from this
-    /// worker's subtrees). Inherited upward on commit, discarded on abort.
-    held: BTreeMap<TxId, BTreeSet<ObjId>>,
+/// What one worker hands back when the slot counter runs out.
+#[derive(Default)]
+struct Tally {
+    /// Run id → plan id of every transaction this worker began.
+    ids: BTreeMap<TxId, TxId>,
+    /// Plan accesses attempted under each run parent, in call order
+    /// (sessions do not report an access's id; see `run_plan`).
+    accesses: BTreeMap<TxId, Vec<TxId>>,
     records: Vec<RetryRecord>,
     committed_top: usize,
     aborted_top: usize,
     top_lat: HistSnapshot,
 }
 
-impl<'a> Worker<'a> {
-    fn new(ctx: &'a Ctx<'a>) -> Self {
-        let log = new_log(&ctx.certifier);
-        Worker {
-            ctx,
-            log,
-            held: BTreeMap::new(),
-            records: Vec::new(),
-            committed_top: 0,
-            aborted_top: 0,
-            top_lat: HistSnapshot::new(),
-        }
-    }
+/// One worker thread: a session and the plan it plays through it.
+struct Driver<'a> {
+    plan: &'a EnginePlan,
+    cfg: &'a EngineConfig,
+    engine: &'a SessionEngine,
+    session: Session,
+    next_slot: &'a AtomicUsize,
+    out: Tally,
+}
 
-    fn tree(&self) -> &TxTree {
-        &self.ctx.plan.tree
-    }
-
+impl Driver<'_> {
     /// Pull and run top-level slots until the shared counter runs out.
     fn run(&mut self) {
         loop {
-            let i = self.ctx.next_slot.fetch_add(1, Ordering::Relaxed);
-            if i >= self.ctx.plan.top.len() {
+            let i = self.next_slot.fetch_add(1, Ordering::Relaxed);
+            let Some(&original) = self.plan.top.get(i) else {
                 return;
-            }
-            let original = self.ctx.plan.top[i];
+            };
             let slot_start = Instant::now();
-            match self.run_slot(TxId::ROOT, i, original) {
-                SlotResult::Committed => self.committed_top += 1,
-                SlotResult::Failed => self.aborted_top += 1,
-                SlotResult::Doomed(_) => {
-                    // Unreachable: a top-level frame has no proper ancestor
-                    // below T0 to unwind to. Count it as failed defensively.
-                    debug_assert!(false, "top-level slot cannot unwind past T0");
-                    self.aborted_top += 1;
-                }
+            match self.run_slot(TxId::ROOT, TxId::ROOT, i, original) {
+                Ok(true) => self.out.committed_top += 1,
+                Ok(false) => self.out.aborted_top += 1,
+                Err(v) => unreachable!("{v} was aborted above a top-level slot"),
             }
-            self.top_lat
+            self.out
+                .top_lat
                 .observe(slot_start.elapsed().as_micros() as u64);
         }
     }
 
-    /// Run slot `slot_idx` of `parent`: the original child, then — when the
-    /// config enables backoff — each pre-materialized replica after a real
-    /// backoff sleep. A failed slot does not prevent the parent's commit
-    /// (mirroring `ScriptedTx`).
-    fn run_slot(&mut self, parent: TxId, slot_idx: usize, original: TxId) -> SlotResult {
-        static EMPTY: Vec<TxId> = Vec::new();
-        let chain: &Vec<TxId> = if self.ctx.cfg.backoff.is_some() {
-            self.ctx
-                .plan
-                .retry_chains
-                .get(&parent)
-                .map(|chains| &chains[slot_idx])
-                .unwrap_or(&EMPTY)
-        } else {
-            &EMPTY
+    /// Run slot `slot_idx` of plan transaction `plan_parent`, begun as
+    /// `parent`: the original child, then — when the config enables backoff
+    /// — each pre-materialized replica after a real backoff sleep. `Ok`
+    /// says whether some attempt committed (a failed slot does not prevent
+    /// the parent's commit, mirroring `ScriptedTx`); `Err(v)` means `v`, an
+    /// open frame at or above `parent`, was aborted: unwind to it.
+    fn run_slot(
+        &mut self,
+        parent: TxId,
+        plan_parent: TxId,
+        slot_idx: usize,
+        original: TxId,
+    ) -> Result<bool, TxId> {
+        let plan = self.plan;
+        let chain: &[TxId] = match (&self.cfg.backoff, plan.retry_chains.get(&plan_parent)) {
+            (Some(_), Some(chains)) => &chains[slot_idx],
+            _ => &[],
         };
-        for (k, &attempt) in std::iter::once(&original).chain(chain.iter()).enumerate() {
-            if k > 0 {
-                if self.ctx.table.gave_up() {
-                    break;
-                }
-                let policy = self.ctx.cfg.backoff.as_ref().expect("chain implies policy");
-                let rounds = policy.delay(k as u32);
-                std::thread::sleep(Duration::from_micros(
-                    rounds * self.ctx.cfg.backoff_round_us,
-                ));
+        for (k, &attempt) in std::iter::once(&original).chain(chain).enumerate() {
+            if self.engine.gave_up() {
+                break;
             }
-            self.log
-                .record(self.ctx.clock, Action::RequestCreate(attempt));
-            match self.run_tx(attempt) {
-                TxResult::Committed => {
-                    if !chain.is_empty() {
-                        self.records.push(RetryRecord {
-                            original: original.0,
-                            retries: k as u32,
-                            outcome: RetryOutcome::Committed,
-                        });
-                    }
-                    return SlotResult::Committed;
+            if k > 0 {
+                let policy = self.cfg.backoff.as_ref().expect("chain implies policy");
+                let rounds = policy.delay(k as u32);
+                std::thread::sleep(Duration::from_micros(rounds * self.cfg.backoff_round_us));
+            }
+            if self.attempt(parent, attempt)? {
+                if !chain.is_empty() {
+                    self.out.records.push(RetryRecord {
+                        original: original.0,
+                        retries: k as u32,
+                        outcome: RetryOutcome::Committed,
+                    });
                 }
-                TxResult::Aborted => continue,
-                TxResult::Doomed(d) => return SlotResult::Doomed(d),
+                return Ok(true);
             }
         }
         if !chain.is_empty() {
-            self.records.push(RetryRecord {
+            self.out.records.push(RetryRecord {
                 original: original.0,
                 retries: chain.len() as u32,
                 outcome: RetryOutcome::Exhausted,
             });
         }
-        SlotResult::Failed
+        Ok(false)
     }
 
-    /// Execute transaction `t` (its `REQUEST_CREATE` is already recorded).
-    fn run_tx(&mut self, t: TxId) -> TxResult {
-        if let Some(d) = self.doomed_ancestor_or_giveup(t) {
-            return if d == t {
-                self.abort_tx(t);
-                TxResult::Aborted
-            } else {
-                TxResult::Doomed(d)
+    /// Play plan transaction `p` once, under `parent` (`T0` for a top).
+    /// `Ok(true)`: it committed. `Ok(false)`: the session aborted it — the
+    /// victim was `p`'s own instance. `Err(v)`: the victim `v` is an open
+    /// frame above it.
+    fn attempt(&mut self, parent: TxId, p: TxId) -> Result<bool, TxId> {
+        let plan = self.plan;
+        if let Some(x) = plan.tree.object_of(p) {
+            let op = plan.tree.op_of(p).expect("access carries an op").clone();
+            self.out.accesses.entry(parent).or_default().push(p);
+            return match self.session.access(parent, x, op).expect(LEGAL) {
+                AccessOutcome::Done(_) => {
+                    if self.cfg.access_latency_us > 0 {
+                        std::thread::sleep(Duration::from_micros(self.cfg.access_latency_us));
+                    }
+                    Ok(true)
+                }
+                // Every open frame is in `ids`; the access itself is not.
+                AccessOutcome::Aborted(v) if self.out.ids.contains_key(&v) => Err(v),
+                AccessOutcome::Aborted(_) => Ok(false),
             };
         }
-        self.log.record(self.ctx.clock, Action::Create(t));
-        if self.tree().is_access(t) {
-            self.run_access(t)
+        let t = if parent == TxId::ROOT {
+            self.session.begin_top().expect(LEGAL)
         } else {
-            self.run_inner(t)
+            match self.session.begin_child(parent).expect(LEGAL) {
+                BeginOutcome::Fresh(t) => t,
+                BeginOutcome::Aborted(v) => return Err(v),
+            }
+        };
+        self.out.ids.insert(t, p);
+        match self.children_then_commit(t, p) {
+            Ok(()) => Ok(true),
+            Err(v) if v == t => Ok(false),
+            Err(v) => Err(v),
         }
     }
 
-    /// `doomed_ancestor`, also treating watchdog give-up as dooming the
-    /// frame's top-level ancestor (so stragglers stop starting new work).
-    fn doomed_ancestor_or_giveup(&self, t: TxId) -> Option<TxId> {
-        self.ctx.status.doomed_ancestor(self.tree(), t).or_else(|| {
-            if self.ctx.table.gave_up() {
-                Some(self.tree().child_toward(TxId::ROOT, t))
-            } else {
-                None
-            }
-        })
-    }
-
-    /// An access: acquire the Moss lock (blocking), hold it across the
-    /// configured storage latency, then commit and pass the lock up.
-    fn run_access(&mut self, t: TxId) -> TxResult {
-        let x = self.tree().object_of(t).expect("access names an object");
-        let op = self.tree().op_of(t).expect("access carries an op").clone();
-        match self.ctx.table.acquire(t, x, &op) {
-            Acquired::Doomed(d) => {
-                if d == t {
-                    self.abort_tx(t);
-                    TxResult::Aborted
-                } else {
-                    TxResult::Doomed(d)
-                }
-            }
-            Acquired::Granted(v) => {
-                self.held.entry(t).or_default().insert(x);
-                if self.ctx.cfg.access_latency_us > 0 {
-                    std::thread::sleep(Duration::from_micros(self.ctx.cfg.access_latency_us));
-                }
-                self.commit_tx(t, v)
-            }
+    /// The body of inner transaction `p`, begun as `t`: every child slot
+    /// depth-first, then the commit. `Err` names the aborted victim.
+    fn children_then_commit(&mut self, t: TxId, p: TxId) -> Result<(), TxId> {
+        let plan = self.plan;
+        for (i, &c) in plan.plans[&p].children.iter().enumerate() {
+            self.run_slot(t, p, i, c)?;
         }
-    }
-
-    /// An inner transaction: run every child slot depth-first, then request
-    /// commit and commit (unless doomed meanwhile).
-    fn run_inner(&mut self, t: TxId) -> TxResult {
-        let children = self.ctx.plan.plans[&t].children.clone();
-        for (i, &c) in children.iter().enumerate() {
-            match self.run_slot(t, i, c) {
-                SlotResult::Committed | SlotResult::Failed => {}
-                SlotResult::Doomed(d) => {
-                    return if d == t {
-                        self.abort_tx(t);
-                        TxResult::Aborted
-                    } else {
-                        TxResult::Doomed(d)
-                    };
-                }
-            }
+        match self.session.commit(t).expect(LEGAL) {
+            CommitOutcome::Committed => Ok(()),
+            CommitOutcome::Aborted(v) => Err(v),
         }
-        self.log
-            .record(self.ctx.clock, Action::RequestCommit(t, Value::Ok));
-        self.commit_tx(t, Value::Ok)
-    }
-
-    /// Commit `t` through the status CAS; on success inherit its locks to
-    /// the parent, on failure (doomed meanwhile) take the abort path.
-    fn commit_tx(&mut self, t: TxId, v: Value) -> TxResult {
-        if self.ctx.status.try_commit(t) {
-            self.log.record(self.ctx.clock, Action::Commit(t));
-            if let Some(objs) = self.held.remove(&t) {
-                self.ctx.table.release_inherit(t, objs.iter().copied());
-                let parent = self.tree().parent(t).expect("non-root commits");
-                self.held.entry(parent).or_default().extend(objs);
-            }
-            self.log.record(self.ctx.clock, Action::ReportCommit(t, v));
-            TxResult::Committed
-        } else {
-            let d = self.doomed_ancestor_or_giveup(t).unwrap_or(t);
-            if d == t {
-                self.abort_tx(t);
-                TxResult::Aborted
-            } else {
-                TxResult::Doomed(d)
-            }
-        }
-    }
-
-    /// Abort `t`: `ABORT`, one `INFORM_ABORT` per object a descendant-or-
-    /// self holds locks on (discarding them), `REPORT_ABORT`.
-    fn abort_tx(&mut self, t: TxId) {
-        self.ctx.status.mark_aborted(t);
-        self.log.record(self.ctx.clock, Action::Abort(t));
-        let mut discarded: BTreeSet<ObjId> = BTreeSet::new();
-        let dead: Vec<TxId> = self
-            .held
-            .keys()
-            .copied()
-            .filter(|&h| self.tree().is_ancestor(t, h))
-            .collect();
-        for h in dead {
-            if let Some(objs) = self.held.remove(&h) {
-                discarded.extend(objs);
-            }
-        }
-        if !discarded.is_empty() {
-            self.ctx.table.discard(t, discarded.iter().copied());
-        }
-        self.log.record(self.ctx.clock, Action::ReportAbort(t));
     }
 }
 
@@ -486,111 +418,113 @@ pub fn run_plan_gated(
     run_plan(plan, cfg)
 }
 
-/// Run an [`EnginePlan`] on the threaded engine: `cfg.threads` workers, a
-/// sharded lock table, a detector thread, and a merged recorded history.
+/// Run an [`EnginePlan`]: one [`SessionEngine`] sized to the plan (each
+/// plan transaction is begun at most once), `cfg.threads` workers driving
+/// sessions, the calling thread as watchdog, and the engine's merged
+/// recorded history.
 pub fn run_plan(plan: &EnginePlan, cfg: &EngineConfig) -> Result<EngineReport, String> {
     cfg.validate()?;
     plan.validate()?;
-    let status = Arc::new(StatusTable::new(plan.tree.len()));
-    let clock = Arc::new(SeqClock::new());
-    // Live certification: the whole (static) naming tree seeds the
-    // maintainer before any action is stamped, then every log sharing
-    // the clock carries the handle (the maintainer advances through a
-    // contiguous stamp sequence, so none may be left out).
-    let certifier = cfg.live_certify.then(|| {
-        let c = LiveCertifier::new(SgtConfig::default(), TelemetryHandle::disabled());
-        c.seed_tree(&plan.tree);
-        c
-    });
-    let mut table = LockTable::new(
-        Arc::clone(&plan.tree),
-        Arc::clone(&status),
-        Arc::clone(&clock),
-        plan.initials.clone(),
-        cfg.shards,
-    );
-    if let Some(c) = &certifier {
-        table = table.with_certifier(c.clone());
-    }
-    let table = table;
-    let next_slot = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let ctx = Ctx {
-        plan,
-        cfg,
-        table: &table,
-        status: &status,
-        clock: &clock,
-        next_slot: &next_slot,
-        certifier: certifier.clone(),
+    let seed = RecoveredSeed {
+        initials: (0..plan.tree.num_objects() as u32)
+            .map(|x| (ObjId(x), plan.initials.initial(ObjId(x))))
+            .collect(),
+        ..RecoveredSeed::default()
     };
-    let mut main_log = new_log(&certifier);
-    main_log.record(&clock, Action::Create(TxId::ROOT));
+    let certifier = cfg
+        .live_certify
+        .then(|| LiveCertifier::new(SgtConfig::default(), TelemetryHandle::disabled()));
+    let engine = SessionEngine::start_recovered(
+        plan.tree.len(),
+        cfg.shards,
+        Duration::from_micros(cfg.detector_period_us),
+        TelemetryHandle::disabled(),
+        seed,
+        None,
+        certifier,
+    )
+    .expect("a seed without recovered nodes replays nothing");
+    let (engine, next_slot) = (&engine, &AtomicUsize::new(0));
     let start = Instant::now();
-    let (workers, detector) = std::thread::scope(|s| {
-        let detector_handle = s.spawn(|| {
-            detect_loop(
-                &plan.tree,
-                &status,
-                &table,
-                &plan.top,
-                Duration::from_micros(cfg.detector_period_us),
-                Duration::from_millis(cfg.max_wall_ms),
-                start,
-                &stop,
-            )
-        });
-        let worker_handles: Vec<_> = (0..cfg.threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut w = Worker::new(&ctx);
-                    w.run();
-                    (w.log, w.records, w.committed_top, w.aborted_top, w.top_lat)
-                })
-            })
-            .collect();
-        let workers: Vec<_> = worker_handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect();
-        stop.store(true, Ordering::Release);
-        let detector: DetectorOutcome = detector_handle.join().expect("detector panicked");
-        (workers, detector)
+    let tallies: Vec<Tally> = std::thread::scope(|s| {
+        let (done_tx, done_rx) = mpsc::channel();
+        for _ in 0..cfg.threads {
+            let done_tx = done_tx.clone();
+            s.spawn(move || {
+                let mut driver = Driver {
+                    plan,
+                    cfg,
+                    engine,
+                    session: engine.open_session(),
+                    next_slot,
+                    out: Tally::default(),
+                };
+                driver.run();
+                // The receiver lives until every sender is gone.
+                let _ = done_tx.send(driver.out);
+            });
+        }
+        drop(done_tx);
+        let deadline = start + Duration::from_millis(cfg.max_wall_ms);
+        let mut tallies = Vec::new();
+        while tallies.len() < cfg.threads {
+            match done_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(tally) => tallies.push(tally),
+                // The watchdog: abandon the run, then wait for the workers
+                // (every lock wait resolves doomed, every retry loop stops).
+                Err(RecvTimeoutError::Timeout) => {
+                    engine.give_up();
+                    tallies.extend(done_rx.iter());
+                }
+                // A worker panicked; the scope re-raises it.
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        tallies
     });
     let wall = start.elapsed();
+    engine.shutdown();
+    let (tree, history) = engine.history_snapshot();
     let mut committed_top = 0;
     let mut aborted_top = 0;
     let mut records = Vec::new();
-    let mut logs = vec![main_log];
     let mut top_latency = HistSnapshot::new();
-    for (log, recs, c, a, lat) in workers {
-        logs.push(log);
-        records.extend(recs);
-        committed_top += c;
-        aborted_top += a;
-        top_latency.merge(&lat);
+    let mut plan_ids = BTreeMap::new();
+    for tally in tallies {
+        committed_top += tally.committed_top;
+        aborted_top += tally.aborted_top;
+        records.extend(tally.records);
+        top_latency.merge(&tally.top_lat);
+        plan_ids.extend(tally.ids);
+        // A session does not report the id of an access it ran. One
+        // thread made the calls under each parent, and only the last of
+        // them can have been refused before it registered anything, so
+        // the registered accesses are the attempted ones, in order.
+        for (parent, attempted) in tally.accesses {
+            let registered = tree.children(parent).iter().filter(|&&c| tree.is_access(c));
+            plan_ids.extend(registered.copied().zip(attempted));
+        }
     }
-    logs.extend(table.drain_logs());
-    let history = merge(logs);
     Ok(EngineReport {
-        tree: Arc::clone(&plan.tree),
+        tree: Arc::new(tree),
         types: plan.types.clone(),
         history,
+        plan_ids,
         committed_top,
         aborted_top,
-        victims: detector.victims,
+        victims: engine.victims(),
         ledger: RetryLedger { records },
-        gave_up: detector.gave_up,
+        gave_up: engine.gave_up(),
         wall,
         stats: EngineStats {
-            granted: table.granted(),
-            blocked: table.blocked(),
-            timeout_rescues: table.timeout_rescues(),
-            detector_passes: detector.passes,
+            granted: engine.lock_grants(),
+            blocked: engine.lock_blocks(),
+            timeout_rescues: engine.timeout_rescues(),
+            detector_passes: engine.detector_passes(),
         },
         top_latency,
         // Every recording thread has been joined: the status is final.
-        live: certifier.map(|c| c.status()),
+        live: engine.certifier().map(LiveCertifier::status),
     })
 }
 
@@ -616,6 +550,11 @@ mod tests {
             cert.verdict.name()
         );
         assert_eq!(cert.violations, 0);
+        // One session names its transactions sequentially and nothing
+        // ever waits, so the run is a function of the plan.
+        let again = run_workload(&w, &cfg).expect("runs");
+        assert_eq!(format!("{:?}", r.history), format!("{:?}", again.history));
+        assert_eq!(r.plan_ids, again.plan_ids);
     }
 
     #[test]
@@ -636,6 +575,76 @@ mod tests {
         }
         .generate();
         assert!(run_workload(&w, &EngineConfig::default()).is_err());
+    }
+
+    /// A valid two-top plan with one replica per top-level slot, for the
+    /// validation rules to break one at a time.
+    fn small_plan() -> EnginePlan {
+        let mut tree = TxTree::new();
+        let x = tree.add_object();
+        let mut plans = BTreeMap::new();
+        let tops: Vec<TxId> = (0..4)
+            .map(|i| {
+                let t = tree.add_inner(TxId::ROOT);
+                let children = vec![tree.add_access(t, x, nt_model::Op::Write(i))];
+                let order = nt_sim::ChildOrder::Sequential;
+                plans.insert(t, ScriptPlan { children, order });
+                t
+            })
+            .collect();
+        EnginePlan {
+            tree: Arc::new(tree),
+            plans,
+            top: tops[..2].to_vec(),
+            retry_chains: BTreeMap::from([(TxId::ROOT, vec![vec![tops[2]], vec![tops[3]]])]),
+            initials: RwInitials::uniform(0),
+            types: ObjectTypes::uniform(1, Arc::new(nt_serial::RwRegister::new(0))),
+        }
+    }
+
+    fn refusal(plan: &EnginePlan) -> String {
+        match run_plan(plan, &EngineConfig::default()) {
+            Err(e) => e,
+            Ok(_) => panic!("the plan must be refused"),
+        }
+    }
+
+    #[test]
+    fn top_level_slots_must_be_inner_children_of_t0() {
+        let mut plan = small_plan();
+        assert!(run_plan(&plan, &EngineConfig::default()).is_ok());
+        let access = plan.plans[&plan.top[0]].children[0];
+        plan.top[0] = access;
+        let e = refusal(&plan);
+        assert!(e.contains("cannot run an access directly under T0"), "{e}");
+    }
+
+    #[test]
+    fn plan_children_must_be_children() {
+        let mut plan = small_plan();
+        let (a, b) = (plan.top[0], plan.top[1]);
+        let stolen = plan.plans[&b].children[0];
+        plan.plans.get_mut(&a).expect("plan").children.push(stolen);
+        let e = refusal(&plan);
+        assert!(e.contains("which is not its child"), "{e}");
+    }
+
+    #[test]
+    fn retry_chains_must_match_the_slots() {
+        // One chain short of the slots.
+        let mut plan = small_plan();
+        plan.retry_chains
+            .get_mut(&TxId::ROOT)
+            .expect("chains")
+            .pop();
+        let e = refusal(&plan);
+        assert!(e.contains("2 child slots but 1 retry chains"), "{e}");
+        // A replica of another kind than its original.
+        let mut plan = small_plan();
+        let access = plan.plans[&plan.top[0]].children[0];
+        plan.retry_chains.get_mut(&TxId::ROOT).expect("chains")[0] = vec![access];
+        let e = refusal(&plan);
+        assert!(e.contains("of the same kind"), "{e}");
     }
 
     #[test]

@@ -1,22 +1,22 @@
-//! Session-scoped transaction handles: the external-client entry point the
-//! networked server (`nt-net`) drives.
+//! Session-scoped transaction handles: the engine's one execution core.
+//! The networked server (`nt-net`) drives one session per connection, the
+//! plan driver ([`run_plan`](crate::run_plan)) one per worker thread.
 //!
-//! The batch engine ([`run_plan`](crate::run_plan)) executes a frozen plan;
-//! here instead each connected client *interactively* grows the tree —
-//! `begin_top` / `begin_child` / `access` / `commit` / `abort` — against a
-//! shared [`SessionTree`], the same sharded [`LockTable`], the same status
-//! table, and the same global [`SeqClock`] recorder. A detector thread
-//! watches the wait-for graph exactly as in the batch engine, dooming one
-//! victim per cycle; a session discovers the doom at its next operation on
-//! the victim's subtree, aborts precisely that subtree (one `ABORT`, the
-//! `INFORM_ABORT`s, one `REPORT_ABORT`), and reports the victim to the
-//! client so it can retry the whole top-level transaction.
+//! Each session *interactively* grows the tree — `begin_top` /
+//! `begin_child` / `access` / `commit` / `abort` — against a shared
+//! [`SessionTree`], one sharded [`LockTable`], one status table, and one
+//! global [`SeqClock`] recorder. A detector thread watches the wait-for
+//! graph, dooming one victim per cycle; a session discovers the doom at
+//! its next operation on the victim's subtree, aborts precisely that
+//! subtree (one `ABORT`, the `INFORM_ABORT`s, one `REPORT_ABORT`), and
+//! reports the victim to the client so it can retry.
 //!
 //! Every action is stamped into per-session logs (serial actions) and the
 //! lock shards' logs (object actions), so
-//! [`SessionEngine::history_snapshot`] merges to a recorded history with
-//! the same refinement property as the batch engine's — certifiable by
-//! `nt_sgt::certify_recorded` across a process boundary.
+//! [`SessionEngine::history_snapshot`] merges to a recorded history that
+//! refines both each session's program order and each object's actual
+//! serialization — certifiable by `nt_sgt::certify_recorded`, also across
+//! a process boundary.
 
 use crate::detector::scan_once;
 pub use crate::detector::Victim;
@@ -351,6 +351,25 @@ impl SessionEngine {
         }
     }
 
+    /// Abandon everything in flight (a wall-clock watchdog's last resort):
+    /// doom every incomplete top-level transaction and resolve every
+    /// current and future lock wait as doomed, so each session aborts its
+    /// tops at its next operation on them.
+    pub fn give_up(&self) {
+        for i in 1..self.tree.len() {
+            let t = TxId(i as u32);
+            if self.tree.parent(t) == Some(TxId::ROOT) {
+                self.status.mark_doomed(t);
+            }
+        }
+        self.table.give_up();
+    }
+
+    /// Has [`SessionEngine::give_up`] been called?
+    pub fn gave_up(&self) -> bool {
+        self.table.gave_up()
+    }
+
     /// Open a fresh session (one per client connection).
     pub fn open_session(self: &Arc<Self>) -> Session {
         let mut session_log = match &self.sink {
@@ -487,9 +506,8 @@ impl Drop for SessionEngine {
 }
 
 /// One client's handle: owns the top-level transactions it began and the
-/// lock bookkeeping for their subtrees (mirroring the batch engine's
-/// per-worker `held` map — a session drives its subtrees itself, so the
-/// bookkeeping needs no sharing).
+/// lock bookkeeping for their subtrees (a session drives its subtrees
+/// itself, so the bookkeeping needs no sharing).
 pub struct Session {
     engine: Arc<SessionEngine>,
     log: Arc<Mutex<WorkerLog>>,
@@ -564,8 +582,7 @@ impl Session {
     }
 
     /// `ABORT(v)`, discard every lock a descendant-or-self of `v` holds
-    /// (`INFORM_ABORT` per object), `REPORT_ABORT(v)` — the batch worker's
-    /// `abort_tx`, driven from a session.
+    /// (`INFORM_ABORT` per object), `REPORT_ABORT(v)`.
     fn abort_subtree(&mut self, v: TxId) {
         self.engine.status.mark_aborted(v);
         self.record(Action::Abort(v));
@@ -771,7 +788,10 @@ impl Session {
             if let Some(objs) = self.held.remove(&t) {
                 self.engine.table.release_inherit(t, objs.iter().copied());
                 let parent = self.tree().parent(t).expect("non-root commits");
-                self.held.entry(parent).or_default().extend(objs);
+                // What a top passes up to `T0` is released for good.
+                if parent != TxId::ROOT {
+                    self.held.entry(parent).or_default().extend(objs);
+                }
             }
             self.record(Action::ReportCommit(t, Value::Ok));
             Ok(CommitOutcome::Committed)
@@ -840,6 +860,7 @@ mod tests {
         );
         assert_eq!(s.commit(inner).expect("commit"), CommitOutcome::Committed);
         assert_eq!(s.commit(top).expect("commit"), CommitOutcome::Committed);
+        assert!(s.held.is_empty(), "a committed top leaves no bookkeeping");
         e.shutdown();
         let cert = certify(&e);
         assert!(cert.is_serially_correct(), "{}", cert.verdict.name());
@@ -864,6 +885,7 @@ mod tests {
             AccessOutcome::Done(Value::Int(9))
         );
         assert_eq!(b.commit(tb).expect("commit"), CommitOutcome::Committed);
+        assert!(a.held.is_empty() && b.held.is_empty());
         e.shutdown();
         let cert = certify(&e);
         assert!(cert.is_serially_correct(), "{}", cert.verdict.name());

@@ -1,9 +1,9 @@
 //! The read-side tree interface the lock table, status table, and deadlock
 //! detector actually need — factored out of [`TxTree`] so the same
-//! machinery serves both the batch engine (a frozen `Arc<TxTree>` known
-//! before the run) and the networked session engine (a
-//! [`SessionTree`](crate::session_tree::SessionTree) that *grows* while
-//! transactions are in flight).
+//! machinery serves both a frozen `Arc<TxTree>` known up front (tests and
+//! probes that drive the lock table directly) and the session engine's
+//! [`SessionTree`](crate::session_tree::SessionTree), which *grows* while
+//! transactions are in flight.
 //!
 //! All queries concern nodes that already exist, and both implementations
 //! are append-only: a node's parent, depth, and kind never change after

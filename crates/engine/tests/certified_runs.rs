@@ -2,8 +2,13 @@
 //! certified serially correct post-hoc. Ten seeds, eight worker threads,
 //! a hot keyspace, retries enabled — zero violations tolerated.
 
-use nt_engine::{run_workload, EngineConfig};
-use nt_sim::WorkloadSpec;
+use nt_engine::{run_plan, run_workload, EngineConfig, EnginePlan};
+use nt_model::rw::RwInitials;
+use nt_model::{Op, TxId, TxTree};
+use nt_serial::{ObjectTypes, RwRegister};
+use nt_sim::{ChildOrder, ScriptPlan, WorkloadSpec};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 #[test]
 fn ten_seeded_contended_eight_thread_runs_all_certify() {
@@ -41,5 +46,59 @@ fn ten_seeded_contended_eight_thread_runs_all_certify() {
             r.history.len(),
             r.victims.len()
         );
+        // Every transaction the run grew — aborted attempts and replicas
+        // included — instantiates a plan transaction of the same shape,
+        // under the instance of that one's parent.
+        for t in r.tree.all_tx().filter(|&t| t != TxId::ROOT) {
+            let p = r.plan_ids[&t];
+            let parent = r.tree.parent(t).expect("non-root");
+            let plan_parent = r.plan_ids.get(&parent).copied().unwrap_or(TxId::ROOT);
+            assert_eq!(w.tree.parent(p), Some(plan_parent), "seed {seed}: {t}");
+            assert_eq!(r.tree.object_of(t), w.tree.object_of(p), "seed {seed}: {t}");
+            assert_eq!(r.tree.op_of(t), w.tree.op_of(p), "seed {seed}: {t}");
+        }
     }
+}
+
+/// The watchdog: two tops take x and y, sleep far past `max_wall_ms`, and
+/// then want the other's object. The run is abandoned while they sleep —
+/// every worker still returns, every slot resolves, and the history
+/// certifies (aborted work is invisible to `T0`).
+#[test]
+fn watchdog_abandons_a_run_that_outlives_max_wall_ms() {
+    let mut tree = TxTree::new();
+    let (x, y) = (tree.add_object(), tree.add_object());
+    let mut plans = BTreeMap::new();
+    let top: Vec<TxId> = [(x, y), (y, x)]
+        .into_iter()
+        .map(|(first, second)| {
+            let t = tree.add_inner(TxId::ROOT);
+            let children = vec![
+                tree.add_access(t, first, Op::Write(1)),
+                tree.add_access(t, second, Op::Write(2)),
+            ];
+            let order = ChildOrder::Sequential;
+            plans.insert(t, ScriptPlan { children, order });
+            t
+        })
+        .collect();
+    let plan = EnginePlan {
+        tree: Arc::new(tree),
+        plans,
+        top,
+        retry_chains: BTreeMap::new(),
+        initials: RwInitials::uniform(0),
+        types: ObjectTypes::uniform(2, Arc::new(RwRegister::new(0))),
+    };
+    let cfg = EngineConfig {
+        threads: 2,
+        access_latency_us: 50_000,
+        max_wall_ms: 1,
+        ..EngineConfig::default()
+    };
+    let r = run_plan(&plan, &cfg).expect("fixture runs");
+    assert!(r.gave_up, "a 1 ms watchdog must fire under 50 ms accesses");
+    assert_eq!(r.committed_top + r.aborted_top, plan.top.len());
+    let cert = r.certify();
+    assert!(cert.is_serially_correct(), "{}", cert.verdict.name());
 }

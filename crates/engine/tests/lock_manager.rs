@@ -330,8 +330,12 @@ fn two_party_deadlock_is_detected_and_victim_salvaged() {
             // The victim must be one of the two original lanes, and its
             // slot must have been salvaged by the replica (retried, then
             // committed) unless the replica itself fell to a second cycle.
+            // Victims are named in run ids; the plan's names are a lookup
+            // away.
             assert!(
-                r.victims.iter().all(|v| [a, b, a2, b2].contains(&v.victim)),
+                r.victims
+                    .iter()
+                    .all(|v| [a, b, a2, b2].contains(&r.plan_ids[&v.victim])),
                 "unexpected victim set {:?}",
                 r.victims
             );

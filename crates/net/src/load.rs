@@ -2,7 +2,7 @@
 //!
 //! The driver generates a deterministic workload with
 //! `WorkloadSpec::generate` (same seeds, same trees as the simulator and
-//! the batch engine), extracts each top-level subtree as a *template*,
+//! `run_plan`), extracts each top-level subtree as a *template*,
 //! and stripes the templates across client connections round-robin. Each
 //! connection replays its templates through the session protocol —
 //! `BeginTop`, nested `BeginChild`/`Access`, `Commit` — pipelining runs

@@ -28,7 +28,7 @@
 //! nothing is ever parked: the heap's high-water mark
 //! ([`LiveStatus::parked_max`]) is zero, hence bounded by
 //! the number of recording threads (the poll thread and the deadlock
-//! detector on the server, the workers in `run_plan`).
+//! detector on the server, the session workers in `run_plan`).
 //!
 //! ## Lock order
 //!
@@ -51,7 +51,7 @@
 
 use crate::maintainer::{SgtConfig, SgtMaintainer};
 use crate::report::{ViolationReport, CERT_SCHEMA};
-use nt_model::{Action, ObjId, Op, TxId, TxTree};
+use nt_model::{Action, ObjId, Op, TxId};
 use nt_obs::json::JsonObj;
 use nt_telemetry::TelemetryHandle;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -171,11 +171,6 @@ impl LiveCertifier {
         self.lock().m.tree_add(t, parent, access);
     }
 
-    /// Register every transaction of a statically known tree.
-    pub fn seed_tree(&self, tree: &TxTree) {
-        self.lock().m.seed_tree(tree);
-    }
-
     /// Replay a recovered prefix into the maintainer before live traffic
     /// (crash–restart). `resume_at` is the recovered clock's next stamp.
     pub fn preload(&self, entries: &[(u64, Action)], resume_at: u64) {
@@ -267,7 +262,7 @@ fn status_of(st: &State) -> LiveStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nt_model::Value;
+    use nt_model::{TxTree, Value};
 
     fn gauges_of(t: &TelemetryHandle) -> std::collections::HashMap<&'static str, u64> {
         t.gauges().into_iter().collect()
@@ -293,7 +288,7 @@ mod tests {
         ];
         let telemetry = TelemetryHandle::enabled(64);
         let live = LiveCertifier::new(SgtConfig::default(), telemetry.clone());
-        live.seed_tree(&tree);
+        live.lock().m.seed_tree(&tree);
         // Two clones, as two recording sites would hold; stamps are drawn
         // under the certifier lock from a plain counter.
         let other = live.clone();
@@ -360,7 +355,7 @@ mod tests {
         ];
         let telemetry = TelemetryHandle::enabled(64);
         let live = LiveCertifier::new(SgtConfig::default(), telemetry.clone());
-        live.seed_tree(&tree);
+        live.lock().m.seed_tree(&tree);
         let (last, prefix) = beta.split_last().expect("non-empty");
         for (i, act) in prefix.iter().enumerate() {
             live.act(i as u64, act);
@@ -380,7 +375,7 @@ mod tests {
         let mut tree = TxTree::new();
         let a = tree.add_inner(TxId::ROOT);
         let live = LiveCertifier::new(SgtConfig::default(), TelemetryHandle::disabled());
-        live.seed_tree(&tree);
+        live.lock().m.seed_tree(&tree);
         live.act(1, &Action::Commit(a));
         let status = live.status();
         assert_eq!(status.processed, 0, "stamp 0 is missing");

@@ -4,7 +4,9 @@
 # `wait_durable` barrier per round. This gate greps the code that runs
 # there — the reactor crate, nt-net's per-connection service and the
 # protocol core it executes — for the calls that would break it, and checks
-# that what the run-to-completion reactor replaced stays deleted.
+# that what the run-to-completion reactor replaced stays deleted. It also
+# holds the other "stays gone" greps: the certifier thread and the
+# engine's second execution core.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,6 +63,20 @@ fi
 if grep -rnE 'fn drain_then|act_batch|FEED_BUF_CAP|fn flush_feeds|Parked::Cert' \
     crates/ src/ tests/; then
     echo "check_poll_thread: the certifier feed or the CERT continuation is back (above)" >&2
+    fail=1
+fi
+
+# One execution core: `run_plan` drives sessions. The batch worker, its
+# detector loop and its own commit/abort code stay deleted, and run.rs
+# reaches engine state through the session API only.
+if grep -rnE 'struct Worker\b|fn detect_loop|DetectorOutcome|fn abort_tx|fn commit_tx' \
+    crates/ --include='*.rs'; then
+    echo "check_poll_thread: the second execution core is back (above)" >&2
+    fail=1
+fi
+if grep -nE 'LockTable::new|StatusTable::new|\.try_commit\(|\.mark_aborted\(|release_inherit|\.discard\(' \
+    crates/engine/src/run.rs; then
+    echo "check_poll_thread: run.rs touches engine state past the session API (above)" >&2
     fail=1
 fi
 
