@@ -1,6 +1,7 @@
-//! Engine configuration: thread-pool size, lock-table sharding, deadlock
-//! detector cadence, and retry/backoff wiring — with a JSON form so configs
-//! can be linted statically (`nt-lint engine`).
+//! Engine configuration: thread-pool size, lock-table sharding, and
+//! retry/backoff wiring — with a JSON form so configs can be linted
+//! statically (`nt-lint engine`). Deadlock detection has no knob: it runs
+//! at the enqueue that closes the cycle.
 
 use nt_faults::BackoffPolicy;
 use nt_obs::json::{Json, JsonObj};
@@ -60,8 +61,6 @@ pub struct EngineConfig {
     /// Lock-table shards; must be a power of two (objects map to shards by
     /// `object_id & (shards - 1)`).
     pub shards: usize,
-    /// Deadlock-detector scan period in microseconds (must be > 0).
-    pub detector_period_us: u64,
     /// Retry policy for deadlock victims. `None` disables retries even when
     /// the workload pre-materialized replica chains (they stay inert, like
     /// the simulator without `SimConfig::retry`).
@@ -94,7 +93,6 @@ impl Default for EngineConfig {
         EngineConfig {
             threads: 4,
             shards: 16,
-            detector_period_us: 200,
             backoff: Some(BackoffPolicy::default()),
             backoff_round_us: 50,
             access_latency_us: 0,
@@ -119,9 +117,6 @@ impl EngineConfig {
                 "shards must be a nonzero power of two (got {})",
                 self.shards
             ));
-        }
-        if self.detector_period_us == 0 {
-            out.push("detector_period_us must be > 0 (a zero-period detector spins)".to_string());
         }
         if let Some(b) = &self.backoff {
             if self.backoff_round_us == 0 {
@@ -196,8 +191,7 @@ impl EngineConfig {
     pub fn to_json(&self) -> String {
         let mut o = JsonObj::new();
         o.num("threads", self.threads as u64)
-            .num("shards", self.shards as u64)
-            .num("detector_period_us", self.detector_period_us);
+            .num("shards", self.shards as u64);
         match &self.backoff {
             Some(b) => {
                 let mut bo = JsonObj::new();
@@ -226,10 +220,9 @@ impl EngineConfig {
         let Json::Obj(map) = &parsed else {
             return Err("engine config must be a JSON object".to_string());
         };
-        const KNOWN: [&str; 8] = [
+        const KNOWN: [&str; 7] = [
             "threads",
             "shards",
-            "detector_period_us",
             "backoff",
             "backoff_round_us",
             "access_latency_us",
@@ -284,7 +277,6 @@ impl EngineConfig {
         Ok(EngineConfig {
             threads: uint("threads")? as usize,
             shards: uint("shards")? as usize,
-            detector_period_us: uint("detector_period_us")?,
             backoff,
             backoff_round_us: uint("backoff_round_us")?,
             access_latency_us: uint("access_latency_us")?,
@@ -326,7 +318,7 @@ mod tests {
         let bad = EngineConfig {
             threads: 0,
             shards: 12,
-            detector_period_us: 0,
+            backoff_round_us: 0,
             max_wall_ms: 0,
             ..EngineConfig::default()
         };

@@ -1,7 +1,8 @@
 //! Wait-for-graph deadlock detection: one pass ([`scan_once`]) over the
-//! lock table's queued requests. There is one loop that runs it — the
-//! detector thread [`SessionEngine`](crate::SessionEngine) starts, every
-//! detector period — and tests drive single passes by hand.
+//! lock table's queued requests. There is one loop that runs it —
+//! [`SessionEngine`](crate::SessionEngine)'s `detect`, called by the
+//! session whose lock request just queued and repeated until a pass finds
+//! no cycle — and tests drive single passes by hand.
 //!
 //! A pass snapshots the lock table's wait-for relation, collapses it to
 //! *top-level groups* (a session drives each of its subtrees depth-first,

@@ -18,12 +18,13 @@
 //!   simulated `M1_X` automaton uses — with queued, non-blocking waits
 //!   that the releaser grants in place, earliest eligible ticket first
 //!   (a thin blocking wrapper parks in-process callers on the ticket);
-//! * a **wait-for-graph deadlock detector** (the session engine's one
-//!   background thread) dooms one victim per detected cycle, chosen as the
-//!   lowest incomplete transaction on a blocker's ancestor chain
-//!   (mirroring the simulator's policy); under [`run_plan`] victims flow
-//!   into the `nt-faults` retry/backoff machinery via the workload's
-//!   pre-materialized replica chains;
+//! * a **wait-for-graph deadlock detector** ([`detector`]) runs on the
+//!   thread whose lock request just queued — the only step that can close
+//!   a cycle, so the engine needs no background thread — and dooms one
+//!   victim per cycle, chosen as the lowest incomplete transaction on a
+//!   blocker's ancestor chain (mirroring the simulator's policy); under
+//!   [`run_plan`] victims flow into the `nt-faults` retry/backoff
+//!   machinery via the workload's pre-materialized replica chains;
 //! * a **concurrent history recorder** ([`recorder`]) stamps every action
 //!   from one global sequence counter into per-session append buffers;
 //!   object-level actions are stamped while the owning lock shard is held,

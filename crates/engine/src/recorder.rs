@@ -91,12 +91,19 @@ pub trait ActionSink: Send + Sync {
     fn append_tree_add(&self, t: TxId, parent: TxId, access: Option<(ObjId, &Op)>);
 }
 
+/// Entries per segment of a [`WorkerLog`].
+const SEGMENT: usize = 1024;
+
 /// One worker's (or the main thread's, or a shard-stamped) action buffer.
 /// Clones copy the recorded entries — `HISTORY_FETCH` snapshots a live
 /// server's logs that way.
+/// The entries sit in segments of [`SEGMENT`], not in one growing `Vec`:
+/// whether the allocator doubles a multi-megabyte buffer in place or moves
+/// it, touching as much again, depends on what was allocated around it, so
+/// a server's peak footprint did not repeat from one run to the next.
 #[derive(Clone, Default)]
 pub struct WorkerLog {
-    entries: Vec<(u64, Action)>,
+    segments: Vec<Vec<(u64, Action)>>,
     sink: Option<Arc<dyn ActionSink>>,
     certifier: Option<LiveCertifier>,
 }
@@ -104,7 +111,7 @@ pub struct WorkerLog {
 impl fmt::Debug for WorkerLog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WorkerLog")
-            .field("entries", &self.entries)
+            .field("entries", &self.segments)
             .field("sink", &self.sink.is_some())
             .field("certifier", &self.certifier.is_some())
             .finish()
@@ -138,7 +145,7 @@ impl WorkerLog {
     /// WAL).
     pub fn from_entries(entries: Vec<(u64, Action)>) -> Self {
         WorkerLog {
-            entries,
+            segments: vec![entries],
             ..WorkerLog::default()
         }
     }
@@ -154,24 +161,28 @@ impl WorkerLog {
             Some(certifier) => certifier.record(draw, &action),
             None => draw(),
         };
-        self.entries.push((stamp, action));
+        match self.segments.last_mut() {
+            Some(last) if last.len() < SEGMENT => last.push((stamp, action)),
+            _ => self.segments.push(vec![(stamp, action)]),
+        }
     }
 
     /// Actions recorded.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.segments.iter().map(Vec::len).sum()
     }
 
     /// Is the log empty?
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.segments.iter().all(Vec::is_empty)
     }
 }
 
 /// Merge per-worker logs into one behavior, ordered by stamp. Stamps are
 /// unique (one `fetch_add` each), so the order is total.
 pub fn merge(logs: impl IntoIterator<Item = WorkerLog>) -> Vec<Action> {
-    let mut all: Vec<(u64, Action)> = logs.into_iter().flat_map(|l| l.entries).collect();
+    let segments = logs.into_iter().flat_map(|l| l.segments);
+    let mut all: Vec<(u64, Action)> = segments.flatten().collect();
     all.sort_by_key(|&(s, _)| s);
     all.into_iter().map(|(_, a)| a).collect()
 }
@@ -202,6 +213,25 @@ mod tests {
             ]
         );
         assert_eq!(clock.issued(), 4);
+    }
+
+    #[test]
+    fn a_log_longer_than_a_segment_keeps_every_entry_in_order() {
+        let clock = SeqClock::new();
+        let mut log = WorkerLog::from_entries(Vec::new());
+        assert!(log.is_empty());
+        let n = 2 * SEGMENT as u32 + 7;
+        for k in 0..n {
+            log.record(&clock, Action::Create(TxId(k)));
+        }
+        assert_eq!(log.len(), n as usize);
+        assert_eq!(log.segments.len(), 3);
+        // Full segments are exactly full: nothing was grown past the
+        // segment size, so nothing that large was ever copied.
+        assert!(log.segments.iter().all(|s| s.capacity() <= SEGMENT));
+        let merged = merge([log.clone()]);
+        let expect: Vec<Action> = (0..n).map(|k| Action::Create(TxId(k))).collect();
+        assert_eq!(merged, expect);
     }
 
     struct CaptureSink(Mutex<Vec<(u64, Action)>>);

@@ -3,8 +3,8 @@
 //!
 //! ## Execution model
 //!
-//! There is one execution core, [`SessionEngine`]: the driver starts one
-//! (its own detector thread included), and each of `cfg.threads` workers
+//! There is one execution core, [`SessionEngine`]: the driver starts
+//! one, and each of `cfg.threads` workers
 //! opens a [`Session`] and plays the plan through the public session API
 //! — `begin_top` / `begin_child` / `access` / `commit` — exactly as a
 //! network client would. Every recorded action of a run is therefore
@@ -28,7 +28,8 @@
 //!
 //! ## Doom and unwinding
 //!
-//! The detector (or watchdog) dooms a victim; the session API reports it
+//! A deadlock check (run by whichever worker's lock request queued) or
+//! the watchdog dooms a victim; the session API reports it
 //! as `Aborted(victim)` from the victim's worker's next call inside that
 //! subtree, having aborted exactly that subtree (one `ABORT`, one
 //! `INFORM_ABORT` per touched object, one `REPORT_ABORT`). The driver
@@ -165,7 +166,7 @@ pub struct EngineStats {
     /// Grants that landed only after a timed-out condvar wait (see
     /// [`SessionEngine::timeout_rescues`]).
     pub timeout_rescues: u64,
-    /// Deadlock-detector scan passes.
+    /// Deadlock-detector passes (one per queued request, one per victim).
     pub detector_passes: u64,
 }
 
@@ -437,7 +438,6 @@ pub fn run_plan(plan: &EnginePlan, cfg: &EngineConfig) -> Result<EngineReport, S
     let engine = SessionEngine::start_recovered(
         plan.tree.len(),
         cfg.shards,
-        Duration::from_micros(cfg.detector_period_us),
         TelemetryHandle::disabled(),
         seed,
         None,
@@ -483,7 +483,6 @@ pub fn run_plan(plan: &EnginePlan, cfg: &EngineConfig) -> Result<EngineReport, S
         tallies
     });
     let wall = start.elapsed();
-    engine.shutdown();
     let (tree, history) = engine.history_snapshot();
     let mut committed_top = 0;
     let mut aborted_top = 0;

@@ -5,11 +5,14 @@
 //! Each session *interactively* grows the tree — `begin_top` /
 //! `begin_child` / `access` / `commit` / `abort` — against a shared
 //! [`SessionTree`], one sharded [`LockTable`], one status table, and one
-//! global [`SeqClock`] recorder. A detector thread watches the wait-for
-//! graph, dooming one victim per cycle; a session discovers the doom at
-//! its next operation on the victim's subtree, aborts precisely that
-//! subtree (one `ABORT`, the `INFORM_ABORT`s, one `REPORT_ABORT`), and
-//! reports the victim to the client so it can retry.
+//! global [`SeqClock`] recorder. The engine starts no thread. A wait-for
+//! cycle can only close when a lock request queues, so the session whose
+//! request queues runs the detector right there
+//! (`SessionEngine::detect`), dooming one victim per cycle until none
+//! stands; a session discovers the doom when the sweep resolves its queued
+//! request or at its next operation on the victim's subtree, aborts
+//! precisely that subtree (one `ABORT`, the `INFORM_ABORT`s, one
+//! `REPORT_ABORT`), and reports the victim to the client so it can retry.
 //!
 //! Every action is stamped into per-session logs (serial actions) and the
 //! lock shards' logs (object actions), so
@@ -31,7 +34,7 @@ use nt_obs::json::JsonObj;
 use nt_sgt_live::LiveCertifier;
 use nt_telemetry::TelemetryHandle;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -166,7 +169,7 @@ pub struct RecoveredSeed {
 }
 
 /// The shared engine a server embeds: one growable tree, one lock table,
-/// one status table, one clock, one detector thread.
+/// one status table, one clock — and no thread of its own.
 pub struct SessionEngine {
     tree: Arc<SessionTree>,
     status: Arc<StatusTable>,
@@ -176,39 +179,25 @@ pub struct SessionEngine {
     sink: Option<Arc<dyn ActionSink>>,
     certifier: Option<LiveCertifier>,
     logs: Mutex<Vec<Arc<Mutex<WorkerLog>>>>,
+    /// Victims in doom order. The mutex is also the `detect` mutex: a
+    /// whole detection loop runs under it.
     victims: Mutex<Vec<Victim>>,
-    detector_passes: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-    detector: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// `victims.len()`, readable without the mutex.
+    victim_count: AtomicUsize,
+    detector_passes: AtomicU64,
 }
 
 impl SessionEngine {
-    /// Start an engine with room for `capacity` transactions, a lock table
-    /// of `shards` shards (nonzero power of two), and a detector thread
-    /// scanning every `detector_period`. Objects all start at value 0.
-    pub fn start(capacity: usize, shards: usize, detector_period: Duration) -> Arc<SessionEngine> {
-        SessionEngine::start_with_telemetry(
-            capacity,
-            shards,
-            detector_period,
-            TelemetryHandle::disabled(),
-        )
-    }
-
-    /// [`SessionEngine::start`] with a live telemetry handle: the lock
-    /// table feeds its blocked/hold histograms and sessions attribute lock
-    /// wait per request.
-    pub fn start_with_telemetry(
-        capacity: usize,
-        shards: usize,
-        detector_period: Duration,
-        telemetry: TelemetryHandle,
-    ) -> Arc<SessionEngine> {
+    /// Start an engine with room for `capacity` transactions and a lock
+    /// table of `shards` shards (nonzero power of two). Objects all start
+    /// at value 0. The `Duration` was the detector thread's period and is
+    /// ignored: the signature is pinned by the benchmark crate until
+    /// ROADMAP 6(a).
+    pub fn start(capacity: usize, shards: usize, _unused: Duration) -> Arc<SessionEngine> {
         SessionEngine::start_recovered(
             capacity,
             shards,
-            detector_period,
-            telemetry,
+            TelemetryHandle::disabled(),
             RecoveredSeed::default(),
             None,
             None,
@@ -217,13 +206,14 @@ impl SessionEngine {
     }
 
     /// Start an engine from a [`RecoveredSeed`], optionally teeing every
-    /// new registration and action into a durable sink (the WAL). With an
-    /// empty seed and no sink this is exactly
-    /// [`SessionEngine::start_with_telemetry`]. With a recovered seed, the
-    /// tree is replayed *before* the sink attaches (the registrations are
-    /// already durable), completed transactions are pre-marked in the
-    /// status table, per-object committed values seed the lock table's
-    /// initials, and the clock resumes past the recovered stamps.
+    /// new registration and action into a durable sink (the WAL). A live
+    /// `telemetry` handle makes the lock table feed its blocked/hold
+    /// histograms and sessions attribute lock wait per request. With a
+    /// recovered seed, the tree is replayed *before* the sink attaches
+    /// (the registrations are already durable), completed transactions
+    /// are pre-marked in the status table, per-object committed values
+    /// seed the lock table's initials, and the clock resumes past the
+    /// recovered stamps.
     ///
     /// With a live `certifier`, every registration and recorded action
     /// steps the maintainer on the thread that makes it: recovered
@@ -231,11 +221,9 @@ impl SessionEngine {
     /// (its unresolved tops finalize as aborted — recovery rolled them
     /// back), and only then does live recording begin, so the certifier
     /// sees one seamless behavior across the crash boundary.
-    #[allow(clippy::too_many_arguments)]
     pub fn start_recovered(
         capacity: usize,
         shards: usize,
-        detector_period: Duration,
         telemetry: TelemetryHandle,
         seed: RecoveredSeed,
         sink: Option<Arc<dyn ActionSink>>,
@@ -309,7 +297,7 @@ impl SessionEngine {
             root_log.record(&clock, Action::Create(TxId::ROOT));
         }
         logs.push(Arc::new(Mutex::new(root_log)));
-        let engine = Arc::new(SessionEngine {
+        Ok(Arc::new(SessionEngine {
             tree,
             status,
             table,
@@ -319,35 +307,36 @@ impl SessionEngine {
             certifier,
             logs: Mutex::new(logs),
             victims: Mutex::new(Vec::new()),
-            detector_passes: Arc::new(AtomicU64::new(0)),
-            stop: Arc::new(AtomicBool::new(false)),
-            detector: Mutex::new(None),
-        });
-        let handle = {
-            let e = Arc::clone(&engine);
-            std::thread::spawn(move || {
-                while !e.stop.load(Ordering::Acquire) {
-                    std::thread::sleep(detector_period);
-                    if e.stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    e.detector_passes.fetch_add(1, Ordering::Relaxed);
-                    if let Some(v) = scan_once(&*e.tree, &e.status, &*e.table) {
-                        e.victims.lock().expect("victims poisoned").push(v);
-                        e.table.doom_sweep();
-                    }
-                }
-            })
-        };
-        *engine.detector.lock().expect("detector poisoned") = Some(handle);
-        Ok(engine)
+            victim_count: AtomicUsize::new(0),
+            detector_passes: AtomicU64::new(0),
+        }))
     }
 
-    /// Stop the detector thread (idempotent). Called on server drain.
-    pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.detector.lock().expect("detector poisoned").take() {
-            h.join().expect("detector thread panicked");
+    /// Nothing to stop — the engine runs no thread. Kept (like
+    /// [`SessionEngine::start`]'s `Duration`) because the benchmark crate
+    /// calls it.
+    pub fn shutdown(&self) {}
+
+    /// Deadlock detection, run by the session whose lock request just
+    /// queued — the only step that can close a wait-for cycle (every other
+    /// change to lock state adds edges only into a group that is not
+    /// waiting). Passes repeat until none finds a cycle, because one
+    /// enqueue can close several and nobody rescans later; each victim is
+    /// recorded and its queued requests resolved before the next pass. The
+    /// `victims` mutex serializes whole loops, so two sessions enqueuing
+    /// at once cannot both convict along the same blocker chain. Lock
+    /// order: this mutex, then one shard at a time; nothing takes it under
+    /// a shard.
+    fn detect(&self) {
+        let mut victims = self.victims.lock().expect("victims poisoned");
+        loop {
+            self.detector_passes.fetch_add(1, Ordering::Relaxed);
+            let Some(v) = scan_once(&*self.tree, &self.status, &*self.table) else {
+                return;
+            };
+            victims.push(v);
+            self.victim_count.store(victims.len(), Ordering::Relaxed);
+            self.table.doom_sweep();
         }
     }
 
@@ -403,7 +392,17 @@ impl SessionEngine {
         self.victims.lock().expect("victims poisoned").clone()
     }
 
-    /// Detector scan passes so far.
+    /// Victims from the `n`-th on, in doom order: one relaxed load when
+    /// there is none, so a caller can poll it every round.
+    pub fn victims_from(&self, n: usize) -> Vec<Victim> {
+        if self.victim_count.load(Ordering::Relaxed) <= n {
+            return Vec::new();
+        }
+        self.victims.lock().expect("victims poisoned")[n..].to_vec()
+    }
+
+    /// Detector passes so far: one per lock request that queued, plus one
+    /// per victim.
     pub fn detector_passes(&self) -> u64 {
         self.detector_passes.load(Ordering::Relaxed)
     }
@@ -491,17 +490,6 @@ impl SessionEngine {
         let history = merge(logs);
         let tree = self.tree.to_tx_tree();
         (tree, history)
-    }
-}
-
-impl Drop for SessionEngine {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Ok(mut guard) = self.detector.lock() {
-            if let Some(h) = guard.take() {
-                let _ = h.join();
-            }
-        }
     }
 }
 
@@ -635,9 +623,9 @@ impl Session {
     }
 
     /// Run one access under `parent`: create the access transaction,
-    /// acquire its Moss lock (blocking this thread while it is queued;
-    /// the detector breaks deadlocks), commit it, and inherit the lock to
-    /// `parent`. A park-on-ticket wrapper over [`Session::access_start`].
+    /// acquire its Moss lock (blocking this thread while it is queued),
+    /// commit it, and inherit the lock to `parent`. A park-on-ticket
+    /// wrapper over [`Session::access_start`].
     pub fn access(
         &mut self,
         parent: TxId,
@@ -658,7 +646,12 @@ impl Session {
     /// [`Session::access`] without blocking: when the lock request has to
     /// queue, the access comes back [`AccessStep::Parked`] and `wake`
     /// fires (from whichever thread releases the lock or dooms the
-    /// waiter) once [`Session::access_resume`] can finish it.
+    /// waiter) once [`Session::access_resume`] can finish it. The wake may
+    /// fire before this call returns — from a releaser on another thread,
+    /// or from this call's own deadlock check when the enqueue closed a
+    /// cycle and this access fell with the victim — so a wake that finds
+    /// no [`ParkedAccess`] stored yet must not be lost (the server's wake
+    /// only posts to the poll thread, which is the caller).
     pub fn access_start(
         &mut self,
         parent: TxId,
@@ -729,6 +722,7 @@ impl Session {
             Acquisition::Granted(v) => Acquired::Granted(v),
             Acquisition::Doomed(d) => Acquired::Doomed(d),
             Acquisition::Queued(ticket) => {
+                self.engine.detect();
                 return Ok(AccessStep::Parked(ParkedAccess {
                     parent,
                     ticket,
@@ -770,7 +764,7 @@ impl Session {
 
     /// Commit `t` (top-level or inner): `REQUEST_COMMIT`, the status CAS,
     /// lock inheritance to the parent, `REPORT_COMMIT` — or the abort path
-    /// when the detector doomed `t` (or an ancestor) meanwhile.
+    /// when a deadlock check doomed `t` (or an ancestor) meanwhile.
     pub fn commit(&mut self, t: TxId) -> Result<CommitOutcome, SessionError> {
         self.check_owned(t)?;
         if self.tree().is_access(t) {
@@ -815,8 +809,8 @@ impl Session {
             self.ensure_aborted(v);
             return Ok(());
         }
-        // Doom first so a racing detector cannot pick it up twice, then
-        // abort; `mark_doomed` failing means a race completed it — re-check.
+        // Doom first so a racing deadlock check cannot pick it up twice,
+        // then abort; `mark_doomed` failing means a race completed it — re-check.
         if !self.engine.status.mark_doomed(t) && self.engine.status.is_committed(t) {
             return Err(SessionError::Completed(t));
         }
@@ -861,7 +855,6 @@ mod tests {
         assert_eq!(s.commit(inner).expect("commit"), CommitOutcome::Committed);
         assert_eq!(s.commit(top).expect("commit"), CommitOutcome::Committed);
         assert!(s.held.is_empty(), "a committed top leaves no bookkeeping");
-        e.shutdown();
         let cert = certify(&e);
         assert!(cert.is_serially_correct(), "{}", cert.verdict.name());
         assert_eq!(cert.violations, 0);
@@ -886,7 +879,6 @@ mod tests {
         );
         assert_eq!(b.commit(tb).expect("commit"), CommitOutcome::Committed);
         assert!(a.held.is_empty() && b.held.is_empty());
-        e.shutdown();
         let cert = certify(&e);
         assert!(cert.is_serially_correct(), "{}", cert.verdict.name());
     }
@@ -908,7 +900,6 @@ mod tests {
         );
         assert_eq!(a.commit(ta).expect("commit"), CommitOutcome::Committed);
         assert_eq!(a.commit(ta), Err(SessionError::Completed(ta)));
-        e.shutdown();
     }
 
     #[test]
@@ -933,7 +924,6 @@ mod tests {
             s.begin_child(top).expect("begin on aborted"),
             BeginOutcome::Aborted(top)
         );
-        e.shutdown();
         let cert = certify(&e);
         assert!(cert.is_serially_correct(), "{}", cert.verdict.name());
     }
@@ -1007,7 +997,6 @@ mod tests {
             1,
             "a cancelled ticket never wakes"
         );
-        e.shutdown();
         let cert = certify(&e);
         assert!(cert.is_serially_correct(), "{}", cert.verdict.name());
     }
@@ -1038,10 +1027,11 @@ mod tests {
         let h2 = mk(y, x);
         let c1 = h1.join().expect("session 1");
         let c2 = h2.join().expect("session 2");
-        // At least one side commits; if both blocked, the detector doomed
-        // exactly one victim and the other side proceeded.
+        // At least one side commits; if both blocked, the second enqueue
+        // doomed exactly one victim and the other side proceeded.
         assert!(c1 || c2, "deadlock must not take both transactions down");
-        e.shutdown();
+        assert!(e.victims().len() <= 1, "{:?}", e.victims());
+        assert_eq!(e.timeout_rescues(), 0);
         let cert = certify(&e);
         assert!(
             cert.is_serially_correct(),
@@ -1049,5 +1039,168 @@ mod tests {
             cert.verdict.name()
         );
         assert_eq!(cert.violations, 0);
+    }
+
+    /// A continuation wake nobody listens to (the tests resume by hand).
+    fn noop_wake(owner: u64) -> WakeHandle {
+        WakeHandle::new(owner, || {})
+    }
+
+    fn must_park(step: AccessStep) -> ParkedAccess {
+        match step {
+            AccessStep::Parked(p) => p,
+            AccessStep::Done(out) => panic!("must park, got {out:?}"),
+        }
+    }
+
+    fn no_cycle_stands(e: &SessionEngine) {
+        assert_eq!(scan_once(&*e.tree, &e.status, &*e.table), None);
+    }
+
+    /// Resume the parked accesses in turn until every one has finished —
+    /// a victim's as `Aborted(top)`, a survivor's with its grant, after
+    /// which its top commits (releasing whoever waits on it). Returns the
+    /// tops that committed.
+    fn finish_all(mut pending: Vec<(&mut Session, TxId, ParkedAccess)>) -> Vec<TxId> {
+        let mut committed = Vec::new();
+        while !pending.is_empty() {
+            let before = pending.len();
+            let mut still = Vec::new();
+            for (s, top, p) in pending {
+                match s.access_resume(p) {
+                    AccessStep::Parked(p) => still.push((s, top, p)),
+                    AccessStep::Done(AccessOutcome::Aborted(v)) => assert_eq!(v, top),
+                    AccessStep::Done(AccessOutcome::Done(_)) => {
+                        assert_eq!(s.commit(top).expect("commit"), CommitOutcome::Committed);
+                        committed.push(top);
+                    }
+                }
+            }
+            pending = still;
+            assert!(pending.len() < before, "a parked access never resolves");
+        }
+        committed
+    }
+
+    /// One enqueue closes two cycles: a writer queues behind two readers
+    /// that each wait on the writer's own lock. A single detector pass
+    /// dooms one reader and leaves the other cycle standing forever; the
+    /// loop in `detect` does not.
+    #[test]
+    fn one_enqueue_closing_two_cycles_leaves_none_standing() {
+        let e = engine();
+        let (x, y) = (ObjId(0), ObjId(1));
+        let wake = noop_wake(7);
+        let mut w = e.open_session();
+        let mut r1 = e.open_session();
+        let mut r2 = e.open_session();
+        let tw = w.begin_top().expect("top");
+        let t1 = r1.begin_top().expect("top");
+        let t2 = r2.begin_top().expect("top");
+        assert_eq!(
+            w.access(tw, y, Op::Write(1)).expect("write y"),
+            AccessOutcome::Done(Value::Ok)
+        );
+        for (s, t) in [(&mut r1, t1), (&mut r2, t2)] {
+            assert_eq!(
+                s.access(t, x, Op::Read).expect("read x"),
+                AccessOutcome::Done(Value::Int(0))
+            );
+        }
+        let p1 = must_park(r1.access_start(t1, y, Op::Read, &wake).expect("read y"));
+        let p2 = must_park(r2.access_start(t2, y, Op::Read, &wake).expect("read y"));
+        assert!(e.victims().is_empty(), "no cycle before the writer queues");
+        // The closing enqueue.
+        let pw = must_park(w.access_start(tw, x, Op::Write(2), &wake).expect("write x"));
+        no_cycle_stands(&e);
+        let victims: BTreeSet<TxId> = e.victims().iter().map(|v| v.victim).collect();
+        assert!(
+            victims.len() == 2 || victims == BTreeSet::from([tw]),
+            "two cycles fall to two victims, or to the writer alone: {victims:?}"
+        );
+        let committed = finish_all(vec![(&mut w, tw, pw), (&mut r1, t1, p1), (&mut r2, t2, p2)]);
+        assert_eq!(committed.len() + victims.len(), 3);
+        assert!(committed.iter().all(|t| !victims.contains(t)));
+        assert!(e.wait_for_json().contains("\"edges\":0"));
+        let cert = certify(&e);
+        assert!(cert.is_serially_correct(), "{}", cert.verdict.name());
+    }
+
+    /// A three-party ring closes at the third enqueue, which dooms exactly
+    /// one top; the other two commit.
+    #[test]
+    fn three_party_ring_dooms_one_victim_at_the_closing_enqueue() {
+        let e = engine();
+        let wake = noop_wake(9);
+        let mut sessions: Vec<Session> = (0..3).map(|_| e.open_session()).collect();
+        let mut pending = Vec::new();
+        for (i, s) in sessions.iter_mut().enumerate() {
+            let top = s.begin_top().expect("top");
+            assert_eq!(
+                s.access(top, ObjId(i as u32), Op::Write(1)).expect("own"),
+                AccessOutcome::Done(Value::Ok)
+            );
+            pending.push((s, top));
+        }
+        // Session i asks for object i+1: A→B and B→C park, C→A closes.
+        let mut parked = Vec::new();
+        for (i, (s, top)) in pending.into_iter().enumerate() {
+            assert!(e.victims().is_empty(), "no victim before enqueue {i}");
+            let next = ObjId((i as u32 + 1) % 3);
+            let step = s.access_start(top, next, Op::Write(2), &wake);
+            parked.push((s, top, must_park(step.expect("next"))));
+        }
+        let victims = e.victims();
+        assert_eq!(victims.len(), 1, "{victims:?}");
+        no_cycle_stands(&e);
+        let tops: Vec<TxId> = parked.iter().map(|&(_, top, _)| top).collect();
+        let committed = finish_all(parked);
+        assert_eq!(committed.len(), 2);
+        assert!(tops.contains(&victims[0].victim) && !committed.contains(&victims[0].victim));
+        assert_eq!(e.victims().len(), 1);
+        let cert = certify(&e);
+        assert!(cert.is_serially_correct(), "{}", cert.verdict.name());
+    }
+
+    /// Eight threads close one ring through the blocking `access`. Their
+    /// `detect` calls race; serialized, they convict exactly one top.
+    /// Unserialized, a second caller finds the first victim already doomed
+    /// and convicts the next edge's blocker as well.
+    #[test]
+    fn eight_thread_ring_through_blocking_access_dooms_one_victim() {
+        const N: usize = 8;
+        for rep in 0..20 {
+            let e = engine();
+            let barrier = std::sync::Barrier::new(N);
+            let commits: usize = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..N)
+                    .map(|i| {
+                        let (e, barrier) = (&e, &barrier);
+                        scope.spawn(move || {
+                            let mut s = e.open_session();
+                            let top = s.begin_top().expect("top");
+                            let own = s.access(top, ObjId(i as u32), Op::Write(1));
+                            assert_eq!(own.expect("own"), AccessOutcome::Done(Value::Ok));
+                            barrier.wait();
+                            let next = ObjId(((i + 1) % N) as u32);
+                            match s.access(top, next, Op::Write(2)).expect("next") {
+                                AccessOutcome::Done(_) => {
+                                    let out = s.commit(top).expect("commit");
+                                    usize::from(out == CommitOutcome::Committed)
+                                }
+                                AccessOutcome::Aborted(_) => 0,
+                            }
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("ring")).sum()
+            });
+            let victims = e.victims();
+            assert_eq!(victims.len(), 1, "rep {rep}: {victims:?}");
+            assert_eq!(commits, N - 1, "rep {rep}");
+            assert_eq!(e.timeout_rescues(), 0, "rep {rep}");
+            let cert = certify(&e);
+            assert!(cert.is_serially_correct(), "rep {rep}");
+        }
     }
 }

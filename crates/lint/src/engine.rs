@@ -8,7 +8,6 @@
 //! * `threads ≥ 1` — a zero-worker pool runs nothing;
 //! * `shards` a nonzero power of two — the shard map is `obj & (shards-1)`,
 //!   so a non-power-of-two silently strands shards;
-//! * `detector_period_us > 0` — a zero-period deadlock detector spins;
 //! * backoff wiring is coherent (`base_rounds ≥ 1`, `cap ≥ base`, nonzero
 //!   round duration when a policy is set);
 //! * `max_wall_ms > 0` — the watchdog is the liveness backstop.
@@ -72,7 +71,6 @@ mod tests {
         let bad = EngineConfig {
             threads: 0,
             shards: 12,
-            detector_period_us: 0,
             backoff_round_us: 0,
             max_wall_ms: 0,
             ..EngineConfig::default()
@@ -81,10 +79,6 @@ mod tests {
         let es = errors(&fs);
         assert!(es.iter().any(|m| m.contains("threads")), "{es:?}");
         assert!(es.iter().any(|m| m.contains("power of two")), "{es:?}");
-        assert!(
-            es.iter().any(|m| m.contains("detector_period_us")),
-            "{es:?}"
-        );
         assert!(es.iter().any(|m| m.contains("backoff_round_us")), "{es:?}");
         assert!(es.iter().any(|m| m.contains("max_wall_ms")), "{es:?}");
     }
@@ -99,7 +93,7 @@ mod tests {
     #[test]
     fn structural_parse_then_semantic_lint() {
         // Parses fine (structurally valid), then fails semantically.
-        let doc = r#"{"threads":0,"shards":12,"detector_period_us":0,
+        let doc = r#"{"threads":0,"shards":12,
                       "backoff":{"base_rounds":4,"cap_rounds":2},
                       "backoff_round_us":0,"access_latency_us":0,"max_wall_ms":0}"#;
         let fs = lint_config_json("doc", doc);

@@ -6,9 +6,9 @@
 //! load driver would hit at run time:
 //!
 //! * server: `shards ≥ 1`, a capacity that can register transactions, a
-//!   live deadlock detector, a nonzero request queue (a zero-depth
-//!   `sync_channel` deadlocks the pipeline), a frame limit large enough
-//!   to carry a history response, and a coherent transport fault plan;
+//!   nonzero request queue (a zero-depth queue dispatches no frame), a
+//!   frame limit large enough to carry a history response, a nonzero
+//!   drain deadline, and a coherent transport fault plan;
 //! * load: at least one connection driving at least one transaction over
 //!   at least one object, probabilities that are probabilities, a
 //!   non-empty children range, a nonzero open-loop rate, and a nonzero
@@ -89,8 +89,8 @@ mod tests {
         let bad = NetConfig::Server(ServerConfig {
             shards: 0,
             capacity: 1,
-            detector_period_us: 0,
             queue_depth: 0,
+            drain_timeout_ms: 0,
             max_frame_len: 8,
             fault: Some(TransportPlan {
                 drop_period: 1,
@@ -102,10 +102,7 @@ mod tests {
         let es = errors(&fs);
         assert!(es.iter().any(|m| m.contains("shards")), "{es:?}");
         assert!(es.iter().any(|m| m.contains("capacity")), "{es:?}");
-        assert!(
-            es.iter().any(|m| m.contains("detector_period_us")),
-            "{es:?}"
-        );
+        assert!(es.iter().any(|m| m.contains("drain_timeout_ms")), "{es:?}");
         assert!(es.iter().any(|m| m.contains("queue_depth")), "{es:?}");
         assert!(es.iter().any(|m| m.contains("max_frame_len")), "{es:?}");
         assert!(es.iter().any(|m| m.contains("drop_period")), "{es:?}");

@@ -24,9 +24,8 @@ fn cli_engine_pass_is_clean_on_the_shipped_presets() {
 #[test]
 fn cli_rejects_the_golden_malformed_engine_config() {
     // The committed fixture parses (structural validity) but breaks every
-    // semantic rule at once: zero threads, non-power-of-two shards, a dead
-    // detector, inverted backoff bounds with a zero round duration, and no
-    // watchdog. The `engine` pass must flag each and fail the run.
+    // semantic rule at once: zero threads, non-power-of-two shards,
+    // inverted backoff bounds with a zero round duration, and no watchdog. The `engine` pass must flag each and fail the run.
     let fixture = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/malformed.engine.json"
@@ -43,7 +42,6 @@ fn cli_rejects_the_golden_malformed_engine_config() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("threads must be >= 1"), "{stdout}");
     assert!(stdout.contains("power of two"), "{stdout}");
-    assert!(stdout.contains("detector_period_us"), "{stdout}");
     assert!(stdout.contains("backoff_round_us"), "{stdout}");
     assert!(stdout.contains("cap_rounds"), "{stdout}");
     assert!(stdout.contains("max_wall_ms"), "{stdout}");
@@ -98,6 +96,16 @@ fn cli_rejects_engine_configs_with_unknown_keys() {
     assert_eq!(fs[0].severity, Severity::Error);
     assert!(fs[0].message.contains("unknown"), "{fs:?}");
     assert!(fs[0].message.contains("durability"), "{fs:?}");
+
+    // So is the detector period: deadlock is detected at the enqueue that
+    // closes the cycle, and the knob went with the detector thread.
+    let stale = include_str!("fixtures/unknown-key.engine.json")
+        .replace("\"threds\"", "\"threads\"")
+        .replacen('{', "{\"detector_period_us\": 200,", 1);
+    let fs = engine::lint_config_json("stale.engine.json", &stale);
+    assert_eq!(fs.len(), 1, "{fs:?}");
+    assert!(fs[0].message.contains("unknown"), "{fs:?}");
+    assert!(fs[0].message.contains("detector_period_us"), "{fs:?}");
 }
 
 #[test]
@@ -120,5 +128,5 @@ fn committed_fixture_matches_the_library_verdict() {
         .iter()
         .filter(|f| f.severity == Severity::Error)
         .collect();
-    assert_eq!(errors.len(), 6, "{errors:?}");
+    assert_eq!(errors.len(), 5, "{errors:?}");
 }

@@ -25,9 +25,9 @@ fn cli_net_pass_is_clean_on_the_shipped_defaults() {
 fn cli_rejects_the_golden_malformed_net_config() {
     // The committed fixture parses (structural validity) but breaks every
     // server-side semantic rule at once: zero shards, a capacity that
-    // cannot register a transaction, a dead detector, a zero-depth queue,
-    // a frame limit too small for any history, a drop-everything fault
-    // plan, and a no-op delay. The `net` pass must flag each and fail
+    // cannot register a transaction, a zero-depth queue, a frame limit too
+    // small for any history, a drain deadline that is always overdue, a
+    // drop-everything fault plan, and a no-op delay. The `net` pass must flag each and fail
     // the run.
     let fixture = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -45,7 +45,7 @@ fn cli_rejects_the_golden_malformed_net_config() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("shards must be >= 1"), "{stdout}");
     assert!(stdout.contains("capacity"), "{stdout}");
-    assert!(stdout.contains("detector_period_us"), "{stdout}");
+    assert!(stdout.contains("drain_timeout_ms"), "{stdout}");
     assert!(stdout.contains("queue_depth"), "{stdout}");
     assert!(stdout.contains("max_frame_len"), "{stdout}");
     assert!(stdout.contains("drop_period"), "{stdout}");
@@ -77,10 +77,11 @@ fn cli_rejects_the_batch_framing_fixture() {
 #[test]
 fn retired_knobs_fail_the_pass_by_name() {
     // The reactor's executor pool is gone and `workers` with it; so are
-    // the threaded front end and the WAL's group-commit window. A server
-    // config still carrying one of them must fail the pass as an
-    // unparsable document — naming the key, and for the two with a
-    // replacement, the replacement — not be silently accepted.
+    // the threaded front end, the WAL's group-commit window and the
+    // deadlock detector's period. A server config still carrying one of
+    // them must fail the pass as an unparsable document — naming the key,
+    // and for those with a reason to give, the reason — not be silently
+    // accepted.
     for (knob, names) in [
         (r#""workers":4"#, "workers"),
         (
@@ -90,6 +91,10 @@ fn retired_knobs_fail_the_pass_by_name() {
         (
             r#""durability":"group","group_commit_window_us":100"#,
             "fsync",
+        ),
+        (
+            r#""detector_period_us":500"#,
+            "deadlock is detected at the enqueue; there is no period",
         ),
     ] {
         let doc = format!(

@@ -26,7 +26,11 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Transaction arena capacity (including `T0`).
     pub capacity: usize,
-    /// Deadlock-detector scan period, microseconds.
+    /// Vestigial: read by nobody in the workspace and absent from the
+    /// document form. Deadlock is detected at the enqueue that closes the
+    /// cycle, so there is no period; the field (and its default of 500)
+    /// stays only because the pinned benchmark crate names it, until
+    /// ROADMAP 6(a)'s `[benchmark]` PR.
     pub detector_period_us: u64,
     /// Bounded per-connection request queue depth (backpressure).
     pub queue_depth: usize,
@@ -210,9 +214,6 @@ impl ServerConfig {
         if self.capacity < 2 {
             out.push("capacity below 2 cannot register any transaction".to_string());
         }
-        if self.detector_period_us == 0 {
-            out.push("detector_period_us of 0 busy-spins the detector".to_string());
-        }
         if self.queue_depth == 0 {
             out.push("queue_depth of 0 lets no frame be dispatched".to_string());
         }
@@ -251,7 +252,6 @@ impl ServerConfig {
             .str("addr", &self.addr)
             .num("shards", self.shards as u64)
             .num("capacity", self.capacity as u64)
-            .num("detector_period_us", self.detector_period_us)
             .num("queue_depth", self.queue_depth as u64)
             .num("max_frame_len", self.max_frame_len as u64)
             .bool("static_gate", self.static_gate)
@@ -381,7 +381,6 @@ impl NetConfig {
                         }
                         "shards" => c.shards = num_field(val, key)? as usize,
                         "capacity" => c.capacity = num_field(val, key)? as usize,
-                        "detector_period_us" => c.detector_period_us = num_field(val, key)?,
                         "queue_depth" => c.queue_depth = num_field(val, key)? as usize,
                         "max_frame_len" => c.max_frame_len = num_field(val, key)? as usize,
                         "fault" => c.fault = Some(TransportPlan::from_json_value(val)?),
@@ -413,11 +412,18 @@ impl NetConfig {
                                     .ok_or_else(|| "durability must be a string".to_string())?,
                             )?;
                         }
-                        // Retired with the threaded front end: refused with
-                        // the reason, not silently accepted.
+                        // Retired with the threaded front end and with the
+                        // detector thread: refused with the reason, not
+                        // silently accepted.
                         "frontend" => {
                             return Err("net server config key \"frontend\" was removed: \
                                         the reactor is the only front end"
+                                .to_string());
+                        }
+                        "detector_period_us" => {
+                            return Err("net server config key \"detector_period_us\" was \
+                                        removed: deadlock is detected at the enqueue; there \
+                                        is no period"
                                 .to_string());
                         }
                         other => return Err(format!("unknown net server config key {other:?}")),
@@ -528,6 +534,9 @@ mod tests {
         let err =
             NetConfig::from_json(r#"{"role":"server","workers":4}"#).expect_err("retired knob");
         assert!(err.contains("workers"), "{err}");
+        let err = NetConfig::from_json(r#"{"role":"server","detector_period_us":500}"#)
+            .expect_err("retired knob");
+        assert!(err.contains("there is no period"), "{err}");
         let err = NetConfig::from_json(r#"{"role":"proxy"}"#).expect_err("role rejected");
         assert!(err.contains("proxy"), "{err}");
         let err = NetConfig::from_json(r#"{"shards":4}"#).expect_err("missing role");

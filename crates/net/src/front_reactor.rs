@@ -79,6 +79,14 @@ impl ServiceFactory for ReactorFactory {
             closed: false,
         })
     }
+
+    fn drain_deadline(&self) -> Option<Duration> {
+        Some(Duration::from_millis(self.shared.cfg.drain_timeout_ms))
+    }
+
+    fn drain_overdue(&self) {
+        self.shared.drain_overdue();
+    }
 }
 
 /// One decoded request frame (the unit of execution).
@@ -366,6 +374,7 @@ impl Service for ConnService {
 
     fn flush(&mut self) {
         self.shared.surface_violation();
+        self.shared.surface_victims();
         if self.shared.owes_barrier.swap(false, Ordering::AcqRel) {
             // One group-commit barrier per poll round: every frame of
             // the round, on every connection, executed before this first

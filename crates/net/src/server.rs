@@ -27,10 +27,13 @@
 //! `sgt.ok`, and the `sgt.live.*` mirrors), and answers the `CERT` wire op
 //! and the `sgt_live` section of `STATS` from its current state. A
 //! violation is journaled and dumped by the poll thread on the first
-//! flush after it closes. A **monitor thread** surfaces deadlock victims as structured
-//! events; a bounded flight-recorder ring mirrors the journal and is
+//! flush after it closes, and so is a deadlock victim: the `ACCESS` that
+//! closes a wait-for cycle dooms the victim inside its own execution
+//! (`nt-engine` runs the detector at the enqueue), and that round's flush
+//! journals it. A bounded flight-recorder ring mirrors the journal and is
 //! dumped to stderr on a drain timeout, a static-gate refusal, or a live
-//! certifier violation.
+//! certifier violation. The server starts no thread but the reactor's
+//! poll thread: the drain deadline is a deadline of that thread too.
 //!
 //! Graceful drain (`ServerHandle::drain`, or a wire `Shutdown` request)
 //! wakes the poll loop, which stops accepting and reading, answers every
@@ -55,16 +58,12 @@ use nt_telemetry::{StatsCell, TelemetryHandle};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// Flight-recorder ring capacity (journal tail kept for crash dumps).
 const FLIGHT_CAPACITY: usize = 256;
-
-/// Monitor-thread sample period (victim surfacing).
-const MONITOR_PERIOD_MS: u64 = 50;
 
 /// Monotone counters the server exposes while serving and after a drain.
 ///
@@ -108,6 +107,8 @@ pub(crate) struct Shared {
     admission: Mutex<AdmissionLedger>,
     /// The live certifier's violation has been journaled and dumped.
     violation_surfaced: AtomicBool,
+    /// Deadlock victims journaled so far (a prefix of the engine's list).
+    victims_surfaced: AtomicUsize,
     /// The durable store, when the config mounts one (`data_dir`).
     pub(crate) store: Option<Arc<Store>>,
     /// Responses recovered from the previous incarnation's WAL, keyed by
@@ -234,6 +235,37 @@ impl Shared {
         }
     }
 
+    /// Journal the deadlock victims doomed since the last call. Beside
+    /// [`Shared::surface_violation`] on every flush: a victim is doomed
+    /// inside some frame's execution, so the flush of that same round
+    /// journals it, drain or no drain.
+    pub(crate) fn surface_victims(&self) {
+        let seen = self.victims_surfaced.load(Ordering::Relaxed);
+        let fresh = self.engine.victims_from(seen);
+        if fresh.is_empty() {
+            return;
+        }
+        self.victims_surfaced
+            .store(seen + fresh.len(), Ordering::Relaxed);
+        for v in fresh {
+            self.emit(Event::DeadlockVictim {
+                victim: v.victim.0,
+                waiter: v.waiter.0,
+                blocker: v.blocker.0,
+            });
+        }
+    }
+
+    /// The drain has outrun `drain_timeout_ms`: dump the flight ring so
+    /// the stall is diagnosable (the reactor calls this once, and keeps
+    /// waiting).
+    pub(crate) fn drain_overdue(&self) {
+        self.emit(Event::Violation {
+            reason: "drain timeout".to_string(),
+        });
+        self.dump_diagnostics("drain timeout");
+    }
+
     /// Forget a top's declared summary (no-op for undeclared tops).
     pub(crate) fn release_admission(&self, tx: TxId) {
         self.admission
@@ -248,37 +280,6 @@ impl Shared {
     }
 }
 
-/// Samples the engine on a fixed period, surfacing new deadlock victims
-/// as structured events. SGT health is not sampled here: the live
-/// certifier (`live_certify`) checks every conflict edge as it forms and
-/// publishes the `sgt.*` gauges itself. Nor are `timeout_rescues`: the
-/// server parks lock waits as continuations and never enters the blocking
-/// wrapper that counts them (the key stays in the stats document).
-fn monitor_loop(shared: &Shared) {
-    let period = Duration::from_millis(MONITOR_PERIOD_MS);
-    let mut seen_victims = 0usize;
-    loop {
-        let mut slept = Duration::ZERO;
-        while slept < period {
-            if shared.drainer.is_draining() {
-                return;
-            }
-            let step = period.min(Duration::from_millis(20));
-            std::thread::sleep(step);
-            slept += step;
-        }
-        let victims = shared.engine.victims();
-        for v in victims.iter().skip(seen_victims) {
-            shared.emit(Event::DeadlockVictim {
-                victim: v.victim.0,
-                waiter: v.waiter.0,
-                blocker: v.blocker.0,
-            });
-        }
-        seen_victims = victims.len();
-    }
-}
-
 /// A bound (not yet serving) server.
 pub struct NetServer {
     listener: TcpListener,
@@ -289,7 +290,6 @@ pub struct NetServer {
 pub struct ServerHandle {
     shared: Arc<Shared>,
     reactor: nt_reactor::ReactorHandle,
-    monitor: JoinHandle<()>,
 }
 
 /// A clonable live view of a serving server, for metrics writers and
@@ -342,7 +342,7 @@ pub struct DrainReport {
     pub journal: Vec<String>,
     /// Transactions registered over the server's lifetime.
     pub tx_count: usize,
-    /// Deadlock victims the detector doomed.
+    /// Deadlock victims doomed (each has a `deadlock_victim` journal line).
     pub victims: usize,
 }
 
@@ -380,7 +380,6 @@ impl NetServer {
         let engine = SessionEngine::start_recovered(
             cfg.capacity,
             cfg.shards.max(1),
-            Duration::from_micros(cfg.detector_period_us.max(1)),
             telemetry.clone(),
             seed,
             sink,
@@ -399,6 +398,7 @@ impl NetServer {
             jseq: AtomicU64::new(0),
             admission: Mutex::new(AdmissionLedger::new()),
             violation_surfaced: AtomicBool::new(false),
+            victims_surfaced: AtomicUsize::new(0),
             store,
             recovered_cache,
             reactor_probe: OnceLock::new(),
@@ -423,10 +423,6 @@ impl NetServer {
     /// `write` syscalls as readiness allows, and one `wait_durable`
     /// barrier covers each poll round.
     pub fn serve(self) -> ServerHandle {
-        let monitor = {
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || monitor_loop(&shared))
-        };
         let phase = self.shared.telemetry.is_enabled().then(|| {
             let telemetry = self.shared.telemetry.clone();
             Arc::new(move |name: &'static str, us: u64| telemetry.observe_phase(name, us))
@@ -447,7 +443,6 @@ impl NetServer {
         ServerHandle {
             shared: self.shared,
             reactor,
-            monitor,
         }
     }
 }
@@ -487,49 +482,16 @@ impl ServerHandle {
     /// This is how `nt-serve` parks: the poll thread only exits once a
     /// drain has been requested and completed.
     pub fn join(self) -> DrainReport {
-        // Drain watchdog: armed the moment a drain is initiated; if
-        // connections then fail to quiesce within the configured timeout,
-        // dump the flight ring so the stall is diagnosable. The dump
-        // fires at most once and join keeps waiting.
-        let (done_tx, done_rx) = mpsc::channel::<()>();
-        let watchdog = {
-            let shared = Arc::clone(&self.shared);
-            let timeout = Duration::from_millis(shared.cfg.drain_timeout_ms.max(1));
-            std::thread::spawn(move || {
-                // Wait (interruptibly) for the drain to start.
-                loop {
-                    match done_rx.recv_timeout(Duration::from_millis(20)) {
-                        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => return,
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            if shared.drainer.is_draining() {
-                                break;
-                            }
-                        }
-                    }
-                }
-                if matches!(
-                    done_rx.recv_timeout(timeout),
-                    Err(mpsc::RecvTimeoutError::Timeout)
-                ) {
-                    shared.emit(Event::Violation {
-                        reason: "drain timeout".to_string(),
-                    });
-                    shared.dump_diagnostics("drain timeout");
-                }
-            })
-        };
         // Blocks until the drain completes: every dispatched frame
         // answered, every output buffer flushed, every service hung up.
+        // A drain that outruns `drain_timeout_ms` is reported by the poll
+        // thread itself (`Shared::drain_overdue`), once, and keeps waiting.
         self.reactor.join();
-        let _ = self.monitor.join();
-        let _ = done_tx.send(());
-        let _ = watchdog.join();
         let (_, stats) = self.shared.stats.snapshot();
         self.shared
             .emit(Event::ServerDrained { conns: stats.conns });
-        self.shared.engine.shutdown();
-        // Every connection and the detector are gone, so the recorded
-        // history is complete and the certifier has stepped all of it;
+        // Every connection is gone, so the recorded history is complete
+        // and the certifier has stepped all of it;
         // the drain's own hangup aborts resolve tops after the last flush.
         self.shared.surface_violation();
         // Fold the WAL into a fresh checkpoint so the next open replays

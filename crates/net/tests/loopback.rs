@@ -245,6 +245,53 @@ fn graceful_drain_answers_all_queued_work() {
     assert_eq!(report.stats.cache_hits, 0);
 }
 
+/// A deadlock victim is journaled by the poll thread in the round that
+/// doomed it, so a drain right behind the doom cannot lose the line. (A
+/// sampling thread used to write these, and stopped at the drain without
+/// a last pass.)
+#[test]
+fn a_victim_doomed_just_before_a_drain_is_journaled() {
+    let (addr, handle) = start_server(ServerConfig::default());
+    let mut a = Conn::connect(&addr, 1, ConnConfig::default()).expect("connect a");
+    let mut b = Conn::connect(&addr, 2, ConnConfig::default()).expect("connect b");
+    let begin = |c: &mut Conn| match c.request(&Request::BeginTop).expect("begin top") {
+        Response::Begun { tx } => tx,
+        other => panic!("expected Begun, got {other:?}"),
+    };
+    let (ta, tb) = (begin(&mut a), begin(&mut b));
+    let write = |parent, obj| Request::Access {
+        parent,
+        obj,
+        op: Op::Write(1),
+    };
+    for (c, t, x) in [(&mut a, ta, 0), (&mut b, tb, 1)] {
+        assert!(matches!(
+            c.request(&write(t, x)),
+            Ok(Response::AccessOk { .. })
+        ));
+    }
+    // Cross over; b's access closes the cycle and both are answered.
+    let sa = a.send(&write(ta, 1)).expect("send");
+    let rb = b.request(&write(tb, 0)).expect("b's access");
+    let ra = a.recv(sa).expect("a's access");
+    assert!(
+        matches!(
+            (&ra, &rb),
+            (Response::AccessOk { .. }, Response::Aborted { .. })
+                | (Response::Aborted { .. }, Response::AccessOk { .. })
+        ),
+        "exactly one side falls: {ra:?} / {rb:?}"
+    );
+    let report = handle.wait();
+    assert_eq!(report.victims, 1);
+    let lines = report
+        .journal
+        .iter()
+        .filter(|l| l.contains("deadlock_victim"))
+        .count();
+    assert_eq!(lines, report.victims, "{:?}", report.journal);
+}
+
 #[test]
 fn malformed_frame_yields_protocol_error_then_close() {
     let (addr, handle) = start_server(ServerConfig::default());

@@ -61,7 +61,7 @@ use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Per-`poll` timeout when no timer is pending: wakes are delivered by
 /// the self-pipe, so this is only a belt-and-braces bound on how long a
@@ -143,6 +143,18 @@ pub trait ServiceFactory: Send + Sync + 'static {
     /// Called on the reactor thread at accept time. `conn` ids are
     /// assigned sequentially from 1.
     fn open(&self, conn: u64, sink: ReplySink) -> Box<dyn Service>;
+
+    /// How long a drain may take before [`ServiceFactory::drain_overdue`]
+    /// is called (`None`: never). Read once, when the drain begins.
+    fn drain_deadline(&self) -> Option<Duration> {
+        None
+    }
+
+    /// The drain has outlived its deadline with connections still open.
+    /// Called once, on the poll thread — which never blocks, so it is
+    /// still there to diagnose whatever holds the drain open. The drain
+    /// keeps waiting.
+    fn drain_overdue(&self) {}
 }
 
 // --- Cross-thread mailbox --------------------------------------------------
@@ -492,6 +504,7 @@ pub fn spawn(
             touched: Vec::new(),
             next_conn: 1,
             drain_seen: false,
+            drain_due: None,
         }
         .run();
     });
@@ -515,6 +528,8 @@ struct ReactorLoop {
     touched: Vec<u64>,
     next_conn: u64,
     drain_seen: bool,
+    /// When the drain in progress becomes overdue (until reported).
+    drain_due: Option<Instant>,
 }
 
 impl ReactorLoop {
@@ -535,6 +550,10 @@ impl ReactorLoop {
             }
             if self.drain_seen && self.conns.is_empty() {
                 return;
+            }
+            if self.drain_due.is_some_and(|due| due <= Instant::now()) {
+                self.drain_due = None;
+                self.factory.drain_overdue();
             }
             fds.clear();
             ids.clear();
@@ -612,14 +631,16 @@ impl ReactorLoop {
 
     /// How long `poll` may sleep: not at all with mail or a drain request
     /// pending (checked *after* `polling` was raised, so a poster that
-    /// missed the flag is seen here), else until the next timer.
+    /// missed the flag is seen here), else until the next timer or the
+    /// drain deadline.
     fn poll_timeout_ms(&self) -> i32 {
         if !self.hub.inbox.lock().expect("inbox poisoned").is_empty()
             || (self.draining() && !self.drain_seen)
         {
             return 0;
         }
-        let Some(next) = self.timers.iter().map(|&(when, _)| when).min() else {
+        let timers = self.timers.iter().map(|&(when, _)| when);
+        let Some(next) = timers.chain(self.drain_due).min() else {
             return POLL_TIMEOUT_MS;
         };
         let until = next.saturating_duration_since(Instant::now());
@@ -629,6 +650,7 @@ impl ReactorLoop {
 
     fn enter_drain(&mut self) {
         self.drain_seen = true;
+        self.drain_due = self.factory.drain_deadline().map(|d| Instant::now() + d);
         for c in self.conns.values_mut() {
             c.read_closed = true;
             c.inbuf.clear();

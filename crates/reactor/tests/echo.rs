@@ -2,8 +2,9 @@
 //! protocol: each frame is `len u32le | payload`, and the service echoes
 //! the payload back in its own frame. Exercises accept, nonblocking
 //! framing across partial writes, inline execution, reply coalescing,
-//! per-connection ordering, corrupt-prefix handling, graceful drain, and
-//! parked continuations (resume handles and deadlines).
+//! per-connection ordering, corrupt-prefix handling, graceful drain,
+//! parked continuations (resume handles and deadlines), and the drain
+//! deadline.
 
 use nt_reactor::{
     spawn, BadFrame, Drainer, ReactorConfig, ReplySink, ResumeHandle, Service, ServiceFactory,
@@ -13,7 +14,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn framed(body: &[u8]) -> Vec<u8> {
@@ -283,6 +284,9 @@ impl Service for Parker {
 struct ParkerFactory {
     parked_tx: mpsc::Sender<ResumeHandle>,
     released: Arc<AtomicU64>,
+    drain_deadline: Option<Duration>,
+    /// When `drain_overdue` was called.
+    overdue: Arc<Mutex<Vec<Instant>>>,
 }
 
 impl ServiceFactory for ParkerFactory {
@@ -298,24 +302,44 @@ impl ServiceFactory for ParkerFactory {
             pending_frames: 0,
         })
     }
+
+    fn drain_deadline(&self) -> Option<Duration> {
+        self.drain_deadline
+    }
+
+    fn drain_overdue(&self) {
+        self.overdue.lock().expect("overdue").push(Instant::now());
+    }
 }
 
-fn start_parker() -> (
-    std::net::SocketAddr,
-    nt_reactor::ReactorHandle,
-    mpsc::Receiver<ResumeHandle>,
-    Arc<AtomicU64>,
-) {
+struct ParkerRig {
+    addr: std::net::SocketAddr,
+    handle: nt_reactor::ReactorHandle,
+    parked_rx: mpsc::Receiver<ResumeHandle>,
+    released: Arc<AtomicU64>,
+    overdue: Arc<Mutex<Vec<Instant>>>,
+}
+
+fn start_parker(drain_deadline: Option<Duration>) -> ParkerRig {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let (parked_tx, parked_rx) = mpsc::channel();
     let released = Arc::new(AtomicU64::new(0));
+    let overdue = Arc::new(Mutex::new(Vec::new()));
     let factory = Arc::new(ParkerFactory {
         parked_tx,
         released: Arc::clone(&released),
+        drain_deadline,
+        overdue: Arc::clone(&overdue),
     });
     let handle = spawn(listener, ReactorConfig::default(), factory, Drainer::new()).expect("spawn");
-    (addr, handle, parked_rx, released)
+    ParkerRig {
+        addr,
+        handle,
+        parked_rx,
+        released,
+        overdue,
+    }
 }
 
 /// A parked frame holds back the pipelined frames behind it — and only
@@ -324,7 +348,13 @@ fn start_parker() -> (
 /// in request order.
 #[test]
 fn parked_frame_keeps_order_and_does_not_stall_other_connections() {
-    let (addr, handle, parked_rx, released) = start_parker();
+    let ParkerRig {
+        addr,
+        handle,
+        parked_rx,
+        released,
+        ..
+    } = start_parker(None);
     let mut a = TcpStream::connect(addr).expect("connect");
     let mut b = TcpStream::connect(addr).expect("connect");
     for msg in [&b"before"[..], b"PARK", b"after-1", b"after-2"] {
@@ -361,4 +391,40 @@ fn parked_frame_keeps_order_and_does_not_stall_other_connections() {
     assert_eq!(stats.frames, 7, "{stats:?}");
     handle.drainer().drain();
     handle.join();
+}
+
+/// A continuation nobody resumes holds the drain open. The factory's
+/// overdue hook fires once, no earlier than the deadline, on a poll thread
+/// that keeps running; the drain completes when the handle finally fires.
+#[test]
+fn drain_deadline_fires_once_and_the_drain_still_completes() {
+    let deadline = Duration::from_millis(80);
+    let rig = start_parker(Some(deadline));
+    let mut a = TcpStream::connect(rig.addr).expect("connect");
+    a.write_all(&framed(b"PARK")).expect("write");
+    let resume = rig
+        .parked_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the PARK frame parked");
+    let drain_at = Instant::now();
+    rig.handle.drainer().drain();
+    let fired = |n: usize| rig.overdue.lock().expect("overdue").get(n).copied();
+    let give_up = drain_at + Duration::from_secs(5);
+    while fired(0).is_none() && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let at = fired(0).expect("the overdue hook fires");
+    assert!(
+        at - drain_at >= deadline,
+        "fired early: {:?}",
+        at - drain_at
+    );
+    // Once: the drain stays open for several more deadlines, silently.
+    std::thread::sleep(deadline * 3);
+    assert!(fired(1).is_none(), "the overdue hook fired twice");
+    rig.released.store(1, Ordering::SeqCst);
+    resume.resume();
+    assert_eq!(read_frame(&mut a).expect("reply"), b"PARK".to_vec());
+    rig.handle.join();
+    assert!(fired(1).is_none());
 }

@@ -27,8 +27,8 @@
 //! the thread that drew it is inside `record` — which holds the lock — so
 //! nothing is ever parked: the heap's high-water mark
 //! ([`LiveStatus::parked_max`]) is zero, hence bounded by
-//! the number of recording threads (the poll thread and the deadlock
-//! detector on the server, the session workers in `run_plan`).
+//! the number of recording threads (the poll thread alone on the server,
+//! the session workers in `run_plan`).
 //!
 //! ## Lock order
 //!

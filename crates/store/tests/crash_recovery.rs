@@ -10,7 +10,6 @@ use nt_store::{Store, StoreError, CKPT_FILE, WAL_FILE};
 use nt_telemetry::TelemetryHandle;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A per-test scratch dir (fresh on entry, removed on drop).
 struct Scratch(PathBuf);
@@ -33,7 +32,6 @@ fn boot(store: &Store, recovered: nt_store::Recovered) -> Arc<SessionEngine> {
     SessionEngine::start_recovered(
         4096,
         4,
-        Duration::from_micros(500),
         TelemetryHandle::disabled(),
         recovered.seed,
         Some(Arc::clone(store.wal()) as Arc<dyn nt_engine::ActionSink>),
@@ -74,7 +72,6 @@ fn clean_restart_recovers_committed_state() {
         commit_write(&engine, ObjId(0), 41);
         commit_write(&engine, ObjId(1), 7);
         store.wait_durable();
-        engine.shutdown();
         store.close();
         assert!(store.wal().sync_count() > 0, "fsync mode must sync");
     }
@@ -88,7 +85,6 @@ fn clean_restart_recovers_committed_state() {
     let engine = boot(&store, rec);
     assert_eq!(read_committed(&engine, ObjId(0)), Value::Int(41));
     assert_eq!(read_committed(&engine, ObjId(1)), Value::Int(7));
-    engine.shutdown();
     store.close();
 }
 
@@ -107,7 +103,6 @@ fn crash_with_inflight_top_rolls_back_the_loser() {
             s.access(top, ObjId(0), Op::Write(999)).expect("write"),
             AccessOutcome::Done(Value::Ok)
         );
-        engine.shutdown();
         // No rotate, no close: the unsynced-but-written WAL stands in for
         // the durable prefix at the kill point.
     }
@@ -122,7 +117,6 @@ fn crash_with_inflight_top_rolls_back_the_loser() {
     assert!(rec.seed.initials.contains(&(ObjId(0), 7)));
     let engine = boot(&store, rec);
     assert_eq!(read_committed(&engine, ObjId(0)), Value::Int(7));
-    engine.shutdown();
     store.close();
 }
 
@@ -133,7 +127,6 @@ fn torn_tail_is_dropped_and_next_open_is_clean() {
         let (store, rec) = Store::open(&scratch.0, DurabilityMode::None).expect("open");
         let engine = boot(&store, rec);
         commit_write(&engine, ObjId(0), 13);
-        engine.shutdown();
         store.close();
     }
     // A crash mid-append leaves arbitrary garbage past the last frame.
@@ -168,7 +161,6 @@ fn response_cache_survives_restart_and_rotation() {
         store.append_cache(0x1_0000_0001, b"resp-a");
         store.append_cache(0x2_0000_0001, b"resp-b");
         store.wait_durable();
-        engine.shutdown();
         store.close();
     }
     {
@@ -207,7 +199,6 @@ fn fuzzy_checkpoint_plus_wal_merge_without_double_replay() {
         // More work after the checkpoint: recovery must merge checkpoint
         // and WAL, deduplicating the overlap.
         commit_write(&engine, ObjId(1), 6);
-        engine.shutdown();
         store.close();
     }
     let (store, rec) = Store::open(&scratch.0, DurabilityMode::None).expect("reopen");
@@ -219,7 +210,6 @@ fn fuzzy_checkpoint_plus_wal_merge_without_double_replay() {
     let engine = boot(&store, rec);
     assert_eq!(read_committed(&engine, ObjId(0)), Value::Int(5));
     assert_eq!(read_committed(&engine, ObjId(1)), Value::Int(6));
-    engine.shutdown();
     store.close();
 }
 
@@ -231,15 +221,13 @@ fn rotation_bumps_generation_and_a_stale_wal_is_ignored() {
         assert_eq!(store.generation(), 1);
         let engine = boot(&store, rec);
         commit_write(&engine, ObjId(0), 21);
-        engine.shutdown();
         store.close();
     }
     // Keep the generation-1 WAL: it becomes the stale leftover below.
     let old_wal = std::fs::read(scratch.0.join(WAL_FILE)).expect("read old wal");
     {
         let (store, rec) = Store::open(&scratch.0, DurabilityMode::None).expect("reopen");
-        let engine = boot(&store, rec);
-        engine.shutdown();
+        let _engine = boot(&store, rec);
         store.rotate().expect("rotate");
         assert_eq!(store.generation(), 2);
         store.close();
@@ -293,7 +281,6 @@ fn corrupt_checkpoint_refuses_to_open() {
         let (store, rec) = Store::open(&scratch.0, DurabilityMode::None).expect("open");
         let engine = boot(&store, rec);
         commit_write(&engine, ObjId(0), 2);
-        engine.shutdown();
         store.rotate().expect("rotate");
         store.close();
     }

@@ -1,9 +1,14 @@
-//! The reactor server's thread count is a constant, not a function of the
-//! number of connections: frames execute on the poll thread and a lock
-//! wait parks a continuation, so there is nothing per connection to
-//! spawn. (At PR 10 every accepted connection cost an executor thread.)
-//! Nor is it a function of `live_certify`: the thread that records an
-//! action steps the certifier. (Until PR 16 it had a thread of its own.)
+//! The server is one thread — the reactor's poll thread — and that is
+//! asserted as an absolute number: the process's threads before `bind`,
+//! plus one. Deadlock detection runs at the enqueue that closes the
+//! cycle, victims are journaled and the drain deadline kept by the poll
+//! thread. (Until PR 22 a detector, a monitor and a drain watchdog thread
+//! stood beside it.) The count is not a function of the number of
+//! connections: frames execute on the poll thread and a lock wait parks a
+//! continuation, so there is nothing per connection to spawn. (At PR 10
+//! every accepted connection cost an executor thread.) Nor is it a
+//! function of `live_certify`: the thread that records an action steps
+//! the certifier. (Until PR 16 it had a thread of its own.)
 //!
 //! One `#[test]` only: the count is the whole process's, and a sibling
 //! test running beside it would move it.
@@ -33,11 +38,22 @@ fn open(addr: &str, id: u64) -> Conn {
 
 #[test]
 fn thread_count_is_the_same_with_1_and_32_connections_and_with_live_certify() {
+    let before_bind = process_threads();
     let server = NetServer::bind(ServerConfig::default()).expect("bind");
+    assert_eq!(
+        process_threads(),
+        before_bind,
+        "the engine starts no thread"
+    );
     let addr = server.local_addr().to_string();
     let handle = server.serve();
     let mut conns = vec![open(&addr, 1)];
     let with_one = process_threads();
+    assert_eq!(
+        with_one,
+        before_bind + 1,
+        "the poll thread and nothing else"
+    );
     conns.extend((2..=32).map(|id| open(&addr, id)));
     // All 32 are live at once, each with work in flight on the server.
     for c in &mut conns {
@@ -52,7 +68,9 @@ fn thread_count_is_the_same_with_1_and_32_connections_and_with_live_certify() {
         "the server grew threads with its connection count"
     );
     drop(conns);
+    // `wait` (the blocking `join`) starts no watchdog beside the drain.
     handle.wait();
+    assert_eq!(process_threads(), before_bind, "the drain leaves nothing");
 
     let server = NetServer::bind(ServerConfig {
         live_certify: true,

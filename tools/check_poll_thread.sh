@@ -5,18 +5,27 @@
 # there — the reactor crate, nt-net's per-connection service and the
 # protocol core it executes — for the calls that would break it, and checks
 # that what the run-to-completion reactor replaced stays deleted. It also
-# holds the other "stays gone" greps: the certifier thread and the
-# engine's second execution core.
+# holds the other "stays gone" greps: the certifier thread, the engine's
+# second execution core, and every background thread (detector, monitor,
+# drain watchdog) — the server is the poll thread and nothing else.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 poll_thread=(crates/reactor/src/lib.rs crates/reactor/src/buf.rs
-    crates/reactor/src/waker.rs crates/net/src/front_reactor.rs)
+    crates/reactor/src/waker.rs crates/net/src/front_reactor.rs
+    crates/net/src/server.rs)
 blocking='thread::sleep|Condvar|wait_timeout|wait_while|\.recv\(\)|recv_timeout|\.park\(|\.join\(\)'
 
+# A file's non-test code: everything above its `#[cfg(test)]` module.
+non_test() {
+    awk -v f="$1" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ":" $0 }' "$1"
+}
+
 fail=0
-# `ReactorHandle::join` is the embedder's side of the thread, not the loop.
-if grep -nE "$blocking" "${poll_thread[@]}" | grep -v 'self\.thread\.join()'; then
+# `ReactorHandle::join` / `ServerHandle::join` are the embedder's side of
+# the thread, not the loop.
+if grep -nE "$blocking" "${poll_thread[@]}" |
+    grep -vE 'self\.((thread|reactor)\.)?join\(\)'; then
     echo "check_poll_thread: a blocking call on the poll thread (above)" >&2
     fail=1
 fi
@@ -77,6 +86,36 @@ fi
 if grep -nE 'LockTable::new|StatusTable::new|\.try_commit\(|\.mark_aborted\(|release_inherit|\.discard\(' \
     crates/engine/src/run.rs; then
     echo "check_poll_thread: run.rs touches engine state past the session API (above)" >&2
+    fail=1
+fi
+
+# Zero background threads. Deadlock is detected at the enqueue that closes
+# the cycle, victims are journaled and the drain deadline kept by the poll
+# thread: nothing under the server's crates starts a thread except the
+# reactor's own poll thread, the client-side load and crash drivers, the
+# binaries, and `run_plan`'s scoped plan workers (`thread::scope`).
+spawns=$(for f in $(find crates/{engine,net,store,sgt,reactor}/src -name '*.rs' \
+    ! -path 'crates/net/src/bin/*' ! -name load.rs ! -name crashdrv.rs); do
+    non_test "$f"
+done | grep -E 'thread::spawn|thread::Builder' |
+    grep -v '^crates/reactor/src/lib.rs:.*let thread = std::thread::spawn' || true)
+if [ -n "$spawns" ]; then
+    echo "$spawns"
+    echo "check_poll_thread: a background thread is back (above)" >&2
+    fail=1
+fi
+# ... and neither the engine's session code nor the server sleeps or polls.
+if { non_test crates/engine/src/session.rs; non_test crates/net/src/server.rs; } |
+    grep -E 'thread::sleep|recv_timeout|_PERIOD'; then
+    echo "check_poll_thread: session.rs / server.rs sleeps or polls (above)" >&2
+    fail=1
+fi
+# The detector period survives only as `ServerConfig`'s vestigial field
+# (pinned by the benchmark crate) and the config parser's refusal of the
+# retired key.
+if grep -rnE 'fn monitor_loop|MONITOR_PERIOD_MS|detector_period' crates/*/src |
+    grep -v '^crates/net/src/config.rs:'; then
+    echo "check_poll_thread: the detector period or the monitor thread is back (above)" >&2
     fail=1
 fi
 
