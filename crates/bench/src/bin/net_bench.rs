@@ -30,7 +30,7 @@ use nt_bench::SmokeLine;
 use nt_engine::DurabilityMode;
 use nt_net::{fetch_and_certify, run_load, ConnConfig, LoadConfig, NetServer, ServerConfig};
 use nt_obs::json::JsonObj;
-use nt_telemetry::HistSnapshot;
+use nt_obs::Histogram;
 
 const CONN_SWEEP: [usize; 4] = [1, 2, 4, 8];
 const TOTAL_TOPS: usize = 64;
@@ -85,8 +85,8 @@ struct Row {
     requests: u64,
     retries: u64,
     wall_us: u64,
-    req_hist: HistSnapshot,
-    top_hist: HistSnapshot,
+    req_hist: Histogram,
+    top_hist: Histogram,
     certified: bool,
     sg_nodes: usize,
     sg_edges: usize,

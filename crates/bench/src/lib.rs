@@ -80,10 +80,10 @@ pub fn moss_trace(
     (w.tree, w.types, serial_projection(&r.trace))
 }
 
-// The one-line smoke summary builder moved to `nt-telemetry` so the
-// load driver's per-connection sweep cells share it; re-exported here
-// for the bench binaries.
-pub use nt_telemetry::SmokeLine;
+// The one-line smoke summary builder lives in `nt-obs` so the load
+// driver's per-connection sweep cells share it; re-exported here for the
+// bench binaries.
+pub use nt_obs::SmokeLine;
 
 /// Simple fixed-width table printer for experiment outputs.
 pub struct Table {
@@ -273,7 +273,7 @@ mod tests {
 
     #[test]
     fn smoke_line_reports_percentiles_uniformly() {
-        let mut h = nt_telemetry::HistSnapshot::new();
+        let mut h = nt_obs::Histogram::new();
         for v in 1..=100u64 {
             h.observe(v * 10);
         }

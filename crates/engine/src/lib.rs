@@ -32,7 +32,12 @@
 //!   engine actually performed;
 //! * the merged history feeds `nt_sgt::certify_recorded`, certifying each
 //!   concurrent run against Theorem 17 post-hoc: the serialization graph
-//!   must be acyclic and every return value appropriate.
+//!   must be acyclic and every return value appropriate;
+//! * the engine takes one `nt_obs::TraceHandle`: handed a *timed*
+//!   recorder (a server with telemetry on), the lock table feeds its
+//!   `lock_blocked` / `lock_hold` histograms and sessions attribute lock
+//!   wait per request; handed a disabled or events-only one, no probe
+//!   site reads a clock.
 //!
 //! A session executes each of its top-level transactions' subtrees
 //! depth-first on the calling thread (a legal interleaving for both

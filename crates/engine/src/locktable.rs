@@ -43,7 +43,7 @@ use crate::tree_view::TreeView;
 use nt_locking::{moss_blockers_by, moss_precondition_by};
 use nt_model::rw::RwInitials;
 use nt_model::{Action, ObjId, Op, TxId, TxTree, Value};
-use nt_telemetry::TelemetryHandle;
+use nt_obs::TraceHandle;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -271,7 +271,7 @@ pub struct LockTable<T: TreeView = Arc<TxTree>> {
     granted: AtomicU64,
     blocked: AtomicU64,
     timeout_rescues: AtomicU64,
-    telemetry: TelemetryHandle,
+    telemetry: TraceHandle,
 }
 
 impl<T: TreeView> LockTable<T> {
@@ -304,14 +304,14 @@ impl<T: TreeView> LockTable<T> {
             granted: AtomicU64::new(0),
             blocked: AtomicU64::new(0),
             timeout_rescues: AtomicU64::new(0),
-            telemetry: TelemetryHandle::disabled(),
+            telemetry: TraceHandle::disabled(),
         }
     }
 
-    /// Attach a live telemetry handle (builder-style, before the table is
-    /// shared): blocked intervals and hold times start feeding its
-    /// histograms.
-    pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
+    /// Attach a recorder (builder-style, before the table is shared): when
+    /// it is a timed one, blocked intervals and hold times start feeding
+    /// its `lock_blocked` / `lock_hold` histograms.
+    pub fn with_telemetry(mut self, telemetry: TraceHandle) -> Self {
         self.telemetry = telemetry;
         self
     }
@@ -376,7 +376,7 @@ impl<T: TreeView> LockTable<T> {
                 Value::Int(v)
             }
         };
-        if self.telemetry.is_enabled() {
+        if self.telemetry.is_timed() {
             locks.since.insert(t, Instant::now());
         }
         locks.check_lemma9(&self.tree, x);
@@ -460,15 +460,22 @@ impl<T: TreeView> LockTable<T> {
             x,
             no,
             cell,
-            since: self.telemetry.is_enabled().then(Instant::now),
+            since: self.telemetry.is_timed().then(Instant::now),
         })
+    }
+
+    /// A hold that began at `start` ends now.
+    fn end_hold(&self, start: Instant, counters: &mut ShardCounters) {
+        let us = start.elapsed().as_micros() as u64;
+        counters.hold_us += us;
+        self.telemetry.observe("lock_hold", us);
     }
 
     /// The queue → resolution interval of a resolved ticket.
     fn observe_blocked(&self, ticket: &Ticket) {
         if let Some(since) = ticket.since {
             self.telemetry
-                .observe_lock_blocked(since.elapsed().as_micros() as u64);
+                .observe("lock_blocked", since.elapsed().as_micros() as u64);
         }
     }
 
@@ -574,10 +581,8 @@ impl<T: TreeView> LockTable<T> {
                 // `t`'s hold ends here; the inherited lock starts the
                 // parent's hold clock (unless it already holds one).
                 if let Some(start) = locks.since.remove(&t) {
-                    let us = start.elapsed().as_micros() as u64;
+                    self.end_hold(start, counters);
                     locks.since.entry(parent).or_insert_with(Instant::now);
-                    counters.hold_us += us;
-                    self.telemetry.observe_lock_hold(us);
                 }
                 locks.check_lemma9(&self.tree, x);
             }
@@ -611,9 +616,7 @@ impl<T: TreeView> LockTable<T> {
                     .collect();
                 for h in dead {
                     if let Some(start) = locks.since.remove(&h) {
-                        let us = start.elapsed().as_micros() as u64;
-                        counters.hold_us += us;
-                        self.telemetry.observe_lock_hold(us);
+                        self.end_hold(start, counters);
                     }
                 }
             }

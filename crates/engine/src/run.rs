@@ -45,12 +45,11 @@ use crate::session::{
 use nt_faults::{RetryLedger, RetryOutcome, RetryRecord};
 use nt_model::rw::RwInitials;
 use nt_model::{Action, ObjId, TxId, TxTree};
-use nt_obs::{Event, TraceHandle};
+use nt_obs::{Event, Histogram, TraceHandle};
 use nt_serial::ObjectTypes;
 use nt_sgt::{certify_recorded, ConflictSource, RecordedCertificate};
 use nt_sgt_live::{LiveCertifier, LiveStatus, SgtConfig};
 use nt_sim::{ScriptPlan, Workload};
-use nt_telemetry::{HistSnapshot, TelemetryHandle};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -199,7 +198,7 @@ pub struct EngineReport {
     pub stats: EngineStats,
     /// Per-top-level-slot latency (claim to resolution, including retry
     /// backoff), microseconds — merged across workers for p50/p95/p99.
-    pub top_latency: HistSnapshot,
+    pub top_latency: Histogram,
     /// Final status of the live serialization-graph certifier, when
     /// `cfg.live_certify` stepped one along with the run (`None` otherwise).
     /// `live.ok == false` means the maintainer caught a cycle *during*
@@ -259,7 +258,7 @@ struct Tally {
     records: Vec<RetryRecord>,
     committed_top: usize,
     aborted_top: usize,
-    top_lat: HistSnapshot,
+    top_lat: Histogram,
 }
 
 /// One worker thread: a session and the plan it plays through it.
@@ -434,11 +433,11 @@ pub fn run_plan(plan: &EnginePlan, cfg: &EngineConfig) -> Result<EngineReport, S
     };
     let certifier = cfg
         .live_certify
-        .then(|| LiveCertifier::new(SgtConfig::default(), TelemetryHandle::disabled()));
+        .then(|| LiveCertifier::new(SgtConfig::default(), TraceHandle::disabled()));
     let engine = SessionEngine::start_recovered(
         plan.tree.len(),
         cfg.shards,
-        TelemetryHandle::disabled(),
+        TraceHandle::disabled(),
         seed,
         None,
         certifier,
@@ -487,7 +486,7 @@ pub fn run_plan(plan: &EnginePlan, cfg: &EngineConfig) -> Result<EngineReport, S
     let mut committed_top = 0;
     let mut aborted_top = 0;
     let mut records = Vec::new();
-    let mut top_latency = HistSnapshot::new();
+    let mut top_latency = Histogram::new();
     let mut plan_ids = BTreeMap::new();
     for tally in tallies {
         committed_top += tally.committed_top;

@@ -31,8 +31,8 @@ use crate::tree_view::TreeView;
 use nt_model::rw::RwInitials;
 use nt_model::{Action, ObjId, Op, TxId, TxTree, Value};
 use nt_obs::json::JsonObj;
+use nt_obs::TraceHandle;
 use nt_sgt_live::LiveCertifier;
-use nt_telemetry::TelemetryHandle;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -175,7 +175,7 @@ pub struct SessionEngine {
     status: Arc<StatusTable>,
     table: Arc<LockTable<Arc<SessionTree>>>,
     clock: Arc<SeqClock>,
-    telemetry: TelemetryHandle,
+    telemetry: TraceHandle,
     sink: Option<Arc<dyn ActionSink>>,
     certifier: Option<LiveCertifier>,
     logs: Mutex<Vec<Arc<Mutex<WorkerLog>>>>,
@@ -197,7 +197,7 @@ impl SessionEngine {
         SessionEngine::start_recovered(
             capacity,
             shards,
-            TelemetryHandle::disabled(),
+            TraceHandle::disabled(),
             RecoveredSeed::default(),
             None,
             None,
@@ -206,9 +206,10 @@ impl SessionEngine {
     }
 
     /// Start an engine from a [`RecoveredSeed`], optionally teeing every
-    /// new registration and action into a durable sink (the WAL). A live
-    /// `telemetry` handle makes the lock table feed its blocked/hold
-    /// histograms and sessions attribute lock wait per request. With a
+    /// new registration and action into a durable sink (the WAL). A timed
+    /// `telemetry` recorder makes the lock table feed its blocked/hold
+    /// histograms and sessions attribute lock wait per request; a disabled
+    /// or events-only one keeps every probe site off the clock. With a
     /// recovered seed, the tree is replayed *before* the sink attaches
     /// (the registrations are already durable), completed transactions
     /// are pre-marked in the status table, per-object committed values
@@ -224,7 +225,7 @@ impl SessionEngine {
     pub fn start_recovered(
         capacity: usize,
         shards: usize,
-        telemetry: TelemetryHandle,
+        telemetry: TraceHandle,
         seed: RecoveredSeed,
         sink: Option<Arc<dyn ActionSink>>,
         certifier: Option<LiveCertifier>,
@@ -407,8 +408,8 @@ impl SessionEngine {
         self.detector_passes.load(Ordering::Relaxed)
     }
 
-    /// The telemetry handle this engine records into.
-    pub fn telemetry(&self) -> &TelemetryHandle {
+    /// The recorder handle this engine records into.
+    pub fn telemetry(&self) -> &TraceHandle {
         &self.telemetry
     }
 
@@ -726,7 +727,7 @@ impl Session {
                 return Ok(AccessStep::Parked(ParkedAccess {
                     parent,
                     ticket,
-                    since: self.engine.telemetry.is_enabled().then(Instant::now),
+                    since: self.engine.telemetry.is_timed().then(Instant::now),
                 }));
             }
         };

@@ -77,8 +77,8 @@ fn cli_rejects_the_batch_framing_fixture() {
 #[test]
 fn retired_knobs_fail_the_pass_by_name() {
     // The reactor's executor pool is gone and `workers` with it; so are
-    // the threaded front end, the WAL's group-commit window and the
-    // deadlock detector's period. A server config still carrying one of
+    // the threaded front end, the WAL's group-commit window, the
+    // deadlock detector's period and the span-ring size. A server config still carrying one of
     // them must fail the pass as an unparsable document — naming the key,
     // and for those with a reason to give, the reason — not be silently
     // accepted.
@@ -95,6 +95,10 @@ fn retired_knobs_fail_the_pass_by_name() {
         (
             r#""detector_period_us":500"#,
             "deadlock is detected at the enqueue; there is no period",
+        ),
+        (
+            r#""span_ring":512"#,
+            "the span ring is a fixed 4096 entries",
         ),
     ] {
         let doc = format!(

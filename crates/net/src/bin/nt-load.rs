@@ -43,7 +43,7 @@ use nt_net::client::{fetch_and_certify, Conn, ConnConfig};
 use nt_net::wire::{err_code, Request, Response};
 use nt_net::{run_load, LoadConfig, NetConfig, NetServer, ServerConfig};
 use nt_obs::json::{Json, JsonObj};
-use nt_telemetry::SmokeLine;
+use nt_obs::SmokeLine;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {

@@ -19,12 +19,12 @@
 //! `STATIC_GATE` error before they acquire any lock.
 //!
 //! `--metrics-out FILE` enables runtime telemetry and rewrites `FILE`
-//! with a live `nt-net/stats/v1` snapshot every `metrics_period_ms`
+//! with a live `nt-net/stats/v2` snapshot every `metrics_period_ms`
 //! (plus a final post-drain snapshot). `--trace-out FILE` enables
 //! telemetry and writes the retained request spans as a Chrome
 //! `trace_event` document after the drain. Either flag also turns on
 //! the live serialization-graph certifier, so snapshots carry the
-//! `sgt.*` gauges the certifier publishes as conflict edges form.
+//! `sgt.live.*` gauges the certifier publishes as tops resolve.
 //! `--live-certify` turns the certifier on by itself: every recorded
 //! action steps the incremental Theorem 17 gate inline and the `CERT`
 //! wire op serves the live verdict (`nt-sgt/cert/v1`).
@@ -187,7 +187,7 @@ fn main() -> ExitCode {
     }
     if metrics_out.is_some() || trace_out.is_some() {
         // A traced server should also report SGT health: the live
-        // certifier publishes the `sgt.*` gauges those snapshots carry.
+        // certifier publishes the `sgt.live.*` gauges those snapshots carry.
         cfg.telemetry = true;
         cfg.live_certify = true;
     }

@@ -17,10 +17,9 @@ use crate::wire::{
 };
 use nt_faults::BackoffPolicy;
 use nt_model::{Action, Op, TxTree};
-use nt_obs::{Event, MetricsRegistry, Stamped};
+use nt_obs::{Event, Histogram, Stamped};
 use nt_serial::{ObjectTypes, RwRegister};
 use nt_sgt::{certify_recorded, ConflictSource, RecordedCertificate};
-use nt_telemetry::HistSnapshot;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::TcpStream;
@@ -84,11 +83,9 @@ pub struct Conn {
     conn_id: u64,
     /// Resends performed (observability).
     pub retries: u64,
-    /// Client-side request metrics (`net_request_us` histogram).
-    pub metrics: MetricsRegistry,
-    /// Per-request round-trip latency as a log-linear histogram
-    /// (mergeable across connections, p50/p95/p99-capable).
-    pub req_hist: HistSnapshot,
+    /// Per-request round-trip latency, µs (mergeable across connections,
+    /// p50/p95/p99-capable).
+    pub req_hist: Histogram,
     /// Client-side event journal (`net_retry` lines).
     pub journal: Vec<String>,
     jseq: u64,
@@ -124,8 +121,7 @@ impl Conn {
             cfg,
             conn_id,
             retries: 0,
-            metrics: MetricsRegistry::new(),
-            req_hist: HistSnapshot::new(),
+            req_hist: Histogram::new(),
             journal: Vec::new(),
             jseq: 0,
         })
@@ -229,7 +225,6 @@ impl Conn {
             if let Some(resp) = self.got.remove(&seq) {
                 if let Some(inf) = self.in_flight.remove(&seq) {
                     let us = inf.sent_at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                    self.metrics.observe("net_request_us", us);
                     self.req_hist.observe(us);
                 }
                 return Ok(resp);
@@ -316,7 +311,7 @@ impl Conn {
     }
 
     /// Fetch the server's live runtime-stats document (schema
-    /// `nt-net/stats/v1`) as a JSON string.
+    /// `nt-net/stats/v2`) as a JSON string.
     pub fn stats(&mut self) -> Result<String, WireError> {
         match self.request(&Request::Stats)? {
             Response::Stats { json } => Ok(json),

@@ -43,18 +43,16 @@ pub struct ServerConfig {
     /// `err_code::STATIC_GATE`) when their potential conflict component
     /// could close a serialization cycle.
     pub static_gate: bool,
-    /// Enable runtime telemetry: per-request lifecycle spans, lock-wait
-    /// attribution, phase histograms, and the `STATS` document's
-    /// histogram/gauge section. Off by default — the disabled handle
-    /// costs one branch per probe site.
+    /// Enable runtime telemetry: per-request lifecycle spans (a fixed ring
+    /// of `nt_obs::SPAN_RING`, newest win), lock-wait attribution, phase
+    /// histograms, and the `STATS` document's histogram/gauge section.
+    /// Off by default — the disabled handle costs one branch per probe
+    /// site.
     pub telemetry: bool,
-    /// Bounded ring of retained request spans (newest win) when
-    /// telemetry is enabled.
-    pub span_ring: usize,
     /// Run the live serialization-graph certifier: every recorded action
     /// steps an incremental Theorem 17 gate inline (cycle check per
     /// conflict edge, watermark GC bounding memory), the `CERT` wire op
-    /// serves its verdict, and the `sgt.*`/`sgt.live.*` gauges publish
+    /// serves its verdict, and the `sgt.live.*` gauges publish
     /// its health.
     pub live_certify: bool,
     /// Period of `nt-serve --metrics-out` snapshot rewrites.
@@ -85,7 +83,6 @@ impl Default for ServerConfig {
             fault: None,
             static_gate: false,
             telemetry: false,
-            span_ring: nt_telemetry::DEFAULT_SPAN_RING,
             live_certify: false,
             metrics_period_ms: 1000,
             drain_timeout_ms: 10_000,
@@ -226,9 +223,6 @@ impl ServerConfig {
         if let Some(plan) = &self.fault {
             out.extend(plan.problems());
         }
-        if self.telemetry && self.span_ring == 0 {
-            out.push("span_ring of 0 retains no spans under telemetry".to_string());
-        }
         if self.metrics_period_ms == 0 {
             out.push("metrics_period_ms of 0 busy-writes the snapshot file".to_string());
         }
@@ -256,7 +250,6 @@ impl ServerConfig {
             .num("max_frame_len", self.max_frame_len as u64)
             .bool("static_gate", self.static_gate)
             .bool("telemetry", self.telemetry)
-            .num("span_ring", self.span_ring as u64)
             .bool("live_certify", self.live_certify)
             .num("metrics_period_ms", self.metrics_period_ms)
             .num("drain_timeout_ms", self.drain_timeout_ms);
@@ -392,7 +385,6 @@ impl NetConfig {
                             Json::Bool(b) => c.telemetry = *b,
                             _ => return Err("telemetry must be a boolean".to_string()),
                         },
-                        "span_ring" => c.span_ring = num_field(val, key)? as usize,
                         "live_certify" => match val {
                             Json::Bool(b) => c.live_certify = *b,
                             _ => return Err("live_certify must be a boolean".to_string()),
@@ -412,9 +404,9 @@ impl NetConfig {
                                     .ok_or_else(|| "durability must be a string".to_string())?,
                             )?;
                         }
-                        // Retired with the threaded front end and with the
-                        // detector thread: refused with the reason, not
-                        // silently accepted.
+                        // Retired with the threaded front end, the detector
+                        // thread and the second observability crate: refused
+                        // with the reason, not silently accepted.
                         "frontend" => {
                             return Err("net server config key \"frontend\" was removed: \
                                         the reactor is the only front end"
@@ -424,6 +416,11 @@ impl NetConfig {
                             return Err("net server config key \"detector_period_us\" was \
                                         removed: deadlock is detected at the enqueue; there \
                                         is no period"
+                                .to_string());
+                        }
+                        "span_ring" => {
+                            return Err("net server config key \"span_ring\" was removed: \
+                                        the span ring is a fixed 4096 entries"
                                 .to_string());
                         }
                         other => return Err(format!("unknown net server config key {other:?}")),
@@ -498,7 +495,6 @@ mod tests {
             }),
             static_gate: true,
             telemetry: true,
-            span_ring: 512,
             live_certify: true,
             metrics_period_ms: 250,
             drain_timeout_ms: 5_000,
@@ -537,6 +533,9 @@ mod tests {
         let err = NetConfig::from_json(r#"{"role":"server","detector_period_us":500}"#)
             .expect_err("retired knob");
         assert!(err.contains("there is no period"), "{err}");
+        let err =
+            NetConfig::from_json(r#"{"role":"server","span_ring":512}"#).expect_err("retired knob");
+        assert!(err.contains("a fixed 4096 entries"), "{err}");
         let err = NetConfig::from_json(r#"{"role":"proxy"}"#).expect_err("role rejected");
         assert!(err.contains("proxy"), "{err}");
         let err = NetConfig::from_json(r#"{"shards":4}"#).expect_err("missing role");
@@ -558,13 +557,10 @@ mod tests {
         assert!(probs.iter().any(|p| p.contains("drop_period")), "{probs:?}");
 
         let s = ServerConfig {
-            telemetry: true,
-            span_ring: 0,
             metrics_period_ms: 0,
             ..ServerConfig::default()
         };
         let probs = s.problems();
-        assert!(probs.iter().any(|p| p.contains("span_ring")), "{probs:?}");
         assert!(
             probs.iter().any(|p| p.contains("metrics_period_ms")),
             "{probs:?}"

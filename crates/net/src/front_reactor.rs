@@ -34,9 +34,8 @@ use crate::wire::{
 use nt_engine::{ParkedAccess, Session, WakeHandle};
 use nt_faults::FrameFate;
 use nt_model::TxId;
-use nt_obs::Event;
+use nt_obs::{Event, ReqSpan};
 use nt_reactor::{BadFrame, ReplySink, ResumeHandle, Service, ServiceFactory};
-use nt_telemetry::ReqSpan;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -56,7 +55,7 @@ impl ReactorFactory {
 impl ServiceFactory for ReactorFactory {
     fn open(&self, conn: u64, sink: ReplySink) -> Box<dyn Service> {
         self.shared.stats.update(|s| s.conns += 1);
-        self.shared.emit(Event::ConnAccepted { conn });
+        self.shared.rec.record(Event::ConnAccepted { conn });
         let resume = sink.resume_handle();
         let wake = {
             let resume = resume.clone();
@@ -106,9 +105,9 @@ struct InFlight {
     run: OpsRun,
     /// A fault-plan duplicate: execute this copy (from cache) right after.
     echo: Option<Decoded>,
-    t_dispatch: u64,
-    t_dequeue: u64,
-    seq_decode: u64,
+    t_arrived: u64,
+    t_started: u64,
+    seq_started: u64,
     /// Batch assembly timing (telemetry only).
     t_asm: Option<Instant>,
 }
@@ -216,20 +215,20 @@ impl ConnService {
             FrameFate::Deliver => self.handle(decoded, queue_us, None),
             FrameFate::Drop => {
                 self.shared.stats.update(|s| s.dropped += 1);
-                self.shared.emit(fault("drop"));
+                self.shared.rec.record(fault("drop"));
                 // Consumed but intentionally unanswered: account the
                 // frame with no reply bytes.
                 self.pending_frames += 1;
             }
             FrameFate::Duplicate => {
                 self.shared.stats.update(|s| s.duplicated += 1);
-                self.shared.emit(fault("duplicate"));
+                self.shared.rec.record(fault("duplicate"));
                 // The echo executes right after and answers from cache.
                 self.handle(decoded.clone(), queue_us, Some(decoded));
             }
             FrameFate::Delay(us) => {
                 self.shared.stats.update(|s| s.delayed += 1);
-                self.shared.emit(fault("delay"));
+                self.shared.rec.record(fault("delay"));
                 // Park until the deadline; the poll thread serves every
                 // other connection meanwhile.
                 let until = Instant::now() + Duration::from_micros(us);
@@ -247,7 +246,7 @@ impl ConnService {
     /// frame spent behind earlier work (zero for the echo of a fault-plan
     /// duplicate).
     fn handle(&mut self, d: Decoded, queue_us: u64, echo: Option<Decoded>) {
-        let t_dequeue = self.shared.telemetry.now_us();
+        let t_started = self.shared.rec.now_us();
         let (seq, kind, ops) = match d {
             Decoded::Single(seq, req) => (seq, req.kind(), vec![(seq, req)]),
             Decoded::Batch(seq, ops) => (seq, KIND_BATCH_REQ, ops),
@@ -258,12 +257,12 @@ impl ConnService {
             kind,
             run: OpsRun::new(ops),
             echo,
-            // Decode and dispatch are contiguous on this path;
-            // reconstruct the dispatch instant so `queue_wait` is real.
-            t_dispatch: t_dequeue.saturating_sub(queue_us),
-            t_dequeue,
-            seq_decode: self.shared.engine.clock_now(),
-            t_asm: (batch && self.shared.telemetry.is_enabled()).then(Instant::now),
+            // The reactor stamped the dispatch with its own `Instant`;
+            // place it on the recorder's timeline so `queue_wait` is real.
+            t_arrived: t_started.saturating_sub(queue_us),
+            t_started,
+            seq_started: self.shared.engine.clock_now(),
+            t_asm: (batch && self.shared.rec.is_timed()).then(Instant::now),
         };
         self.drive(inflight, None);
     }
@@ -300,8 +299,8 @@ impl ConnService {
             };
             if let Some(t_asm) = f.t_asm {
                 self.shared
-                    .telemetry
-                    .observe_phase("batch_assemble", t_asm.elapsed().as_micros() as u64);
+                    .rec
+                    .observe("phase.batch_assemble", t_asm.elapsed().as_micros() as u64);
             }
             encode_batch_response(f.seq, &entries)
         } else {
@@ -312,22 +311,19 @@ impl ConnService {
         }
         self.pending.extend_from_slice(&bytes);
         self.pending_frames += 1;
-        if self.shared.telemetry.is_enabled() {
+        if self.shared.rec.is_timed() {
             // The barrier is deferred to flush: the span ends here and the
             // round's fsync shows up in the `coalesce` phase histogram.
-            let t_done = self.shared.telemetry.now_us();
-            self.shared.telemetry.record_span(ReqSpan {
+            self.shared.rec.record_span(ReqSpan {
                 conn: self.conn,
                 seq: f.seq,
                 kind: f.kind,
-                t_decode: f.t_dispatch,
-                t_enqueue: f.t_dispatch,
-                t_dequeue: f.t_dequeue,
-                t_exec_end: t_done,
-                t_respond: t_done,
+                t_arrived: f.t_arrived,
+                t_started: f.t_started,
+                t_finished: self.shared.rec.now_us(),
                 lock_wait_us: f.run.lock_wait_us,
-                seq_decode: f.seq_decode,
-                seq_respond: self.shared.engine.clock_now(),
+                seq_started: f.seq_started,
+                seq_finished: self.shared.engine.clock_now(),
             });
         }
         if f.run.shutdown {
@@ -379,8 +375,7 @@ impl Service for ConnService {
             // One group-commit barrier per poll round: every frame of
             // the round, on every connection, executed before this first
             // flush, so it covers them all.
-            let us = pay_durability(&self.shared);
-            self.shared.telemetry.observe_phase("coalesce", us);
+            pay_durability(&self.shared);
         }
         if self.pending_frames > 0 {
             self.sink
@@ -412,7 +407,7 @@ impl Service for ConnService {
             let _ = self.session.abort(t);
             self.shared.release_admission(t);
         }
-        self.shared.emit(Event::ConnClosed {
+        self.shared.rec.record(Event::ConnClosed {
             conn: self.conn,
             frames,
         });

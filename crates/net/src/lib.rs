@@ -20,8 +20,8 @@
 //!   path: pull the server's recorded history over the wire and run it
 //!   through `nt_sgt::certify_recorded` (Theorem 17, post hoc);
 //! * [`load`] — the load driver: `nt-sim` workload specs replayed as
-//!   wire traffic, open- or closed-loop, latency histograms through
-//!   `nt-obs` metrics;
+//!   wire traffic, open- or closed-loop, one `nt_obs::Histogram` each
+//!   for request and top latency;
 //! * [`history`] — the on-wire form of a recorded run;
 //! * [`config`] — `*.net.json` documents (server + load roles) with
 //!   unknown-key rejection and lint-facing semantic checks;
@@ -36,14 +36,14 @@
 //!   component could close a serialization cycle is refused with a
 //!   typed `STATIC_GATE` error before it acquires any lock.
 //!
-//! Runtime observability (`nt-telemetry`, DESIGN.md §8g) threads
-//! through the server: per-request phase spans with dual wall/logical
-//! stamps, the `STATS` wire op returning one `nt-net/stats/v1`
+//! Runtime observability (one `nt-obs` recorder per server, DESIGN.md
+//! §8g) threads through the server: per-request phase spans with dual
+//! wall/logical stamps, the `STATS` wire op returning one `nt-net/stats/v2`
 //! document (coherent counters, lock-table shard totals, phase
 //! histograms, SGT health gauges, live wait-for graph), `nt-serve
 //! --metrics-out`/`--trace-out`, the live certifier running the
 //! recorded actions through the Theorem 17 gate while the server runs,
-//! and a flight-recorder ring dumped on stuck drains, static-gate
+//! and the journal's flight tail dumped on stuck drains, static-gate
 //! refusals, and certifier violations.
 
 #![forbid(unsafe_code)]

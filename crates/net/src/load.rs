@@ -17,9 +17,8 @@ use crate::config::{LoadConfig, LoadMode};
 use crate::wire::{Request, Response, WireError};
 use nt_model::{Op, TxId, TxTree};
 use nt_obs::json::JsonObj;
-use nt_obs::MetricsRegistry;
+use nt_obs::Histogram;
 use nt_sim::{OpMix, WorkloadSpec};
-use nt_telemetry::HistSnapshot;
 use std::time::{Duration, Instant};
 
 /// One node of a top-level transaction template.
@@ -232,12 +231,10 @@ pub struct LoadReport {
     pub retries: u64,
     /// Wall-clock time of the whole run, microseconds.
     pub wall_us: u64,
-    /// Merged client metrics (`net_request_us`, `net_top_us` histograms).
-    pub metrics: MetricsRegistry,
     /// Per-request round-trip latency, merged across connections.
-    pub req_hist: HistSnapshot,
+    pub req_hist: Histogram,
     /// Per-committed-top latency, merged across connections.
-    pub top_hist: HistSnapshot,
+    pub top_hist: Histogram,
     /// Merged client event journals (`net_retry` lines).
     pub journal: Vec<String>,
 }
@@ -252,11 +249,11 @@ impl LoadReport {
             .num("requests", self.requests)
             .num("retries", self.retries)
             .num("wall_us", self.wall_us);
-        if let Some(h) = self.metrics.histogram("net_request_us") {
-            o.float("request_us_mean", h.mean());
+        if self.req_hist.count() > 0 {
+            o.float("request_us_mean", self.req_hist.mean());
         }
-        if let Some(h) = self.metrics.histogram("net_top_us") {
-            o.float("top_us_mean", h.mean());
+        if self.top_hist.count() > 0 {
+            o.float("top_us_mean", self.top_hist.mean());
         }
         let (p50, p95, p99) = self.req_hist.p50_p95_p99();
         o.num("request_us_p50", p50)
@@ -335,7 +332,6 @@ pub fn run_load(addr: &str, cfg: &LoadConfig) -> Result<LoadReport, WireError> {
                                 rep.committed_tops += 1;
                                 let us = top_start.elapsed().as_micros().min(u128::from(u64::MAX))
                                     as u64;
-                                conn.metrics.observe("net_top_us", us);
                                 rep.top_hist.observe(us);
                                 break;
                             }
@@ -355,7 +351,6 @@ pub fn run_load(addr: &str, cfg: &LoadConfig) -> Result<LoadReport, WireError> {
                 }
                 rep.requests = conn.requests_sent();
                 rep.retries = conn.retries;
-                rep.metrics.merge(&conn.metrics);
                 rep.req_hist.merge(&conn.req_hist);
                 rep.journal.append(&mut conn.journal);
                 Ok(rep)
@@ -372,7 +367,6 @@ pub fn run_load(addr: &str, cfg: &LoadConfig) -> Result<LoadReport, WireError> {
                 merged.gave_up += rep.gave_up;
                 merged.requests += rep.requests;
                 merged.retries += rep.retries;
-                merged.metrics.merge(&rep.metrics);
                 merged.req_hist.merge(&rep.req_hist);
                 merged.top_hist.merge(&rep.top_hist);
                 merged.journal.extend(rep.journal);

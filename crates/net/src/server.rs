@@ -16,24 +16,28 @@
 //! is written before the `flush_durable` of its round returns** — the
 //! poll round is the group commit.
 //!
-//! When the config enables telemetry, each request's lifecycle
-//! (dispatch → dequeue → execute → buffered reply) is stamped into an
-//! [`nt_telemetry::ReqSpan`] carrying dual wall-clock/`SeqClock` stamps.
-//! With `live_certify` on, the thread that records an action also steps an
+//! The server owns one `nt-obs` recorder, built in [`NetServer::bind`]:
+//! every event (`conn_accepted`, `frame_fault`, `deadlock_victim`, …) is
+//! recorded into it once, [`DrainReport::journal`] is its journal and the
+//! flight dump written to stderr on a drain timeout, a static-gate
+//! refusal, or a live certifier violation is that journal's tail — same
+//! lines, same `seq`. When the config enables telemetry the recorder is a
+//! *timed* one: each request's lifecycle (arrived → started → finished)
+//! is stamped into an [`nt_obs::ReqSpan`] carrying dual
+//! wall-clock/`SeqClock` stamps, and the engine's lock table and the
+//! certifier's gauges feed the same registry. With `live_certify` on, the
+//! thread that records an action also steps an
 //! [`nt_sgt_live::LiveCertifier`] with it — an incremental Theorem 17 gate
 //! that checks each conflict edge as it forms, garbage-collects the
-//! committed acyclic prefix behind a watermark, publishes SGT health
-//! gauges (`sgt.nodes`, `sgt.edges`, `sgt.watermark`, `sgt.check_us`,
-//! `sgt.ok`, and the `sgt.live.*` mirrors), and answers the `CERT` wire op
-//! and the `sgt_live` section of `STATS` from its current state. A
-//! violation is journaled and dumped by the poll thread on the first
-//! flush after it closes, and so is a deadlock victim: the `ACCESS` that
-//! closes a wait-for cycle dooms the victim inside its own execution
-//! (`nt-engine` runs the detector at the enqueue), and that round's flush
-//! journals it. A bounded flight-recorder ring mirrors the journal and is
-//! dumped to stderr on a drain timeout, a static-gate refusal, or a live
-//! certifier violation. The server starts no thread but the reactor's
-//! poll thread: the drain deadline is a deadline of that thread too.
+//! committed acyclic prefix behind a watermark, publishes the
+//! `sgt.live.*` health gauges, and answers the `CERT` wire op and the
+//! `sgt_live` section of `STATS` from its current state. A violation is
+//! journaled and dumped by the poll thread on the first flush after it
+//! closes, and so is a deadlock victim: the `ACCESS` that closes a
+//! wait-for cycle dooms the victim inside its own execution (`nt-engine`
+//! runs the detector at the enqueue), and that round's flush journals it.
+//! The server starts no thread but the reactor's poll thread: the drain
+//! deadline is a deadline of that thread too.
 //!
 //! Graceful drain (`ServerHandle::drain`, or a wire `Shutdown` request)
 //! wakes the poll loop, which stops accepting and reading, answers every
@@ -51,19 +55,15 @@ use nt_engine::{
 };
 use nt_model::{ObjId, TxId};
 use nt_obs::json::JsonObj;
-use nt_obs::{Event, Stamped, TraceHandle};
+use nt_obs::{Event, Recorder, StatsCell, TraceHandle};
 use nt_sgt_live::{cert_disabled_json, LiveCertifier, SgtConfig};
 use nt_store::{RecoveryReport, Store};
-use nt_telemetry::{StatsCell, TelemetryHandle};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-/// Flight-recorder ring capacity (journal tail kept for crash dumps).
-const FLIGHT_CAPACITY: usize = 256;
 
 /// Monotone counters the server exposes while serving and after a drain.
 ///
@@ -93,16 +93,15 @@ pub struct ServerStats {
 pub(crate) struct Shared {
     pub(crate) cfg: ServerConfig,
     pub(crate) engine: Arc<SessionEngine>,
-    pub(crate) telemetry: TelemetryHandle,
-    /// Bounded journal tail for diagnostic dumps.
-    flight: TraceHandle,
+    /// The server's one recorder: the event journal (and its flight
+    /// tail), and — timed, when the config enables telemetry — the span
+    /// ring, phase histograms and gauges.
+    pub(crate) rec: TraceHandle,
     addr: SocketAddr,
     /// The drain trigger: wakes the poll loop, which stops accepting and
     /// reading, answers everything already dispatched, flushes, and exits.
     drainer: nt_reactor::Drainer,
     pub(crate) stats: StatsCell<ServerStats>,
-    journal: Mutex<Vec<String>>,
-    jseq: AtomicU64,
     /// Declared summaries of live tops (the static admission gate).
     admission: Mutex<AdmissionLedger>,
     /// The live certifier's violation has been journaled and dumped.
@@ -126,21 +125,7 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub(crate) fn emit(&self, event: Event) {
-        self.flight.tick();
-        self.flight.record(event.clone());
-        let seq = self.jseq.fetch_add(1, Ordering::Relaxed);
-        let line = Stamped {
-            round: 0,
-            step: 0,
-            seq,
-            event,
-        }
-        .to_json_line();
-        self.journal.lock().expect("journal poisoned").push(line);
-    }
-
-    /// One live runtime snapshot (schema `nt-net/stats/v1`): coherent
+    /// One live runtime snapshot (schema `nt-net/stats/v2`): coherent
     /// server counters, engine/lock-shard counters, telemetry histograms
     /// and gauges, the live certifier's state (`sgt_live`, absent without
     /// `live_certify`), and the current wait-for graph.
@@ -151,7 +136,7 @@ impl Shared {
         let waits: Vec<u64> = shards.iter().map(|c| c.waits).collect();
         let hold_us: Vec<u64> = shards.iter().map(|c| c.hold_us).collect();
         let mut o = JsonObj::new();
-        o.str("schema", "nt-net/stats/v1")
+        o.str("schema", "nt-net/stats/v2")
             .num("generation", generation)
             .num("conns", s.conns)
             .num("frames", s.frames)
@@ -169,7 +154,7 @@ impl Shared {
             .num_arr("shard_grants", &grants)
             .num_arr("shard_waits", &waits)
             .num_arr("shard_hold_us", &hold_us)
-            .raw("telemetry", self.telemetry.to_json())
+            .raw("telemetry", self.rec.to_json())
             .raw("wait_for", self.engine.wait_for_json());
         if let Some(probe) = self.reactor_probe.get() {
             let r = probe.stats();
@@ -206,7 +191,7 @@ impl Shared {
     /// Dump the flight ring and a stats snapshot to stderr (called on a
     /// drain timeout, a static-gate refusal, or a certifier violation).
     fn dump_diagnostics(&self, reason: &str) {
-        self.flight.dump_flight_to_stderr(reason);
+        self.rec.dump_flight_to_stderr(reason);
         eprintln!("=== nt-net stats snapshot ({reason}) ===");
         eprintln!("{}", self.stats_json());
     }
@@ -228,7 +213,7 @@ impl Shared {
     pub(crate) fn surface_violation(&self) {
         let violated = self.engine.certifier().is_some_and(|live| !live.ok());
         if violated && !self.violation_surfaced.swap(true, Ordering::AcqRel) {
-            self.emit(Event::Violation {
+            self.rec.record(Event::Violation {
                 reason: "live certifier found a serialization cycle".to_string(),
             });
             self.dump_diagnostics("live certifier violation");
@@ -248,7 +233,7 @@ impl Shared {
         self.victims_surfaced
             .store(seen + fresh.len(), Ordering::Relaxed);
         for v in fresh {
-            self.emit(Event::DeadlockVictim {
+            self.rec.record(Event::DeadlockVictim {
                 victim: v.victim.0,
                 waiter: v.waiter.0,
                 blocker: v.blocker.0,
@@ -260,7 +245,7 @@ impl Shared {
     /// the stall is diagnosable (the reactor calls this once, and keeps
     /// waiting).
     pub(crate) fn drain_overdue(&self) {
-        self.emit(Event::Violation {
+        self.rec.record(Event::Violation {
             reason: "drain timeout".to_string(),
         });
         self.dump_diagnostics("drain timeout");
@@ -305,20 +290,22 @@ impl ServerProbe {
         self.shared.stats.snapshot()
     }
 
-    /// The full live stats document (schema `nt-net/stats/v1`).
+    /// The full live stats document (schema `nt-net/stats/v2`).
     pub fn stats_json(&self) -> String {
         self.shared.stats_json()
     }
 
-    /// The server's telemetry handle (disabled unless configured).
-    pub fn telemetry(&self) -> &TelemetryHandle {
-        &self.shared.telemetry
+    /// The server's recorder: the event journal always, and — only when
+    /// the config enables telemetry — spans, histograms and gauges
+    /// (`to_json()` is `"{}"` and `gauges()` empty otherwise).
+    pub fn telemetry(&self) -> &TraceHandle {
+        &self.shared.rec
     }
 
     /// A Chrome `trace_event` document of the retained request spans
     /// (`None` when telemetry is disabled).
     pub fn chrome_trace(&self) -> Option<String> {
-        self.shared.telemetry.chrome_trace()
+        self.shared.rec.spans_chrome_trace()
     }
 
     /// Whether a drain has been initiated.
@@ -338,7 +325,8 @@ impl ServerProbe {
 pub struct DrainReport {
     /// Final counter values (a coherent snapshot).
     pub stats: ServerStats,
-    /// The observability journal (`Stamped` event lines).
+    /// The recorder's journal, rendered (`Stamped` event lines, `seq`
+    /// contiguous from 0).
     pub journal: Vec<String>,
     /// Transactions registered over the server's lifetime.
     pub tx_count: usize,
@@ -358,10 +346,13 @@ impl NetServer {
     pub fn bind(cfg: ServerConfig) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let telemetry = if cfg.telemetry {
-            TelemetryHandle::enabled(cfg.span_ring.max(1))
+        // The engine and the certifier only measure and publish gauges:
+        // with telemetry off their probe sites stay a `None` branch.
+        let (rec, probes) = if cfg.telemetry {
+            let rec = Recorder::timed();
+            (rec.clone(), rec)
         } else {
-            TelemetryHandle::disabled()
+            (Recorder::full(), TraceHandle::disabled())
         };
         let (store, recovered_cache, seed) = match &cfg.data_dir {
             Some(dir) => {
@@ -376,11 +367,11 @@ impl NetServer {
             .map(|s| Arc::clone(s.wal()) as Arc<dyn ActionSink>);
         let certifier = cfg
             .live_certify
-            .then(|| LiveCertifier::new(SgtConfig::default(), telemetry.clone()));
+            .then(|| LiveCertifier::new(SgtConfig::default(), probes.clone()));
         let engine = SessionEngine::start_recovered(
             cfg.capacity,
             cfg.shards.max(1),
-            telemetry.clone(),
+            probes,
             seed,
             sink,
             certifier,
@@ -389,13 +380,10 @@ impl NetServer {
         let shared = Arc::new(Shared {
             cfg,
             engine,
-            telemetry,
-            flight: nt_obs::Recorder::flight(FLIGHT_CAPACITY),
+            rec,
             addr,
             drainer: nt_reactor::Drainer::new(),
             stats: StatsCell::default(),
-            journal: Mutex::new(Vec::new()),
-            jseq: AtomicU64::new(0),
             admission: Mutex::new(AdmissionLedger::new()),
             violation_surfaced: AtomicBool::new(false),
             victims_surfaced: AtomicUsize::new(0),
@@ -423,9 +411,10 @@ impl NetServer {
     /// `write` syscalls as readiness allows, and one `wait_durable`
     /// barrier covers each poll round.
     pub fn serve(self) -> ServerHandle {
-        let phase = self.shared.telemetry.is_enabled().then(|| {
-            let telemetry = self.shared.telemetry.clone();
-            Arc::new(move |name: &'static str, us: u64| telemetry.observe_phase(name, us))
+        let phase = self.shared.rec.is_timed().then(|| {
+            let rec = self.shared.rec.clone();
+            // `poll_wait` is the one phase the reactor times.
+            Arc::new(move |_: &'static str, us: u64| rec.observe("phase.poll_wait", us))
                 as nt_reactor::PhaseObserver
         });
         let rcfg = nt_reactor::ReactorConfig {
@@ -489,7 +478,8 @@ impl ServerHandle {
         self.reactor.join();
         let (_, stats) = self.shared.stats.snapshot();
         self.shared
-            .emit(Event::ServerDrained { conns: stats.conns });
+            .rec
+            .record(Event::ServerDrained { conns: stats.conns });
         // Every connection is gone, so the recorded history is complete
         // and the certifier has stepped all of it;
         // the drain's own hangup aborts resolve tops after the last flush.
@@ -503,9 +493,10 @@ impl ServerHandle {
             store.close();
         }
         let shared = &self.shared;
+        let journal = shared.rec.journal_jsonl().unwrap_or_default();
         DrainReport {
             stats,
-            journal: shared.journal.lock().expect("journal poisoned").clone(),
+            journal: journal.lines().map(String::from).collect(),
             tx_count: shared.engine.tx_count(),
             victims: shared.engine.victims().len(),
         }
@@ -695,13 +686,18 @@ fn count_answer(shared: &Shared, from_cache: bool) {
 }
 
 /// Pay the durability barrier (`wait_durable`: one fsync covering
-/// everything appended so far), returning the time spent in µs when
-/// telemetry is enabled.
-pub(crate) fn pay_durability(shared: &Shared) -> u64 {
-    let Some(store) = &shared.store else { return 0 };
-    let t0 = shared.telemetry.is_enabled().then(Instant::now);
+/// everything appended so far); a timed recorder gets the wait as the
+/// `coalesce` phase — per barrier, not per request, the only place fsync
+/// time is attributed.
+pub(crate) fn pay_durability(shared: &Shared) {
+    let Some(store) = &shared.store else { return };
+    let t0 = shared.rec.is_timed().then(Instant::now);
     store.wait_durable();
-    t0.map(|t0| t0.elapsed().as_micros() as u64).unwrap_or(0)
+    if let Some(t0) = t0 {
+        shared
+            .rec
+            .observe("phase.coalesce", t0.elapsed().as_micros() as u64);
+    }
 }
 
 /// Whether a request can change engine state — only these pay the
@@ -788,7 +784,7 @@ fn execute(
             let mut ledger = shared.admission.lock().expect("admission poisoned");
             if let Err(msg) = ledger.check(&sets) {
                 drop(ledger);
-                shared.emit(Event::Violation {
+                shared.rec.record(Event::Violation {
                     reason: format!("static gate refusal: {msg}"),
                 });
                 shared.dump_diagnostics("static gate refusal");

@@ -498,7 +498,7 @@ pub enum Response {
     ShuttingDown,
     /// A runtime-telemetry snapshot serialized as a JSON document.
     Stats {
-        /// The snapshot (schema `nt-net/stats/v1`).
+        /// The snapshot (schema `nt-net/stats/v2`).
         json: String,
     },
     /// The live serialization-graph certificate as a JSON document.

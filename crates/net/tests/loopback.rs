@@ -292,6 +292,100 @@ fn a_victim_doomed_just_before_a_drain_is_journaled() {
     assert_eq!(lines, report.victims, "{:?}", report.journal);
 }
 
+/// One recorder, one sequence: under a transport fault plan and a forced
+/// deadlock, the drained journal is numbered contiguously from 0, the
+/// flight dump is a tail of those very lines (same `seq`), and the
+/// auto-derived `ev.*` counters count each net event under its own name.
+#[test]
+fn journal_flight_dump_and_counters_are_one_sequence() {
+    use nt_obs::json::Json;
+    let (addr, handle) = start_server(ServerConfig {
+        fault: Some(TransportPlan {
+            drop_period: 11,
+            dup_period: 7,
+            delay_period: 5,
+            delay_us: 200,
+        }),
+        ..ServerConfig::default()
+    });
+    let probe = handle.probe();
+    let cfg = ConnConfig {
+        timeout_ms: 50,
+        ..ConnConfig::default()
+    };
+    // The deadlock pair sends three frames each: too few to meet the plan.
+    let mut a = Conn::connect(&addr, 1, cfg).expect("connect a");
+    let mut b = Conn::connect(&addr, 2, cfg).expect("connect b");
+    let begin = |c: &mut Conn| match c.request(&Request::BeginTop).expect("begin top") {
+        Response::Begun { tx } => tx,
+        other => panic!("expected Begun, got {other:?}"),
+    };
+    let (ta, tb) = (begin(&mut a), begin(&mut b));
+    let write = |parent, obj| Request::Access {
+        parent,
+        obj,
+        op: Op::Write(1),
+    };
+    for (c, t, x) in [(&mut a, ta, 0), (&mut b, tb, 1)] {
+        assert!(matches!(
+            c.request(&write(t, x)),
+            Ok(Response::AccessOk { .. })
+        ));
+    }
+    let sa = a.send(&write(ta, 1)).expect("send");
+    b.request(&write(tb, 0)).expect("b's access");
+    a.recv(sa).expect("a's access");
+    // A third connection pings through a delay, a duplicate and a drop.
+    let mut c = Conn::connect(&addr, 3, cfg).expect("connect c");
+    for _ in 0..12 {
+        assert!(matches!(c.request(&Request::Ping), Ok(Response::Pong)));
+    }
+    drop((a, b, c));
+
+    let dump = probe
+        .telemetry()
+        .flight_dump("test")
+        .expect("events were recorded");
+    let report = handle.wait();
+    let field = |line: &str, key: &str| {
+        let doc = Json::parse(line).expect("journal line parses");
+        doc.get(key).cloned().expect("stamped field")
+    };
+    for (i, line) in report.journal.iter().enumerate() {
+        assert_eq!(field(line, "seq").as_num(), Some(i as f64), "{line}");
+        assert_eq!(field(line, "round").as_num(), Some(0.0));
+    }
+    let kinds: Vec<String> = report
+        .journal
+        .iter()
+        .map(|l| field(l, "type").as_str().expect("type").to_string())
+        .collect();
+    let count = |kind: &str| kinds.iter().filter(|k| *k == kind).count() as u64;
+    let s = report.stats;
+    assert_eq!(count("conn_accepted"), 3);
+    assert_eq!(count("conn_closed"), 3);
+    assert_eq!(count("deadlock_victim"), 1);
+    assert!(s.dropped > 0 && s.duplicated > 0 && s.delayed > 0, "{s:?}");
+    assert_eq!(count("frame_fault"), s.dropped + s.duplicated + s.delayed);
+    assert_eq!(kinds.last().map(String::as_str), Some("server_drained"));
+
+    // The dump: a header, then journal lines verbatim at their own `seq`.
+    let tail: Vec<&str> = dump.lines().skip(1).collect();
+    assert!(!tail.is_empty());
+    for line in tail {
+        let seq = field(line, "seq").as_num().expect("seq") as usize;
+        assert_eq!(report.journal[seq], line);
+    }
+
+    let m = probe.telemetry().metrics_snapshot().expect("recorder");
+    assert_eq!(m.counter("ev.conn_accepted"), s.conns);
+    assert_eq!(
+        m.counter("ev.frame_fault"),
+        s.dropped + s.duplicated + s.delayed
+    );
+    assert_eq!(m.counter("ev.other"), 0);
+}
+
 #[test]
 fn malformed_frame_yields_protocol_error_then_close() {
     let (addr, handle) = start_server(ServerConfig::default());

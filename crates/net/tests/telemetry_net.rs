@@ -52,7 +52,7 @@ fn stats_round_trips_over_the_wire() {
     let v = Json::parse(&doc).expect("stats document parses");
     assert_eq!(
         v.get("schema").and_then(Json::as_str),
-        Some("nt-net/stats/v1")
+        Some("nt-net/stats/v2")
     );
     let executed = v.get("executed").and_then(Json::as_num).expect("executed");
     let frames = v.get("frames").and_then(Json::as_num).expect("frames");
@@ -117,23 +117,27 @@ fn request_spans_are_monotone_with_dual_stamps() {
     assert!(!spans.is_empty(), "telemetry retained no spans");
     for s in &spans {
         assert!(s.monotone(), "non-monotone span: {s:?}");
-        let phase_sum = s.queue_wait_us() + s.execute_us() + s.respond_us();
+        let phase_sum = s.queue_wait_us() + s.execute_us();
         assert!(
             s.total_us() >= phase_sum,
             "phases exceed total: {s:?} (total {} < phases {phase_sum})",
             s.total_us()
         );
-        assert!(s.seq_respond >= s.seq_decode, "logical clock regressed");
+        assert!(
+            s.lock_wait_us <= s.execute_us(),
+            "lock wait outside execute: {s:?}"
+        );
+        assert!(s.seq_finished >= s.seq_started, "logical clock regressed");
         assert!(s.conn > 0, "span missing its connection id");
     }
     // The Chrome export of the live ring is a valid trace document
-    // (JSON-array format: metadata record plus three slices per span).
+    // (JSON-array format: metadata record plus two slices per span).
     let trace = probe.chrome_trace().expect("telemetry enabled");
     let v = Json::parse(&trace).expect("chrome trace parses");
     let Json::Arr(events) = v else {
         panic!("chrome trace is not an event array");
     };
-    assert_eq!(events.len(), spans.len() * 3 + 1);
+    assert_eq!(events.len(), spans.len() * 2 + 1);
     for e in &events {
         assert!(e.get("ph").is_some(), "event missing phase field: {e:?}");
     }
@@ -202,15 +206,24 @@ fn live_certifier_publishes_health_gauges() {
     assert!(v.get("watermark").and_then(Json::as_num).unwrap_or(0.0) > 0.0);
 
     let gauge = |name: &str| gauge_of(&probe, name);
-    assert_eq!(gauge("sgt.ok"), Some(1), "drained history must certify");
-    // `sgt.nodes` now reports *resident* graph size: after the load
+    assert_eq!(
+        gauge("sgt.live.ok"),
+        Some(1),
+        "drained history must certify"
+    );
+    // `sgt.live.nodes` reports *resident* graph size: after the load
     // drains, the watermark GC may have pruned the committed prefix all
     // the way down — the gauge must exist, but 0 is the healthy steady
     // state (that's the bounded-memory property).
-    assert!(gauge("sgt.nodes").is_some(), "sgt.nodes published");
-    assert!(gauge("sgt.watermark").unwrap_or(0) > 0);
-    assert!(gauge("sgt.samples").unwrap_or(0) > 0);
+    assert!(
+        gauge("sgt.live.nodes").is_some(),
+        "sgt.live.nodes published"
+    );
     assert!(gauge("sgt.live.watermark").unwrap_or(0) > 0);
+    assert!(gauge("sgt.live.samples").unwrap_or(0) > 0);
+    // One name per value: the PR 7 monitor's aliases are gone.
+    assert_eq!(gauge("sgt.ok"), None);
+    assert_eq!(probe.telemetry().gauges().len(), 6);
 
     // STATS carries the same state, read at request time, plus the lag.
     let stats = Json::parse(&conn.stats().expect("stats answered")).expect("stats parse");
@@ -375,9 +388,12 @@ fn telemetry_off_by_default_keeps_the_fast_path_dark() {
     for _ in 0..4 {
         assert!(matches!(conn.request(&Request::Ping), Ok(Response::Pong)));
     }
-    assert!(!probe.telemetry().is_enabled());
+    assert!(!probe.telemetry().is_timed());
     assert_eq!(probe.telemetry().span_count(), 0);
     assert!(probe.chrome_trace().is_none());
+    assert_eq!(probe.telemetry().to_json(), "{}");
+    assert!(probe.telemetry().gauges().is_empty());
+    assert!(!handle.engine().telemetry().enabled(), "engine probes dark");
     // STATS still answers — counters and the wait-for dump don't need
     // the telemetry handle, only the histogram section is empty.
     let doc = conn.stats().expect("stats answered");

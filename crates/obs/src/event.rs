@@ -292,45 +292,65 @@ pub fn obj(x: ObjId) -> u32 {
     x.0
 }
 
-impl Event {
-    /// Stable snake_case discriminator used as the `type` journal field
-    /// and the auto-derived metrics key.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::RunStart { .. } => "run_start",
-            Event::RunEnd { .. } => "run_end",
-            Event::LockAcquired { .. } => "lock_acquired",
-            Event::LockInherited { .. } => "lock_inherited",
-            Event::AbortApplied { .. } => "abort_applied",
-            Event::AccessBlocked { .. } => "access_blocked",
-            Event::AccessUnblocked { .. } => "access_unblocked",
-            Event::UndoPush { .. } => "undo_push",
-            Event::UndoRollback { .. } => "undo_rollback",
-            Event::VersionInstalled { .. } => "version_installed",
-            Event::VersionRead { .. } => "version_read",
-            Event::VersionsDiscarded { .. } => "versions_discarded",
-            Event::DeadlockVictim { .. } => "deadlock_victim",
-            Event::AbortInjected { .. } => "abort_injected",
-            Event::FaultInjected { .. } => "fault_injected",
-            Event::ObjectCrashed { .. } => "object_crashed",
-            Event::ObjectRecovered { .. } => "object_recovered",
-            Event::RetryScheduled { .. } => "retry_scheduled",
-            Event::RetryExhausted { .. } => "retry_exhausted",
-            Event::WatchdogFired { .. } => "watchdog_fired",
-            Event::ConnAccepted { .. } => "conn_accepted",
-            Event::ConnClosed { .. } => "conn_closed",
-            Event::FrameFault { .. } => "frame_fault",
-            Event::NetRetry { .. } => "net_retry",
-            Event::ServerDrained { .. } => "server_drained",
-            Event::CheckPhaseStart { .. } => "check_phase_start",
-            Event::CheckPhaseEnd { .. } => "check_phase_end",
-            Event::SgEdgeInserted { .. } => "sg_edge_inserted",
-            Event::CheckVerdict { .. } => "check_verdict",
-            Event::Violation { .. } => "violation",
-            Event::Note { .. } => "note",
-        }
-    }
+/// One table names every variant once: [`Event::kind`] and
+/// [`Event::counter`] are both generated from it, and both matches are
+/// exhaustive — a new variant does not compile until it has a row here.
+macro_rules! event_kinds {
+    ($($variant:ident => $kind:literal,)*) => {
+        impl Event {
+            /// Stable snake_case discriminator used as the `type` journal
+            /// field.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $kind,)*
+                }
+            }
 
+            /// The auto-derived metrics key: `ev.<kind>`.
+            pub fn counter(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => concat!("ev.", $kind),)*
+                }
+            }
+        }
+    };
+}
+
+event_kinds! {
+    RunStart => "run_start",
+    RunEnd => "run_end",
+    LockAcquired => "lock_acquired",
+    LockInherited => "lock_inherited",
+    AbortApplied => "abort_applied",
+    AccessBlocked => "access_blocked",
+    AccessUnblocked => "access_unblocked",
+    UndoPush => "undo_push",
+    UndoRollback => "undo_rollback",
+    VersionInstalled => "version_installed",
+    VersionRead => "version_read",
+    VersionsDiscarded => "versions_discarded",
+    DeadlockVictim => "deadlock_victim",
+    AbortInjected => "abort_injected",
+    FaultInjected => "fault_injected",
+    ObjectCrashed => "object_crashed",
+    ObjectRecovered => "object_recovered",
+    RetryScheduled => "retry_scheduled",
+    RetryExhausted => "retry_exhausted",
+    WatchdogFired => "watchdog_fired",
+    ConnAccepted => "conn_accepted",
+    ConnClosed => "conn_closed",
+    FrameFault => "frame_fault",
+    NetRetry => "net_retry",
+    ServerDrained => "server_drained",
+    CheckPhaseStart => "check_phase_start",
+    CheckPhaseEnd => "check_phase_end",
+    SgEdgeInserted => "sg_edge_inserted",
+    CheckVerdict => "check_verdict",
+    Violation => "violation",
+    Note => "note",
+}
+
+impl Event {
     /// The object this event concerns, if any (per-object metrics key).
     pub fn object(&self) -> Option<u32> {
         match self {
@@ -546,13 +566,13 @@ impl Stamped {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::json::Json;
 
-    #[test]
-    fn every_variant_serializes_and_parses() {
-        let events = vec![
+    /// One value of every variant.
+    pub(crate) fn one_of_each() -> Vec<Event> {
+        vec![
             Event::RunStart {
                 protocol: "moss-rw",
                 seed: 7,
@@ -669,8 +689,12 @@ mod tests {
             Event::Note {
                 text: "hello".to_string(),
             },
-        ];
-        for (i, event) in events.into_iter().enumerate() {
+        ]
+    }
+
+    #[test]
+    fn every_variant_serializes_and_parses() {
+        for (i, event) in one_of_each().into_iter().enumerate() {
             let s = Stamped {
                 round: 1,
                 step: 2,

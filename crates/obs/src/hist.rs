@@ -1,16 +1,14 @@
-//! Wide-range latency histograms.
+//! The one histogram: wide-range, log-linear.
 //!
-//! `nt-obs`'s [`nt_obs::metrics::Histogram`] tops out at 4096 — fine for
-//! counting retries or depths, useless for microsecond latencies that
-//! span six orders of magnitude. [`WallHist`] is a log-linear (HDR-style)
-//! histogram: each power-of-two octave is split into [`SUB`] sub-buckets,
-//! bounding the relative quantile error at `1/SUB` (12.5%) across the
-//! whole `u64` range. The recording side is a single atomic increment,
-//! so hot paths share one histogram without a lock; [`HistSnapshot`] is
-//! the plain-data view used for merging, percentile estimation, and
-//! single-threaded recording (e.g. inside a load-driver connection).
+//! Each power-of-two octave is split into [`SUB`] sub-buckets, bounding
+//! the relative quantile error at `1/SUB` (12.5%) across the whole `u64`
+//! range — microsecond latencies span six orders of magnitude, and the
+//! same buckets count retries or graph sizes exactly below [`SUB`]. The
+//! buckets are fixed, so an export never depends on the observed range,
+//! and merging is bucket-wise addition. Plain data: a recorder's
+//! histograms sit behind its mutex, a load-driver connection owns its own.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::json::JsonObj;
 
 /// log2 of the sub-buckets per octave.
 const SUB_BITS: u32 = 3;
@@ -44,92 +42,40 @@ fn bucket_upper(idx: usize) -> u64 {
     }
 }
 
-/// Concurrent log-linear histogram: one relaxed atomic increment per
-/// observation, no locks, fixed memory.
-pub struct WallHist {
-    counts: Vec<AtomicU64>,
-    sum: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Default for WallHist {
-    fn default() -> Self {
-        WallHist::new()
-    }
-}
-
-impl WallHist {
-    /// An empty histogram.
-    pub fn new() -> WallHist {
-        WallHist {
-            counts: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-
-    /// Record one value. Relaxed ordering: per-bucket totals are exact,
-    /// cross-bucket skew is bounded by in-flight observations.
-    pub fn observe(&self, v: u64) {
-        self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// A plain-data copy for percentile math and merging.
-    pub fn snapshot(&self) -> HistSnapshot {
-        HistSnapshot {
-            counts: self
-                .counts
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            sum: self.sum.load(Ordering::Relaxed),
-            count: self.count.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-data histogram: the snapshot of a [`WallHist`], also usable
-/// directly as a single-threaded recorder.
+/// A log-linear histogram of `u64` observations.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistSnapshot {
+pub struct Histogram {
     counts: Vec<u64>,
     sum: u64,
     count: u64,
 }
 
-impl Default for HistSnapshot {
+impl Default for Histogram {
     fn default() -> Self {
-        HistSnapshot::new()
+        Histogram::new()
     }
 }
 
-impl HistSnapshot {
-    /// An empty snapshot.
-    pub fn new() -> HistSnapshot {
-        HistSnapshot {
+impl Histogram {
+    /// An empty histogram.
+    pub fn new() -> Histogram {
+        Histogram {
             counts: vec![0; BUCKETS],
             sum: 0,
             count: 0,
         }
     }
 
-    /// Record one value (single-threaded path).
+    /// Record one value.
     pub fn observe(&mut self, v: u64) {
         self.counts[bucket_index(v)] += 1;
         self.sum += v;
         self.count += 1;
     }
 
-    /// Fold another snapshot into this one. Merging is associative and
+    /// Fold another histogram into this one. Merging is associative and
     /// commutative: bucket-wise addition.
-    pub fn merge(&mut self, other: &HistSnapshot) {
+    pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -181,6 +127,20 @@ impl HistSnapshot {
             self.percentile(0.99),
         )
     }
+
+    /// The summary as JSON: `{"count", "mean<unit>", "p50<unit>",
+    /// "p95<unit>", "p99<unit>"}` — `unit` is the key suffix naming what
+    /// was observed (`"_us"` for latencies, `""` for plain counts).
+    pub fn to_json(&self, unit: &str) -> String {
+        let (p50, p95, p99) = self.p50_p95_p99();
+        let mut o = JsonObj::new();
+        o.num("count", self.count)
+            .float(&format!("mean{unit}"), self.mean())
+            .num(&format!("p50{unit}"), p50)
+            .num(&format!("p95{unit}"), p95)
+            .num(&format!("p99{unit}"), p99);
+        o.build()
+    }
 }
 
 #[cfg(test)]
@@ -214,7 +174,7 @@ mod tests {
 
     #[test]
     fn percentiles_of_uniform_range() {
-        let mut h = HistSnapshot::new();
+        let mut h = Histogram::new();
         for v in 1..=1000u64 {
             h.observe(v);
         }
@@ -229,7 +189,7 @@ mod tests {
     #[test]
     fn merge_is_associative_and_commutative() {
         let mk = |seed: u64, n: u64| {
-            let mut h = HistSnapshot::new();
+            let mut h = Histogram::new();
             let mut x = seed;
             for _ in 0..n {
                 // xorshift64 keeps this deterministic and dependency-free.
@@ -259,36 +219,5 @@ mod tests {
         assert_eq!(ab, ba);
         assert_eq!(left.count(), 1500);
         assert_eq!(left.sum(), a.sum() + b.sum() + c.sum());
-    }
-
-    #[test]
-    fn atomic_hist_matches_serial_recording() {
-        let h = WallHist::new();
-        let mut serial = HistSnapshot::new();
-        for v in [0u64, 1, 7, 8, 100, 4096, 123_456] {
-            h.observe(v);
-            serial.observe(v);
-        }
-        assert_eq!(h.snapshot(), serial);
-        assert_eq!(h.count(), 7);
-    }
-
-    #[test]
-    fn concurrent_observations_all_land() {
-        let h = std::sync::Arc::new(WallHist::new());
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let h = h.clone();
-                std::thread::spawn(move || {
-                    for i in 0..10_000u64 {
-                        h.observe(t * 1000 + i % 997);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(h.snapshot().count(), 40_000);
     }
 }

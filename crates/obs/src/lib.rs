@@ -1,21 +1,33 @@
 //! # nt-obs
 //!
-//! Deterministic, zero-external-dependency observability for the
-//! protocol/checker stack: a structured event journal with logical-clock
-//! timestamps, a metrics registry (counters / gauges / fixed-bucket
-//! histograms with per-object and per-depth breakdowns), JSONL /
-//! Chrome-`trace_event` / summary exporters, and a bounded flight-recorder
-//! ring buffer dumped on violations, invariant failures, and
-//! non-quiescent runs.
+//! The workspace's one observability stack, zero external dependencies: a
+//! structured event journal stamped with a logical clock, a metrics
+//! registry (counters / gauges / log-linear histograms with per-object and
+//! per-depth breakdowns), JSONL / Chrome-`trace_event` / summary
+//! exporters, and a bounded flight-recorder tail dumped on violations,
+//! invariant failures, and non-quiescent runs.
+//!
+//! A [`Recorder`] comes in two modes:
+//!
+//! * **events-only** ([`Recorder::full`], [`Recorder::flight`]) — the
+//!   simulator, the checker, a server with telemetry off. Events carry the
+//!   logical clock (round, step) plus a monotonic sequence number and the
+//!   recorder *never reads a wall clock*, so same-seed runs emit
+//!   byte-identical journals.
+//! * **timed** ([`Recorder::timed`]) — a server with telemetry on. It
+//!   additionally owns a wall-clock epoch ([`TraceHandle::now_us`]) and a
+//!   bounded ring of [`ReqSpan`]s; latencies land in the same registry as
+//!   `phase.*` and lock-table histograms, and [`TraceHandle::to_json`]
+//!   renders them as the `telemetry` section of the server's `STATS`
+//!   document.
 //!
 //! ## Design constraints
 //!
-//! * **Deterministic**: events are stamped with the scheduler's logical
-//!   clock (round, step) plus a monotonic sequence number — never
-//!   wall-clock — so same-seed runs emit *byte-identical* journals.
 //! * **Near-zero overhead when disabled**: instrumented sites hold a
 //!   [`TraceHandle`]; a disabled handle is a `None` and every recording
-//!   call is a single branch.
+//!   call is a single branch — no clock read, no allocation, no lock.
+//! * **One lock, a leaf**: everything mutable sits behind the recorder's
+//!   mutex, which is never held across a call out of this crate.
 //! * **No new dependencies**: std only (compatible with the vendored-shims
 //!   offline build); JSON is written and parsed by [`json`].
 //!
@@ -33,21 +45,34 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cell;
 pub mod event;
 pub mod export;
+pub mod hist;
 pub mod json;
 pub mod metrics;
 pub mod schema;
+pub mod smoke;
+pub mod span;
 
+pub use cell::StatsCell;
 pub use event::{obj, tx, Event, LockClass, Stamped};
-pub use metrics::{Histogram, MetricsRegistry, HIST_BOUNDS};
+pub use hist::Histogram;
+pub use metrics::MetricsRegistry;
+pub use smoke::SmokeLine;
+pub use span::{spans_to_chrome_trace, ReqSpan};
 
+use json::JsonObj;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// Default flight-recorder capacity (events kept for post-mortem dumps).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 512;
+
+/// Request spans a timed recorder retains (newest win).
+pub const SPAN_RING: usize = 4096;
 
 struct Inner {
     round: u64,
@@ -58,18 +83,26 @@ struct Inner {
     flight_capacity: usize,
     journal: VecDeque<Stamped>,
     metrics: MetricsRegistry,
+    /// Finished request spans, at most [`SPAN_RING`] (timed recorders).
+    spans: VecDeque<ReqSpan>,
 }
 
 /// The event/metrics sink. Create one via [`Recorder::full`] (unbounded
-/// journal, for exports) or [`Recorder::flight`] (bounded ring only, for
-/// always-on post-mortem recording); both return a cheap [`TraceHandle`].
+/// journal, for exports), [`Recorder::flight`] (bounded ring only, for
+/// always-on post-mortem recording) or [`Recorder::timed`] (a full
+/// recorder that also measures wall-clock time); all return a cheap
+/// [`TraceHandle`].
 pub struct Recorder {
+    /// `Some` makes the recorder timed. Events-only recorders have no
+    /// epoch, so nothing they do can read a clock.
+    epoch: Option<Instant>,
     inner: Mutex<Inner>,
 }
 
 impl Recorder {
-    fn make(keep_journal: bool, flight_capacity: usize) -> TraceHandle {
+    fn make(epoch: Option<Instant>, keep_journal: bool, flight_capacity: usize) -> TraceHandle {
         TraceHandle(Some(Arc::new(Recorder {
+            epoch,
             inner: Mutex::new(Inner {
                 round: 0,
                 step: 0,
@@ -78,20 +111,33 @@ impl Recorder {
                 flight_capacity: flight_capacity.max(1),
                 journal: VecDeque::new(),
                 metrics: MetricsRegistry::new(),
+                spans: VecDeque::new(),
             }),
         })))
     }
 
-    /// A recorder that keeps the whole journal (exportable as JSONL /
-    /// Chrome trace) plus the metrics registry.
+    /// An events-only recorder that keeps the whole journal (exportable as
+    /// JSONL / Chrome trace) plus the metrics registry.
     pub fn full() -> TraceHandle {
-        Recorder::make(true, DEFAULT_FLIGHT_CAPACITY)
+        Recorder::make(None, true, DEFAULT_FLIGHT_CAPACITY)
     }
 
-    /// A recorder that keeps only the last `capacity` events (the flight
-    /// ring) plus the metrics registry — bounded memory, always-on use.
+    /// An events-only recorder that keeps only the last `capacity` events
+    /// (the flight ring) plus the metrics registry — bounded memory,
+    /// always-on use.
     pub fn flight(capacity: usize) -> TraceHandle {
-        Recorder::make(false, capacity)
+        Recorder::make(None, false, capacity)
+    }
+
+    /// A [`Recorder::full`] that also measures: its epoch is now,
+    /// [`TraceHandle::now_us`] counts from it, and request spans are
+    /// retained.
+    pub fn timed() -> TraceHandle {
+        Recorder::make(Some(Instant::now()), true, DEFAULT_FLIGHT_CAPACITY)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("nt-obs recorder poisoned")
     }
 }
 
@@ -125,12 +171,33 @@ impl TraceHandle {
         self.0.is_some()
     }
 
+    /// Is a *timed* recorder attached? Probe sites that would read a
+    /// clock ask this first, so disabled and events-only handles keep
+    /// them dark.
+    #[inline]
+    pub fn is_timed(&self) -> bool {
+        self.timed().is_some()
+    }
+
+    /// The attached recorder and its epoch, when it is a timed one.
+    fn timed(&self) -> Option<(&Recorder, Instant)> {
+        let r = self.0.as_ref()?;
+        Some((r, r.epoch?))
+    }
+
+    /// Microseconds since a timed recorder's epoch — 0 otherwise, without
+    /// touching the clock.
+    pub fn now_us(&self) -> u64 {
+        self.timed()
+            .map_or(0, |(_, epoch)| epoch.elapsed().as_micros() as u64)
+    }
+
     /// Set the logical clock (the executor calls this as rounds/steps
     /// advance; events recorded afterwards carry this stamp).
     #[inline]
     pub fn set_now(&self, round: u64, step: u64) {
         if let Some(r) = &self.0 {
-            let mut g = r.inner.lock().expect("nt-obs recorder poisoned");
+            let mut g = r.lock();
             g.round = round;
             g.step = step;
         }
@@ -140,8 +207,7 @@ impl TraceHandle {
     #[inline]
     pub fn tick(&self) {
         if let Some(r) = &self.0 {
-            let mut g = r.inner.lock().expect("nt-obs recorder poisoned");
-            g.step += 1;
+            r.lock().step += 1;
         }
     }
 
@@ -151,11 +217,11 @@ impl TraceHandle {
     #[inline]
     pub fn record(&self, event: Event) {
         if let Some(r) = &self.0 {
-            let mut g = r.inner.lock().expect("nt-obs recorder poisoned");
-            let kind = event.kind();
-            g.metrics.add(kind_counter(kind), 1);
+            let mut g = r.lock();
+            let counter = event.counter();
+            g.metrics.add(counter, 1);
             if let Some(o) = event.object() {
-                g.metrics.add_obj(kind_counter(kind), o, 1);
+                g.metrics.add_obj(counter, o, 1);
             }
             let stamped = Stamped {
                 round: g.round,
@@ -173,13 +239,27 @@ impl TraceHandle {
         }
     }
 
+    /// Record a finished request span (timed recorders only): feeds the
+    /// four span-derived phase histograms and appends to the bounded span
+    /// ring, oldest dropped first.
+    pub fn record_span(&self, span: ReqSpan) {
+        let Some((r, _)) = self.timed() else { return };
+        let mut g = r.lock();
+        for (name, _, us) in span.slices() {
+            g.metrics.observe(name, us);
+        }
+        g.metrics.observe("phase.lock_wait", span.lock_wait_us);
+        g.metrics.observe("phase.total", span.total_us());
+        if g.spans.len() == SPAN_RING {
+            g.spans.pop_front();
+        }
+        g.spans.push_back(span);
+    }
+
     /// Run `f` against the metrics registry (no-op when disabled).
     #[inline]
     pub fn metrics<R>(&self, f: impl FnOnce(&mut MetricsRegistry) -> R) -> Option<R> {
-        self.0.as_ref().map(|r| {
-            let mut g = r.inner.lock().expect("nt-obs recorder poisoned");
-            f(&mut g.metrics)
-        })
+        self.0.as_ref().map(|r| f(&mut r.lock().metrics))
     }
 
     /// Increment a counter.
@@ -220,18 +300,37 @@ impl TraceHandle {
 
     /// Snapshot the recorded journal (full journal or flight ring).
     pub fn journal(&self) -> Option<Vec<Stamped>> {
-        self.0.as_ref().map(|r| {
-            let g = r.inner.lock().expect("nt-obs recorder poisoned");
-            g.journal.iter().cloned().collect()
-        })
+        self.0
+            .as_ref()
+            .map(|r| r.lock().journal.iter().cloned().collect())
     }
 
     /// Snapshot the metrics registry.
     pub fn metrics_snapshot(&self) -> Option<MetricsRegistry> {
-        self.0.as_ref().map(|r| {
-            let g = r.inner.lock().expect("nt-obs recorder poisoned");
-            g.metrics.clone()
+        self.metrics(|m| m.clone())
+    }
+
+    /// Current gauges, sorted by name (negative values read as 0). Empty
+    /// when disabled.
+    pub fn gauges(&self) -> Vec<(&'static str, u64)> {
+        self.metrics(|m| {
+            m.gauges()
+                .map(|(k, v)| (k, u64::try_from(v).unwrap_or(0)))
+                .collect()
         })
+        .unwrap_or_default()
+    }
+
+    /// Copy of the retained span ring (oldest first).
+    pub fn spans(&self) -> Vec<ReqSpan> {
+        self.0
+            .as_ref()
+            .map_or_else(Vec::new, |r| r.lock().spans.iter().copied().collect())
+    }
+
+    /// Number of spans retained.
+    pub fn span_count(&self) -> usize {
+        self.0.as_ref().map_or(0, |r| r.lock().spans.len())
     }
 
     /// Export the journal as JSONL (one event object per line, trailing
@@ -246,9 +345,53 @@ impl TraceHandle {
         self.journal().map(|j| export::to_chrome_trace(&j))
     }
 
+    /// The retained request spans as a Chrome trace document (`None`
+    /// unless timed).
+    pub fn spans_chrome_trace(&self) -> Option<String> {
+        self.is_timed()
+            .then(|| spans_to_chrome_trace(&self.spans()))
+    }
+
     /// Export the metrics registry as JSON. `None` when disabled.
     pub fn metrics_json(&self) -> Option<String> {
-        self.metrics_snapshot().map(|m| m.to_json())
+        self.metrics(|m| m.to_json())
+    }
+
+    /// A timed recorder's measurements as one JSON object — the
+    /// `telemetry` section of `nt-net/stats/v2`: `{"phases": {<name>:
+    /// hist, …}, <other histogram>: hist, …, "gauges": {…},
+    /// "spans_retained": n}`, each `hist` being
+    /// [`Histogram::to_json`]`("_us")`. `phases` holds the histograms
+    /// observed under a `phase.` prefix (prefix stripped); every other
+    /// histogram (the lock table's `lock_blocked` and `lock_hold`) sits
+    /// beside it under its own name. A histogram appears at its first
+    /// observation. `"{}"` unless timed.
+    pub fn to_json(&self) -> String {
+        let Some((r, _)) = self.timed() else {
+            return "{}".to_string();
+        };
+        let g = r.lock();
+        let (mut phases, mut others) = (JsonObj::new(), Vec::new());
+        for (name, h) in g.metrics.histograms() {
+            match name.strip_prefix("phase.") {
+                Some(phase) => {
+                    phases.raw(phase, h.to_json("_us"));
+                }
+                None => others.push((name, h.to_json("_us"))),
+            }
+        }
+        let mut gauges = JsonObj::new();
+        for (name, v) in g.metrics.gauges() {
+            gauges.inum(name, v);
+        }
+        let mut o = JsonObj::new();
+        o.raw("phases", phases.build());
+        for (name, hist) in others {
+            o.raw(name, hist);
+        }
+        o.raw("gauges", gauges.build())
+            .num("spans_retained", g.spans.len() as u64);
+        o.build()
     }
 
     /// The last events (at most the flight capacity) rendered as a
@@ -256,20 +399,16 @@ impl TraceHandle {
     /// `None` when disabled or empty.
     pub fn flight_dump(&self, reason: &str) -> Option<String> {
         let r = self.0.as_ref()?;
-        let (mut tail, cap): (Vec<Stamped>, usize) = {
-            let g = r.inner.lock().expect("nt-obs recorder poisoned");
-            (g.journal.iter().cloned().collect(), g.flight_capacity)
+        let tail: Vec<Stamped> = {
+            let g = r.lock();
+            let skip = g.journal.len().saturating_sub(g.flight_capacity);
+            g.journal.iter().skip(skip).cloned().collect()
         };
-        if tail.is_empty() {
-            return None;
-        }
-        if tail.len() > cap {
-            tail.drain(..tail.len() - cap);
-        }
+        let last = tail.last()?;
         let header = Stamped {
-            round: tail.last().map(|s| s.round).unwrap_or(0),
-            step: tail.last().map(|s| s.step).unwrap_or(0),
-            seq: tail.last().map(|s| s.seq + 1).unwrap_or(0),
+            round: last.round,
+            step: last.step,
+            seq: last.seq + 1,
             event: Event::Violation {
                 reason: reason.to_string(),
             },
@@ -302,41 +441,6 @@ pub fn install_panic_flight_dump(handle: TraceHandle) {
         handle.dump_flight_to_stderr("panic (invariant failure)");
         previous(info);
     }));
-}
-
-/// Map an event kind to its auto-derived counter name. The set of kinds is
-/// closed (see [`Event::kind`]), so this is a static table — keeping the
-/// counter keys `&'static str` without allocation.
-fn kind_counter(kind: &'static str) -> &'static str {
-    match kind {
-        "run_start" => "ev.run_start",
-        "run_end" => "ev.run_end",
-        "lock_acquired" => "ev.lock_acquired",
-        "lock_inherited" => "ev.lock_inherited",
-        "abort_applied" => "ev.abort_applied",
-        "access_blocked" => "ev.access_blocked",
-        "access_unblocked" => "ev.access_unblocked",
-        "undo_push" => "ev.undo_push",
-        "undo_rollback" => "ev.undo_rollback",
-        "version_installed" => "ev.version_installed",
-        "version_read" => "ev.version_read",
-        "versions_discarded" => "ev.versions_discarded",
-        "deadlock_victim" => "ev.deadlock_victim",
-        "abort_injected" => "ev.abort_injected",
-        "fault_injected" => "ev.fault_injected",
-        "object_crashed" => "ev.object_crashed",
-        "object_recovered" => "ev.object_recovered",
-        "retry_scheduled" => "ev.retry_scheduled",
-        "retry_exhausted" => "ev.retry_exhausted",
-        "watchdog_fired" => "ev.watchdog_fired",
-        "check_phase_start" => "ev.check_phase_start",
-        "check_phase_end" => "ev.check_phase_end",
-        "sg_edge_inserted" => "ev.sg_edge_inserted",
-        "check_verdict" => "ev.check_verdict",
-        "violation" => "ev.violation",
-        "note" => "ev.note",
-        _ => "ev.other",
-    }
 }
 
 #[cfg(test)]
@@ -417,5 +521,146 @@ mod tests {
         );
         let dump = h.flight_dump("test").unwrap();
         assert_eq!(dump.lines().count(), DEFAULT_FLIGHT_CAPACITY + 1);
+    }
+
+    #[test]
+    fn every_event_kind_counts_under_its_own_name() {
+        let all = crate::event::tests::one_of_each();
+        let h = Recorder::full();
+        for event in &all {
+            h.record(event.clone());
+        }
+        let m = h.metrics_snapshot().unwrap();
+        for event in &all {
+            let name = format!("ev.{}", event.kind());
+            assert_eq!(event.counter(), name);
+            assert_eq!(m.counter(&name), 1, "{name}");
+        }
+        assert_eq!(m.counter("ev.other"), 0);
+    }
+
+    #[test]
+    fn events_only_recorder_never_reads_a_clock() {
+        // Same events, different wall-clock pacing: an events-only
+        // recorder has no epoch to measure against, so nothing can differ.
+        let run = |pause_us: u64| {
+            let h = Recorder::full();
+            for i in 0..3000u64 {
+                if i % 1000 == 0 {
+                    std::thread::sleep(std::time::Duration::from_micros(pause_us));
+                }
+                h.set_now(i / 7, i);
+                h.record(Event::ConnAccepted { conn: i });
+                h.observe("h", i);
+                h.record_span(ReqSpan::default());
+                assert_eq!(h.now_us(), 0);
+            }
+            assert!(!h.is_timed());
+            assert_eq!(h.to_json(), "{}");
+            assert_eq!(h.span_count(), 0);
+            assert!(h.spans_chrome_trace().is_none());
+            (h.journal_jsonl().unwrap(), h.metrics_json().unwrap())
+        };
+        assert_eq!(run(0), run(1500));
+    }
+
+    #[test]
+    fn disabled_handle_records_nothing_and_never_allocates_spans() {
+        let h = TraceHandle::disabled();
+        assert!(!h.is_timed());
+        assert_eq!(h.now_us(), 0);
+        h.record_span(ReqSpan {
+            t_finished: 100,
+            ..ReqSpan::default()
+        });
+        h.observe("lock_blocked", 50);
+        h.gauge_set("sgt.live.nodes", 7);
+        assert_eq!(h.span_count(), 0);
+        assert!(h.gauges().is_empty());
+        assert_eq!(h.to_json(), "{}");
+        assert!(h.spans_chrome_trace().is_none());
+    }
+
+    #[test]
+    fn span_ring_is_bounded() {
+        let h = Recorder::timed();
+        for seq in 0..SPAN_RING as u64 + 6 {
+            h.record_span(ReqSpan {
+                seq,
+                ..ReqSpan::default()
+            });
+        }
+        let spans = h.spans();
+        assert_eq!(spans.len(), SPAN_RING);
+        // Oldest dropped: the ring keeps the newest.
+        assert_eq!(spans[0].seq, 6);
+        assert_eq!(spans[SPAN_RING - 1].seq, SPAN_RING as u64 + 5);
+    }
+
+    fn count_of(doc: &json::Json, path: &[&str]) -> Option<f64> {
+        let mut v = doc;
+        for key in path {
+            v = v.get(key)?;
+        }
+        v.get("count")?.as_num()
+    }
+
+    #[test]
+    fn to_json_summarizes_all_phases() {
+        use json::Json;
+        let h = Recorder::timed();
+        h.record_span(ReqSpan {
+            t_arrived: 10,
+            t_started: 30,
+            t_finished: 130,
+            lock_wait_us: 60,
+            ..ReqSpan::default()
+        });
+        h.observe("lock_blocked", 60);
+        h.observe("lock_hold", 90);
+        h.observe("phase.poll_wait", 40);
+        h.gauge_set("sgt.live.nodes", 3);
+        let v = Json::parse(&h.to_json()).expect("telemetry JSON parses");
+        for phase in ["queue_wait", "execute", "lock_wait", "total", "poll_wait"] {
+            assert_eq!(count_of(&v, &["phases", phase]), Some(1.0), "{phase}");
+        }
+        for hist in ["lock_blocked", "lock_hold"] {
+            assert_eq!(count_of(&v, &[hist]), Some(1.0), "{hist}");
+        }
+        let queue_wait = v.get("phases").and_then(|p| p.get("queue_wait")).unwrap();
+        assert_eq!(queue_wait.get("mean_us").and_then(Json::as_num), Some(20.0));
+        // Percentiles report the bucket's upper bound: 20 shares [20, 21].
+        assert_eq!(queue_wait.get("p99_us").and_then(Json::as_num), Some(21.0));
+        let gauges = v.get("gauges").unwrap();
+        assert_eq!(
+            gauges.get("sgt.live.nodes").and_then(Json::as_num),
+            Some(3.0)
+        );
+        assert_eq!(h.gauges(), vec![("sgt.live.nodes", 3)]);
+        assert_eq!(v.get("spans_retained").and_then(Json::as_num), Some(1.0));
+    }
+
+    #[test]
+    fn reactor_phases_are_fed_by_observe_not_by_spans() {
+        let h = Recorder::timed();
+        h.observe("phase.poll_wait", 100);
+        h.observe("phase.poll_wait", 200);
+        h.observe("phase.coalesce", 50);
+        h.record_span(ReqSpan::default());
+        let v = json::Json::parse(&h.to_json()).expect("telemetry JSON parses");
+        assert_eq!(count_of(&v, &["phases", "poll_wait"]), Some(2.0));
+        assert_eq!(count_of(&v, &["phases", "coalesce"]), Some(1.0));
+        assert_eq!(count_of(&v, &["phases", "total"]), Some(1.0));
+        // Never observed, so never listed.
+        assert_eq!(count_of(&v, &["phases", "batch_assemble"]), None);
+    }
+
+    #[test]
+    fn now_us_is_monotone_when_enabled() {
+        let h = Recorder::timed();
+        let a = h.now_us();
+        let b = h.now_us();
+        assert!(b >= a);
+        assert!(h.is_timed());
     }
 }

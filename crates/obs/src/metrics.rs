@@ -1,52 +1,13 @@
-//! The metrics registry: counters, gauges, and fixed-bucket histograms
-//! keyed by static names, with per-object and per-transaction-depth
-//! breakdowns.
+//! The metrics registry: counters, gauges, and [`Histogram`]s keyed by
+//! static names, with per-object and per-transaction-depth breakdowns.
 //!
 //! Everything is deterministic: keys are `&'static str` (no allocation on
 //! the hot path), iteration order is `BTreeMap` order, and histogram
-//! buckets are fixed powers of two, so a metrics export is a pure function
-//! of the run.
+//! buckets are fixed, so a metrics export is a pure function of the run.
 
+use crate::hist::Histogram;
 use crate::json::JsonObj;
 use std::collections::BTreeMap;
-
-/// Power-of-two histogram bucket upper bounds (inclusive); one overflow
-/// bucket on top. Fixed so exports never depend on observed ranges.
-pub const HIST_BOUNDS: [u64; 12] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096];
-
-/// A fixed-bucket histogram.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Histogram {
-    /// `counts[i]` = observations `<= HIST_BOUNDS[i]` (first matching
-    /// bucket); the last slot counts overflow.
-    pub counts: [u64; HIST_BOUNDS.len() + 1],
-    /// Sum of observed values.
-    pub sum: u64,
-    /// Number of observations.
-    pub count: u64,
-}
-
-impl Histogram {
-    /// Record one observation.
-    pub fn observe(&mut self, v: u64) {
-        let idx = HIST_BOUNDS
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(HIST_BOUNDS.len());
-        self.counts[idx] += 1;
-        self.sum += v;
-        self.count += 1;
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
 
 /// The registry. Plain data, no interior mutability: either owned by an
 /// executor directly or guarded by the recorder's mutex.
@@ -112,6 +73,16 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
+    /// Every gauge, sorted by name.
+    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, i64)> + '_ {
+        self.gauges.iter().map(|(&k, &v)| (k, v))
+    }
+
+    /// Every histogram, sorted by name.
+    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
+        self.histograms.iter().map(|(&k, h)| (k, h))
+    }
+
     /// The per-object counts of `name`, sorted by object index.
     pub fn object_breakdown(&self, name: &str) -> Vec<(u32, u64)> {
         self.by_object
@@ -140,12 +111,7 @@ impl MetricsRegistry {
             self.gauges.insert(k, v);
         }
         for (&k, h) in &other.histograms {
-            let mine = self.histograms.entry(k).or_default();
-            for (i, c) in h.counts.iter().enumerate() {
-                mine.counts[i] += c;
-            }
-            mine.sum += h.sum;
-            mine.count += h.count;
+            self.histograms.entry(k).or_default().merge(h);
         }
         for (&k, &v) in &other.by_object {
             *self.by_object.entry(k).or_insert(0) += v;
@@ -170,12 +136,7 @@ impl MetricsRegistry {
         root.raw("gauges", gauges.build());
         let mut hists = JsonObj::new();
         for (&k, h) in &self.histograms {
-            let mut ho = JsonObj::new();
-            ho.num_arr("counts", &h.counts)
-                .num("sum", h.sum)
-                .num("count", h.count)
-                .float("mean", h.mean());
-            hists.raw(k, ho.build());
+            hists.raw(k, h.to_json(""));
         }
         root.raw("histograms", hists.build());
         root.raw("by_object", breakdown_json(&self.by_object));
@@ -201,7 +162,7 @@ impl MetricsRegistry {
         if !self.histograms.is_empty() {
             out.push_str("histograms (count / mean):\n");
             for (k, h) in &self.histograms {
-                out.push_str(&format!("  {k:<32} {} / {:.2}\n", h.count, h.mean()));
+                out.push_str(&format!("  {k:<32} {} / {:.2}\n", h.count(), h.mean()));
             }
         }
         if !self.by_object.is_empty() {
@@ -261,9 +222,10 @@ mod tests {
         assert_eq!(m.counter("a"), 3);
         assert_eq!(m.gauge("g"), Some(-5));
         let h = m.histogram("h").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.counts[2], 1, "3 lands in the <=4 bucket");
-        assert_eq!(h.counts[HIST_BOUNDS.len()], 1, "overflow bucket");
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.sum(), 100_003);
+        assert_eq!(h.percentile(0.5), 3, "small values are exact");
+        assert!(h.percentile(1.0) >= 100_000, "no overflow bucket to cap it");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! harness) so the load driver's sweep cells and the bench binaries
 //! share one percentile-reporting idiom.
 
-use crate::HistSnapshot;
-use nt_obs::json::JsonObj;
+use crate::json::JsonObj;
+use crate::Histogram;
 
 /// One-line machine-readable smoke summary.
 pub struct SmokeLine(JsonObj);
@@ -56,7 +56,7 @@ impl SmokeLine {
     /// every smoke line reports tail latency alongside its throughput
     /// counters under uniform key names (prefixes carry the unit, e.g.
     /// `top_us`).
-    pub fn percentiles(mut self, prefix: &str, hist: &HistSnapshot) -> SmokeLine {
+    pub fn percentiles(mut self, prefix: &str, hist: &Histogram) -> SmokeLine {
         let (p50, p95, p99) = hist.p50_p95_p99();
         self.0.num(&format!("{prefix}_p50"), p50);
         self.0.num(&format!("{prefix}_p95"), p95);

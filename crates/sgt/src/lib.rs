@@ -18,7 +18,7 @@
 //!   watermark GC that prunes the committed acyclic prefix.
 //! * [`live`] — [`LiveCertifier`]: the maintainer behind a mutex, stepped
 //!   inline by whichever thread records an action (no thread, no
-//!   channel), publishing `sgt.live.*` gauges through `nt-telemetry`.
+//!   channel), publishing `sgt.live.*` gauges through an `nt-obs` recorder.
 //! * [`report`] — [`ViolationReport`] (cycle + inserting edge + flight
 //!   ring history slice) and the JSON schemas consumed by `nt-lint sgt`
 //!   and the `CERT` wire op.

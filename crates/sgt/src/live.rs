@@ -38,22 +38,20 @@
 //! certifier*, *tree append → certifier*. Under the certifier lock run
 //! only the stamp draw (an atomic increment, or the write-ahead log's
 //! append, which takes the log's own mutex and calls nothing back) and
-//! the gauge publication (the telemetry handle's mutex, likewise a
-//! leaf). The maintainer calls nothing back, so no cycle can form.
+//! the gauge publication (the recorder's mutex, likewise a leaf). The maintainer calls nothing back, so no cycle can form.
 //!
 //! ## Gauges and cost
 //!
-//! With telemetry on, the `sgt.live.*` gauges (and the `sgt.*` names the
-//! PR 7 sampling monitor published, which `--metrics-out` consumers and
-//! CI still read) are written once per resolved top-level transaction —
-//! the only steps that change the graph's shape. `check_us` accumulates
+//! With a recorder attached, the `sgt.live.*` gauges are written once per
+//! resolved top-level transaction — the only steps that change the
+//! graph's shape. `check_us` accumulates
 //! the wall time of those steps (finalization plus watermark GC).
 
 use crate::maintainer::{SgtConfig, SgtMaintainer};
 use crate::report::{ViolationReport, CERT_SCHEMA};
 use nt_model::{Action, ObjId, Op, TxId};
 use nt_obs::json::JsonObj;
-use nt_telemetry::TelemetryHandle;
+use nt_obs::TraceHandle;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -78,7 +76,7 @@ pub struct LiveStatus {
     /// finalization plus watermark GC (µs).
     pub check_us: u64,
     /// Top-level resolutions stepped so far (one gauge publication each
-    /// when telemetry is on).
+    /// when a recorder is attached).
     pub samples: u64,
     /// High-water mark of the maintainer's reorder heap: the most actions
     /// ever left parked behind a missing stamp. Zero when every action
@@ -133,7 +131,7 @@ struct Shared {
     /// `Release` under the lock, loaded with `Acquire`; a reader that
     /// sees `false` then takes the lock for the report itself.
     ok: AtomicBool,
-    telemetry: TelemetryHandle,
+    telemetry: TraceHandle,
 }
 
 /// The live certifier handle. Clone freely — one per recording site; all
@@ -145,7 +143,7 @@ pub struct LiveCertifier {
 
 impl LiveCertifier {
     /// A fresh certifier. Gauges go to `telemetry` when it is enabled.
-    pub fn new(cfg: SgtConfig, telemetry: TelemetryHandle) -> LiveCertifier {
+    pub fn new(cfg: SgtConfig, telemetry: TraceHandle) -> LiveCertifier {
         LiveCertifier {
             shared: Arc::new(Shared {
                 state: Mutex::new(State {
@@ -214,23 +212,16 @@ impl LiveCertifier {
         }
     }
 
-    /// Write the gauges (telemetry on only; once per resolved top).
+    /// Write the gauges (recorder attached only; once per resolved top).
     fn publish(&self, st: &State) {
-        let telemetry = &self.shared.telemetry;
-        if telemetry.is_enabled() {
-            let s = status_of(st);
-            telemetry.gauge_set("sgt.live.nodes", s.nodes as u64);
-            telemetry.gauge_set("sgt.live.edges", s.edges as u64);
-            telemetry.gauge_set("sgt.live.watermark", s.watermark);
-            telemetry.gauge_set("sgt.live.check_us", s.check_us);
-            // Compatibility names published by the retired sampling monitor.
-            telemetry.gauge_set("sgt.nodes", s.nodes as u64);
-            telemetry.gauge_set("sgt.edges", s.edges as u64);
-            telemetry.gauge_set("sgt.watermark", s.watermark);
-            telemetry.gauge_set("sgt.check_us", s.check_us);
-            telemetry.gauge_set("sgt.ok", u64::from(s.ok));
-            telemetry.gauge_set("sgt.samples", s.samples);
-        }
+        self.shared.telemetry.metrics(|m| {
+            m.gauge_set("sgt.live.nodes", st.m.node_count() as i64);
+            m.gauge_set("sgt.live.edges", st.m.edge_count() as i64);
+            m.gauge_set("sgt.live.watermark", st.m.watermark() as i64);
+            m.gauge_set("sgt.live.check_us", (st.check_ns / 1_000) as i64);
+            m.gauge_set("sgt.live.ok", i64::from(st.m.ok()));
+            m.gauge_set("sgt.live.samples", st.samples as i64);
+        });
     }
 
     /// `false` iff a cycle has been detected (latched). Lock-free.
@@ -264,7 +255,7 @@ mod tests {
     use super::*;
     use nt_model::{TxTree, Value};
 
-    fn gauges_of(t: &TelemetryHandle) -> std::collections::HashMap<&'static str, u64> {
+    fn gauges_of(t: &TraceHandle) -> std::collections::HashMap<&'static str, u64> {
         t.gauges().into_iter().collect()
     }
 
@@ -286,7 +277,7 @@ mod tests {
             Action::Commit(a),
             Action::Commit(b),
         ];
-        let telemetry = TelemetryHandle::enabled(64);
+        let telemetry = nt_obs::Recorder::full();
         let live = LiveCertifier::new(SgtConfig::default(), telemetry.clone());
         live.lock().m.seed_tree(&tree);
         // Two clones, as two recording sites would hold; stamps are drawn
@@ -317,8 +308,8 @@ mod tests {
         assert_eq!(status.samples, 2, "one per resolved top");
         assert_eq!(status.parked_max, 0);
         let gauges = gauges_of(&telemetry);
-        assert_eq!(gauges.get("sgt.ok"), Some(&1));
-        assert_eq!(gauges.get("sgt.samples"), Some(&2));
+        assert_eq!(gauges.get("sgt.live.ok"), Some(&1));
+        assert_eq!(gauges.get("sgt.live.samples"), Some(&2));
         assert_eq!(gauges.get("sgt.live.watermark"), Some(&status.watermark));
     }
 
@@ -353,7 +344,7 @@ mod tests {
             Action::RequestCommit(b, Value::Ok),      // 12
             Action::Commit(b),                        // 13: cycle closes
         ];
-        let telemetry = TelemetryHandle::enabled(64);
+        let telemetry = nt_obs::Recorder::full();
         let live = LiveCertifier::new(SgtConfig::default(), telemetry.clone());
         live.lock().m.seed_tree(&tree);
         let (last, prefix) = beta.split_last().expect("non-empty");
@@ -367,14 +358,14 @@ mod tests {
         assert!(!status.ok);
         let rep = status.violation.expect("latched");
         assert_eq!(rep.edge.witness, (4, 8));
-        assert_eq!(gauges_of(&telemetry).get("sgt.ok"), Some(&0));
+        assert_eq!(gauges_of(&telemetry).get("sgt.live.ok"), Some(&0));
     }
 
     #[test]
     fn out_of_order_acts_park_and_converge() {
         let mut tree = TxTree::new();
         let a = tree.add_inner(TxId::ROOT);
-        let live = LiveCertifier::new(SgtConfig::default(), TelemetryHandle::disabled());
+        let live = LiveCertifier::new(SgtConfig::default(), TraceHandle::disabled());
         live.lock().m.seed_tree(&tree);
         live.act(1, &Action::Commit(a));
         let status = live.status();
@@ -388,7 +379,7 @@ mod tests {
 
     #[test]
     fn cert_documents_render() {
-        let live = LiveCertifier::new(SgtConfig::default(), TelemetryHandle::disabled());
+        let live = LiveCertifier::new(SgtConfig::default(), TraceHandle::disabled());
         let doc = live.status().cert_json();
         let v = nt_obs::json::Json::parse(&doc).expect("valid json");
         assert_eq!(v.get("schema").unwrap().as_str(), Some(CERT_SCHEMA));

@@ -6,8 +6,8 @@
 
 use nt_engine::{AccessOutcome, CommitOutcome, DurabilityMode, SessionEngine};
 use nt_model::{ObjId, Op, Value};
+use nt_obs::TraceHandle;
 use nt_store::{Store, StoreError, CKPT_FILE, WAL_FILE};
-use nt_telemetry::TelemetryHandle;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -32,7 +32,7 @@ fn boot(store: &Store, recovered: nt_store::Recovered) -> Arc<SessionEngine> {
     SessionEngine::start_recovered(
         4096,
         4,
-        TelemetryHandle::disabled(),
+        TraceHandle::disabled(),
         recovered.seed,
         Some(Arc::clone(store.wal()) as Arc<dyn nt_engine::ActionSink>),
         None,
