@@ -3,8 +3,10 @@
 //! (`*.crash.json`, [`nt_faults::CrashPlan`]).
 //!
 //! Log files are checked *structurally, without replay*: the frame
-//! stream must decode (length-prefixed, CRC-checked), must open with a
-//! header record whose kind matches the file's role, and a torn tail —
+//! stream must decode (length-prefixed, CRC-checked extents of one or
+//! more records), must open with a header record whose kind matches the
+//! file's role, and is summarized as frames *and* records (their quotient
+//! is what one WAL barrier covered). A torn tail —
 //! legitimate in a WAL that survived `SIGKILL`, since recovery truncates
 //! it — is surfaced as a warning with the exact byte offset where the
 //! valid prefix ends. A file with no valid frame at all is an error:
@@ -109,6 +111,17 @@ pub fn lint_log_bytes(name: &str, bytes: &[u8]) -> Vec<Finding> {
             format!("first frame is {other:?}, not a header record"),
         )),
     }
+    out.push(Finding::new(
+        Severity::Info,
+        "store",
+        ctx.clone(),
+        format!(
+            "{} frame(s) holding {} record(s) in {} bytes",
+            decoded.frames,
+            decoded.records.len(),
+            decoded.valid_len
+        ),
+    ));
     if let Some(torn) = &decoded.torn {
         out.push(Finding::new(
             Severity::Warning,
@@ -178,13 +191,46 @@ mod tests {
     #[test]
     fn clean_wal_lints_clean_and_torn_tail_warns() {
         let mut bytes = header(FileKind::Wal);
-        assert!(lint_log_bytes("a.wal", &bytes).is_empty());
+        let fs = lint_log_bytes("a.wal", &bytes);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert_eq!(fs[0].severity, Severity::Info);
+        assert!(
+            fs[0].message.contains("1 frame(s) holding 1 record(s)"),
+            "{}",
+            fs[0].message
+        );
 
         bytes.extend_from_slice(&[0xFF; 5]);
         let fs = lint_log_bytes("a.wal", &bytes);
-        assert_eq!(fs.len(), 1);
-        assert_eq!(fs[0].severity, Severity::Warning);
-        assert!(fs[0].message.contains("torn tail"), "{}", fs[0].message);
+        assert_eq!(fs.len(), 2);
+        assert_eq!(fs[1].severity, Severity::Warning);
+        assert!(fs[1].message.contains("torn tail"), "{}", fs[1].message);
+    }
+
+    #[test]
+    fn an_extent_counts_as_one_frame_of_many_records() {
+        // The header frame, then one extent of three records — what a WAL
+        // barrier writes for a round that logged three.
+        let mut bytes = header(FileKind::Wal);
+        let mut payload = Vec::new();
+        for seq in 1..=3 {
+            Record::Cache {
+                seq,
+                resp: vec![seq as u8; 4],
+            }
+            .encode_into(&mut payload)
+            .expect("encode");
+        }
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&nt_store::crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        let fs = lint_log_bytes("a.wal", &bytes);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert!(
+            fs[0].message.contains("2 frame(s) holding 4 record(s)"),
+            "{}",
+            fs[0].message
+        );
     }
 
     #[test]

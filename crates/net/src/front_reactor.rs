@@ -9,10 +9,12 @@
 //!   `BATCH_RESP` frames, protocol errors, the `Shutdown` ack) is appended
 //!   to one `pending` buffer in execution order and emitted in a single
 //!   [`ReplySink::send`] at the round's [`Service::flush`]. That flush is
-//!   also the group-commit point: mutating ops journal their cached
-//!   responses eagerly, and the first flush of a poll round pays one
-//!   `wait_durable` barrier for every connection's burst (the `coalesce`
-//!   telemetry phase).
+//!   also the group-commit point: actions and mutating ops' cached
+//!   responses are staged in the WAL as they happen, and the first flush
+//!   of a poll round pays one `wait_durable` barrier — one extent, one
+//!   `write(2)` — for every connection's burst (the `coalesce` telemetry
+//!   phase) before any reply byte reaches the sink. A failed barrier
+//!   sends nothing: the round's replies are dropped and the server drains.
 //! * A frame that cannot finish now **parks as a continuation**: an
 //!   `ACCESS` whose lock another connection holds (the lock table queued
 //!   it; the releaser grants it in place and fires our wake) or a
@@ -37,7 +39,6 @@ use nt_model::TxId;
 use nt_obs::{Event, ReqSpan};
 use nt_reactor::{BadFrame, ReplySink, ResumeHandle, Service, ServiceFactory};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -306,9 +307,6 @@ impl ConnService {
         } else {
             f.run.answers.swap_remove(0)
         };
-        if f.run.owes_barrier {
-            self.shared.owes_barrier.store(true, Ordering::Release);
-        }
         self.pending.extend_from_slice(&bytes);
         self.pending_frames += 1;
         if self.shared.rec.is_timed() {
@@ -371,11 +369,15 @@ impl Service for ConnService {
     fn flush(&mut self) {
         self.shared.surface_violation();
         self.shared.surface_victims();
-        if self.shared.owes_barrier.swap(false, Ordering::AcqRel) {
-            // One group-commit barrier per poll round: every frame of
-            // the round, on every connection, executed before this first
-            // flush, so it covers them all.
-            pay_durability(&self.shared);
+        // One group-commit barrier per poll round: every frame of the
+        // round, on every connection, executed before this first flush,
+        // so its one extent covers them all (later flushes find the stage
+        // empty). Write-ahead: it runs before any reply reaches the sink.
+        if pay_durability(&self.shared).is_err() {
+            // Nothing this round staged is in the file: acknowledge none
+            // of it (account the frames, send no byte) and stop serving.
+            self.pending.clear();
+            self.shared.begin_drain();
         }
         if self.pending_frames > 0 {
             self.sink

@@ -10,11 +10,14 @@
 //! continuation and resumes when the releaser fires the connection's wake
 //! handle. A per-`seq` response cache makes execution exactly-once under the
 //! at-least-once transport: a retried or duplicated frame is answered
-//! from cache, never re-executed. With a durable store mounted, mutating
-//! ops journal their response eagerly and the round's first flush pays
-//! one `wait_durable` for every connection's burst, so **no mutating ack
-//! is written before the `flush_durable` of its round returns** — the
-//! poll round is the group commit.
+//! from cache, never re-executed. With a durable store mounted, every
+//! action and every mutating op's response is *staged* in the WAL as it
+//! happens, and the round's first flush pays one `wait_durable` — one
+//! extent, one `write(2)`, at most one fsync — for every connection's
+//! burst, so **no reply byte leaves while the stage holds a record**: the
+//! poll round is the group commit, for the append as for the fsync. A
+//! barrier that fails acknowledges nothing: the round's replies are
+//! dropped and the server drains.
 //!
 //! The server owns one `nt-obs` recorder, built in [`NetServer::bind`]:
 //! every event (`conn_accepted`, `frame_fault`, `deadlock_victim`, …) is
@@ -57,7 +60,7 @@ use nt_model::{ObjId, TxId};
 use nt_obs::json::JsonObj;
 use nt_obs::{Event, Recorder, StatsCell, TraceHandle};
 use nt_sgt_live::{cert_disabled_json, LiveCertifier, SgtConfig};
-use nt_store::{RecoveryReport, Store};
+use nt_store::{RecoveryReport, Store, WalError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
@@ -118,10 +121,6 @@ pub(crate) struct Shared {
     /// The running reactor's counters (`reactor.*` in the stats
     /// document), set by `serve`.
     reactor_probe: OnceLock<nt_reactor::ReactorProbe>,
-    /// Some connection journaled a mutating response since the last
-    /// durability barrier. The first flush of a poll round pays one
-    /// `wait_durable` for every connection's burst.
-    pub(crate) owes_barrier: AtomicBool,
 }
 
 impl Shared {
@@ -180,9 +179,15 @@ impl Shared {
             o.raw("sgt_live", lo.build());
         }
         if let Some(store) = &self.store {
-            o.num("wal_appended", store.wal().appended_count())
-                .num("wal_syncs", store.wal().sync_count())
-                .num("wal_io_errors", store.wal().io_error_count())
+            // Records, extents (one `write(2)` each) and their bytes:
+            // records per round is `wal_appended / wal_extents`.
+            let c = store.wal().counters();
+            o.num("wal_appended", c.appended)
+                .num("wal_extents", c.extents)
+                .num("wal_bytes", c.bytes)
+                .num("wal_syncs", c.syncs)
+                .num("wal_io_errors", c.io_errors)
+                .bool("wal_failed", c.failed)
                 .num("wal_generation", store.generation());
         }
         o.build()
@@ -390,7 +395,6 @@ impl NetServer {
             store,
             recovered_cache,
             reactor_probe: OnceLock::new(),
-            owes_barrier: AtomicBool::new(false),
         });
         Ok(NetServer { listener, shared })
     }
@@ -409,7 +413,7 @@ impl NetServer {
     /// poll thread owns the listener and every socket and runs every
     /// connection's protocol service inline; replies coalesce into as few
     /// `write` syscalls as readiness allows, and one `wait_durable`
-    /// barrier covers each poll round.
+    /// barrier — one WAL extent — covers each poll round.
     pub fn serve(self) -> ServerHandle {
         let phase = self.shared.rec.is_timed().then(|| {
             let rec = self.shared.rec.clone();
@@ -519,18 +523,14 @@ pub(crate) fn session_error_response(e: &SessionError) -> Response {
 }
 
 /// The outcome of answering one op (a single request, or one member of a
-/// `BATCH`): the full single-response frame bytes, whether they came
-/// from a cache, and whether a fresh mutating execution was journaled
-/// (so a durability barrier is owed before the ack hits the wire).
+/// `BATCH`): the full single-response frame bytes and whether they came
+/// from a cache.
 pub(crate) struct OpAnswer {
     /// Full response frame, length prefix included — exactly what the
     /// exactly-once cache stores and a single-op reply writes.
     pub(crate) bytes: Vec<u8>,
     pub(crate) from_cache: bool,
     pub(crate) lock_wait_us: u64,
-    /// A fresh mutating execution was appended to the store's cache
-    /// journal; `wait_durable` must run before the reply is acked.
-    pub(crate) mutated: bool,
 }
 
 /// A cached answer for `seq`: the connection's own exactly-once cache,
@@ -544,13 +544,12 @@ fn cached_answer(shared: &Shared, cache: &BTreeMap<u64, Vec<u8>>, seq: u64) -> O
         bytes: bytes.clone(),
         from_cache: true,
         lock_wait_us: 0,
-        mutated: false,
     })
 }
 
 /// A fresh execution produced `resp`: encode it, cache it, and — for
-/// mutating ops with a store — journal it. The durability *barrier* is
-/// the caller's. `None` only on response-encoding failure
+/// mutating ops with a store — stage it in the WAL. The *barrier* is the
+/// round's flush. `None` only on response-encoding failure
 /// (connection-fatal).
 fn finish_op(
     shared: &Shared,
@@ -563,18 +562,15 @@ fn finish_op(
     let lock_wait_us = session.take_lock_wait_us();
     let bytes = encode_response(seq, resp).ok()?;
     cache.insert(seq, bytes.clone());
-    let mut mutated = false;
     if let Some(store) = &shared.store {
         if mutates(req) {
             store.append_cache(seq, &bytes);
-            mutated = true;
         }
     }
     Some(OpAnswer {
         bytes,
         from_cache: false,
         lock_wait_us,
-        mutated,
     })
 }
 
@@ -598,9 +594,6 @@ pub(crate) struct OpsRun {
     pub(crate) answers: Vec<Vec<u8>>,
     /// Summed lock wait of the fresh executions.
     pub(crate) lock_wait_us: u64,
-    /// Some member journaled a response: a durability barrier is owed
-    /// before the reply is acked.
-    pub(crate) owes_barrier: bool,
     /// A fresh `Shutdown` was executed.
     pub(crate) shutdown: bool,
 }
@@ -611,7 +604,6 @@ impl OpsRun {
             answers: Vec::with_capacity(ops.len()),
             ops,
             lock_wait_us: 0,
-            owes_barrier: false,
             shutdown: false,
         }
     }
@@ -648,7 +640,6 @@ impl OpsRun {
             };
             count_answer(shared, ans.from_cache);
             self.lock_wait_us += ans.lock_wait_us;
-            self.owes_barrier |= ans.mutated;
             self.shutdown |= !ans.from_cache && matches!(req, Request::Shutdown);
             self.answers.push(ans.bytes);
         }
@@ -685,23 +676,35 @@ fn count_answer(shared: &Shared, from_cache: bool) {
     });
 }
 
-/// Pay the durability barrier (`wait_durable`: one fsync covering
-/// everything appended so far); a timed recorder gets the wait as the
-/// `coalesce` phase — per barrier, not per request, the only place fsync
-/// time is attributed.
-pub(crate) fn pay_durability(shared: &Shared) {
-    let Some(store) = &shared.store else { return };
+/// Pay the round barrier if the WAL needs one before a reply may leave
+/// (`wait_durable`: everything staged goes to the file as one extent, then
+/// one fsync if the mode asks). A timed recorder gets the wait as the
+/// `coalesce` phase — per barrier, not per request, the only place write
+/// and fsync time is attributed. `Err`: the WAL is closed and nothing
+/// staged reached it — the caller must not acknowledge.
+pub(crate) fn pay_durability(shared: &Shared) -> Result<(), WalError> {
+    let Some(store) = &shared.store else {
+        return Ok(());
+    };
+    if !store.wal().needs_barrier() {
+        return Ok(());
+    }
     let t0 = shared.rec.is_timed().then(Instant::now);
-    store.wait_durable();
+    let paid = store.wait_durable();
     if let Some(t0) = t0 {
         shared
             .rec
             .observe("phase.coalesce", t0.elapsed().as_micros() as u64);
     }
+    debug_assert!(
+        paid.is_err() || !store.wal().needs_barrier(),
+        "a reply is about to leave while the WAL stage holds a record"
+    );
+    paid
 }
 
-/// Whether a request can change engine state — only these pay the
-/// durability barrier before their ack. Reads of server metadata
+/// Whether a request can change engine state — only these journal their
+/// response for the exactly-once cache. Reads of server metadata
 /// (history, stats, ping) and the shutdown nudge are answerable from
 /// volatile state.
 fn mutates(req: &Request) -> bool {

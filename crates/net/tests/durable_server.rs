@@ -317,6 +317,28 @@ fn one_round_barrier_covers_pipelined_mutating_frames_on_two_connections() {
         syncs < mutating_acks as f64,
         "{syncs} syncs for {mutating_acks} mutating acks: the round barrier is gone"
     );
+    // The round is the group for the append too: one extent (one
+    // `write(2)`) per poll round that logged anything, however many
+    // records its frames staged — never one per record or per ack.
+    let num = |path: &[&str]| {
+        path.iter()
+            .try_fold(&v, |at, key| at.get(key))
+            .and_then(nt_obs::json::Json::as_num)
+            .unwrap_or_else(|| panic!("{path:?} present: {stats}"))
+    };
+    let (extents, records) = (num(&["wal_extents"]), num(&["wal_appended"]));
+    assert!(extents > 0.0, "acks must have been written: {stats}");
+    assert!(
+        extents <= syncs && extents <= num(&["reactor", "poll_rounds"]),
+        "an extent without a round barrier: {stats}"
+    );
+    assert!(
+        extents < mutating_acks as f64 && records > 4.0 * extents,
+        "{extents} extents for {mutating_acks} mutating acks and {records} records: \
+         the WAL is writing by the record again"
+    );
+    assert!(num(&["wal_bytes"]) > records, "{stats}");
+    assert_eq!(v.get("wal_failed"), Some(&nt_obs::json::Json::Bool(false)));
     drop(conn);
     handle.wait();
 

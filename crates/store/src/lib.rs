@@ -1,14 +1,17 @@
 //! # nt-store
 //!
 //! A WAL-backed durable store mounted beneath the session engine's
-//! objects. Every applied operation, commit, and abort-undo is appended
-//! to a length-prefixed, CRC-checked write-ahead log **with its SeqClock
-//! stamp, before it is acknowledged** (the engine's recorder tees into
-//! the WAL through [`nt_engine::ActionSink`], drawing stamps under the
-//! WAL's append mutex so file order equals stamp order). Durability cost
-//! is a policy ([`nt_engine::DurabilityMode`]): no wait, or an fsync before
-//! the acknowledgment — one per batch of acknowledgments the caller
-//! chooses to cover with it (the server's poll round).
+//! objects. Every applied operation, commit, and abort-undo is staged for
+//! a length-prefixed, CRC-checked write-ahead log **with its SeqClock
+//! stamp** (the engine's recorder tees into the WAL through
+//! [`nt_engine::ActionSink`], drawing stamps under the WAL's append mutex
+//! so file order equals stamp order), and the stage is handed to the file
+//! as one extent — one frame, one `write(2)` — at the barrier
+//! ([`Store::wait_durable`]) its caller pays **before it acknowledges
+//! anything staged**: the server's poll round. Durability cost is a
+//! policy ([`nt_engine::DurabilityMode`]): the barrier only writes, or it
+//! also fsyncs — one write and at most one fsync per batch of
+//! acknowledgments, however many records the batch logged.
 //!
 //! Opening a data dir runs full crash recovery ([`recover::analyze`]):
 //! decode the durable prefix (stopping, with a typed error, at the first
@@ -30,7 +33,7 @@ pub mod wal;
 
 pub use record::{crc32, decode_stream, Decoded, FileKind, Record, WalError};
 pub use recover::{analyze, Recovered, RecoveryReport, CKPT_FILE, WAL_FILE};
-pub use wal::Wal;
+pub use wal::{Wal, WalCounters};
 
 use nt_engine::DurabilityMode;
 use recover::MergedState;
@@ -149,14 +152,14 @@ impl Store {
         let recovered = recover::analyze(dir)?;
         let wal_path = dir.join(WAL_FILE);
         let mut valid_len = recovered.wal_valid_len;
-        let mut frames = recovered.wal_frames;
+        let mut records = recovered.report.wal_records as u64;
         if recovered.wal_stale || (wal_path.exists() && valid_len == 0) {
             // Stale generation, or a WAL whose header itself was torn:
             // recreate rather than resume.
             std::fs::remove_file(&wal_path)
                 .map_err(|e| StoreError::Io(format!("{}: {e}", wal_path.display())))?;
             valid_len = 0;
-            frames = 0;
+            records = 0;
         }
         let last_stamp = recovered.seed.next_stamp.saturating_sub(1);
         let wal = Wal::open(
@@ -164,7 +167,7 @@ impl Store {
             recovered.gen,
             valid_len,
             last_stamp,
-            frames,
+            records,
             mode,
         )?;
         // Make the loser rollback durable before the engine serves: the
@@ -204,15 +207,17 @@ impl Store {
         *self.gen.lock().expect("gen poisoned")
     }
 
-    /// Append a cached response for `seq` (call before `wait_durable`,
+    /// Stage a cached response for `seq` (call before `wait_durable`,
     /// before the response goes on the wire).
     pub fn append_cache(&self, seq: u64, resp: &[u8]) {
         self.wal.append_cache(seq, resp);
     }
 
-    /// Block until everything appended is durable, per the mode.
-    pub fn wait_durable(&self) {
-        self.wal.wait_durable();
+    /// The round barrier ([`Wal::wait_durable`]): everything staged is
+    /// handed to the file, and durable per the mode, when this returns
+    /// `Ok`; on `Err` nothing staged may be acknowledged.
+    pub fn wait_durable(&self) -> Result<(), WalError> {
+        self.wal.wait_durable()
     }
 
     fn merged_from_disk(&self, wal_len: u64) -> Result<MergedState, StoreError> {
@@ -241,18 +246,15 @@ impl Store {
         Ok(merged)
     }
 
-    /// Write a fuzzy checkpoint: compact everything on disk up to the
-    /// WAL's current extent into the checkpoint file (atomic rename),
-    /// without pausing appends. Recovery merges checkpoint + WAL and
-    /// deduplicates by id/stamp, so overlap is harmless.
-    pub fn checkpoint(&self) -> Result<CheckpointStats, StoreError> {
-        let gen = self.generation();
-        let (wal_len, _frames, covers_stamp) = self.wal.snapshot_extent();
+    /// Compact everything on disk up to the WAL's current extent into the
+    /// checkpoint file at generation `gen` (atomic rename).
+    fn write_checkpoint(&self, gen: u64) -> Result<CheckpointStats, StoreError> {
+        let (wal_len, _records, covers_stamp) = self.wal.snapshot_extent()?;
         let merged = self.merged_from_disk(wal_len)?;
         let records = recover::checkpoint_records(&merged, gen, covers_stamp);
         let mut bytes = Vec::new();
         for rec in &records {
-            bytes.extend_from_slice(&rec.encode_frame()?);
+            rec.encode_frame_into(&mut bytes)?;
         }
         write_atomic(&self.dir.join(CKPT_FILE), &bytes)
             .map_err(|e| StoreError::Io(format!("checkpoint: {e}")))?;
@@ -260,6 +262,14 @@ impl Store {
             records: records.len(),
             covers_stamp,
         })
+    }
+
+    /// Write a fuzzy checkpoint: hand the stage to the file, then compact
+    /// everything on disk into the checkpoint file, without pausing
+    /// appends. Recovery merges checkpoint + WAL and deduplicates by
+    /// id/stamp, so overlap is harmless.
+    pub fn checkpoint(&self) -> Result<CheckpointStats, StoreError> {
+        self.write_checkpoint(self.generation())
     }
 
     /// Rotate at drain: checkpoint into generation `g+1`, then reset the
@@ -270,24 +280,14 @@ impl Store {
     pub fn rotate(&self) -> Result<CheckpointStats, StoreError> {
         let mut gen = self.gen.lock().expect("gen poisoned");
         let next = *gen + 1;
-        let (wal_len, _frames, covers_stamp) = self.wal.snapshot_extent();
-        let merged = self.merged_from_disk(wal_len)?;
-        let records = recover::checkpoint_records(&merged, next, covers_stamp);
-        let mut bytes = Vec::new();
-        for rec in &records {
-            bytes.extend_from_slice(&rec.encode_frame()?);
-        }
-        write_atomic(&self.dir.join(CKPT_FILE), &bytes)
-            .map_err(|e| StoreError::Io(format!("rotate checkpoint: {e}")))?;
+        let stats = self.write_checkpoint(next)?;
         self.wal.reset_to_generation(next)?;
         *gen = next;
-        Ok(CheckpointStats {
-            records: records.len(),
-            covers_stamp,
-        })
+        Ok(stats)
     }
 
-    /// Fsync the tail, whatever the mode. Idempotent.
+    /// Hand the stage to the file and fsync the tail, whatever the mode.
+    /// Idempotent.
     pub fn close(&self) {
         self.wal.flush_durable();
     }

@@ -1,16 +1,22 @@
-//! The WAL frame codec: length-prefixed, CRC-checked records.
+//! The WAL frame codec: length-prefixed, CRC-checked extents of records.
 //!
 //! ```text
 //! frame   := len:u32le  crc:u32le  payload[len]
-//! payload := tag:u8  body
+//! payload := record+
+//! record  := tag:u8  body
 //! ```
 //!
+//! A frame is one *extent*: everything the WAL staged between two round
+//! barriers, written with one `write(2)` (checkpoints, headers and files
+//! from before the stage hold one record per frame — the same grammar).
+//! Bodies are self-delimiting by tag, so an extent needs no inner lengths.
 //! `crc` is CRC-32 (IEEE) over the whole payload. Decoding walks frames
 //! front to back and **stops at the first frame that fails to parse** —
 //! short prefix, oversized length, CRC mismatch, or a malformed body —
-//! returning every record before it plus a typed [`WalError`] describing
-//! the stop. A crash mid-append therefore loses at most the torn tail; it
-//! can never surface as a panic or as silently wrong records.
+//! returning every record of the whole frames before it plus a typed
+//! [`WalError`] describing the stop: an extent is admitted all or nothing.
+//! A crash mid-append therefore loses at most the torn tail; it can never
+//! surface as a panic, as silently wrong records, or as part of a round.
 //!
 //! Bodies are fixed little-endian encodings of the four record kinds the
 //! store journals: a file [`Header`](Record::Header), a transaction
@@ -276,65 +282,125 @@ fn encode_action(a: &Action, out: &mut Vec<u8>) -> Result<(), WalError> {
     Ok(())
 }
 
+fn put_header(out: &mut Vec<u8>, kind: FileKind, gen: u64, covers_stamp: u64) {
+    out.push(TAG_HEADER);
+    out.push(match kind {
+        FileKind::Wal => 0,
+        FileKind::Checkpoint => 1,
+    });
+    put_u64(out, gen);
+    put_u64(out, covers_stamp);
+}
+
+/// Append a `TreeAdd` record (tag + body) to `out`.
+pub(crate) fn put_tree_add(
+    out: &mut Vec<u8>,
+    t: TxId,
+    parent: TxId,
+    access: Option<(ObjId, &Op)>,
+) -> Result<(), WalError> {
+    out.push(TAG_TREE_ADD);
+    put_u32(out, t.0);
+    put_u32(out, parent.0);
+    match access {
+        None => out.push(0),
+        Some((x, op)) => {
+            out.push(1);
+            put_u32(out, x.0);
+            encode_op(op, out)?;
+        }
+    }
+    Ok(())
+}
+
+/// Append an `Act` record (tag + body) to `out`.
+pub(crate) fn put_act(out: &mut Vec<u8>, stamp: u64, action: &Action) -> Result<(), WalError> {
+    out.push(TAG_ACT);
+    put_u64(out, stamp);
+    encode_action(action, out)
+}
+
+/// Append a `Cache` record (tag + body) to `out`.
+pub(crate) fn put_cache(out: &mut Vec<u8>, seq: u64, resp: &[u8]) -> Result<(), WalError> {
+    if resp.len() > (MAX_PAYLOAD - 64) as usize {
+        return Err(WalError::Unsupported(format!(
+            "cached response of {} bytes exceeds the frame cap",
+            resp.len()
+        )));
+    }
+    out.push(TAG_CACHE);
+    put_u64(out, seq);
+    put_u32(out, resp.len() as u32);
+    out.extend_from_slice(resp);
+    Ok(())
+}
+
+/// Run `put` on `out`; a refused record leaves `out` as it was.
+pub(crate) fn put_or_restore(
+    out: &mut Vec<u8>,
+    put: impl FnOnce(&mut Vec<u8>) -> Result<(), WalError>,
+) -> Result<(), WalError> {
+    let mark = out.len();
+    let res = put(out);
+    if res.is_err() {
+        out.truncate(mark);
+    }
+    res
+}
+
+/// Open a frame at the end of `out`: reserve its length + CRC prefix.
+/// Returns the frame's offset for [`seal_frame`].
+pub(crate) fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0; FRAME_OVERHEAD]);
+    at
+}
+
+/// Close the frame opened at `at`: everything after its prefix is the
+/// payload, whose length and CRC are patched in.
+pub(crate) fn seal_frame(out: &mut [u8], at: usize) {
+    let (prefix, payload) = out[at..].split_at_mut(FRAME_OVERHEAD);
+    prefix[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    prefix[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
 impl Record {
-    /// Encode this record's payload (tag + body).
-    pub fn encode_payload(&self) -> Result<Vec<u8>, WalError> {
-        let mut out = Vec::with_capacity(32);
-        match self {
+    /// Append this record (tag + body) to `out`; a record outside the
+    /// encodable subset leaves `out` as it was.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), WalError> {
+        put_or_restore(out, |out| match self {
             Record::Header {
                 kind,
                 gen,
                 covers_stamp,
             } => {
-                out.push(TAG_HEADER);
-                out.push(match kind {
-                    FileKind::Wal => 0,
-                    FileKind::Checkpoint => 1,
-                });
-                put_u64(&mut out, *gen);
-                put_u64(&mut out, *covers_stamp);
+                put_header(out, *kind, *gen, *covers_stamp);
+                Ok(())
             }
             Record::TreeAdd { t, parent, access } => {
-                out.push(TAG_TREE_ADD);
-                put_u32(&mut out, t.0);
-                put_u32(&mut out, parent.0);
-                match access {
-                    None => out.push(0),
-                    Some((x, op)) => {
-                        out.push(1);
-                        put_u32(&mut out, x.0);
-                        encode_op(op, &mut out)?;
-                    }
-                }
+                put_tree_add(out, *t, *parent, access.as_ref().map(|(x, op)| (*x, op)))
             }
-            Record::Act { stamp, action } => {
-                out.push(TAG_ACT);
-                put_u64(&mut out, *stamp);
-                encode_action(action, &mut out)?;
-            }
-            Record::Cache { seq, resp } => {
-                if resp.len() as u32 > MAX_PAYLOAD - 64 {
-                    return Err(WalError::Unsupported(format!(
-                        "cached response of {} bytes exceeds the frame cap",
-                        resp.len()
-                    )));
-                }
-                out.push(TAG_CACHE);
-                put_u64(&mut out, *seq);
-                put_u32(&mut out, resp.len() as u32);
-                out.extend_from_slice(resp);
-            }
-        }
-        Ok(out)
+            Record::Act { stamp, action } => put_act(out, *stamp, action),
+            Record::Cache { seq, resp } => put_cache(out, *seq, resp),
+        })
     }
 
-    /// Encode this record as a complete frame (length + CRC + payload).
+    /// Append this record to `out` as a complete one-record frame
+    /// (length + CRC + payload), encoded in place; a refused record leaves
+    /// `out` as it was.
+    pub fn encode_frame_into(&self, out: &mut Vec<u8>) -> Result<(), WalError> {
+        put_or_restore(out, |out| {
+            let at = begin_frame(out);
+            self.encode_into(out)?;
+            seal_frame(out, at);
+            Ok(())
+        })
+    }
+
+    /// Encode this record as a complete one-record frame.
     pub fn encode_frame(&self) -> Result<Vec<u8>, WalError> {
-        let payload = self.encode_payload()?;
-        let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        frame.extend_from_slice(&payload);
+        let mut frame = Vec::with_capacity(FRAME_OVERHEAD + 32);
+        self.encode_frame_into(&mut frame)?;
         Ok(frame)
     }
 }
@@ -388,17 +454,8 @@ impl<'a> Body<'a> {
         }
     }
 
-    fn done(&self) -> Result<(), WalError> {
-        if self.pos != self.bytes.len() {
-            return Err(WalError::BadPayload {
-                offset: self.offset,
-                what: format!(
-                    "{} trailing bytes after the record body",
-                    self.bytes.len() - self.pos
-                ),
-            });
-        }
-        Ok(())
+    fn exhausted(&self) -> bool {
+        self.pos == self.bytes.len()
     }
 }
 
@@ -452,13 +509,10 @@ fn decode_action(b: &mut Body<'_>) -> Result<Action, WalError> {
     })
 }
 
-fn decode_payload(payload: &[u8], offset: usize) -> Result<Record, WalError> {
-    let mut b = Body {
-        bytes: payload,
-        pos: 0,
-        offset,
-    };
-    let rec = match b.u8()? {
+/// Decode the next record of an extent's payload (bodies delimit
+/// themselves, so the reader simply stops where the next tag starts).
+fn decode_record(b: &mut Body<'_>) -> Result<Record, WalError> {
+    Ok(match b.u8()? {
         TAG_HEADER => {
             let kind = match b.u8()? {
                 0 => FileKind::Wal,
@@ -478,7 +532,7 @@ fn decode_payload(payload: &[u8], offset: usize) -> Result<Record, WalError> {
                 0 => None,
                 1 => {
                     let x = ObjId(b.u32()?);
-                    Some((x, decode_op(&mut b)?))
+                    Some((x, decode_op(b)?))
                 }
                 other => return Err(b.bad(format!("bad access flag {other}"))),
             };
@@ -486,7 +540,7 @@ fn decode_payload(payload: &[u8], offset: usize) -> Result<Record, WalError> {
         }
         TAG_ACT => Record::Act {
             stamp: b.u64()?,
-            action: decode_action(&mut b)?,
+            action: decode_action(b)?,
         },
         TAG_CACHE => {
             let seq = b.u64()?;
@@ -496,17 +550,22 @@ fn decode_payload(payload: &[u8], offset: usize) -> Result<Record, WalError> {
                 resp: b.take(len)?.to_vec(),
             }
         }
-        tag => return Err(WalError::BadTag { offset, tag }),
-    };
-    b.done()?;
-    Ok(rec)
+        tag => {
+            return Err(WalError::BadTag {
+                offset: b.offset,
+                tag,
+            })
+        }
+    })
 }
 
 /// Outcome of decoding one file front to back.
 #[derive(Clone, Debug)]
 pub struct Decoded {
-    /// Every record before the stop point.
+    /// Every record of the whole frames before the stop point.
     pub records: Vec<Record>,
+    /// Frames (extents) those records came in.
+    pub frames: usize,
     /// Byte length of the valid prefix (where an append may resume after
     /// truncating the tail).
     pub valid_len: usize,
@@ -515,11 +574,12 @@ pub struct Decoded {
 }
 
 /// Decode `bytes` as a sequence of frames, stopping at the first frame
-/// that fails to parse.
+/// that fails to parse; a frame's records are admitted all or nothing.
 pub fn decode_stream(bytes: &[u8]) -> Decoded {
     let mut records = Vec::new();
+    let mut frames = 0usize;
     let mut pos = 0usize;
-    let torn = loop {
+    let torn = 'frames: loop {
         if pos == bytes.len() {
             break None;
         }
@@ -539,14 +599,27 @@ pub fn decode_stream(bytes: &[u8]) -> Decoded {
         if crc32(payload) != crc {
             break Some(WalError::BadCrc { offset: pos });
         }
-        match decode_payload(payload, pos) {
-            Ok(rec) => records.push(rec),
-            Err(e) => break Some(e),
+        let whole = records.len();
+        let mut body = Body {
+            bytes: payload,
+            pos: 0,
+            offset: pos,
+        };
+        while !body.exhausted() {
+            match decode_record(&mut body) {
+                Ok(rec) => records.push(rec),
+                Err(e) => {
+                    records.truncate(whole);
+                    break 'frames Some(e);
+                }
+            }
         }
+        frames += 1;
         pos = end;
     };
     Decoded {
         records,
+        frames,
         valid_len: pos,
         torn,
     }
@@ -648,6 +721,179 @@ mod tests {
                 }
                 assert!(decoded.valid_len <= clean.len());
             }
+        }
+    }
+
+    /// One frame holding all of `records` — what the WAL's stage writes.
+    fn extent(records: &[Record]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let at = begin_frame(&mut out);
+        for rec in records {
+            rec.encode_into(&mut out).expect("encodable");
+        }
+        seal_frame(&mut out, at);
+        out
+    }
+
+    /// The sample records as a stream of three multi-record extents, with
+    /// each extent's end offset and the records decoded up to it.
+    fn extent_stream() -> (Vec<u8>, Vec<(usize, usize)>) {
+        let recs = samples();
+        let mut bytes = Vec::new();
+        let mut ends = Vec::new();
+        for (from, to) in [(0, 2), (2, 5), (5, 7)] {
+            bytes.extend_from_slice(&extent(&recs[from..to]));
+            ends.push((bytes.len(), to));
+        }
+        (bytes, ends)
+    }
+
+    /// `(valid_len, records)` of the whole extents that end at or before
+    /// `offset`.
+    fn whole_before(ends: &[(usize, usize)], offset: usize) -> (usize, usize) {
+        ends.iter()
+            .rev()
+            .find(|(end, _)| *end <= offset)
+            .copied()
+            .unwrap_or((0, 0))
+    }
+
+    #[test]
+    fn an_extent_saves_the_per_record_prefix_and_decodes_to_the_same_records() {
+        let (bytes, ends) = extent_stream();
+        let decoded = decode_stream(&bytes);
+        assert!(decoded.torn.is_none(), "{:?}", decoded.torn);
+        assert_eq!(decoded.records, samples());
+        assert_eq!(decoded.frames, ends.len());
+        let framed: usize = samples()
+            .iter()
+            .map(|r| r.encode_frame().expect("encodable").len())
+            .sum();
+        assert_eq!(
+            bytes.len(),
+            framed - FRAME_OVERHEAD * (samples().len() - ends.len())
+        );
+    }
+
+    #[test]
+    fn a_cut_extent_stream_decodes_whole_extents_only() {
+        let (bytes, ends) = extent_stream();
+        for cut in 0..=bytes.len() {
+            let decoded = decode_stream(&bytes[..cut]);
+            let (valid, n) = whole_before(&ends, cut);
+            assert_eq!(decoded.valid_len, valid, "cut at {cut}");
+            assert_eq!(decoded.records, samples()[..n], "cut at {cut}");
+            assert_eq!(decoded.torn.is_none(), valid == cut, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn one_flipped_bit_rejects_the_whole_extent() {
+        let (clean, ends) = extent_stream();
+        for byte in 0..clean.len() {
+            for bit in 0..8 {
+                let mut corrupt = clean.clone();
+                corrupt[byte] ^= 1 << bit;
+                let decoded = decode_stream(&corrupt);
+                let (valid, n) = whole_before(&ends, byte);
+                assert!(decoded.torn.is_some(), "byte {byte} bit {bit}");
+                assert_eq!(decoded.valid_len, valid, "byte {byte} bit {bit}");
+                assert_eq!(decoded.records, samples()[..n], "byte {byte} bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_malformed_record_inside_a_crc_valid_extent_admits_none_of_it() {
+        // Two good records, then a tag no record has: the CRC holds, the
+        // third body does not parse, and the first two are not admitted.
+        let mut out = Vec::new();
+        let at = begin_frame(&mut out);
+        for rec in &samples()[..2] {
+            rec.encode_into(&mut out).expect("encodable");
+        }
+        out.push(0x7f);
+        seal_frame(&mut out, at);
+        let decoded = decode_stream(&out);
+        assert_eq!(
+            decoded.torn,
+            Some(WalError::BadTag {
+                offset: 0,
+                tag: 0x7f
+            })
+        );
+        assert!(decoded.records.is_empty());
+        assert_eq!((decoded.valid_len, decoded.frames), (0, 0));
+    }
+
+    #[test]
+    fn single_record_frames_and_mixed_streams_decode_as_before() {
+        let recs = samples();
+        let mut old = Vec::new();
+        for rec in &recs {
+            old.extend_from_slice(&rec.encode_frame().expect("encodable"));
+        }
+        let decoded = decode_stream(&old);
+        assert_eq!(decoded.records, recs);
+        assert_eq!(decoded.frames, recs.len());
+
+        // A log from before the stage, resumed by a WAL with one.
+        let mut mixed = Vec::new();
+        for rec in &recs[..3] {
+            mixed.extend_from_slice(&rec.encode_frame().expect("encodable"));
+        }
+        mixed.extend_from_slice(&extent(&recs[3..6]));
+        mixed.extend_from_slice(&recs[6].encode_frame().expect("encodable"));
+        let decoded = decode_stream(&mixed);
+        assert!(decoded.torn.is_none(), "{:?}", decoded.torn);
+        assert_eq!(decoded.records, recs);
+        assert_eq!(decoded.frames, 5);
+    }
+
+    #[test]
+    fn in_place_encoding_matches_the_reference_and_restores_on_refusal() {
+        for rec in samples() {
+            // The reference framing: payload first, then its prefix.
+            let mut payload = Vec::new();
+            rec.encode_into(&mut payload).expect("encodable");
+            let mut reference = Vec::new();
+            put_u32(&mut reference, payload.len() as u32);
+            put_u32(&mut reference, crc32(&payload));
+            reference.extend_from_slice(&payload);
+            assert_eq!(rec.encode_frame().expect("encodable"), reference);
+
+            let mut out = b"earlier frames".to_vec();
+            rec.encode_frame_into(&mut out).expect("encodable");
+            assert_eq!(&out[..14], b"earlier frames");
+            assert_eq!(&out[14..], reference);
+        }
+        let refused = [
+            Record::Act {
+                stamp: 1,
+                action: Action::RequestCommit(TxId(1), Value::IntSet(Default::default())),
+            },
+            Record::TreeAdd {
+                t: TxId(1),
+                parent: TxId::ROOT,
+                access: Some((ObjId(0), Op::GetCount)),
+            },
+            Record::Cache {
+                seq: 9,
+                resp: vec![0; MAX_PAYLOAD as usize],
+            },
+        ];
+        for rec in refused {
+            let mut out = b"earlier frames".to_vec();
+            assert!(matches!(
+                rec.encode_frame_into(&mut out),
+                Err(WalError::Unsupported(_))
+            ));
+            assert_eq!(out, b"earlier frames");
+            assert!(matches!(
+                rec.encode_into(&mut out),
+                Err(WalError::Unsupported(_))
+            ));
+            assert_eq!(out, b"earlier frames");
         }
     }
 

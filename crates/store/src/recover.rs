@@ -180,8 +180,6 @@ pub struct Recovered {
     pub(crate) gen: u64,
     /// Valid byte length of the WAL (0 when the file must be recreated).
     pub(crate) wal_valid_len: u64,
-    /// Frames in the WAL's valid prefix.
-    pub(crate) wal_frames: u64,
     /// True when the on-disk WAL belongs to the previous generation (a
     /// crash landed between checkpoint rename and WAL reset) and must be
     /// recreated rather than resumed.
@@ -537,7 +535,6 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
         report,
         gen,
         wal_valid_len,
-        wal_frames: wal_records as u64,
         wal_stale,
         synthesized,
     })

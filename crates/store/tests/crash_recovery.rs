@@ -71,9 +71,9 @@ fn clean_restart_recovers_committed_state() {
         let engine = boot(&store, rec);
         commit_write(&engine, ObjId(0), 41);
         commit_write(&engine, ObjId(1), 7);
-        store.wait_durable();
+        store.wait_durable().expect("barrier");
         store.close();
-        assert!(store.wal().sync_count() > 0, "fsync mode must sync");
+        assert!(store.wal().counters().syncs > 0, "fsync mode must sync");
     }
     let (store, rec) = Store::open(&scratch.0, DurabilityMode::FsyncPerCommit).expect("reopen");
     assert!(rec.report.certified);
@@ -88,24 +88,33 @@ fn clean_restart_recovers_committed_state() {
     store.close();
 }
 
+/// Commit 7 behind a barrier, leave a tentative overwrite of 999 in flight,
+/// then "crash" (drop everything without committing, aborting or closing).
+/// `answered` says whether the round that executed the tentative write got
+/// to its barrier — i.e. whether its reply could have left — before the
+/// kill.
+fn crash_with_a_tentative_overwrite(scratch: &Scratch, answered: bool) {
+    let (store, rec) = Store::open(&scratch.0, DurabilityMode::None).expect("open");
+    let engine = boot(&store, rec);
+    commit_write(&engine, ObjId(0), 7);
+    store.wait_durable().expect("barrier");
+    let mut s = engine.open_session();
+    let top = s.begin_top().expect("top");
+    assert_eq!(
+        s.access(top, ObjId(0), Op::Write(999)).expect("write"),
+        AccessOutcome::Done(Value::Ok)
+    );
+    if answered {
+        store.wait_durable().expect("barrier");
+    }
+    // No rotate, no close: the unsynced-but-written WAL stands in for
+    // the durable prefix at the kill point.
+}
+
 #[test]
 fn crash_with_inflight_top_rolls_back_the_loser() {
     let scratch = Scratch::new("loser");
-    {
-        let (store, rec) = Store::open(&scratch.0, DurabilityMode::None).expect("open");
-        let engine = boot(&store, rec);
-        commit_write(&engine, ObjId(0), 7);
-        // An in-flight top holds a tentative overwrite when the "crash"
-        // hits (we drop everything without committing or aborting).
-        let mut s = engine.open_session();
-        let top = s.begin_top().expect("top");
-        assert_eq!(
-            s.access(top, ObjId(0), Op::Write(999)).expect("write"),
-            AccessOutcome::Done(Value::Ok)
-        );
-        // No rotate, no close: the unsynced-but-written WAL stands in for
-        // the durable prefix at the kill point.
-    }
+    crash_with_a_tentative_overwrite(&scratch, true);
     let (store, rec) = Store::open(&scratch.0, DurabilityMode::None).expect("reopen");
     assert!(rec.report.certified);
     assert!(
@@ -118,6 +127,86 @@ fn crash_with_inflight_top_rolls_back_the_loser() {
     let engine = boot(&store, rec);
     assert_eq!(read_committed(&engine, ObjId(0)), Value::Int(7));
     store.close();
+}
+
+#[test]
+fn crash_before_the_round_barrier_loses_only_the_unacked_round() {
+    let scratch = Scratch::new("unacked-round");
+    crash_with_a_tentative_overwrite(&scratch, false);
+    let (store, rec) = Store::open(&scratch.0, DurabilityMode::None).expect("reopen");
+    assert!(rec.report.certified);
+    assert!(
+        rec.report.torn.is_none(),
+        "the stage never reached the file"
+    );
+    // Nothing of the killed round is in the file, so there is no loser to
+    // roll back: the log ends with the last round that was answered.
+    assert!(rec.report.losers.is_empty(), "{:?}", rec.report.losers);
+    assert_eq!(rec.report.synthesized_actions, 0);
+    assert_eq!(
+        rec.report.committed, 2,
+        "the top that wrote 7 and its access"
+    );
+    assert!(rec.seed.initials.contains(&(ObjId(0), 7)));
+    let engine = boot(&store, rec);
+    assert_eq!(read_committed(&engine, ObjId(0)), Value::Int(7));
+    store.close();
+}
+
+#[test]
+fn reopened_wal_appends_after_its_valid_prefix() {
+    // Every life of the store appends behind what the previous ones left
+    // (the parent of the staged WAL reopened the file with its cursor at
+    // byte 0 and wrote over the header).
+    let scratch = Scratch::new("reopen-append");
+    for (x, val) in [(0, 1), (1, 2), (2, 3)] {
+        let (store, rec) = Store::open(&scratch.0, DurabilityMode::None).expect("open");
+        assert!(rec.report.torn.is_none(), "{:?}", rec.report.torn);
+        let engine = boot(&store, rec);
+        commit_write(&engine, ObjId(x), val);
+        store.close();
+    }
+    let (store, rec) = Store::open(&scratch.0, DurabilityMode::None).expect("last open");
+    assert!(rec.report.certified);
+    assert_eq!(rec.report.committed, 6);
+    for (x, val) in [(0, 1), (1, 2), (2, 3)] {
+        assert!(rec.seed.initials.contains(&(ObjId(x), val)));
+    }
+    store.close();
+}
+
+#[test]
+fn appends_without_a_barrier_spill_in_bounded_extents() {
+    // A caller that never reaches a barrier (`run_plan` over a data dir)
+    // still gets its records to the file, in extents of about SPILL_BYTES.
+    let scratch = Scratch::new("spill");
+    let (store, _rec) = Store::open(&scratch.0, DurabilityMode::None).expect("open");
+    let resp = [0x5a_u8; 100];
+    let records = 3 * nt_store::wal::SPILL_BYTES as u64 / 113;
+    for seq in 0..records {
+        store.append_cache(seq, &resp);
+    }
+    let spilled = store.wal().counters();
+    assert!(spilled.extents >= 2, "{spilled:?}");
+    assert!(spilled.appended < records, "the last stage is still open");
+    store.close();
+    let closed = store.wal().counters();
+    assert_eq!(closed.appended, records);
+    assert_eq!(closed.extents, spilled.extents + 1);
+    let bytes = std::fs::read(scratch.0.join(WAL_FILE)).expect("read wal");
+    let decoded = nt_store::decode_stream(&bytes);
+    assert!(decoded.torn.is_none(), "{:?}", decoded.torn);
+    assert_eq!(
+        decoded.frames as u64,
+        1 + closed.extents,
+        "header + extents"
+    );
+    assert_eq!(decoded.records.len() as u64, 1 + records);
+    assert_eq!(
+        bytes.len() as u64,
+        26 + closed.bytes,
+        "header + extent bytes"
+    );
 }
 
 #[test]
@@ -160,7 +249,7 @@ fn response_cache_survives_restart_and_rotation() {
         commit_write(&engine, ObjId(0), 3);
         store.append_cache(0x1_0000_0001, b"resp-a");
         store.append_cache(0x2_0000_0001, b"resp-b");
-        store.wait_durable();
+        store.wait_durable().expect("barrier");
         store.close();
     }
     {
@@ -382,6 +471,68 @@ mod record_roundtrip_props {
             let n = boundaries.iter().filter(|&&b| b > 0 && b <= decoded.valid_len).count();
             prop_assert_eq!(&decoded.records[..], &recs[..n]);
             prop_assert_eq!(decoded.torn.is_some(), decoded.valid_len != cut);
+        }
+        #[test]
+        fn extents_written_through_a_store_cut_anywhere_decode_whole_extents_only(
+            rounds in prop::collection::vec(prop::collection::vec(arb_record(), 1..6), 3..6),
+            flip_seed in any::<u64>(),
+        ) {
+            // Each round is staged and handed over by one barrier: the
+            // file is the header frame plus one multi-record extent per
+            // round.
+            static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let scratch = super::Scratch::new(&format!("extent-prop-{case}"));
+            let (store, _rec) = nt_store::Store::open(&scratch.0, nt_engine::DurabilityMode::None)
+                .expect("open");
+            let mut whole: Vec<Record> = vec![Record::Header {
+                kind: FileKind::Wal,
+                gen: 1,
+                covers_stamp: 0,
+            }];
+            // (end offset of the extent, records decoded up to it)
+            let mut extents = vec![(26usize, 1usize)];
+            for round in &rounds {
+                for r in round {
+                    store.wal().append(r);
+                }
+                store.wait_durable().expect("barrier");
+                whole.extend(round.iter().cloned());
+                let (len, _, _) = store.wal().snapshot_extent().expect("extent");
+                extents.push((len as usize, whole.len()));
+            }
+            let bytes = std::fs::read(scratch.0.join(nt_store::WAL_FILE)).expect("read wal");
+            prop_assert_eq!(bytes.len(), extents.last().expect("extents").0);
+            prop_assert_eq!(store.wal().counters().extents as usize, rounds.len());
+
+            for cut in 0..=bytes.len() {
+                let decoded = decode_stream(&bytes[..cut]);
+                let (valid, n) = extents
+                    .iter()
+                    .rev()
+                    .find(|(end, _)| *end <= cut)
+                    .copied()
+                    .unwrap_or((0, 0));
+                prop_assert_eq!(decoded.valid_len, valid, "cut at {}", cut);
+                prop_assert_eq!(&decoded.records[..], &whole[..n], "cut at {}", cut);
+                prop_assert_eq!(decoded.torn.is_some(), valid != cut, "cut at {}", cut);
+            }
+
+            // One flipped bit rejects the whole extent it lands in (and,
+            // decoding being front to back, everything behind it).
+            let byte = (flip_seed % bytes.len() as u64) as usize;
+            let mut corrupt = bytes.clone();
+            corrupt[byte] ^= 1 << ((flip_seed >> 32) % 8);
+            let decoded = decode_stream(&corrupt);
+            let (valid, n) = extents
+                .iter()
+                .rev()
+                .find(|(end, _)| *end <= byte)
+                .copied()
+                .unwrap_or((0, 0));
+            prop_assert!(decoded.torn.is_some());
+            prop_assert_eq!(decoded.valid_len, valid);
+            prop_assert_eq!(&decoded.records[..], &whole[..n]);
         }
     }
 }
