@@ -22,11 +22,11 @@
 //! cargo run --release -p nt-bench --bin analyze_bench -- --smoke # CI gate
 //! ```
 
-use nt_bench::SmokeLine;
 use nt_engine::{run_plan, EngineConfig, EnginePlan};
 use nt_lint::analyze::{analyze, validate_witness};
 use nt_lint::{selftest, StaticPlan};
 use nt_obs::json::JsonObj;
+use nt_obs::SmokeLine;
 use nt_sim::WorkloadSpec;
 
 /// One corpus group: a workload shape swept over several seeds.

@@ -28,6 +28,7 @@
 
 use nt_engine::{run_workload, EngineConfig, EngineReport};
 use nt_obs::json::JsonObj;
+use nt_obs::SmokeLine;
 use nt_sim::{Workload, WorkloadSpec};
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -135,8 +136,8 @@ fn run_cell(workload: &'static str, w: &Workload, cfg: &EngineConfig) -> Row {
 
 fn smoke() {
     // The CI gate: one 4-thread contended run, certified, exit 0. Output
-    // is one machine-readable JSON line (shared shape with net_bench and
-    // nt-load smokes).
+    // is one machine-readable JSON line (shared shape with the
+    // analyze_bench and nt-load smokes).
     let w = contended_spec().generate();
     let cfg = EngineConfig {
         access_latency_us: 100,
@@ -144,7 +145,7 @@ fn smoke() {
     };
     let report = run_workload(&w, &cfg).expect("engine smoke run");
     let cert = report.certify();
-    nt_bench::SmokeLine::new("engine-smoke")
+    SmokeLine::new("engine-smoke")
         .num("committed_top", report.committed_top as u64)
         .num("aborted_top", report.aborted_top as u64)
         .num("victims", report.victims.len() as u64)

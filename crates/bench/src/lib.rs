@@ -80,11 +80,6 @@ pub fn moss_trace(
     (w.tree, w.types, serial_projection(&r.trace))
 }
 
-// The one-line smoke summary builder lives in `nt-obs` so the load
-// driver's per-connection sweep cells share it; re-exported here for the
-// bench binaries.
-pub use nt_obs::SmokeLine;
-
 /// Simple fixed-width table printer for experiment outputs.
 pub struct Table {
     headers: Vec<String>,
@@ -269,20 +264,6 @@ mod tests {
         assert!(r.quiescent);
         assert_eq!(outcome, CheckOutcome::Correct);
         let _ = edges;
-    }
-
-    #[test]
-    fn smoke_line_reports_percentiles_uniformly() {
-        let mut h = nt_obs::Histogram::new();
-        for v in 1..=100u64 {
-            h.observe(v * 10);
-        }
-        let line = SmokeLine::new("demo").percentiles("req_us", &h).build();
-        let v = nt_obs::json::Json::parse(&line).expect("smoke line parses");
-        let num = |k: &str| v.get(k).and_then(nt_obs::json::Json::as_num).unwrap();
-        assert!(num("req_us_p50") > 0.0);
-        assert!(num("req_us_p95") >= num("req_us_p50"));
-        assert!(num("req_us_p99") >= num("req_us_p95"));
     }
 
     #[test]

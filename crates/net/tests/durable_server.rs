@@ -1,13 +1,17 @@
 //! Durable-server loopback tests: a `NetServer` mounted on an
 //! `nt-store` data directory survives a drain/restart cycle with its
-//! committed state, recovery report, and response cache intact — and
+//! committed state, recovery report, and response cache intact (under
+//! contended batched load too, certified live and after reopen) — and
 //! `nt-serve` drains gracefully on `SIGTERM` exactly as it does for a
 //! wire `Shutdown`.
 
 use nt_engine::DurabilityMode;
 use nt_model::{Op, Value};
 use nt_net::wire::{encode_request, parse_response};
-use nt_net::{Conn, ConnConfig, NetServer, Request, Response, ServerConfig};
+use nt_net::{
+    fetch_and_certify, run_load, Conn, ConnConfig, LoadConfig, NetServer, Request, Response,
+    ServerConfig,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -354,6 +358,57 @@ fn one_round_barrier_covers_pipelined_mutating_frames_on_two_connections() {
     assert_eq!(read_committed(&mut conn, 3), Value::Int(21));
     drop(conn);
     handle.wait();
+}
+
+/// Contended batched load on an `fsync` server: the history fetched over
+/// the wire passes Theorem 17 while the server runs, the round barrier
+/// pays fewer fsyncs than the load sent requests, and the drained
+/// directory reopens certified with every top resolved.
+#[test]
+fn contended_batched_fsync_load_certifies_live_and_after_reopen() {
+    let dir = Scratch::new("batched-load");
+    let server = NetServer::bind(durable_cfg(&dir, DurabilityMode::FsyncPerCommit)).expect("bind");
+    let addr = server.local_addr().to_string();
+    let handle = server.serve();
+    let load = LoadConfig {
+        connections: 4,
+        tops_per_conn: 16,
+        batch: 16,
+        objects: 6,
+        hotspot: 0.5,
+        read_ratio: 0.5,
+        max_depth: 2,
+        seed: 19,
+        top_retries: 20,
+        ..LoadConfig::default()
+    };
+    let report = run_load(&addr, &load).expect("load runs");
+    assert!(report.committed_tops > 0, "the load committed nothing");
+    assert_eq!(report.gave_up, 0, "tops exhausted their retry budget");
+    let cert = fetch_and_certify(&addr, ConnConfig::from(&load)).expect("history fetched");
+    assert!(cert.is_serially_correct(), "{}", cert.verdict.name());
+    let mut conn = Conn::connect(&addr, 9, ConnConfig::default()).expect("connect");
+    let stats = conn.stats().expect("stats");
+    let v = nt_obs::json::Json::parse(&stats).expect("stats parses");
+    let syncs = v
+        .get("wal_syncs")
+        .and_then(nt_obs::json::Json::as_num)
+        .expect("wal_syncs present");
+    assert!(syncs > 0.0, "fsync mode must have synced: {stats}");
+    assert!(
+        syncs < report.requests as f64,
+        "{syncs} syncs for {} requests: the round barrier is gone",
+        report.requests
+    );
+    drop(conn);
+    handle.wait();
+
+    let server = NetServer::bind(durable_cfg(&dir, DurabilityMode::None)).expect("rebind");
+    let report = server.recovery_report().expect("store mounted");
+    assert!(report.certified, "recovered history must pass Theorem 17");
+    assert!(report.losers.is_empty(), "a drain leaves no losers");
+    assert!(report.history_len > 0, "empty recovered history");
+    server.serve().wait();
 }
 
 /// A flag or mode that was removed is refused with a message naming what

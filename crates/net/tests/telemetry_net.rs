@@ -1,7 +1,7 @@
 //! Telemetry integration over real sockets: the `STATS` wire op (plain
 //! and under transport faults), phase-stamped request spans, coherent
 //! counter snapshots under concurrent load, and the live certifier's
-//! `CERT` wire op and health gauges.
+//! `CERT` wire op, health gauges and watermark-GC ceiling.
 
 use nt_faults::TransportPlan;
 use nt_net::{
@@ -296,6 +296,68 @@ fn certifier_keeps_up_without_ever_being_asked() {
 
     pin.shutdown_server().expect("shutdown");
     drop(pin);
+    handle.wait();
+}
+
+/// The watermark GC's memory ceiling: one server under repeated waves of
+/// contended load, each with a fresh seed. Between waves the server is
+/// quiescent, so the verdict covers every stamp issued, the graph has
+/// pruned to nothing and the watermark has moved past the wave; during
+/// the waves the resident graph stays below the total committed work,
+/// which it would reach if the GC never pruned.
+#[test]
+fn resident_graph_stays_bounded_across_load_waves() {
+    const WAVES: u64 = 8;
+    let (addr, handle) = start(ServerConfig {
+        live_certify: true,
+        ..ServerConfig::default()
+    });
+    let probe = handle.probe();
+    let engine = handle.engine();
+    let sgt_live = |key: &str| {
+        let doc = Json::parse(&probe.stats_json()).expect("stats parse");
+        let live = doc.get("sgt_live").expect("sgt_live section");
+        live.get(key).and_then(Json::as_num).expect("numeric key") as u64
+    };
+    let mut conn = Conn::connect(&addr, 9, ConnConfig::default()).expect("connect");
+    let mut last_watermark = 0;
+    let mut committed_total = 0;
+    let mut max_nodes = 0;
+    for wave in 0..WAVES {
+        let driver = {
+            let load = LoadConfig {
+                connections: 4,
+                seed: 1000 + wave,
+                ..small_load(&addr)
+            };
+            std::thread::spawn(move || run_load(&load.addr.clone(), &load).expect("wave runs"))
+        };
+        while !driver.is_finished() {
+            max_nodes = max_nodes.max(sgt_live("nodes"));
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        committed_total += driver.join().expect("driver thread").committed_tops;
+
+        let cert = Json::parse(&conn.cert().expect("cert answered")).expect("cert parses");
+        assert_eq!(cert.get("ok"), Some(&Json::Bool(true)), "wave {wave}");
+        assert_eq!(sgt_live("lag"), 0, "wave {wave}");
+        assert_eq!(sgt_live("processed"), engine.clock_now(), "wave {wave}");
+        assert_eq!(sgt_live("nodes"), 0, "wave {wave}: quiescent graph prunes");
+        let watermark = cert.get("watermark").and_then(Json::as_num).unwrap_or(0.0) as u64;
+        assert!(
+            watermark > last_watermark,
+            "wave {wave}: watermark {last_watermark} -> {watermark}"
+        );
+        last_watermark = watermark;
+    }
+    assert!(committed_total > 0, "the waves committed nothing");
+    assert!(
+        max_nodes < committed_total,
+        "resident graph reached {max_nodes} nodes for {committed_total} committed tops"
+    );
+
+    conn.shutdown_server().expect("shutdown");
+    drop(conn);
     handle.wait();
 }
 

@@ -1,6 +1,6 @@
 //! One-line machine-readable smoke summaries.
 //!
-//! Every `--smoke` binary in the workspace (engine_bench, net_bench,
+//! Every `--smoke` binary in the workspace (engine_bench, analyze_bench,
 //! nt-load) emits exactly one JSON line on stdout so CI can grep and
 //! parse the result uniformly: `{"suite": "...", ...}`. This builder
 //! keeps the shape consistent — `suite` first, then whatever counters
@@ -34,21 +34,9 @@ impl SmokeLine {
         self
     }
 
-    /// Add a string field (e.g. a sweep cell's mode tag).
-    pub fn str(mut self, key: &str, v: &str) -> SmokeLine {
-        self.0.str(key, v);
-        self
-    }
-
     /// Add a boolean verdict.
     pub fn bool(mut self, key: &str, v: bool) -> SmokeLine {
         self.0.bool(key, v);
-        self
-    }
-
-    /// Add a raw (already-serialized) JSON value.
-    pub fn raw(mut self, key: &str, json: String) -> SmokeLine {
-        self.0.raw(key, json);
         self
     }
 
@@ -72,5 +60,25 @@ impl SmokeLine {
     /// Print the line to stdout.
     pub fn emit(self) {
         println!("{}", self.build());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::json::Json;
+
+    #[test]
+    fn smoke_line_reports_percentiles_uniformly() {
+        let mut h = Histogram::new();
+        for v in 1..=100u64 {
+            h.observe(v * 10);
+        }
+        let line = SmokeLine::new("demo").percentiles("req_us", &h).build();
+        let v = Json::parse(&line).expect("smoke line parses");
+        let num = |k: &str| v.get(k).and_then(Json::as_num).unwrap();
+        assert!(num("req_us_p50") > 0.0);
+        assert!(num("req_us_p95") >= num("req_us_p50"));
+        assert!(num("req_us_p99") >= num("req_us_p95"));
     }
 }
