@@ -34,7 +34,7 @@ impl SerialType for KvMapType {
     }
 
     fn initial(&self) -> Value {
-        Value::IntMap(BTreeMap::new())
+        Value::IntMap(Box::default())
     }
 
     fn apply(&self, state: &Value, op: &Op) -> (Value, Value) {
@@ -43,12 +43,12 @@ impl SerialType for KvMapType {
             Op::Put(k, v) => {
                 let mut t = m.clone();
                 t.insert(*k, *v);
-                (Value::IntMap(t), Value::Ok)
+                (Value::IntMap(Box::new(t)), Value::Ok)
             }
             Op::Delete(k) => {
                 let mut t = m.clone();
                 t.remove(k);
-                (Value::IntMap(t), Value::Ok)
+                (Value::IntMap(Box::new(t)), Value::Ok)
             }
             Op::Get(k) => (
                 state.clone(),
@@ -111,7 +111,7 @@ impl SerialType for KvMapType {
                 if let Some(v) = v2 {
                     m.insert(2, v);
                 }
-                out.push(Value::IntMap(m));
+                out.push(Value::IntMap(Box::new(m)));
             }
         }
         out
@@ -125,7 +125,7 @@ mod tests {
 
     fn states() -> Vec<Value> {
         // All maps over keys {1,2} and values {10, 20}, plus empty.
-        let mut out = vec![Value::IntMap(BTreeMap::new())];
+        let mut out = vec![Value::IntMap(Box::default())];
         for v1 in [None, Some(10i64), Some(20)] {
             for v2 in [None, Some(10i64), Some(20)] {
                 let mut m = BTreeMap::new();
@@ -135,7 +135,7 @@ mod tests {
                 if let Some(v) = v2 {
                     m.insert(2, v);
                 }
-                out.push(Value::IntMap(m));
+                out.push(Value::IntMap(Box::new(m)));
             }
         }
         out

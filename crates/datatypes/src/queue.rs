@@ -34,7 +34,7 @@ impl SerialType for QueueType {
     }
 
     fn initial(&self) -> Value {
-        Value::IntList(Vec::new())
+        Value::IntList(Box::default())
     }
 
     fn apply(&self, state: &Value, op: &Op) -> (Value, Value) {
@@ -43,13 +43,13 @@ impl SerialType for QueueType {
             Op::Enqueue(e) => {
                 let mut t = l.clone();
                 t.push(*e);
-                (Value::IntList(t), Value::Ok)
+                (Value::IntList(Box::new(t)), Value::Ok)
             }
             Op::Dequeue => {
                 if l.is_empty() {
                     (state.clone(), Value::Nil)
                 } else {
-                    (Value::IntList(l[1..].to_vec()), Value::Int(l[0]))
+                    (Value::IntList(Box::new(l[1..].to_vec())), Value::Int(l[0]))
                 }
             }
             other => panic!("queue does not support {other}"),
@@ -94,7 +94,10 @@ impl SerialType for QueueType {
             &[2, 2],
             &[1, 2, 1],
         ];
-        lists.iter().map(|l| Value::IntList(l.to_vec())).collect()
+        lists
+            .iter()
+            .map(|l| Value::IntList(Box::new(l.to_vec())))
+            .collect()
     }
 }
 
@@ -115,7 +118,10 @@ mod tests {
             &[2, 2],
             &[1, 2, 1],
         ];
-        lists.iter().map(|l| Value::IntList(l.to_vec())).collect()
+        lists
+            .iter()
+            .map(|l| Value::IntList(Box::new(l.to_vec())))
+            .collect()
     }
 
     fn all_ops() -> Vec<OpVal> {

@@ -33,7 +33,7 @@ impl SerialType for IntSetType {
     }
 
     fn initial(&self) -> Value {
-        Value::IntSet(BTreeSet::new())
+        Value::IntSet(Box::default())
     }
 
     fn apply(&self, state: &Value, op: &Op) -> (Value, Value) {
@@ -42,12 +42,12 @@ impl SerialType for IntSetType {
             Op::Insert(e) => {
                 let mut t = s.clone();
                 t.insert(*e);
-                (Value::IntSet(t), Value::Ok)
+                (Value::IntSet(Box::new(t)), Value::Ok)
             }
             Op::Remove(e) => {
                 let mut t = s.clone();
                 t.remove(e);
-                (Value::IntSet(t), Value::Ok)
+                (Value::IntSet(Box::new(t)), Value::Ok)
             }
             Op::Contains(e) => (state.clone(), Value::Bool(s.contains(e))),
             Op::Size => (state.clone(), Value::Int(s.len() as i64)),
@@ -95,7 +95,7 @@ impl SerialType for IntSetType {
     fn bounded_states(&self) -> Vec<Value> {
         let sets: [&[i64]; 5] = [&[], &[1], &[2], &[1, 2], &[1, 2, 3]];
         sets.iter()
-            .map(|xs| Value::IntSet(xs.iter().copied().collect()))
+            .map(|xs| Value::IntSet(Box::new(xs.iter().copied().collect())))
             .collect()
     }
 }
@@ -110,7 +110,7 @@ mod tests {
     fn states() -> Vec<Value> {
         let sets: [&[i64]; 5] = [&[], &[1], &[2], &[1, 2], &[1, 2, 3]];
         sets.iter()
-            .map(|xs| Value::IntSet(xs.iter().copied().collect()))
+            .map(|xs| Value::IntSet(Box::new(xs.iter().copied().collect())))
             .collect()
     }
 

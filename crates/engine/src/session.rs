@@ -526,9 +526,9 @@ impl Session {
         &self.engine.tree
     }
 
-    /// Validate that `t` exists and this session began its top-level
-    /// ancestor.
-    fn check_owned(&self, t: TxId) -> Result<(), SessionError> {
+    /// The top-level ancestor-or-self of `t`, once validated that `t`
+    /// exists and this session began that top.
+    pub fn owned_top(&self, t: TxId) -> Result<TxId, SessionError> {
         if t == TxId::ROOT || !self.tree().contains(t) {
             return Err(SessionError::UnknownTx(t));
         }
@@ -540,7 +540,7 @@ impl Session {
         if !self.tops.contains(&top) {
             return Err(SessionError::NotOwned(t));
         }
-        Ok(())
+        Ok(top)
     }
 
     /// The highest (closest to `T0`, excluding `T0`) doomed-or-aborted
@@ -607,7 +607,7 @@ impl Session {
 
     /// Begin a child transaction under `parent` (which this session owns).
     pub fn begin_child(&mut self, parent: TxId) -> Result<BeginOutcome, SessionError> {
-        self.check_owned(parent)?;
+        self.owned_top(parent)?;
         if self.tree().is_access(parent) {
             return Err(SessionError::NotInner(parent));
         }
@@ -702,7 +702,7 @@ impl Session {
         if !op.is_rw_read() && !op.is_rw_write() {
             return Err(SessionError::NonRwOp);
         }
-        self.check_owned(parent)?;
+        self.owned_top(parent)?;
         if self.tree().is_access(parent) {
             return Err(SessionError::NotInner(parent));
         }
@@ -767,7 +767,7 @@ impl Session {
     /// lock inheritance to the parent, `REPORT_COMMIT` — or the abort path
     /// when a deadlock check doomed `t` (or an ancestor) meanwhile.
     pub fn commit(&mut self, t: TxId) -> Result<CommitOutcome, SessionError> {
-        self.check_owned(t)?;
+        self.owned_top(t)?;
         if self.tree().is_access(t) {
             return Err(SessionError::NotInner(t));
         }
@@ -799,7 +799,7 @@ impl Session {
     /// Abort `t` at the client's request. Idempotent on already-aborted
     /// subtrees; refuses committed transactions.
     pub fn abort(&mut self, t: TxId) -> Result<(), SessionError> {
-        self.check_owned(t)?;
+        self.owned_top(t)?;
         if self.tree().is_access(t) {
             return Err(SessionError::NotInner(t));
         }

@@ -9,15 +9,28 @@
 //! the lock table. Guarding the whole tree with an `RwLock` would create a
 //! lock-order cycle (shard mutex → tree read lock in `acquire`, tree read
 //! lock → shard mutex in the detector) that deadlocks the moment a writer
-//! queues between two readers. Instead the tree is a fixed-capacity arena
-//! of `OnceLock` slots: a node's parent/depth/kind never change after
-//! registration, appends serialize on a private mutex, and the published
-//! length is released *after* the slot is set — so readers never block and
-//! never observe a half-written node.
+//! queues between two readers. Instead the tree is an arena of `OnceLock`
+//! slots: a node's parent/depth/kind never change after registration,
+//! appends serialize on a private mutex, and the published length is
+//! released *after* the slot is set — so readers never block and never
+//! observe a half-written node.
 //!
-//! Capacity is fixed at construction; exhausting it is a clean, typed
-//! error the server surfaces to the client (admission control), not a
-//! reallocation hazard.
+//! ## Paid per segment entered
+//!
+//! The slots live in segments of `SEG` (4096), reached through a fixed
+//! directory of `OnceLock`s built at construction (one empty entry per
+//! `SEG` names of capacity). A segment is allocated by the append that
+//! registers its first id — under the append mutex, before `len` is
+//! published — so memory follows the names a run actually registers, not
+//! the capacity it is allowed. A reader still takes no lock: one
+//! directory load, then one slot load, both plain `OnceLock::get`s of
+//! values that never change once set.
+//!
+//! Capacity caps the names ever registered; exhausting it is a clean,
+//! typed error the server surfaces to the client (admission control), not
+//! a reallocation hazard. Ids are `TxId(u32)` and the published length is
+//! an `AtomicU32`, so a capacity above `u32::MAX` is refused at
+//! construction rather than wrapping the length to 0.
 
 use crate::recorder::ActionSink;
 use crate::tree_view::TreeView;
@@ -25,6 +38,12 @@ use nt_model::{ObjId, Op, TxId, TxTree};
 use nt_sgt_live::LiveCertifier;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+/// Slots per segment: the unit the arena allocates (and touches) in.
+const SEG: usize = 4096;
+
+/// The `SEG` slots of one segment.
+type Segment = Box<[OnceLock<Node>]>;
 
 /// Why an append was refused.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,7 +79,10 @@ struct Node {
 
 /// The growable arena. `T0` occupies slot 0 from birth.
 pub struct SessionTree {
-    slots: Vec<OnceLock<Node>>,
+    /// Entry `k` holds the slots of ids `k * SEG ..` once the first of
+    /// them registers.
+    dir: Box<[OnceLock<Segment>]>,
+    capacity: usize,
     len: AtomicU32,
     num_objects: AtomicU32,
     append: Mutex<()>,
@@ -70,24 +92,36 @@ pub struct SessionTree {
 
 impl SessionTree {
     /// An arena able to name `capacity` transactions (including `T0`).
+    /// Only `T0`'s segment is allocated here.
+    ///
+    /// # Panics
+    ///
+    /// If `capacity` is 0 or exceeds `u32::MAX` (the `TxId` range).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "capacity must cover T0");
-        let slots: Vec<OnceLock<Node>> = (0..capacity).map(|_| OnceLock::new()).collect();
-        slots[0]
+        assert!(
+            capacity <= u32::MAX as usize,
+            "capacity {capacity} exceeds the u32 TxId range"
+        );
+        let tree = SessionTree {
+            dir: (0..capacity.div_ceil(SEG))
+                .map(|_| OnceLock::new())
+                .collect(),
+            capacity,
+            len: AtomicU32::new(1),
+            num_objects: AtomicU32::new(0),
+            append: Mutex::new(()),
+            sink: None,
+            certifier: None,
+        };
+        tree.fresh_slot(0)
             .set(Node {
                 parent: TxId::ROOT,
                 depth: 0,
                 kind: NodeKind::Inner,
             })
             .unwrap_or_else(|_| unreachable!("fresh slot"));
-        SessionTree {
-            slots,
-            len: AtomicU32::new(1),
-            num_objects: AtomicU32::new(0),
-            append: Mutex::new(()),
-            sink: None,
-            certifier: None,
-        }
+        tree
     }
 
     /// Tee every registration into a durable sink. Records are written
@@ -118,9 +152,9 @@ impl SessionTree {
         self.len() <= 1
     }
 
-    /// The arena capacity.
+    /// The arena capacity: the most names it will ever register.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// One past the highest object id any access has named.
@@ -134,15 +168,24 @@ impl SessionTree {
     }
 
     fn node(&self, t: TxId) -> &Node {
-        self.slots[t.index()]
+        let i = t.index();
+        self.dir[i / SEG]
             .get()
+            .and_then(|seg| seg[i % SEG].get())
             .expect("queried transaction is registered")
+    }
+
+    /// The slot for the next id, building its segment if the id is the
+    /// first to enter it. Append side only (under the append mutex, or in
+    /// `new`).
+    fn fresh_slot(&self, i: usize) -> &OnceLock<Node> {
+        &self.dir[i / SEG].get_or_init(|| (0..SEG).map(|_| OnceLock::new()).collect())[i % SEG]
     }
 
     fn push(&self, parent: TxId, kind: NodeKind) -> Result<TxId, TreeError> {
         let _guard = self.append.lock().expect("append mutex poisoned");
         let i = self.len.load(Ordering::Relaxed) as usize;
-        if i >= self.slots.len() {
+        if i >= self.capacity {
             return Err(TreeError::Capacity);
         }
         if parent.index() >= i {
@@ -176,7 +219,7 @@ impl SessionTree {
             };
             certifier.tree_add(TxId(i as u32), parent, access);
         }
-        self.slots[i]
+        self.fresh_slot(i)
             .set(Node {
                 parent,
                 depth,
@@ -283,14 +326,90 @@ mod tests {
         assert_eq!(st.add_inner(a), Err(TreeError::Capacity));
     }
 
+    /// Segments built so far.
+    fn built(st: &SessionTree) -> usize {
+        st.dir.iter().filter(|s| s.get().is_some()).count()
+    }
+
+    #[test]
+    fn segments_are_built_as_ids_enter_them() {
+        let st = SessionTree::new(1 << 19);
+        assert_eq!(st.capacity(), 1 << 19);
+        assert_eq!(st.dir.len(), (1 << 19) / SEG);
+        assert_eq!(built(&st), 1, "only T0's segment at construction");
+        // Ids 1 ..= SEG: the last of them is the first id of segment 1.
+        let mut last = TxId::ROOT;
+        for _ in 0..SEG - 2 {
+            last = st.add_inner(TxId::ROOT).expect("inner");
+        }
+        assert_eq!(last, TxId(SEG as u32 - 2));
+        assert_eq!(built(&st), 1);
+        let before = st.add_inner(last).expect("SEG - 1");
+        let at = st.add_inner(before).expect("SEG");
+        assert_eq!(built(&st), 2, "the id SEG built segment 1");
+        let after = st.add_access(at, ObjId(5), Op::Write(9)).expect("SEG + 1");
+        assert_eq!(
+            [before, at, after],
+            [SEG - 1, SEG, SEG + 1].map(|i| TxId(i as u32))
+        );
+        // Parent links, depths and ops resolve across the boundary.
+        assert_eq!(st.parent(before), Some(last));
+        assert_eq!(st.parent(at), Some(before));
+        assert_eq!(st.parent(after), Some(at));
+        assert_eq!([before, at, after].map(|t| st.depth(t)), [2, 3, 4]);
+        assert_eq!(TreeView::op_of(&st, before), None);
+        assert_eq!(TreeView::op_of(&st, at), None);
+        assert_eq!(TreeView::op_of(&st, after), Some(Op::Write(9)));
+        assert_eq!(st.object_of(after), Some(ObjId(5)));
+        assert!(st.is_ancestor(last, after));
+        assert_eq!(st.child_toward(TxId::ROOT, after), last);
+        let frozen = st.to_tx_tree();
+        assert_eq!(frozen.len(), SEG + 2);
+        assert_eq!(frozen.parent(after), Some(at));
+    }
+
+    #[test]
+    fn a_capacity_off_the_segment_grid_refuses_exactly_at_capacity() {
+        let capacity = SEG + 5;
+        let st = SessionTree::new(capacity);
+        assert_eq!(st.dir.len(), 2, "the partial tail still gets an entry");
+        for _ in 1..capacity {
+            st.add_inner(TxId::ROOT).expect("below capacity");
+        }
+        assert_eq!(st.len(), capacity);
+        assert_eq!(st.add_inner(TxId::ROOT), Err(TreeError::Capacity));
+        assert_eq!(
+            st.add_access(TxId(1), ObjId(0), Op::Read),
+            Err(TreeError::Capacity)
+        );
+        assert_eq!(st.len(), capacity, "a refusal registers nothing");
+        assert_eq!(st.parent(TxId(capacity as u32 - 1)), Some(TxId::ROOT));
+    }
+
+    #[test]
+    fn the_largest_txid_range_capacity_is_accepted() {
+        // One directory entry per SEG names: nothing else is allocated.
+        let st = SessionTree::new(u32::MAX as usize);
+        assert_eq!(built(&st), 1);
+        assert_eq!(st.add_inner(TxId::ROOT), Ok(TxId(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the u32 TxId range")]
+    fn a_capacity_past_the_txid_range_is_refused_at_construction() {
+        let _ = SessionTree::new(u32::MAX as usize + 1);
+    }
+
     #[test]
     fn concurrent_readers_see_published_nodes() {
-        let st = std::sync::Arc::new(SessionTree::new(1024));
+        // Past several segment boundaries, each built while the reader runs.
+        const TOTAL: usize = 3 * SEG + 100;
+        let st = std::sync::Arc::new(SessionTree::new(4 * SEG));
         let writer = {
             let st = std::sync::Arc::clone(&st);
             std::thread::spawn(move || {
                 let mut parent = TxId::ROOT;
-                for i in 0..1000 {
+                for i in 0..TOTAL as u32 {
                     if i % 3 == 0 {
                         parent = st.add_inner(TxId::ROOT).expect("capacity suffices");
                     } else {
@@ -304,7 +423,7 @@ mod tests {
             let st = std::sync::Arc::clone(&st);
             std::thread::spawn(move || {
                 let mut max_seen = 1;
-                for _ in 0..10_000 {
+                while max_seen <= TOTAL {
                     let n = st.len();
                     assert!(n >= max_seen, "len is monotone");
                     max_seen = n;
@@ -317,5 +436,6 @@ mod tests {
         };
         writer.join().expect("writer");
         reader.join().expect("reader");
+        assert_eq!(built(&st), 4);
     }
 }

@@ -5,6 +5,12 @@
 //! automata) as the data domain `D`. A single closed enum keeps the whole
 //! workspace monomorphic, which lets undo logs and witness reconstruction
 //! replay operations generically.
+//!
+//! The three collection variants are boxed. They are object *states* of
+//! the simulator's §6 data types, never return values the engine
+//! records, yet an unboxed `Vec`/`BTreeMap` would make every `Value` —
+//! and so every recorded [`Action`](crate::Action) — twice as wide.
+//! Boxed, a `Value` is 16 bytes and an `Action` 24 (asserted below).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -22,13 +28,18 @@ pub enum Value {
     /// A boolean (membership tests, conditional-withdraw outcomes).
     Bool(bool),
     /// A set of integers (state of a set object).
-    IntSet(BTreeSet<i64>),
+    IntSet(Box<BTreeSet<i64>>),
     /// A list of integers, front at index 0 (state of a FIFO queue object).
-    IntList(Vec<i64>),
+    IntList(Box<Vec<i64>>),
     /// A map from integer keys to integer values (state of a key-value
     /// map object).
-    IntMap(BTreeMap<i64, i64>),
+    IntMap(Box<BTreeMap<i64, i64>>),
 }
+
+// Every recorded history is a `Vec` of these: a wider variant would
+// widen all of them.
+const _: () =
+    assert!(std::mem::size_of::<Value>() == 16 && std::mem::size_of::<crate::Action>() == 24);
 
 impl Value {
     /// Convenience: the integer inside, if this is `Int`.
@@ -110,9 +121,9 @@ mod tests {
     fn set_and_list_values_are_hashable_and_eq() {
         use std::collections::HashSet;
         let mut h = HashSet::new();
-        h.insert(Value::IntSet(BTreeSet::from([1, 2])));
-        h.insert(Value::IntList(vec![1, 2]));
-        assert!(h.contains(&Value::IntSet(BTreeSet::from([1, 2]))));
-        assert!(!h.contains(&Value::IntSet(BTreeSet::from([1]))));
+        h.insert(Value::IntSet(Box::new(BTreeSet::from([1, 2]))));
+        h.insert(Value::IntList(Box::new(vec![1, 2])));
+        assert!(h.contains(&Value::IntSet(Box::new(BTreeSet::from([1, 2])))));
+        assert!(!h.contains(&Value::IntSet(Box::new(BTreeSet::from([1])))));
     }
 }

@@ -25,12 +25,15 @@
 //! admission sound by induction: the check only ever compares the
 //! candidate's would-be component.
 //!
-//! The summary is per-object (a set, not a multiset): a declared top is
-//! assumed to access each declared object through one serial point. That
-//! is the contract `BEGIN_TOP_DECLARED` asks of clients, and it is what
-//! the gate's soundness argument needs — the dynamic serialization graph
-//! over admitted tops is then a subgraph of a weight-≤-1 component
-//! forest, hence acyclic.
+//! The argument needs every conflict a declared top takes part in to be
+//! one its declaration names — the dynamic serialization graph over
+//! admitted tops is then a subgraph of a weight-≤-1 component forest,
+//! hence acyclic. So the server enforces the declaration rather than
+//! trusting it: with the gate on, an `ACCESS` under a declared top may
+//! write only a declared write object and read only a declared object
+//! ([`AdmissionLedger::check_access`]); anything else is refused with
+//! `STATIC_GATE` before the access registers or takes a lock. Tops begun
+//! with plain `BEGIN_TOP` declare nothing and are not checked.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -145,6 +148,30 @@ impl AdmissionLedger {
         Ok(())
     }
 
+    /// Decide whether an access to `obj` (a write when `write`) under the
+    /// top `tx` stays inside what `tx` declared: a write needs a declared
+    /// write object, a read any declared object. `Ok(())` also for a top
+    /// that declared nothing; `Err(msg)` names the top, the access and the
+    /// declaration it falls outside.
+    pub fn check_access(&self, tx: u32, obj: u32, write: bool) -> Result<(), String> {
+        match self.live.get(&tx) {
+            Some(sets) if !sets.writes.contains(&obj) && (write || !sets.reads.contains(&obj)) => {
+                let named = |objs: &BTreeSet<u32>| {
+                    let xs: Vec<String> = objs.iter().map(|x| format!("X{x}")).collect();
+                    format!("{{{}}}", xs.join(", "))
+                };
+                Err(format!(
+                    "a {} of X{obj} under T{tx} is outside its declaration \
+                     (reads {}, writes {})",
+                    if write { "write" } else { "read" },
+                    named(&sets.reads),
+                    named(&sets.writes)
+                ))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Record an admitted top under its transaction id.
     pub fn record(&mut self, tx: u32, sets: DeclaredSets) {
         self.live.insert(tx, sets);
@@ -204,6 +231,26 @@ mod tests {
         // Releasing the middle breaks the chain.
         l.release(2);
         assert!(l.check(&w(&[1])).is_ok());
+    }
+
+    #[test]
+    fn accesses_must_stay_inside_the_declaration() {
+        let mut l = AdmissionLedger::new();
+        l.record(1, DeclaredSets::new(&[0], &[1]));
+        // Writes only to declared write objects; reads to any declared one.
+        assert!(l.check_access(1, 1, true).is_ok());
+        assert!(l.check_access(1, 1, false).is_ok());
+        assert!(l.check_access(1, 0, false).is_ok());
+        let err = l
+            .check_access(1, 0, true)
+            .expect_err("write to a read object");
+        assert!(err.contains("write of X0 under T1"), "{err}");
+        assert!(err.contains("reads {X0}, writes {X1}"), "{err}");
+        assert!(l.check_access(1, 2, false).is_err(), "undeclared object");
+        // An undeclared top is not the gate's business.
+        assert!(l.check_access(2, 7, true).is_ok());
+        l.release(1);
+        assert!(l.check_access(1, 0, true).is_ok());
     }
 
     #[test]

@@ -24,7 +24,11 @@ pub struct ServerConfig {
     pub addr: String,
     /// Lock-table shards.
     pub shards: usize,
-    /// Transaction arena capacity (including `T0`).
+    /// The most transactions the server will ever register (including
+    /// `T0`); past it every new request is refused with `CAPACITY`. A cap,
+    /// not an allocation: the arena is paid one 4096-name segment at a
+    /// time, as registrations enter it. At most `u32::MAX` (ids are
+    /// `u32`).
     pub capacity: usize,
     /// Vestigial: read by nobody in the workspace and absent from the
     /// document form. Deadlock is detected at the enqueue that closes the
@@ -210,6 +214,13 @@ impl ServerConfig {
         }
         if self.capacity < 2 {
             out.push("capacity below 2 cannot register any transaction".to_string());
+        }
+        if self.capacity > u32::MAX as usize {
+            out.push(format!(
+                "capacity {} exceeds the u32 transaction-id range (at most {})",
+                self.capacity,
+                u32::MAX
+            ));
         }
         if self.queue_depth == 0 {
             out.push("queue_depth of 0 lets no frame be dispatched".to_string());
@@ -579,6 +590,22 @@ mod tests {
 
         assert!(LoadConfig::default().problems().is_empty());
         assert!(ServerConfig::default().problems().is_empty());
+    }
+
+    #[test]
+    fn capacity_is_bounded_by_the_txid_range() {
+        let parsed = NetConfig::from_json(r#"{"role":"server","capacity":5000000000}"#)
+            .expect("parses; the bound is a semantic problem");
+        let probs = parsed.problems();
+        assert!(
+            probs.iter().any(|p| p.contains("u32 transaction-id range")),
+            "{probs:?}"
+        );
+        let widest = ServerConfig {
+            capacity: u32::MAX as usize,
+            ..ServerConfig::default()
+        };
+        assert!(widest.problems().is_empty());
     }
 
     #[test]

@@ -139,9 +139,9 @@ struct ConnService {
     /// Fired by whoever resolves a parked op; schedules our `resume`.
     wake: WakeHandle,
     session: Session,
-    /// Per-`seq` exactly-once response cache (full frames, prefix
-    /// included): a retried or duplicated frame is answered from here,
-    /// never re-executed.
+    /// Per-`seq` exactly-once cache of mutating ops' responses (full
+    /// frames, prefix included): a retried or duplicated mutating frame is
+    /// answered from here, never re-executed.
     cache: BTreeMap<u64, Vec<u8>>,
     open_tops: BTreeSet<TxId>,
     /// Frames processed on this connection (the fault plan's key).

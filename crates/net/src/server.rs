@@ -8,9 +8,10 @@
 //! frame inline; nothing here blocks it. The one op that waits on another
 //! party — an `ACCESS` whose Moss lock a non-ancestor holds — parks as a
 //! continuation and resumes when the releaser fires the connection's wake
-//! handle. A per-`seq` response cache makes execution exactly-once under the
-//! at-least-once transport: a retried or duplicated frame is answered
-//! from cache, never re-executed. With a durable store mounted, every
+//! handle. A per-`seq` cache of mutating ops' responses makes execution
+//! exactly-once under the at-least-once transport: a retried or duplicated
+//! mutating frame is answered from cache, never re-executed (a read-only
+//! one is simply answered again). With a durable store mounted, every
 //! action and every mutating op's response is *staged* in the WAL as it
 //! happens, and the round's first flush pays one `wait_durable` — one
 //! extent, one `write(2)`, at most one fsync — for every connection's
@@ -56,7 +57,7 @@ use nt_engine::{
     AccessOutcome, AccessStep, ActionSink, BeginOutcome, CommitOutcome, ParkedAccess,
     RecoveredSeed, Session, SessionEngine, SessionError, WakeHandle,
 };
-use nt_model::{ObjId, TxId};
+use nt_model::{ObjId, Op, TxId};
 use nt_obs::json::JsonObj;
 use nt_obs::{Event, Recorder, StatsCell, TraceHandle};
 use nt_sgt_live::{cert_disabled_json, LiveCertifier, SgtConfig};
@@ -547,10 +548,13 @@ fn cached_answer(shared: &Shared, cache: &BTreeMap<u64, Vec<u8>>, seq: u64) -> O
     })
 }
 
-/// A fresh execution produced `resp`: encode it, cache it, and — for
-/// mutating ops with a store — stage it in the WAL. The *barrier* is the
-/// round's flush. `None` only on response-encoding failure
-/// (connection-fatal).
+/// A fresh execution produced `resp`: encode it and, for a mutating op,
+/// cache it — and stage it in the WAL when a store is mounted. The
+/// *barrier* is the round's flush. A read-only op (`HISTORY_FETCH`,
+/// `STATS`, `CERT`, `PING`, `SHUTDOWN`) is not cached: re-executing it
+/// changes nothing, and caching it would keep every snapshot a polling
+/// client ever fetched for the connection's whole life. `None` only on
+/// response-encoding failure (connection-fatal).
 fn finish_op(
     shared: &Shared,
     session: &mut Session,
@@ -561,9 +565,9 @@ fn finish_op(
 ) -> Option<OpAnswer> {
     let lock_wait_us = session.take_lock_wait_us();
     let bytes = encode_response(seq, resp).ok()?;
-    cache.insert(seq, bytes.clone());
-    if let Some(store) = &shared.store {
-        if mutates(req) {
+    if mutates(req) {
+        cache.insert(seq, bytes.clone());
+        if let Some(store) = &shared.store {
             store.append_cache(seq, &bytes);
         }
     }
@@ -703,10 +707,9 @@ pub(crate) fn pay_durability(shared: &Shared) -> Result<(), WalError> {
     paid
 }
 
-/// Whether a request can change engine state — only these journal their
-/// response for the exactly-once cache. Reads of server metadata
-/// (history, stats, ping) and the shutdown nudge are answerable from
-/// volatile state.
+/// Whether a request can change engine state — only these are cached (and
+/// journaled) for exactly-once. Reads of server metadata (history, stats,
+/// cert, ping) and the idempotent shutdown nudge are answered afresh.
 fn mutates(req: &Request) -> bool {
     matches!(
         req,
@@ -742,6 +745,44 @@ fn access_response(
             Response::Aborted { victim: v.0 }
         }
     }
+}
+
+/// Journal a static-gate refusal of `what`, dump the flight tail, and
+/// answer it with the typed `STATIC_GATE` error.
+fn static_gate_refusal(shared: &Shared, what: &str, msg: &str) -> Response {
+    shared.rec.record(Event::Violation {
+        reason: format!("static gate refusal: {msg}"),
+    });
+    shared.dump_diagnostics("static gate refusal");
+    Response::Error {
+        code: err_code::STATIC_GATE,
+        msg: format!("static gate refused {what}: {msg}"),
+    }
+}
+
+/// The static gate's contract, enforced: with the gate on, an `ACCESS`
+/// under a declared top must stay inside the declaration. `Some` refusal
+/// before the access registers or takes a lock; `None` lets the session
+/// run it — also when the session will refuse it itself (an unknown or
+/// foreign parent, a non-read/write op), so those keep their own codes.
+fn gate_access(
+    shared: &Shared,
+    session: &Session,
+    parent: TxId,
+    obj: ObjId,
+    op: &Op,
+) -> Option<Response> {
+    if !shared.cfg.static_gate || !(op.is_rw_read() || op.is_rw_write()) {
+        return None;
+    }
+    let top = session.owned_top(parent).ok()?;
+    let verdict = shared
+        .admission
+        .lock()
+        .expect("admission poisoned")
+        .check_access(top.0, obj.0, op.is_rw_write());
+    let msg = verdict.err()?;
+    Some(static_gate_refusal(shared, "the access", &msg))
 }
 
 /// Continue a parked access after its wake fired (spurious wakes park
@@ -787,14 +828,7 @@ fn execute(
             let mut ledger = shared.admission.lock().expect("admission poisoned");
             if let Err(msg) = ledger.check(&sets) {
                 drop(ledger);
-                shared.rec.record(Event::Violation {
-                    reason: format!("static gate refusal: {msg}"),
-                });
-                shared.dump_diagnostics("static gate refusal");
-                return Exec::Done(Response::Error {
-                    code: err_code::STATIC_GATE,
-                    msg: format!("static gate refused the top: {msg}"),
-                });
+                return Exec::Done(static_gate_refusal(shared, "the top", &msg));
             }
             match session.begin_top() {
                 Ok(t) => {
@@ -818,6 +852,9 @@ fn execute(
         },
         Request::Access { parent, obj, op } => {
             let (parent, obj) = (TxId(*parent), ObjId(*obj));
+            if let Some(refusal) = gate_access(shared, session, parent, obj, op) {
+                return Exec::Done(refusal);
+            }
             match session.access_start(parent, obj, op.clone(), wake) {
                 Ok(AccessStep::Done(out)) => access_response(shared, open_tops, out),
                 Ok(AccessStep::Parked(p)) => return Exec::Parked(p),
@@ -864,4 +901,78 @@ fn execute(
             json: shared.cert_json(),
         },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One connection's protocol state, driven the way the reactor's
+    /// service drives it, minus the socket.
+    struct Client {
+        shared: Arc<Shared>,
+        session: Session,
+        cache: BTreeMap<u64, Vec<u8>>,
+        open_tops: BTreeSet<TxId>,
+        wake: WakeHandle,
+    }
+
+    impl Client {
+        fn new(server: &NetServer) -> Client {
+            let shared = Arc::clone(&server.shared);
+            Client {
+                session: shared.engine.open_session(),
+                shared,
+                cache: BTreeMap::new(),
+                open_tops: BTreeSet::new(),
+                wake: WakeHandle::new(1, || {}),
+            }
+        }
+
+        fn answer(&mut self, seq: u64, req: Request) -> Vec<u8> {
+            let mut run = OpsRun::new(vec![(seq, req)]);
+            let step = run.step(
+                &self.shared,
+                &mut self.session,
+                &mut self.cache,
+                &mut self.open_tops,
+                &self.wake,
+                None,
+            );
+            assert!(
+                matches!(step, Step::Finished),
+                "a lone op on an idle server"
+            );
+            run.answers.swap_remove(0)
+        }
+    }
+
+    #[test]
+    fn only_mutating_replies_are_cached() {
+        let server = NetServer::bind(ServerConfig::default()).expect("bind loopback");
+        let mut c = Client::new(&server);
+        for (seq, req) in [
+            (1, Request::Stats),
+            (2, Request::HistoryFetch),
+            (3, Request::Cert),
+            (4, Request::Ping),
+        ] {
+            c.answer(seq, req);
+        }
+        assert!(c.cache.is_empty(), "read-only replies are not kept");
+
+        let begun = c.answer(5, Request::BeginTop);
+        assert_eq!(c.cache.keys().copied().collect::<Vec<_>>(), [5]);
+        let registered = c.shared.engine.tx_count();
+        // A duplicated mutating frame is answered from cache: the same
+        // bytes, nothing re-executed.
+        assert_eq!(c.answer(5, Request::BeginTop), begun);
+        assert_eq!(c.shared.engine.tx_count(), registered);
+        let (_, stats) = c.shared.stats.snapshot();
+        assert_eq!((stats.executed, stats.cache_hits), (5, 1));
+        // A duplicated read is answered afresh, and still not kept.
+        c.answer(1, Request::Stats);
+        assert_eq!(c.cache.len(), 1);
+        assert_eq!(c.shared.stats.snapshot().1.executed, 6);
+    }
 }

@@ -208,21 +208,21 @@ pub(crate) fn put_value(out: &mut Vec<u8>, v: &Value) {
         Value::IntSet(s) => {
             out.push(4);
             put_u32(out, s.len() as u32);
-            for &i in s {
+            for &i in s.iter() {
                 put_i64(out, i);
             }
         }
         Value::IntList(l) => {
             out.push(5);
             put_u32(out, l.len() as u32);
-            for &i in l {
+            for &i in l.iter() {
                 put_i64(out, i);
             }
         }
         Value::IntMap(m) => {
             out.push(6);
             put_u32(out, m.len() as u32);
-            for (&k, &v) in m {
+            for (&k, &v) in m.iter() {
                 put_i64(out, k);
                 put_i64(out, v);
             }
@@ -246,7 +246,7 @@ pub(crate) fn take_value(cur: &mut Cur<'_>) -> Result<Value, WireError> {
             for _ in 0..n {
                 s.insert(cur.i64()?);
             }
-            Ok(Value::IntSet(s))
+            Ok(Value::IntSet(Box::new(s)))
         }
         5 => {
             let n = cur.u32()?;
@@ -254,7 +254,7 @@ pub(crate) fn take_value(cur: &mut Cur<'_>) -> Result<Value, WireError> {
             for _ in 0..n {
                 l.push(cur.i64()?);
             }
-            Ok(Value::IntList(l))
+            Ok(Value::IntList(Box::new(l)))
         }
         6 => {
             let n = cur.u32()?;
@@ -264,7 +264,7 @@ pub(crate) fn take_value(cur: &mut Cur<'_>) -> Result<Value, WireError> {
                 let v = cur.i64()?;
                 m.insert(k, v);
             }
-            Ok(Value::IntMap(m))
+            Ok(Value::IntMap(Box::new(m)))
         }
         t => Err(WireError::BadPayload(format!("value tag {t}"))),
     }

@@ -2,9 +2,11 @@
 //! style server refuses declared tops whose potential conflict component
 //! could close a serialization cycle, admits single-pair overlaps (the
 //! weight-2 criterion, not naive disjointness), releases ledger entries
-//! on commit/abort and connection close, and degrades `BEGIN_TOP_DECLARED`
-//! to `BEGIN_TOP` when the gate is off.
+//! on commit/abort and connection close, refuses accesses outside a
+//! declared top's declaration, and degrades `BEGIN_TOP_DECLARED` to
+//! `BEGIN_TOP` when the gate is off.
 
+use nt_model::{Op, Value};
 use nt_net::wire::err_code;
 use nt_net::{Conn, ConnConfig, NetServer, Request, Response, ServerConfig};
 
@@ -120,6 +122,87 @@ fn closing_a_connection_releases_its_declared_tops() {
     commit(&mut conn2, tx);
 
     conn2.shutdown_server().expect("shutdown");
+    handle.wait();
+}
+
+fn access(conn: &mut Conn, parent: u32, obj: u32, op: Op) -> Response {
+    conn.request(&Request::Access { parent, obj, op })
+        .expect("access")
+}
+
+fn begin(conn: &mut Conn, req: Request) -> u32 {
+    match conn.request(&req).expect("begin") {
+        Response::Begun { tx } => tx,
+        other => panic!("expected Begun, got {other:?}"),
+    }
+}
+
+fn gate_refusal(resp: Response) -> String {
+    match resp {
+        Response::Error { code, msg } if code == err_code::STATIC_GATE => msg,
+        other => panic!("expected a STATIC_GATE refusal, got {other:?}"),
+    }
+}
+
+#[test]
+fn accesses_outside_the_declaration_are_refused_before_they_register() {
+    let (addr, handle) = start_gated();
+    let engine = handle.engine();
+    let mut conn = Conn::connect(&addr, 1, ConnConfig::default()).expect("connect");
+    let mut other = Conn::connect(&addr, 2, ConnConfig::default()).expect("connect");
+
+    let a = begun(conn.begin_top_declared(&[0], &[1]));
+    let ok = Response::AccessOk { value: Value::Ok };
+    // Inside the declaration: a write to the write object, reads of both.
+    assert_eq!(access(&mut conn, a, 1, Op::Write(4)), ok);
+    assert_eq!(
+        access(&mut conn, a, 0, Op::Read),
+        Response::AccessOk {
+            value: Value::Int(0)
+        }
+    );
+    assert_eq!(
+        access(&mut conn, a, 1, Op::Read),
+        Response::AccessOk {
+            value: Value::Int(4)
+        }
+    );
+
+    // Outside it — a write to a read-only object, a read of an undeclared
+    // one, and the same from a subtransaction — nothing is registered.
+    let child = begin(&mut conn, Request::BeginChild { parent: a });
+    let registered = engine.tx_count();
+    let msg = gate_refusal(access(&mut conn, a, 0, Op::Write(9)));
+    assert!(msg.contains("write of X0"), "{msg}");
+    assert!(msg.contains("reads {X0}, writes {X1}"), "{msg}");
+    gate_refusal(access(&mut conn, a, 2, Op::Read));
+    gate_refusal(access(&mut conn, child, 2, Op::Write(1)));
+    assert_eq!(engine.tx_count(), registered, "a refused access registers");
+
+    // ... and takes no lock: another connection's plain top (which the
+    // gate never checks) writes X2 and commits without waiting.
+    let b = begin(&mut other, Request::BeginTop);
+    assert_eq!(access(&mut other, b, 2, Op::Write(2)), ok);
+    commit(&mut other, b);
+
+    // Errors the session owns keep their own codes.
+    match access(&mut conn, 999, 0, Op::Write(1)) {
+        Response::Error { code, .. } => assert_eq!(code, err_code::UNKNOWN_TX),
+        other => panic!("expected UNKNOWN_TX, got {other:?}"),
+    }
+    commit(&mut conn, child);
+    commit(&mut conn, a);
+
+    // A committed declaration no longer binds: a plain top on the same
+    // connection writes X0.
+    let c = begin(&mut conn, Request::BeginTop);
+    assert_eq!(access(&mut conn, c, 0, Op::Write(3)), ok);
+    commit(&mut conn, c);
+
+    let (tree, actions) = conn.fetch_history().expect("history");
+    let cert = nt_net::client::certify_history(&tree, &actions);
+    assert!(cert.is_serially_correct());
+    conn.shutdown_server().expect("shutdown");
     handle.wait();
 }
 

@@ -24,10 +24,10 @@ fn arb_value() -> impl Strategy<Value = Value> {
         any::<i64>().prop_map(Value::Int),
         any::<bool>().prop_map(Value::Bool),
         prop::collection::vec(any::<i64>(), 0..5)
-            .prop_map(|v| Value::IntSet(v.into_iter().collect::<BTreeSet<i64>>())),
-        prop::collection::vec(any::<i64>(), 0..5).prop_map(Value::IntList),
+            .prop_map(|v| Value::IntSet(Box::new(v.into_iter().collect::<BTreeSet<i64>>()))),
+        prop::collection::vec(any::<i64>(), 0..5).prop_map(|l| Value::IntList(Box::new(l))),
         prop::collection::vec((any::<i64>(), any::<i64>()), 0..5)
-            .prop_map(|v| Value::IntMap(v.into_iter().collect::<BTreeMap<i64, i64>>())),
+            .prop_map(|v| Value::IntMap(Box::new(v.into_iter().collect::<BTreeMap<i64, i64>>()))),
     ]
 }
 
