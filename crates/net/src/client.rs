@@ -9,11 +9,17 @@
 //! per-`seq` cache guarantees the retry executes nothing twice.
 //! Pipelining falls out of the same structure — send any number of
 //! requests, then await their responses in any order.
+//!
+//! Every frame carries the connection's cumulative ack, the smallest seq
+//! still awaited: the server keeps a mutating reply only until the ack
+//! passes it, so its exactly-once cache holds what is in flight, not
+//! everything this connection was ever answered. A resend carries the
+//! ack of its first send, which promises less and is therefore still true.
 
 use crate::config::LoadConfig;
 use crate::wire::{
-    encode_batch_request, encode_request, parse_frame, parse_response, FrameReader, Request,
-    Response, WireError, DEFAULT_MAX_FRAME, KIND_BATCH_RESP,
+    decode_frame, encode_batch_request_acked, encode_request_acked, FrameReader, Request, Response,
+    WireError, DEFAULT_MAX_FRAME, KIND_BATCH_RESP,
 };
 use nt_faults::BackoffPolicy;
 use nt_model::{Action, Op, TxTree};
@@ -104,15 +110,8 @@ impl Conn {
 
     /// Connect to `addr` (blocking socket with a read timeout).
     pub fn connect(addr: &str, conn_id: u64, cfg: ConnConfig) -> Result<Conn, WireError> {
-        let stream = TcpStream::connect(addr).map_err(|e| WireError::from_io(&e))?;
-        stream
-            .set_read_timeout(Some(Duration::from_millis(cfg.timeout_ms.max(1))))
-            .map_err(|e| WireError::from_io(&e))?;
-        stream
-            .set_nodelay(true)
-            .map_err(|e| WireError::from_io(&e))?;
         Ok(Conn {
-            stream,
+            stream: open_stream(addr, &cfg)?,
             fr: FrameReader::new(),
             next_seq: Conn::seq_base(conn_id),
             sent: 0,
@@ -127,12 +126,33 @@ impl Conn {
         })
     }
 
+    /// Connect this connection's seq band to `addr` again — a server
+    /// restarted on the same data directory — keeping its place in the
+    /// band. A request still awaited is re-sent when its wait times out and
+    /// answered from the recovered cache if the first server ran it; the
+    /// next frame's ack lets the server forget the band's older replies.
+    pub fn reconnect(&mut self, addr: &str) -> Result<(), WireError> {
+        self.stream = open_stream(addr, &self.cfg)?;
+        self.fr = FrameReader::new();
+        Ok(())
+    }
+
+    /// The cumulative ack the next frame carries: the smallest seq still
+    /// awaited, or the next seq when nothing is. Every seq below it was
+    /// answered and the answer taken by [`Conn::recv`].
+    fn acked_below(&self) -> u64 {
+        self.in_flight
+            .first_key_value()
+            .map_or(self.next_seq, |(&seq, _)| seq)
+    }
+
     /// Send a request without waiting (pipelining). Returns its `seq`.
     pub fn send(&mut self, req: &Request) -> Result<u64, WireError> {
+        let acked_below = self.acked_below();
         let seq = self.next_seq;
         self.next_seq += 1;
         self.sent += 1;
-        let bytes = encode_request(seq, req)?;
+        let bytes = encode_request_acked(seq, acked_below, req)?;
         self.stream
             .write_all(&bytes)
             .map_err(|e| WireError::from_io(&e))?;
@@ -155,6 +175,7 @@ impl Conn {
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
+        let acked_below = self.acked_below();
         let outer = self.next_seq;
         self.next_seq += 1;
         let ops: Vec<(u64, Request)> = reqs
@@ -166,7 +187,7 @@ impl Conn {
             })
             .collect();
         self.sent += reqs.len() as u64;
-        let bytes = Arc::new(encode_batch_request(outer, &ops)?);
+        let bytes = Arc::new(encode_batch_request_acked(outer, acked_below, &ops)?);
         self.stream
             .write_all(&bytes)
             .map_err(|e| WireError::from_io(&e))?;
@@ -195,22 +216,23 @@ impl Conn {
         match self.fr.read_frame(&mut self.stream, DEFAULT_MAX_FRAME)? {
             None => Err(WireError::Io("server closed the connection".to_string())),
             Some(frame) => {
-                let (kind, _outer, body) = parse_frame(&frame)?;
-                if kind == KIND_BATCH_RESP {
+                let f = decode_frame(&frame)?;
+                if f.kind == KIND_BATCH_RESP {
                     // Per-op responses; duplicates (from a whole-batch
-                    // resend) for completed seqs drop on the floor.
-                    for (seq, resp) in crate::wire::decode_batch_response(body)? {
+                    // resend) for completed seqs — answered again, or
+                    // `ACKED` once the ack passed them — drop on the floor.
+                    for (seq, resp) in crate::wire::decode_batch_response(f.body)? {
                         if self.in_flight.contains_key(&seq) {
                             self.got.insert(seq, resp);
                         }
                     }
                     return Ok(());
                 }
-                let (seq, resp) = parse_response(&frame)?;
+                let resp = Response::decode(f.kind, f.body)?;
                 // A duplicate response for an already-completed seq is
                 // dropped on the floor (at-least-once transport).
-                if self.in_flight.contains_key(&seq) {
-                    self.got.insert(seq, resp);
+                if self.in_flight.contains_key(&f.seq) {
+                    self.got.insert(f.seq, resp);
                 }
                 Ok(())
             }
@@ -344,6 +366,18 @@ impl Conn {
             ))),
         }
     }
+}
+
+/// A blocking socket to `addr` with the configured read timeout.
+fn open_stream(addr: &str, cfg: &ConnConfig) -> Result<TcpStream, WireError> {
+    let stream = TcpStream::connect(addr).map_err(|e| WireError::from_io(&e))?;
+    stream
+        .set_read_timeout(Some(Duration::from_millis(cfg.timeout_ms.max(1))))
+        .map_err(|e| WireError::from_io(&e))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| WireError::from_io(&e))?;
+    Ok(stream)
 }
 
 /// Fetch the server's recorded history over the wire and certify it with

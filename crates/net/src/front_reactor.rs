@@ -3,7 +3,8 @@
 //! `nt_reactor` owns the sockets and runs everything on one poll thread;
 //! this module supplies the [`Service`] each accepted connection runs
 //! there. The service owns the connection's [`Session`], its per-`seq`
-//! exactly-once cache, and its open-top ledger, and it **never blocks**:
+//! exactly-once cache (pruned to the client's cumulative ack as each
+//! frame arrives), and its open-top ledger, and it **never blocks**:
 //!
 //! * Replies are *buffered*, not written: every reply (single responses,
 //!   `BATCH_RESP` frames, protocol errors, the `Shutdown` ack) is appended
@@ -28,17 +29,17 @@
 //! the engine's stamp order (what the certifier steps through) is the
 //! order each client saw its answers in.
 
-use crate::server::{pay_durability, OpsRun, Shared, Step};
+use crate::server::{pay_durability, OpsRun, ReplyCache, Shared, Step};
 use crate::wire::{
-    decode_batch_request, encode_batch_response, encode_response, err_code, parse_frame,
-    parse_request, Request, Response, WireError, KIND_BATCH_REQ,
+    decode_batch_request, decode_frame, encode_batch_response, encode_response, err_code, Request,
+    Response, WireError, KIND_BATCH_REQ,
 };
 use nt_engine::{ParkedAccess, Session, WakeHandle};
 use nt_faults::FrameFate;
 use nt_model::TxId;
 use nt_obs::{Event, ReqSpan};
 use nt_reactor::{BadFrame, ReplySink, ResumeHandle, Service, ServiceFactory};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,7 +70,7 @@ impl ServiceFactory for ReactorFactory {
             sink,
             resume,
             wake,
-            cache: BTreeMap::new(),
+            cache: ReplyCache::default(),
             open_tops: BTreeSet::new(),
             frame_no: 0,
             pending: Vec::new(),
@@ -89,11 +90,34 @@ impl ServiceFactory for ReactorFactory {
     }
 }
 
-/// One decoded request frame (the unit of execution).
+/// One decoded request frame (the unit of execution): a single request is
+/// a run of one op whose seq is the frame's.
 #[derive(Clone)]
-enum Decoded {
-    Single(u64, Request),
-    Batch(u64, Vec<(u64, Request)>),
+struct Decoded {
+    /// The frame's wire seq (the `BATCH` outer seq for a batch).
+    seq: u64,
+    /// Its request kind (`KIND_BATCH_REQ` for a batch).
+    kind: u8,
+    /// The client's cumulative ack.
+    acked_below: u64,
+    ops: Vec<(u64, Request)>,
+}
+
+impl Decoded {
+    fn parse(frame: &[u8]) -> Result<Decoded, WireError> {
+        let f = decode_frame(frame)?;
+        let ops = if f.kind == KIND_BATCH_REQ {
+            decode_batch_request(f.body)?
+        } else {
+            vec![(f.seq, Request::decode(f.kind, f.body)?)]
+        };
+        Ok(Decoded {
+            seq: f.seq,
+            kind: f.kind,
+            acked_below: f.acked_below,
+            ops,
+        })
+    }
 }
 
 /// A frame mid-execution: its ops run plus what the reply and the span
@@ -140,9 +164,10 @@ struct ConnService {
     wake: WakeHandle,
     session: Session,
     /// Per-`seq` exactly-once cache of mutating ops' responses (full
-    /// frames, prefix included): a retried or duplicated mutating frame is
-    /// answered from here, never re-executed.
-    cache: BTreeMap<u64, Vec<u8>>,
+    /// frames, prefix included) the client has not yet acknowledged: a
+    /// retried or duplicated mutating frame is answered from here, never
+    /// re-executed.
+    cache: ReplyCache,
     open_tops: BTreeSet<TxId>,
     /// Frames processed on this connection (the fault plan's key).
     frame_no: u64,
@@ -187,14 +212,7 @@ impl ConnService {
         self.frame_no += 1;
         self.shared.stats.update(|s| s.frames += 1);
         let queue_us = enqueued.elapsed().as_micros() as u64;
-        let decoded = match parse_frame(frame) {
-            Ok((KIND_BATCH_REQ, seq, body)) => {
-                decode_batch_request(body).map(|ops| Decoded::Batch(seq, ops))
-            }
-            Ok(_) => parse_request(frame).map(|(seq, req)| Decoded::Single(seq, req)),
-            Err(e) => Err(e),
-        };
-        let decoded = match decoded {
+        let decoded = match Decoded::parse(frame) {
             Ok(d) => d,
             Err(e) => {
                 self.protocol_error(e);
@@ -243,20 +261,17 @@ impl ConnService {
         }
     }
 
-    /// Start executing one decoded frame. `queue_us` is the time the
-    /// frame spent behind earlier work (zero for the echo of a fault-plan
-    /// duplicate).
+    /// Start executing one decoded frame: take its ack, then run its ops.
+    /// `queue_us` is the time the frame spent behind earlier work (zero
+    /// for the echo of a fault-plan duplicate).
     fn handle(&mut self, d: Decoded, queue_us: u64, echo: Option<Decoded>) {
         let t_started = self.shared.rec.now_us();
-        let (seq, kind, ops) = match d {
-            Decoded::Single(seq, req) => (seq, req.kind(), vec![(seq, req)]),
-            Decoded::Batch(seq, ops) => (seq, KIND_BATCH_REQ, ops),
-        };
-        let batch = kind == KIND_BATCH_REQ;
+        self.shared.take_ack(&mut self.cache, d.acked_below);
+        let batch = d.kind == KIND_BATCH_REQ;
         let inflight = InFlight {
-            seq,
-            kind,
-            run: OpsRun::new(ops),
+            seq: d.seq,
+            kind: d.kind,
+            run: OpsRun::new(d.ops),
             echo,
             // The reactor stamped the dispatch with its own `Instant`;
             // place it on the recorder's timeline so `queue_wait` is real.
@@ -409,6 +424,7 @@ impl Service for ConnService {
             let _ = self.session.abort(t);
             self.shared.release_admission(t);
         }
+        self.shared.drop_cache(std::mem::take(&mut self.cache));
         self.shared.rec.record(Event::ConnClosed {
             conn: self.conn,
             frames,

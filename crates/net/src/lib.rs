@@ -5,13 +5,15 @@
 //! workspace's answer to "does the paper's certification discipline
 //! survive a real client/server boundary?".
 //!
-//! * [`wire`] — the versioned, length-prefixed, CRC-checked binary frame
-//!   protocol (`BEGIN_TOP`/`BEGIN_CHILD`/`ACCESS`/`COMMIT`/`ABORT`/
-//!   `HISTORY_FETCH`), with client-assigned sequence numbers that make
-//!   the transport at-least-once with exactly-once execution;
+//! * [`wire`] — the versioned binary frame protocol
+//!   (`BEGIN_TOP`/`BEGIN_CHILD`/`ACCESS`/`COMMIT`/`ABORT`/
+//!   `HISTORY_FETCH`) in the WAL's `len | crc | payload` frame, with
+//!   client-assigned sequence numbers and a cumulative ack that make the
+//!   transport at-least-once with exactly-once execution;
 //! * [`server`] — the TCP server on the run-to-completion `nt-reactor`
 //!   loop (one poll thread executes every frame; a lock wait parks its
-//!   connection as a continuation); per-`seq` response cache,
+//!   connection as a continuation); a per-`seq` response cache pruned to
+//!   each client's ack,
 //!   deterministic transport fault injection
 //!   (`nt_faults::TransportPlan`) on the receive path, one durability
 //!   barrier per poll round, graceful drain;

@@ -11,7 +11,11 @@
 //! handle. A per-`seq` cache of mutating ops' responses makes execution
 //! exactly-once under the at-least-once transport: a retried or duplicated
 //! mutating frame is answered from cache, never re-executed (a read-only
-//! one is simply answered again). With a durable store mounted, every
+//! one is simply answered again). The cache is a window, not a log: every
+//! request carries the client's cumulative ack, and a connection forgets
+//! the replies below it — its client has them — so a resend below the ack
+//! that the cache no longer holds is refused with `ACKED`, never run
+//! again. With a durable store mounted, every
 //! action and every mutating op's response is *staged* in the WAL as it
 //! happens, and the round's first flush pays one `wait_durable` — one
 //! extent, one `write(2)`, at most one fsync — for every connection's
@@ -69,7 +73,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Monotone counters the server exposes while serving and after a drain.
+/// Counters the server exposes while serving and after a drain — all
+/// monotone but `reply_cache`, a gauge.
 ///
 /// This is a plain `Copy` struct held in a [`StatsCell`], not a struct of
 /// atomics: every increment is a coherent update and every read is a
@@ -92,6 +97,13 @@ pub struct ServerStats {
     pub executed: u64,
     /// Requests answered from the per-`seq` response cache.
     pub cache_hits: u64,
+    /// Requests refused with `ACKED`: below their connection's ack, and
+    /// no longer cached.
+    pub acked_refusals: u64,
+    /// Replies the open connections' exactly-once caches hold now.
+    pub reply_cache: u64,
+    /// The most replies any one connection's cache has held at once.
+    pub reply_cache_max: u64,
 }
 
 pub(crate) struct Shared {
@@ -116,9 +128,10 @@ pub(crate) struct Shared {
     pub(crate) store: Option<Arc<Store>>,
     /// Responses recovered from the previous incarnation's WAL, keyed by
     /// wire `seq`: a client resending a pre-crash request gets the byte-
-    /// identical cached answer instead of a second execution. Read-only
-    /// after bind.
-    pub(crate) recovered_cache: BTreeMap<u64, Vec<u8>>,
+    /// identical cached answer instead of a second execution. A band's
+    /// entries go once one of its connections acks past them. Touched
+    /// only on the poll thread, so the mutex is never contended.
+    recovered_cache: Mutex<BTreeMap<u64, Vec<u8>>>,
     /// The running reactor's counters (`reactor.*` in the stats
     /// document), set by `serve`.
     reactor_probe: OnceLock<nt_reactor::ReactorProbe>,
@@ -145,6 +158,10 @@ impl Shared {
             .num("delayed", s.delayed)
             .num("executed", s.executed)
             .num("cache_hits", s.cache_hits)
+            .num("acked_refusals", s.acked_refusals)
+            .num("reply_cache", s.reply_cache)
+            .num("reply_cache_max", s.reply_cache_max)
+            .num("recovered_cache", self.recovered().len() as u64)
             .num("tx_count", self.engine.tx_count() as u64)
             .num("victims", self.engine.victims().len() as u64)
             .num("lock_grants", self.engine.lock_grants())
@@ -255,6 +272,44 @@ impl Shared {
             reason: "drain timeout".to_string(),
         });
         self.dump_diagnostics("drain timeout");
+    }
+
+    fn recovered(&self) -> std::sync::MutexGuard<'_, BTreeMap<u64, Vec<u8>>> {
+        self.recovered_cache
+            .lock()
+            .expect("recovered cache poisoned")
+    }
+
+    /// A connection's client sent the cumulative ack `acked_below`: drop
+    /// the replies it covers — the connection's own, then the recovered
+    /// ones of its seq band (`acked_below >> 32`, as `Conn::seq_base`
+    /// assigns bands) — before any op of the frame is answered.
+    pub(crate) fn take_ack(&self, cache: &mut ReplyCache, acked_below: u64) {
+        let Some(freed) = cache.ack(acked_below) else {
+            return;
+        };
+        if freed > 0 {
+            self.stats.update(|s| s.reply_cache -= freed as u64);
+        }
+        let mut recovered = self.recovered();
+        if !recovered.is_empty() {
+            let band = acked_below >> 32 << 32;
+            let gone: Vec<u64> = recovered
+                .range(band..acked_below)
+                .map(|(&seq, _)| seq)
+                .collect();
+            for seq in gone {
+                recovered.remove(&seq);
+            }
+        }
+    }
+
+    /// A connection closed: its cached replies go with it.
+    pub(crate) fn drop_cache(&self, cache: ReplyCache) {
+        let held = cache.len() as u64;
+        if held > 0 {
+            self.stats.update(|s| s.reply_cache -= held);
+        }
     }
 
     /// Forget a top's declared summary (no-op for undeclared tops).
@@ -394,7 +449,7 @@ impl NetServer {
             violation_surfaced: AtomicBool::new(false),
             victims_surfaced: AtomicUsize::new(0),
             store,
-            recovered_cache,
+            recovered_cache: Mutex::new(recovered_cache),
             reactor_probe: OnceLock::new(),
         });
         Ok(NetServer { listener, shared })
@@ -423,8 +478,9 @@ impl NetServer {
                 as nt_reactor::PhaseObserver
         });
         let rcfg = nt_reactor::ReactorConfig {
-            min_frame_len: crate::wire::HEADER_LEN,
+            min_frame_len: crate::wire::MIN_PAYLOAD,
             max_frame_len: self.shared.cfg.max_frame_len,
+            checksum_len: crate::wire::CRC_LEN,
             queue_depth: self.shared.cfg.queue_depth.max(1),
             phase,
         };
@@ -523,27 +579,95 @@ pub(crate) fn session_error_response(e: &SessionError) -> Response {
     }
 }
 
-/// The outcome of answering one op (a single request, or one member of a
-/// `BATCH`): the full single-response frame bytes and whether they came
-/// from a cache.
-pub(crate) struct OpAnswer {
-    /// Full response frame, length prefix included — exactly what the
-    /// exactly-once cache stores and a single-op reply writes.
-    pub(crate) bytes: Vec<u8>,
-    pub(crate) from_cache: bool,
-    pub(crate) lock_wait_us: u64,
+/// One connection's exactly-once window: the replies to its mutating ops
+/// (full frames, prefix included) keyed by `seq`, kept until the client's
+/// cumulative ack passes them. It holds what the client may still resend
+/// — at most its pipelined run — not everything it was ever answered.
+#[derive(Default)]
+pub(crate) struct ReplyCache {
+    replies: BTreeMap<u64, Vec<u8>>,
+    /// The largest ack the client sent: it has the answer to every seq
+    /// below. Acks only grow; a resend's older ack changes nothing.
+    acked_below: u64,
 }
 
-/// A cached answer for `seq`: the connection's own exactly-once cache,
-/// then the recovered pre-crash cache (a request resent after restart
-/// gets the byte-identical response, never a second execution).
-fn cached_answer(shared: &Shared, cache: &BTreeMap<u64, Vec<u8>>, seq: u64) -> Option<OpAnswer> {
-    let bytes = cache
+impl ReplyCache {
+    /// Take an ack: forget the replies below it. The number forgotten, or
+    /// `None` when the ack did not advance.
+    fn ack(&mut self, acked_below: u64) -> Option<usize> {
+        if acked_below <= self.acked_below {
+            return None;
+        }
+        self.acked_below = acked_below;
+        let held = self.replies.len();
+        while self
+            .replies
+            .first_key_value()
+            .is_some_and(|(&seq, _)| seq < acked_below)
+        {
+            self.replies.pop_first();
+        }
+        Some(held - self.replies.len())
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.replies.len()
+    }
+}
+
+/// Where an op's answer came from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Source {
+    /// The op ran.
+    Executed,
+    /// A cache held its reply.
+    Cached,
+    /// Below the ack and no longer cached: refused with `ACKED`.
+    Acked,
+}
+
+/// The outcome of answering one op (a single request, or one member of a
+/// `BATCH`): the full single-response frame bytes and where they came
+/// from.
+struct OpAnswer {
+    /// Full response frame, length prefix included — exactly what the
+    /// exactly-once cache stores and a single-op reply writes.
+    bytes: Vec<u8>,
+    source: Source,
+    /// The reply joined the connection's cache.
+    kept: bool,
+    lock_wait_us: u64,
+}
+
+/// An answer to `seq` that runs nothing: the connection's cached reply,
+/// then the recovered pre-crash one (a request resent after restart gets
+/// the byte-identical response, never a second execution), else — below
+/// the connection's ack — the `ACKED` refusal. `None`: the op must run.
+fn answer_without_running(shared: &Shared, cache: &ReplyCache, seq: u64) -> Option<OpAnswer> {
+    let cached = cache
+        .replies
         .get(&seq)
-        .or_else(|| shared.recovered_cache.get(&seq))?;
+        .cloned()
+        .or_else(|| shared.recovered().get(&seq).cloned());
+    let (bytes, source) = match cached {
+        Some(bytes) => (bytes, Source::Cached),
+        None if seq < cache.acked_below => {
+            let refusal = Response::Error {
+                code: err_code::ACKED,
+                msg: format!(
+                    "seq {seq} is below the connection's ack {}: its reply was delivered",
+                    cache.acked_below
+                ),
+            };
+            let bytes = encode_response(seq, &refusal).expect("an error reply always encodes");
+            (bytes, Source::Acked)
+        }
+        None => return None,
+    };
     Some(OpAnswer {
-        bytes: bytes.clone(),
-        from_cache: true,
+        bytes,
+        source,
+        kept: false,
         lock_wait_us: 0,
     })
 }
@@ -553,27 +677,29 @@ fn cached_answer(shared: &Shared, cache: &BTreeMap<u64, Vec<u8>>, seq: u64) -> O
 /// *barrier* is the round's flush. A read-only op (`HISTORY_FETCH`,
 /// `STATS`, `CERT`, `PING`, `SHUTDOWN`) is not cached: re-executing it
 /// changes nothing, and caching it would keep every snapshot a polling
-/// client ever fetched for the connection's whole life. `None` only on
-/// response-encoding failure (connection-fatal).
+/// client fetched until its ack passed. `None` only on response-encoding
+/// failure (connection-fatal).
 fn finish_op(
     shared: &Shared,
     session: &mut Session,
-    cache: &mut BTreeMap<u64, Vec<u8>>,
+    cache: &mut ReplyCache,
     seq: u64,
     req: &Request,
     resp: &Response,
 ) -> Option<OpAnswer> {
     let lock_wait_us = session.take_lock_wait_us();
     let bytes = encode_response(seq, resp).ok()?;
-    if mutates(req) {
-        cache.insert(seq, bytes.clone());
+    let kept = mutates(req);
+    if kept {
+        cache.replies.insert(seq, bytes.clone());
         if let Some(store) = &shared.store {
             store.append_cache(seq, &bytes);
         }
     }
     Some(OpAnswer {
         bytes,
-        from_cache: false,
+        source: Source::Executed,
+        kept,
         lock_wait_us,
     })
 }
@@ -612,39 +738,39 @@ impl OpsRun {
         }
     }
 
-    /// Answer ops in order from the cursor — cache, else execute, cache
-    /// and journal — until the frame is finished or an op parks.
-    /// `resumed` continues the op that parked last time.
+    /// Answer ops in order from the cursor — cache, else refuse below the
+    /// ack, else execute, cache and journal — until the frame is finished
+    /// or an op parks. `resumed` continues the op that parked last time.
     pub(crate) fn step(
         &mut self,
         shared: &Shared,
         session: &mut Session,
-        cache: &mut BTreeMap<u64, Vec<u8>>,
+        cache: &mut ReplyCache,
         open_tops: &mut BTreeSet<TxId>,
         wake: &WakeHandle,
         mut resumed: Option<ParkedAccess>,
     ) -> Step {
         while let Some((seq, req)) = self.ops.get(self.answers.len()) {
-            let ans = match (resumed.take(), cached_answer(shared, cache, *seq)) {
-                (None, Some(ans)) => ans,
-                (parked, _) => {
-                    let exec = match parked {
-                        Some(p) => resume(shared, session, open_tops, p),
+            let ans = 'answer: {
+                let exec = match resumed.take() {
+                    Some(p) => resume(shared, session, open_tops, p),
+                    None => match answer_without_running(shared, cache, *seq) {
+                        Some(ans) => break 'answer ans,
                         None => execute(shared, session, open_tops, req, wake),
-                    };
-                    let resp = match exec {
-                        Exec::Done(resp) => resp,
-                        Exec::Parked(p) => return Step::Parked(p),
-                    };
-                    match finish_op(shared, session, cache, *seq, req, &resp) {
-                        Some(ans) => ans,
-                        None => return Step::Fatal,
-                    }
+                    },
+                };
+                let resp = match exec {
+                    Exec::Done(resp) => resp,
+                    Exec::Parked(p) => return Step::Parked(p),
+                };
+                match finish_op(shared, session, cache, *seq, req, &resp) {
+                    Some(ans) => ans,
+                    None => return Step::Fatal,
                 }
             };
-            count_answer(shared, ans.from_cache);
+            count_answer(shared, &ans, cache.len());
             self.lock_wait_us += ans.lock_wait_us;
-            self.shutdown |= !ans.from_cache && matches!(req, Request::Shutdown);
+            self.shutdown |= ans.source == Source::Executed && matches!(req, Request::Shutdown);
             self.answers.push(ans.bytes);
         }
         Step::Finished
@@ -669,13 +795,18 @@ impl OpsRun {
     }
 }
 
-/// Record one answered op in the coherent counter snapshot.
-fn count_answer(shared: &Shared, from_cache: bool) {
+/// Record one answered op in the coherent counter snapshot; `held` is its
+/// connection's cache size after it.
+fn count_answer(shared: &Shared, ans: &OpAnswer, held: usize) {
     shared.stats.update(|s| {
-        if from_cache {
-            s.cache_hits += 1;
-        } else {
-            s.executed += 1;
+        match ans.source {
+            Source::Executed => s.executed += 1,
+            Source::Cached => s.cache_hits += 1,
+            Source::Acked => s.acked_refusals += 1,
+        }
+        if ans.kept {
+            s.reply_cache += 1;
+            s.reply_cache_max = s.reply_cache_max.max(held as u64);
         }
     });
 }
@@ -906,13 +1037,14 @@ fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::parse_response;
 
     /// One connection's protocol state, driven the way the reactor's
     /// service drives it, minus the socket.
     struct Client {
         shared: Arc<Shared>,
         session: Session,
-        cache: BTreeMap<u64, Vec<u8>>,
+        cache: ReplyCache,
         open_tops: BTreeSet<TxId>,
         wake: WakeHandle,
     }
@@ -923,14 +1055,16 @@ mod tests {
             Client {
                 session: shared.engine.open_session(),
                 shared,
-                cache: BTreeMap::new(),
+                cache: ReplyCache::default(),
                 open_tops: BTreeSet::new(),
                 wake: WakeHandle::new(1, || {}),
             }
         }
 
-        fn answer(&mut self, seq: u64, req: Request) -> Vec<u8> {
-            let mut run = OpsRun::new(vec![(seq, req)]);
+        /// One frame: take its ack, then answer its ops.
+        fn frame(&mut self, acked_below: u64, ops: Vec<(u64, Request)>) -> Vec<Vec<u8>> {
+            self.shared.take_ack(&mut self.cache, acked_below);
+            let mut run = OpsRun::new(ops);
             let step = run.step(
                 &self.shared,
                 &mut self.session,
@@ -939,12 +1073,41 @@ mod tests {
                 &self.wake,
                 None,
             );
-            assert!(
-                matches!(step, Step::Finished),
-                "a lone op on an idle server"
-            );
-            run.answers.swap_remove(0)
+            assert!(matches!(step, Step::Finished), "ops on an idle server");
+            run.answers
         }
+
+        fn answer(&mut self, seq: u64, req: Request) -> Vec<u8> {
+            self.frame(0, vec![(seq, req)]).swap_remove(0)
+        }
+
+        fn cached(&self) -> Vec<u64> {
+            self.cache.replies.keys().copied().collect()
+        }
+
+        fn stats(&self) -> ServerStats {
+            self.shared.stats.snapshot().1
+        }
+    }
+
+    fn begun(bytes: &[u8]) -> u32 {
+        match parse_response(&bytes[4..]).expect("a reply") {
+            (_, Response::Begun { tx }) => tx,
+            other => panic!("expected Begun, got {other:?}"),
+        }
+    }
+
+    fn is_acked_refusal(bytes: &[u8]) -> bool {
+        matches!(
+            parse_response(&bytes[4..]),
+            Ok((
+                _,
+                Response::Error {
+                    code: err_code::ACKED,
+                    ..
+                }
+            ))
+        )
     }
 
     #[test]
@@ -959,20 +1122,91 @@ mod tests {
         ] {
             c.answer(seq, req);
         }
-        assert!(c.cache.is_empty(), "read-only replies are not kept");
+        assert!(c.cached().is_empty(), "read-only replies are not kept");
 
         let begun = c.answer(5, Request::BeginTop);
-        assert_eq!(c.cache.keys().copied().collect::<Vec<_>>(), [5]);
+        assert_eq!(c.cached(), [5]);
         let registered = c.shared.engine.tx_count();
         // A duplicated mutating frame is answered from cache: the same
         // bytes, nothing re-executed.
         assert_eq!(c.answer(5, Request::BeginTop), begun);
         assert_eq!(c.shared.engine.tx_count(), registered);
-        let (_, stats) = c.shared.stats.snapshot();
+        let stats = c.stats();
         assert_eq!((stats.executed, stats.cache_hits), (5, 1));
         // A duplicated read is answered afresh, and still not kept.
         c.answer(1, Request::Stats);
         assert_eq!(c.cache.len(), 1);
-        assert_eq!(c.shared.stats.snapshot().1.executed, 6);
+        assert_eq!(c.stats().executed, 6);
+    }
+
+    #[test]
+    fn a_resend_below_the_ack_is_refused_and_runs_nothing() {
+        let server = NetServer::bind(ServerConfig::default()).expect("bind loopback");
+        let mut c = Client::new(&server);
+        let top = begun(&c.answer(1, Request::BeginTop));
+        let write = Request::Access {
+            parent: top,
+            obj: 0,
+            op: Op::Write(7),
+        };
+        let first = c.frame(1, vec![(2, write.clone())]).swap_remove(0);
+        assert_eq!(c.cached(), [1, 2], "an ack of 1 covers nothing yet");
+        // Still unacknowledged: a resend is answered from cache.
+        assert_eq!(c.frame(2, vec![(2, write.clone())]), [first]);
+        assert_eq!(c.cached(), [2]);
+
+        // The client's next frame says it has both answers.
+        c.frame(3, vec![(3, Request::Ping)]);
+        assert!(c.cached().is_empty(), "the ack drops what it covers");
+        let registered = c.shared.engine.tx_count();
+        let executed = c.stats().executed;
+        // A late duplicate of the write, with its older ack: refused.
+        let late = c.frame(2, vec![(2, write)]).swap_remove(0);
+        assert!(is_acked_refusal(&late));
+        assert_eq!(c.shared.engine.tx_count(), registered, "nothing ran");
+        let stats = c.stats();
+        assert_eq!(stats.executed, executed);
+        assert_eq!(stats.acked_refusals, 1);
+        assert_eq!((stats.reply_cache, stats.reply_cache_max), (0, 2));
+        // An older ack moves nothing back: seq 1 stays below the ack.
+        assert!(is_acked_refusal(
+            &c.frame(1, vec![(1, Request::BeginTop)])[0]
+        ));
+    }
+
+    /// A `BATCH` resent after the client received and acknowledged its
+    /// first member: that member is refused with `ACKED`, the rest are
+    /// answered from cache, and nothing runs twice.
+    #[test]
+    fn a_batch_resent_past_its_acked_members_runs_nothing_twice() {
+        let server = NetServer::bind(ServerConfig::default()).expect("bind loopback");
+        let mut c = Client::new(&server);
+        let top = begun(&c.answer(10, Request::BeginTop));
+        let ops: Vec<(u64, Request)> = (0..3)
+            .map(|k| {
+                let op = Request::Access {
+                    parent: top,
+                    obj: k,
+                    op: Op::Write(i64::from(k) + 1),
+                };
+                (12 + u64::from(k), op)
+            })
+            .collect();
+        // The batch frame is seq 11 and carries ack 11; its ops are 12..=14.
+        let first = c.frame(11, ops.clone());
+        assert_eq!(c.cached(), [12, 13, 14]);
+        let registered = c.shared.engine.tx_count();
+        let executed = c.stats().executed;
+
+        c.frame(13, vec![(15, Request::Ping)]);
+        assert_eq!(c.cached(), [13, 14]);
+        let again = c.frame(11, ops);
+        assert!(is_acked_refusal(&again[0]));
+        assert_eq!(again[1..], first[1..], "the rest come back byte-identical");
+        assert_eq!(c.shared.engine.tx_count(), registered, "nothing ran twice");
+        let stats = c.stats();
+        assert_eq!(stats.executed, executed + 1, "only the ping ran");
+        assert_eq!((stats.acked_refusals, stats.cache_hits), (1, 2));
+        assert_eq!(stats.reply_cache_max, 3);
     }
 }

@@ -1,42 +1,53 @@
 //! The nt-net wire protocol: versioned, length-prefixed, CRC-checked
 //! binary frames over TCP.
 //!
-//! Every frame is
+//! A frame is the WAL's frame (`nt_store::record`: `len | crc | payload`,
+//! built by the same `begin_frame` / `seal_frame`) whose payload is a
+//! message:
 //!
 //! ```text
-//! | len u32le | magic u16le | ver u8 | kind u8 | seq u64le | crc u32le | body… |
+//! | len u32le | crc u32le | magic u16le | ver u8 | kind u8 | seq u64le | acked_below u64le | body… |
 //! ```
 //!
-//! where `len` counts every byte after the length prefix (so `len =
-//! 16 + body.len()`), `magic` is `0x4E54` (`"NT"` little-endian), `ver`
-//! is [`VERSION`], `kind` names the payload ([`Request`] kinds use the
-//! low half of the byte space, [`Response`] kinds the high half), `seq`
-//! is the client-assigned request sequence number echoed on the
-//! response, and `crc` is the IEEE CRC-32 of the body.
+//! where `len` counts the payload (magic through body, so `len = 20 +
+//! body.len()`), `crc` is the IEEE CRC-32 of the whole payload — header
+//! included — `magic` is `0x4E54` (`"NT"` little-endian), `ver` is
+//! [`VERSION`], `kind` names the body ([`Request`] kinds use the low half
+//! of the byte space, [`Response`] kinds the high half), `seq` is the
+//! client-assigned request sequence number echoed on the response, and
+//! `acked_below` is the client's cumulative ack: every request seq below
+//! it was answered and the answer received. Responses carry 0 there.
 //!
 //! Sequence numbers make the transport *at-least-once with exactly-once
-//! execution*: the server caches the encoded response per `seq`, so a
-//! client retry of a dropped frame re-executes nothing, and a duplicated
-//! frame is answered from cache. Decoding is total — every malformed
-//! input maps to a typed [`WireError`], never a panic — which the
-//! property tests in `tests/wire_props.rs` drive with a corrupt-frame
-//! corpus.
+//! execution*: the server caches the encoded response of a mutating op
+//! per `seq` until the client acknowledges it, so a client retry of a
+//! dropped frame re-executes nothing, a duplicated frame is answered from
+//! cache, and a resend of an op below the ack is refused with
+//! [`err_code::ACKED`]. Decoding is total — every malformed input maps to
+//! a typed [`WireError`], never a panic — which the property tests in
+//! `tests/wire_props.rs` drive with a corrupt-frame corpus.
 
 use nt_model::{Op, Value};
+use nt_store::record::{begin_frame, check_crc, seal_frame};
 use std::io::{self, Read};
 
 /// `"NT"` little-endian.
 pub const MAGIC: u16 = 0x4E54;
-/// Current protocol version.
-pub const VERSION: u8 = 1;
-/// Header bytes after the length prefix (magic + ver + kind + seq + crc).
-pub const HEADER_LEN: usize = 16;
+/// Current protocol version: 2 added `acked_below` and moved the CRC
+/// in front of the header it now covers.
+pub const VERSION: u8 = 2;
+/// Bytes of the frame's CRC, between the length prefix and the payload.
+pub const CRC_LEN: usize = 4;
+/// Header bytes after the length prefix (crc + magic + ver + kind + seq +
+/// acked_below).
+pub const HEADER_LEN: usize = 24;
+/// The smallest payload a length prefix can declare: the header less its
+/// CRC, with an empty body.
+pub const MIN_PAYLOAD: usize = HEADER_LEN - CRC_LEN;
 /// Default cap on `len` (prefix value); larger frames are a protocol error.
 pub const DEFAULT_MAX_FRAME: usize = 1 << 22;
 
-/// IEEE CRC-32 (reflected, 0xEDB88320): the one implementation the WAL's
-/// record frames also use. The two length-prefixed framers keep their own
-/// headers; only the checksum is shared.
+/// IEEE CRC-32 (reflected, 0xEDB88320): the WAL's, over the WAL's frame.
 pub use nt_store::record::crc32;
 
 // --- Errors ---------------------------------------------------------------
@@ -48,7 +59,7 @@ pub enum WireError {
     Io(String),
     /// A read timed out (the client's retry trigger).
     TimedOut,
-    /// The length prefix is below the header size or above the cap.
+    /// The length prefix is below the payload header or above the cap.
     BadLength {
         /// The declared length.
         len: usize,
@@ -59,11 +70,11 @@ pub enum WireError {
     BadMagic(u16),
     /// The protocol version is unknown.
     BadVersion(u8),
-    /// The body does not match the declared checksum.
+    /// The payload (header and body) does not match the declared checksum.
     BadCrc {
-        /// The checksum declared in the header.
+        /// The checksum declared in the frame.
         declared: u32,
-        /// The checksum computed over the received body.
+        /// The checksum computed over the received payload.
         computed: u32,
     },
     /// The kind byte names no known request or response.
@@ -82,7 +93,10 @@ impl std::fmt::Display for WireError {
             WireError::Io(m) => write!(f, "io error: {m}"),
             WireError::TimedOut => write!(f, "timed out"),
             WireError::BadLength { len, max } => {
-                write!(f, "bad frame length {len} (header needs 16, cap {max})")
+                write!(
+                    f,
+                    "bad frame length {len} (header needs {MIN_PAYLOAD}, cap {max})"
+                )
             }
             WireError::BadMagic(m) => write!(f, "bad magic {m:#06x}"),
             WireError::BadVersion(v) => write!(f, "unsupported protocol version {v}"),
@@ -465,6 +479,9 @@ pub mod err_code {
     /// The static admission gate refused the declared access summary:
     /// admitting it could close a potential serialization cycle.
     pub const STATIC_GATE: u16 = 8;
+    /// The op's seq is below the connection's cumulative ack and its reply
+    /// is no longer cached: the client already received it. Nothing ran.
+    pub const ACKED: u16 = 9;
 }
 
 /// A server-to-client response (its `seq` echoes the request's).
@@ -591,56 +608,103 @@ impl Response {
 
 // --- Frame assembly and parsing -------------------------------------------
 
-fn encode_frame(kind: u8, seq: u64, body: &[u8]) -> Vec<u8> {
-    let len = HEADER_LEN + body.len();
-    let mut out = Vec::with_capacity(4 + len);
-    put_u32(&mut out, len as u32);
+/// Build one frame in place: the WAL's `len | crc` prefix, the header,
+/// then whatever `put_body` appends; the prefix is sealed last.
+fn encode_frame(
+    kind: u8,
+    seq: u64,
+    acked_below: u64,
+    put_body: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
+) -> Result<Vec<u8>, WireError> {
+    let mut out = Vec::with_capacity(64);
+    let at = begin_frame(&mut out);
     put_u16(&mut out, MAGIC);
     out.push(VERSION);
     out.push(kind);
     put_u64(&mut out, seq);
-    put_u32(&mut out, crc32(body));
-    out.extend_from_slice(body);
-    out
+    put_u64(&mut out, acked_below);
+    put_body(&mut out)?;
+    seal_frame(&mut out, at);
+    Ok(out)
 }
 
-/// Encode one request frame (length prefix included).
+/// Encode one request frame (length prefix included) that acknowledges
+/// nothing (`acked_below` 0).
 pub fn encode_request(seq: u64, req: &Request) -> Result<Vec<u8>, WireError> {
-    let mut body = Vec::new();
-    req.put_body(&mut body)?;
-    Ok(encode_frame(req.kind(), seq, &body))
+    encode_request_acked(seq, 0, req)
+}
+
+/// Encode one request frame carrying the cumulative ack `acked_below`:
+/// the sender has received the answer to every seq below it.
+pub fn encode_request_acked(
+    seq: u64,
+    acked_below: u64,
+    req: &Request,
+) -> Result<Vec<u8>, WireError> {
+    encode_frame(req.kind(), seq, acked_below, |out| req.put_body(out))
 }
 
 /// Encode one response frame (length prefix included).
 pub fn encode_response(seq: u64, resp: &Response) -> Result<Vec<u8>, WireError> {
-    let mut body = Vec::new();
-    resp.put_body(&mut body)?;
-    Ok(encode_frame(resp.kind(), seq, &body))
+    encode_frame(resp.kind(), seq, 0, |out| resp.put_body(out))
 }
 
-/// Parse one frame (everything *after* the length prefix) into its kind,
-/// sequence number, and body. Validates magic, version, and checksum.
-pub fn parse_frame(frame: &[u8]) -> Result<(u8, u64, &[u8]), WireError> {
-    if frame.len() < HEADER_LEN {
-        return Err(WireError::Truncated);
-    }
-    let magic = u16::from_le_bytes([frame[0], frame[1]]);
+/// One parsed frame: its header fields and its body.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Frame<'a> {
+    /// The frame kind byte.
+    pub kind: u8,
+    /// The request seq (echoed on a response).
+    pub seq: u64,
+    /// The sender's cumulative ack; 0 on a response and on a request that
+    /// acknowledges nothing.
+    pub acked_below: u64,
+    /// The kind-specific body.
+    pub body: &'a [u8],
+}
+
+/// The version byte of a frame a version-1 peer sent — `magic | ver | kind
+/// | seq | crc | body`, the magic first and a CRC over the body alone. It
+/// fails this version's CRC; naming its version tells the old peer why.
+fn v1_version(frame: &[u8]) -> Option<u8> {
+    const V1_HEADER: usize = 16;
+    let old = frame.len() >= V1_HEADER
+        && frame[..2] == MAGIC.to_le_bytes()
+        && frame[2] != VERSION
+        && frame[12..16] == crc32(&frame[V1_HEADER..]).to_le_bytes();
+    old.then(|| frame[2])
+}
+
+/// Parse one frame (everything *after* the length prefix): the CRC over
+/// header and body first, then magic and version.
+pub fn decode_frame(frame: &[u8]) -> Result<Frame<'_>, WireError> {
+    let checked = if frame.len() < HEADER_LEN {
+        Err(WireError::Truncated)
+    } else {
+        check_crc(frame).map_err(|(declared, computed)| WireError::BadCrc { declared, computed })
+    };
+    let payload = checked.map_err(|e| v1_version(frame).map_or(e, WireError::BadVersion))?;
+    let magic = u16::from_le_bytes([payload[0], payload[1]]);
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    let ver = frame[2];
+    let ver = payload[2];
     if ver != VERSION {
         return Err(WireError::BadVersion(ver));
     }
-    let kind = frame[3];
-    let seq = u64::from_le_bytes(frame[4..12].try_into().expect("8 bytes"));
-    let declared = u32::from_le_bytes(frame[12..16].try_into().expect("4 bytes"));
-    let body = &frame[HEADER_LEN..];
-    let computed = crc32(body);
-    if declared != computed {
-        return Err(WireError::BadCrc { declared, computed });
-    }
-    Ok((kind, seq, body))
+    let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
+    Ok(Frame {
+        kind: payload[3],
+        seq: word(4),
+        acked_below: word(12),
+        body: &payload[MIN_PAYLOAD..],
+    })
+}
+
+/// Parse one frame (everything *after* the length prefix) into its kind,
+/// sequence number, and body. Validates checksum, magic, and version.
+pub fn parse_frame(frame: &[u8]) -> Result<(u8, u64, &[u8]), WireError> {
+    decode_frame(frame).map(|f| (f.kind, f.seq, f.body))
 }
 
 /// Parse and decode a full request frame.
@@ -676,26 +740,39 @@ pub struct BatchEntry {
     pub body: Vec<u8>,
 }
 
-/// Encode a `BATCH` request frame: the outer `seq` identifies the batch
-/// (echoed on the response), each op carries its own `seq` for per-op
-/// exactly-once caching. The whole body is CRC-checked like every frame.
-/// Entries are `seq u64 | kind u8 | body_len u32 | body`. An empty batch
-/// or a nested batch is a [`WireError::BadPayload`].
+/// Encode a `BATCH` request frame that acknowledges nothing: the outer
+/// `seq` identifies the batch (echoed on the response), each op carries
+/// its own `seq` for per-op exactly-once caching. The whole payload is
+/// CRC-checked like every frame. Entries are `seq u64 | kind u8 |
+/// body_len u32 | body`. An empty batch or a nested batch is a
+/// [`WireError::BadPayload`].
 pub fn encode_batch_request(seq: u64, ops: &[(u64, Request)]) -> Result<Vec<u8>, WireError> {
+    encode_batch_request_acked(seq, 0, ops)
+}
+
+/// [`encode_batch_request`] carrying the cumulative ack `acked_below`.
+pub fn encode_batch_request_acked(
+    seq: u64,
+    acked_below: u64,
+    ops: &[(u64, Request)],
+) -> Result<Vec<u8>, WireError> {
     if ops.is_empty() {
         return Err(WireError::BadPayload("empty batch".into()));
     }
-    let mut body = Vec::new();
-    put_u32(&mut body, ops.len() as u32);
-    for (op_seq, req) in ops {
-        let mut op_body = Vec::new();
-        req.put_body(&mut op_body)?;
-        put_u64(&mut body, *op_seq);
-        body.push(req.kind());
-        put_u32(&mut body, op_body.len() as u32);
-        body.extend_from_slice(&op_body);
-    }
-    Ok(encode_frame(KIND_BATCH_REQ, seq, &body))
+    encode_frame(KIND_BATCH_REQ, seq, acked_below, |out| {
+        put_u32(out, ops.len() as u32);
+        for (op_seq, req) in ops {
+            put_u64(out, *op_seq);
+            out.push(req.kind());
+            // The entry's length, patched in once its body is written.
+            let at = out.len();
+            put_u32(out, 0);
+            req.put_body(out)?;
+            let len = (out.len() - at - 4) as u32;
+            out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        }
+        Ok(())
+    })
 }
 
 /// Decode a `BATCH` request body into its `(seq, request)` ops. Total:
@@ -725,15 +802,17 @@ pub fn decode_batch_request(body: &[u8]) -> Result<Vec<(u64, Request)>, WireErro
 /// Encode a `BATCH` response frame: the outer `seq` echoes the batch's,
 /// each entry carries one op's `(seq, status kind, body)`.
 pub fn encode_batch_response(seq: u64, entries: &[BatchEntry]) -> Vec<u8> {
-    let mut body = Vec::new();
-    put_u32(&mut body, entries.len() as u32);
-    for e in entries {
-        put_u64(&mut body, e.seq);
-        body.push(e.kind);
-        put_u32(&mut body, e.body.len() as u32);
-        body.extend_from_slice(&e.body);
-    }
-    encode_frame(KIND_BATCH_RESP, seq, &body)
+    let body = |out: &mut Vec<u8>| {
+        put_u32(out, entries.len() as u32);
+        for e in entries {
+            put_u64(out, e.seq);
+            out.push(e.kind);
+            put_u32(out, e.body.len() as u32);
+            out.extend_from_slice(&e.body);
+        }
+        Ok(())
+    };
+    encode_frame(KIND_BATCH_RESP, seq, 0, body).expect("entries are encoded already")
 }
 
 /// Decode a `BATCH` response body into per-op `(seq, response)` pairs.
@@ -755,9 +834,10 @@ pub fn decode_batch_response(body: &[u8]) -> Result<Vec<(u64, Response)>, WireEr
 // --- Stream framing -------------------------------------------------------
 
 /// Accumulates socket bytes and yields complete frames (sans length
-/// prefix). Robust to partial reads and read timeouts mid-frame: a
-/// [`WireError::TimedOut`] leaves accumulated bytes in place, so the next
-/// call resumes where the stream paused.
+/// prefix: the CRC, then the `len` payload bytes). Robust to partial reads
+/// and read timeouts mid-frame: a [`WireError::TimedOut`] leaves
+/// accumulated bytes in place, so the next call resumes where the stream
+/// paused.
 #[derive(Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -774,14 +854,15 @@ impl FrameReader {
             return Ok(None);
         }
         let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
-        if len < HEADER_LEN || len > max_len {
+        if len < MIN_PAYLOAD || len > max_len {
             return Err(WireError::BadLength { len, max: max_len });
         }
-        if self.buf.len() < 4 + len {
+        let end = 4 + CRC_LEN + len;
+        if self.buf.len() < end {
             return Ok(None);
         }
-        let frame = self.buf[4..4 + len].to_vec();
-        self.buf.drain(..4 + len);
+        let frame = self.buf[4..end].to_vec();
+        self.buf.drain(..end);
         Ok(Some(frame))
     }
 

@@ -7,7 +7,7 @@
 
 use nt_engine::DurabilityMode;
 use nt_model::{Op, Value};
-use nt_net::wire::{encode_request, parse_response};
+use nt_net::wire::{encode_request, parse_response, CRC_LEN};
 use nt_net::{
     fetch_and_certify, run_load, Conn, ConnConfig, LoadConfig, NetServer, Request, Response,
     ServerConfig,
@@ -46,12 +46,12 @@ fn durable_cfg(dir: &Scratch, durability: DurabilityMode) -> ServerConfig {
 }
 
 /// Read one length-prefixed frame off a raw socket, returning it *with*
-/// the prefix.
+/// the prefix (the length counts the payload, not the CRC before it).
 fn read_frame(s: &mut TcpStream) -> Vec<u8> {
     let mut len = [0u8; 4];
     s.read_exact(&mut len).expect("frame length");
     let n = u32::from_le_bytes(len) as usize;
-    let mut frame = vec![0u8; 4 + n];
+    let mut frame = vec![0u8; 4 + CRC_LEN + n];
     frame[..4].copy_from_slice(&len);
     s.read_exact(&mut frame[4..]).expect("frame body");
     frame
@@ -160,10 +160,8 @@ fn whole_batch_resend_across_restart_replies_byte_identical() {
     let mut s = TcpStream::connect(&addr).expect("connect");
     s.write_all(&encode_request(base, &Request::BeginTop).expect("encode"))
         .expect("send begin");
-    let begun = read_frame(&mut s);
-    let (_, _, body) = parse_frame(&begun[4..]).expect("parse begun");
-    let top = match Response::decode(begun[4 + 3], body).expect("decode begun") {
-        Response::Begun { tx } => tx,
+    let top = match parse_response(&read_frame(&mut s)[4..]).expect("decode begun") {
+        (_, Response::Begun { tx }) => tx,
         other => panic!("expected Begun, got {other:?}"),
     };
     let ops = vec![
@@ -221,6 +219,56 @@ fn whole_batch_resend_across_restart_replies_byte_identical() {
     assert_eq!(read_committed(&mut conn, 1), Value::Int(6));
     conn.shutdown_server().expect("shutdown");
     drop(conn);
+    handle.wait();
+}
+
+/// A number from a connection's `STATS` document.
+fn stat(conn: &mut Conn, key: &str) -> f64 {
+    let stats = conn.stats().expect("stats");
+    let v = nt_obs::json::Json::parse(&stats).expect("stats parses");
+    v.get(key)
+        .and_then(nt_obs::json::Json::as_num)
+        .unwrap_or_else(|| panic!("{key} present: {stats}"))
+}
+
+/// The recovered cache is a window too: after a restart, a `Conn` that
+/// carries on in its band acks past its pre-restart seqs and the server
+/// forgets those recovered replies, while a raw resend from another band
+/// still gets its byte-identical pre-restart reply.
+#[test]
+fn an_ack_after_restart_prunes_its_band_from_the_recovered_cache() {
+    let dir = Scratch::new("recovered-ack");
+    let server = NetServer::bind(durable_cfg(&dir, DurabilityMode::FsyncPerCommit)).expect("bind");
+    let addr = server.local_addr().to_string();
+    let handle = server.serve();
+    let mut conn = Conn::connect(&addr, 3, ConnConfig::default()).expect("connect");
+    commit_write(&mut conn, 0, 41);
+    commit_write(&mut conn, 1, 7);
+    // Connection 5's band: one exchange, kept byte for byte, acking nothing.
+    let mut raw = TcpStream::connect(&addr).expect("connect raw");
+    let seq = Conn::seq_base(5);
+    let request = encode_request(seq, &Request::BeginTop).expect("encode");
+    raw.write_all(&request).expect("send begin");
+    let reply = read_frame(&mut raw);
+    drop(raw);
+    handle.wait();
+
+    let server = NetServer::bind(durable_cfg(&dir, DurabilityMode::None)).expect("rebind");
+    let report = server.recovery_report().expect("store mounted");
+    assert_eq!(report.cache_entries, 7, "six writes' replies and one begin");
+    let addr = server.local_addr().to_string();
+    let handle = server.serve();
+    let mut observer = Conn::connect(&addr, 9, ConnConfig::default()).expect("connect");
+    assert_eq!(stat(&mut observer, "recovered_cache"), 7.0);
+    // Connection 3 picks up where it was: its first frame acks all six.
+    conn.reconnect(&addr).expect("reconnect");
+    assert!(matches!(conn.request(&Request::Ping), Ok(Response::Pong)));
+    assert_eq!(stat(&mut observer, "recovered_cache"), 1.0);
+    assert_eq!(read_committed(&mut conn, 0), Value::Int(41));
+    let mut raw = TcpStream::connect(&addr).expect("reconnect raw");
+    raw.write_all(&request).expect("resend begin");
+    assert_eq!(read_frame(&mut raw), reply, "another band's reply survives");
+    drop((raw, conn, observer));
     handle.wait();
 }
 

@@ -7,7 +7,7 @@
 use nt_faults::TransportPlan;
 use nt_model::{Op, Value};
 use nt_net::client::tx_reply;
-use nt_net::wire::{crc32, err_code, parse_response};
+use nt_net::wire::{crc32, err_code, parse_response, CRC_LEN, VERSION};
 use nt_net::{
     fetch_and_certify, run_load, Conn, ConnConfig, LoadConfig, NetServer, Request, Response,
     ServerConfig,
@@ -392,19 +392,20 @@ fn malformed_frame_yields_protocol_error_then_close() {
     let mut stream = TcpStream::connect(&addr).expect("connect raw");
 
     // A syntactically framed request with the wrong magic.
-    let mut frame = Vec::new();
-    frame.extend_from_slice(&0xAAAAu16.to_le_bytes()); // bad magic
-    frame.push(1); // version
-    frame.push(0x07); // Ping
-    frame.extend_from_slice(&1u64.to_le_bytes()); // seq
-    frame.extend_from_slice(&crc32(b"").to_le_bytes());
-    let mut wire = (frame.len() as u32).to_le_bytes().to_vec();
-    wire.extend_from_slice(&frame);
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&0xAAAAu16.to_le_bytes()); // bad magic
+    payload.push(VERSION);
+    payload.push(0x07); // Ping
+    payload.extend_from_slice(&1u64.to_le_bytes()); // seq
+    payload.extend_from_slice(&0u64.to_le_bytes()); // acked_below
+    let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
+    wire.extend_from_slice(&crc32(&payload).to_le_bytes());
+    wire.extend_from_slice(&payload);
     stream.write_all(&wire).expect("write garbage");
 
     let mut len = [0u8; 4];
     stream.read_exact(&mut len).expect("response length");
-    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+    let mut body = vec![0u8; CRC_LEN + u32::from_le_bytes(len) as usize];
     stream.read_exact(&mut body).expect("response frame");
     let (seq, resp) = parse_response(&body).expect("typed response");
     assert_eq!(seq, 0);

@@ -1,14 +1,17 @@
 //! Wire-protocol property tests: every frame type round-trips through
-//! encode/decode, and a corpus of corrupted frames (truncations, bit
-//! flips, bad CRC, bad magic, bad version, unknown kinds, trailing
-//! bytes) always yields a typed [`WireError`] — never a panic.
+//! encode/decode, the cumulative ack included, and a corpus of corrupted
+//! frames (truncations, bit flips — in the header too, which the CRC now
+//! covers — bad CRC, bad magic, bad version, a version-1 frame, unknown
+//! kinds, trailing bytes) always yields a typed [`WireError`] — never a
+//! panic.
 
 use nt_model::{Op, Value};
 use nt_net::history::{HistoryDoc, NodeRec};
 use nt_net::wire::{
-    crc32, decode_batch_request, decode_batch_response, encode_batch_request,
-    encode_batch_response, encode_request, encode_response, parse_frame, parse_request,
-    parse_response, BatchEntry, Request, Response, HEADER_LEN, KIND_BATCH_REQ, KIND_BATCH_RESP,
+    crc32, decode_batch_request, decode_batch_response, decode_frame, encode_batch_request,
+    encode_batch_request_acked, encode_batch_response, encode_request, encode_request_acked,
+    encode_response, parse_frame, parse_request, parse_response, BatchEntry, Request, Response,
+    WireError, HEADER_LEN, KIND_BATCH_REQ, KIND_BATCH_RESP, VERSION,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -124,8 +127,9 @@ proptest! {
         }
     }
 
-    /// Flipping any single byte of a frame is always detected (CRC over
-    /// the body, field validation over the header).
+    /// Flipping any single byte of a frame is always detected: the CRC
+    /// covers header and body alike, so no byte survives — not the seq,
+    /// not the ack, not the kind.
     #[test]
     fn single_byte_corruption_is_detected(
         seq in any::<u64>(),
@@ -137,20 +141,54 @@ proptest! {
         let mut payload = frame[4..].to_vec();
         let i = at as usize % payload.len();
         payload[i] ^= xor;
-        // Two corruptions survive by design: the seq bytes (offsets
-        // 4..12) only change the sequence number, and the kind byte
-        // (offset 3, not covered by the body CRC) can flip between two
-        // kinds that accept the same body — e.g. two empty-body ops —
-        // decoding as a *different* request.
-        if let Ok((got_seq, got)) = parse_request(&payload) {
-            if i == 3 {
-                prop_assert_eq!(got_seq, seq);
-                prop_assert!(got != req, "kind flip decoded the same request");
-            } else {
-                prop_assert!((4..12).contains(&i));
-                prop_assert!(got_seq != seq);
-                prop_assert_eq!(got, req);
-            }
+        let r = parse_request(&payload);
+        prop_assert!(r.is_err(), "byte {i} flipped and decoded: {r:?}");
+    }
+
+    /// The cumulative ack round-trips on single and batched requests, and
+    /// a response carries none.
+    #[test]
+    fn acks_roundtrip(
+        seq in any::<u64>(),
+        acked_below in any::<u64>(),
+        req in arb_request(),
+        ops in prop::collection::vec((any::<u64>(), arb_request()), 1..6),
+    ) {
+        let frame = encode_request_acked(seq, acked_below, &req).expect("encodes");
+        let f = decode_frame(&frame[4..]).expect("parses");
+        prop_assert_eq!((f.kind, f.seq, f.acked_below), (req.kind(), seq, acked_below));
+        prop_assert_eq!(Request::decode(f.kind, f.body).expect("decodes"), req.clone());
+
+        let frame = encode_batch_request_acked(seq, acked_below, &ops).expect("encodes");
+        let f = decode_frame(&frame[4..]).expect("parses");
+        prop_assert_eq!((f.kind, f.seq, f.acked_below), (KIND_BATCH_REQ, seq, acked_below));
+        prop_assert_eq!(decode_batch_request(f.body).expect("decodes"), ops);
+
+        // The plain encoders ack nothing, and a reply acks nothing.
+        let plain = encode_request(seq, &req).expect("encodes");
+        prop_assert_eq!(decode_frame(&plain[4..]).expect("parses").acked_below, 0);
+        let reply = encode_response(seq, &Response::Pong).expect("encodes");
+        prop_assert_eq!(decode_frame(&reply[4..]).expect("parses").acked_below, 0);
+    }
+
+    /// Every single-bit flip in the CRC or the header — magic, version,
+    /// kind, seq, ack — is caught as `BadCrc`, before any header field is
+    /// trusted: a flipped seq or ack can no longer pass silently.
+    #[test]
+    fn header_bit_flips_are_caught_as_bad_crc(
+        seq in any::<u64>(),
+        acked_below in any::<u64>(),
+        req in arb_request(),
+    ) {
+        let frame = encode_request_acked(seq, acked_below, &req).expect("encodes");
+        for bit in 0..HEADER_LEN * 8 {
+            let mut payload = frame[4..].to_vec();
+            payload[bit / 8] ^= 1 << (bit % 8);
+            let r = parse_frame(&payload);
+            prop_assert!(
+                matches!(r, Err(WireError::BadCrc { .. })),
+                "bit {bit}: {r:?}"
+            );
         }
     }
 
@@ -216,11 +254,8 @@ proptest! {
         }
     }
 
-    /// Flipping one byte of a `BATCH` frame is detected, except the two
-    /// survivors every frame has by design: the outer seq bytes (change
-    /// the batch id, ops intact) and the kind byte (reframes the same
-    /// CRC-valid body under another kind — which must still decode or
-    /// fail *typed*, never panic).
+    /// Flipping one byte of a `BATCH` frame is always detected, the
+    /// outer seq and the kind byte included.
     #[test]
     fn batch_single_byte_corruption_is_detected(
         seq in any::<u64>(),
@@ -232,24 +267,8 @@ proptest! {
         let mut payload = frame[4..].to_vec();
         let i = at as usize % payload.len();
         payload[i] ^= xor;
-        match parse_frame(&payload) {
-            Err(_) => {} // detected
-            Ok((kind, got_seq, body)) => {
-                if i == 3 {
-                    // Kind byte isn't CRC-covered; the body no longer
-                    // claims to be a batch. Decoding under the flipped
-                    // kind must not panic.
-                    prop_assert!(kind != KIND_BATCH_REQ);
-                    let _ = parse_request(&payload);
-                } else {
-                    prop_assert!((4..12).contains(&i), "byte {i} survived");
-                    prop_assert_eq!(kind, KIND_BATCH_REQ);
-                    prop_assert!(got_seq != seq);
-                    let got = decode_batch_request(body).expect("ops intact");
-                    prop_assert_eq!(got, ops);
-                }
-            }
-        }
+        let r = parse_frame(&payload);
+        prop_assert!(r.is_err(), "byte {i} flipped and parsed: {r:?}");
     }
 }
 
@@ -302,32 +321,57 @@ fn batch_corpus_yields_typed_errors() {
     ));
 }
 
+/// A frame after its length prefix, built by hand: `crc | magic | ver |
+/// kind | seq | acked_below | body`, the CRC over everything after it.
+fn handmade(ver: u8, kind: u8, seq: u64, body: &[u8]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&0x4E54u16.to_le_bytes());
+    payload.push(ver);
+    payload.push(kind);
+    payload.extend_from_slice(&seq.to_le_bytes());
+    payload.extend_from_slice(&0u64.to_le_bytes());
+    payload.extend_from_slice(body);
+    let mut frame = crc32(&payload).to_le_bytes().to_vec();
+    frame.extend_from_slice(&payload);
+    frame
+}
+
+/// Recompute a corrupted frame's CRC, so the check under test is the one
+/// behind it.
+fn reseal(frame: &mut [u8]) {
+    let crc = crc32(&frame[4..]);
+    frame[..4].copy_from_slice(&crc.to_le_bytes());
+}
+
 #[test]
 fn corrupt_frame_corpus_yields_typed_errors() {
-    use nt_net::wire::WireError;
     let frame = encode_request(42, &Request::Commit { tx: 7 }).expect("encodes");
     let payload = frame[4..].to_vec();
+    assert_eq!(payload, handmade(VERSION, 0x04, 42, &7u32.to_le_bytes()));
 
-    // Bad magic.
+    // Bad magic, under a valid CRC.
     let mut bad = payload.clone();
-    bad[0] = 0xAA;
-    bad[1] = 0xBB;
+    bad[4] = 0xAA;
+    bad[5] = 0xBB;
+    reseal(&mut bad);
     assert!(matches!(
         parse_request(&bad),
         Err(WireError::BadMagic(0xBBAA))
     ));
 
-    // Bad version.
+    // Bad version, under a valid CRC.
     let mut bad = payload.clone();
-    bad[2] = 99;
+    bad[6] = 99;
+    reseal(&mut bad);
     assert!(matches!(
         parse_request(&bad),
         Err(WireError::BadVersion(99))
     ));
 
-    // Unknown kind (header stays valid, body CRC still matches).
+    // Unknown kind, under a valid CRC.
     let mut bad = payload.clone();
-    bad[3] = 0x7F;
+    bad[7] = 0x7F;
+    reseal(&mut bad);
     assert!(matches!(
         parse_request(&bad),
         Err(WireError::UnknownKind(0x7F))
@@ -340,7 +384,7 @@ fn corrupt_frame_corpus_yields_typed_errors() {
     assert!(matches!(parse_request(&bad), Err(WireError::BadCrc { .. })));
 
     // Trailing bytes after a valid body: the declared CRC no longer
-    // matches the longer body.
+    // matches the longer payload.
     let mut bad = payload.clone();
     bad.extend_from_slice(&[0, 0, 0]);
     assert!(parse_request(&bad).is_err());
@@ -354,34 +398,39 @@ fn corrupt_frame_corpus_yields_typed_errors() {
     // Empty.
     assert!(matches!(parse_request(&[]), Err(WireError::Truncated)));
 
-    // A frame whose body decodes short (declared Commit but no tx bytes):
-    // rebuild with a valid CRC over a truncated body.
-    let body: [u8; 2] = [7, 0];
-    let mut handmade = Vec::new();
-    handmade.extend_from_slice(&0x4E54u16.to_le_bytes());
-    handmade.push(1); // version
-    handmade.push(0x04); // Commit
-    handmade.extend_from_slice(&42u64.to_le_bytes());
-    handmade.extend_from_slice(&crc32(&body).to_le_bytes());
-    handmade.extend_from_slice(&body);
+    // A frame whose body decodes short (declared Commit but two tx bytes).
     assert!(matches!(
-        parse_request(&handmade),
+        parse_request(&handmade(VERSION, 0x04, 42, &[7, 0])),
         Err(WireError::Truncated)
     ));
 
     // Same but with extra body bytes beyond the structure: Trailing.
-    let body: [u8; 6] = [7, 0, 0, 0, 9, 9];
-    let mut handmade = Vec::new();
-    handmade.extend_from_slice(&0x4E54u16.to_le_bytes());
-    handmade.push(1);
-    handmade.push(0x04);
-    handmade.extend_from_slice(&42u64.to_le_bytes());
-    handmade.extend_from_slice(&crc32(&body).to_le_bytes());
-    handmade.extend_from_slice(&body);
     assert!(matches!(
-        parse_request(&handmade),
+        parse_request(&handmade(VERSION, 0x04, 42, &[7, 0, 0, 0, 9, 9])),
         Err(WireError::Trailing(2))
     ));
+}
+
+/// A version-1 peer's frame — `magic | ver | kind | seq | crc | body`,
+/// its CRC over the body only — is refused by version, not mistaken for
+/// corruption.
+#[test]
+fn a_version_1_frame_is_refused_with_bad_version() {
+    for (kind, body) in [(0x07u8, Vec::new()), (0x04, 7u32.to_le_bytes().to_vec())] {
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(&0x4E54u16.to_le_bytes());
+        v1.push(1);
+        v1.push(kind);
+        v1.extend_from_slice(&42u64.to_le_bytes());
+        v1.extend_from_slice(&crc32(&body).to_le_bytes());
+        v1.extend_from_slice(&body);
+        assert_eq!(
+            parse_frame(&v1),
+            Err(WireError::BadVersion(1)),
+            "kind {kind:#04x}"
+        );
+        assert_eq!(parse_request(&v1), Err(WireError::BadVersion(1)));
+    }
 }
 
 #[test]
@@ -397,17 +446,32 @@ fn crc32_matches_reference_vectors() {
 
 #[test]
 fn frame_layout_is_stable() {
-    // Lock the on-wire layout: little-endian length, magic "NT", version,
-    // kind, seq, crc, body.
-    let frame = encode_request(0x0102_0304_0506_0708, &Request::Ping).expect("encodes");
-    assert_eq!(&frame[..4], &16u32.to_le_bytes()); // empty body
-    assert_eq!(&frame[4..6], &0x4E54u16.to_le_bytes());
-    assert_eq!(frame[6], 1);
-    assert_eq!(frame[7], 0x07);
-    assert_eq!(&frame[8..16], &0x0102_0304_0506_0708u64.to_le_bytes());
-    assert_eq!(&frame[16..20], &crc32(b"").to_le_bytes());
-    assert_eq!(frame.len(), 20);
+    // Lock the on-wire layout: the WAL's `len | crc | payload` frame, the
+    // payload little-endian magic "NT", version, kind, seq, acked_below,
+    // body; `len` counts the payload, the CRC covers all of it.
+    let frame = encode_request_acked(0x0102_0304_0506_0708, 0x1112_1314_1516_1718, &Request::Ping)
+        .expect("encodes");
+    assert_eq!(&frame[..4], &20u32.to_le_bytes()); // empty body
+    assert_eq!(&frame[4..8], &crc32(&frame[8..]).to_le_bytes());
+    assert_eq!(&frame[8..10], &0x4E54u16.to_le_bytes());
+    assert_eq!(frame[10], 2);
+    assert_eq!(frame[11], 0x07);
+    assert_eq!(&frame[12..20], &0x0102_0304_0506_0708u64.to_le_bytes());
+    assert_eq!(&frame[20..28], &0x1112_1314_1516_1718u64.to_le_bytes());
+    assert_eq!(frame.len(), 4 + HEADER_LEN);
     let (_, seq, body) = parse_frame(&frame[4..]).expect("parses");
     assert_eq!(seq, 0x0102_0304_0506_0708);
     assert!(body.is_empty());
+    // One framer: the WAL's decoder accepts the frame's length and CRC,
+    // and stops only at the payload, which is a message, not a record.
+    let wal = nt_store::record::decode_stream(&frame);
+    assert_eq!(
+        (wal.frames, wal.valid_len),
+        (0, 0),
+        "a wire payload is not a record"
+    );
+    assert!(matches!(
+        wal.torn,
+        Some(nt_store::record::WalError::BadTag { offset: 0, .. })
+    ));
 }

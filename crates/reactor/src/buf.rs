@@ -94,10 +94,17 @@ impl FrameBuf {
         self.end = 0;
     }
 
-    /// Pop the next complete frame, `Ok(None)` when more bytes are needed,
-    /// or [`BadFrame`] when the prefix declares a length below `min_len`
-    /// (too short to hold a header) or above `max_len`.
-    pub fn pop(&mut self, min_len: usize, max_len: usize) -> Result<Option<Vec<u8>>, BadFrame> {
+    /// Pop the next complete frame — everything after its length prefix,
+    /// which is the declared length plus the `checksum_len` bytes the
+    /// length does not count — `Ok(None)` when more bytes are needed, or
+    /// [`BadFrame`] when the prefix declares a length below `min_len` (too
+    /// short to hold a header) or above `max_len`.
+    pub fn pop(
+        &mut self,
+        min_len: usize,
+        max_len: usize,
+        checksum_len: usize,
+    ) -> Result<Option<Vec<u8>>, BadFrame> {
         let unread = &self.buf[self.start..self.end];
         if unread.len() < 4 {
             return Ok(None);
@@ -106,11 +113,12 @@ impl FrameBuf {
         if len < min_len || len > max_len {
             return Err(BadFrame { len, max: max_len });
         }
-        if unread.len() < 4 + len {
+        let end = 4 + checksum_len + len;
+        if unread.len() < end {
             return Ok(None);
         }
-        let frame = unread[4..4 + len].to_vec();
-        self.start += 4 + len;
+        let frame = unread[4..end].to_vec();
+        self.start += end;
         if self.start == self.end && self.buf.len() > 4 * READ_CHUNK {
             // A large frame passed through: give its room back.
             self.buf = Vec::new();
@@ -135,11 +143,11 @@ mod tests {
         let mut fb = FrameBuf::new();
         let wire = framed(b"hello");
         fb.extend(&wire[..3]);
-        assert_eq!(fb.pop(1, 1024), Ok(None));
+        assert_eq!(fb.pop(1, 1024, 0), Ok(None));
         fb.extend(&wire[3..7]);
-        assert_eq!(fb.pop(1, 1024), Ok(None));
+        assert_eq!(fb.pop(1, 1024, 0), Ok(None));
         fb.extend(&wire[7..]);
-        assert_eq!(fb.pop(1, 1024), Ok(Some(b"hello".to_vec())));
+        assert_eq!(fb.pop(1, 1024, 0), Ok(Some(b"hello".to_vec())));
         assert!(fb.is_empty());
     }
 
@@ -148,19 +156,32 @@ mod tests {
         let mut fb = FrameBuf::new();
         fb.extend(&framed(b"a"));
         fb.extend(&framed(b"bb"));
-        assert_eq!(fb.pop(1, 1024), Ok(Some(b"a".to_vec())));
-        assert_eq!(fb.pop(1, 1024), Ok(Some(b"bb".to_vec())));
-        assert_eq!(fb.pop(1, 1024), Ok(None));
+        assert_eq!(fb.pop(1, 1024, 0), Ok(Some(b"a".to_vec())));
+        assert_eq!(fb.pop(1, 1024, 0), Ok(Some(b"bb".to_vec())));
+        assert_eq!(fb.pop(1, 1024, 0), Ok(None));
+    }
+
+    #[test]
+    fn a_checksum_the_length_does_not_count_travels_with_the_frame() {
+        // `len | crc | payload`: the prefix counts the payload only.
+        let mut wire = 2u32.to_le_bytes().to_vec();
+        wire.extend_from_slice(b"CRC!xy");
+        let mut fb = FrameBuf::new();
+        fb.extend(&wire[..9]);
+        assert_eq!(fb.pop(2, 1024, 4), Ok(None), "one payload byte short");
+        fb.extend(&wire[9..]);
+        assert_eq!(fb.pop(2, 1024, 4), Ok(Some(b"CRC!xy".to_vec())));
+        assert!(fb.is_empty());
     }
 
     #[test]
     fn oversize_and_undersize_prefixes_are_typed_errors() {
         let mut fb = FrameBuf::new();
         fb.extend(&framed(&[0u8; 64]));
-        assert_eq!(fb.pop(1, 16), Err(BadFrame { len: 64, max: 16 }));
+        assert_eq!(fb.pop(1, 16, 0), Err(BadFrame { len: 64, max: 16 }));
         let mut fb = FrameBuf::new();
         fb.extend(&framed(b"xy"));
-        assert_eq!(fb.pop(16, 1024), Err(BadFrame { len: 2, max: 1024 }));
+        assert_eq!(fb.pop(16, 1024, 0), Err(BadFrame { len: 2, max: 1024 }));
     }
 
     #[test]
@@ -178,15 +199,15 @@ mod tests {
             (READ_CHUNK, true),
             "region filled: more may wait"
         );
-        assert_eq!(fb.pop(1, 1 << 20), Ok(Some(b"first".to_vec())));
-        assert_eq!(fb.pop(1, 1 << 20), Ok(None));
+        assert_eq!(fb.pop(1, 1 << 20, 0), Ok(Some(b"first".to_vec())));
+        assert_eq!(fb.pop(1, 1 << 20, 0), Ok(None));
         let mut short = false;
         while !short {
             let (n, full) = fb.read_from(&mut src).expect("read");
             short = !full;
             assert!(n > 0 || short);
         }
-        assert_eq!(fb.pop(1, 1 << 20), Ok(Some(big)));
+        assert_eq!(fb.pop(1, 1 << 20, 0), Ok(Some(big)));
         assert!(fb.is_empty());
         let (n, full) = fb.read_from(&mut src).expect("read");
         assert_eq!((n, full), (0, false), "EOF is a zero-byte short read");

@@ -79,6 +79,11 @@ pub struct ReactorConfig {
     pub min_frame_len: usize,
     /// Largest acceptable declared frame length.
     pub max_frame_len: usize,
+    /// Bytes between the length prefix and the bytes it counts: a checksum
+    /// the length does not cover, as in the `len | crc | payload` frame
+    /// `nt-store` and `nt-net` share. They reach the service as the head
+    /// of the frame. Zero: the prefix counts everything after it.
+    pub checksum_len: usize,
     /// Per-connection cap on dispatched-but-unanswered frames; beyond it
     /// the connection leaves the poll interest set (readiness
     /// backpressure).
@@ -92,6 +97,7 @@ impl Default for ReactorConfig {
         ReactorConfig {
             min_frame_len: 1,
             max_frame_len: 1 << 22,
+            checksum_len: 0,
             queue_depth: 64,
             phase: None,
         }
@@ -790,7 +796,11 @@ impl ReactorLoop {
         }
         let mut ran = false;
         loop {
-            match c.inbuf.pop(self.cfg.min_frame_len, self.cfg.max_frame_len) {
+            match c.inbuf.pop(
+                self.cfg.min_frame_len,
+                self.cfg.max_frame_len,
+                self.cfg.checksum_len,
+            ) {
                 Ok(Some(frame)) => {
                     c.frames += 1;
                     c.outstanding += 1;

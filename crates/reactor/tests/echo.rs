@@ -106,6 +106,7 @@ fn start(
     let cfg = ReactorConfig {
         min_frame_len: 1,
         max_frame_len: max_frame,
+        checksum_len: 0,
         queue_depth: 16,
         phase: None,
     };

@@ -9,6 +9,9 @@
 //! A frame is one *extent*: everything the WAL staged between two round
 //! barriers, written with one `write(2)` (checkpoints, headers and files
 //! from before the stage hold one record per frame — the same grammar).
+//! `nt-net` frames its wire messages with the same [`begin_frame`] /
+//! [`seal_frame`] / [`check_crc`]: there is one framer, with one CRC over
+//! everything after the prefix.
 //! Bodies are self-delimiting by tag, so an extent needs no inner lengths.
 //! `crc` is CRC-32 (IEEE) over the whole payload. Decoding walks frames
 //! front to back and **stops at the first frame that fails to parse** —
@@ -349,8 +352,9 @@ pub(crate) fn put_or_restore(
 }
 
 /// Open a frame at the end of `out`: reserve its length + CRC prefix.
-/// Returns the frame's offset for [`seal_frame`].
-pub(crate) fn begin_frame(out: &mut Vec<u8>) -> usize {
+/// Returns the frame's offset for [`seal_frame`]. The one framer: WAL
+/// extents and `nt-net` wire frames are both built with it.
+pub fn begin_frame(out: &mut Vec<u8>) -> usize {
     let at = out.len();
     out.extend_from_slice(&[0; FRAME_OVERHEAD]);
     at
@@ -358,10 +362,25 @@ pub(crate) fn begin_frame(out: &mut Vec<u8>) -> usize {
 
 /// Close the frame opened at `at`: everything after its prefix is the
 /// payload, whose length and CRC are patched in.
-pub(crate) fn seal_frame(out: &mut [u8], at: usize) {
+pub fn seal_frame(out: &mut [u8], at: usize) {
     let (prefix, payload) = out[at..].split_at_mut(FRAME_OVERHEAD);
     prefix[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     prefix[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
+/// Check a frame after its length prefix — `crc | payload`, at least the
+/// four CRC bytes — and return the payload, or `(declared, computed)`
+/// when the checksums disagree. The one CRC check [`decode_stream`] and
+/// the `nt-net` frame parser share.
+pub fn check_crc(rest: &[u8]) -> Result<&[u8], (u32, u32)> {
+    let (crc, payload) = rest.split_at(FRAME_OVERHEAD - 4);
+    let declared = u32::from_le_bytes(crc.try_into().expect("4 bytes"));
+    let computed = crc32(payload);
+    if declared == computed {
+        Ok(payload)
+    } else {
+        Err((declared, computed))
+    }
 }
 
 impl Record {
@@ -590,15 +609,13 @@ pub fn decode_stream(bytes: &[u8]) -> Decoded {
         if len == 0 || len > MAX_PAYLOAD {
             break Some(WalError::BadLen { offset: pos, len });
         }
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
         let end = pos + FRAME_OVERHEAD + len as usize;
         if end > bytes.len() {
             break Some(WalError::Truncated { offset: pos });
         }
-        let payload = &bytes[pos + FRAME_OVERHEAD..end];
-        if crc32(payload) != crc {
+        let Ok(payload) = check_crc(&bytes[pos + 4..end]) else {
             break Some(WalError::BadCrc { offset: pos });
-        }
+        };
         let whole = records.len();
         let mut body = Body {
             bytes: payload,
