@@ -9,11 +9,18 @@
 //! `SessionTree::to_tx_tree` relies on. Decoding validates every parent
 //! and transaction reference before touching `TxTree` (whose mutators
 //! assert), so malformed documents yield typed errors, never panics.
+//! Node ops and actions are written by the WAL's codec
+//! (`nt_store::record`): an action here has the bytes of the WAL's `Act`
+//! record after its stamp.
 
-use crate::wire::{put_i64, put_u32, put_value, take_value, Cur, WireError};
+use crate::wire::WireError;
 use nt_model::{Action, ObjId, Op, TxId, TxTree};
+use nt_store::record::{
+    decode_action, decode_op_arg, encode_action, encode_op_arg, op_tag, put_u32, Reader,
+};
 
 const NODE_INNER: u8 = 0;
+/// An access node's tag is its op's tag plus `NODE_READ`.
 const NODE_READ: u8 = 1;
 const NODE_WRITE: u8 = 2;
 
@@ -38,20 +45,6 @@ pub struct HistoryDoc {
     pub nodes: Vec<NodeRec>,
     /// The merged action history, in recorded sequence order.
     pub actions: Vec<Action>,
-}
-
-fn action_tag(a: &Action) -> u8 {
-    match a {
-        Action::Create(_) => 0,
-        Action::RequestCreate(_) => 1,
-        Action::RequestCommit(..) => 2,
-        Action::Commit(_) => 3,
-        Action::Abort(_) => 4,
-        Action::ReportCommit(..) => 5,
-        Action::ReportAbort(_) => 6,
-        Action::InformCommit(..) => 7,
-        Action::InformAbort(..) => 8,
-    }
 }
 
 impl HistoryDoc {
@@ -138,91 +131,52 @@ impl HistoryDoc {
         Ok((tree, self.actions.clone()))
     }
 
-    /// Append the document's binary form to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    /// Append the document's binary form to `out`. An access node is
+    /// `parent | NODE_READ + op tag | obj | op argument`: the op's codec
+    /// with the object between its tag and its argument. An op outside
+    /// the register alphabet is a [`WireError::BadPayload`].
+    pub fn encode(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
         put_u32(out, self.objects);
         put_u32(out, self.nodes.len() as u32);
         for n in &self.nodes {
             put_u32(out, n.parent);
             match &n.op {
                 None => out.push(NODE_INNER),
-                Some(Op::Read) => {
-                    out.push(NODE_READ);
+                Some(op) => {
+                    out.push(NODE_READ + op_tag(op)?);
                     put_u32(out, n.obj);
+                    encode_op_arg(out, op);
                 }
-                Some(Op::Write(v)) => {
-                    out.push(NODE_WRITE);
-                    put_u32(out, n.obj);
-                    put_i64(out, *v);
-                }
-                // `from_run` refuses these; an in-memory doc built by hand
-                // degrades to an inner node rather than corrupting the
-                // stream.
-                Some(_) => out.push(NODE_INNER),
             }
         }
         put_u32(out, self.actions.len() as u32);
         for a in &self.actions {
-            out.push(action_tag(a));
-            match a {
-                Action::Create(t)
-                | Action::RequestCreate(t)
-                | Action::Commit(t)
-                | Action::Abort(t)
-                | Action::ReportAbort(t) => put_u32(out, t.0),
-                Action::RequestCommit(t, v) | Action::ReportCommit(t, v) => {
-                    put_u32(out, t.0);
-                    put_value(out, v);
-                }
-                Action::InformCommit(x, t) | Action::InformAbort(x, t) => {
-                    put_u32(out, x.0);
-                    put_u32(out, t.0);
-                }
-            }
+            encode_action(out, a)?;
         }
+        Ok(())
     }
 
-    /// Decode a document from a payload cursor.
-    pub(crate) fn decode(cur: &mut Cur<'_>) -> Result<HistoryDoc, WireError> {
-        let objects = cur.u32()?;
-        let nnodes = cur.u32()?;
+    /// Decode a document from a payload reader.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<HistoryDoc, WireError> {
+        let objects = r.u32()?;
+        let nnodes = r.u32()?;
         let mut nodes = Vec::new();
         for _ in 0..nnodes {
-            let parent = cur.u32()?;
-            let (op, obj) = match cur.u8()? {
+            let parent = r.u32()?;
+            let (op, obj) = match r.u8()? {
                 NODE_INNER => (None, 0),
-                NODE_READ => (Some(Op::Read), cur.u32()?),
-                NODE_WRITE => {
-                    let obj = cur.u32()?;
-                    (Some(Op::Write(cur.i64()?)), obj)
+                tag @ (NODE_READ | NODE_WRITE) => {
+                    let obj = r.u32()?;
+                    (Some(decode_op_arg(tag - NODE_READ, r)?), obj)
                 }
                 t => return Err(WireError::BadPayload(format!("node tag {t}"))),
             };
             nodes.push(NodeRec { parent, op, obj });
         }
-        let nacts = cur.u32()?;
+        let nacts = r.u32()?;
         let mut actions = Vec::new();
         for _ in 0..nacts {
-            let tag = cur.u8()?;
-            let a = match tag {
-                0 => Action::Create(TxId(cur.u32()?)),
-                1 => Action::RequestCreate(TxId(cur.u32()?)),
-                2 => {
-                    let t = TxId(cur.u32()?);
-                    Action::RequestCommit(t, take_value(cur)?)
-                }
-                3 => Action::Commit(TxId(cur.u32()?)),
-                4 => Action::Abort(TxId(cur.u32()?)),
-                5 => {
-                    let t = TxId(cur.u32()?);
-                    Action::ReportCommit(t, take_value(cur)?)
-                }
-                6 => Action::ReportAbort(TxId(cur.u32()?)),
-                7 => Action::InformCommit(ObjId(cur.u32()?), TxId(cur.u32()?)),
-                8 => Action::InformAbort(ObjId(cur.u32()?), TxId(cur.u32()?)),
-                t => return Err(WireError::BadPayload(format!("action tag {t}"))),
-            };
-            actions.push(a);
+            actions.push(decode_action(r)?);
         }
         Ok(HistoryDoc {
             objects,

@@ -26,9 +26,17 @@
 //! [`err_code::ACKED`]. Decoding is total — every malformed input maps to
 //! a typed [`WireError`], never a panic — which the property tests in
 //! `tests/wire_props.rs` drive with a corrupt-frame corpus.
+//!
+//! Bodies are read and written with the WAL's codec (`nt_store::record`):
+//! a value, an op or an action has the same bytes here as in a log record,
+//! and a symbol outside the register alphabet is a
+//! [`WireError::BadPayload`] both ways.
 
 use nt_model::{Op, Value};
-use nt_store::record::{begin_frame, check_crc, seal_frame};
+use nt_store::record::{
+    begin_frame, check_crc, decode_op, decode_value, encode_op, encode_value, put_str, put_u16,
+    put_u32, put_u64, seal_frame, CodecError, Reader,
+};
 use std::io::{self, Read};
 
 /// `"NT"` little-endian.
@@ -124,191 +132,20 @@ impl WireError {
     }
 }
 
-// --- Little-endian put/take helpers ---------------------------------------
-
-pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-pub(crate) fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// A bounds-checked little-endian payload reader.
-pub(crate) struct Cur<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    pub(crate) fn new(b: &'a [u8]) -> Cur<'a> {
-        Cur { b, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.b.len() {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-    pub(crate) fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-    pub(crate) fn str(&mut self) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::BadPayload("non-utf8 string".into()))
-    }
-    /// Every payload byte must be consumed.
-    pub(crate) fn finish(self) -> Result<(), WireError> {
-        let left = self.b.len() - self.pos;
-        if left == 0 {
-            Ok(())
-        } else {
-            Err(WireError::Trailing(left))
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> WireError {
+        match e {
+            CodecError::Short { .. } => WireError::Truncated,
+            CodecError::Invalid(what) => WireError::BadPayload(what),
         }
     }
 }
 
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-// --- Value and Op payload encodings ---------------------------------------
-
-/// Encode a [`Value`] (full coverage; the session engine only produces
-/// `Ok`/`Nil`/`Int`/`Bool`, but the encoding is total so property tests
-/// can round-trip every variant).
-pub(crate) fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Ok => out.push(0),
-        Value::Nil => out.push(1),
-        Value::Int(i) => {
-            out.push(2);
-            put_i64(out, *i);
-        }
-        Value::Bool(b) => {
-            out.push(3);
-            out.push(u8::from(*b));
-        }
-        Value::IntSet(s) => {
-            out.push(4);
-            put_u32(out, s.len() as u32);
-            for &i in s.iter() {
-                put_i64(out, i);
-            }
-        }
-        Value::IntList(l) => {
-            out.push(5);
-            put_u32(out, l.len() as u32);
-            for &i in l.iter() {
-                put_i64(out, i);
-            }
-        }
-        Value::IntMap(m) => {
-            out.push(6);
-            put_u32(out, m.len() as u32);
-            for (&k, &v) in m.iter() {
-                put_i64(out, k);
-                put_i64(out, v);
-            }
-        }
-    }
-}
-
-pub(crate) fn take_value(cur: &mut Cur<'_>) -> Result<Value, WireError> {
-    match cur.u8()? {
-        0 => Ok(Value::Ok),
-        1 => Ok(Value::Nil),
-        2 => Ok(Value::Int(cur.i64()?)),
-        3 => match cur.u8()? {
-            0 => Ok(Value::Bool(false)),
-            1 => Ok(Value::Bool(true)),
-            b => Err(WireError::BadPayload(format!("bool byte {b}"))),
-        },
-        4 => {
-            let n = cur.u32()?;
-            let mut s = std::collections::BTreeSet::new();
-            for _ in 0..n {
-                s.insert(cur.i64()?);
-            }
-            Ok(Value::IntSet(Box::new(s)))
-        }
-        5 => {
-            let n = cur.u32()?;
-            let mut l = Vec::new();
-            for _ in 0..n {
-                l.push(cur.i64()?);
-            }
-            Ok(Value::IntList(Box::new(l)))
-        }
-        6 => {
-            let n = cur.u32()?;
-            let mut m = std::collections::BTreeMap::new();
-            for _ in 0..n {
-                let k = cur.i64()?;
-                let v = cur.i64()?;
-                m.insert(k, v);
-            }
-            Ok(Value::IntMap(Box::new(m)))
-        }
-        t => Err(WireError::BadPayload(format!("value tag {t}"))),
-    }
-}
-
-/// Encode a read/write [`Op`]. The wire carries only the read/write
-/// fragment of the alphabet — the session engine's Moss lock table is a
-/// read/write table, and [`crate::history`] rejects anything else too.
-pub(crate) fn put_op(out: &mut Vec<u8>, op: &Op) -> Result<(), WireError> {
-    match op {
-        Op::Read => {
-            out.push(0);
-            Ok(())
-        }
-        Op::Write(v) => {
-            out.push(1);
-            put_i64(out, *v);
-            Ok(())
-        }
-        other => Err(WireError::BadPayload(format!(
-            "non-read/write op {other:?} cannot cross the wire"
-        ))),
-    }
-}
-
-pub(crate) fn take_op(cur: &mut Cur<'_>) -> Result<Op, WireError> {
-    match cur.u8()? {
-        0 => Ok(Op::Read),
-        1 => Ok(Op::Write(cur.i64()?)),
-        t => Err(WireError::BadPayload(format!("op tag {t}"))),
+/// Every payload byte must be consumed.
+fn finish(r: &Reader<'_>) -> Result<(), WireError> {
+    match r.remaining() {
+        0 => Ok(()),
+        left => Err(WireError::Trailing(left)),
     }
 }
 
@@ -406,7 +243,7 @@ impl Request {
             Request::Access { parent, obj, op } => {
                 put_u32(out, *parent);
                 put_u32(out, *obj);
-                put_op(out, op)
+                Ok(encode_op(out, op)?)
             }
             Request::Commit { tx } | Request::Abort { tx } => {
                 put_u32(out, *tx);
@@ -426,14 +263,14 @@ impl Request {
 
     /// Decode a request body for `kind`.
     pub fn decode(kind: u8, body: &[u8]) -> Result<Request, WireError> {
-        let mut cur = Cur::new(body);
+        let mut cur = Reader::new(body);
         let req = match kind {
             0x01 => Request::BeginTop,
             0x02 => Request::BeginChild { parent: cur.u32()? },
             0x03 => Request::Access {
                 parent: cur.u32()?,
                 obj: cur.u32()?,
-                op: take_op(&mut cur)?,
+                op: decode_op(&mut cur)?,
             },
             0x04 => Request::Commit { tx: cur.u32()? },
             0x05 => Request::Abort { tx: cur.u32()? },
@@ -455,7 +292,7 @@ impl Request {
             0x0B => Request::Cert,
             k => return Err(WireError::UnknownKind(k)),
         };
-        cur.finish()?;
+        finish(&cur)?;
         Ok(req)
     }
 }
@@ -556,17 +393,11 @@ impl Response {
                 put_u32(out, *tx);
                 Ok(())
             }
-            Response::AccessOk { value } => {
-                put_value(out, value);
-                Ok(())
-            }
+            Response::AccessOk { value } => Ok(encode_value(out, value)?),
             Response::Committed | Response::AbortOk | Response::Pong | Response::ShuttingDown => {
                 Ok(())
             }
-            Response::History(doc) => {
-                doc.encode(out);
-                Ok(())
-            }
+            Response::History(doc) => doc.encode(out),
             Response::Error { code, msg } => {
                 put_u16(out, *code);
                 put_str(out, msg);
@@ -581,11 +412,11 @@ impl Response {
 
     /// Decode a response body for `kind`.
     pub fn decode(kind: u8, body: &[u8]) -> Result<Response, WireError> {
-        let mut cur = Cur::new(body);
+        let mut cur = Reader::new(body);
         let resp = match kind {
             0x81 => Response::Begun { tx: cur.u32()? },
             0x82 => Response::AccessOk {
-                value: take_value(&mut cur)?,
+                value: decode_value(&mut cur)?,
             },
             0x83 => Response::Committed,
             0x84 => Response::AbortOk,
@@ -601,7 +432,7 @@ impl Response {
             0x8B => Response::Cert { json: cur.str()? },
             k => return Err(WireError::UnknownKind(k)),
         };
-        cur.finish()?;
+        finish(&cur)?;
         Ok(resp)
     }
 }
@@ -684,20 +515,20 @@ pub fn decode_frame(frame: &[u8]) -> Result<Frame<'_>, WireError> {
         check_crc(frame).map_err(|(declared, computed)| WireError::BadCrc { declared, computed })
     };
     let payload = checked.map_err(|e| v1_version(frame).map_or(e, WireError::BadVersion))?;
-    let magic = u16::from_le_bytes([payload[0], payload[1]]);
+    let mut r = Reader::new(payload);
+    let magic = r.u16()?;
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    let ver = payload[2];
+    let ver = r.u8()?;
     if ver != VERSION {
         return Err(WireError::BadVersion(ver));
     }
-    let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
     Ok(Frame {
-        kind: payload[3],
-        seq: word(4),
-        acked_below: word(12),
-        body: &payload[MIN_PAYLOAD..],
+        kind: r.u8()?,
+        seq: r.u64()?,
+        acked_below: r.u64()?,
+        body: r.take(r.remaining())?,
     })
 }
 
@@ -779,7 +610,7 @@ pub fn encode_batch_request_acked(
 /// truncated entries, nested batches, unknown kinds, and trailing bytes
 /// all map to typed errors.
 pub fn decode_batch_request(body: &[u8]) -> Result<Vec<(u64, Request)>, WireError> {
-    let mut cur = Cur::new(body);
+    let mut cur = Reader::new(body);
     let count = cur.u32()?;
     if count == 0 {
         return Err(WireError::BadPayload("empty batch".into()));
@@ -795,7 +626,7 @@ pub fn decode_batch_request(body: &[u8]) -> Result<Vec<(u64, Request)>, WireErro
         let op_body = cur.take(len)?;
         ops.push((op_seq, Request::decode(kind, op_body)?));
     }
-    cur.finish()?;
+    finish(&cur)?;
     Ok(ops)
 }
 
@@ -817,7 +648,7 @@ pub fn encode_batch_response(seq: u64, entries: &[BatchEntry]) -> Vec<u8> {
 
 /// Decode a `BATCH` response body into per-op `(seq, response)` pairs.
 pub fn decode_batch_response(body: &[u8]) -> Result<Vec<(u64, Response)>, WireError> {
-    let mut cur = Cur::new(body);
+    let mut cur = Reader::new(body);
     let count = cur.u32()?;
     let mut out = Vec::new();
     for _ in 0..count {
@@ -827,7 +658,7 @@ pub fn decode_batch_response(body: &[u8]) -> Result<Vec<(u64, Response)>, WireEr
         let op_body = cur.take(len)?;
         out.push((op_seq, Response::decode(kind, op_body)?));
     }
-    cur.finish()?;
+    finish(&cur)?;
     Ok(out)
 }
 

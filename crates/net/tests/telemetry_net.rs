@@ -292,7 +292,6 @@ fn certifier_keeps_up_without_ever_being_asked() {
     assert_eq!(sgt_live("nodes"), 0, "nothing pinned: the graph prunes");
     let status = engine.certifier().expect("live_certify").status();
     assert!(status.ok);
-    assert_eq!(status.parked_max, 0, "nothing ever waited for a stamp");
 
     pin.shutdown_server().expect("shutdown");
     drop(pin);

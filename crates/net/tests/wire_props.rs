@@ -3,9 +3,11 @@
 //! frames (truncations, bit flips — in the header too, which the CRC now
 //! covers — bad CRC, bad magic, bad version, a version-1 frame, unknown
 //! kinds, trailing bytes) always yields a typed [`WireError`] — never a
-//! panic.
+//! panic. The wire, the fetched history and the WAL write one alphabet
+//! with one codec: the same symbol has the same bytes in all three, and
+//! golden bytes pin a frame of every kind and a record of every kind.
 
-use nt_model::{Op, Value};
+use nt_model::{Action, ObjId, Op, TxId, Value};
 use nt_net::history::{HistoryDoc, NodeRec};
 use nt_net::wire::{
     crc32, decode_batch_request, decode_batch_response, decode_frame, encode_batch_request,
@@ -13,24 +15,22 @@ use nt_net::wire::{
     encode_response, parse_frame, parse_request, parse_response, BatchEntry, Request, Response,
     WireError, HEADER_LEN, KIND_BATCH_REQ, KIND_BATCH_RESP, VERSION,
 };
+use nt_store::record::{FileKind, Record};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![Just(Op::Read), any::<i64>().prop_map(Op::Write)]
 }
 
+/// The register alphabet: the only values the engine produces
+/// (`LockTable::grant` answers `Ok` or `Int`) and the only ones either
+/// format encodes.
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         Just(Value::Ok),
         Just(Value::Nil),
         any::<i64>().prop_map(Value::Int),
         any::<bool>().prop_map(Value::Bool),
-        prop::collection::vec(any::<i64>(), 0..5)
-            .prop_map(|v| Value::IntSet(Box::new(v.into_iter().collect::<BTreeSet<i64>>()))),
-        prop::collection::vec(any::<i64>(), 0..5).prop_map(|l| Value::IntList(Box::new(l))),
-        prop::collection::vec((any::<i64>(), any::<i64>()), 0..5)
-            .prop_map(|v| Value::IntMap(Box::new(v.into_iter().collect::<BTreeMap<i64, i64>>()))),
     ]
 }
 
@@ -62,8 +62,9 @@ fn arb_doc() -> impl Strategy<Value = HistoryDoc> {
     (
         0u32..8,
         prop::collection::vec((any::<u32>(), any::<bool>(), arb_op(), any::<u32>()), 0..6),
+        prop::collection::vec(arb_action(), 0..10),
     )
-        .prop_map(|(objects, nodes)| HistoryDoc {
+        .prop_map(|(objects, nodes, actions)| HistoryDoc {
             objects,
             nodes: nodes
                 .into_iter()
@@ -75,7 +76,7 @@ fn arb_doc() -> impl Strategy<Value = HistoryDoc> {
                     obj: if access { obj } else { 0 },
                 })
                 .collect(),
-            actions: Vec::new(),
+            actions,
         })
 }
 
@@ -473,5 +474,339 @@ fn frame_layout_is_stable() {
     assert!(matches!(
         wal.torn,
         Some(nt_store::record::WalError::BadTag { offset: 0, .. })
+    ));
+}
+
+// --- One codec: actions, cross-format bytes, golden bytes ----------------
+
+fn arb_action() -> impl Strategy<Value = Action> {
+    (0u8..9, any::<u32>(), any::<u32>(), arb_value()).prop_map(|(tag, t, x, v)| {
+        let (t, x) = (TxId(t), ObjId(x));
+        match tag {
+            0 => Action::Create(t),
+            1 => Action::RequestCreate(t),
+            2 => Action::RequestCommit(t, v),
+            3 => Action::Commit(t),
+            4 => Action::Abort(t),
+            5 => Action::ReportCommit(t, v),
+            6 => Action::ReportAbort(t),
+            7 => Action::InformCommit(x, t),
+            _ => Action::InformAbort(x, t),
+        }
+    })
+}
+
+/// The body of the one frame in `frame`.
+fn body_of(frame: &[u8]) -> Vec<u8> {
+    parse_frame(&frame[4..]).expect("parses").2.to_vec()
+}
+
+/// `rec` encoded as a bare record: tag, then body.
+fn record_bytes(rec: Record) -> Vec<u8> {
+    let mut out = Vec::new();
+    rec.encode_into(&mut out).expect("encodes");
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The fetched history and the WAL write the same bytes for the same
+    /// symbol: an action in a `HISTORY` body is the `Act` record after its
+    /// stamp, a value in `ACCESS_OK` is an `Act`'s `REQUEST_COMMIT` value,
+    /// and an op in `ACCESS` is a `TreeAdd`'s op.
+    #[test]
+    fn history_and_wal_encode_symbols_alike(
+        action in arb_action(),
+        value in arb_value(),
+        op in arb_op(),
+    ) {
+        let doc = HistoryDoc { objects: 0, nodes: Vec::new(), actions: vec![action.clone()] };
+        let history = body_of(&encode_response(1, &Response::History(doc)).expect("encodes"));
+        // objects u32 | nodes u32 | actions u32 | action
+        let act = record_bytes(Record::Act { stamp: 9, action });
+        // tag u8 | stamp u64 | action
+        prop_assert_eq!(&history[12..], &act[9..]);
+
+        let reply = body_of(&encode_response(1, &Response::AccessOk { value: value.clone() })
+            .expect("encodes"));
+        let act = record_bytes(Record::Act {
+            stamp: 9,
+            action: Action::RequestCommit(TxId(3), value),
+        });
+        // tag u8 | stamp u64 | action tag u8 | tx u32 | value
+        prop_assert_eq!(&reply[..], &act[14..]);
+
+        let access = Request::Access { parent: 1, obj: 2, op: op.clone() };
+        let request = body_of(&encode_request(1, &access).expect("encodes"));
+        let add = record_bytes(Record::TreeAdd {
+            t: TxId(3),
+            parent: TxId(1),
+            access: Some((ObjId(2), op)),
+        });
+        // parent u32 | obj u32 | op  vs  tag u8 | t u32 | parent u32 | flag u8 | obj u32 | op
+        prop_assert_eq!(&request[8..], &add[14..]);
+    }
+}
+
+/// One of each `Action` variant, the values drawn from the register
+/// alphabet.
+fn every_action() -> Vec<Action> {
+    let (t, x) = (TxId(0x0A0B_0C0D), ObjId(0x0102_0304));
+    vec![
+        Action::Create(t),
+        Action::RequestCreate(t),
+        Action::RequestCommit(t, Value::Int(-3)),
+        Action::Commit(t),
+        Action::Abort(t),
+        Action::ReportCommit(t, Value::Bool(true)),
+        Action::ReportAbort(t),
+        Action::InformCommit(x, t),
+        Action::InformAbort(x, t),
+    ]
+}
+
+/// One frame of every request and response kind and one record of every
+/// WAL kind, in [`GOLDEN`]'s order.
+fn golden_cases() -> Vec<Vec<u8>> {
+    let (seq, ack) = (0x0102_0304_0506_0708, 0x1112_1314_1516_1718);
+    let mut cases = Vec::new();
+    let requests = [
+        Request::BeginTop,
+        Request::BeginTopDeclared {
+            reads: vec![1, 2],
+            writes: vec![3],
+        },
+        Request::BeginChild {
+            parent: 0x0A0B_0C0D,
+        },
+        Request::Access {
+            parent: 5,
+            obj: 6,
+            op: Op::Read,
+        },
+        Request::Access {
+            parent: 5,
+            obj: 6,
+            op: Op::Write(-2),
+        },
+        Request::Commit { tx: 7 },
+        Request::Abort { tx: 8 },
+        Request::HistoryFetch,
+        Request::Ping,
+        Request::Shutdown,
+        Request::Stats,
+        Request::Cert,
+    ];
+    for req in &requests {
+        cases.push(encode_request_acked(seq, ack, req).expect("encodes"));
+    }
+    let ops = [
+        (5, Request::Ping),
+        (
+            6,
+            Request::Access {
+                parent: 1,
+                obj: 2,
+                op: Op::Write(9),
+            },
+        ),
+    ];
+    cases.push(encode_batch_request_acked(seq, ack, &ops).expect("encodes"));
+    let doc = HistoryDoc {
+        objects: 2,
+        nodes: vec![
+            NodeRec {
+                parent: 0,
+                op: None,
+                obj: 0,
+            },
+            NodeRec {
+                parent: 1,
+                op: Some(Op::Read),
+                obj: 1,
+            },
+            NodeRec {
+                parent: 1,
+                op: Some(Op::Write(-7)),
+                obj: 0,
+            },
+        ],
+        actions: every_action(),
+    };
+    let responses = [
+        Response::Begun { tx: 3 },
+        Response::AccessOk { value: Value::Ok },
+        Response::AccessOk { value: Value::Nil },
+        Response::AccessOk {
+            value: Value::Int(-5),
+        },
+        Response::AccessOk {
+            value: Value::Bool(false),
+        },
+        Response::Committed,
+        Response::AbortOk,
+        Response::Aborted { victim: 4 },
+        Response::History(doc),
+        Response::Pong,
+        Response::ShuttingDown,
+        Response::Stats { json: "{}".into() },
+        Response::Cert {
+            json: "{\"ok\":true}".into(),
+        },
+        Response::Error {
+            code: 9,
+            msg: "acked".into(),
+        },
+    ];
+    for resp in &responses {
+        cases.push(encode_response(seq, resp).expect("encodes"));
+    }
+    let entries = [BatchEntry {
+        seq: 5,
+        kind: 0x87,
+        body: Vec::new(),
+    }];
+    cases.push(encode_batch_response(seq, &entries));
+    let mut records = vec![
+        Record::Header {
+            kind: FileKind::Wal,
+            gen: 3,
+            covers_stamp: 0,
+        },
+        Record::Header {
+            kind: FileKind::Checkpoint,
+            gen: 4,
+            covers_stamp: 99,
+        },
+        Record::TreeAdd {
+            t: TxId(1),
+            parent: TxId::ROOT,
+            access: None,
+        },
+        Record::TreeAdd {
+            t: TxId(2),
+            parent: TxId(1),
+            access: Some((ObjId(7), Op::Read)),
+        },
+        Record::TreeAdd {
+            t: TxId(3),
+            parent: TxId(1),
+            access: Some((ObjId(7), Op::Write(-9))),
+        },
+        Record::Cache {
+            seq: (5 << 32) | 77,
+            resp: vec![0xAB; 3],
+        },
+    ];
+    for (i, action) in every_action().into_iter().enumerate() {
+        records.push(Record::Act {
+            stamp: 40 + i as u64,
+            action,
+        });
+    }
+    for rec in &records {
+        cases.push(rec.encode_frame().expect("encodes"));
+    }
+    cases
+}
+
+/// [`golden_cases`] as encoded before the wire and the WAL shared one
+/// codec. A changed byte here is a format change, not a refactor.
+const GOLDEN: &[(&str, &str)] = &[
+    ("BeginTop", "14000000032c63e8544e020108070605040302011817161514131211"),
+    ("BeginTopDeclared", "28000000f20d21ce544e0209080706050403020118171615141312110200000001000000020000000100000003000000"),
+    ("BeginChild", "18000000d70ee861544e0202080706050403020118171615141312110d0c0b0a"),
+    ("Access/read", "1d000000656b89e1544e020308070605040302011817161514131211050000000600000000"),
+    ("Access/write", "250000007ed624c7544e020308070605040302011817161514131211050000000600000001feffffffffffffff"),
+    ("Commit", "18000000c42253f2544e02040807060504030201181716151413121107000000"),
+    ("Abort", "180000000cb1ea35544e02050807060504030201181716151413121108000000"),
+    ("HistoryFetch", "140000004850f1c8544e020608070605040302011817161514131211"),
+    ("Ping", "140000000b9b574f544e020708070605040302011817161514131211"),
+    ("Shutdown", "14000000dea8d589544e020808070605040302011817161514131211"),
+    ("Stats", "140000001938e95d544e020a08070605040302011817161514131211"),
+    ("Cert", "140000005af34fda544e020b08070605040302011817161514131211"),
+    ("Batch", "4300000039df514d544e020c080706050403020118171615141312110200000005000000000000000700000000060000000000000003110000000100000002000000010900000000000000"),
+    ("Begun", "18000000eeb7c63e544e02810807060504030201000000000000000003000000"),
+    ("AccessOk/ok", "150000004299caa2544e02820807060504030201000000000000000000"),
+    ("AccessOk/nil", "15000000d4a9cdd5544e02820807060504030201000000000000000001"),
+    ("AccessOk/int", "1d0000003bfe8420544e02820807060504030201000000000000000002fbffffffffffffff"),
+    ("AccessOk/bool", "160000006b565f61544e0282080706050403020100000000000000000300"),
+    ("Committed", "14000000468b2425544e028308070605040302010000000000000000"),
+    ("AbortOk", "140000000df7b605544e028408070605040302010000000000000000"),
+    ("Aborted", "18000000ec8be8b1544e02850807060504030201000000000000000004000000"),
+    ("History", "7f000000ef83406f544e02860807060504030201000000000000000002000000030000000000000000010000000101000000010000000200000000f9ffffffffffffff09000000000d0c0b0a010d0c0b0a020d0c0b0a02fdffffffffffffff030d0c0b0a040d0c0b0a050d0c0b0a0301060d0c0b0a07040302010d0c0b0a08040302010d0c0b0a"),
+    ("Pong", "1400000089ac2c56544e028708070605040302010000000000000000"),
+    ("ShuttingDown", "140000005c9fae90544e028808070605040302010000000000000000"),
+    ("Stats/resp", "1a00000076d05e8b544e028a08070605040302010000000000000000020000007b7d"),
+    ("Cert/resp", "230000003a897ff1544e028b080706050403020100000000000000000b0000007b226f6b223a747275657d"),
+    ("Error", "1f000000415e1c81544e02890807060504030201000000000000000009000500000061636b6564"),
+    ("BatchResp", "25000000e18466e7544e028c080706050403020100000000000000000100000005000000000000008700000000"),
+    ("Header/wal", "120000005ecd81a1010003000000000000000000000000000000"),
+    ("Header/checkpoint", "120000003059ba85010104000000000000006300000000000000"),
+    ("TreeAdd/inner", "0a00000008ac04f002010000000000000000"),
+    ("TreeAdd/read", "0f00000050128508020200000001000000010700000000"),
+    ("TreeAdd/write", "17000000a1049829020300000001000000010700000001f7ffffffffffffff"),
+    ("Cache", "10000000bf151a97044d0000000500000003000000ababab"),
+    ("Act/Create", "0e000000e8d5f6bc032800000000000000000d0c0b0a"),
+    ("Act/RequestCreate", "0e000000dd25005c032900000000000000010d0c0b0a"),
+    ("Act/RequestCommit", "170000006bb137a4032a00000000000000020d0c0b0a02fdffffffffffffff"),
+    ("Act/Commit", "0e000000f6c39c46032b00000000000000030d0c0b0a"),
+    ("Act/Abort", "0e000000be19cf89032c00000000000000040d0c0b0a"),
+    ("Act/ReportCommit", "10000000cf03521c032d00000000000000050d0c0b0a0301"),
+    ("Act/ReportAbort", "0e00000095ff5393032e00000000000000060d0c0b0a"),
+    ("Act/InformCommit", "1200000079f3863c032f0000000000000007040302010d0c0b0a"),
+    ("Act/InformAbort", "120000000096ec3203300000000000000008040302010d0c0b0a"),
+];
+
+#[test]
+fn golden_bytes_are_unchanged() {
+    let cases = golden_cases();
+    assert_eq!(cases.len(), GOLDEN.len());
+    for (bytes, (name, want)) in cases.iter().zip(GOLDEN) {
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, *want, "{name}");
+    }
+}
+
+/// The wire carries the register alphabet only: a set value is refused
+/// on encode, and its old tag (4) is refused on decode.
+#[test]
+fn values_outside_the_register_alphabet_are_typed_errors() {
+    let set = Value::IntSet(Box::new([1, 2].into_iter().collect()));
+    assert!(matches!(
+        encode_response(1, &Response::AccessOk { value: set }),
+        Err(WireError::BadPayload(_))
+    ));
+    let tagged_set = handmade(VERSION, 0x82, 1, &[4, 1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0]);
+    assert!(matches!(
+        parse_response(&tagged_set),
+        Err(WireError::BadPayload(_))
+    ));
+}
+
+/// An access node whose op is outside the register alphabet is refused,
+/// not sent as an inner node the client would rebuild differently.
+#[test]
+fn a_history_node_with_a_non_register_op_is_refused() {
+    let doc = HistoryDoc {
+        objects: 1,
+        nodes: vec![
+            NodeRec {
+                parent: 0,
+                op: None,
+                obj: 0,
+            },
+            NodeRec {
+                parent: 1,
+                op: Some(Op::GetCount),
+                obj: 0,
+            },
+        ],
+        actions: Vec::new(),
+    };
+    assert!(matches!(
+        encode_response(1, &Response::History(doc)),
+        Err(WireError::BadPayload(_))
     ));
 }

@@ -19,17 +19,6 @@
 //! so the order in which threads win the lock is the stamp order, and the
 //! maintainer never sees a stamp before its predecessor.
 //!
-//! ## The reorder heap is bounded
-//!
-//! The maintainer keeps its reorder heap for callers that stamp first and
-//! feed later ([`act`](LiveCertifier::act), [`SgtMaintainer::replay`] of
-//! shuffled feeds). On the engine's path a stamp is missing only while
-//! the thread that drew it is inside `record` — which holds the lock — so
-//! nothing is ever parked: the heap's high-water mark
-//! ([`LiveStatus::parked_max`]) is zero, hence bounded by
-//! the number of recording threads (the poll thread alone on the server,
-//! the session workers in `run_plan`).
-//!
 //! ## Lock order
 //!
 //! Callers hold their own lock when they record — a lock-table shard
@@ -78,11 +67,6 @@ pub struct LiveStatus {
     /// Top-level resolutions stepped so far (one gauge publication each
     /// when a recorder is attached).
     pub samples: u64,
-    /// High-water mark of the maintainer's reorder heap: the most actions
-    /// ever left parked behind a missing stamp. Zero when every action
-    /// came through [`LiveCertifier::record`] (see the module docs); a
-    /// debugging aid, not part of the verdict document.
-    pub parked_max: usize,
     /// The latched violation, if any.
     pub violation: Option<Arc<ViolationReport>>,
 }
@@ -121,7 +105,6 @@ struct State {
     m: SgtMaintainer,
     check_ns: u64,
     samples: u64,
-    parked_max: usize,
 }
 
 struct Shared {
@@ -150,7 +133,6 @@ impl LiveCertifier {
                     m: SgtMaintainer::new(cfg),
                     check_ns: 0,
                     samples: 0,
-                    parked_max: 0,
                 }),
                 ok: AtomicBool::new(true),
                 telemetry,
@@ -189,7 +171,6 @@ impl LiveCertifier {
         let resolves = matches!(action, Action::Commit(t) | Action::Abort(t) if st.m.is_top(*t));
         let started = resolves.then(Instant::now);
         st.m.apply(stamp, action.clone());
-        st.parked_max = st.parked_max.max(st.m.parked());
         self.mirror_verdict(&st);
         if let Some(started) = started {
             st.check_ns += started.elapsed().as_nanos() as u64;
@@ -199,9 +180,8 @@ impl LiveCertifier {
         stamp
     }
 
-    /// Step the maintainer with an action stamped elsewhere. Arrivals
-    /// ahead of their predecessors park in the maintainer's reorder heap
-    /// until the stamp sequence is contiguous.
+    /// Step the maintainer with an action stamped elsewhere, in stamp
+    /// order: each stamp above the last one fed.
     pub fn act(&self, stamp: u64, action: &Action) {
         self.record(|| stamp, action);
     }
@@ -245,7 +225,6 @@ fn status_of(st: &State) -> LiveStatus {
         live_tops: st.m.live_tops(),
         check_us: st.check_ns / 1_000,
         samples: st.samples,
-        parked_max: st.parked_max,
         violation: st.m.violation(),
     }
 }
@@ -306,7 +285,6 @@ mod tests {
         assert_eq!(status.edges, m.edge_count());
         assert_eq!(status.live_tops, m.live_tops());
         assert_eq!(status.samples, 2, "one per resolved top");
-        assert_eq!(status.parked_max, 0);
         let gauges = gauges_of(&telemetry);
         assert_eq!(gauges.get("sgt.live.ok"), Some(&1));
         assert_eq!(gauges.get("sgt.live.samples"), Some(&2));
@@ -359,22 +337,6 @@ mod tests {
         let rep = status.violation.expect("latched");
         assert_eq!(rep.edge.witness, (4, 8));
         assert_eq!(gauges_of(&telemetry).get("sgt.live.ok"), Some(&0));
-    }
-
-    #[test]
-    fn out_of_order_acts_park_and_converge() {
-        let mut tree = TxTree::new();
-        let a = tree.add_inner(TxId::ROOT);
-        let live = LiveCertifier::new(SgtConfig::default(), TraceHandle::disabled());
-        live.lock().m.seed_tree(&tree);
-        live.act(1, &Action::Commit(a));
-        let status = live.status();
-        assert_eq!(status.processed, 0, "stamp 0 is missing");
-        assert_eq!(status.parked_max, 1);
-        live.act(0, &Action::RequestCreate(a));
-        let status = live.status();
-        assert_eq!(status.processed, 2);
-        assert_eq!(status.watermark, 2);
     }
 
     #[test]

@@ -56,8 +56,7 @@ use crate::topo::{DynTopo, Insert};
 use nt_model::{Action, ObjId, Op, TxId, TxTree, Value};
 use nt_serial::ObjectTypes;
 use nt_sgt::EdgeKind;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Where the live conflict relation comes from (owned mirror of
@@ -151,29 +150,12 @@ struct ObjEntry {
     value: Value,
 }
 
-#[derive(PartialEq, Eq)]
-struct StampedAct(u64, Action);
-
-impl Ord for StampedAct {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp(&other.0)
-    }
-}
-
-impl PartialOrd for StampedAct {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// The live incremental serialization-graph maintainer. See the module
 /// docs for the algorithm.
 pub struct SgtMaintainer {
     cfg: SgtConfig,
-    /// Next stamp expected by the in-order processor; the reorder heap
-    /// holds actions whose predecessors have not arrived yet.
+    /// One past the last stamp fed (the watermark while no top is live).
     next_stamp: u64,
-    pending: BinaryHeap<Reverse<StampedAct>>,
     processed: u64,
 
     nodes: HashMap<TxId, NodeInfo>,
@@ -200,7 +182,6 @@ impl SgtMaintainer {
         SgtMaintainer {
             cfg,
             next_stamp: 0,
-            pending: BinaryHeap::new(),
             processed: 0,
             nodes: HashMap::new(),
             children: HashMap::new(),
@@ -246,30 +227,18 @@ impl SgtMaintainer {
         }
     }
 
-    /// Feed one stamped action. Out-of-order arrivals (a producer that
-    /// stamps first and feeds later) are parked in a heap and processed
-    /// once the stamp sequence is contiguous.
+    /// Feed one stamped action. Stamps increase: every feeder draws them
+    /// in order — [`LiveCertifier::record`](crate::LiveCertifier::record)
+    /// under the certifier lock, [`preload`](Self::preload) and
+    /// [`replay`](Self::replay) in history order.
     pub fn apply(&mut self, stamp: u64, action: Action) {
-        self.pending.push(Reverse(StampedAct(stamp, action)));
-        while self
-            .pending
-            .peek()
-            .is_some_and(|Reverse(StampedAct(s, _))| *s <= self.next_stamp)
-        {
-            let Reverse(StampedAct(s, a)) = self.pending.pop().expect("peeked");
-            self.next_stamp = self.next_stamp.max(s + 1);
-            self.process(s, a);
-        }
-    }
-
-    /// Process everything still parked, in stamp order, even across gaps
-    /// (end of run: every drawn stamp has been fed, but defensively the
-    /// maintainer never deadlocks on a hole).
-    pub fn flush(&mut self) {
-        while let Some(Reverse(StampedAct(s, a))) = self.pending.pop() {
-            self.next_stamp = self.next_stamp.max(s + 1);
-            self.process(s, a);
-        }
+        debug_assert!(
+            stamp >= self.next_stamp,
+            "stamp {stamp} fed after stamp {}",
+            self.next_stamp - 1
+        );
+        self.next_stamp = stamp + 1;
+        self.process(stamp, action);
     }
 
     /// Replay a recovered prefix (crash–restart): entries are processed
@@ -297,7 +266,6 @@ impl SgtMaintainer {
         for (i, a) in beta.iter().enumerate() {
             m.apply(i as u64, a.clone());
         }
-        m.flush();
         m
     }
 
@@ -315,7 +283,7 @@ impl SgtMaintainer {
         self.violation.clone()
     }
 
-    /// Actions processed (excluding still-parked out-of-order arrivals).
+    /// Actions processed.
     pub fn processed(&self) -> u64 {
         self.processed
     }
@@ -344,11 +312,6 @@ impl SgtMaintainer {
     /// Is `t` a registered (and not yet pruned) child of `T0`?
     pub fn is_top(&self, t: TxId) -> bool {
         self.nodes.get(&t).is_some_and(|n| n.parent == TxId::ROOT)
-    }
-
-    /// Out-of-order arrivals currently parked in the reorder heap.
-    pub fn parked(&self) -> usize {
-        self.pending.len()
     }
 
     /// Render the maintained root graph as an `nt-sgt/live/v1` document.
@@ -1046,40 +1009,6 @@ mod tests {
         agrees_with_posthoc(&tree, &beta);
     }
 
-    /// Out-of-order feeding (stamps arrive shuffled) converges to the
-    /// same verdict once the sequence is contiguous.
-    #[test]
-    fn out_of_order_feed_is_reordered() {
-        let mut tree = TxTree::new();
-        let x = tree.add_object();
-        let a = tree.add_inner(TxId::ROOT);
-        let b = tree.add_inner(TxId::ROOT);
-        let u = tree.add_access(a, x, nt_model::Op::Write(5));
-        let w = tree.add_access(b, x, nt_model::Op::Read);
-        let beta = [
-            Action::RequestCreate(a),
-            Action::RequestCreate(b),
-            Action::RequestCommit(u, Value::Ok),
-            Action::Commit(u),
-            Action::RequestCommit(w, Value::Int(5)),
-            Action::Commit(w),
-            Action::Commit(a),
-            Action::Commit(b),
-        ];
-        let mut m = SgtMaintainer::new(SgtConfig::default());
-        m.seed_tree(&tree);
-        // Feed pairs swapped: 1,0,3,2,5,4,...
-        for pair in beta.chunks(2).enumerate().collect::<Vec<_>>() {
-            let (i, chunk) = pair;
-            m.apply((2 * i + 1) as u64, chunk[1].clone());
-            assert_eq!(m.processed(), (2 * i) as u64);
-            m.apply((2 * i) as u64, chunk[0].clone());
-        }
-        m.flush();
-        assert!(m.ok());
-        assert_eq!(m.processed(), beta.len() as u64);
-    }
-
     /// Preload of a torn recovered prefix: unresolved tops are finalized
     /// as aborted, the watermark advances, and live feeding resumes at
     /// the recovered clock.
@@ -1111,7 +1040,6 @@ mod tests {
         m.apply(10, Action::RequestCreate(w));
         m.apply(11, Action::RequestCommit(w, Value::Int(5)));
         m.apply(12, Action::Commit(w));
-        m.flush();
         assert!(m.ok());
     }
 

@@ -26,6 +26,13 @@
 //! registration ([`TreeAdd`](Record::TreeAdd)), a stamped history action
 //! ([`Act`](Record::Act)), and a cached response
 //! ([`Cache`](Record::Cache)).
+//!
+//! This module also owns the one codec of the model alphabet —
+//! [`encode_value`] / [`decode_value`], [`encode_op`] / [`decode_op`],
+//! [`encode_action`] / [`decode_action`] and the bounds-checked
+//! [`Reader`] — which the records here and `nt-net`'s messages and
+//! fetched histories all use, so a symbol of β has one byte form on the
+//! wire and on disk.
 
 use nt_model::{Action, ObjId, Op, TxId, Value};
 
@@ -185,24 +192,84 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-const TAG_HEADER: u8 = 1;
-const TAG_TREE_ADD: u8 = 2;
-const TAG_ACT: u8 = 3;
-const TAG_CACHE: u8 = 4;
+// --- The codec of the model alphabet ---------------------------------------
+//
+// One byte format for the symbols of β, shared by every reader and writer
+// of them: the WAL's records here, and `nt-net`'s requests, replies and
+// fetched histories. The alphabet is the register alphabet the engine
+// produces — `Value` is `Ok | Nil | Int | Bool`, `Op` is `Read | Write` —
+// and anything outside it is refused on encode and on decode.
+//
+// ```text
+// value  := 0 (Ok) | 1 (Nil) | 2 i64 (Int) | 3 u8 (Bool, 0 or 1)
+// op     := 0 (Read) | 1 i64 (Write)
+// action := tag u8  tx u32           (0 Create, 1 RequestCreate, 3 Commit,
+//                                     4 Abort, 6 ReportAbort)
+//         | tag u8  tx u32  value    (2 RequestCommit, 5 ReportCommit)
+//         | tag u8  obj u32  tx u32  (7 InformCommit, 8 InformAbort)
+// ```
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+/// Why the codec refused. The wire reads [`Short`](CodecError::Short) as
+/// a truncated payload and [`Invalid`](CodecError::Invalid) as a bad
+/// payload; the WAL reads a decoder's refusal as a malformed record and an
+/// encoder's as an unsupported symbol.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CodecError {
+    /// A read ran past the end: `wanted` more bytes at byte `at`.
+    Short {
+        /// Where the read started.
+        at: usize,
+        /// How many bytes it wanted.
+        wanted: usize,
+    },
+    /// Bytes that name no symbol, or a symbol outside the alphabet.
+    Invalid(String),
+}
+
+impl std::fmt::Display for CodecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CodecError::Short { at, wanted } => {
+                write!(f, "body exhausted at byte {at} (wanted {wanted} more)")
+            }
+            CodecError::Invalid(what) => f.write_str(what),
+        }
+    }
+}
+
+/// Append `v` little-endian.
+#[inline]
+pub fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+/// Append `v` little-endian.
+#[inline]
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_i64(out: &mut Vec<u8>, v: i64) {
+/// Append `v` little-endian.
+#[inline]
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn encode_value(v: &Value, out: &mut Vec<u8>) -> Result<(), WalError> {
+/// Append `v` little-endian.
+#[inline]
+pub fn put_i64(out: &mut Vec<u8>, v: i64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append `s` as `len u32 | utf-8 bytes`.
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Append a register value.
+#[inline]
+pub fn encode_value(out: &mut Vec<u8>, v: &Value) -> Result<(), CodecError> {
     match v {
         Value::Ok => out.push(0),
         Value::Nil => out.push(1),
@@ -215,7 +282,7 @@ fn encode_value(v: &Value, out: &mut Vec<u8>) -> Result<(), WalError> {
             out.push(u8::from(*b));
         }
         other => {
-            return Err(WalError::Unsupported(format!(
+            return Err(CodecError::Invalid(format!(
                 "value {other:?} outside the register alphabet"
             )))
         }
@@ -223,23 +290,37 @@ fn encode_value(v: &Value, out: &mut Vec<u8>) -> Result<(), WalError> {
     Ok(())
 }
 
-fn encode_op(op: &Op, out: &mut Vec<u8>) -> Result<(), WalError> {
+/// The tag of a register operation; its argument follows via
+/// [`encode_op_arg`].
+#[inline]
+pub fn op_tag(op: &Op) -> Result<u8, CodecError> {
     match op {
-        Op::Read => out.push(0),
-        Op::Write(d) => {
-            out.push(1);
-            put_i64(out, *d);
-        }
-        other => {
-            return Err(WalError::Unsupported(format!(
-                "operation {other:?} outside the register alphabet"
-            )))
-        }
+        Op::Read => Ok(0),
+        Op::Write(_) => Ok(1),
+        other => Err(CodecError::Invalid(format!(
+            "operation {other:?} outside the register alphabet"
+        ))),
     }
+}
+
+/// Append what follows an operation's tag: `Write`'s argument.
+#[inline]
+pub fn encode_op_arg(out: &mut Vec<u8>, op: &Op) {
+    if let Op::Write(d) = op {
+        put_i64(out, *d);
+    }
+}
+
+/// Append a register operation: its tag, then its argument.
+#[inline]
+pub fn encode_op(out: &mut Vec<u8>, op: &Op) -> Result<(), CodecError> {
+    out.push(op_tag(op)?);
+    encode_op_arg(out, op);
     Ok(())
 }
 
-fn encode_action(a: &Action, out: &mut Vec<u8>) -> Result<(), WalError> {
+/// Append an action over the register alphabet.
+pub fn encode_action(out: &mut Vec<u8>, a: &Action) -> Result<(), CodecError> {
     match a {
         Action::Create(t) => {
             out.push(0);
@@ -252,7 +333,7 @@ fn encode_action(a: &Action, out: &mut Vec<u8>) -> Result<(), WalError> {
         Action::RequestCommit(t, v) => {
             out.push(2);
             put_u32(out, t.0);
-            encode_value(v, out)?;
+            encode_value(out, v)?;
         }
         Action::Commit(t) => {
             out.push(3);
@@ -265,7 +346,7 @@ fn encode_action(a: &Action, out: &mut Vec<u8>) -> Result<(), WalError> {
         Action::ReportCommit(t, v) => {
             out.push(5);
             put_u32(out, t.0);
-            encode_value(v, out)?;
+            encode_value(out, v)?;
         }
         Action::ReportAbort(t) => {
             out.push(6);
@@ -283,6 +364,156 @@ fn encode_action(a: &Action, out: &mut Vec<u8>) -> Result<(), WalError> {
         }
     }
     Ok(())
+}
+
+/// A bounds-checked little-endian reader over one body.
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `bytes`.
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
+        Reader { bytes, pos: 0 }
+    }
+
+    /// The next `n` bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        if self.pos + n > self.bytes.len() {
+            return Err(CodecError::Short {
+                at: self.pos,
+                wanted: n,
+            });
+        }
+        let s = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        Ok(self.take(N)?.try_into().expect("N bytes"))
+    }
+
+    /// The next byte.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// The next little-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, CodecError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// The next little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// The next little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, CodecError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// The next little-endian `i64`.
+    #[inline]
+    pub fn i64(&mut self) -> Result<i64, CodecError> {
+        self.array().map(i64::from_le_bytes)
+    }
+
+    /// The next `len u32 | utf-8 bytes` string.
+    pub fn str(&mut self) -> Result<String, CodecError> {
+        let n = self.u32()? as usize;
+        String::from_utf8(self.take(n)?.to_vec())
+            .map_err(|_| CodecError::Invalid("non-utf8 string".into()))
+    }
+
+    /// Bytes not yet read.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+}
+
+/// Read a register value.
+#[inline]
+pub fn decode_value(r: &mut Reader<'_>) -> Result<Value, CodecError> {
+    match r.u8()? {
+        0 => Ok(Value::Ok),
+        1 => Ok(Value::Nil),
+        2 => Ok(Value::Int(r.i64()?)),
+        3 => match r.u8()? {
+            0 => Ok(Value::Bool(false)),
+            1 => Ok(Value::Bool(true)),
+            other => Err(CodecError::Invalid(format!("bad bool byte {other}"))),
+        },
+        other => Err(CodecError::Invalid(format!("bad value tag {other}"))),
+    }
+}
+
+/// Read the operation tagged `tag`: its argument, if it has one.
+#[inline]
+pub fn decode_op_arg(tag: u8, r: &mut Reader<'_>) -> Result<Op, CodecError> {
+    match tag {
+        0 => Ok(Op::Read),
+        1 => Ok(Op::Write(r.i64()?)),
+        other => Err(CodecError::Invalid(format!("bad op tag {other}"))),
+    }
+}
+
+/// Read a register operation.
+#[inline]
+pub fn decode_op(r: &mut Reader<'_>) -> Result<Op, CodecError> {
+    let tag = r.u8()?;
+    decode_op_arg(tag, r)
+}
+
+/// Read an action over the register alphabet.
+pub fn decode_action(r: &mut Reader<'_>) -> Result<Action, CodecError> {
+    let tag = r.u8()?;
+    Ok(match tag {
+        0 => Action::Create(TxId(r.u32()?)),
+        1 => Action::RequestCreate(TxId(r.u32()?)),
+        2 => {
+            let t = TxId(r.u32()?);
+            Action::RequestCommit(t, decode_value(r)?)
+        }
+        3 => Action::Commit(TxId(r.u32()?)),
+        4 => Action::Abort(TxId(r.u32()?)),
+        5 => {
+            let t = TxId(r.u32()?);
+            Action::ReportCommit(t, decode_value(r)?)
+        }
+        6 => Action::ReportAbort(TxId(r.u32()?)),
+        7 => {
+            let x = ObjId(r.u32()?);
+            Action::InformCommit(x, TxId(r.u32()?))
+        }
+        8 => {
+            let x = ObjId(r.u32()?);
+            Action::InformAbort(x, TxId(r.u32()?))
+        }
+        other => return Err(CodecError::Invalid(format!("bad action tag {other}"))),
+    })
+}
+
+// --- Records ---------------------------------------------------------------
+
+const TAG_HEADER: u8 = 1;
+const TAG_TREE_ADD: u8 = 2;
+const TAG_ACT: u8 = 3;
+const TAG_CACHE: u8 = 4;
+
+/// An encoder's refusal, as the WAL reports it.
+fn unsupported(e: CodecError) -> WalError {
+    WalError::Unsupported(e.to_string())
 }
 
 fn put_header(out: &mut Vec<u8>, kind: FileKind, gen: u64, covers_stamp: u64) {
@@ -310,7 +541,7 @@ pub(crate) fn put_tree_add(
         Some((x, op)) => {
             out.push(1);
             put_u32(out, x.0);
-            encode_op(op, out)?;
+            encode_op(out, op).map_err(unsupported)?;
         }
     }
     Ok(())
@@ -320,7 +551,7 @@ pub(crate) fn put_tree_add(
 pub(crate) fn put_act(out: &mut Vec<u8>, stamp: u64, action: &Action) -> Result<(), WalError> {
     out.push(TAG_ACT);
     put_u64(out, stamp);
-    encode_action(action, out)
+    encode_action(out, action).map_err(unsupported)
 }
 
 /// Append a `Cache` record (tag + body) to `out`.
@@ -424,119 +655,33 @@ impl Record {
     }
 }
 
-/// A little-endian payload reader with typed exhaustion errors.
-struct Body<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    offset: usize,
+/// Why a record inside a CRC-valid frame did not decode.
+enum Malformed {
+    /// A tag no record has.
+    Tag(u8),
+    /// A body the codec refused.
+    Body(CodecError),
 }
 
-impl<'a> Body<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WalError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(WalError::BadPayload {
-                offset: self.offset,
-                what: format!("body exhausted at byte {} (wanted {n} more)", self.pos),
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WalError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WalError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, WalError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn i64(&mut self) -> Result<i64, WalError> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn bad(&self, what: impl Into<String>) -> WalError {
-        WalError::BadPayload {
-            offset: self.offset,
-            what: what.into(),
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        self.pos == self.bytes.len()
+impl From<CodecError> for Malformed {
+    fn from(e: CodecError) -> Malformed {
+        Malformed::Body(e)
     }
 }
 
-fn decode_value(b: &mut Body<'_>) -> Result<Value, WalError> {
-    match b.u8()? {
-        0 => Ok(Value::Ok),
-        1 => Ok(Value::Nil),
-        2 => Ok(Value::Int(b.i64()?)),
-        3 => match b.u8()? {
-            0 => Ok(Value::Bool(false)),
-            1 => Ok(Value::Bool(true)),
-            other => Err(b.bad(format!("bad bool byte {other}"))),
-        },
-        other => Err(b.bad(format!("bad value tag {other}"))),
-    }
-}
-
-fn decode_op(b: &mut Body<'_>) -> Result<Op, WalError> {
-    match b.u8()? {
-        0 => Ok(Op::Read),
-        1 => Ok(Op::Write(b.i64()?)),
-        other => Err(b.bad(format!("bad op tag {other}"))),
-    }
-}
-
-fn decode_action(b: &mut Body<'_>) -> Result<Action, WalError> {
-    let tag = b.u8()?;
-    Ok(match tag {
-        0 => Action::Create(TxId(b.u32()?)),
-        1 => Action::RequestCreate(TxId(b.u32()?)),
-        2 => {
-            let t = TxId(b.u32()?);
-            Action::RequestCommit(t, decode_value(b)?)
-        }
-        3 => Action::Commit(TxId(b.u32()?)),
-        4 => Action::Abort(TxId(b.u32()?)),
-        5 => {
-            let t = TxId(b.u32()?);
-            Action::ReportCommit(t, decode_value(b)?)
-        }
-        6 => Action::ReportAbort(TxId(b.u32()?)),
-        7 => {
-            let x = ObjId(b.u32()?);
-            Action::InformCommit(x, TxId(b.u32()?))
-        }
-        8 => {
-            let x = ObjId(b.u32()?);
-            Action::InformAbort(x, TxId(b.u32()?))
-        }
-        other => return Err(b.bad(format!("bad action tag {other}"))),
-    })
+fn invalid(what: String) -> Malformed {
+    Malformed::Body(CodecError::Invalid(what))
 }
 
 /// Decode the next record of an extent's payload (bodies delimit
 /// themselves, so the reader simply stops where the next tag starts).
-fn decode_record(b: &mut Body<'_>) -> Result<Record, WalError> {
+fn decode_record(b: &mut Reader<'_>) -> Result<Record, Malformed> {
     Ok(match b.u8()? {
         TAG_HEADER => {
             let kind = match b.u8()? {
                 0 => FileKind::Wal,
                 1 => FileKind::Checkpoint,
-                other => return Err(b.bad(format!("bad file kind {other}"))),
+                other => return Err(invalid(format!("bad file kind {other}"))),
             };
             Record::Header {
                 kind,
@@ -553,7 +698,7 @@ fn decode_record(b: &mut Body<'_>) -> Result<Record, WalError> {
                     let x = ObjId(b.u32()?);
                     Some((x, decode_op(b)?))
                 }
-                other => return Err(b.bad(format!("bad access flag {other}"))),
+                other => return Err(invalid(format!("bad access flag {other}"))),
             };
             Record::TreeAdd { t, parent, access }
         }
@@ -569,12 +714,7 @@ fn decode_record(b: &mut Body<'_>) -> Result<Record, WalError> {
                 resp: b.take(len)?.to_vec(),
             }
         }
-        tag => {
-            return Err(WalError::BadTag {
-                offset: b.offset,
-                tag,
-            })
-        }
+        tag => return Err(Malformed::Tag(tag)),
     })
 }
 
@@ -617,17 +757,19 @@ pub fn decode_stream(bytes: &[u8]) -> Decoded {
             break Some(WalError::BadCrc { offset: pos });
         };
         let whole = records.len();
-        let mut body = Body {
-            bytes: payload,
-            pos: 0,
-            offset: pos,
-        };
-        while !body.exhausted() {
+        let mut body = Reader::new(payload);
+        while body.remaining() > 0 {
             match decode_record(&mut body) {
                 Ok(rec) => records.push(rec),
                 Err(e) => {
                     records.truncate(whole);
-                    break 'frames Some(e);
+                    break 'frames Some(match e {
+                        Malformed::Tag(tag) => WalError::BadTag { offset: pos, tag },
+                        Malformed::Body(e) => WalError::BadPayload {
+                            offset: pos,
+                            what: e.to_string(),
+                        },
+                    });
                 }
             }
         }

@@ -3,11 +3,11 @@
 # thread ever sleeps or waits on another thread, except the one
 # `wait_durable` barrier per round. This gate greps the code that runs
 # there — the reactor crate, nt-net's per-connection service and the
-# protocol core it executes — for the calls that would break it, and checks
-# that what the run-to-completion reactor replaced stays deleted. It also
-# holds the other "stays gone" greps: the certifier thread, the engine's
-# second execution core, and every background thread (detector, monitor,
-# drain watchdog) — the server is the poll thread and nothing else.
+# protocol core it executes — for the calls that would break it. It also
+# holds the other "stays gone" greps, by what they would do rather than by
+# the names of deleted code: the WAL and the certifier start no thread and
+# wait on none, run.rs goes through the session API, and nothing starts a
+# background thread — the server is the poll thread and nothing else.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,43 +46,19 @@ if [ "$barriers" -ne 1 ]; then
     fail=1
 fi
 
-if grep -rnE 'fn worker_loop|WorkerMsg|conn_workers' crates/; then
-    echo "check_poll_thread: the executor pool is back (above)" >&2
-    fail=1
-fi
-
-# The connection-per-thread front end, its selector, and the WAL's
-# group-commit window with its flusher thread.
-if grep -rnE 'fn run_conn|fn read_loop|fn execute_loop|enum Frontend|GroupCommit|group_commit_window_us' \
-    crates/ --include='*.rs' | grep -v '/tests/'; then
-    echo "check_poll_thread: the threaded front end or the group:N flusher is back (above)" >&2
-    fail=1
-fi
 if grep -nE 'thread::spawn|Condvar|wait_timeout' crates/store/src/wal.rs; then
     echo "check_poll_thread: the WAL starts a thread or waits on one (above)" >&2
     fail=1
 fi
 
 # The certifier is stepped by the recording thread: no thread, no channel
-# and no wait of its own, and the feed batching it replaced stays gone.
+# and no wait of its own.
 if grep -rnE 'thread::spawn|mpsc|Condvar|\.recv\(' crates/sgt/src; then
     echo "check_poll_thread: the certifier starts a thread or waits on one (above)" >&2
     fail=1
 fi
-if grep -rnE 'fn drain_then|act_batch|FEED_BUF_CAP|fn flush_feeds|Parked::Cert' \
-    crates/ src/ tests/; then
-    echo "check_poll_thread: the certifier feed or the CERT continuation is back (above)" >&2
-    fail=1
-fi
-
-# One execution core: `run_plan` drives sessions. The batch worker, its
-# detector loop and its own commit/abort code stay deleted, and run.rs
-# reaches engine state through the session API only.
-if grep -rnE 'struct Worker\b|fn detect_loop|DetectorOutcome|fn abort_tx|fn commit_tx' \
-    crates/ --include='*.rs'; then
-    echo "check_poll_thread: the second execution core is back (above)" >&2
-    fail=1
-fi
+# One execution core: `run_plan` drives sessions, and run.rs reaches
+# engine state through the session API only.
 if grep -nE 'LockTable::new|StatusTable::new|\.try_commit\(|\.mark_aborted\(|release_inherit|\.discard\(' \
     crates/engine/src/run.rs; then
     echo "check_poll_thread: run.rs touches engine state past the session API (above)" >&2
@@ -108,14 +84,6 @@ fi
 if { non_test crates/engine/src/session.rs; non_test crates/net/src/server.rs; } |
     grep -E 'thread::sleep|recv_timeout|_PERIOD'; then
     echo "check_poll_thread: session.rs / server.rs sleeps or polls (above)" >&2
-    fail=1
-fi
-# The detector period survives only as `ServerConfig`'s vestigial field
-# (pinned by the benchmark crate) and the config parser's refusal of the
-# retired key.
-if grep -rnE 'fn monitor_loop|MONITOR_PERIOD_MS|detector_period' crates/*/src |
-    grep -v '^crates/net/src/config.rs:'; then
-    echo "check_poll_thread: the detector period or the monitor thread is back (above)" >&2
     fail=1
 fi
 
