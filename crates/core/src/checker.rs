@@ -295,7 +295,7 @@ fn check_stages(
 }
 
 /// The post-hoc certificate for a *recorded* concurrent history (the
-/// threaded engine's merged per-worker logs): the full Theorem 8/19
+/// threaded engine's one stamped history): the full Theorem 8/19
 /// verdict plus the summary numbers reports and benchmarks want.
 #[derive(Debug)]
 pub struct RecordedCertificate {
@@ -324,7 +324,7 @@ impl RecordedCertificate {
 
 /// Certify a recorded concurrent history post-hoc: run the full
 /// [`check_serial_correctness`] pipeline over it and summarize. This is
-/// the `nt-engine` → `nt-sgt` bridge: every threaded run's merged history
+/// the `nt-engine` → `nt-sgt` bridge: every threaded run's recorded history
 /// lands here, so genuine-concurrency executions get the same Theorem 17
 /// certification as simulated ones.
 pub fn certify_recorded(

@@ -25,12 +25,12 @@
 //!   blocker's ancestor chain (mirroring the simulator's policy); under
 //!   [`run_plan`] victims flow into the `nt-faults` retry/backoff
 //!   machinery via the workload's pre-materialized replica chains;
-//! * a **concurrent history recorder** ([`recorder`]) stamps every action
-//!   from one global sequence counter into per-session append buffers;
-//!   object-level actions are stamped while the owning lock shard is held,
-//!   so the merged history linearizes exactly the synchronization the
+//! * **one history** ([`recorder`]) stamps every action under one mutex
+//!   and tees it, in stamp order, into the WAL and the live certifier;
+//!   object-level actions are recorded while the owning lock shard is
+//!   held, so the history linearizes exactly the synchronization the
 //!   engine actually performed;
-//! * the merged history feeds `nt_sgt::certify_recorded`, certifying each
+//! * the history feeds `nt_sgt::certify_recorded`, certifying each
 //!   concurrent run against Theorem 17 post-hoc: the serialization graph
 //!   must be acyclic and every return value appropriate;
 //! * the engine takes one `nt_obs::TraceHandle`: handed a *timed*
@@ -63,7 +63,7 @@ pub use locktable::{
     Acquired, Acquisition, LockTable, ShardCounters, Ticket, WaitEdge, WakeHandle,
 };
 pub use nt_sgt_live::{LiveCertifier, LiveStatus};
-pub use recorder::{ActionSink, SeqClock, WorkerLog};
+pub use recorder::{ActionSink, History, SeqClock, WorkerLog};
 pub use run::{
     run_plan, run_plan_gated, run_workload, EnginePlan, EngineReport, EngineStats, PreflightGate,
     Victim,

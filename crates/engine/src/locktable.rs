@@ -37,7 +37,7 @@
 //! a grant first observed right after a timed-out park is counted in
 //! [`LockTable::timeout_rescues`], which the stress tests pin at zero.
 
-use crate::recorder::{ActionSink, SeqClock, WorkerLog};
+use crate::recorder::{History, SeqClock};
 use crate::status::StatusTable;
 use crate::tree_view::TreeView;
 use nt_locking::{moss_blockers_by, moss_precondition_by};
@@ -244,10 +244,6 @@ struct ShardState {
     objects: BTreeMap<u32, ObjLocks>,
     next_ticket: u64,
     counters: ShardCounters,
-    /// Object-level actions, stamped while this shard's mutex is held —
-    /// the stamps linearize them exactly as the shard serialized the state
-    /// changes they describe.
-    log: WorkerLog,
 }
 
 /// How long the blocking wrapper parks before it re-settles its object's
@@ -263,7 +259,10 @@ const PARK_BACKSTOP: Duration = Duration::from_millis(250);
 pub struct LockTable<T: TreeView = Arc<TxTree>> {
     tree: T,
     status: Arc<StatusTable>,
-    clock: Arc<SeqClock>,
+    /// Object-level actions are recorded here while the shard mutex is
+    /// held, so their stamps linearize each object exactly as the shard
+    /// serialized the state changes they describe.
+    history: Arc<History>,
     initials: RwInitials,
     shards: Vec<Mutex<ShardState>>,
     mask: usize,
@@ -275,7 +274,8 @@ pub struct LockTable<T: TreeView = Arc<TxTree>> {
 }
 
 impl<T: TreeView> LockTable<T> {
-    /// A table with `shards` shards (must be a nonzero power of two).
+    /// A table with `shards` shards (must be a nonzero power of two) that
+    /// records into a bare history on `clock`.
     pub fn new(
         tree: T,
         status: Arc<StatusTable>,
@@ -287,7 +287,7 @@ impl<T: TreeView> LockTable<T> {
         LockTable {
             tree,
             status,
-            clock,
+            history: Arc::new(History::new(clock)),
             initials,
             shards: (0..shards)
                 .map(|_| {
@@ -295,7 +295,6 @@ impl<T: TreeView> LockTable<T> {
                         objects: BTreeMap::new(),
                         next_ticket: 0,
                         counters: ShardCounters::default(),
-                        log: WorkerLog::new(),
                     })
                 })
                 .collect(),
@@ -316,25 +315,10 @@ impl<T: TreeView> LockTable<T> {
         self
     }
 
-    /// Tee every shard's object actions into a durable sink
-    /// (builder-style, before the table is shared). Shard logs stamp under
-    /// the shard mutex, and the sink stamps under its own append mutex, so
-    /// persisted order still equals stamp order per object.
-    pub fn with_sink(mut self, sink: Arc<dyn ActionSink>) -> Self {
-        for shard in &mut self.shards {
-            shard.get_mut().expect("shard poisoned").log = WorkerLog::with_sink(Arc::clone(&sink));
-        }
-        self
-    }
-
-    /// Step the live certifier with every shard's object actions
-    /// (builder-style, before the table is shared; after [`with_sink`]
-    /// when both are mounted — `with_sink` replaces the shard logs).
-    pub fn with_certifier(mut self, certifier: nt_sgt_live::LiveCertifier) -> Self {
-        for shard in &mut self.shards {
-            let st = shard.get_mut().expect("shard poisoned");
-            st.log = std::mem::take(&mut st.log).with_certifier(certifier.clone());
-        }
+    /// Record into `history`, the engine's one history (builder-style,
+    /// before the table is shared).
+    pub fn with_history(mut self, history: Arc<History>) -> Self {
+        self.history = history;
         self
     }
 
@@ -361,7 +345,6 @@ impl<T: TreeView> LockTable<T> {
         x: ObjId,
         locks: &mut ObjLocks,
         counters: &mut ShardCounters,
-        log: &mut WorkerLog,
         t: TxId,
         write: Option<i64>,
     ) -> Value {
@@ -381,7 +364,7 @@ impl<T: TreeView> LockTable<T> {
         }
         locks.check_lemma9(&self.tree, x);
         counters.grants += 1;
-        log.record(&self.clock, Action::RequestCommit(t, value.clone()));
+        self.history.record(Action::RequestCommit(t, value.clone()));
         self.granted.fetch_add(1, Ordering::Relaxed);
         value
     }
@@ -389,20 +372,14 @@ impl<T: TreeView> LockTable<T> {
     /// Resolve every waiter of `x` that can be resolved now, in arrival
     /// order: doomed ones leave, eligible ones are granted in place. Runs
     /// under the shard mutex after every change to `x`'s lock state.
-    fn settle(
-        &self,
-        x: ObjId,
-        locks: &mut ObjLocks,
-        counters: &mut ShardCounters,
-        log: &mut WorkerLog,
-    ) {
+    fn settle(&self, x: ObjId, locks: &mut ObjLocks, counters: &mut ShardCounters) {
         let mut i = 0;
         while i < locks.waiters.len() {
             let (t, write) = (locks.waiters[i].t, locks.waiters[i].write);
             let outcome = if let Some(d) = self.doom_of(t) {
                 Acquired::Doomed(d)
             } else if locks.eligible(&self.tree, t, write.is_some()) {
-                Acquired::Granted(self.grant(x, locks, counters, log, t, write))
+                Acquired::Granted(self.grant(x, locks, counters, t, write))
             } else {
                 i += 1;
                 continue;
@@ -437,7 +414,7 @@ impl<T: TreeView> LockTable<T> {
         // queue), so the arrival defers to nobody: its own precondition
         // decides.
         if locks.eligible(&self.tree, t, write.is_some()) {
-            let v = self.grant(x, locks, &mut st.counters, &mut st.log, t, write);
+            let v = self.grant(x, locks, &mut st.counters, t, write);
             return Acquisition::Granted(v);
         }
         let no = st.next_ticket;
@@ -542,7 +519,7 @@ impl<T: TreeView> LockTable<T> {
         let st = &mut *guard;
         if let Some(locks) = st.objects.get_mut(&ticket.x.0) {
             locks.waiters.retain(|w| w.ticket != ticket.no);
-            self.settle(ticket.x, locks, &mut st.counters, &mut st.log);
+            self.settle(ticket.x, locks, &mut st.counters);
         }
         drop(guard);
         ticket.cell.outcome.lock().expect("ticket poisoned").take()
@@ -553,7 +530,7 @@ impl<T: TreeView> LockTable<T> {
         let mut guard = self.shard_of(x).lock().expect("shard poisoned");
         let st = &mut *guard;
         if let Some(locks) = st.objects.get_mut(&x.0) {
-            self.settle(x, locks, &mut st.counters, &mut st.log);
+            self.settle(x, locks, &mut st.counters);
         }
     }
 
@@ -565,10 +542,7 @@ impl<T: TreeView> LockTable<T> {
         for x in objs {
             let mut guard = self.shard_of(x).lock().expect("shard poisoned");
             let ShardState {
-                objects,
-                counters,
-                log,
-                ..
+                objects, counters, ..
             } = &mut *guard;
             let mut locks = objects.get_mut(&x.0);
             if let Some(locks) = locks.as_deref_mut() {
@@ -586,9 +560,9 @@ impl<T: TreeView> LockTable<T> {
                 }
                 locks.check_lemma9(&self.tree, x);
             }
-            log.record(&self.clock, Action::InformCommit(x, t));
+            self.history.record(Action::InformCommit(x, t));
             if let Some(locks) = locks {
-                self.settle(x, locks, counters, log);
+                self.settle(x, locks, counters);
             }
         }
     }
@@ -599,10 +573,7 @@ impl<T: TreeView> LockTable<T> {
         for x in objs {
             let mut guard = self.shard_of(x).lock().expect("shard poisoned");
             let ShardState {
-                objects,
-                counters,
-                log,
-                ..
+                objects, counters, ..
             } = &mut *guard;
             let mut locks = objects.get_mut(&x.0);
             if let Some(locks) = locks.as_deref_mut() {
@@ -620,9 +591,9 @@ impl<T: TreeView> LockTable<T> {
                     }
                 }
             }
-            log.record(&self.clock, Action::InformAbort(x, d));
+            self.history.record(Action::InformAbort(x, d));
             if let Some(locks) = locks {
-                self.settle(x, locks, counters, log);
+                self.settle(x, locks, counters);
             }
         }
     }
@@ -668,7 +639,7 @@ impl<T: TreeView> LockTable<T> {
             let st = &mut *guard;
             for (&x, locks) in &mut st.objects {
                 if !locks.waiters.is_empty() {
-                    self.settle(ObjId(x), locks, &mut st.counters, &mut st.log);
+                    self.settle(ObjId(x), locks, &mut st.counters);
                 }
             }
         }
@@ -683,16 +654,6 @@ impl<T: TreeView> LockTable<T> {
     /// Did the watchdog fire?
     pub fn gave_up(&self) -> bool {
         self.give_up.load(Ordering::Acquire)
-    }
-
-    /// Clone the per-shard object-action logs without draining them — the
-    /// session engine's `HISTORY_FETCH` snapshots a live server whose
-    /// shards keep recording afterwards.
-    pub fn snapshot_logs(&self) -> Vec<WorkerLog> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").log.clone())
-            .collect()
     }
 
     /// Lock grants so far.

@@ -1,51 +1,38 @@
-//! Concurrent history recorder: per-worker append-only buffers stamped from
-//! one global sequence counter, merged into a single behavior after the
-//! run.
+//! The recorder: one [`History`], the behavior β the paper's theorems are
+//! stated on, stamped in one order.
 //!
-//! Correctness of the merged history rests on one property: if action `A`
-//! causally precedes action `B` — same worker in program order, or across
-//! workers through a lock-shard mutex — then `stamp(A) < stamp(B)`. Both
-//! cases follow from coherence of the single atomic counter: the later
-//! `fetch_add` necessarily observes a larger value, regardless of memory
-//! ordering, so `Relaxed` suffices. Object-level actions (`REQUEST_COMMIT`
-//! answers, `INFORM_*`) are stamped *while the owning shard mutex is held*,
-//! which linearizes them per object exactly as the lock table serialized
+//! Every action the engine performs is recorded through one mutex — a
+//! session's serial actions, and the lock shards' object actions
+//! (`REQUEST_COMMIT` answers, `INFORM_*`). Under it four things happen in
+//! order: the stamp is drawn, the write-ahead log's `Act` record is
+//! staged, the live certifier is stepped, and `(stamp, action)` is
+//! appended. Every consumer of β — the WAL file, the certifier,
+//! [`History::snapshot`] — therefore sees one sequence by construction:
+//! nothing is merged or sorted, a snapshot is always a prefix of the
+//! history, and a torn WAL tail loses a suffix of stamps, never a hole in
+//! the middle.
+//!
+//! The stamp order refines causality: if action `A` causally precedes
+//! `B` — one session's program order, or two threads ordered through a
+//! lock-shard mutex — then `A` entered the history mutex first. Object
+//! actions are recorded *while the owning shard mutex is held*, so the
+//! history linearizes each object exactly as the lock table serialized
 //! the state changes they describe.
 //!
-//! ## Durable sinks
-//!
-//! A log may carry an [`ActionSink`] — the write-ahead log mount point
-//! (`nt-store`). When present, [`WorkerLog::record`] delegates stamp
-//! drawing to the sink, which draws the stamp *inside its own append
-//! mutex* so the persisted log's file order equals stamp order. That
-//! invariant is what makes a torn tail recoverable: losing a suffix of
-//! WAL frames loses a *suffix* of stamps, never punches a hole in the
-//! middle of the recorded history.
-//!
-//! ## Live certification
-//!
-//! A log may additionally carry a [`LiveCertifier`] handle
-//! (`nt-sgt-live`). [`WorkerLog::record`] then draws the stamp *inside the
-//! certifier's lock* and steps the serialization-graph maintainer with the
-//! action before it returns: the recording thread is the certifier.
-//! Nothing is buffered and nothing is handed to another thread, so the
-//! maintainer has stepped every stamp the clock has issued whenever no
-//! thread is inside `record`, and it sees the stamps in order. **Every**
-//! log sharing a clock must carry the handle: a stamp drawn by a log
-//! without it never reaches the maintainer, which advances only through a
-//! contiguous stamp sequence.
-//!
-//! Lock order: the caller's own lock (a shard mutex, a session log's
-//! mutex) → certifier → write-ahead log append. The certifier and the
-//! sink call nothing back.
+//! One mutex costs no concurrency the engine has: on the server one poll
+//! thread records everything, and with a WAL or a certifier mounted every
+//! stamp was already drawn under one global mutex. The lock order it sits
+//! in is DESIGN §8d's table: a shard mutex or a session's own call →
+//! history → {certifier → telemetry, WAL append}.
 
 use nt_model::{Action, ObjId, Op, TxId};
 use nt_sgt_live::LiveCertifier;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-/// The global sequence counter every stamp is drawn from.
+/// The sequence counter stamps are drawn from. Draws happen under the
+/// history mutex; the counter is atomic so the issued count can be read
+/// without it.
 #[derive(Debug, Default)]
 pub struct SeqClock(AtomicU64);
 
@@ -55,15 +42,8 @@ impl SeqClock {
         SeqClock(AtomicU64::new(0))
     }
 
-    /// A clock that resumes at `next` — the crash–restart path: the
-    /// recovered history owns every stamp below `next`, so the restarted
-    /// engine's new actions merge strictly after it.
-    pub fn starting_at(next: u64) -> Self {
-        SeqClock(AtomicU64::new(next))
-    }
-
     /// Draw the next stamp.
-    pub fn next(&self) -> u64 {
+    pub(crate) fn next(&self) -> u64 {
         self.0.fetch_add(1, Ordering::Relaxed)
     }
 
@@ -73,16 +53,12 @@ impl SeqClock {
     }
 }
 
-/// A durable sink the recorder tees into: the write-ahead log.
-///
-/// Implementations must draw the stamp from `clock` **while holding their
-/// append lock**, so that persisted order equals stamp order (see the
-/// module docs). The sink is invoked before the action is visible in any
-/// in-memory log, i.e. the engine writes ahead.
+/// A durable sink the history tees into: the write-ahead log.
 pub trait ActionSink: Send + Sync {
-    /// Draw a stamp and append `(stamp, action)` to the log; returns the
-    /// stamp drawn.
-    fn append_action(&self, clock: &SeqClock, action: &Action) -> u64;
+    /// Stage `(stamp, action)`. Called under the history mutex, after the
+    /// stamp is drawn and before the action is visible in the history, so
+    /// calls arrive in stamp order and the log is written ahead.
+    fn append_action(&self, stamp: u64, action: &Action);
 
     /// Record a transaction registration (`t` under `parent`; accesses
     /// carry their object and operation). Called under the session tree's
@@ -94,28 +70,14 @@ pub trait ActionSink: Send + Sync {
 /// Entries per segment of a [`WorkerLog`].
 const SEGMENT: usize = 1024;
 
-/// One worker's (or the main thread's, or a shard-stamped) action buffer.
-/// Clones copy the recorded entries — `HISTORY_FETCH` snapshots a live
-/// server's logs that way.
+/// A stamped action log: the body of a [`History`].
 /// The entries sit in segments of [`SEGMENT`], not in one growing `Vec`:
 /// whether the allocator doubles a multi-megabyte buffer in place or moves
 /// it, touching as much again, depends on what was allocated around it, so
 /// a server's peak footprint did not repeat from one run to the next.
-#[derive(Clone, Default)]
+#[derive(Debug, Default)]
 pub struct WorkerLog {
     segments: Vec<Vec<(u64, Action)>>,
-    sink: Option<Arc<dyn ActionSink>>,
-    certifier: Option<LiveCertifier>,
-}
-
-impl fmt::Debug for WorkerLog {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WorkerLog")
-            .field("entries", &self.segments)
-            .field("sink", &self.sink.is_some())
-            .field("certifier", &self.certifier.is_some())
-            .finish()
-    }
 }
 
 impl WorkerLog {
@@ -124,43 +86,15 @@ impl WorkerLog {
         WorkerLog::default()
     }
 
-    /// An empty log that tees every record into a durable sink.
-    pub fn with_sink(sink: Arc<dyn ActionSink>) -> Self {
-        WorkerLog {
-            sink: Some(sink),
-            ..WorkerLog::default()
-        }
-    }
-
-    /// Step the live certifier with every record (builder-style; composes
-    /// with a sink — the WAL stamps and appends under the certifier's
-    /// lock).
-    pub fn with_certifier(mut self, certifier: LiveCertifier) -> Self {
-        self.certifier = Some(certifier);
-        self
-    }
-
-    /// A frozen log seeded with already-recovered entries (no sink — the
-    /// entries are already durable; re-appending them would duplicate the
-    /// WAL).
-    pub fn from_entries(entries: Vec<(u64, Action)>) -> Self {
-        WorkerLog {
-            segments: vec![entries],
-            ..WorkerLog::default()
-        }
-    }
-
-    /// Stamp and append one action: write-ahead when a sink is mounted,
-    /// and certified before this returns when a certifier is attached.
+    /// Stamp `action` from `clock` and append it.
     pub fn record(&mut self, clock: &SeqClock, action: Action) {
-        let draw = || match &self.sink {
-            Some(sink) => sink.append_action(clock, &action),
-            None => clock.next(),
-        };
-        let stamp = match &self.certifier {
-            Some(certifier) => certifier.record(draw, &action),
-            None => draw(),
-        };
+        self.record_with(clock, action, |_, _| {});
+    }
+
+    /// Draw the stamp, hand `(stamp, action)` to `tee`, then append.
+    fn record_with(&mut self, clock: &SeqClock, action: Action, tee: impl FnOnce(u64, &Action)) {
+        let stamp = clock.next();
+        tee(stamp, &action);
         match self.segments.last_mut() {
             Some(last) if last.len() < SEGMENT => last.push((stamp, action)),
             _ => self.segments.push(vec![(stamp, action)]),
@@ -178,47 +112,91 @@ impl WorkerLog {
     }
 }
 
-/// Merge per-worker logs into one behavior, ordered by stamp. Stamps are
-/// unique (one `fetch_add` each), so the order is total.
-pub fn merge(logs: impl IntoIterator<Item = WorkerLog>) -> Vec<Action> {
-    let segments = logs.into_iter().flat_map(|l| l.segments);
-    let mut all: Vec<(u64, Action)> = segments.flatten().collect();
-    all.sort_by_key(|&(s, _)| s);
-    all.into_iter().map(|(_, a)| a).collect()
+/// The engine's one history: every stamp is drawn, teed and appended
+/// under its mutex (see the module docs).
+pub struct History {
+    clock: Arc<SeqClock>,
+    sink: Option<Arc<dyn ActionSink>>,
+    certifier: Option<LiveCertifier>,
+    log: Mutex<WorkerLog>,
+}
+
+impl History {
+    /// An empty history on `clock` with neither a WAL nor a certifier.
+    pub fn new(clock: Arc<SeqClock>) -> History {
+        History {
+            clock,
+            sink: None,
+            certifier: None,
+            log: Mutex::new(WorkerLog::new()),
+        }
+    }
+
+    /// A history whose head is `head`, the recovered prefix (stamps below
+    /// `next`, in order), that tees every new action into `sink` and
+    /// `certifier`. The head is already in the WAL and is not appended
+    /// again; the certifier is preloaded with it here, so it must already
+    /// know the recovered tree.
+    pub fn recovered(
+        head: Vec<(u64, Action)>,
+        next: u64,
+        sink: Option<Arc<dyn ActionSink>>,
+        certifier: Option<LiveCertifier>,
+    ) -> History {
+        if let Some(c) = &certifier {
+            c.preload(&head, next);
+        }
+        History {
+            clock: Arc::new(SeqClock(AtomicU64::new(next))),
+            sink,
+            certifier,
+            log: Mutex::new(WorkerLog {
+                segments: vec![head],
+            }),
+        }
+    }
+
+    /// Stamp `action`, stage it in the WAL, step the certifier with it,
+    /// and append it — all under the history mutex.
+    pub fn record(&self, action: Action) {
+        let mut log = self.log.lock().expect("history poisoned");
+        log.record_with(&self.clock, action, |stamp, action| {
+            if let Some(sink) = &self.sink {
+                sink.append_action(stamp, action);
+            }
+            if let Some(c) = &self.certifier {
+                c.act(stamp, action);
+            }
+        });
+    }
+
+    /// The history so far, read under the mutex: a prefix of β.
+    pub fn snapshot(&self) -> Vec<Action> {
+        let log = self.log.lock().expect("history poisoned");
+        let mut out = Vec::with_capacity(log.len());
+        out.extend(log.segments.iter().flatten().map(|(_, a)| a.clone()));
+        out
+    }
+
+    /// Stamps issued so far, read without the mutex.
+    pub fn issued(&self) -> u64 {
+        self.clock.issued()
+    }
+
+    /// The live certifier every action steps, if one is mounted.
+    pub fn certifier(&self) -> Option<&LiveCertifier> {
+        self.certifier.as_ref()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nt_model::TxId;
-    use std::sync::Mutex;
-
-    #[test]
-    fn merge_orders_by_stamp_across_logs() {
-        let clock = SeqClock::new();
-        let mut a = WorkerLog::new();
-        let mut b = WorkerLog::new();
-        a.record(&clock, Action::Create(TxId(1)));
-        b.record(&clock, Action::Create(TxId(2)));
-        a.record(&clock, Action::Create(TxId(3)));
-        b.record(&clock, Action::Create(TxId(4)));
-        let merged = merge([a, b]);
-        assert_eq!(
-            merged,
-            vec![
-                Action::Create(TxId(1)),
-                Action::Create(TxId(2)),
-                Action::Create(TxId(3)),
-                Action::Create(TxId(4)),
-            ]
-        );
-        assert_eq!(clock.issued(), 4);
-    }
 
     #[test]
     fn a_log_longer_than_a_segment_keeps_every_entry_in_order() {
         let clock = SeqClock::new();
-        let mut log = WorkerLog::from_entries(Vec::new());
+        let mut log = WorkerLog::new();
         assert!(log.is_empty());
         let n = 2 * SEGMENT as u32 + 7;
         for k in 0..n {
@@ -229,55 +207,66 @@ mod tests {
         // Full segments are exactly full: nothing was grown past the
         // segment size, so nothing that large was ever copied.
         assert!(log.segments.iter().all(|s| s.capacity() <= SEGMENT));
-        let merged = merge([log.clone()]);
-        let expect: Vec<Action> = (0..n).map(|k| Action::Create(TxId(k))).collect();
-        assert_eq!(merged, expect);
+        let stamped: Vec<(u64, Action)> = log.segments.into_iter().flatten().collect();
+        let expect: Vec<(u64, Action)> = (0..n)
+            .map(|k| (u64::from(k), Action::Create(TxId(k))))
+            .collect();
+        assert_eq!(stamped, expect);
     }
 
     struct CaptureSink(Mutex<Vec<(u64, Action)>>);
 
     impl ActionSink for CaptureSink {
-        fn append_action(&self, clock: &SeqClock, action: &Action) -> u64 {
-            let mut guard = self.0.lock().expect("capture poisoned");
-            let stamp = clock.next();
-            guard.push((stamp, action.clone()));
-            stamp
+        fn append_action(&self, stamp: u64, action: &Action) {
+            let mut seen = self.0.lock().expect("capture poisoned");
+            seen.push((stamp, action.clone()));
         }
         fn append_tree_add(&self, _t: TxId, _parent: TxId, _access: Option<(ObjId, &Op)>) {}
     }
 
     #[test]
     fn sink_sees_every_record_with_matching_stamps() {
-        let clock = SeqClock::starting_at(100);
         let sink = Arc::new(CaptureSink(Mutex::new(Vec::new())));
-        let mut log = WorkerLog::with_sink(Arc::clone(&sink) as Arc<dyn ActionSink>);
-        log.record(&clock, Action::Create(TxId(1)));
-        log.record(&clock, Action::Commit(TxId(1)));
+        let history = History::recovered(
+            Vec::new(),
+            100,
+            Some(Arc::clone(&sink) as Arc<dyn ActionSink>),
+            None,
+        );
+        history.record(Action::Create(TxId(1)));
+        history.record(Action::Commit(TxId(1)));
         let seen = sink.0.lock().expect("capture poisoned").clone();
-        assert_eq!(seen.len(), 2);
-        assert_eq!(seen[0], (100, Action::Create(TxId(1))));
-        assert_eq!(seen[1], (101, Action::Commit(TxId(1))));
-        let merged = merge([log]);
-        assert_eq!(merged.len(), 2);
+        assert_eq!(
+            seen,
+            vec![
+                (100, Action::Create(TxId(1))),
+                (101, Action::Commit(TxId(1)))
+            ]
+        );
+        assert_eq!(history.snapshot().len(), 2);
     }
 
     #[test]
-    fn from_entries_merges_before_live_records() {
-        let clock = SeqClock::starting_at(2);
-        let seeded = WorkerLog::from_entries(vec![
-            (0, Action::Create(TxId(1))),
-            (1, Action::Commit(TxId(1))),
-        ]);
-        let mut live = WorkerLog::new();
-        live.record(&clock, Action::Create(TxId(2)));
-        let merged = merge([live, seeded]);
+    fn the_recovered_head_comes_before_new_actions_and_is_not_teed() {
+        let sink = Arc::new(CaptureSink(Mutex::new(Vec::new())));
+        let head = vec![(0, Action::Create(TxId(1))), (1, Action::Commit(TxId(1)))];
+        let history = History::recovered(
+            head,
+            2,
+            Some(Arc::clone(&sink) as Arc<dyn ActionSink>),
+            None,
+        );
+        history.record(Action::Create(TxId(2)));
         assert_eq!(
-            merged,
+            history.snapshot(),
             vec![
                 Action::Create(TxId(1)),
                 Action::Commit(TxId(1)),
                 Action::Create(TxId(2)),
             ]
         );
+        assert_eq!(history.issued(), 3);
+        let seen = sink.0.lock().expect("capture poisoned").clone();
+        assert_eq!(seen, vec![(2, Action::Create(TxId(2)))]);
     }
 }

@@ -176,7 +176,7 @@ pub struct EngineReport {
     pub tree: Arc<TxTree>,
     /// Serial types (for certification).
     pub types: ObjectTypes,
-    /// The merged recorded history, in stamp order.
+    /// The recorded history, in stamp order.
     pub history: Vec<Action>,
     /// Run id → plan id: which transaction of the executed plan each
     /// transaction of `tree` (and so each name in `history` and `victims`)
@@ -420,7 +420,7 @@ pub fn run_plan_gated(
 
 /// Run an [`EnginePlan`]: one [`SessionEngine`] sized to the plan (each
 /// plan transaction is begun at most once), `cfg.threads` workers driving
-/// sessions, the calling thread as watchdog, and the engine's merged
+/// sessions, the calling thread as watchdog, and the engine's
 /// recorded history.
 pub fn run_plan(plan: &EnginePlan, cfg: &EngineConfig) -> Result<EngineReport, String> {
     cfg.validate()?;

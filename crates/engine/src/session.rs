@@ -5,7 +5,7 @@
 //! Each session *interactively* grows the tree — `begin_top` /
 //! `begin_child` / `access` / `commit` / `abort` — against a shared
 //! [`SessionTree`], one sharded [`LockTable`], one status table, and one
-//! global [`SeqClock`] recorder. The engine starts no thread. A wait-for
+//! [`History`]. The engine starts no thread. A wait-for
 //! cycle can only close when a lock request queues, so the session whose
 //! request queues runs the detector right there
 //! (`SessionEngine::detect`), dooming one victim per cycle until none
@@ -14,9 +14,9 @@
 //! precisely that subtree (one `ABORT`, the `INFORM_ABORT`s, one
 //! `REPORT_ABORT`), and reports the victim to the client so it can retry.
 //!
-//! Every action is stamped into per-session logs (serial actions) and the
-//! lock shards' logs (object actions), so
-//! [`SessionEngine::history_snapshot`] merges to a recorded history that
+//! Every action is stamped into the one history — serial actions by the
+//! session, object actions by the lock shard under its mutex — so
+//! [`SessionEngine::history_snapshot`] reads a recorded history that
 //! refines both each session's program order and each object's actual
 //! serialization — certifiable by `nt_sgt::certify_recorded`, also across
 //! a process boundary.
@@ -24,7 +24,7 @@
 use crate::detector::scan_once;
 pub use crate::detector::Victim;
 use crate::locktable::{Acquired, Acquisition, LockTable, ShardCounters, Ticket, WakeHandle};
-use crate::recorder::{merge, ActionSink, SeqClock, WorkerLog};
+use crate::recorder::{ActionSink, History, SeqClock};
 use crate::session_tree::{SessionTree, TreeError};
 use crate::status::StatusTable;
 use crate::tree_view::TreeView;
@@ -169,16 +169,13 @@ pub struct RecoveredSeed {
 }
 
 /// The shared engine a server embeds: one growable tree, one lock table,
-/// one status table, one clock — and no thread of its own.
+/// one status table, one history — and no thread of its own.
 pub struct SessionEngine {
     tree: Arc<SessionTree>,
     status: Arc<StatusTable>,
     table: Arc<LockTable<Arc<SessionTree>>>,
-    clock: Arc<SeqClock>,
+    history: Arc<History>,
     telemetry: TraceHandle,
-    sink: Option<Arc<dyn ActionSink>>,
-    certifier: Option<LiveCertifier>,
-    logs: Mutex<Vec<Arc<Mutex<WorkerLog>>>>,
     /// Victims in doom order. The mutex is also the `detect` mutex: a
     /// whole detection loop runs under it.
     victims: Mutex<Vec<Victim>>,
@@ -247,11 +244,15 @@ impl SessionEngine {
             Some(s) => bare.with_sink(Arc::clone(s)),
             None => bare,
         });
-        if let Some(c) = &certifier {
-            // After the registrations above, before any live action is
-            // recorded below.
-            c.preload(&seed.entries, seed.next_stamp);
-        }
+        // After the registrations above: the certifier preloads the
+        // recovered head here, before any live action is recorded.
+        let fresh = seed.entries.is_empty();
+        let history = Arc::new(History::recovered(
+            seed.entries,
+            seed.next_stamp,
+            sink,
+            certifier,
+        ));
         let status = Arc::new(StatusTable::new(capacity));
         for &t in &seed.committed {
             assert!(status.try_commit(t), "recovered commit marks a fresh slot");
@@ -259,54 +260,28 @@ impl SessionEngine {
         for &t in &seed.aborted {
             status.mark_aborted(t);
         }
-        let clock = Arc::new(SeqClock::starting_at(seed.next_stamp));
         let mut initials = RwInitials::uniform(0);
         for &(x, v) in &seed.initials {
             initials.set(x, v);
         }
-        let mut table = LockTable::new(
+        let table = LockTable::new(
             Arc::clone(&tree),
             Arc::clone(&status),
-            Arc::clone(&clock),
+            Arc::new(SeqClock::new()),
             initials,
             shards,
         )
-        .with_telemetry(telemetry.clone());
-        if let Some(s) = &sink {
-            table = table.with_sink(Arc::clone(s));
-        }
-        if let Some(c) = &certifier {
-            // After `with_sink` — the sink swap replaces the shard logs.
-            table = table.with_certifier(c.clone());
-        }
-        let table = Arc::new(table);
-        let fresh = seed.entries.is_empty();
-        let mut logs = Vec::new();
-        if !fresh {
-            // The recovered history, frozen: it merges ahead of every new
-            // action by stamp order and is never re-appended to the WAL.
-            logs.push(Arc::new(Mutex::new(WorkerLog::from_entries(seed.entries))));
-        }
-        let mut root_log = match &sink {
-            Some(s) => WorkerLog::with_sink(Arc::clone(s)),
-            None => WorkerLog::new(),
-        };
-        if let Some(c) = &certifier {
-            root_log = root_log.with_certifier(c.clone());
-        }
+        .with_telemetry(telemetry.clone())
+        .with_history(Arc::clone(&history));
         if fresh {
-            root_log.record(&clock, Action::Create(TxId::ROOT));
+            history.record(Action::Create(TxId::ROOT));
         }
-        logs.push(Arc::new(Mutex::new(root_log)));
         Ok(Arc::new(SessionEngine {
             tree,
             status,
-            table,
-            clock,
+            table: Arc::new(table),
+            history,
             telemetry,
-            sink,
-            certifier,
-            logs: Mutex::new(logs),
             victims: Mutex::new(Vec::new()),
             victim_count: AtomicUsize::new(0),
             detector_passes: AtomicU64::new(0),
@@ -362,21 +337,8 @@ impl SessionEngine {
 
     /// Open a fresh session (one per client connection).
     pub fn open_session(self: &Arc<Self>) -> Session {
-        let mut session_log = match &self.sink {
-            Some(s) => WorkerLog::with_sink(Arc::clone(s)),
-            None => WorkerLog::new(),
-        };
-        if let Some(c) = &self.certifier {
-            session_log = session_log.with_certifier(c.clone());
-        }
-        let log = Arc::new(Mutex::new(session_log));
-        self.logs
-            .lock()
-            .expect("logs poisoned")
-            .push(Arc::clone(&log));
         Session {
             engine: Arc::clone(self),
-            log,
             held: BTreeMap::new(),
             tops: BTreeSet::new(),
             lock_wait_us: 0,
@@ -416,7 +378,7 @@ impl SessionEngine {
     /// Current logical-clock reading (stamps issued so far) — a
     /// non-advancing peek, for dual wall/logical request stamps.
     pub fn clock_now(&self) -> u64 {
-        self.clock.issued()
+        self.history.issued()
     }
 
     /// Lock grants so far.
@@ -467,28 +429,20 @@ impl SessionEngine {
         o.build()
     }
 
-    /// The live certifier every log of this engine steps (`None` unless
-    /// the engine was started with one). Its status is current whenever
-    /// no thread is inside a record.
+    /// The live certifier every recorded action steps (`None` unless the
+    /// engine was started with one). Its status is current whenever no
+    /// thread is inside a record.
     pub fn certifier(&self) -> Option<&LiveCertifier> {
-        self.certifier.as_ref()
+        self.history.certifier()
     }
 
-    /// Snapshot the run so far: the frozen tree and the merged recorded
-    /// history. Logs are cloned *before* the tree is snapshotted, so every
-    /// transaction a recorded action names is present in the tree (actions
-    /// are recorded only after their transaction is registered, and the
-    /// tree grows monotonically).
+    /// Snapshot the run so far: the frozen tree and the recorded history,
+    /// a prefix of β. The history is read *before* the tree is
+    /// snapshotted, so every transaction a recorded action names is
+    /// present in the tree (actions are recorded only after their
+    /// transaction is registered, and the tree grows monotonically).
     pub fn history_snapshot(&self) -> (TxTree, Vec<Action>) {
-        let mut logs: Vec<WorkerLog> = self
-            .logs
-            .lock()
-            .expect("logs poisoned")
-            .iter()
-            .map(|l| l.lock().expect("session log poisoned").clone())
-            .collect();
-        logs.extend(self.table.snapshot_logs());
-        let history = merge(logs);
+        let history = self.history.snapshot();
         let tree = self.tree.to_tx_tree();
         (tree, history)
     }
@@ -499,7 +453,6 @@ impl SessionEngine {
 /// itself, so the bookkeeping needs no sharing).
 pub struct Session {
     engine: Arc<SessionEngine>,
-    log: Arc<Mutex<WorkerLog>>,
     held: BTreeMap<TxId, BTreeSet<ObjId>>,
     tops: BTreeSet<TxId>,
     /// Microseconds this session spent inside lock acquisition since the
@@ -516,10 +469,7 @@ impl Session {
     }
 
     fn record(&self, action: Action) {
-        self.log
-            .lock()
-            .expect("session log poisoned")
-            .record(&self.engine.clock, action);
+        self.engine.history.record(action);
     }
 
     fn tree(&self) -> &SessionTree {
@@ -1040,6 +990,49 @@ mod tests {
             cert.verdict.name()
         );
         assert_eq!(cert.violations, 0);
+    }
+
+    /// Snapshots taken while other threads record are prefixes of β: a
+    /// snapshot never holds a stamp without every stamp before it (an
+    /// answer without the `CREATE` it answers, say).
+    #[test]
+    fn snapshots_taken_while_sessions_record_are_prefixes_of_the_history() {
+        const THREADS: usize = 4;
+        const TOPS: u32 = 150;
+        const SNAPSHOTS: usize = 100;
+        let e = SessionEngine::start(1 << 14, 4, Duration::ZERO);
+        let snapshots: Vec<Vec<Action>> = std::thread::scope(|scope| {
+            for i in 0..THREADS as u32 {
+                let e = &e;
+                scope.spawn(move || {
+                    let mut s = e.open_session();
+                    for k in 0..TOPS {
+                        let top = s.begin_top().expect("top");
+                        let (x, y) = (ObjId((i + k) % 6), ObjId((i + 2 * k + 1) % 6));
+                        let wrote = s.access(top, x, Op::Write(i64::from(k))).expect("w");
+                        let read = s.access(top, y, Op::Read).expect("r");
+                        if matches!(
+                            (wrote, read),
+                            (AccessOutcome::Done(_), AccessOutcome::Done(_))
+                        ) {
+                            s.commit(top).expect("commit");
+                        }
+                    }
+                });
+            }
+            let e = &e;
+            let snapper = scope.spawn(move || {
+                (0..SNAPSHOTS)
+                    .map(|_| e.history_snapshot().1)
+                    .collect::<Vec<_>>()
+            });
+            snapper.join().expect("snapshots")
+        });
+        let (_, history) = e.history_snapshot();
+        let torn = snapshots.iter().filter(|s| !history.starts_with(s)).count();
+        assert_eq!(torn, 0, "{torn} of {SNAPSHOTS} snapshots are not a prefix");
+        let cert = certify(&e);
+        assert!(cert.is_serially_correct(), "{}", cert.verdict.name());
     }
 
     /// A continuation wake nobody listens to (the tests resume by hand).

@@ -60,6 +60,44 @@ fn ten_seeded_contended_eight_thread_runs_all_certify() {
     }
 }
 
+/// FNV-1a over the history's `Debug` rendering.
+fn digest(history: &[nt_model::Action]) -> u64 {
+    format!("{history:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// One worker thread records one history: the same run twice gives the
+/// same actions in the same order, and the same ones as when every
+/// session and every lock shard kept a log of its own and the history
+/// was their merge by stamp.
+#[test]
+fn a_one_thread_run_records_the_same_history_every_time() {
+    let w = WorkloadSpec {
+        top_level: 10,
+        objects: 3,
+        hotspot: 0.6,
+        retry_attempts: 2,
+        seed: 5,
+        ..WorkloadSpec::default()
+    }
+    .generate();
+    let cfg = EngineConfig {
+        threads: 1,
+        shards: 4,
+        ..EngineConfig::default()
+    };
+    let first = run_workload(&w, &cfg).expect("engine run");
+    let second = run_workload(&w, &cfg).expect("engine run");
+    assert_eq!(first.history, second.history);
+    assert_eq!(
+        (first.history.len(), digest(&first.history)),
+        (348, 15_048_903_711_418_455_335)
+    );
+}
+
 /// The watchdog: two tops take x and y, sleep far past `max_wall_ms`, and
 /// then want the other's object. The run is abandoned while they sleep —
 /// every worker still returns, every slot resolves, and the history

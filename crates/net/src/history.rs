@@ -1,5 +1,5 @@
 //! The on-wire form of a recorded run: the server's transaction naming
-//! tree plus its merged action history, fetched by clients with
+//! tree plus its recorded action history, fetched by clients with
 //! [`Request::HistoryFetch`](crate::wire::Request::HistoryFetch) and
 //! certified locally with `nt_sgt::certify_recorded`.
 //!
@@ -43,7 +43,7 @@ pub struct HistoryDoc {
     pub objects: u32,
     /// Transaction nodes in id order (excluding `T0`).
     pub nodes: Vec<NodeRec>,
-    /// The merged action history, in recorded sequence order.
+    /// The action history, in recorded sequence order.
     pub actions: Vec<Action>,
 }
 

@@ -344,7 +344,7 @@ pub enum Response {
         /// The highest aborted ancestor.
         victim: u32,
     },
-    /// The recorded history (naming tree + merged action log).
+    /// The recorded history (naming tree + action log).
     History(crate::history::HistoryDoc),
     /// Liveness reply.
     Pong,

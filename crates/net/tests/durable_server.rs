@@ -459,6 +459,143 @@ fn contended_batched_fsync_load_certifies_live_and_after_reopen() {
     server.serve().wait();
 }
 
+/// The `Act` records of the WAL at `dir`, in file order.
+fn wal_acts(dir: &std::path::Path) -> Vec<(u64, nt_model::Action)> {
+    let bytes = std::fs::read(dir.join(nt_store::WAL_FILE)).expect("read wal");
+    let decoded = nt_store::decode_stream(&bytes);
+    assert!(decoded.torn.is_none(), "{:?}", decoded.torn);
+    decoded
+        .records
+        .into_iter()
+        .filter_map(|r| match r {
+            nt_store::Record::Act { stamp, action } => Some((stamp, action)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Every action a quiet server recorded, three ways: the WAL's `Act`
+/// records, the engine's history snapshot and the live certifier's step
+/// count. They must be one sequence, stamped `0, 1, 2, …` in that order.
+fn one_order(handle: &nt_net::ServerHandle, dir: &std::path::Path) -> Vec<nt_model::Action> {
+    let engine = handle.engine();
+    let (_, history) = engine.history_snapshot();
+    let acts = wal_acts(dir);
+    let stamps: Vec<u64> = acts.iter().map(|(s, _)| *s).collect();
+    assert!(
+        stamps.iter().copied().eq(0..history.len() as u64),
+        "WAL stamps are not 0..{}: {stamps:?}",
+        history.len()
+    );
+    assert!(acts.iter().map(|(_, a)| a).eq(history.iter()));
+    let live = engine.certifier().expect("live certify").status();
+    assert_eq!(live.processed, history.len() as u64);
+    assert!(live.ok);
+    history
+}
+
+/// Two connections of mixed load on a durable, live-certified server, a
+/// crash with a top in flight, and a second life on the crash image: the
+/// WAL, the history snapshot and the certifier see one sequence in both
+/// lives, and the second life's stamps continue the first's without a
+/// gap — the recovered head, then the loser's synthesized abort, then the
+/// new actions.
+#[test]
+fn wal_history_and_certifier_see_one_order_across_a_crash_restart() {
+    let dir = Scratch::new("one-order");
+    let image = Scratch::new("one-order-image");
+    let cfg = |d: &Scratch| ServerConfig {
+        live_certify: true,
+        ..durable_cfg(d, DurabilityMode::None)
+    };
+    let mixed = |a: &mut Conn, b: &mut Conn, base: u32| {
+        commit_write(a, base, 1);
+        commit_write(b, base + 1, 2);
+        let top = begin_top(a);
+        let child = match a.request(&Request::BeginChild { parent: top }) {
+            Ok(Response::Begun { tx }) => tx,
+            other => panic!("expected Begun, got {other:?}"),
+        };
+        for (parent, obj, op) in [(child, base, Op::Read), (child, base + 1, Op::Write(3))] {
+            assert!(matches!(
+                a.request(&Request::Access { parent, obj, op }),
+                Ok(Response::AccessOk { .. })
+            ));
+        }
+        assert!(matches!(
+            a.request(&Request::Commit { tx: child }),
+            Ok(Response::Committed)
+        ));
+        let doomed = begin_top(b);
+        assert!(matches!(
+            b.request(&Request::Access {
+                parent: doomed,
+                obj: base + 2,
+                op: Op::Write(4),
+            }),
+            Ok(Response::AccessOk { .. })
+        ));
+        assert!(matches!(
+            b.request(&Request::Abort { tx: doomed }),
+            Ok(Response::AbortOk)
+        ));
+        assert!(matches!(
+            a.request(&Request::Commit { tx: top }),
+            Ok(Response::Committed)
+        ));
+        assert_eq!(read_committed(b, base + 1), Value::Int(3));
+    };
+
+    let server = NetServer::bind(cfg(&dir)).expect("bind");
+    let addr = server.local_addr().to_string();
+    let handle = server.serve();
+    let mut a = Conn::connect(&addr, 1, ConnConfig::default()).expect("connect");
+    let mut b = Conn::connect(&addr, 2, ConnConfig::default()).expect("connect");
+    mixed(&mut a, &mut b, 0);
+    // A top left in flight: its write was answered, so it is in the file.
+    let loser = begin_top(&mut b);
+    assert!(matches!(
+        b.request(&Request::Access {
+            parent: loser,
+            obj: 5,
+            op: Op::Write(99),
+        }),
+        Ok(Response::AccessOk { .. })
+    ));
+    let first = one_order(&handle, &dir.0);
+    // The crash image: the file as a kill -9 would leave it now.
+    std::fs::create_dir_all(&image.0).expect("mkdir image");
+    std::fs::copy(
+        dir.0.join(nt_store::WAL_FILE),
+        image.0.join(nt_store::WAL_FILE),
+    )
+    .expect("copy wal");
+    drop((a, b));
+    handle.wait();
+
+    let server = NetServer::bind(cfg(&image)).expect("rebind");
+    let report = server.recovery_report().expect("store mounted");
+    assert_eq!(report.losers, vec![loser]);
+    assert_eq!(report.history_len, first.len() + report.synthesized_actions);
+    let addr = server.local_addr().to_string();
+    let handle = server.serve();
+    let head = one_order(&handle, &image.0);
+    assert_eq!(head.len(), report.history_len);
+    assert_eq!(head[..first.len()], first[..]);
+    assert_eq!(
+        head[first.len()],
+        nt_model::Action::Abort(nt_model::TxId(loser))
+    );
+    let mut a = Conn::connect(&addr, 3, ConnConfig::default()).expect("connect");
+    let mut b = Conn::connect(&addr, 4, ConnConfig::default()).expect("connect");
+    mixed(&mut a, &mut b, 10);
+    let second = one_order(&handle, &image.0);
+    assert!(second.len() > head.len());
+    assert_eq!(second[..head.len()], head[..]);
+    drop((a, b));
+    handle.wait();
+}
+
 /// A flag or mode that was removed is refused with a message naming what
 /// replaced it — never accepted as a silent alias.
 #[test]

@@ -2,8 +2,7 @@
 //! whichever thread records an action, before that thread returns from
 //! recording it. There is no certifier thread, no channel and no buffer:
 //! [`LiveCertifier`] is a passive, cloneable handle, and the verdict it
-//! reports is current at every instant no thread is inside
-//! [`record`](LiveCertifier::record).
+//! reports is current at every instant no thread is recording.
 //!
 //! ## Why stepping inline is sound
 //!
@@ -14,20 +13,17 @@
 //! machine stepped once per action in stamp order therefore computes
 //! exactly the graph the post-hoc gate builds from the finished history —
 //! nothing in the construction asks for a second agent, only for the
-//! order. [`record`](LiveCertifier::record) gives it that order by
-//! construction: the stamp is drawn *while the certifier lock is held*,
-//! so the order in which threads win the lock is the stamp order, and the
-//! maintainer never sees a stamp before its predecessor.
+//! order. The engine's one history gives it that order by construction:
+//! it draws each stamp and calls [`act`](LiveCertifier::act) under one
+//! mutex, so the maintainer never sees a stamp before its predecessor.
 //!
 //! ## Lock order
 //!
-//! Callers hold their own lock when they record — a lock-table shard
-//! mutex, a session log's mutex, the session tree's append mutex — and
-//! take the certifier lock under it: *shard → certifier*, *session log →
-//! certifier*, *tree append → certifier*. Under the certifier lock run
-//! only the stamp draw (an atomic increment, or the write-ahead log's
-//! append, which takes the log's own mutex and calls nothing back) and
-//! the gauge publication (the recorder's mutex, likewise a leaf). The maintainer calls nothing back, so no cycle can form.
+//! Callers hold their own lock when they step the certifier — the
+//! engine's history mutex, or the session tree's append mutex for a
+//! registration — and under the certifier lock run only the maintainer
+//! and the gauge publication (the recorder's mutex, a leaf). Nothing here
+//! calls back, so no cycle can form; DESIGN §8d holds the whole table.
 //!
 //! ## Gauges and cost
 //!
@@ -159,13 +155,11 @@ impl LiveCertifier {
         self.mirror_verdict(&st);
     }
 
-    /// Draw a stamp with `draw` and step the maintainer with
-    /// `(stamp, action)`, both under the certifier lock, so stamp order is
-    /// step order. Returns the stamp. This is the engine's recording
-    /// path.
-    pub fn record(&self, draw: impl FnOnce() -> u64, action: &Action) -> u64 {
+    /// Step the maintainer with an action stamped elsewhere, in stamp
+    /// order: each stamp above the last one fed. This is the engine's
+    /// recording path, called under its history mutex.
+    pub fn act(&self, stamp: u64, action: &Action) {
         let mut st = self.lock();
-        let stamp = draw();
         // Only a top-level completion changes the graph's shape
         // (finalization + GC); everything else is O(1) bookkeeping.
         let resolves = matches!(action, Action::Commit(t) | Action::Abort(t) if st.m.is_top(*t));
@@ -177,13 +171,6 @@ impl LiveCertifier {
             st.samples += 1;
             self.publish(&st);
         }
-        stamp
-    }
-
-    /// Step the maintainer with an action stamped elsewhere, in stamp
-    /// order: each stamp above the last one fed.
-    pub fn act(&self, stamp: u64, action: &Action) {
-        self.record(|| stamp, action);
     }
 
     fn mirror_verdict(&self, st: &State) {
@@ -259,20 +246,11 @@ mod tests {
         let telemetry = nt_obs::Recorder::full();
         let live = LiveCertifier::new(SgtConfig::default(), telemetry.clone());
         live.lock().m.seed_tree(&tree);
-        // Two clones, as two recording sites would hold; stamps are drawn
-        // under the certifier lock from a plain counter.
+        // Two clones, as two recording sites would hold.
         let other = live.clone();
-        let mut clock = 0u64;
         for (i, act) in beta.iter().enumerate() {
             let site = if i % 2 == 0 { &live } else { &other };
-            let stamp = site.record(
-                || {
-                    clock += 1;
-                    clock - 1
-                },
-                act,
-            );
-            assert_eq!(stamp, i as u64);
+            site.act(i as u64, act);
             // No barrier of any kind: the status is current after each step.
             assert_eq!(live.status().processed, i as u64 + 1);
         }

@@ -227,9 +227,9 @@ impl SgtMaintainer {
         }
     }
 
-    /// Feed one stamped action. Stamps increase: every feeder draws them
-    /// in order — [`LiveCertifier::record`](crate::LiveCertifier::record)
-    /// under the certifier lock, [`preload`](Self::preload) and
+    /// Feed one stamped action. Stamps increase: every feeder delivers
+    /// them in order — [`LiveCertifier::act`](crate::LiveCertifier::act)
+    /// under the engine's history mutex, [`preload`](Self::preload) and
     /// [`replay`](Self::replay) in history order.
     pub fn apply(&mut self, stamp: u64, action: Action) {
         debug_assert!(

@@ -4,8 +4,8 @@
 //! objects. Every applied operation, commit, and abort-undo is staged for
 //! a length-prefixed, CRC-checked write-ahead log **with its SeqClock
 //! stamp** (the engine's recorder tees into the WAL through
-//! [`nt_engine::ActionSink`], drawing stamps under the WAL's append mutex
-//! so file order equals stamp order), and the stage is handed to the file
+//! [`nt_engine::ActionSink`] under the engine's history mutex, so file
+//! order equals stamp order), and the stage is handed to the file
 //! as one extent — one frame, one `write(2)` — at the barrier
 //! ([`Store::wait_durable`]) its caller pays **before it acknowledges
 //! anything staged**: the server's poll round. Durability cost is a

@@ -88,18 +88,14 @@ impl MergedState {
     }
 }
 
+/// `t`, its parent, …, `T0`, in the recovered tree.
+fn ancestors(nodes: &BTreeMap<u32, NodeRec>, t: TxId) -> impl Iterator<Item = TxId> + '_ {
+    std::iter::successors(Some(t), |&u| (u != TxId::ROOT).then(|| nodes[&u.0].parent))
+}
+
 /// Is `a` an ancestor-or-self of `b` in the recovered tree?
 fn is_anc(nodes: &BTreeMap<u32, NodeRec>, a: TxId, b: TxId) -> bool {
-    let mut cur = b;
-    loop {
-        if cur == a {
-            return true;
-        }
-        if cur == TxId::ROOT {
-            return false;
-        }
-        cur = nodes[&cur.0].parent;
-    }
+    ancestors(nodes, b).any(|u| u == a)
 }
 
 /// Everything recovery learned, summarized for the operator (and the
@@ -383,8 +379,8 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
             continue;
         }
         // Already covered by an aborted ancestor (recovered or a loser
-        // rolled back earlier this pass)?
-        if aborted.iter().any(|&a| is_anc(&nodes, a, t)) {
+        // rolled back earlier this pass)? One walk up, one lookup a step.
+        if ancestors(&nodes, t).any(|a| aborted.contains(&a)) {
             continue;
         }
         // Topmost running ancestor: walk up until T0 or a completed node.
@@ -571,4 +567,100 @@ pub(crate) fn checkpoint_records(merged: &MergedState, gen: u64, covers_stamp: u
         });
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nt_model::Value;
+
+    /// Many aborted tops whose children were never resolved, and every
+    /// hundredth top still running with a child that wrote: the running
+    /// tops are the losers, each rolled back by `ABORT`, one
+    /// `INFORM_ABORT` for the object its subtree holds, `REPORT_ABORT`,
+    /// stamped after everything recovered in id order.
+    #[test]
+    fn losers_under_many_aborted_tops_are_exactly_the_running_tops() {
+        const TOPS: u32 = 600;
+        let dir = std::env::temp_dir().join(format!("nt-recover-{}-losers", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let mut recs = vec![Record::Header {
+            kind: FileKind::Wal,
+            gen: 1,
+            covers_stamp: 0,
+        }];
+        let mut acts = vec![Action::Create(TxId::ROOT)];
+        let mut running = Vec::new();
+        for k in 0..TOPS {
+            let (top, child, access) = (TxId(3 * k + 1), TxId(3 * k + 2), TxId(3 * k + 3));
+            let x = ObjId(k);
+            recs.push(Record::TreeAdd {
+                t: top,
+                parent: TxId::ROOT,
+                access: None,
+            });
+            recs.push(Record::TreeAdd {
+                t: child,
+                parent: top,
+                access: None,
+            });
+            recs.push(Record::TreeAdd {
+                t: access,
+                parent: child,
+                access: Some((x, Op::Write(i64::from(k)))),
+            });
+            acts.extend([
+                Action::RequestCreate(top),
+                Action::Create(top),
+                Action::RequestCreate(child),
+                Action::Create(child),
+            ]);
+            if k % 100 == 7 {
+                acts.extend([
+                    Action::RequestCreate(access),
+                    Action::Create(access),
+                    Action::RequestCommit(access, Value::Ok),
+                    Action::Commit(access),
+                ]);
+                running.push((top, x));
+            } else {
+                acts.extend([Action::Abort(top), Action::ReportAbort(top)]);
+            }
+        }
+        let recovered_len = acts.len() as u64;
+        for (stamp, action) in acts.into_iter().enumerate() {
+            recs.push(Record::Act {
+                stamp: stamp as u64,
+                action,
+            });
+        }
+        let mut bytes = Vec::new();
+        for rec in &recs {
+            rec.encode_frame_into(&mut bytes).expect("encode");
+        }
+        std::fs::write(dir.join(WAL_FILE), &bytes).expect("write wal");
+
+        let got = analyze(&dir).expect("recovers");
+        let _ = std::fs::remove_dir_all(&dir);
+        let losers: Vec<u32> = running.iter().map(|(t, _)| t.0).collect();
+        assert_eq!(got.report.losers, losers);
+        let want: Vec<Record> = running
+            .iter()
+            .flat_map(|&(v, x)| {
+                [
+                    Action::Abort(v),
+                    Action::InformAbort(x, v),
+                    Action::ReportAbort(v),
+                ]
+            })
+            .enumerate()
+            .map(|(i, action)| Record::Act {
+                stamp: recovered_len + i as u64,
+                action,
+            })
+            .collect();
+        assert_eq!(got.synthesized, want);
+        assert!(got.report.certified);
+    }
 }

@@ -15,9 +15,9 @@
 //! over a data dir) are bounded by [`SPILL_BYTES`]: an append that fills
 //! the stage hands it over itself.
 //!
-//! The WAL implements [`ActionSink`], the engine recorder's durable tee.
-//! The critical ordering property lives in [`Wal::append_action`]: the
-//! SeqClock stamp is drawn **while the append mutex is held**, so stage
+//! The WAL implements [`ActionSink`], the engine history's durable tee.
+//! It draws no stamp: the history draws each one and stages its `Act`
+//! under the history mutex, so calls arrive in stamp order and stage
 //! order, and with it the file's record order, equals stamp order. A torn
 //! tail then loses a *suffix* of stamps — recovery never has to reason
 //! about holes in the middle of the history. A failed write may not punch
@@ -25,16 +25,15 @@
 //! extent and latches the WAL failed — nothing is written after it, and
 //! every later barrier reports the failure so nothing is acknowledged.
 //!
-//! Lock order: the WAL append mutex is a leaf. Callers already hold a
-//! session-log mutex, a lock-shard mutex, or the session tree's append
-//! mutex when they enter; the WAL never calls back out, so no cycle can
-//! form.
+//! Lock order: the WAL append mutex is a leaf, entered under the history
+//! mutex or the session tree's append mutex; the WAL never calls back
+//! out (DESIGN §8d's table).
 
 use crate::record::{
     begin_frame, put_act, put_cache, put_or_restore, put_tree_add, seal_frame, FileKind, Record,
     WalError, FRAME_OVERHEAD, MAX_PAYLOAD,
 };
-use nt_engine::{ActionSink, DurabilityMode, SeqClock};
+use nt_engine::{ActionSink, DurabilityMode};
 use nt_model::{Action, ObjId, Op, TxId};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -320,13 +319,10 @@ impl Wal {
 }
 
 impl ActionSink for Wal {
-    fn append_action(&self, clock: &SeqClock, action: &Action) -> u64 {
+    fn append_action(&self, stamp: u64, action: &Action) {
         let mut inner = self.lock();
-        // Stamp under the append mutex: stage order == stamp order.
-        let stamp = clock.next();
         inner.last_stamp = stamp;
         self.stage(&mut inner, |out| put_act(out, stamp, action));
-        stamp
     }
 
     fn append_tree_add(&self, t: TxId, parent: TxId, access: Option<(ObjId, &Op)>) {

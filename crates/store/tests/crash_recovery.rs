@@ -209,6 +209,74 @@ fn appends_without_a_barrier_spill_in_bounded_extents() {
     );
 }
 
+/// A fresh store's WAL after one session's script — a top with a nested
+/// child that writes and reads and commits, a read in the top, a second
+/// top that writes and aborts, the first top's commit — captured byte for
+/// byte. One thread records, so the stamps, the records and their order
+/// are fixed: a changed byte is a change in what the engine logs.
+const SINGLE_SESSION_WAL: &str = concat!(
+    "120000003de8212601000100000000000000000000000000000022030000d871c89e030000000000",
+    "00000000000000000201000000000000000003010000000000000001010000000302000000000000",
+    "00000100000002020000000100000000030300000000000000010200000003040000000000000000",
+    "02000000020300000002000000010000000001050000000000000003050000000000000001030000",
+    "00030600000000000000000300000003070000000000000002030000000003080000000000000003",
+    "03000000030900000000000000070000000003000000030a00000000000000050300000000020400",
+    "000002000000010100000000030b000000000000000104000000030c000000000000000004000000",
+    "030d000000000000000204000000020000000000000000030e000000000000000304000000030f00",
+    "00000000000007010000000400000003100000000000000005040000000200000000000000000311",
+    "00000000000000020200000000031200000000000000030200000003130000000000000007000000",
+    "00020000000314000000000000000701000000020000000315000000000000000502000000000205",
+    "00000001000000010000000000031600000000000000010500000003170000000000000000050000",
+    "0003180000000000000002050000000205000000000000000319000000000000000305000000031a",
+    "00000000000000070000000005000000031b00000000000000050500000002050000000000000002",
+    "060000000000000000031c000000000000000106000000031d000000000000000006000000020700",
+    "0000060000000102000000010900000000000000031e000000000000000107000000031f00000000",
+    "00000000070000000320000000000000000207000000000321000000000000000307000000032200",
+    "00000000000007020000000700000003230000000000000005070000000003240000000000000004",
+    "06000000032500000000000000080200000006000000032600000000000000060600000003270000",
+    "00000000000201000000000328000000000000000301000000032900000000000000070000000001",
+    "000000032a00000000000000070100000001000000032b00000000000000050100000000",
+);
+
+#[test]
+fn single_session_wal_bytes_are_unchanged() {
+    use nt_engine::BeginOutcome;
+    let scratch = Scratch::new("golden");
+    let (store, rec) = Store::open(&scratch.0, DurabilityMode::None).expect("open");
+    let engine = boot(&store, rec);
+    let mut s = engine.open_session();
+    let top = s.begin_top().expect("top");
+    let BeginOutcome::Fresh(child) = s.begin_child(top).expect("child") else {
+        panic!("a fresh top's child is fresh");
+    };
+    let done = |out| match out {
+        AccessOutcome::Done(v) => v,
+        AccessOutcome::Aborted(v) => panic!("aborted at {v}"),
+    };
+    let (x, y) = (ObjId(0), ObjId(1));
+    assert_eq!(
+        done(s.access(child, x, Op::Write(5)).expect("w")),
+        Value::Ok
+    );
+    assert_eq!(
+        done(s.access(child, y, Op::Read).expect("r")),
+        Value::Int(0)
+    );
+    assert_eq!(s.commit(child).expect("commit"), CommitOutcome::Committed);
+    assert_eq!(done(s.access(top, x, Op::Read).expect("r")), Value::Int(5));
+    let loser = s.begin_top().expect("top");
+    assert_eq!(
+        done(s.access(loser, ObjId(2), Op::Write(9)).expect("w")),
+        Value::Ok
+    );
+    s.abort(loser).expect("abort");
+    assert_eq!(s.commit(top).expect("commit"), CommitOutcome::Committed);
+    store.close();
+    let bytes = std::fs::read(scratch.0.join(WAL_FILE)).expect("read wal");
+    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, SINGLE_SESSION_WAL);
+}
+
 #[test]
 fn torn_tail_is_dropped_and_next_open_is_clean() {
     let scratch = Scratch::new("torn");

@@ -3,17 +3,19 @@
 # thread ever sleeps or waits on another thread, except the one
 # `wait_durable` barrier per round. This gate greps the code that runs
 # there — the reactor crate, nt-net's per-connection service and the
-# protocol core it executes — for the calls that would break it. It also
-# holds the other "stays gone" greps, by what they would do rather than by
-# the names of deleted code: the WAL and the certifier start no thread and
-# wait on none, run.rs goes through the session API, and nothing starts a
-# background thread — the server is the poll thread and nothing else.
+# protocol core it executes, and the history, WAL and certifier every
+# recorded action passes through — for the calls that would break it. It
+# also holds the other "stays gone" greps, by what they would do rather
+# than by the names of deleted code: run.rs goes through the session API,
+# and nothing starts a background thread — the server is the poll thread
+# and nothing else.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 poll_thread=(crates/reactor/src/lib.rs crates/reactor/src/buf.rs
     crates/reactor/src/waker.rs crates/net/src/front_reactor.rs
-    crates/net/src/server.rs)
+    crates/net/src/server.rs crates/engine/src/recorder.rs
+    crates/store/src/wal.rs crates/sgt/src/*.rs)
 blocking='thread::sleep|Condvar|wait_timeout|wait_while|\.recv\(\)|recv_timeout|\.park\(|\.join\(\)'
 
 # A file's non-test code: everything above its `#[cfg(test)]` module.
@@ -46,17 +48,6 @@ if [ "$barriers" -ne 1 ]; then
     fail=1
 fi
 
-if grep -nE 'thread::spawn|Condvar|wait_timeout' crates/store/src/wal.rs; then
-    echo "check_poll_thread: the WAL starts a thread or waits on one (above)" >&2
-    fail=1
-fi
-
-# The certifier is stepped by the recording thread: no thread, no channel
-# and no wait of its own.
-if grep -rnE 'thread::spawn|mpsc|Condvar|\.recv\(' crates/sgt/src; then
-    echo "check_poll_thread: the certifier starts a thread or waits on one (above)" >&2
-    fail=1
-fi
 # One execution core: `run_plan` drives sessions, and run.rs reaches
 # engine state through the session API only.
 if grep -nE 'LockTable::new|StatusTable::new|\.try_commit\(|\.mark_aborted\(|release_inherit|\.discard\(' \
