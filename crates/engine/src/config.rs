@@ -1,7 +1,7 @@
-//! Engine configuration: thread-pool size, lock-table sharding, and
-//! retry/backoff wiring — with a JSON form so configs can be linted
-//! statically (`nt-lint engine`). Deadlock detection has no knob: it runs
-//! at the enqueue that closes the cycle.
+//! Engine configuration: thread-pool size and retry/backoff wiring — with
+//! a JSON form so configs can be linted statically (`nt-lint engine`).
+//! Deadlock detection has no knob: it runs at the enqueue that closes the
+//! cycle. Nor has the lock table: there is one engine lock, not shards.
 
 use nt_faults::BackoffPolicy;
 use nt_obs::json::{Json, JsonObj};
@@ -58,9 +58,6 @@ impl std::fmt::Display for DurabilityMode {
 pub struct EngineConfig {
     /// Worker threads executing top-level transactions (must be ≥ 1).
     pub threads: usize,
-    /// Lock-table shards; must be a power of two (objects map to shards by
-    /// `object_id & (shards - 1)`).
-    pub shards: usize,
     /// Retry policy for deadlock victims. `None` disables retries even when
     /// the workload pre-materialized replica chains (they stay inert, like
     /// the simulator without `SimConfig::retry`).
@@ -92,7 +89,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             threads: 4,
-            shards: 16,
             backoff: Some(BackoffPolicy::default()),
             backoff_round_us: 50,
             access_latency_us: 0,
@@ -111,12 +107,6 @@ impl EngineConfig {
         let mut out = Vec::new();
         if self.threads == 0 {
             out.push("threads must be >= 1".to_string());
-        }
-        if self.shards == 0 || !self.shards.is_power_of_two() {
-            out.push(format!(
-                "shards must be a nonzero power of two (got {})",
-                self.shards
-            ));
         }
         if let Some(b) = &self.backoff {
             if self.backoff_round_us == 0 {
@@ -165,7 +155,6 @@ impl EngineConfig {
                 "bench-contended",
                 EngineConfig {
                     access_latency_us: 100,
-                    shards: 4,
                     ..EngineConfig::default()
                 },
             ),
@@ -173,7 +162,6 @@ impl EngineConfig {
                 "ci-smoke",
                 EngineConfig {
                     threads: 4,
-                    shards: 8,
                     ..EngineConfig::default()
                 },
             ),
@@ -190,8 +178,7 @@ impl EngineConfig {
     /// Serialize to the JSON document form `from_json` parses.
     pub fn to_json(&self) -> String {
         let mut o = JsonObj::new();
-        o.num("threads", self.threads as u64)
-            .num("shards", self.shards as u64);
+        o.num("threads", self.threads as u64);
         match &self.backoff {
             Some(b) => {
                 let mut bo = JsonObj::new();
@@ -220,9 +207,8 @@ impl EngineConfig {
         let Json::Obj(map) = &parsed else {
             return Err("engine config must be a JSON object".to_string());
         };
-        const KNOWN: [&str; 7] = [
+        const KNOWN: [&str; 6] = [
             "threads",
-            "shards",
             "backoff",
             "backoff_round_us",
             "access_latency_us",
@@ -230,22 +216,17 @@ impl EngineConfig {
             "live_certify",
         ];
         for key in map.keys() {
+            // Retired with the sharded lock table: refused with the
+            // reason, not silently accepted.
+            if key == "shards" {
+                return Err("engine config key \"shards\" was removed: the lock table \
+                            is one engine lock, not shards"
+                    .to_string());
+            }
             if !KNOWN.contains(&key.as_str()) {
                 return Err(format!("unknown engine config key {key:?}"));
             }
         }
-        let uint = |key: &str| -> Result<u64, String> {
-            let v = parsed
-                .get(key)
-                .ok_or_else(|| format!("missing required key {key:?}"))?;
-            let n = v
-                .as_num()
-                .ok_or_else(|| format!("key {key:?} must be a number"))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!("key {key:?} must be a non-negative integer"));
-            }
-            Ok(n as u64)
-        };
         let backoff = match parsed.get("backoff") {
             None | Some(Json::Null) => None,
             Some(b @ Json::Obj(fields)) => {
@@ -254,16 +235,9 @@ impl EngineConfig {
                         return Err(format!("unknown backoff key {key:?}"));
                     }
                 }
-                let field = |key: &str| -> Result<u64, String> {
-                    let n = b
-                        .get(key)
-                        .and_then(Json::as_num)
-                        .ok_or_else(|| format!("backoff.{key} must be a number"))?;
-                    Ok(n as u64)
-                };
                 Some(BackoffPolicy {
-                    base_rounds: field("base_rounds")?,
-                    cap_rounds: field("cap_rounds")?,
+                    base_rounds: int(b.get("base_rounds"), "backoff.base_rounds")?,
+                    cap_rounds: int(b.get("cap_rounds"), "backoff.cap_rounds")?,
                 })
             }
             Some(_) => return Err("backoff must be an object or null".to_string()),
@@ -275,15 +249,22 @@ impl EngineConfig {
             Some(_) => return Err("live_certify must be a boolean".to_string()),
         };
         Ok(EngineConfig {
-            threads: uint("threads")? as usize,
-            shards: uint("shards")? as usize,
+            threads: int(parsed.get("threads"), "threads")?,
             backoff,
-            backoff_round_us: uint("backoff_round_us")?,
-            access_latency_us: uint("access_latency_us")?,
-            max_wall_ms: uint("max_wall_ms")?,
+            backoff_round_us: int(parsed.get("backoff_round_us"), "backoff_round_us")?,
+            access_latency_us: int(parsed.get("access_latency_us"), "access_latency_us")?,
+            max_wall_ms: int(parsed.get("max_wall_ms"), "max_wall_ms")?,
             live_certify,
         })
     }
+}
+
+/// The one integer reader of an engine document: the required key `name`
+/// through [`Json::as_uint`].
+fn int<N: TryFrom<u64>>(v: Option<&Json>, name: &str) -> Result<N, String> {
+    v.ok_or_else(|| format!("missing required key {name:?}"))?
+        .as_uint()
+        .ok_or_else(|| format!("key {name:?} must be a non-negative integer that fits its field"))
 }
 
 #[cfg(test)]
@@ -317,13 +298,66 @@ mod tests {
     fn bad_configs_are_flagged() {
         let bad = EngineConfig {
             threads: 0,
-            shards: 12,
             backoff_round_us: 0,
             max_wall_ms: 0,
             ..EngineConfig::default()
         };
-        assert_eq!(bad.problems().len(), 4);
+        assert_eq!(bad.problems().len(), 3);
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn shards_is_refused_by_name_with_the_reason() {
+        let doc = EngineConfig::default()
+            .to_json()
+            .replacen('{', "{\"shards\":12,", 1);
+        let err = EngineConfig::from_json(&doc).expect_err("retired key");
+        assert!(err.contains("\"shards\" was removed"), "{err}");
+        assert!(err.contains("one engine lock"), "{err}");
+    }
+
+    /// Every integer key goes through one reader: whole, non-negative and
+    /// within its field's type, or refused naming the key.
+    #[test]
+    fn integer_keys_refuse_fractions_negatives_and_overflow() {
+        const KEYS: [&str; 6] = [
+            "threads",
+            "backoff.base_rounds",
+            "backoff.cap_rounds",
+            "backoff_round_us",
+            "access_latency_us",
+            "max_wall_ms",
+        ];
+        let doc = |v: [&str; 6]| {
+            format!(
+                r#"{{"threads":{},"backoff":{{"base_rounds":{},"cap_rounds":{}}},
+                    "backoff_round_us":{},"access_latency_us":{},"max_wall_ms":{}}}"#,
+                v[0], v[1], v[2], v[3], v[4], v[5]
+            )
+        };
+        for (i, key) in KEYS.iter().enumerate() {
+            for (value, parses) in [
+                ("3", true),
+                ("1.5", false),
+                ("2.7", false),
+                ("-1", false),
+                ("18446744073709551616", false),
+                ("1e30", false),
+            ] {
+                let mut v = ["3"; 6];
+                v[i] = value;
+                match EngineConfig::from_json(&doc(v)) {
+                    Ok(cfg) => {
+                        assert!(parses, "{key}={value} parsed to {cfg:?}");
+                        assert_eq!(cfg, EngineConfig::from_json(&doc(["3"; 6])).unwrap());
+                    }
+                    Err(e) => {
+                        assert!(!parses, "{key}={value}: {e}");
+                        assert!(e.contains(&format!("{key:?}")), "{key}={value}: {e}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Wait-for-graph deadlock detection: one pass ([`scan_once`]) over the
-//! lock table's queued requests. There is one loop that runs it —
-//! [`SessionEngine`](crate::SessionEngine)'s `detect`, called by the
-//! session whose lock request just queued and repeated until a pass finds
-//! no cycle — and tests drive single passes by hand.
+//! Wait-for-graph deadlock detection: one pass ([`convict`]) over the
+//! lock table's queued requests. There is one loop that runs it — the
+//! lock table's `detect`, run in the critical section whose request just
+//! queued and repeated until a pass finds no cycle — and tests drive
+//! single passes by hand.
 //!
-//! A pass snapshots the lock table's wait-for relation, collapses it to
+//! A pass reads the wait-for relation, one consistent cut of every queue
+//! taken under the engine lock, collapses it to
 //! *top-level groups* (a session drives each of its subtrees depth-first,
 //! so there is no intra-subtree waiting and deadlock is always between
 //! top-level subtrees), and looks for a cycle. For one cycle edge it dooms
@@ -21,7 +22,7 @@
 //! its caller — who may retry (the plan driver hands the slot to the
 //! `nt-faults` backoff machinery).
 
-use crate::locktable::LockTable;
+use crate::locktable::WaitEdge;
 use crate::status::StatusTable;
 use crate::tree_view::TreeView;
 use nt_model::TxId;
@@ -39,21 +40,20 @@ pub struct Victim {
     pub blocker: TxId,
 }
 
-/// One detector pass: snapshot, build the group-level wait-for graph, doom
-/// at most one victim. Public so tests can drive the detector manually.
-pub fn scan_once<T: TreeView, U: TreeView>(
+/// One detector pass: build the group-level wait-for graph of `waits`,
+/// doom at most one victim.
+pub(crate) fn convict<T: TreeView>(
     tree: &T,
     status: &StatusTable,
-    table: &LockTable<U>,
+    waits: &[WaitEdge],
 ) -> Option<Victim> {
-    let snapshot = table.waiting_snapshot();
-    if snapshot.is_empty() {
+    if waits.is_empty() {
         return None;
     }
     // Group-level edges gw -> gb, each remembering one concrete
     // (waiter, blocker) witness pair.
     let mut edges: BTreeMap<TxId, BTreeMap<TxId, (TxId, TxId)>> = BTreeMap::new();
-    for edge in &snapshot {
+    for edge in waits {
         let gw = tree.child_toward(TxId::ROOT, edge.waiter);
         for &b in &edge.blockers {
             let gb = tree.child_toward(TxId::ROOT, b);
@@ -68,8 +68,8 @@ pub fn scan_once<T: TreeView, U: TreeView>(
     }
     let cycle = find_cycle(&edges)?;
     // Doom the lowest incomplete transaction on a cycle edge's blocker
-    // chain. Try each edge until one doom CAS lands (a racing commit may
-    // have dissolved part of the cycle since the snapshot).
+    // chain. Try each edge until one doom CAS lands (a commit that
+    // already passed its status CAS may have completed a blocker).
     for (waiter, blocker) in cycle {
         let mut cur = Some(blocker);
         while let Some(u) = cur {

@@ -13,23 +13,27 @@
 //!   object). The networked server runs one session per connection;
 //!   [`run_plan`] drives the same `WorkloadSpec`/`ScriptedTx` workloads the
 //!   simulator runs through one session per worker thread;
-//! * a **sharded lock table** ([`LockTable`]) implements Moss' read/write
+//! * a **lock table** ([`LockTable`]) implements Moss' read/write
 //!   locking rules (§5.2) — the same [`nt_locking::moss_precondition`] the
 //!   simulated `M1_X` automaton uses — with queued, non-blocking waits
 //!   that the releaser grants in place, earliest eligible ticket first
-//!   (a thin blocking wrapper parks in-process callers on the ticket);
-//! * a **wait-for-graph deadlock detector** ([`detector`]) runs on the
-//!   thread whose lock request just queued — the only step that can close
-//!   a cycle, so the engine needs no background thread — and dooms one
+//!   (a thin blocking wrapper parks in-process callers on the ticket).
+//!   Its mutex is the **engine lock**: it guards the engine's whole
+//!   mutable state — every object's locks, the history, the victims and
+//!   the counters — so each critical section is one step of one
+//!   sequential machine;
+//! * a **wait-for-graph deadlock detector** ([`detector`]) runs in the
+//!   critical section whose lock request just queued — the only step that
+//!   can close a cycle, so the engine needs no background thread — and dooms one
 //!   victim per cycle, chosen as the lowest incomplete transaction on a
 //!   blocker's ancestor chain (mirroring the simulator's policy); under
 //!   [`run_plan`] victims flow into the `nt-faults` retry/backoff
 //!   machinery via the workload's pre-materialized replica chains;
-//! * **one history** ([`recorder`]) stamps every action under one mutex
-//!   and tees it, in stamp order, into the WAL and the live certifier;
-//!   object-level actions are recorded while the owning lock shard is
-//!   held, so the history linearizes exactly the synchronization the
-//!   engine actually performed;
+//! * **one history** ([`recorder`]) stamps every action under the engine
+//!   lock and tees it, in stamp order, into the WAL and the live
+//!   certifier; object-level actions are recorded in the critical section
+//!   that makes their state change, so the history linearizes exactly the
+//!   synchronization the engine actually performed;
 //! * the history feeds `nt_sgt::certify_recorded`, certifying each
 //!   concurrent run against Theorem 17 post-hoc: the serialization graph
 //!   must be acyclic and every return value appropriate;
@@ -59,9 +63,7 @@ pub mod status;
 pub mod tree_view;
 
 pub use config::{DurabilityMode, EngineConfig};
-pub use locktable::{
-    Acquired, Acquisition, LockTable, ShardCounters, Ticket, WaitEdge, WakeHandle,
-};
+pub use locktable::{Acquired, Acquisition, LockTable, Ticket, WaitEdge, WakeHandle};
 pub use nt_sgt_live::{LiveCertifier, LiveStatus};
 pub use recorder::{ActionSink, History, SeqClock, WorkerLog};
 pub use run::{

@@ -1,11 +1,15 @@
-//! Sharded Moss lock table with non-blocking, grant-in-place waits.
+//! The Moss lock table behind the **engine lock**, with non-blocking,
+//! grant-in-place waits.
 //!
-//! Each shard owns a disjoint slice of the objects (`object_id & mask`)
-//! behind one mutex, so lock traffic on disjoint objects never contends on
-//! a shared line. Grant decisions use the exact
-//! [`nt_locking::moss_precondition`] the simulated `M1_X` automaton uses:
-//! an access is granted only when every conflicting lockholder is an
-//! ancestor.
+//! The table's one mutex, the engine lock, guards the engine's whole
+//! mutable state: every object's lock state, the ticket counter, the one
+//! [`History`], the victims list and the counters. A critical section is
+//! one step of the one sequential machine Theorem 17 is stated about;
+//! every public entry point takes the lock once, a session takes it once
+//! per step, and under it DESIGN §8d's lock order only descends into
+//! leaves. Grant decisions use the exact [`nt_locking::moss_precondition`]
+//! the simulated `M1_X` automaton uses: an access is granted only when
+//! every conflicting lockholder is an ancestor.
 //!
 //! ## Fairness: grant in place
 //!
@@ -13,8 +17,8 @@
 //! [`LockTable::try_acquire`] returns [`Acquisition::Queued`] with a
 //! [`Ticket`]. Waiters sit in ticket (arrival) order. Whoever changes an
 //! object's lock state — `release_inherit`, `discard`, a cancelled
-//! ticket, the detector's [`LockTable::doom_sweep`] — walks that object's
-//! queue *under the shard mutex* and resolves every waiter it can:
+//! ticket, a detector sweep — walks that object's queue *in the same
+//! critical section* and resolves every waiter it can:
 //! a doomed one to [`Acquired::Doomed`], an eligible one (Moss
 //! precondition holds) to [`Acquired::Granted`], inserting the lock and
 //! stamping the `REQUEST_COMMIT` right there, exactly as an immediate
@@ -25,7 +29,7 @@
 //! subtree to finish), so an ineligible waiter is skipped, not waited on.
 //!
 //! Because every state change settles the queue before releasing the
-//! mutex, **no queued waiter is ever eligible** between critical
+//! lock, **no queued waiter is ever eligible** between critical
 //! sections; a new arrival therefore only has to test its own
 //! precondition, and there is no wakeup to lose — the resolver writes the
 //! outcome into the ticket and fires its [`WakeHandle`] (a server
@@ -33,10 +37,13 @@
 //! [`LockTable::acquire`] wrapper). One forward pass suffices: a grant
 //! only adds a holder, which can make no other waiter eligible.
 //!
-//! The blocking wrapper parks on its ticket with a long backstop timeout;
+//! A wait-for cycle can only close when a request queues, so the critical
+//! section that queues it runs the deadlock detector before it ends, over
+//! one consistent cut of every queue. The blocking wrapper parks on its ticket with a long backstop timeout;
 //! a grant first observed right after a timed-out park is counted in
 //! [`LockTable::timeout_rescues`], which the stress tests pin at zero.
 
+use crate::detector::{convict, Victim};
 use crate::recorder::{History, SeqClock};
 use crate::status::StatusTable;
 use crate::tree_view::TreeView;
@@ -45,8 +52,7 @@ use nt_model::rw::RwInitials;
 use nt_model::{Action, ObjId, Op, TxId, TxTree, Value};
 use nt_obs::TraceHandle;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How a lock request resolved.
@@ -75,7 +81,7 @@ pub enum Acquisition {
 
 /// What a queued request fires when it resolves: a continuation's resume
 /// hook, plus the label diagnostics show for its owner (the server passes
-/// the connection id). Fired under the shard mutex, so it must not call
+/// the connection id). Fired under the engine lock, so it must not call
 /// back into the lock table — push to a queue, wake a thread, return.
 #[derive(Clone)]
 pub struct WakeHandle {
@@ -103,7 +109,7 @@ impl WakeHandle {
 struct TicketCell {
     outcome: Mutex<Option<Acquired>>,
     /// The blocking wrapper parks here.
-    resolved: Condvar,
+    resolved: std::sync::Condvar,
     wake: Option<WakeHandle>,
 }
 
@@ -227,23 +233,36 @@ impl ObjLocks {
     }
 }
 
-/// Per-shard lock-traffic counters, updated under the shard mutex (so a
-/// [`LockTable::shard_counters`] snapshot of one shard is coherent).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardCounters {
-    /// Lock grants on this shard.
-    pub grants: u64,
-    /// Acquires that queued on this shard.
-    pub waits: u64,
-    /// Total lock hold time released on this shard, microseconds
-    /// (tracked only while telemetry is enabled).
-    pub hold_us: u64,
+/// Lock-traffic and detector counters, kept under the engine lock.
+#[derive(Debug, Default)]
+pub(crate) struct Counters {
+    /// Lock grants.
+    pub(crate) granted: u64,
+    /// Requests that queued.
+    pub(crate) blocked: u64,
+    /// See [`LockTable::timeout_rescues`].
+    pub(crate) timeout_rescues: u64,
+    /// Lock hold time released, µs (tracked only while telemetry is on).
+    pub(crate) hold_us: u64,
+    /// One per request that queued, one per victim.
+    pub(crate) detector_passes: u64,
 }
 
-struct ShardState {
-    objects: BTreeMap<u32, ObjLocks>,
+/// What the engine lock guards besides the objects' lock state.
+struct Ledger {
+    history: History,
     next_ticket: u64,
-    counters: ShardCounters,
+    /// The watchdog fired: every current and future waiter gives up.
+    gave_up: bool,
+    counters: Counters,
+    /// Deadlock victims, in doom order.
+    victims: Vec<Victim>,
+}
+
+/// The engine's mutable state: what the engine lock guards.
+struct Engine {
+    objects: BTreeMap<u32, ObjLocks>,
+    ledger: Ledger,
 }
 
 /// How long the blocking wrapper parks before it re-settles its object's
@@ -251,100 +270,88 @@ struct ShardState {
 /// watchdog on that argument: long enough never to fire in a healthy run.
 const PARK_BACKSTOP: Duration = Duration::from_millis(250);
 
-/// The sharded lock manager, generic over the tree representation: the
-/// session engine passes a growable
+/// The lock manager, generic over the tree representation: the session
+/// engine passes a growable
 /// [`SessionTree`](crate::session_tree::SessionTree); a frozen
 /// `Arc<TxTree>` (the default) serves callers that drive the table
 /// directly over a tree known up front.
 pub struct LockTable<T: TreeView = Arc<TxTree>> {
     tree: T,
     status: Arc<StatusTable>,
-    /// Object-level actions are recorded here while the shard mutex is
-    /// held, so their stamps linearize each object exactly as the shard
-    /// serialized the state changes they describe.
-    history: Arc<History>,
     initials: RwInitials,
-    shards: Vec<Mutex<ShardState>>,
-    mask: usize,
-    give_up: AtomicBool,
-    granted: AtomicU64,
-    blocked: AtomicU64,
-    timeout_rescues: AtomicU64,
     telemetry: TraceHandle,
+    /// The engine lock.
+    engine: Mutex<Engine>,
 }
 
 impl<T: TreeView> LockTable<T> {
-    /// A table with `shards` shards (must be a nonzero power of two) that
-    /// records into a bare history on `clock`.
+    /// A table that records into a bare history on `clock`. `shards` is
+    /// vestigial and read by nobody — there is one engine lock — but the
+    /// signature is pinned by the benchmark crate until ROADMAP 6(a).
     pub fn new(
         tree: T,
         status: Arc<StatusTable>,
         clock: Arc<SeqClock>,
         initials: RwInitials,
-        shards: usize,
+        _shards: usize,
     ) -> Self {
-        assert!(shards.is_power_of_two(), "shards must be a power of two");
+        let telemetry = TraceHandle::disabled();
+        LockTable::recording(tree, status, History::new(clock), initials, telemetry)
+    }
+
+    /// A table whose engine lock also guards `history`, the engine's one
+    /// history. A timed `telemetry` recorder is fed blocked intervals and
+    /// hold times (its `lock_blocked` / `lock_hold` histograms).
+    pub(crate) fn recording(
+        tree: T,
+        status: Arc<StatusTable>,
+        history: History,
+        initials: RwInitials,
+        telemetry: TraceHandle,
+    ) -> Self {
         LockTable {
             tree,
             status,
-            history: Arc::new(History::new(clock)),
             initials,
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(ShardState {
-                        objects: BTreeMap::new(),
-                        next_ticket: 0,
-                        counters: ShardCounters::default(),
-                    })
-                })
-                .collect(),
-            mask: shards - 1,
-            give_up: AtomicBool::new(false),
-            granted: AtomicU64::new(0),
-            blocked: AtomicU64::new(0),
-            timeout_rescues: AtomicU64::new(0),
-            telemetry: TraceHandle::disabled(),
+            telemetry,
+            engine: Mutex::new(Engine {
+                objects: BTreeMap::new(),
+                ledger: Ledger {
+                    history,
+                    next_ticket: 0,
+                    gave_up: false,
+                    counters: Counters::default(),
+                    victims: Vec::new(),
+                },
+            }),
         }
     }
 
-    /// Attach a recorder (builder-style, before the table is shared): when
-    /// it is a timed one, blocked intervals and hold times start feeding
-    /// its `lock_blocked` / `lock_hold` histograms.
-    pub fn with_telemetry(mut self, telemetry: TraceHandle) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Record into `history`, the engine's one history (builder-style,
-    /// before the table is shared).
-    pub fn with_history(mut self, history: Arc<History>) -> Self {
-        self.history = history;
-        self
-    }
-
-    fn shard_of(&self, x: ObjId) -> &Mutex<ShardState> {
-        &self.shards[x.index() & self.mask]
+    /// Take the engine lock.
+    pub(crate) fn lock(&self) -> Held<'_, T> {
+        Held {
+            table: self,
+            eng: self.engine.lock().expect("engine lock poisoned"),
+        }
     }
 
     /// The transaction whose frame must abort if `t` may not proceed: the
     /// highest doomed ancestor-or-self, or — once the watchdog fired —
     /// `t`'s top-level ancestor.
-    fn doom_of(&self, t: TxId) -> Option<TxId> {
-        self.status.doomed_ancestor(&self.tree, t).or_else(|| {
-            self.give_up
-                .load(Ordering::Acquire)
-                .then(|| self.tree.child_toward(TxId::ROOT, t))
-        })
+    fn doom_of(&self, led: &Ledger, t: TxId) -> Option<TxId> {
+        self.status
+            .doomed_ancestor(&self.tree, t)
+            .or_else(|| led.gave_up.then(|| self.tree.child_toward(TxId::ROOT, t)))
     }
 
     /// Give `t` its lock on `x` and stamp the `REQUEST_COMMIT` — the one
     /// grant path, for arrivals and queued waiters alike. The caller
-    /// holds the shard mutex and has checked the precondition.
+    /// holds the engine lock and has checked the precondition.
     fn grant(
         &self,
         x: ObjId,
         locks: &mut ObjLocks,
-        counters: &mut ShardCounters,
+        led: &mut Ledger,
         t: TxId,
         write: Option<i64>,
     ) -> Value {
@@ -363,23 +370,22 @@ impl<T: TreeView> LockTable<T> {
             locks.since.insert(t, Instant::now());
         }
         locks.check_lemma9(&self.tree, x);
-        counters.grants += 1;
-        self.history.record(Action::RequestCommit(t, value.clone()));
-        self.granted.fetch_add(1, Ordering::Relaxed);
+        led.counters.granted += 1;
+        led.history.record(Action::RequestCommit(t, value.clone()));
         value
     }
 
     /// Resolve every waiter of `x` that can be resolved now, in arrival
     /// order: doomed ones leave, eligible ones are granted in place. Runs
-    /// under the shard mutex after every change to `x`'s lock state.
-    fn settle(&self, x: ObjId, locks: &mut ObjLocks, counters: &mut ShardCounters) {
+    /// under the engine lock after every change to `x`'s lock state.
+    fn settle(&self, x: ObjId, locks: &mut ObjLocks, led: &mut Ledger) {
         let mut i = 0;
         while i < locks.waiters.len() {
             let (t, write) = (locks.waiters[i].t, locks.waiters[i].write);
-            let outcome = if let Some(d) = self.doom_of(t) {
+            let outcome = if let Some(d) = self.doom_of(led, t) {
                 Acquired::Doomed(d)
             } else if locks.eligible(&self.tree, t, write.is_some()) {
-                Acquired::Granted(self.grant(x, locks, counters, t, write))
+                Acquired::Granted(self.grant(x, locks, led, t, write))
             } else {
                 i += 1;
                 continue;
@@ -388,10 +394,18 @@ impl<T: TreeView> LockTable<T> {
         }
     }
 
+    /// A hold that began at `start` ends now.
+    fn end_hold(&self, start: Instant, counters: &mut Counters) {
+        let us = start.elapsed().as_micros() as u64;
+        counters.hold_us += us;
+        self.telemetry.observe("lock_hold", us);
+    }
+
     /// Request the lock access `t` needs for `op` on `x` without
     /// blocking: granted or doomed now, or queued behind the conflicting
-    /// holders with `wake` fired on resolution. `op` must be a
-    /// read/write-register operation.
+    /// holders with `wake` fired on resolution. A queued request runs the
+    /// deadlock detector before the engine lock is released. `op` must be
+    /// a read/write-register operation.
     pub fn try_acquire(
         &self,
         t: TxId,
@@ -399,53 +413,7 @@ impl<T: TreeView> LockTable<T> {
         op: &Op,
         wake: Option<&WakeHandle>,
     ) -> Acquisition {
-        let write =
-            (!op.is_rw_read()).then(|| op.write_data().expect("write-like rw op carries data"));
-        let mut guard = self.shard_of(x).lock().expect("shard poisoned");
-        let st = &mut *guard;
-        if let Some(d) = self.doom_of(t) {
-            return Acquisition::Doomed(d);
-        }
-        let locks = st
-            .objects
-            .entry(x.0)
-            .or_insert_with(|| ObjLocks::new(self.initials.initial(x)));
-        // No queued waiter is eligible (every state change settles the
-        // queue), so the arrival defers to nobody: its own precondition
-        // decides.
-        if locks.eligible(&self.tree, t, write.is_some()) {
-            let v = self.grant(x, locks, &mut st.counters, t, write);
-            return Acquisition::Granted(v);
-        }
-        let no = st.next_ticket;
-        st.next_ticket += 1;
-        let cell = Arc::new(TicketCell {
-            outcome: Mutex::new(None),
-            resolved: Condvar::new(),
-            wake: wake.cloned(),
-        });
-        locks.waiters.push(Waiter {
-            ticket: no,
-            t,
-            write,
-            cell: Arc::clone(&cell),
-        });
-        st.counters.waits += 1;
-        self.blocked.fetch_add(1, Ordering::Relaxed);
-        Acquisition::Queued(Ticket {
-            t,
-            x,
-            no,
-            cell,
-            since: self.telemetry.is_timed().then(Instant::now),
-        })
-    }
-
-    /// A hold that began at `start` ends now.
-    fn end_hold(&self, start: Instant, counters: &mut ShardCounters) {
-        let us = start.elapsed().as_micros() as u64;
-        counters.hold_us += us;
-        self.telemetry.observe("lock_hold", us);
+        self.lock().try_acquire(t, x, op, wake)
     }
 
     /// The queue → resolution interval of a resolved ticket.
@@ -473,16 +441,14 @@ impl<T: TreeView> LockTable<T> {
     pub fn park(&self, ticket: Ticket) -> Acquired {
         let mut rescued = false;
         loop {
+            let resolved = &ticket.cell.resolved;
             let guard = ticket.cell.outcome.lock().expect("ticket poisoned");
-            let (mut guard, _) = ticket
-                .cell
-                .resolved
-                .wait_timeout_while(guard, PARK_BACKSTOP, |o| o.is_none())
-                .expect("ticket poisoned");
+            let waited = resolved.wait_timeout_while(guard, PARK_BACKSTOP, |o| o.is_none());
+            let (mut guard, _) = waited.expect("ticket poisoned");
             if let Some(a) = guard.take() {
                 drop(guard);
                 if rescued {
-                    self.timeout_rescues.fetch_add(1, Ordering::Relaxed);
+                    self.lock().eng.ledger.counters.timeout_rescues += 1;
                 }
                 self.observe_blocked(&ticket);
                 return a;
@@ -490,7 +456,7 @@ impl<T: TreeView> LockTable<T> {
             drop(guard);
             // Timed out: settle the queue ourselves. An outcome that is
             // there right afterwards rode the backstop, not a resolver.
-            self.resettle(ticket.x);
+            self.lock().settle_queue(ticket.x, None);
             rescued = ticket
                 .cell
                 .outcome
@@ -515,35 +481,174 @@ impl<T: TreeView> LockTable<T> {
     /// it had already resolved — a grant the caller now owns and must
     /// release like any other.
     pub fn cancel(&self, ticket: Ticket) -> Option<Acquired> {
-        let mut guard = self.shard_of(ticket.x).lock().expect("shard poisoned");
-        let st = &mut *guard;
-        if let Some(locks) = st.objects.get_mut(&ticket.x.0) {
-            locks.waiters.retain(|w| w.ticket != ticket.no);
-            self.settle(ticket.x, locks, &mut st.counters);
-        }
-        drop(guard);
+        self.lock().settle_queue(ticket.x, Some(ticket.no));
         ticket.cell.outcome.lock().expect("ticket poisoned").take()
-    }
-
-    /// Settle `x`'s queue outside any state change (the park backstop).
-    fn resettle(&self, x: ObjId) {
-        let mut guard = self.shard_of(x).lock().expect("shard poisoned");
-        let st = &mut *guard;
-        if let Some(locks) = st.objects.get_mut(&x.0) {
-            self.settle(x, locks, &mut st.counters);
-        }
     }
 
     /// `INFORM_COMMIT(t)` for every object in `objs`: move `t`'s locks
     /// (and tentative value) up to `parent(t)`, then grant whoever that
     /// unblocks.
     pub fn release_inherit(&self, t: TxId, objs: impl IntoIterator<Item = ObjId>) {
-        let parent = self.tree.parent(t).expect("cannot inherit from T0");
+        self.lock().release_inherit(t, objs);
+    }
+
+    /// `INFORM_ABORT(d)` for every object in `objs`: discard all locks held
+    /// by descendants-or-self of `d`, then grant whoever that unblocks.
+    pub fn discard(&self, d: TxId, objs: impl IntoIterator<Item = ObjId>) {
+        self.lock().discard(d, objs);
+    }
+
+    /// Snapshot of the wait-for relation for the deadlock detector and
+    /// the diagnostics dumps: each queued waiter, object by object in id
+    /// order, with the lockholders currently blocking it — one consistent
+    /// cut of every queue.
+    pub fn waiting_snapshot(&self) -> Vec<WaitEdge> {
+        self.lock().waiting()
+    }
+
+    /// Watchdog: make every current and future waiter give up.
+    pub fn give_up(&self) {
+        let mut eng = self.lock();
+        eng.eng.ledger.gave_up = true;
+        eng.doom_sweep();
+    }
+
+    /// Did the watchdog fire?
+    pub fn gave_up(&self) -> bool {
+        self.lock().eng.ledger.gave_up
+    }
+
+    /// Lock grants so far.
+    pub fn granted(&self) -> u64 {
+        self.lock().eng.ledger.counters.granted
+    }
+
+    /// Requests that queued.
+    pub fn blocked(&self) -> u64 {
+        self.lock().eng.ledger.counters.blocked
+    }
+
+    /// Outcomes the blocking wrapper found only by settling the queue
+    /// itself after a timed-out [`park`](Self::park) — nonzero means a
+    /// resolver failed to deliver a grant and the backstop papered over
+    /// it. Continuations ([`WakeHandle`]) have no backstop and never
+    /// count here.
+    pub fn timeout_rescues(&self) -> u64 {
+        self.lock().eng.ledger.counters.timeout_rescues
+    }
+}
+
+/// The engine lock, held: one critical section. [`LockTable`]'s public
+/// entry points each take it once; a session takes it once per step and
+/// makes that step's calls through it.
+pub(crate) struct Held<'a, T: TreeView> {
+    table: &'a LockTable<T>,
+    eng: MutexGuard<'a, Engine>,
+}
+
+impl<T: TreeView> Held<'_, T> {
+    /// Record `action` into the one history.
+    pub(crate) fn record(&mut self, action: Action) {
+        self.eng.ledger.history.record(action);
+    }
+
+    /// The history so far: a prefix of β.
+    pub(crate) fn snapshot(&self) -> Vec<Action> {
+        self.eng.ledger.history.snapshot()
+    }
+
+    /// Deadlock victims so far, in doom order.
+    pub(crate) fn victims(&self) -> &[Victim] {
+        &self.eng.ledger.victims
+    }
+
+    pub(crate) fn counters(&self) -> &Counters {
+        &self.eng.ledger.counters
+    }
+
+    /// See [`LockTable::try_acquire`].
+    pub(crate) fn try_acquire(
+        &mut self,
+        t: TxId,
+        x: ObjId,
+        op: &Op,
+        wake: Option<&WakeHandle>,
+    ) -> Acquisition {
+        let table = self.table;
+        let write =
+            (!op.is_rw_read()).then(|| op.write_data().expect("write-like rw op carries data"));
+        let Engine { objects, ledger } = &mut *self.eng;
+        if let Some(d) = table.doom_of(ledger, t) {
+            return Acquisition::Doomed(d);
+        }
+        let locks = objects
+            .entry(x.0)
+            .or_insert_with(|| ObjLocks::new(table.initials.initial(x)));
+        // No queued waiter is eligible (every state change settles the
+        // queue), so the arrival defers to nobody: its own precondition
+        // decides.
+        if locks.eligible(&table.tree, t, write.is_some()) {
+            return Acquisition::Granted(table.grant(x, locks, ledger, t, write));
+        }
+        let no = ledger.next_ticket;
+        ledger.next_ticket += 1;
+        let cell = Arc::new(TicketCell {
+            outcome: Mutex::new(None),
+            resolved: std::sync::Condvar::new(),
+            wake: wake.cloned(),
+        });
+        locks.waiters.push(Waiter {
+            ticket: no,
+            t,
+            write,
+            cell: Arc::clone(&cell),
+        });
+        ledger.counters.blocked += 1;
+        let ticket = Ticket {
+            t,
+            x,
+            no,
+            cell,
+            since: table.telemetry.is_timed().then(Instant::now),
+        };
+        self.detect();
+        Acquisition::Queued(ticket)
+    }
+
+    /// Deadlock detection, run by the critical section whose request just
+    /// queued — the only step that can close a wait-for cycle (every other
+    /// change to lock state adds edges only into a group that is not
+    /// waiting). Passes repeat until none finds a cycle, because one
+    /// enqueue can close several and nobody rescans later; each victim is
+    /// recorded and its queued requests resolved before the next pass.
+    fn detect(&mut self) {
+        loop {
+            self.eng.ledger.counters.detector_passes += 1;
+            let edges = self.waiting();
+            let Some(v) = convict(&self.table.tree, &self.table.status, &edges) else {
+                return;
+            };
+            self.eng.ledger.victims.push(v);
+            self.doom_sweep();
+        }
+    }
+
+    /// Settle `x`'s queue after withdrawing ticket `withdrawn`'s request
+    /// (a cancel), or with no state change at all (the park backstop).
+    fn settle_queue(&mut self, x: ObjId, withdrawn: Option<u64>) {
+        let Engine { objects, ledger } = &mut *self.eng;
+        if let Some(locks) = objects.get_mut(&x.0) {
+            locks.waiters.retain(|w| Some(w.ticket) != withdrawn);
+            self.table.settle(x, locks, ledger);
+        }
+    }
+
+    /// See [`LockTable::release_inherit`].
+    pub(crate) fn release_inherit(&mut self, t: TxId, objs: impl IntoIterator<Item = ObjId>) {
+        let table = self.table;
+        let parent = table.tree.parent(t).expect("cannot inherit from T0");
+        let Engine { objects, ledger } = &mut *self.eng;
         for x in objs {
-            let mut guard = self.shard_of(x).lock().expect("shard poisoned");
-            let ShardState {
-                objects, counters, ..
-            } = &mut *guard;
             let mut locks = objects.get_mut(&x.0);
             if let Some(locks) = locks.as_deref_mut() {
                 if let Some(v) = locks.write.remove(&t) {
@@ -555,132 +660,80 @@ impl<T: TreeView> LockTable<T> {
                 // `t`'s hold ends here; the inherited lock starts the
                 // parent's hold clock (unless it already holds one).
                 if let Some(start) = locks.since.remove(&t) {
-                    self.end_hold(start, counters);
+                    table.end_hold(start, &mut ledger.counters);
                     locks.since.entry(parent).or_insert_with(Instant::now);
                 }
-                locks.check_lemma9(&self.tree, x);
+                locks.check_lemma9(&table.tree, x);
             }
-            self.history.record(Action::InformCommit(x, t));
+            ledger.history.record(Action::InformCommit(x, t));
             if let Some(locks) = locks {
-                self.settle(x, locks, counters);
+                table.settle(x, locks, ledger);
             }
         }
     }
 
-    /// `INFORM_ABORT(d)` for every object in `objs`: discard all locks held
-    /// by descendants-or-self of `d`, then grant whoever that unblocks.
-    pub fn discard(&self, d: TxId, objs: impl IntoIterator<Item = ObjId>) {
+    /// See [`LockTable::discard`].
+    pub(crate) fn discard(&mut self, d: TxId, objs: impl IntoIterator<Item = ObjId>) {
+        let table = self.table;
+        let Engine { objects, ledger } = &mut *self.eng;
         for x in objs {
-            let mut guard = self.shard_of(x).lock().expect("shard poisoned");
-            let ShardState {
-                objects, counters, ..
-            } = &mut *guard;
             let mut locks = objects.get_mut(&x.0);
             if let Some(locks) = locks.as_deref_mut() {
-                locks.write.retain(|h, _| !self.tree.is_ancestor(d, *h));
-                locks.read.retain(|h| !self.tree.is_ancestor(d, *h));
+                locks.write.retain(|h, _| !table.tree.is_ancestor(d, *h));
+                locks.read.retain(|h| !table.tree.is_ancestor(d, *h));
                 let dead: Vec<TxId> = locks
                     .since
                     .keys()
                     .copied()
-                    .filter(|h| self.tree.is_ancestor(d, *h))
+                    .filter(|h| table.tree.is_ancestor(d, *h))
                     .collect();
                 for h in dead {
                     if let Some(start) = locks.since.remove(&h) {
-                        self.end_hold(start, counters);
+                        table.end_hold(start, &mut ledger.counters);
                     }
                 }
             }
-            self.history.record(Action::InformAbort(x, d));
+            ledger.history.record(Action::InformAbort(x, d));
             if let Some(locks) = locks {
-                self.settle(x, locks, counters);
+                table.settle(x, locks, ledger);
             }
         }
     }
 
-    /// Snapshot of the wait-for relation for the deadlock detector and
-    /// the diagnostics dumps: each queued waiter with the lockholders
-    /// currently blocking it. Shards are locked one at a time, so the
-    /// snapshot is per-shard (not globally) consistent — the detector
-    /// re-confirms any cycle by dooming through the status CAS, which
-    /// refuses completed transactions.
-    pub fn waiting_snapshot(&self) -> Vec<WaitEdge> {
+    /// See [`LockTable::waiting_snapshot`].
+    fn waiting(&self) -> Vec<WaitEdge> {
+        let tree = &self.table.tree;
         let mut out = Vec::new();
-        for shard in &self.shards {
-            let st = shard.lock().expect("shard poisoned");
-            for (&x, locks) in &st.objects {
-                for w in &locks.waiters {
-                    let blockers = moss_blockers_by(
-                        |a, b| self.tree.is_ancestor(a, b),
-                        w.t,
-                        w.write.is_some(),
-                        locks.write.keys().copied(),
-                        locks.read.iter().copied(),
-                    );
-                    if !blockers.is_empty() {
-                        out.push(WaitEdge {
-                            waiter: w.t,
-                            obj: ObjId(x),
-                            owner: w.cell.wake.as_ref().map_or(0, |h| h.owner),
-                            blockers,
-                        });
-                    }
+        for (&x, locks) in &self.eng.objects {
+            for w in &locks.waiters {
+                let blockers = moss_blockers_by(
+                    |a, b| tree.is_ancestor(a, b),
+                    w.t,
+                    w.write.is_some(),
+                    locks.write.keys().copied(),
+                    locks.read.iter().copied(),
+                );
+                if !blockers.is_empty() {
+                    out.push(WaitEdge {
+                        waiter: w.t,
+                        obj: ObjId(x),
+                        owner: w.cell.wake.as_ref().map_or(0, |h| h.owner),
+                        blockers,
+                    });
                 }
             }
         }
         out
     }
 
-    /// Settle every queue (after the detector doomed a victim, so its
-    /// queued requests resolve to [`Acquired::Doomed`] promptly).
-    pub fn doom_sweep(&self) {
-        for shard in &self.shards {
-            let mut guard = shard.lock().expect("shard poisoned");
-            let st = &mut *guard;
-            for (&x, locks) in &mut st.objects {
-                if !locks.waiters.is_empty() {
-                    self.settle(ObjId(x), locks, &mut st.counters);
-                }
+    /// Settle every queue, objects in id order (after a victim was doomed,
+    /// so its queued requests resolve to [`Acquired::Doomed`] promptly).
+    fn doom_sweep(&mut self) {
+        let Engine { objects, ledger } = &mut *self.eng;
+        for (&x, locks) in objects.iter_mut() {
+            if !locks.waiters.is_empty() {
+                self.table.settle(ObjId(x), locks, ledger);
             }
         }
-    }
-
-    /// Watchdog: make every current and future waiter give up.
-    pub fn give_up(&self) {
-        self.give_up.store(true, Ordering::Release);
-        self.doom_sweep();
-    }
-
-    /// Did the watchdog fire?
-    pub fn gave_up(&self) -> bool {
-        self.give_up.load(Ordering::Acquire)
-    }
-
-    /// Lock grants so far.
-    pub fn granted(&self) -> u64 {
-        self.granted.load(Ordering::Relaxed)
-    }
-
-    /// Requests that queued.
-    pub fn blocked(&self) -> u64 {
-        self.blocked.load(Ordering::Relaxed)
-    }
-
-    /// Outcomes the blocking wrapper found only by settling the queue
-    /// itself after a timed-out [`park`](Self::park) — nonzero means a
-    /// resolver failed to deliver a grant and the backstop papered over
-    /// it. Continuations ([`WakeHandle`]) have no backstop and never
-    /// count here.
-    pub fn timeout_rescues(&self) -> u64 {
-        self.timeout_rescues.load(Ordering::Relaxed)
-    }
-
-    /// Per-shard lock-traffic counters (each shard's triple is snapshotted
-    /// under its own mutex, so it is internally coherent).
-    pub fn shard_counters(&self) -> Vec<ShardCounters> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").counters)
-            .collect()
     }
 }

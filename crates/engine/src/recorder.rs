@@ -1,37 +1,37 @@
 //! The recorder: one [`History`], the behavior β the paper's theorems are
 //! stated on, stamped in one order.
 //!
-//! Every action the engine performs is recorded through one mutex — a
-//! session's serial actions, and the lock shards' object actions
-//! (`REQUEST_COMMIT` answers, `INFORM_*`). Under it four things happen in
-//! order: the stamp is drawn, the write-ahead log's `Act` record is
-//! staged, the live certifier is stepped, and `(stamp, action)` is
-//! appended. Every consumer of β — the WAL file, the certifier,
-//! [`History::snapshot`] — therefore sees one sequence by construction:
-//! nothing is merged or sorted, a snapshot is always a prefix of the
-//! history, and a torn WAL tail loses a suffix of stamps, never a hole in
-//! the middle.
+//! The history is plain data that lives under the engine lock (the lock
+//! table's mutex, see `locktable.rs`), with the lock table's object
+//! state, the victims list and the counters. Every action the engine
+//! performs is recorded there — a session's serial actions, and the lock
+//! table's object actions (`REQUEST_COMMIT` answers, `INFORM_*`). One
+//! [`History::record`] does four things in order: the stamp is drawn,
+//! the write-ahead log's `Act` record is staged, the live certifier is
+//! stepped, and `(stamp, action)` is appended. Every consumer of β — the
+//! WAL file, the certifier, [`History::snapshot`] — therefore sees one
+//! sequence by construction: nothing is merged or sorted, a snapshot is
+//! always a prefix of the history, and a torn WAL tail loses a suffix of
+//! stamps, never a hole in the middle.
 //!
 //! The stamp order refines causality: if action `A` causally precedes
-//! `B` — one session's program order, or two threads ordered through a
-//! lock-shard mutex — then `A` entered the history mutex first. Object
-//! actions are recorded *while the owning shard mutex is held*, so the
-//! history linearizes each object exactly as the lock table serialized
-//! the state changes they describe.
+//! `B` — one session's program order, or two threads ordered through the
+//! engine lock — then `A` was recorded first. Object actions are recorded
+//! in the critical section that makes the state change they describe, so
+//! the history linearizes each object exactly as the lock table
+//! serialized it.
 //!
-//! One mutex costs no concurrency the engine has: on the server one poll
-//! thread records everything, and with a WAL or a certifier mounted every
-//! stamp was already drawn under one global mutex. The lock order it sits
-//! in is DESIGN §8d's table: a shard mutex or a session's own call →
-//! history → {certifier → telemetry, WAL append}.
+//! One lock costs no concurrency the engine has: on the server one poll
+//! thread records everything. The lock order it sits in is DESIGN §8d's
+//! table: engine lock → {certifier → telemetry, WAL append}.
 
 use nt_model::{Action, ObjId, Op, TxId};
 use nt_sgt_live::LiveCertifier;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The sequence counter stamps are drawn from. Draws happen under the
-/// history mutex; the counter is atomic so the issued count can be read
+/// engine lock; the counter is atomic so the issued count can be read
 /// without it.
 #[derive(Debug, Default)]
 pub struct SeqClock(AtomicU64);
@@ -55,7 +55,7 @@ impl SeqClock {
 
 /// A durable sink the history tees into: the write-ahead log.
 pub trait ActionSink: Send + Sync {
-    /// Stage `(stamp, action)`. Called under the history mutex, after the
+    /// Stage `(stamp, action)`. Called under the engine lock, after the
     /// stamp is drawn and before the action is visible in the history, so
     /// calls arrive in stamp order and the log is written ahead.
     fn append_action(&self, stamp: u64, action: &Action);
@@ -112,13 +112,13 @@ impl WorkerLog {
     }
 }
 
-/// The engine's one history: every stamp is drawn, teed and appended
-/// under its mutex (see the module docs).
+/// The engine's one history: every stamp is drawn, teed and appended by
+/// [`History::record`], under the engine lock (see the module docs).
 pub struct History {
     clock: Arc<SeqClock>,
     sink: Option<Arc<dyn ActionSink>>,
     certifier: Option<LiveCertifier>,
-    log: Mutex<WorkerLog>,
+    log: WorkerLog,
 }
 
 impl History {
@@ -128,7 +128,7 @@ impl History {
             clock,
             sink: None,
             certifier: None,
-            log: Mutex::new(WorkerLog::new()),
+            log: WorkerLog::new(),
         }
     }
 
@@ -150,48 +150,44 @@ impl History {
             clock: Arc::new(SeqClock(AtomicU64::new(next))),
             sink,
             certifier,
-            log: Mutex::new(WorkerLog {
+            log: WorkerLog {
                 segments: vec![head],
-            }),
+            },
         }
     }
 
     /// Stamp `action`, stage it in the WAL, step the certifier with it,
-    /// and append it — all under the history mutex.
-    pub fn record(&self, action: Action) {
-        let mut log = self.log.lock().expect("history poisoned");
-        log.record_with(&self.clock, action, |stamp, action| {
-            if let Some(sink) = &self.sink {
+    /// and append it.
+    pub fn record(&mut self, action: Action) {
+        let (sink, certifier) = (&self.sink, &self.certifier);
+        self.log.record_with(&self.clock, action, |stamp, action| {
+            if let Some(sink) = sink {
                 sink.append_action(stamp, action);
             }
-            if let Some(c) = &self.certifier {
+            if let Some(c) = certifier {
                 c.act(stamp, action);
             }
         });
     }
 
-    /// The history so far, read under the mutex: a prefix of β.
+    /// The history so far: a prefix of β.
     pub fn snapshot(&self) -> Vec<Action> {
-        let log = self.log.lock().expect("history poisoned");
-        let mut out = Vec::with_capacity(log.len());
-        out.extend(log.segments.iter().flatten().map(|(_, a)| a.clone()));
+        let mut out = Vec::with_capacity(self.log.len());
+        out.extend(self.log.segments.iter().flatten().map(|(_, a)| a.clone()));
         out
     }
 
-    /// Stamps issued so far, read without the mutex.
-    pub fn issued(&self) -> u64 {
-        self.clock.issued()
-    }
-
-    /// The live certifier every action steps, if one is mounted.
-    pub fn certifier(&self) -> Option<&LiveCertifier> {
-        self.certifier.as_ref()
+    /// The clock stamps are drawn from; its count is readable without the
+    /// engine lock.
+    pub fn clock(&self) -> &Arc<SeqClock> {
+        &self.clock
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     #[test]
     fn a_log_longer_than_a_segment_keeps_every_entry_in_order() {
@@ -227,7 +223,7 @@ mod tests {
     #[test]
     fn sink_sees_every_record_with_matching_stamps() {
         let sink = Arc::new(CaptureSink(Mutex::new(Vec::new())));
-        let history = History::recovered(
+        let mut history = History::recovered(
             Vec::new(),
             100,
             Some(Arc::clone(&sink) as Arc<dyn ActionSink>),
@@ -250,7 +246,7 @@ mod tests {
     fn the_recovered_head_comes_before_new_actions_and_is_not_teed() {
         let sink = Arc::new(CaptureSink(Mutex::new(Vec::new())));
         let head = vec![(0, Action::Create(TxId(1))), (1, Action::Commit(TxId(1)))];
-        let history = History::recovered(
+        let mut history = History::recovered(
             head,
             2,
             Some(Arc::clone(&sink) as Arc<dyn ActionSink>),
@@ -265,7 +261,7 @@ mod tests {
                 Action::Create(TxId(2)),
             ]
         );
-        assert_eq!(history.issued(), 3);
+        assert_eq!(history.clock().issued(), 3);
         let seen = sink.0.lock().expect("capture poisoned").clone();
         assert_eq!(seen, vec![(2, Action::Create(TxId(2)))]);
     }

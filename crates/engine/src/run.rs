@@ -436,7 +436,6 @@ pub fn run_plan(plan: &EnginePlan, cfg: &EngineConfig) -> Result<EngineReport, S
         .then(|| LiveCertifier::new(SgtConfig::default(), TraceHandle::disabled()));
     let engine = SessionEngine::start_recovered(
         plan.tree.len(),
-        cfg.shards,
         TraceHandle::disabled(),
         seed,
         None,
@@ -657,7 +656,6 @@ mod tests {
         .generate();
         let cfg = EngineConfig {
             threads: 4,
-            shards: 4,
             ..EngineConfig::default()
         };
         let r = run_workload(&w, &cfg).expect("runs");
@@ -682,7 +680,6 @@ mod tests {
         .generate();
         let cfg = EngineConfig {
             threads: 4,
-            shards: 4,
             live_certify: true,
             ..EngineConfig::default()
         };

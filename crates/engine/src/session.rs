@@ -4,26 +4,30 @@
 //!
 //! Each session *interactively* grows the tree — `begin_top` /
 //! `begin_child` / `access` / `commit` / `abort` — against a shared
-//! [`SessionTree`], one sharded [`LockTable`], one status table, and one
-//! [`History`]. The engine starts no thread. A wait-for
-//! cycle can only close when a lock request queues, so the session whose
-//! request queues runs the detector right there
-//! (`SessionEngine::detect`), dooming one victim per cycle until none
-//! stands; a session discovers the doom when the sweep resolves its queued
-//! request or at its next operation on the victim's subtree, aborts
-//! precisely that subtree (one `ABORT`, the `INFORM_ABORT`s, one
-//! `REPORT_ABORT`), and reports the victim to the client so it can retry.
+//! [`SessionTree`], one status table, and one [`LockTable`] whose mutex,
+//! the engine lock, also guards the one [`History`], the victims list and
+//! the counters. The engine starts no thread. A wait-for
+//! cycle can only close when a lock request queues, so the critical
+//! section that queues it runs the detector right there, dooming one
+//! victim per cycle until none stands; a session discovers the doom when
+//! the sweep resolves its queued request or at its next operation on the
+//! victim's subtree, aborts precisely that subtree (one `ABORT`, the
+//! `INFORM_ABORT`s, one `REPORT_ABORT`), and reports the victim to the
+//! client so it can retry.
 //!
-//! Every action is stamped into the one history — serial actions by the
-//! session, object actions by the lock shard under its mutex — so
+//! A session step takes the engine lock once and records its actions
+//! there: a begin's `REQUEST_CREATE`/`CREATE`, an access's creation with
+//! its lock request, a commit's `REQUEST_COMMIT` through `REPORT_COMMIT`
+//! with the inheritance between, an abort's `ABORT` through
+//! `REPORT_ABORT`. Tree registrations happen before it, under the session
+//! tree's own append lock; the two are never nested. So
 //! [`SessionEngine::history_snapshot`] reads a recorded history that
 //! refines both each session's program order and each object's actual
 //! serialization — certifiable by `nt_sgt::certify_recorded`, also across
 //! a process boundary.
 
-use crate::detector::scan_once;
 pub use crate::detector::Victim;
-use crate::locktable::{Acquired, Acquisition, LockTable, ShardCounters, Ticket, WakeHandle};
+use crate::locktable::{Acquired, Acquisition, LockTable, Ticket, WakeHandle};
 use crate::recorder::{ActionSink, History, SeqClock};
 use crate::session_tree::{SessionTree, TreeError};
 use crate::status::StatusTable;
@@ -34,8 +38,7 @@ use nt_obs::json::JsonObj;
 use nt_obs::TraceHandle;
 use nt_sgt_live::LiveCertifier;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Why a session operation was refused (protocol misuse or admission
@@ -168,32 +171,30 @@ pub struct RecoveredSeed {
     pub next_stamp: u64,
 }
 
-/// The shared engine a server embeds: one growable tree, one lock table,
-/// one status table, one history — and no thread of its own.
+/// The shared engine a server embeds: one growable tree, one status
+/// table, one lock table behind the engine lock — and no thread of its
+/// own.
 pub struct SessionEngine {
     tree: Arc<SessionTree>,
     status: Arc<StatusTable>,
+    /// Its mutex is the engine lock: it also guards the history, the
+    /// victims and the counters.
     table: Arc<LockTable<Arc<SessionTree>>>,
-    history: Arc<History>,
+    /// The history's clock, read without the engine lock.
+    clock: Arc<SeqClock>,
+    certifier: Option<LiveCertifier>,
     telemetry: TraceHandle,
-    /// Victims in doom order. The mutex is also the `detect` mutex: a
-    /// whole detection loop runs under it.
-    victims: Mutex<Vec<Victim>>,
-    /// `victims.len()`, readable without the mutex.
-    victim_count: AtomicUsize,
-    detector_passes: AtomicU64,
 }
 
 impl SessionEngine {
-    /// Start an engine with room for `capacity` transactions and a lock
-    /// table of `shards` shards (nonzero power of two). Objects all start
-    /// at value 0. The `Duration` was the detector thread's period and is
-    /// ignored: the signature is pinned by the benchmark crate until
+    /// Start an engine with room for `capacity` transactions. Objects all
+    /// start at value 0. `shards` and the `Duration` (the lock-table shard
+    /// count and the detector thread's period) are vestigial and read by
+    /// nobody: the signature is pinned by the benchmark crate until
     /// ROADMAP 6(a).
-    pub fn start(capacity: usize, shards: usize, _unused: Duration) -> Arc<SessionEngine> {
+    pub fn start(capacity: usize, _shards: usize, _unused: Duration) -> Arc<SessionEngine> {
         SessionEngine::start_recovered(
             capacity,
-            shards,
             TraceHandle::disabled(),
             RecoveredSeed::default(),
             None,
@@ -221,7 +222,6 @@ impl SessionEngine {
     /// sees one seamless behavior across the crash boundary.
     pub fn start_recovered(
         capacity: usize,
-        shards: usize,
         telemetry: TraceHandle,
         seed: RecoveredSeed,
         sink: Option<Arc<dyn ActionSink>>,
@@ -247,12 +247,8 @@ impl SessionEngine {
         // After the registrations above: the certifier preloads the
         // recovered head here, before any live action is recorded.
         let fresh = seed.entries.is_empty();
-        let history = Arc::new(History::recovered(
-            seed.entries,
-            seed.next_stamp,
-            sink,
-            certifier,
-        ));
+        let history = History::recovered(seed.entries, seed.next_stamp, sink, certifier.clone());
+        let clock = Arc::clone(history.clock());
         let status = Arc::new(StatusTable::new(capacity));
         for &t in &seed.committed {
             assert!(status.try_commit(t), "recovered commit marks a fresh slot");
@@ -264,27 +260,23 @@ impl SessionEngine {
         for &(x, v) in &seed.initials {
             initials.set(x, v);
         }
-        let table = LockTable::new(
+        let table = LockTable::recording(
             Arc::clone(&tree),
             Arc::clone(&status),
-            Arc::new(SeqClock::new()),
+            history,
             initials,
-            shards,
-        )
-        .with_telemetry(telemetry.clone())
-        .with_history(Arc::clone(&history));
+            telemetry.clone(),
+        );
         if fresh {
-            history.record(Action::Create(TxId::ROOT));
+            table.lock().record(Action::Create(TxId::ROOT));
         }
         Ok(Arc::new(SessionEngine {
             tree,
             status,
             table: Arc::new(table),
-            history,
+            clock,
+            certifier,
             telemetry,
-            victims: Mutex::new(Vec::new()),
-            victim_count: AtomicUsize::new(0),
-            detector_passes: AtomicU64::new(0),
         }))
     }
 
@@ -292,29 +284,6 @@ impl SessionEngine {
     /// [`SessionEngine::start`]'s `Duration`) because the benchmark crate
     /// calls it.
     pub fn shutdown(&self) {}
-
-    /// Deadlock detection, run by the session whose lock request just
-    /// queued — the only step that can close a wait-for cycle (every other
-    /// change to lock state adds edges only into a group that is not
-    /// waiting). Passes repeat until none finds a cycle, because one
-    /// enqueue can close several and nobody rescans later; each victim is
-    /// recorded and its queued requests resolved before the next pass. The
-    /// `victims` mutex serializes whole loops, so two sessions enqueuing
-    /// at once cannot both convict along the same blocker chain. Lock
-    /// order: this mutex, then one shard at a time; nothing takes it under
-    /// a shard.
-    fn detect(&self) {
-        let mut victims = self.victims.lock().expect("victims poisoned");
-        loop {
-            self.detector_passes.fetch_add(1, Ordering::Relaxed);
-            let Some(v) = scan_once(&*self.tree, &self.status, &*self.table) else {
-                return;
-            };
-            victims.push(v);
-            self.victim_count.store(victims.len(), Ordering::Relaxed);
-            self.table.doom_sweep();
-        }
-    }
 
     /// Abandon everything in flight (a wall-clock watchdog's last resort):
     /// doom every incomplete top-level transaction and resolve every
@@ -352,22 +321,23 @@ impl SessionEngine {
 
     /// Deadlock victims doomed so far, in doom order.
     pub fn victims(&self) -> Vec<Victim> {
-        self.victims.lock().expect("victims poisoned").clone()
+        self.table.lock().victims().to_vec()
     }
 
-    /// Victims from the `n`-th on, in doom order: one relaxed load when
-    /// there is none, so a caller can poll it every round.
+    /// Victims from the `n`-th on, in doom order, so a caller can poll it
+    /// every round.
     pub fn victims_from(&self, n: usize) -> Vec<Victim> {
-        if self.victim_count.load(Ordering::Relaxed) <= n {
-            return Vec::new();
-        }
-        self.victims.lock().expect("victims poisoned")[n..].to_vec()
+        self.table
+            .lock()
+            .victims()
+            .get(n..)
+            .map_or_else(Vec::new, <[Victim]>::to_vec)
     }
 
     /// Detector passes so far: one per lock request that queued, plus one
     /// per victim.
     pub fn detector_passes(&self) -> u64 {
-        self.detector_passes.load(Ordering::Relaxed)
+        self.table.lock().counters().detector_passes
     }
 
     /// The recorder handle this engine records into.
@@ -378,7 +348,7 @@ impl SessionEngine {
     /// Current logical-clock reading (stamps issued so far) — a
     /// non-advancing peek, for dual wall/logical request stamps.
     pub fn clock_now(&self) -> u64 {
-        self.history.issued()
+        self.clock.issued()
     }
 
     /// Lock grants so far.
@@ -398,9 +368,10 @@ impl SessionEngine {
         self.table.timeout_rescues()
     }
 
-    /// Per-shard lock-traffic counters.
-    pub fn shard_counters(&self) -> Vec<ShardCounters> {
-        self.table.shard_counters()
+    /// Total lock hold time released so far, microseconds (tracked only
+    /// while telemetry is enabled).
+    pub fn lock_hold_us(&self) -> u64 {
+        self.table.lock().counters().hold_us
     }
 
     /// On-demand wait-for-graph snapshot as one JSON object:
@@ -431,9 +402,9 @@ impl SessionEngine {
 
     /// The live certifier every recorded action steps (`None` unless the
     /// engine was started with one). Its status is current whenever no
-    /// thread is inside a record.
+    /// thread holds the engine lock.
     pub fn certifier(&self) -> Option<&LiveCertifier> {
-        self.history.certifier()
+        self.certifier.as_ref()
     }
 
     /// Snapshot the run so far: the frozen tree and the recorded history,
@@ -442,7 +413,7 @@ impl SessionEngine {
     /// present in the tree (actions are recorded only after their
     /// transaction is registered, and the tree grows monotonically).
     pub fn history_snapshot(&self) -> (TxTree, Vec<Action>) {
-        let history = self.history.snapshot();
+        let history = self.table.lock().snapshot();
         let tree = self.tree.to_tx_tree();
         (tree, history)
     }
@@ -466,10 +437,6 @@ impl Session {
     /// Drain the lock-wait time accumulated since the last call.
     pub fn take_lock_wait_us(&mut self) -> u64 {
         std::mem::take(&mut self.lock_wait_us)
-    }
-
-    fn record(&self, action: Action) {
-        self.engine.history.record(action);
     }
 
     fn tree(&self) -> &SessionTree {
@@ -521,10 +488,10 @@ impl Session {
     }
 
     /// `ABORT(v)`, discard every lock a descendant-or-self of `v` holds
-    /// (`INFORM_ABORT` per object), `REPORT_ABORT(v)`.
+    /// (`INFORM_ABORT` per object), `REPORT_ABORT(v)`: one critical
+    /// section.
     fn abort_subtree(&mut self, v: TxId) {
         self.engine.status.mark_aborted(v);
-        self.record(Action::Abort(v));
         let mut discarded: BTreeSet<ObjId> = BTreeSet::new();
         let dead: Vec<TxId> = self
             .held
@@ -537,10 +504,12 @@ impl Session {
                 discarded.extend(objs);
             }
         }
+        let mut eng = self.engine.table.lock();
+        eng.record(Action::Abort(v));
         if !discarded.is_empty() {
-            self.engine.table.discard(v, discarded.iter().copied());
+            eng.discard(v, discarded);
         }
-        self.record(Action::ReportAbort(v));
+        eng.record(Action::ReportAbort(v));
     }
 
     /// Begin a fresh top-level transaction.
@@ -550,8 +519,7 @@ impl Session {
             .add_inner(TxId::ROOT)
             .map_err(SessionError::from)?;
         self.tops.insert(t);
-        self.record(Action::RequestCreate(t));
-        self.record(Action::Create(t));
+        self.record_create(t);
         Ok(t)
     }
 
@@ -568,9 +536,15 @@ impl Session {
             return Ok(BeginOutcome::Aborted(self.ensure_aborted(v)));
         }
         let t = self.tree().add_inner(parent).map_err(SessionError::from)?;
-        self.record(Action::RequestCreate(t));
-        self.record(Action::Create(t));
+        self.record_create(t);
         Ok(BeginOutcome::Fresh(t))
+    }
+
+    /// `REQUEST_CREATE(t)`, `CREATE(t)`: one critical section.
+    fn record_create(&self, t: TxId) {
+        let mut eng = self.engine.table.lock();
+        eng.record(Action::RequestCreate(t));
+        eng.record(Action::Create(t));
     }
 
     /// Run one access under `parent`: create the access transaction,
@@ -667,13 +641,17 @@ impl Session {
             .tree()
             .add_access(parent, x, op.clone())
             .map_err(SessionError::from)?;
-        self.record(Action::RequestCreate(t));
-        self.record(Action::Create(t));
-        let acquired = match self.engine.table.try_acquire(t, x, &op, wake) {
+        // Created and requested in one critical section; a request that
+        // queues has run the deadlock detector before it returns.
+        let mut eng = self.engine.table.lock();
+        eng.record(Action::RequestCreate(t));
+        eng.record(Action::Create(t));
+        let acquisition = eng.try_acquire(t, x, &op, wake);
+        drop(eng);
+        let acquired = match acquisition {
             Acquisition::Granted(v) => Acquired::Granted(v),
             Acquisition::Doomed(d) => Acquired::Doomed(d),
             Acquisition::Queued(ticket) => {
-                self.engine.detect();
                 return Ok(AccessStep::Parked(ParkedAccess {
                     parent,
                     ticket,
@@ -685,7 +663,8 @@ impl Session {
     }
 
     /// The access's lock request resolved: commit it and pass the lock
-    /// up, or abort the doomed subtree.
+    /// up (`COMMIT` through `REPORT_COMMIT`, one critical section), or
+    /// abort the doomed subtree.
     fn finish_access(
         &mut self,
         t: TxId,
@@ -696,16 +675,17 @@ impl Session {
         match acquired {
             Acquired::Doomed(d) => AccessOutcome::Aborted(self.ensure_aborted(d)),
             Acquired::Granted(v) => {
-                self.held.entry(t).or_default().insert(x);
                 if self.engine.status.try_commit(t) {
-                    self.record(Action::Commit(t));
-                    if let Some(objs) = self.held.remove(&t) {
-                        self.engine.table.release_inherit(t, objs.iter().copied());
-                        self.held.entry(parent).or_default().extend(objs);
-                    }
-                    self.record(Action::ReportCommit(t, v.clone()));
+                    let mut eng = self.engine.table.lock();
+                    eng.record(Action::Commit(t));
+                    eng.release_inherit(t, [x]);
+                    eng.record(Action::ReportCommit(t, v.clone()));
+                    drop(eng);
+                    self.held.entry(parent).or_default().insert(x);
                     AccessOutcome::Done(v)
                 } else {
+                    // The lock is `t`'s until its subtree's abort drops it.
+                    self.held.entry(t).or_default().insert(x);
                     let d = self.dead_ancestor(t).unwrap_or(t);
                     AccessOutcome::Aborted(self.ensure_aborted(d))
                 }
@@ -714,8 +694,9 @@ impl Session {
     }
 
     /// Commit `t` (top-level or inner): `REQUEST_COMMIT`, the status CAS,
-    /// lock inheritance to the parent, `REPORT_COMMIT` — or the abort path
-    /// when a deadlock check doomed `t` (or an ancestor) meanwhile.
+    /// lock inheritance to the parent, `REPORT_COMMIT`, in one critical
+    /// section — or the abort path when a deadlock check doomed `t` (or an
+    /// ancestor) meanwhile.
     pub fn commit(&mut self, t: TxId) -> Result<CommitOutcome, SessionError> {
         self.owned_top(t)?;
         if self.tree().is_access(t) {
@@ -727,23 +708,24 @@ impl Session {
         if let Some(v) = self.dead_ancestor(t) {
             return Ok(CommitOutcome::Aborted(self.ensure_aborted(v)));
         }
-        self.record(Action::RequestCommit(t, Value::Ok));
-        if self.engine.status.try_commit(t) {
-            self.record(Action::Commit(t));
-            if let Some(objs) = self.held.remove(&t) {
-                self.engine.table.release_inherit(t, objs.iter().copied());
-                let parent = self.tree().parent(t).expect("non-root commits");
-                // What a top passes up to `T0` is released for good.
-                if parent != TxId::ROOT {
-                    self.held.entry(parent).or_default().extend(objs);
-                }
-            }
-            self.record(Action::ReportCommit(t, Value::Ok));
-            Ok(CommitOutcome::Committed)
-        } else {
+        let mut eng = self.engine.table.lock();
+        eng.record(Action::RequestCommit(t, Value::Ok));
+        if !self.engine.status.try_commit(t) {
+            drop(eng);
             let d = self.dead_ancestor(t).unwrap_or(t);
-            Ok(CommitOutcome::Aborted(self.ensure_aborted(d)))
+            return Ok(CommitOutcome::Aborted(self.ensure_aborted(d)));
         }
+        eng.record(Action::Commit(t));
+        if let Some(objs) = self.held.remove(&t) {
+            eng.release_inherit(t, objs.iter().copied());
+            let parent = self.engine.tree.parent(t).expect("non-root commits");
+            // What a top passes up to `T0` is released for good.
+            if parent != TxId::ROOT {
+                self.held.entry(parent).or_default().extend(objs);
+            }
+        }
+        eng.record(Action::ReportCommit(t, Value::Ok));
+        Ok(CommitOutcome::Committed)
     }
 
     /// Abort `t` at the client's request. Idempotent on already-aborted
@@ -773,8 +755,10 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::convict;
     use nt_serial::{ObjectTypes, RwRegister};
     use nt_sgt::{certify_recorded, ConflictSource};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn engine() -> Arc<SessionEngine> {
         SessionEngine::start(1024, 4, Duration::from_micros(200))
@@ -1038,6 +1022,15 @@ mod tests {
     /// A continuation wake nobody listens to (the tests resume by hand).
     fn noop_wake(owner: u64) -> WakeHandle {
         WakeHandle::new(owner, || {})
+    }
+
+    /// One detector pass over a fresh wait-for snapshot, by hand.
+    fn scan_once<T: TreeView, U: TreeView>(
+        tree: &T,
+        status: &StatusTable,
+        table: &LockTable<U>,
+    ) -> Option<Victim> {
+        convict(tree, status, &table.waiting_snapshot())
     }
 
     fn must_park(step: AccessStep) -> ParkedAccess {

@@ -4,12 +4,11 @@
 //!
 //! ## Why not `RwLock<TxTree>`
 //!
-//! The lock table reads ancestry relations while holding a shard mutex,
+//! The lock table reads ancestry relations while holding the engine lock,
 //! and session threads append nodes while other threads are parked inside
-//! the lock table. Guarding the whole tree with an `RwLock` would create a
-//! lock-order cycle (shard mutex → tree read lock in `acquire`, tree read
-//! lock → shard mutex in the detector) that deadlocks the moment a writer
-//! queues between two readers. Instead the tree is an arena of `OnceLock`
+//! the lock table. Guarding the whole tree with an `RwLock` would nest a
+//! second lock under the engine lock on every grant and make every
+//! ancestry read wait behind a queued append. Instead the tree is an arena of `OnceLock`
 //! slots: a node's parent/depth/kind never change after registration,
 //! appends serialize on a private mutex, and the published length is
 //! released *after* the slot is set — so readers never block and never

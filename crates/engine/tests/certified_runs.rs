@@ -24,7 +24,6 @@ fn ten_seeded_contended_eight_thread_runs_all_certify() {
         .generate();
         let cfg = EngineConfig {
             threads: 8,
-            shards: 4,
             access_latency_us: 200,
             ..EngineConfig::default()
         };
@@ -86,7 +85,6 @@ fn a_one_thread_run_records_the_same_history_every_time() {
     .generate();
     let cfg = EngineConfig {
         threads: 1,
-        shards: 4,
         ..EngineConfig::default()
     };
     let first = run_workload(&w, &cfg).expect("engine run");

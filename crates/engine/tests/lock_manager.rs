@@ -309,7 +309,6 @@ fn two_party_deadlock_is_detected_and_victim_salvaged() {
     };
     let cfg = EngineConfig {
         threads: 2,
-        shards: 2,
         access_latency_us: 20_000,
         backoff_round_us: 100,
         ..EngineConfig::default()

@@ -150,15 +150,9 @@ impl CrashPlan {
                     .to_string();
                 continue;
             }
-            let n = val
-                .as_num()
-                .ok_or_else(|| format!("crash plan field {key:?} must be a number"))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!(
-                    "crash plan field {key:?} must be a non-negative integer"
-                ));
-            }
-            let n = n as u64;
+            let n: u64 = val.as_uint().ok_or_else(|| {
+                format!("crash plan field {key:?} must be a non-negative integer")
+            })?;
             match key.as_str() {
                 "runs" => plan.runs = n,
                 "base_seed" => plan.base_seed = n,

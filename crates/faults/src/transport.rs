@@ -97,15 +97,9 @@ impl TransportPlan {
         };
         let mut plan = TransportPlan::default();
         for (key, val) in fields {
-            let n = val
-                .as_num()
-                .ok_or_else(|| format!("transport plan field {key:?} must be a number"))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!(
-                    "transport plan field {key:?} must be a non-negative integer"
-                ));
-            }
-            let n = n as u64;
+            let n: u64 = val.as_uint().ok_or_else(|| {
+                format!("transport plan field {key:?} must be a non-negative integer")
+            })?;
             match key.as_str() {
                 "drop_period" => plan.drop_period = n,
                 "dup_period" => plan.dup_period = n,

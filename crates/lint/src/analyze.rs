@@ -1052,12 +1052,9 @@ pub fn parse_access_plan(text: &str) -> Result<StaticPlan, String> {
 fn json_usize(doc: &Json, key: &str) -> Result<usize, String> {
     let n = doc
         .get(key)
-        .and_then(Json::as_num)
         .ok_or_else(|| format!("missing numeric {key:?}"))?;
-    if n.fract() != 0.0 || n < 0.0 {
-        return Err(format!("{key:?} must be a non-negative integer"));
-    }
-    Ok(n as usize)
+    n.as_uint()
+        .ok_or_else(|| format!("{key:?} must be a non-negative integer"))
 }
 
 /// One node of a `tops` subtree: an access (`obj`/`op`/`arg`) or an inner

@@ -18,8 +18,7 @@
 //!   campaign library always, plus any plan JSON files given as arguments.
 //! * `engine` — semantically lint threaded-engine configurations: the
 //!   shipped presets always, plus any `*.engine.json` files given as
-//!   arguments (threads ≥ 1, power-of-two shards, live detector period,
-//!   coherent backoff/watchdog wiring).
+//!   arguments (threads ≥ 1, coherent backoff/watchdog wiring).
 //! * `net` — semantically lint networked-server and load-driver
 //!   configurations: the shipped defaults always, plus any `*.net.json`
 //!   files given as arguments (serviceable queue/capacity/frame limits,

@@ -6,8 +6,6 @@
 //! enforces the semantics the engine itself would reject at run time:
 //!
 //! * `threads ≥ 1` — a zero-worker pool runs nothing;
-//! * `shards` a nonzero power of two — the shard map is `obj & (shards-1)`,
-//!   so a non-power-of-two silently strands shards;
 //! * backoff wiring is coherent (`base_rounds ≥ 1`, `cap ≥ base`, nonzero
 //!   round duration when a policy is set);
 //! * `max_wall_ms > 0` — the watchdog is the liveness backstop.
@@ -70,7 +68,6 @@ mod tests {
     fn every_semantic_rule_is_a_finding() {
         let bad = EngineConfig {
             threads: 0,
-            shards: 12,
             backoff_round_us: 0,
             max_wall_ms: 0,
             ..EngineConfig::default()
@@ -78,7 +75,6 @@ mod tests {
         let fs = lint_config("bad", &bad);
         let es = errors(&fs);
         assert!(es.iter().any(|m| m.contains("threads")), "{es:?}");
-        assert!(es.iter().any(|m| m.contains("power of two")), "{es:?}");
         assert!(es.iter().any(|m| m.contains("backoff_round_us")), "{es:?}");
         assert!(es.iter().any(|m| m.contains("max_wall_ms")), "{es:?}");
     }
@@ -93,12 +89,12 @@ mod tests {
     #[test]
     fn structural_parse_then_semantic_lint() {
         // Parses fine (structurally valid), then fails semantically.
-        let doc = r#"{"threads":0,"shards":12,
+        let doc = r#"{"threads":0,
                       "backoff":{"base_rounds":4,"cap_rounds":2},
                       "backoff_round_us":0,"access_latency_us":0,"max_wall_ms":0}"#;
         let fs = lint_config_json("doc", doc);
         let es = errors(&fs);
-        assert!(es.len() >= 5, "{es:?}");
+        assert!(es.len() >= 4, "{es:?}");
         assert!(es.iter().any(|m| m.contains("cap_rounds")), "{es:?}");
     }
 }

@@ -21,8 +21,7 @@
 //!    structural on purpose; this is the pass that makes a plan *valid*.
 //! 4. **Engine-config well-formedness** ([`engine`]): semantic checks on
 //!    [`nt_engine::EngineConfig`] documents and the shipped presets —
-//!    `threads ≥ 1`, power-of-two sharding, a live deadlock detector, and
-//!    coherent backoff/watchdog wiring. Same structural-parse /
+//!    `threads ≥ 1` and coherent backoff/watchdog wiring. Same structural-parse /
 //!    semantic-lint split as fault plans.
 //! 5. **Net-config well-formedness** ([`net`]): semantic checks on
 //!    [`nt_net::NetConfig`] documents (`*.net.json`) and the shipped

@@ -5,7 +5,7 @@
 //! otherwise structural; this pass enforces the semantics the server or
 //! load driver would hit at run time:
 //!
-//! * server: `shards ≥ 1`, a capacity that can register transactions, a
+//! * server: a capacity that can register transactions, a
 //!   nonzero request queue (a zero-depth queue dispatches no frame), a
 //!   frame limit large enough to carry a history response, a nonzero
 //!   drain deadline, and a coherent transport fault plan;
@@ -87,7 +87,6 @@ mod tests {
     #[test]
     fn every_server_rule_is_a_finding() {
         let bad = NetConfig::Server(ServerConfig {
-            shards: 0,
             capacity: 1,
             queue_depth: 0,
             drain_timeout_ms: 0,
@@ -100,7 +99,6 @@ mod tests {
         });
         let fs = lint_config("bad", &bad);
         let es = errors(&fs);
-        assert!(es.iter().any(|m| m.contains("shards")), "{es:?}");
         assert!(es.iter().any(|m| m.contains("capacity")), "{es:?}");
         assert!(es.iter().any(|m| m.contains("drain_timeout_ms")), "{es:?}");
         assert!(es.iter().any(|m| m.contains("queue_depth")), "{es:?}");

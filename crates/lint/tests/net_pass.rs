@@ -24,7 +24,7 @@ fn cli_net_pass_is_clean_on_the_shipped_defaults() {
 #[test]
 fn cli_rejects_the_golden_malformed_net_config() {
     // The committed fixture parses (structural validity) but breaks every
-    // server-side semantic rule at once: zero shards, a capacity that
+    // server-side semantic rule at once: a capacity that
     // cannot register a transaction, a zero-depth queue, a frame limit too
     // small for any history, a drain deadline that is always overdue, a
     // drop-everything fault plan, and a no-op delay. The `net` pass must flag each and fail
@@ -43,7 +43,6 @@ fn cli_rejects_the_golden_malformed_net_config() {
         "malformed net config must fail the run"
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("shards must be >= 1"), "{stdout}");
     assert!(stdout.contains("capacity"), "{stdout}");
     assert!(stdout.contains("drain_timeout_ms"), "{stdout}");
     assert!(stdout.contains("queue_depth"), "{stdout}");
@@ -78,7 +77,8 @@ fn cli_rejects_the_batch_framing_fixture() {
 fn retired_knobs_fail_the_pass_by_name() {
     // The reactor's executor pool is gone and `workers` with it; so are
     // the threaded front end, the WAL's group-commit window, the
-    // deadlock detector's period and the span-ring size. A server config still carrying one of
+    // deadlock detector's period, the span-ring size and the lock-table
+    // shards. A server config still carrying one of
     // them must fail the pass as an unparsable document — naming the key,
     // and for those with a reason to give, the reason — not be silently
     // accepted.
@@ -99,6 +99,10 @@ fn retired_knobs_fail_the_pass_by_name() {
         (
             r#""span_ring":512"#,
             "the span ring is a fixed 4096 entries",
+        ),
+        (
+            r#""shards":12"#,
+            "the lock table is one engine lock, not shards",
         ),
     ] {
         let doc = format!(
@@ -151,7 +155,7 @@ fn committed_fixture_matches_the_library_verdict() {
         .iter()
         .filter(|f| f.severity == Severity::Error)
         .collect();
-    assert_eq!(errors.len(), 7, "{errors:?}");
+    assert_eq!(errors.len(), 6, "{errors:?}");
 
     let doc = include_str!("fixtures/malformed.batch.net.json");
     let fs = net::lint_config_json("malformed.batch.net.json", doc);

@@ -37,8 +37,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Moss' lock-grant precondition (§5.2), shared between the simulated
-/// object automaton [`MossObject`] and the threaded engine's sharded lock
-/// table (`nt-engine`): an access `t` may be granted only when every holder
+/// object automaton [`MossObject`] and the threaded engine's lock table
+/// (`nt-engine`): an access `t` may be granted only when every holder
 /// of a conflicting lock is an ancestor of `t`. Write-like requests
 /// conflict with both lock classes; read requests conflict with write
 /// locks only.

@@ -19,7 +19,7 @@
 //! `STATIC_GATE` error before they acquire any lock.
 //!
 //! `--metrics-out FILE` enables runtime telemetry and rewrites `FILE`
-//! with a live `nt-net/stats/v2` snapshot every `metrics_period_ms`
+//! with a live `nt-net/stats/v3` snapshot every `metrics_period_ms`
 //! (plus a final post-drain snapshot). `--trace-out FILE` enables
 //! telemetry and writes the retained request spans as a Chrome
 //! `trace_event` document after the drain. Either flag also turns on

@@ -333,7 +333,7 @@ impl Conn {
     }
 
     /// Fetch the server's live runtime-stats document (schema
-    /// `nt-net/stats/v2`) as a JSON string.
+    /// `nt-net/stats/v3`) as a JSON string.
     pub fn stats(&mut self) -> Result<String, WireError> {
         match self.request(&Request::Stats)? {
             Response::Stats { json } => Ok(json),

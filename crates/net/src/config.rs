@@ -6,7 +6,7 @@
 //! One document format serves both roles, dispatched on `"role"`:
 //!
 //! ```json
-//! { "role": "server", "addr": "127.0.0.1:0", "shards": 8, … }
+//! { "role": "server", "addr": "127.0.0.1:0", "capacity": 65536, … }
 //! { "role": "load",   "connections": 4, "tops_per_conn": 64, … }
 //! ```
 
@@ -22,7 +22,10 @@ pub const SCHEMA_ID: &str = "nt-net-config-v1";
 pub struct ServerConfig {
     /// Bind address (`host:port`; port 0 = ephemeral).
     pub addr: String,
-    /// Lock-table shards.
+    /// Vestigial: read by nobody in the workspace and absent from the
+    /// document form. The lock table is one engine lock, not shards; the
+    /// field (and its default of 8) stays only because the pinned
+    /// benchmark crate names it, until ROADMAP 6(a)'s `[benchmark]` PR.
     pub shards: usize,
     /// The most transactions the server will ever register (including
     /// `T0`); past it every new request is refused with `CAPACITY`. A cap,
@@ -188,16 +191,11 @@ pub enum NetConfig {
     Load(LoadConfig),
 }
 
-fn num_field(v: &Json, key: &str) -> Result<u64, String> {
-    let n = v
-        .as_num()
-        .ok_or_else(|| format!("net config key {key:?} must be a number"))?;
-    if n < 0.0 || n.fract() != 0.0 {
-        return Err(format!(
-            "net config key {key:?} must be a non-negative integer"
-        ));
-    }
-    Ok(n as u64)
+/// The one integer reader of a `*.net.json` document ([`Json::as_uint`]).
+fn int<N: TryFrom<u64>>(v: &Json, key: &str) -> Result<N, String> {
+    v.as_uint().ok_or_else(|| {
+        format!("net config key {key:?} must be a non-negative integer that fits its field")
+    })
 }
 
 fn frac_field(v: &Json, key: &str) -> Result<f64, String> {
@@ -209,9 +207,6 @@ impl ServerConfig {
     /// Semantic problems the lint pass reports.
     pub fn problems(&self) -> Vec<String> {
         let mut out = Vec::new();
-        if self.shards == 0 {
-            out.push("shards must be >= 1".to_string());
-        }
         if self.capacity < 2 {
             out.push("capacity below 2 cannot register any transaction".to_string());
         }
@@ -255,7 +250,6 @@ impl ServerConfig {
         o.str("schema", SCHEMA_ID)
             .str("role", "server")
             .str("addr", &self.addr)
-            .num("shards", self.shards as u64)
             .num("capacity", self.capacity as u64)
             .num("queue_depth", self.queue_depth as u64)
             .num("max_frame_len", self.max_frame_len as u64)
@@ -383,10 +377,9 @@ impl NetConfig {
                                 .ok_or_else(|| "addr must be a string".to_string())?
                                 .to_string();
                         }
-                        "shards" => c.shards = num_field(val, key)? as usize,
-                        "capacity" => c.capacity = num_field(val, key)? as usize,
-                        "queue_depth" => c.queue_depth = num_field(val, key)? as usize,
-                        "max_frame_len" => c.max_frame_len = num_field(val, key)? as usize,
+                        "capacity" => c.capacity = int(val, key)?,
+                        "queue_depth" => c.queue_depth = int(val, key)?,
+                        "max_frame_len" => c.max_frame_len = int(val, key)?,
                         "fault" => c.fault = Some(TransportPlan::from_json_value(val)?),
                         "static_gate" => match val {
                             Json::Bool(b) => c.static_gate = *b,
@@ -400,8 +393,8 @@ impl NetConfig {
                             Json::Bool(b) => c.live_certify = *b,
                             _ => return Err("live_certify must be a boolean".to_string()),
                         },
-                        "metrics_period_ms" => c.metrics_period_ms = num_field(val, key)?,
-                        "drain_timeout_ms" => c.drain_timeout_ms = num_field(val, key)?,
+                        "metrics_period_ms" => c.metrics_period_ms = int(val, key)?,
+                        "drain_timeout_ms" => c.drain_timeout_ms = int(val, key)?,
                         "data_dir" => {
                             c.data_dir = Some(
                                 val.as_str()
@@ -416,8 +409,9 @@ impl NetConfig {
                             )?;
                         }
                         // Retired with the threaded front end, the detector
-                        // thread and the second observability crate: refused
-                        // with the reason, not silently accepted.
+                        // thread, the second observability crate and the
+                        // sharded lock table: refused with the reason, not
+                        // silently accepted.
                         "frontend" => {
                             return Err("net server config key \"frontend\" was removed: \
                                         the reactor is the only front end"
@@ -432,6 +426,11 @@ impl NetConfig {
                         "span_ring" => {
                             return Err("net server config key \"span_ring\" was removed: \
                                         the span ring is a fixed 4096 entries"
+                                .to_string());
+                        }
+                        "shards" => {
+                            return Err("net server config key \"shards\" was removed: \
+                                        the lock table is one engine lock, not shards"
                                 .to_string());
                         }
                         other => return Err(format!("unknown net server config key {other:?}")),
@@ -452,30 +451,30 @@ impl NetConfig {
                                 .ok_or_else(|| "addr must be a string".to_string())?
                                 .to_string();
                         }
-                        "connections" => c.connections = num_field(val, key)? as usize,
-                        "tops_per_conn" => c.tops_per_conn = num_field(val, key)? as usize,
-                        "objects" => c.objects = num_field(val, key)? as usize,
+                        "connections" => c.connections = int(val, key)?,
+                        "tops_per_conn" => c.tops_per_conn = int(val, key)?,
+                        "objects" => c.objects = int(val, key)?,
                         "hotspot" => c.hotspot = frac_field(val, key)?,
                         "read_ratio" => c.read_ratio = frac_field(val, key)?,
-                        "max_depth" => c.max_depth = num_field(val, key)? as u32,
+                        "max_depth" => c.max_depth = int(val, key)?,
                         "subtx_prob" => c.subtx_prob = frac_field(val, key)?,
-                        "min_children" => c.min_children = num_field(val, key)? as usize,
-                        "max_children" => c.max_children = num_field(val, key)? as usize,
-                        "seed" => c.seed = num_field(val, key)?,
+                        "min_children" => c.min_children = int(val, key)?,
+                        "max_children" => c.max_children = int(val, key)?,
+                        "seed" => c.seed = int(val, key)?,
                         "mode" => {
                             mode = val
                                 .as_str()
                                 .ok_or_else(|| "mode must be \"closed\" or \"open\"".to_string())?
                                 .to_string();
                         }
-                        "rate_tps" => rate_tps = num_field(val, key)?,
-                        "timeout_ms" => c.timeout_ms = num_field(val, key)?,
-                        "max_retries" => c.max_retries = num_field(val, key)? as u32,
-                        "top_retries" => c.top_retries = num_field(val, key)? as u32,
-                        "backoff_base_rounds" => c.backoff.base_rounds = num_field(val, key)?,
-                        "backoff_cap_rounds" => c.backoff.cap_rounds = num_field(val, key)?,
-                        "backoff_round_us" => c.backoff_round_us = num_field(val, key)?,
-                        "batch" => c.batch = num_field(val, key)? as usize,
+                        "rate_tps" => rate_tps = int(val, key)?,
+                        "timeout_ms" => c.timeout_ms = int(val, key)?,
+                        "max_retries" => c.max_retries = int(val, key)?,
+                        "top_retries" => c.top_retries = int(val, key)?,
+                        "backoff_base_rounds" => c.backoff.base_rounds = int(val, key)?,
+                        "backoff_cap_rounds" => c.backoff.cap_rounds = int(val, key)?,
+                        "backoff_round_us" => c.backoff_round_us = int(val, key)?,
+                        "batch" => c.batch = int(val, key)?,
                         other => return Err(format!("unknown net load config key {other:?}")),
                     }
                 }
@@ -551,6 +550,67 @@ mod tests {
         assert!(err.contains("proxy"), "{err}");
         let err = NetConfig::from_json(r#"{"shards":4}"#).expect_err("missing role");
         assert!(err.contains("role"), "{err}");
+    }
+
+    /// `"shards": 12` used to pass `problems()` and then panic at bind.
+    #[test]
+    fn shards_is_refused_at_parse_by_name_with_the_reason() {
+        let err =
+            NetConfig::from_json(r#"{"role":"server","shards":12}"#).expect_err("retired knob");
+        assert!(err.contains("\"shards\" was removed"), "{err}");
+        assert!(err.contains("one engine lock, not shards"), "{err}");
+        assert!(!ServerConfig::default().to_json().contains("shards"));
+    }
+
+    /// Every integer key of both roles goes through one reader: whole,
+    /// non-negative and within its field's type, or refused naming the
+    /// key. `4294967297` used to become 1 in a `u32` field.
+    #[test]
+    fn integer_keys_refuse_fractions_negatives_and_overflow() {
+        let server = [
+            "capacity",
+            "queue_depth",
+            "max_frame_len",
+            "metrics_period_ms",
+            "drain_timeout_ms",
+        ];
+        let load = [
+            "connections",
+            "tops_per_conn",
+            "objects",
+            "max_depth",
+            "min_children",
+            "max_children",
+            "seed",
+            "rate_tps",
+            "timeout_ms",
+            "max_retries",
+            "top_retries",
+            "backoff_base_rounds",
+            "backoff_cap_rounds",
+            "backoff_round_us",
+            "batch",
+        ];
+        let narrow = ["max_depth", "max_retries", "top_retries"];
+        for (role, keys) in [("server", &server[..]), ("load", &load[..])] {
+            for &key in keys {
+                let doc = |v: &str| format!(r#"{{"role":"{role}","{key}":{v}}}"#);
+                NetConfig::from_json(&doc("3")).expect("a whole number parses");
+                let past_u32 = if narrow.contains(&key) {
+                    vec!["4294967297"]
+                } else {
+                    NetConfig::from_json(&doc("4294967297")).expect("a 64-bit field");
+                    vec![]
+                };
+                for bad in ["1.5", "2.7", "-1", "18446744073709551616", "1e30"]
+                    .into_iter()
+                    .chain(past_u32)
+                {
+                    let err = NetConfig::from_json(&doc(bad)).expect_err(bad);
+                    assert!(err.contains(&format!("{key:?}")), "{key}={bad}: {err}");
+                }
+            }
+        }
     }
 
     #[test]

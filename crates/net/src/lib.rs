@@ -40,8 +40,8 @@
 //!
 //! Runtime observability (one `nt-obs` recorder per server, DESIGN.md
 //! §8g) threads through the server: per-request phase spans with dual
-//! wall/logical stamps, the `STATS` wire op returning one `nt-net/stats/v2`
-//! document (coherent counters, lock-table shard totals, phase
+//! wall/logical stamps, the `STATS` wire op returning one `nt-net/stats/v3`
+//! document (coherent counters, lock-table totals, phase
 //! histograms, SGT health gauges, live wait-for graph), `nt-serve
 //! --metrics-out`/`--trace-out`, the live certifier running the
 //! recorded actions through the Theorem 17 gate while the server runs,

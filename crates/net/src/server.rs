@@ -138,18 +138,14 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// One live runtime snapshot (schema `nt-net/stats/v2`): coherent
-    /// server counters, engine/lock-shard counters, telemetry histograms
+    /// One live runtime snapshot (schema `nt-net/stats/v3`): coherent
+    /// server counters, engine and lock-table counters, telemetry histograms
     /// and gauges, the live certifier's state (`sgt_live`, absent without
     /// `live_certify`), and the current wait-for graph.
     fn stats_json(&self) -> String {
         let (generation, s) = self.stats.snapshot();
-        let shards = self.engine.shard_counters();
-        let grants: Vec<u64> = shards.iter().map(|c| c.grants).collect();
-        let waits: Vec<u64> = shards.iter().map(|c| c.waits).collect();
-        let hold_us: Vec<u64> = shards.iter().map(|c| c.hold_us).collect();
         let mut o = JsonObj::new();
-        o.str("schema", "nt-net/stats/v2")
+        o.str("schema", "nt-net/stats/v3")
             .num("generation", generation)
             .num("conns", s.conns)
             .num("frames", s.frames)
@@ -168,9 +164,7 @@ impl Shared {
             .num("lock_blocks", self.engine.lock_blocks())
             .num("timeout_rescues", self.engine.timeout_rescues())
             .num("clock", self.engine.clock_now())
-            .num_arr("shard_grants", &grants)
-            .num_arr("shard_waits", &waits)
-            .num_arr("shard_hold_us", &hold_us)
+            .num("lock_hold_us", self.engine.lock_hold_us())
             .raw("telemetry", self.rec.to_json())
             .raw("wait_for", self.engine.wait_for_json());
         if let Some(probe) = self.reactor_probe.get() {
@@ -351,7 +345,7 @@ impl ServerProbe {
         self.shared.stats.snapshot()
     }
 
-    /// The full live stats document (schema `nt-net/stats/v2`).
+    /// The full live stats document (schema `nt-net/stats/v3`).
     pub fn stats_json(&self) -> String {
         self.shared.stats_json()
     }
@@ -429,15 +423,8 @@ impl NetServer {
         let certifier = cfg
             .live_certify
             .then(|| LiveCertifier::new(SgtConfig::default(), probes.clone()));
-        let engine = SessionEngine::start_recovered(
-            cfg.capacity,
-            cfg.shards.max(1),
-            probes,
-            seed,
-            sink,
-            certifier,
-        )
-        .map_err(|e| std::io::Error::other(format!("recovered seed replay: {e}")))?;
+        let engine = SessionEngine::start_recovered(cfg.capacity, probes, seed, sink, certifier)
+            .map_err(|e| std::io::Error::other(format!("recovered seed replay: {e}")))?;
         let shared = Arc::new(Shared {
             cfg,
             engine,

@@ -200,7 +200,7 @@ pub enum Request {
     /// Ask the server to drain gracefully and exit.
     Shutdown,
     /// Fetch a live runtime-telemetry snapshot (server counters, lock
-    /// shard counters, phase histograms, SGT health gauges, wait-for
+    /// table counters, phase histograms, SGT health gauges, wait-for
     /// graph) as one JSON document.
     Stats,
     /// Fetch the live serialization-graph certificate: the incremental
@@ -352,7 +352,7 @@ pub enum Response {
     ShuttingDown,
     /// A runtime-telemetry snapshot serialized as a JSON document.
     Stats {
-        /// The snapshot (schema `nt-net/stats/v2`).
+        /// The snapshot (schema `nt-net/stats/v3`).
         json: String,
     },
     /// The live serialization-graph certificate as a JSON document.

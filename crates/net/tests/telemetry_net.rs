@@ -52,8 +52,12 @@ fn stats_round_trips_over_the_wire() {
     let v = Json::parse(&doc).expect("stats document parses");
     assert_eq!(
         v.get("schema").and_then(Json::as_str),
-        Some("nt-net/stats/v2")
+        Some("nt-net/stats/v3")
     );
+    // One engine lock: the lock-table totals are one number each, not
+    // per-shard arrays.
+    assert!(v.get("lock_hold_us").and_then(Json::as_num).is_some());
+    assert!(v.get("shard_grants").is_none() && v.get("shard_hold_us").is_none());
     let executed = v.get("executed").and_then(Json::as_num).expect("executed");
     let frames = v.get("frames").and_then(Json::as_num).expect("frames");
     assert!(executed > 0.0);

@@ -53,6 +53,18 @@ impl Json {
         }
     }
 
+    /// The number as an integer of type `N`: `None` unless it is whole,
+    /// non-negative and fits `N` — the one checked reader config documents
+    /// route their integer keys through, so nothing is truncated.
+    pub fn as_uint<N: TryFrom<u64>>(&self) -> Option<N> {
+        let n = self.as_num()?;
+        // `u64::MAX as f64` is 2^64, the first value past the `u64` range.
+        if n < 0.0 || n.fract() != 0.0 || n >= u64::MAX as f64 {
+            return None;
+        }
+        N::try_from(n as u64).ok()
+    }
+
     /// Parse one JSON document, requiring it to span the full input
     /// (trailing whitespace allowed).
     pub fn parse(input: &str) -> Result<Json, String> {

@@ -358,7 +358,7 @@ impl TraceHandle {
     }
 
     /// A timed recorder's measurements as one JSON object — the
-    /// `telemetry` section of `nt-net/stats/v2`: `{"phases": {<name>:
+    /// `telemetry` section of `nt-net/stats/v3`: `{"phases": {<name>:
     /// hist, …}, <other histogram>: hist, …, "gauges": {…},
     /// "spans_retained": n}`, each `hist` being
     /// [`Histogram::to_json`]`("_us")`. `phases` holds the histograms

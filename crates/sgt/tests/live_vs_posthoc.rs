@@ -42,7 +42,6 @@ fn fresh_seeded_runs_agree_with_posthoc() {
         .generate();
         let cfg = EngineConfig {
             threads: 2 + (seed as usize % 3) * 2,
-            shards: if seed % 2 == 0 { 4 } else { 16 },
             live_certify: true,
             ..EngineConfig::default()
         };

@@ -31,7 +31,6 @@ impl Drop for Scratch {
 fn boot(store: &Store, recovered: nt_store::Recovered) -> Arc<SessionEngine> {
     SessionEngine::start_recovered(
         4096,
-        4,
         TraceHandle::disabled(),
         recovered.seed,
         Some(Arc::clone(store.wal()) as Arc<dyn nt_engine::ActionSink>),

@@ -27,9 +27,9 @@
 //! * [`faults`] — deterministic fault-injection plans, retry backoff
 //!   policies, and fault-schedule minimization (experiment E14);
 //! * [`sim`] — workload generation and simulation;
-//! * [`engine`] — the multi-threaded nested-transaction engine: sharded
-//!   Moss lock tables with queued waits granted in place by the
-//!   releaser, wait-for-graph deadlock detection, and post-hoc SGT certification of every concurrent run
+//! * [`engine`] — the multi-threaded nested-transaction engine: a Moss
+//!   lock table behind one engine lock, with queued waits granted in
+//!   place by the releaser, wait-for-graph deadlock detection, and post-hoc SGT certification of every concurrent run
 //!   (experiment E15).
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.

@@ -3,19 +3,19 @@
 # thread ever sleeps or waits on another thread, except the one
 # `wait_durable` barrier per round. This gate greps the code that runs
 # there — the reactor crate, nt-net's per-connection service and the
-# protocol core it executes, and the history, WAL and certifier every
-# recorded action passes through — for the calls that would break it. It
-# also holds the other "stays gone" greps, by what they would do rather
-# than by the names of deleted code: run.rs goes through the session API,
-# and nothing starts a background thread — the server is the poll thread
-# and nothing else.
+# protocol core it executes, the engine lock's grant and record path, the
+# WAL and the certifier — for the calls that would break it. It also
+# holds the other "stays gone" greps, by what they would do rather than by
+# the names of deleted code: run.rs goes through the session API, and
+# nothing starts a background thread — the server is the poll thread and
+# nothing else.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 poll_thread=(crates/reactor/src/lib.rs crates/reactor/src/buf.rs
     crates/reactor/src/waker.rs crates/net/src/front_reactor.rs
-    crates/net/src/server.rs crates/engine/src/recorder.rs
-    crates/store/src/wal.rs crates/sgt/src/*.rs)
+    crates/net/src/server.rs crates/engine/src/locktable.rs
+    crates/engine/src/recorder.rs crates/store/src/wal.rs crates/sgt/src/*.rs)
 blocking='thread::sleep|Condvar|wait_timeout|wait_while|\.recv\(\)|recv_timeout|\.park\(|\.join\(\)'
 
 # A file's non-test code: everything above its `#[cfg(test)]` module.
@@ -25,9 +25,9 @@ non_test() {
 
 fail=0
 # `ReactorHandle::join` / `ServerHandle::join` are the embedder's side of
-# the thread, not the loop.
+# the thread, not the loop; nor is `LockTable::park` (its `resolved` condvar).
 if grep -nE "$blocking" "${poll_thread[@]}" |
-    grep -vE 'self\.((thread|reactor)\.)?join\(\)'; then
+    grep -vE 'self\.((thread|reactor)\.)?join\(\)|locktable\.rs:[0-9]+:.*(resolved|self\.park\()'; then
     echo "check_poll_thread: a blocking call on the poll thread (above)" >&2
     fail=1
 fi
