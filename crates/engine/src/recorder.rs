@@ -8,11 +8,20 @@
 //! table's object actions (`REQUEST_COMMIT` answers, `INFORM_*`). One
 //! [`History::record`] does four things in order: the stamp is drawn,
 //! the write-ahead log's `Act` record is staged, the live certifier is
-//! stepped, and `(stamp, action)` is appended. Every consumer of β — the
-//! WAL file, the certifier, [`History::snapshot`] — therefore sees one
+//! stepped, and the action is appended. Every consumer of β — the WAL
+//! file, the certifier, [`History::snapshot`] — therefore sees one
 //! sequence by construction: nothing is merged or sorted, a snapshot is
 //! always a prefix of the history, and a torn WAL tail loses a suffix of
 //! stamps, never a hole in the middle.
+//!
+//! A stamp is a position. Stamps are drawn once per appended entry, from
+//! one counter, under the one lock, so they are dense and in append
+//! order: the log keeps bare [`Action`]s, 24 B an entry, and an entry's
+//! stamp is its index plus the stamp the log began at. That is 0 for
+//! every history the engine builds: recovery's seed has
+//! `next == head.len()`, because `nt_store::recover` refuses a history
+//! with a hole. The stamp exists only on its way out, in the WAL record
+//! and the certifier's input.
 //!
 //! The stamp order refines causality: if action `A` causally precedes
 //! `B` — one session's program order, or two threads ordered through the
@@ -70,14 +79,25 @@ pub trait ActionSink: Send + Sync {
 /// Entries per segment of a [`WorkerLog`].
 const SEGMENT: usize = 1024;
 
-/// A stamped action log: the body of a [`History`].
-/// The entries sit in segments of [`SEGMENT`], not in one growing `Vec`:
+/// An action log: the body of a [`History`]. An entry is a bare
+/// [`Action`] (24 B): the clock draws stamps densely in record order, so
+/// an entry's stamp is its position and is not stored (see the module
+/// docs). The entries sit in segments of [`SEGMENT`], not in one growing
+/// `Vec`:
 /// whether the allocator doubles a multi-megabyte buffer in place or moves
 /// it, touching as much again, depends on what was allocated around it, so
 /// a server's peak footprint did not repeat from one run to the next.
+///
+/// A segment is allocated at its full size by the thread that records into
+/// it, and never grown. Grown by push from one entry, it would start as a
+/// 32-byte chunk, which glibc may serve from the recording thread's cache
+/// of freed chunks — chunks of another thread's heap included — and every
+/// doubling would stay in that heap: where the history lived, and whether
+/// it showed in the server's footprint at all, would change from run to
+/// run.
 #[derive(Debug, Default)]
 pub struct WorkerLog {
-    segments: Vec<Vec<(u64, Action)>>,
+    segments: Vec<Vec<Action>>,
 }
 
 impl WorkerLog {
@@ -96,8 +116,12 @@ impl WorkerLog {
         let stamp = clock.next();
         tee(stamp, &action);
         match self.segments.last_mut() {
-            Some(last) if last.len() < SEGMENT => last.push((stamp, action)),
-            _ => self.segments.push(vec![(stamp, action)]),
+            Some(last) if last.len() < last.capacity() => last.push(action),
+            _ => {
+                let mut segment = Vec::with_capacity(SEGMENT);
+                segment.push(action);
+                self.segments.push(segment);
+            }
         }
     }
 
@@ -132,17 +156,18 @@ impl History {
         }
     }
 
-    /// A history whose head is `head`, the recovered prefix (stamps below
-    /// `next`, in order), that tees every new action into `sink` and
-    /// `certifier`. The head is already in the WAL and is not appended
-    /// again; the certifier is preloaded with it here, so it must already
-    /// know the recovered tree.
+    /// A history whose head is `head`, the recovered prefix (stamps
+    /// `0..head.len()`, in order), whose clock resumes at `next`, and that
+    /// tees every new action into `sink` and `certifier`. The head is
+    /// already in the WAL and is not appended again; the certifier is
+    /// preloaded with it here, so it must already know the recovered tree.
     pub fn recovered(
-        head: Vec<(u64, Action)>,
+        head: Vec<Action>,
         next: u64,
         sink: Option<Arc<dyn ActionSink>>,
         certifier: Option<LiveCertifier>,
     ) -> History {
+        debug_assert!(next >= head.len() as u64, "the clock resumes past the head");
         if let Some(c) = &certifier {
             c.preload(&head, next);
         }
@@ -151,7 +176,11 @@ impl History {
             sink,
             certifier,
             log: WorkerLog {
-                segments: vec![head],
+                segments: if head.is_empty() {
+                    Vec::new()
+                } else {
+                    vec![head]
+                },
             },
         }
     }
@@ -173,7 +202,7 @@ impl History {
     /// The history so far: a prefix of β.
     pub fn snapshot(&self) -> Vec<Action> {
         let mut out = Vec::with_capacity(self.log.len());
-        out.extend(self.log.segments.iter().flatten().map(|(_, a)| a.clone()));
+        out.extend(self.log.segments.iter().flatten().cloned());
         out
     }
 
@@ -187,28 +216,9 @@ impl History {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nt_obs::TraceHandle;
+    use nt_sgt_live::SgtConfig;
     use std::sync::Mutex;
-
-    #[test]
-    fn a_log_longer_than_a_segment_keeps_every_entry_in_order() {
-        let clock = SeqClock::new();
-        let mut log = WorkerLog::new();
-        assert!(log.is_empty());
-        let n = 2 * SEGMENT as u32 + 7;
-        for k in 0..n {
-            log.record(&clock, Action::Create(TxId(k)));
-        }
-        assert_eq!(log.len(), n as usize);
-        assert_eq!(log.segments.len(), 3);
-        // Full segments are exactly full: nothing was grown past the
-        // segment size, so nothing that large was ever copied.
-        assert!(log.segments.iter().all(|s| s.capacity() <= SEGMENT));
-        let stamped: Vec<(u64, Action)> = log.segments.into_iter().flatten().collect();
-        let expect: Vec<(u64, Action)> = (0..n)
-            .map(|k| (u64::from(k), Action::Create(TxId(k))))
-            .collect();
-        assert_eq!(stamped, expect);
-    }
 
     struct CaptureSink(Mutex<Vec<(u64, Action)>>);
 
@@ -220,9 +230,43 @@ mod tests {
         fn append_tree_add(&self, _t: TxId, _parent: TxId, _access: Option<(ObjId, &Op)>) {}
     }
 
+    fn capture() -> Arc<CaptureSink> {
+        Arc::new(CaptureSink(Mutex::new(Vec::new())))
+    }
+
+    #[test]
+    fn a_log_longer_than_a_segment_keeps_every_entry_in_order() {
+        let base = 100;
+        let sink = capture();
+        let mut history = History::recovered(
+            Vec::new(),
+            base,
+            Some(Arc::clone(&sink) as Arc<dyn ActionSink>),
+            None,
+        );
+        assert!(history.log.is_empty());
+        let n = 2 * SEGMENT as u32 + 7;
+        let actions: Vec<Action> = (0..n).map(|k| Action::Create(TxId(k))).collect();
+        for a in &actions {
+            history.record(a.clone());
+        }
+        assert_eq!(history.log.len(), n as usize);
+        assert_eq!(history.log.segments.len(), 3);
+        // Every segment was allocated at its full size and never grown, so
+        // nothing was ever copied.
+        assert!(history.log.segments.iter().all(|s| s.capacity() == SEGMENT));
+        // The stamps went out densely, in record order; the log kept only
+        // the actions, in the same order.
+        let seen = sink.0.lock().expect("capture poisoned").clone();
+        let stamped: Vec<(u64, Action)> = (base..).zip(actions.iter().cloned()).collect();
+        assert_eq!(seen, stamped);
+        assert_eq!(history.snapshot(), actions);
+        assert_eq!(history.clock().issued(), base + u64::from(n));
+    }
+
     #[test]
     fn sink_sees_every_record_with_matching_stamps() {
-        let sink = Arc::new(CaptureSink(Mutex::new(Vec::new())));
+        let sink = capture();
         let mut history = History::recovered(
             Vec::new(),
             100,
@@ -244,8 +288,8 @@ mod tests {
 
     #[test]
     fn the_recovered_head_comes_before_new_actions_and_is_not_teed() {
-        let sink = Arc::new(CaptureSink(Mutex::new(Vec::new())));
-        let head = vec![(0, Action::Create(TxId(1))), (1, Action::Commit(TxId(1)))];
+        let sink = capture();
+        let head = vec![Action::Create(TxId(1)), Action::Commit(TxId(1))];
         let mut history = History::recovered(
             head,
             2,
@@ -264,5 +308,34 @@ mod tests {
         assert_eq!(history.clock().issued(), 3);
         let seen = sink.0.lock().expect("capture poisoned").clone();
         assert_eq!(seen, vec![(2, Action::Create(TxId(2)))]);
+    }
+
+    /// The certifier is preloaded with the head at stamps `0..head.len()`
+    /// and the clock resumes at `next`: the first live action is stamped
+    /// `next` and is the certifier's next input.
+    #[test]
+    fn a_recovered_history_preloads_its_certifier_and_resumes_the_clock() {
+        let (top, access, x) = (TxId(1), TxId(2), ObjId(0));
+        let certifier = LiveCertifier::new(SgtConfig::default(), TraceHandle::disabled());
+        certifier.tree_add(top, TxId::ROOT, None);
+        certifier.tree_add(access, top, Some((x, Op::Write(3))));
+        let head = vec![
+            Action::RequestCreate(top),
+            Action::Create(top),
+            Action::RequestCreate(access),
+            Action::Create(access),
+            Action::RequestCommit(access, nt_model::Value::Ok),
+            Action::Commit(access),
+        ];
+        let next = head.len() as u64;
+        let mut history = History::recovered(head.clone(), next, None, Some(certifier.clone()));
+        assert_eq!(history.clock().issued(), next);
+        assert_eq!(certifier.status().processed, head.len() as u64);
+        assert!(certifier.ok());
+        history.record(Action::InformCommit(x, access));
+        assert_eq!(history.clock().issued(), next + 1);
+        assert_eq!(certifier.status().processed, next + 1);
+        assert!(certifier.ok());
+        assert_eq!(history.snapshot().len(), head.len() + 1);
     }
 }

@@ -165,8 +165,9 @@ pub struct RecoveredSeed {
     /// Per-object committed values (objects not listed keep the default
     /// initial value 0).
     pub initials: Vec<(ObjId, i64)>,
-    /// The recovered `(stamp, action)` history, stamp-sorted.
-    pub entries: Vec<(u64, Action)>,
+    /// The recovered history: `entries[i]` is the action stamped `i`, so
+    /// it covers stamps `0..entries.len()` (recovery refuses a hole).
+    pub entries: Vec<Action>,
     /// First stamp the restarted clock issues (past every recovered one).
     pub next_stamp: u64,
 }

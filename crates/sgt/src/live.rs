@@ -148,8 +148,9 @@ impl LiveCertifier {
     }
 
     /// Replay a recovered prefix into the maintainer before live traffic
-    /// (crash–restart). `resume_at` is the recovered clock's next stamp.
-    pub fn preload(&self, entries: &[(u64, Action)], resume_at: u64) {
+    /// (crash–restart): `entries[i]` carries stamp `i`. `resume_at` is the
+    /// recovered clock's next stamp.
+    pub fn preload(&self, entries: &[Action], resume_at: u64) {
         let mut st = self.lock();
         st.m.preload(entries, resume_at);
         self.mirror_verdict(&st);

@@ -241,15 +241,17 @@ impl SgtMaintainer {
         self.process(stamp, action);
     }
 
-    /// Replay a recovered prefix (crash–restart): entries are processed
-    /// in the given order (stamps may be non-contiguous after a torn
-    /// tail), then every still-unresolved top is finalized as aborted —
+    /// Replay a recovered prefix (crash–restart): `entries[i]` carries
+    /// stamp `i` — recovery refuses a history with a hole, so the prefix
+    /// covers stamps `0..entries.len()` — and entries are processed in
+    /// order. Then every still-unresolved top is finalized as aborted —
     /// recovery discards uncommitted work, so those subtrees are
     /// permanently invisible — and the expected next stamp is advanced to
     /// `resume_at` so live feeding continues seamlessly.
-    pub fn preload(&mut self, entries: &[(u64, Action)], resume_at: u64) {
-        for (s, a) in entries {
-            self.process(*s, a.clone());
+    pub fn preload(&mut self, entries: &[Action], resume_at: u64) {
+        debug_assert!(resume_at >= entries.len() as u64, "resume past the prefix");
+        for (s, a) in entries.iter().enumerate() {
+            self.process(s as u64, a.clone());
         }
         let unresolved: Vec<TxId> = self.live_firsts.values().copied().collect();
         for t in unresolved {
@@ -1020,19 +1022,21 @@ mod tests {
         let b = tree.add_inner(TxId::ROOT);
         let u = tree.add_access(a, x, nt_model::Op::Write(5));
         let w = tree.add_access(b, x, nt_model::Op::Read);
+        // Stamps 0..6, one per position.
         let recovered = vec![
-            (0, Action::RequestCreate(a)),
-            (1, Action::RequestCreate(b)),
-            (2, Action::RequestCommit(u, Value::Ok)),
-            (3, Action::Commit(u)),
-            (4, Action::RequestCommit(a, Value::Ok)),
-            (5, Action::Commit(a)),
+            Action::RequestCreate(a),
+            Action::RequestCreate(b),
+            Action::RequestCommit(u, Value::Ok),
+            Action::Commit(u),
+            Action::RequestCommit(a, Value::Ok),
+            Action::Commit(a),
             // b's subtree is torn off: b stays unresolved in the prefix.
         ];
         let mut m = SgtMaintainer::new(SgtConfig::default());
         m.seed_tree(&tree);
         m.preload(&recovered, 10);
         assert!(m.ok());
+        assert_eq!(m.processed(), recovered.len() as u64);
         assert_eq!(m.live_tops(), 0, "pending b force-resolved as aborted");
         assert_eq!(m.watermark(), 10);
         // The restarted run re-executes b's work under a fresh name; here

@@ -17,6 +17,20 @@
 //! winners' writes. After replay, an object's committed value is exactly
 //! its `T0` write entry.
 //!
+//! ## Why a stamp can be a position
+//!
+//! The engine draws stamps densely (`nt_engine`'s `recorder.rs`), and a
+//! crash loses only a suffix of them: the WAL is written in whole
+//! frames and a torn tail stops the decode. So the merged checkpoint and
+//! WAL stamps must be exactly `0..n`. A file that breaks this decodes
+//! frame by frame — a whole middle extent spliced out leaves every CRC
+//! intact — but describes a history no crash can produce, and recovery
+//! refuses it with [`StoreError::Corrupt`] naming the first missing
+//! stamp. Past that check β is held once, as one `Vec<Action>` whose
+//! indices are its stamps: the replay reads it, the loser pass appends
+//! to it, the Theorem 17 gate certifies it, and the seed hands it to the
+//! engine as the head of its history.
+//!
 //! ## Why re-certification is sound
 //!
 //! Losers are rolled back by appending the same action sequence a live
@@ -289,14 +303,28 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
         }
     }
 
+    // A crash loses a suffix of stamps, never the middle (`wal.rs`): the
+    // merged stamps must be exactly `0..n`. Check it while moving β into
+    // the one vector recovery keeps, whose indices are its stamps from
+    // here on — the seed hands it to the engine as is.
+    let mut history: Vec<Action> = Vec::with_capacity(acts.len());
+    for (stamp, action) in acts {
+        let want = history.len() as u64;
+        if stamp != want {
+            return Err(StoreError::Corrupt(format!(
+                "the history has a hole: stamp {want} is missing, the next recovered is {stamp}"
+            )));
+        }
+        history.push(action);
+    }
+
     // Status + object replay in stamp order.
     let mut created: BTreeSet<TxId> = BTreeSet::new();
     let mut committed: BTreeSet<TxId> = BTreeSet::new();
     let mut aborted: BTreeSet<TxId> = BTreeSet::new();
     let mut write: BTreeMap<ObjId, BTreeMap<TxId, i64>> = BTreeMap::new();
     let mut read: BTreeMap<ObjId, BTreeSet<TxId>> = BTreeMap::new();
-    let mut entries: Vec<(u64, Action)> = Vec::with_capacity(acts.len());
-    for (&stamp, action) in &acts {
+    for action in &history {
         match action {
             Action::Create(t) => {
                 if *t != TxId::ROOT && !nodes.contains_key(&t.0) {
@@ -349,27 +377,20 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
             }
             Action::RequestCreate(_) | Action::ReportCommit(_, _) | Action::ReportAbort(_) => {}
         }
-        entries.push((stamp, action.clone()));
     }
 
     // TST analysis: every transaction neither committed nor under an
     // aborted root is a crash-time loser. Roll back its topmost running
     // ancestor exactly as a live abort would, stamped after everything
-    // recovered.
-    let mut next_stamp = entries.last().map(|(s, _)| s + 1).unwrap_or(0);
+    // recovered: appended to `history`, so its stamp is its position.
     let mut synthesized: Vec<Record> = Vec::new();
     let mut losers: Vec<u32> = Vec::new();
-    let push_act = |action: Action,
-                    next_stamp: &mut u64,
-                    entries: &mut Vec<(u64, Action)>,
-                    synthesized: &mut Vec<Record>| {
-        let stamp = *next_stamp;
-        *next_stamp += 1;
+    let push_act = |action: Action, history: &mut Vec<Action>, synthesized: &mut Vec<Record>| {
         synthesized.push(Record::Act {
-            stamp,
+            stamp: history.len() as u64,
             action: action.clone(),
         });
-        entries.push((stamp, action));
+        history.push(action);
     };
     let ids: Vec<u32> = nodes.keys().copied().collect();
     for id in ids {
@@ -394,26 +415,11 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
             // The registration survived but its CREATE was in the torn
             // tail (or the node is a placeholder): resurrect the create
             // so the abort below closes a well-formed lifecycle.
-            push_act(
-                Action::RequestCreate(v),
-                &mut next_stamp,
-                &mut entries,
-                &mut synthesized,
-            );
-            push_act(
-                Action::Create(v),
-                &mut next_stamp,
-                &mut entries,
-                &mut synthesized,
-            );
+            push_act(Action::RequestCreate(v), &mut history, &mut synthesized);
+            push_act(Action::Create(v), &mut history, &mut synthesized);
             created.insert(v);
         }
-        push_act(
-            Action::Abort(v),
-            &mut next_stamp,
-            &mut entries,
-            &mut synthesized,
-        );
+        push_act(Action::Abort(v), &mut history, &mut synthesized);
         let objects: Vec<ObjId> = write
             .keys()
             .chain(read.keys())
@@ -439,19 +445,9 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
             if let Some(r) = read.get_mut(&x) {
                 r.retain(|h| !is_anc(&nodes, v, *h));
             }
-            push_act(
-                Action::InformAbort(x, v),
-                &mut next_stamp,
-                &mut entries,
-                &mut synthesized,
-            );
+            push_act(Action::InformAbort(x, v), &mut history, &mut synthesized);
         }
-        push_act(
-            Action::ReportAbort(v),
-            &mut next_stamp,
-            &mut entries,
-            &mut synthesized,
-        );
+        push_act(Action::ReportAbort(v), &mut history, &mut synthesized);
         aborted.insert(v);
         losers.push(v.0);
     }
@@ -468,7 +464,6 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
         .values()
         .map(|n| (n.parent, n.access.clone()))
         .collect();
-    let history: Vec<Action> = entries.iter().map(|(_, a)| a.clone()).collect();
     let certified;
     let mut sg_nodes = 0;
     let mut sg_edges = 0;
@@ -512,7 +507,7 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
         synthesized_actions: synthesized.len(),
         placeholders,
         cache_entries: cache.len(),
-        history_len: entries.len(),
+        history_len: history.len(),
         certified,
         sg_nodes,
         sg_edges,
@@ -522,8 +517,8 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
         committed: committed.into_iter().filter(|t| *t != TxId::ROOT).collect(),
         aborted: aborted.into_iter().collect(),
         initials,
-        entries,
-        next_stamp,
+        next_stamp: history.len() as u64,
+        entries: history,
     };
     Ok(Recovered {
         seed,

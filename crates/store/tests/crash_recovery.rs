@@ -452,6 +452,64 @@ fn corrupt_checkpoint_refuses_to_open() {
     }
 }
 
+/// A WAL of four frames — the header and one extent per barrier — with the
+/// middle extent cut out. Every remaining frame is whole and its CRC holds,
+/// so the file decodes to its end; but a crash loses only a suffix of
+/// stamps, never the middle, so the hole is corruption and recovery must
+/// refuse it, naming the first stamp that is missing.
+#[test]
+fn a_wal_with_a_spliced_out_middle_extent_is_refused() {
+    let scratch = Scratch::new("splice");
+    {
+        let (store, rec) = Store::open(&scratch.0, DurabilityMode::None).expect("open");
+        let engine = boot(&store, rec);
+        for x in 0..3 {
+            commit_write(&engine, ObjId(x), i64::from(x) + 1);
+            store.wait_durable().expect("barrier");
+        }
+        store.close();
+    }
+    let wal_path = scratch.0.join(WAL_FILE);
+    let bytes = std::fs::read(&wal_path).expect("read wal");
+    // A frame is `len | crc | payload`, `len` counting the payload.
+    let mut frames = Vec::new();
+    let mut at = 0;
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
+        frames.push(at..at + 8 + len);
+        at += 8 + len;
+    }
+    assert_eq!(frames.len(), 4, "header + one extent per barrier");
+    let acts_before = |end: usize| {
+        nt_store::decode_stream(&bytes[..end])
+            .records
+            .iter()
+            .filter(|r| matches!(r, nt_store::Record::Act { .. }))
+            .count()
+    };
+    let (cut, kept) = (frames[2].clone(), frames[3].clone());
+    let first_missing = acts_before(cut.start);
+    assert!(
+        acts_before(cut.end) > first_missing,
+        "the cut extent holds actions"
+    );
+    let mut spliced = bytes[..cut.start].to_vec();
+    spliced.extend_from_slice(&bytes[kept]);
+    assert!(
+        nt_store::decode_stream(&spliced).torn.is_none(),
+        "the splice decodes whole"
+    );
+    std::fs::write(&wal_path, &spliced).expect("splice wal");
+    match Store::open(&scratch.0, DurabilityMode::None) {
+        Err(StoreError::Corrupt(what)) => assert!(
+            what.contains(&format!("stamp {first_missing} ")),
+            "must name stamp {first_missing}: {what}"
+        ),
+        Err(other) => panic!("expected a corrupt-log error, got {other}"),
+        Ok((_, rec)) => panic!("a history with a hole mounted: {}", rec.report.to_json()),
+    }
+}
+
 mod record_roundtrip_props {
     //! Property tests over the frame codec driven through real files:
     //! random record sequences written through a [`Store`]-level WAL
