@@ -25,6 +25,7 @@ use nt_model::wellformed::check_simple_behavior;
 use nt_model::{Action, ObjId, SiblingOrder, TxId, TxTree, Value};
 use nt_obs::{Event, TraceHandle};
 use nt_serial::{replay, resolve_ops, ObjectTypes};
+use std::collections::BTreeMap;
 
 /// Why a behavior's return values are not appropriate.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,19 +48,18 @@ pub fn appropriate_return_values(
     types: &ObjectTypes,
 ) -> Result<(), Inappropriate> {
     let status = Status::of(tree, beta);
-    // Gather visible access operations per object, in β order.
-    let mut per_object: Vec<Vec<(TxId, Value)>> = vec![Vec::new(); types.len()];
+    // Gather visible access operations per object named, in β order.
+    let mut per_object: BTreeMap<ObjId, Vec<(TxId, Value)>> = BTreeMap::new();
     for a in beta {
         if let Action::RequestCommit(t, v) = a {
             if let Some(x) = tree.object_of(*t) {
                 if status.is_visible(tree, *t, TxId::ROOT) {
-                    per_object[x.index()].push((*t, v.clone()));
+                    per_object.entry(x).or_default().push((*t, v.clone()));
                 }
             }
         }
     }
-    for (xi, ops) in per_object.iter().enumerate() {
-        let x = ObjId(xi as u32);
+    for (&x, ops) in &per_object {
         let resolved = resolve_ops(tree, ops);
         // Find the first illegal prefix for a precise diagnostic.
         if replay(types.get(x).as_ref(), &resolved).is_none() {

@@ -3,7 +3,8 @@
 //!
 //! The table's one mutex, the engine lock, guards the engine's whole
 //! mutable state: every object's lock state, the ticket counter, the one
-//! [`History`], the victims list and the counters. A critical section is
+//! [`History`] (with the live certifier it steps), the session tree's
+//! append token, the victims list and the counters. A critical section is
 //! one step of the one sequential machine Theorem 17 is stated about;
 //! every public entry point takes the lock once, a session takes it once
 //! per step, and under it DESIGN §8d's lock order only descends into
@@ -45,12 +46,14 @@
 
 use crate::detector::{convict, Victim};
 use crate::recorder::{History, SeqClock};
+use crate::session_tree::{Appends, SessionTree, TreeError};
 use crate::status::StatusTable;
 use crate::tree_view::TreeView;
 use nt_locking::{moss_blockers_by, moss_precondition_by};
 use nt_model::rw::RwInitials;
 use nt_model::{Action, ObjId, Op, TxId, TxTree, Value};
 use nt_obs::TraceHandle;
+use nt_sgt_live::LiveCertifier;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -251,6 +254,9 @@ pub(crate) struct Counters {
 /// What the engine lock guards besides the objects' lock state.
 struct Ledger {
     history: History,
+    /// The right to register names in the session tree (`None` over a
+    /// tree known up front).
+    appends: Option<Appends>,
     next_ticket: u64,
     /// The watchdog fired: every current and future waiter gives up.
     gave_up: bool,
@@ -296,14 +302,17 @@ impl<T: TreeView> LockTable<T> {
         _shards: usize,
     ) -> Self {
         let telemetry = TraceHandle::disabled();
-        LockTable::recording(tree, status, History::new(clock), initials, telemetry)
+        let history = History::new(clock);
+        LockTable::recording(tree, None, status, history, initials, telemetry)
     }
 
     /// A table whose engine lock also guards `history`, the engine's one
-    /// history. A timed `telemetry` recorder is fed blocked intervals and
-    /// hold times (its `lock_blocked` / `lock_hold` histograms).
+    /// history, and `appends`, the right to grow the tree. A timed
+    /// `telemetry` recorder is fed blocked intervals and hold times (its
+    /// `lock_blocked` / `lock_hold` histograms).
     pub(crate) fn recording(
         tree: T,
+        appends: Option<Appends>,
         status: Arc<StatusTable>,
         history: History,
         initials: RwInitials,
@@ -318,6 +327,7 @@ impl<T: TreeView> LockTable<T> {
                 objects: BTreeMap::new(),
                 ledger: Ledger {
                     history,
+                    appends,
                     next_ticket: 0,
                     gave_up: false,
                     counters: Counters::default(),
@@ -557,6 +567,11 @@ impl<T: TreeView> Held<'_, T> {
         self.eng.ledger.history.snapshot()
     }
 
+    /// The live certifier the history steps, if one is mounted.
+    pub(crate) fn certifier(&mut self) -> Option<&mut LiveCertifier> {
+        self.eng.ledger.history.certifier()
+    }
+
     /// Deadlock victims so far, in doom order.
     pub(crate) fn victims(&self) -> &[Victim] {
         &self.eng.ledger.victims
@@ -735,5 +750,30 @@ impl<T: TreeView> Held<'_, T> {
                 self.table.settle(ObjId(x), locks, ledger);
             }
         }
+    }
+}
+
+impl Held<'_, Arc<SessionTree>> {
+    /// `REQUEST_CREATE(t)`, `CREATE(t)` for a fresh transaction `t` under
+    /// `parent` (an access when `access` names its object and operation),
+    /// registered in the same critical section: the tree slot is pushed,
+    /// the history tees the registration to the WAL and the certifier,
+    /// then both actions are recorded.
+    pub(crate) fn create(
+        &mut self,
+        parent: TxId,
+        access: Option<(ObjId, Op)>,
+    ) -> Result<TxId, TreeError> {
+        let tree = &self.table.tree;
+        let led = &mut self.eng.ledger;
+        let appends = led
+            .appends
+            .as_mut()
+            .expect("a session table owns the tree's appends");
+        let t = tree.add(appends, parent, access)?;
+        led.history.register(t, parent, tree.access(t));
+        led.history.record(Action::RequestCreate(t));
+        led.history.record(Action::Create(t));
+        Ok(t)
     }
 }

@@ -14,6 +14,13 @@
 //! always a prefix of the history, and a torn WAL tail loses a suffix of
 //! stamps, never a hole in the middle.
 //!
+//! A registration goes the same way. The critical section that records a
+//! transaction's `REQUEST_CREATE` first hands its shape to
+//! [`History::register`], which stages the WAL's `TreeAdd` record and
+//! registers it with the live certifier: both learn a transaction
+//! strictly before any action naming it, and the WAL's tree records land
+//! in `TxId` order.
+//!
 //! A stamp is a position. Stamps are drawn once per appended entry, from
 //! one counter, under the one lock, so they are dense and in append
 //! order: the log keeps bare [`Action`]s, 24 B an entry, and an entry's
@@ -32,7 +39,8 @@
 //!
 //! One lock costs no concurrency the engine has: on the server one poll
 //! thread records everything. The lock order it sits in is DESIGN §8d's
-//! table: engine lock → {certifier → telemetry, WAL append}.
+//! table: the engine lock, over the WAL append and telemetry (the
+//! certifier has no lock: it is part of the history).
 
 use nt_model::{Action, ObjId, Op, TxId};
 use nt_sgt_live::LiveCertifier;
@@ -70,9 +78,10 @@ pub trait ActionSink: Send + Sync {
     fn append_action(&self, stamp: u64, action: &Action);
 
     /// Record a transaction registration (`t` under `parent`; accesses
-    /// carry their object and operation). Called under the session tree's
-    /// append mutex, so tree records land in `TxId` order and always
-    /// precede any action naming `t`.
+    /// carry their object and operation). Called under the engine lock,
+    /// in the critical section that records `REQUEST_CREATE(t)` and just
+    /// before it, so tree records land in `TxId` order and always precede
+    /// any action naming `t`.
     fn append_tree_add(&self, t: TxId, parent: TxId, access: Option<(ObjId, &Op)>);
 }
 
@@ -158,17 +167,18 @@ impl History {
 
     /// A history whose head is `head`, the recovered prefix (stamps
     /// `0..head.len()`, in order), whose clock resumes at `next`, and that
-    /// tees every new action into `sink` and `certifier`. The head is
-    /// already in the WAL and is not appended again; the certifier is
-    /// preloaded with it here, so it must already know the recovered tree.
+    /// tees every new registration and action into `sink` and
+    /// `certifier`. The head is already in the WAL and is not appended
+    /// again; the certifier is preloaded with it here, so it must already
+    /// know the recovered tree.
     pub fn recovered(
         head: Vec<Action>,
         next: u64,
         sink: Option<Arc<dyn ActionSink>>,
-        certifier: Option<LiveCertifier>,
+        mut certifier: Option<LiveCertifier>,
     ) -> History {
         debug_assert!(next >= head.len() as u64, "the clock resumes past the head");
-        if let Some(c) = &certifier {
+        if let Some(c) = &mut certifier {
             c.preload(&head, next);
         }
         History {
@@ -185,10 +195,22 @@ impl History {
         }
     }
 
+    /// Tee the registration of `t` under `parent` (accesses carry their
+    /// object and operation) into the WAL and the certifier, before any
+    /// action naming `t` is recorded.
+    pub fn register(&mut self, t: TxId, parent: TxId, access: Option<&(ObjId, Op)>) {
+        if let Some(sink) = &self.sink {
+            sink.append_tree_add(t, parent, access.map(|(x, op)| (*x, op)));
+        }
+        if let Some(c) = &mut self.certifier {
+            c.tree_add(t, parent, access.cloned());
+        }
+    }
+
     /// Stamp `action`, stage it in the WAL, step the certifier with it,
     /// and append it.
     pub fn record(&mut self, action: Action) {
-        let (sink, certifier) = (&self.sink, &self.certifier);
+        let (sink, certifier) = (&self.sink, &mut self.certifier);
         self.log.record_with(&self.clock, action, |stamp, action| {
             if let Some(sink) = sink {
                 sink.append_action(stamp, action);
@@ -204,6 +226,11 @@ impl History {
         let mut out = Vec::with_capacity(self.log.len());
         out.extend(self.log.segments.iter().flatten().cloned());
         out
+    }
+
+    /// The live certifier this history steps, if one is mounted.
+    pub fn certifier(&mut self) -> Option<&mut LiveCertifier> {
+        self.certifier.as_mut()
     }
 
     /// The clock stamps are drawn from; its count is readable without the
@@ -316,7 +343,7 @@ mod tests {
     #[test]
     fn a_recovered_history_preloads_its_certifier_and_resumes_the_clock() {
         let (top, access, x) = (TxId(1), TxId(2), ObjId(0));
-        let certifier = LiveCertifier::new(SgtConfig::default(), TraceHandle::disabled());
+        let mut certifier = LiveCertifier::new(SgtConfig::default(), TraceHandle::disabled());
         certifier.tree_add(top, TxId::ROOT, None);
         certifier.tree_add(access, top, Some((x, Op::Write(3))));
         let head = vec![
@@ -328,14 +355,15 @@ mod tests {
             Action::Commit(access),
         ];
         let next = head.len() as u64;
-        let mut history = History::recovered(head.clone(), next, None, Some(certifier.clone()));
+        let mut history = History::recovered(head.clone(), next, None, Some(certifier));
+        let live = |h: &mut History| h.certifier().expect("mounted").status();
         assert_eq!(history.clock().issued(), next);
-        assert_eq!(certifier.status().processed, head.len() as u64);
-        assert!(certifier.ok());
+        assert_eq!(live(&mut history).processed, head.len() as u64);
+        assert!(live(&mut history).ok);
         history.record(Action::InformCommit(x, access));
         assert_eq!(history.clock().issued(), next + 1);
-        assert_eq!(certifier.status().processed, next + 1);
-        assert!(certifier.ok());
+        assert_eq!(live(&mut history).processed, next + 1);
+        assert!(live(&mut history).ok);
         assert_eq!(history.snapshot().len(), head.len() + 1);
     }
 }

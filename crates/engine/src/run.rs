@@ -521,7 +521,7 @@ pub fn run_plan(plan: &EnginePlan, cfg: &EngineConfig) -> Result<EngineReport, S
         },
         top_latency,
         // Every recording thread has been joined: the status is final.
-        live: engine.certifier().map(LiveCertifier::status),
+        live: engine.live_status(),
     })
 }
 

@@ -16,11 +16,10 @@
 //! client so it can retry.
 //!
 //! A session step takes the engine lock once and records its actions
-//! there: a begin's `REQUEST_CREATE`/`CREATE`, an access's creation with
-//! its lock request, a commit's `REQUEST_COMMIT` through `REPORT_COMMIT`
-//! with the inheritance between, an abort's `ABORT` through
-//! `REPORT_ABORT`. Tree registrations happen before it, under the session
-//! tree's own append lock; the two are never nested. So
+//! there: a begin's registration with its `REQUEST_CREATE`/`CREATE`, an
+//! access's registration and creation with its lock request, a commit's
+//! `REQUEST_COMMIT` through `REPORT_COMMIT` with the inheritance between,
+//! an abort's `ABORT` through `REPORT_ABORT`. So
 //! [`SessionEngine::history_snapshot`] reads a recorded history that
 //! refines both each session's program order and each object's actual
 //! serialization — certifiable by `nt_sgt::certify_recorded`, also across
@@ -36,7 +35,7 @@ use nt_model::rw::RwInitials;
 use nt_model::{Action, ObjId, Op, TxId, TxTree, Value};
 use nt_obs::json::JsonObj;
 use nt_obs::TraceHandle;
-use nt_sgt_live::LiveCertifier;
+use nt_sgt_live::{LiveCertifier, LiveStatus};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -58,6 +57,10 @@ pub enum SessionError {
     Completed(TxId),
     /// The access op is not a read/write-register operation.
     NonRwOp,
+    /// The object id is out of range: `ObjId(u32::MAX)` is reserved,
+    /// because a history counts its objects as one past the largest id
+    /// in a `u32`.
+    BadObject(ObjId),
 }
 
 impl std::fmt::Display for SessionError {
@@ -71,6 +74,7 @@ impl std::fmt::Display for SessionError {
             SessionError::NonRwOp => {
                 write!(f, "only read/write-register operations are supported")
             }
+            SessionError::BadObject(x) => write!(f, "object id {} is out of range", x.0),
         }
     }
 }
@@ -183,7 +187,6 @@ pub struct SessionEngine {
     table: Arc<LockTable<Arc<SessionTree>>>,
     /// The history's clock, read without the engine lock.
     clock: Arc<SeqClock>,
-    certifier: Option<LiveCertifier>,
     telemetry: TraceHandle,
 }
 
@@ -209,46 +212,38 @@ impl SessionEngine {
     /// `telemetry` recorder makes the lock table feed its blocked/hold
     /// histograms and sessions attribute lock wait per request; a disabled
     /// or events-only one keeps every probe site off the clock. With a
-    /// recovered seed, the tree is replayed *before* the sink attaches
-    /// (the registrations are already durable), completed transactions
-    /// are pre-marked in the status table, per-object committed values
-    /// seed the lock table's initials, and the clock resumes past the
-    /// recovered stamps.
+    /// recovered seed, the tree is replayed without the sink (the
+    /// registrations are already durable), completed transactions are
+    /// pre-marked in the status table, per-object committed values seed
+    /// the lock table's initials, and the clock resumes past the recovered
+    /// stamps.
     ///
     /// With a live `certifier`, every registration and recorded action
-    /// steps the maintainer on the thread that makes it: recovered
-    /// registrations replay first, then the recovered history preloads
-    /// (its unresolved tops finalize as aborted — recovery rolled them
-    /// back), and only then does live recording begin, so the certifier
-    /// sees one seamless behavior across the crash boundary.
+    /// steps the maintainer in the critical section that makes it:
+    /// recovered registrations replay first, then the recovered history
+    /// preloads (its unresolved tops finalize as aborted — recovery rolled
+    /// them back), and only then does live recording begin, so the
+    /// certifier sees one seamless behavior across the crash boundary.
     pub fn start_recovered(
         capacity: usize,
         telemetry: TraceHandle,
         seed: RecoveredSeed,
         sink: Option<Arc<dyn ActionSink>>,
-        certifier: Option<LiveCertifier>,
+        mut certifier: Option<LiveCertifier>,
     ) -> Result<Arc<SessionEngine>, TreeError> {
-        let mut bare = SessionTree::new(capacity);
-        if let Some(c) = &certifier {
-            // Attached before the seed replays: recovered registrations
-            // are new to this incarnation's maintainer (unlike the WAL
-            // sink, which must not see them twice).
-            bare = bare.with_certifier(c.clone());
+        let (tree, mut appends) = SessionTree::new(capacity);
+        for (parent, access) in seed.nodes {
+            // New to this incarnation's maintainer, unlike to the WAL.
+            let t = tree.add(&mut appends, parent, access)?;
+            if let Some(c) = &mut certifier {
+                c.tree_add(t, parent, tree.access(t).cloned());
+            }
         }
-        for (parent, access) in &seed.nodes {
-            match access {
-                None => bare.add_inner(*parent)?,
-                Some((x, op)) => bare.add_access(*parent, *x, op.clone())?,
-            };
-        }
-        let tree = Arc::new(match &sink {
-            Some(s) => bare.with_sink(Arc::clone(s)),
-            None => bare,
-        });
+        let tree = Arc::new(tree);
         // After the registrations above: the certifier preloads the
         // recovered head here, before any live action is recorded.
         let fresh = seed.entries.is_empty();
-        let history = History::recovered(seed.entries, seed.next_stamp, sink, certifier.clone());
+        let history = History::recovered(seed.entries, seed.next_stamp, sink, certifier);
         let clock = Arc::clone(history.clock());
         let status = Arc::new(StatusTable::new(capacity));
         for &t in &seed.committed {
@@ -263,6 +258,7 @@ impl SessionEngine {
         }
         let table = LockTable::recording(
             Arc::clone(&tree),
+            Some(appends),
             Arc::clone(&status),
             history,
             initials,
@@ -276,7 +272,6 @@ impl SessionEngine {
             status,
             table: Arc::new(table),
             clock,
-            certifier,
             telemetry,
         }))
     }
@@ -401,11 +396,22 @@ impl SessionEngine {
         o.build()
     }
 
-    /// The live certifier every recorded action steps (`None` unless the
-    /// engine was started with one). Its status is current whenever no
-    /// thread holds the engine lock.
-    pub fn certifier(&self) -> Option<&LiveCertifier> {
-        self.certifier.as_ref()
+    /// Run `f` on the live certifier under the engine lock (`None` unless
+    /// the engine was started with one). Every action recorded before the
+    /// call has been stepped.
+    pub fn with_certifier<R>(&self, f: impl FnOnce(&mut LiveCertifier) -> R) -> Option<R> {
+        self.table.lock().certifier().map(f)
+    }
+
+    /// The live certifier's state (`None` without one).
+    pub fn live_status(&self) -> Option<LiveStatus> {
+        self.with_certifier(|c| c.status())
+    }
+
+    /// `Some(false)` iff the live certifier has found a cycle (`None`
+    /// without one).
+    pub fn live_ok(&self) -> Option<bool> {
+        self.with_certifier(|c| c.ok())
     }
 
     /// Snapshot the run so far: the frozen tree and the recorded history,
@@ -515,12 +521,8 @@ impl Session {
 
     /// Begin a fresh top-level transaction.
     pub fn begin_top(&mut self) -> Result<TxId, SessionError> {
-        let t = self
-            .tree()
-            .add_inner(TxId::ROOT)
-            .map_err(SessionError::from)?;
+        let t = self.engine.table.lock().create(TxId::ROOT, None)?;
         self.tops.insert(t);
-        self.record_create(t);
         Ok(t)
     }
 
@@ -536,16 +538,8 @@ impl Session {
         if let Some(v) = self.dead_ancestor(parent) {
             return Ok(BeginOutcome::Aborted(self.ensure_aborted(v)));
         }
-        let t = self.tree().add_inner(parent).map_err(SessionError::from)?;
-        self.record_create(t);
+        let t = self.engine.table.lock().create(parent, None)?;
         Ok(BeginOutcome::Fresh(t))
-    }
-
-    /// `REQUEST_CREATE(t)`, `CREATE(t)`: one critical section.
-    fn record_create(&self, t: TxId) {
-        let mut eng = self.engine.table.lock();
-        eng.record(Action::RequestCreate(t));
-        eng.record(Action::Create(t));
     }
 
     /// Run one access under `parent`: create the access transaction,
@@ -627,6 +621,9 @@ impl Session {
         if !op.is_rw_read() && !op.is_rw_write() {
             return Err(SessionError::NonRwOp);
         }
+        if x.0 == u32::MAX {
+            return Err(SessionError::BadObject(x));
+        }
         self.owned_top(parent)?;
         if self.tree().is_access(parent) {
             return Err(SessionError::NotInner(parent));
@@ -638,15 +635,11 @@ impl Session {
             let out = AccessOutcome::Aborted(self.ensure_aborted(v));
             return Ok(AccessStep::Done(out));
         }
-        let t = self
-            .tree()
-            .add_access(parent, x, op.clone())
-            .map_err(SessionError::from)?;
-        // Created and requested in one critical section; a request that
-        // queues has run the deadlock detector before it returns.
+        // Registered, created and requested in one critical section; a
+        // request that queues has run the deadlock detector before it
+        // returns.
         let mut eng = self.engine.table.lock();
-        eng.record(Action::RequestCreate(t));
-        eng.record(Action::Create(t));
+        let t = eng.create(parent, Some((x, op.clone())))?;
         let acquisition = eng.try_acquire(t, x, &op, wake);
         drop(eng);
         let acquired = match acquisition {
@@ -794,6 +787,37 @@ mod tests {
         let cert = certify(&e);
         assert!(cert.is_serially_correct(), "{}", cert.verdict.name());
         assert_eq!(cert.violations, 0);
+    }
+
+    /// `ObjId(u32::MAX)` is refused before anything registers, and an id
+    /// just below it costs nothing per object: the snapshot, its frozen
+    /// tree and its certification stay small.
+    #[test]
+    fn object_ids_at_the_top_of_the_range_are_refused_or_cheap() {
+        let e = engine();
+        let mut s = e.open_session();
+        let top = s.begin_top().expect("top");
+        let before = e.tx_count();
+        let last = ObjId(u32::MAX);
+        assert_eq!(
+            s.access(top, last, Op::Write(1)),
+            Err(SessionError::BadObject(last))
+        );
+        assert_eq!(e.tx_count(), before, "a refusal registers nothing");
+        let high = ObjId(u32::MAX - 1);
+        assert_eq!(
+            s.access(top, high, Op::Write(7)).expect("write"),
+            AccessOutcome::Done(Value::Ok)
+        );
+        assert_eq!(
+            s.access(top, high, Op::Read).expect("read"),
+            AccessOutcome::Done(Value::Int(7))
+        );
+        assert_eq!(s.commit(top).expect("commit"), CommitOutcome::Committed);
+        let (tree, _) = e.history_snapshot();
+        assert_eq!(tree.num_objects(), u32::MAX as usize);
+        let cert = certify(&e);
+        assert!(cert.is_serially_correct(), "{}", cert.verdict.name());
     }
 
     #[test]

@@ -24,16 +24,26 @@ const SESSIONS: u32 = 4;
 const TOPS: u32 = 120;
 const OBJECTS: u32 = 3;
 
-/// Captures every staged action, as the WAL would.
+/// One record the sink was handed, in the order the WAL would stage it.
+#[derive(Clone, Debug, PartialEq)]
+enum Staged {
+    TreeAdd(TxId),
+    Act(u64, Action),
+}
+
+/// Captures every staged registration and action, as the WAL would.
 #[derive(Default)]
-struct Capture(Mutex<Vec<(u64, Action)>>);
+struct Capture(Mutex<Vec<Staged>>);
 
 impl ActionSink for Capture {
     fn append_action(&self, stamp: u64, action: &Action) {
         let mut seen = self.0.lock().expect("capture poisoned");
-        seen.push((stamp, action.clone()));
+        seen.push(Staged::Act(stamp, action.clone()));
     }
-    fn append_tree_add(&self, _t: TxId, _parent: TxId, _access: Option<(ObjId, &Op)>) {}
+    fn append_tree_add(&self, t: TxId, _parent: TxId, _access: Option<(ObjId, &Op)>) {
+        let mut seen = self.0.lock().expect("capture poisoned");
+        seen.push(Staged::TreeAdd(t));
+    }
 }
 
 /// One session's share of the mix: every top writes two objects in an
@@ -91,8 +101,7 @@ fn read_everything(e: &SessionEngine, done: &AtomicBool) -> Readings {
         );
         assert!(grants >= last_grants, "grants only grow");
         last_grants = grants;
-        let status = e.certifier().expect("mounted").status();
-        assert!(status.ok, "the live certifier saw a cycle");
+        assert_eq!(e.live_ok(), Some(true), "the live certifier saw a cycle");
         if r.reads % 8 == 0 {
             r.snapshots.push(history);
             r.victims.push(victims);
@@ -167,11 +176,35 @@ fn every_cross_thread_reader_sees_a_prefix_of_one_history() {
     assert_eq!(engine.lock_grants(), answers);
 
     // The sink saw the history stamp for stamp, from stamp 0.
-    let seen = sink.0.lock().expect("capture poisoned").clone();
+    let staged = sink.0.lock().expect("capture poisoned").clone();
+    let seen: Vec<(u64, Action)> = staged
+        .iter()
+        .filter_map(|r| match r {
+            Staged::Act(stamp, a) => Some((*stamp, a.clone())),
+            Staged::TreeAdd(_) => None,
+        })
+        .collect();
     assert!(seen.iter().map(|(s, _)| *s).eq(0..history.len() as u64));
     assert!(seen.iter().map(|(_, a)| a).eq(history.iter()));
 
-    let live = engine.certifier().expect("mounted").status();
+    // Every registration was staged in `TxId` order, each immediately
+    // followed by its REQUEST_CREATE: one critical section, however the
+    // sessions raced.
+    let mut registered = 0;
+    for (k, r) in staged.iter().enumerate() {
+        if let Staged::TreeAdd(t) = r {
+            registered += 1;
+            assert_eq!(*t, TxId(registered), "registrations in TxId order");
+            assert!(
+                matches!(staged.get(k + 1), Some(Staged::Act(_, Action::RequestCreate(u))) if u == t),
+                "TreeAdd({t}) not followed by its REQUEST_CREATE: {:?}",
+                staged.get(k + 1)
+            );
+        }
+    }
+    assert_eq!(registered as usize + 1, tree.len(), "every name was staged");
+
+    let live = engine.live_status().expect("mounted");
     assert!(live.ok);
     assert_eq!(live.processed, history.len() as u64);
     let types = ObjectTypes::uniform(tree.num_objects(), Arc::new(RwRegister::new(0)));

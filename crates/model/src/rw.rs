@@ -10,6 +10,7 @@ use crate::action::Action;
 use crate::seq::{clean_indices, Status};
 use crate::tree::{ObjId, TxId, TxTree};
 use crate::value::Value;
+use std::collections::BTreeMap;
 
 /// Initial values for read/write objects (the paper's `d`, one per object).
 ///
@@ -18,7 +19,8 @@ use crate::value::Value;
 #[derive(Clone, Debug, Default)]
 pub struct RwInitials {
     default: i64,
-    specific: Vec<Option<i64>>,
+    /// Only the objects set: nothing is sized by the largest id.
+    specific: BTreeMap<ObjId, i64>,
 }
 
 impl RwInitials {
@@ -26,25 +28,18 @@ impl RwInitials {
     pub fn uniform(default: i64) -> Self {
         RwInitials {
             default,
-            specific: Vec::new(),
+            specific: BTreeMap::new(),
         }
     }
 
     /// Set the initial value of one object.
     pub fn set(&mut self, x: ObjId, d: i64) {
-        if self.specific.len() <= x.index() {
-            self.specific.resize(x.index() + 1, None);
-        }
-        self.specific[x.index()] = Some(d);
+        self.specific.insert(x, d);
     }
 
     /// The initial value `d` of object `x`.
     pub fn initial(&self, x: ObjId) -> i64 {
-        self.specific
-            .get(x.index())
-            .copied()
-            .flatten()
-            .unwrap_or(self.default)
+        self.specific.get(&x).copied().unwrap_or(self.default)
     }
 }
 

@@ -116,7 +116,9 @@ struct Node {
 #[derive(Clone, Debug)]
 pub struct TxTree {
     nodes: Vec<Node>,
-    num_objects: u32,
+    /// One past the largest object id registered or accessed (a count,
+    /// not per-object state: no object costs anything here).
+    num_objects: usize,
 }
 
 impl Default for TxTree {
@@ -149,21 +151,23 @@ impl TxTree {
         self.nodes.len() == 1
     }
 
-    /// Number of distinct object names mentioned by accesses.
+    /// Object names in use: one past the largest id registered or
+    /// accessed.
     pub fn num_objects(&self) -> usize {
-        self.num_objects as usize
+        self.num_objects
     }
 
     /// Register a fresh object name.
     pub fn add_object(&mut self) -> ObjId {
-        let id = ObjId(self.num_objects);
+        let id = ObjId(u32::try_from(self.num_objects).expect("object ids are u32"));
         self.num_objects += 1;
         id
     }
 
-    /// Register `n` fresh object names, returning them in order.
-    pub fn add_objects(&mut self, n: usize) -> Vec<ObjId> {
-        (0..n).map(|_| self.add_object()).collect()
+    /// Register `n` fresh object names (ids `num_objects()..+n`). Only the
+    /// count moves: nothing is allocated per name.
+    pub fn add_objects(&mut self, n: usize) {
+        self.num_objects += n;
     }
 
     fn push(&mut self, parent: TxId, kind: TxKind) -> TxId {
@@ -195,9 +199,7 @@ impl TxTree {
     /// Register a fresh access name under `parent`, bound to `object`
     /// and performing `op`.
     pub fn add_access(&mut self, parent: TxId, object: ObjId, op: Op) -> TxId {
-        if object.0 >= self.num_objects {
-            self.num_objects = object.0 + 1;
-        }
+        self.num_objects = self.num_objects.max(object.index() + 1);
         self.push(parent, TxKind::Access { object, op })
     }
 

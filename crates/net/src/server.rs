@@ -176,8 +176,7 @@ impl Shared {
                 .num("resumes", r.resumes);
             o.raw("reactor", ro.build());
         }
-        if let Some(live) = self.engine.certifier() {
-            let s = live.status();
+        if let Some(s) = self.engine.live_status() {
             let mut lo = JsonObj::new();
             lo.bool("ok", s.ok)
                 .num("processed", s.processed)
@@ -218,17 +217,17 @@ impl Shared {
     /// already been stepped. Without `live_certify`, a `"disabled"`
     /// document.
     fn cert_json(&self) -> String {
-        match self.engine.certifier() {
-            Some(live) => live.status().cert_json(),
+        match self.engine.live_status() {
+            Some(status) => status.cert_json(),
             None => cert_disabled_json(),
         }
     }
 
     /// Journal and dump a live-certifier violation, once. The poll thread
     /// calls this on every flush, so a cycle surfaces in the round that
-    /// closed it; the check is one atomic load.
+    /// closed it.
     pub(crate) fn surface_violation(&self) {
-        let violated = self.engine.certifier().is_some_and(|live| !live.ok());
+        let violated = self.engine.live_ok() == Some(false);
         if violated && !self.violation_surfaced.swap(true, Ordering::AcqRel) {
             self.rec.record(Event::Violation {
                 reason: "live certifier found a serialization cycle".to_string(),
@@ -559,6 +558,7 @@ pub(crate) fn session_error_response(e: &SessionError) -> Response {
         SessionError::NotInner(_) => err_code::NOT_INNER,
         SessionError::Completed(_) => err_code::COMPLETED,
         SessionError::NonRwOp => err_code::NON_RW_OP,
+        SessionError::BadObject(_) => err_code::BAD_OBJECT,
     };
     Response::Error {
         code,

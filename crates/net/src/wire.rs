@@ -319,6 +319,9 @@ pub mod err_code {
     /// The op's seq is below the connection's cumulative ack and its reply
     /// is no longer cached: the client already received it. Nothing ran.
     pub const ACKED: u16 = 9;
+    /// The access names an object id outside the range (`u32::MAX` is
+    /// reserved). Nothing was registered.
+    pub const BAD_OBJECT: u16 = 10;
 }
 
 /// A server-to-client response (its `seq` echoes the request's).

@@ -488,7 +488,7 @@ fn one_order(handle: &nt_net::ServerHandle, dir: &std::path::Path) -> Vec<nt_mod
         history.len()
     );
     assert!(acts.iter().map(|(_, a)| a).eq(history.iter()));
-    let live = engine.certifier().expect("live certify").status();
+    let live = engine.live_status().expect("live certify");
     assert_eq!(live.processed, history.len() as u64);
     assert!(live.ok);
     history

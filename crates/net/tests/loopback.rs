@@ -91,6 +91,53 @@ fn single_session_runs_a_nested_transaction_end_to_end() {
     assert_eq!(report.victims, 0);
 }
 
+/// A client can name any `u32` object. `u32::MAX` is refused with a typed
+/// error; `u32::MAX - 1` is served, and the history fetched afterwards —
+/// its tree counts `u32::MAX` objects — is built and certified without
+/// anything sized by the largest id.
+#[test]
+fn object_ids_at_the_top_of_the_range_neither_crash_nor_exhaust_the_server() {
+    let (addr, handle) = start_server(ServerConfig::default());
+    let mut conn = Conn::connect(&addr, 1, ConnConfig::default()).expect("connect");
+    let top = match conn.request(&Request::BeginTop).expect("begin top") {
+        Response::Begun { tx } => tx,
+        other => panic!("expected Begun, got {other:?}"),
+    };
+    let access = |obj, op| Request::Access {
+        parent: top,
+        obj,
+        op,
+    };
+    match conn
+        .request(&access(u32::MAX, Op::Write(1)))
+        .expect("reply")
+    {
+        Response::Error { code, .. } => assert_eq!(code, err_code::BAD_OBJECT),
+        other => panic!("expected Error, got {other:?}"),
+    }
+    let high = u32::MAX - 1;
+    let wrote = conn.request(&access(high, Op::Write(7))).expect("write");
+    assert!(matches!(wrote, Response::AccessOk { .. }), "{wrote:?}");
+    match conn.request(&access(high, Op::Read)).expect("read") {
+        Response::AccessOk { value } => assert_eq!(value, Value::Int(7)),
+        other => panic!("expected AccessOk, got {other:?}"),
+    }
+    assert!(matches!(
+        conn.request(&Request::Commit { tx: top }),
+        Ok(Response::Committed)
+    ));
+
+    let (tree, actions) = conn.fetch_history().expect("history");
+    assert_eq!(tree.len(), 4, "T0, the top and its two accesses");
+    assert_eq!(tree.num_objects(), u32::MAX as usize);
+    let cert = nt_net::certify_history(&tree, &actions);
+    assert!(cert.is_serially_correct(), "{}", cert.verdict.name());
+
+    conn.shutdown_server().expect("shutdown");
+    drop(conn);
+    handle.wait();
+}
+
 #[test]
 fn contended_connections_certify_acyclic() {
     let (addr, handle) = start_server(ServerConfig::default());

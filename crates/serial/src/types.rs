@@ -177,51 +177,70 @@ pub fn commute_refutation<'a>(
 
 /// The serial types of every object in a system, indexed by [`nt_model::ObjId`].
 #[derive(Clone)]
-pub struct ObjectTypes {
-    types: Vec<Arc<dyn SerialType>>,
+pub struct ObjectTypes(Types);
+
+#[derive(Clone)]
+enum Types {
+    /// One explicit type per object.
+    PerObject(Vec<Arc<dyn SerialType>>),
+    /// `n` objects sharing one type: nothing is kept per object, so the
+    /// count may be as large as the id range.
+    Uniform(usize, Arc<dyn SerialType>),
 }
 
 impl fmt::Debug for ObjectTypes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let names: Vec<_> = self.types.iter().map(|t| t.type_name()).collect();
-        write!(f, "ObjectTypes({names:?})")
+        match &self.0 {
+            Types::PerObject(types) => {
+                let names: Vec<_> = types.iter().map(|t| t.type_name()).collect();
+                write!(f, "ObjectTypes({names:?})")
+            }
+            Types::Uniform(n, ty) => write!(f, "ObjectTypes({n} x {:?})", ty.type_name()),
+        }
     }
 }
 
 impl ObjectTypes {
     /// One explicit type per object, `ObjId(0)` first.
     pub fn new(types: Vec<Arc<dyn SerialType>>) -> Self {
-        ObjectTypes { types }
+        ObjectTypes(Types::PerObject(types))
     }
 
     /// `n` objects all of the same type.
     pub fn uniform(n: usize, ty: Arc<dyn SerialType>) -> Self {
-        ObjectTypes {
-            types: (0..n).map(|_| Arc::clone(&ty)).collect(),
-        }
+        ObjectTypes(Types::Uniform(n, ty))
     }
 
     /// The type of object `x`.
     pub fn get(&self, x: nt_model::ObjId) -> &Arc<dyn SerialType> {
-        &self.types[x.index()]
+        match &self.0 {
+            Types::PerObject(types) => &types[x.index()],
+            Types::Uniform(n, ty) => {
+                assert!(x.index() < *n, "object {x:?} out of range ({n} objects)");
+                ty
+            }
+        }
     }
 
     /// Number of objects.
     pub fn len(&self) -> usize {
-        self.types.len()
+        match &self.0 {
+            Types::PerObject(types) => types.len(),
+            Types::Uniform(n, _) => *n,
+        }
     }
 
     /// True iff there are no objects.
     pub fn is_empty(&self) -> bool {
-        self.types.is_empty()
+        self.len() == 0
     }
 
     /// Iterate `(ObjId, type)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (nt_model::ObjId, &Arc<dyn SerialType>)> {
-        self.types
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (nt_model::ObjId(i as u32), t))
+        (0..self.len()).map(|i| {
+            let x = nt_model::ObjId(i as u32);
+            (x, self.get(x))
+        })
     }
 }
 

@@ -9,7 +9,7 @@
 
 use crate::types::ObjectTypes;
 use nt_model::wellformed::Violation;
-use nt_model::{Action, TxId, TxTree, Value};
+use nt_model::{Action, ObjId, TxId, TxTree, Value};
 use std::collections::{HashMap, HashSet};
 
 fn violation(at: usize, what: impl Into<String>) -> Violation {
@@ -38,9 +38,9 @@ pub fn validate_serial_behavior(
     // Children whose reports each parent has received (for transaction wf).
     let mut reports_received: HashMap<TxId, usize> = HashMap::new();
     let mut requests_made: HashMap<TxId, usize> = HashMap::new();
-    // Serial object states.
-    let mut obj_state: Vec<Value> = types.iter().map(|(_, t)| t.initial()).collect();
-    let mut obj_active: Vec<Option<TxId>> = vec![None; types.len()];
+    // Serial object states, kept only for the objects γ names.
+    let mut obj_state: HashMap<ObjId, Value> = HashMap::new();
+    let mut obj_active: HashMap<ObjId, TxId> = HashMap::new();
 
     let completed = |committed: &HashSet<TxId>, aborted: &HashSet<TxId>, t: TxId| -> bool {
         committed.contains(&t) || aborted.contains(&t)
@@ -91,10 +91,9 @@ pub fn validate_serial_behavior(
                     }
                 }
                 if let Some(x) = tree.object_of(*t) {
-                    if obj_active[x.index()].is_some() {
+                    if obj_active.insert(x, *t).is_some() {
                         return Err(violation(i, format!("object {x} already active")));
                     }
-                    obj_active[x.index()] = Some(*t);
                 }
             }
             Action::RequestCommit(t, v) => {
@@ -106,20 +105,21 @@ pub fn validate_serial_behavior(
                 }
                 if let Some(x) = tree.object_of(*t) {
                     // Access: the serial object determines the value.
-                    if obj_active[x.index()] != Some(*t) {
+                    if obj_active.get(&x) != Some(t) {
                         return Err(violation(i, format!("{t} is not active at {x}")));
                     }
                     let ty = types.get(x);
                     let op = tree.op_of(*t).expect("access has op");
-                    let (next, expect) = ty.apply(&obj_state[x.index()], op);
+                    let state = obj_state.entry(x).or_insert_with(|| ty.initial());
+                    let (next, expect) = ty.apply(state, op);
                     if expect != *v {
                         return Err(violation(
                             i,
                             format!("{t} returned {v}, serial spec requires {expect}"),
                         ));
                     }
-                    obj_state[x.index()] = next;
-                    obj_active[x.index()] = None;
+                    *state = next;
+                    obj_active.remove(&x);
                 } else {
                     // Non-access: transaction wf requires all requested
                     // children reported.

@@ -16,9 +16,9 @@
 //!   eagerly, everything else at top finalization), honoring
 //!   `commutes_backward` and the nested ancestor-collapse rules, plus the
 //!   watermark GC that prunes the committed acyclic prefix.
-//! * [`live`] — [`LiveCertifier`]: the maintainer behind a mutex, stepped
-//!   inline by whichever thread records an action (no thread, no
-//!   channel), publishing `sgt.live.*` gauges through an `nt-obs` recorder.
+//! * [`live`] — [`LiveCertifier`]: the maintainer as plain data, owned
+//!   by the engine's history and stepped inline under the engine lock
+//!   that records each action (no thread, no channel), publishing `sgt.live.*` gauges through an `nt-obs` recorder.
 //! * [`report`] — [`ViolationReport`] (cycle + inserting edge + flight
 //!   ring history slice) and the JSON schemas consumed by `nt-lint sgt`
 //!   and the `CERT` wire op.

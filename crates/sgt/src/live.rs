@@ -1,8 +1,9 @@
-//! The live certifier: one [`SgtMaintainer`] behind a mutex, stepped by
-//! whichever thread records an action, before that thread returns from
-//! recording it. There is no certifier thread, no channel and no buffer:
-//! [`LiveCertifier`] is a passive, cloneable handle, and the verdict it
-//! reports is current at every instant no thread is recording.
+//! The live certifier: one [`SgtMaintainer`] as plain data, owned by
+//! the engine's one history and stepped by the critical section that
+//! records each action, before that critical section ends. There is no
+//! certifier thread, no channel, no buffer and no lock of its own: the
+//! engine lock that orders β guards it, and the verdict it reports is
+//! current whenever no thread holds that lock.
 //!
 //! ## Why stepping inline is sound
 //!
@@ -14,16 +15,12 @@
 //! exactly the graph the post-hoc gate builds from the finished history —
 //! nothing in the construction asks for a second agent, only for the
 //! order. The engine's one history gives it that order by construction:
-//! it draws each stamp and calls [`act`](LiveCertifier::act) under one
-//! mutex, so the maintainer never sees a stamp before its predecessor.
-//!
-//! ## Lock order
-//!
-//! Callers hold their own lock when they step the certifier — the
-//! engine's history mutex, or the session tree's append mutex for a
-//! registration — and under the certifier lock run only the maintainer
-//! and the gauge publication (the recorder's mutex, a leaf). Nothing here
-//! calls back, so no cycle can form; DESIGN §8d holds the whole table.
+//! it draws each stamp and calls [`act`](LiveCertifier::act) in one
+//! critical section, and a transaction's [`tree_add`](LiveCertifier::
+//! tree_add) comes in the critical section that records its
+//! `REQUEST_CREATE`, before that action — so the maintainer knows every
+//! transaction's shape before any action names it, and never sees a
+//! stamp before its predecessor.
 //!
 //! ## Gauges and cost
 //!
@@ -37,12 +34,10 @@ use crate::report::{ViolationReport, CERT_SCHEMA};
 use nt_model::{Action, ObjId, Op, TxId};
 use nt_obs::json::JsonObj;
 use nt_obs::TraceHandle;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// A point-in-time summary of the maintainer, read under the certifier
-/// lock.
+/// A point-in-time summary of the maintainer.
 #[derive(Clone, Debug, Default)]
 pub struct LiveStatus {
     /// No cycle detected so far.
@@ -97,123 +92,87 @@ pub fn cert_disabled_json() -> String {
     o.build()
 }
 
-struct State {
+/// The live certifier: the maintainer, its resolution timing and the
+/// recorder its gauges go to. Plain data — whoever owns it (the engine's
+/// history) steps it.
+pub struct LiveCertifier {
     m: SgtMaintainer,
     check_ns: u64,
     samples: u64,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    /// Mirror of `state.m.ok()`, so the poll thread can test for a
-    /// violation on every flush without taking the lock. Stored with
-    /// `Release` under the lock, loaded with `Acquire`; a reader that
-    /// sees `false` then takes the lock for the report itself.
-    ok: AtomicBool,
     telemetry: TraceHandle,
-}
-
-/// The live certifier handle. Clone freely — one per recording site; all
-/// clones step the same maintainer.
-#[derive(Clone)]
-pub struct LiveCertifier {
-    shared: Arc<Shared>,
 }
 
 impl LiveCertifier {
     /// A fresh certifier. Gauges go to `telemetry` when it is enabled.
     pub fn new(cfg: SgtConfig, telemetry: TraceHandle) -> LiveCertifier {
         LiveCertifier {
-            shared: Arc::new(Shared {
-                state: Mutex::new(State {
-                    m: SgtMaintainer::new(cfg),
-                    check_ns: 0,
-                    samples: 0,
-                }),
-                ok: AtomicBool::new(true),
-                telemetry,
-            }),
+            m: SgtMaintainer::new(cfg),
+            check_ns: 0,
+            samples: 0,
+            telemetry,
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.shared.state.lock().expect("certifier poisoned")
-    }
-
     /// Register a transaction (must precede any action naming it; the
-    /// session tree calls this under its append mutex, before the slot is
-    /// published).
-    pub fn tree_add(&self, t: TxId, parent: TxId, access: Option<(ObjId, Op)>) {
-        self.lock().m.tree_add(t, parent, access);
+    /// engine calls this in the critical section that records its
+    /// `REQUEST_CREATE`, before that action).
+    pub fn tree_add(&mut self, t: TxId, parent: TxId, access: Option<(ObjId, Op)>) {
+        self.m.tree_add(t, parent, access);
     }
 
     /// Replay a recovered prefix into the maintainer before live traffic
     /// (crash–restart): `entries[i]` carries stamp `i`. `resume_at` is the
     /// recovered clock's next stamp.
-    pub fn preload(&self, entries: &[Action], resume_at: u64) {
-        let mut st = self.lock();
-        st.m.preload(entries, resume_at);
-        self.mirror_verdict(&st);
+    pub fn preload(&mut self, entries: &[Action], resume_at: u64) {
+        self.m.preload(entries, resume_at);
     }
 
     /// Step the maintainer with an action stamped elsewhere, in stamp
     /// order: each stamp above the last one fed. This is the engine's
-    /// recording path, called under its history mutex.
-    pub fn act(&self, stamp: u64, action: &Action) {
-        let mut st = self.lock();
+    /// recording path, called under the engine lock.
+    pub fn act(&mut self, stamp: u64, action: &Action) {
         // Only a top-level completion changes the graph's shape
         // (finalization + GC); everything else is O(1) bookkeeping.
-        let resolves = matches!(action, Action::Commit(t) | Action::Abort(t) if st.m.is_top(*t));
+        let resolves = matches!(action, Action::Commit(t) | Action::Abort(t) if self.m.is_top(*t));
         let started = resolves.then(Instant::now);
-        st.m.apply(stamp, action.clone());
-        self.mirror_verdict(&st);
+        self.m.apply(stamp, action.clone());
         if let Some(started) = started {
-            st.check_ns += started.elapsed().as_nanos() as u64;
-            st.samples += 1;
-            self.publish(&st);
-        }
-    }
-
-    fn mirror_verdict(&self, st: &State) {
-        if !st.m.ok() {
-            self.shared.ok.store(false, Ordering::Release);
+            self.check_ns += started.elapsed().as_nanos() as u64;
+            self.samples += 1;
+            self.publish();
         }
     }
 
     /// Write the gauges (recorder attached only; once per resolved top).
-    fn publish(&self, st: &State) {
-        self.shared.telemetry.metrics(|m| {
-            m.gauge_set("sgt.live.nodes", st.m.node_count() as i64);
-            m.gauge_set("sgt.live.edges", st.m.edge_count() as i64);
-            m.gauge_set("sgt.live.watermark", st.m.watermark() as i64);
-            m.gauge_set("sgt.live.check_us", (st.check_ns / 1_000) as i64);
-            m.gauge_set("sgt.live.ok", i64::from(st.m.ok()));
-            m.gauge_set("sgt.live.samples", st.samples as i64);
+    fn publish(&self) {
+        self.telemetry.metrics(|g| {
+            g.gauge_set("sgt.live.nodes", self.m.node_count() as i64);
+            g.gauge_set("sgt.live.edges", self.m.edge_count() as i64);
+            g.gauge_set("sgt.live.watermark", self.m.watermark() as i64);
+            g.gauge_set("sgt.live.check_us", (self.check_ns / 1_000) as i64);
+            g.gauge_set("sgt.live.ok", i64::from(self.m.ok()));
+            g.gauge_set("sgt.live.samples", self.samples as i64);
         });
     }
 
-    /// `false` iff a cycle has been detected (latched). Lock-free.
+    /// `false` iff a cycle has been detected (latched).
     pub fn ok(&self) -> bool {
-        self.shared.ok.load(Ordering::Acquire)
+        self.m.ok()
     }
 
     /// The maintainer's state right now.
     pub fn status(&self) -> LiveStatus {
-        status_of(&self.lock())
-    }
-}
-
-fn status_of(st: &State) -> LiveStatus {
-    LiveStatus {
-        ok: st.m.ok(),
-        watermark: st.m.watermark(),
-        processed: st.m.processed(),
-        nodes: st.m.node_count(),
-        edges: st.m.edge_count(),
-        live_tops: st.m.live_tops(),
-        check_us: st.check_ns / 1_000,
-        samples: st.samples,
-        violation: st.m.violation(),
+        LiveStatus {
+            ok: self.m.ok(),
+            watermark: self.m.watermark(),
+            processed: self.m.processed(),
+            nodes: self.m.node_count(),
+            edges: self.m.edge_count(),
+            live_tops: self.m.live_tops(),
+            check_us: self.check_ns / 1_000,
+            samples: self.samples,
+            violation: self.m.violation(),
+        }
     }
 }
 
@@ -227,7 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn handle_matches_inline_replay() {
+    fn stepping_matches_replay() {
         let mut tree = TxTree::new();
         let x = tree.add_object();
         let a = tree.add_inner(TxId::ROOT);
@@ -245,13 +204,10 @@ mod tests {
             Action::Commit(b),
         ];
         let telemetry = nt_obs::Recorder::full();
-        let live = LiveCertifier::new(SgtConfig::default(), telemetry.clone());
-        live.lock().m.seed_tree(&tree);
-        // Two clones, as two recording sites would hold.
-        let other = live.clone();
+        let mut live = LiveCertifier::new(SgtConfig::default(), telemetry.clone());
+        live.m.seed_tree(&tree);
         for (i, act) in beta.iter().enumerate() {
-            let site = if i % 2 == 0 { &live } else { &other };
-            site.act(i as u64, act);
+            live.act(i as u64, act);
             // No barrier of any kind: the status is current after each step.
             assert_eq!(live.status().processed, i as u64 + 1);
         }
@@ -271,9 +227,9 @@ mod tests {
     }
 
     /// The crossed two-top history of the maintainer's
-    /// `root_cycle_detected_at_inserting_edge`, fed through the handle: the
+    /// `root_cycle_detected_at_inserting_edge`, stepped one action at a time: the
     /// violation and its witness are visible the moment the closing action
-    /// has been stepped, through both the lock-free mirror and the status.
+    /// has been stepped, through both `ok` and the status.
     #[test]
     fn violation_is_visible_when_it_closes() {
         let mut tree = TxTree::new();
@@ -302,15 +258,15 @@ mod tests {
             Action::Commit(b),                        // 13: cycle closes
         ];
         let telemetry = nt_obs::Recorder::full();
-        let live = LiveCertifier::new(SgtConfig::default(), telemetry.clone());
-        live.lock().m.seed_tree(&tree);
+        let mut live = LiveCertifier::new(SgtConfig::default(), telemetry.clone());
+        live.m.seed_tree(&tree);
         let (last, prefix) = beta.split_last().expect("non-empty");
         for (i, act) in prefix.iter().enumerate() {
             live.act(i as u64, act);
         }
         assert!(live.ok() && live.status().ok, "acyclic until b commits");
         live.act(prefix.len() as u64, last);
-        assert!(!live.ok(), "lock-free mirror flips with the verdict");
+        assert!(!live.ok(), "the verdict flips with the closing action");
         let status = live.status();
         assert!(!status.ok);
         let rep = status.violation.expect("latched");

@@ -90,17 +90,17 @@ pub struct SgtConfig {
     /// Run the watermark GC (disable to keep every node, e.g. to export
     /// the complete graph after a bounded test run).
     pub gc: bool,
-    /// Flight-ring capacity: how many recent `(stamp, action)` entries
-    /// are retained for the violation report's history slice.
-    pub slice_cap: usize,
 }
+
+/// Flight-ring capacity: how many recent `(stamp, action)` entries are
+/// retained for the violation report's history slice.
+const SLICE_CAP: usize = 4096;
 
 impl Default for SgtConfig {
     fn default() -> Self {
         SgtConfig {
             conflicts: LiveConflicts::ReadWrite,
             gc: true,
-            slice_cap: 4096,
         }
     }
 }
@@ -411,7 +411,7 @@ impl SgtMaintainer {
             return;
         }
         self.processed += 1;
-        if self.ring.len() == self.cfg.slice_cap {
+        if self.ring.len() == SLICE_CAP {
             self.ring.pop_front();
         }
         self.ring.push_back((stamp, action.clone()));
@@ -1139,7 +1139,6 @@ mod tests {
         let cfg = SgtConfig {
             conflicts: LiveConflicts::Types(Arc::clone(&types)),
             gc: false,
-            ..SgtConfig::default()
         };
         let m = SgtMaintainer::replay(&tree, &beta, cfg);
         assert!(m.ok());

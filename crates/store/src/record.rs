@@ -69,8 +69,9 @@ pub enum Record {
         covers_stamp: u64,
     },
     /// Transaction `t` registered under `parent`; accesses carry their
-    /// object and operation. Logged under the session tree's append
-    /// mutex, so these appear in dense `TxId` order.
+    /// object and operation. Logged under the engine lock, just before
+    /// the `Act` of `REQUEST_CREATE(t)`, so these appear in dense `TxId`
+    /// order.
     TreeAdd {
         /// The registered transaction.
         t: TxId,

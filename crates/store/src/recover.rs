@@ -471,19 +471,14 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
         certified = true;
     } else {
         let mut tree = TxTree::new();
-        let num_objects = nodes
-            .values()
-            .filter_map(|n| n.access.as_ref().map(|(x, _)| x.0 as usize + 1))
-            .max()
-            .unwrap_or(0);
-        tree.add_objects(num_objects);
         for (parent, access) in &seed_nodes {
             match access {
                 None => tree.add_inner(*parent),
                 Some((x, op)) => tree.add_access(*parent, *x, op.clone()),
             };
         }
-        let types = ObjectTypes::uniform(num_objects, Arc::new(RwRegister::new(0)));
+        // One type for every object: nothing is sized by the largest id.
+        let types = ObjectTypes::uniform(tree.num_objects(), Arc::new(RwRegister::new(0)));
         let cert = certify_recorded(&tree, &history, &types, ConflictSource::ReadWrite);
         certified = cert.is_serially_correct();
         sg_nodes = cert.sg_nodes;

@@ -17,7 +17,7 @@
 //!
 //! The WAL implements [`ActionSink`], the engine history's durable tee.
 //! It draws no stamp: the history draws each one and stages its `Act`
-//! under the history mutex, so calls arrive in stamp order and stage
+//! under the engine lock, so calls arrive in stamp order and stage
 //! order, and with it the file's record order, equals stamp order. A torn
 //! tail then loses a *suffix* of stamps — recovery never has to reason
 //! about holes in the middle of the history. A failed write may not punch
@@ -25,9 +25,8 @@
 //! extent and latches the WAL failed — nothing is written after it, and
 //! every later barrier reports the failure so nothing is acknowledged.
 //!
-//! Lock order: the WAL append mutex is a leaf, entered under the history
-//! mutex or the session tree's append mutex; the WAL never calls back
-//! out (DESIGN §8d's table).
+//! Lock order: the WAL append mutex is a leaf, entered under the engine
+//! lock; the WAL never calls back out (DESIGN §8d's table).
 
 use crate::record::{
     begin_frame, put_act, put_cache, put_or_restore, put_tree_add, seal_frame, FileKind, Record,

@@ -237,6 +237,25 @@ const SINGLE_SESSION_WAL: &str = concat!(
     "000000032a00000000000000070100000001000000032b00000000000000050100000000",
 );
 
+/// A WAL naming an object just below `u32::MAX` reopens, certifies and
+/// boots: recovery sizes nothing by the largest object id.
+#[test]
+fn a_wal_naming_the_largest_object_id_reopens_and_certifies() {
+    let scratch = Scratch::new("high-object");
+    let high = ObjId(u32::MAX - 1);
+    {
+        let (store, rec) = Store::open(&scratch.0, DurabilityMode::None).expect("open");
+        let engine = boot(&store, rec);
+        commit_write(&engine, high, 7);
+        store.close();
+    }
+    let (store, rec) = Store::open(&scratch.0, DurabilityMode::None).expect("reopen");
+    assert!(rec.report.certified);
+    let engine = boot(&store, rec);
+    assert_eq!(read_committed(&engine, high), Value::Int(7));
+    store.close();
+}
+
 #[test]
 fn single_session_wal_bytes_are_unchanged() {
     use nt_engine::BeginOutcome;

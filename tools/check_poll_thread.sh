@@ -3,7 +3,8 @@
 # thread ever sleeps or waits on another thread, except the one
 # `wait_durable` barrier per round. This gate greps the code that runs
 # there — the reactor crate, nt-net's per-connection service and the
-# protocol core it executes, the engine lock's grant and record path, the
+# protocol core it executes, the engine lock's grant, record and
+# registration path (the session tree appends under the engine lock), the
 # WAL and the certifier — for the calls that would break it. It also
 # holds the other "stays gone" greps, by what they would do rather than by
 # the names of deleted code: run.rs goes through the session API, and
@@ -15,7 +16,8 @@ cd "$(dirname "$0")/.."
 poll_thread=(crates/reactor/src/lib.rs crates/reactor/src/buf.rs
     crates/reactor/src/waker.rs crates/net/src/front_reactor.rs
     crates/net/src/server.rs crates/engine/src/locktable.rs
-    crates/engine/src/recorder.rs crates/store/src/wal.rs crates/sgt/src/*.rs)
+    crates/engine/src/recorder.rs crates/engine/src/session_tree.rs
+    crates/store/src/wal.rs crates/sgt/src/*.rs)
 blocking='thread::sleep|Condvar|wait_timeout|wait_while|\.recv\(\)|recv_timeout|\.park\(|\.join\(\)'
 
 # A file's non-test code: everything above its `#[cfg(test)]` module.
