@@ -24,8 +24,7 @@
 
 use crate::locktable::WaitEdge;
 use crate::status::StatusTable;
-use crate::tree_view::TreeView;
-use nt_model::TxId;
+use nt_model::{TreeView, TxId};
 use std::collections::BTreeMap;
 
 /// One doomed deadlock victim, with the wait-for edge that convicted it.

@@ -60,10 +60,10 @@ pub mod run;
 pub mod session;
 pub mod session_tree;
 pub mod status;
-pub mod tree_view;
 
 pub use config::{DurabilityMode, EngineConfig};
 pub use locktable::{Acquired, Acquisition, LockTable, Ticket, WaitEdge, WakeHandle};
+pub use nt_model::TreeView;
 pub use nt_sgt_live::{LiveCertifier, LiveStatus};
 pub use recorder::{ActionSink, History, SeqClock, WorkerLog};
 pub use run::{
@@ -76,4 +76,3 @@ pub use session::{
 };
 pub use session_tree::{SessionTree, TreeError};
 pub use status::StatusTable;
-pub use tree_view::TreeView;

@@ -48,10 +48,9 @@ use crate::detector::{convict, Victim};
 use crate::recorder::{History, SeqClock};
 use crate::session_tree::{Appends, SessionTree, TreeError};
 use crate::status::StatusTable;
-use crate::tree_view::TreeView;
 use nt_locking::{moss_blockers_by, moss_precondition_by};
 use nt_model::rw::RwInitials;
-use nt_model::{Action, ObjId, Op, TxId, TxTree, Value};
+use nt_model::{Action, ObjId, Op, TreeView, TxId, TxTree, Value};
 use nt_obs::TraceHandle;
 use nt_sgt_live::LiveCertifier;
 use std::collections::{BTreeMap, BTreeSet};
@@ -756,9 +755,9 @@ impl<T: TreeView> Held<'_, T> {
 impl Held<'_, Arc<SessionTree>> {
     /// `REQUEST_CREATE(t)`, `CREATE(t)` for a fresh transaction `t` under
     /// `parent` (an access when `access` names its object and operation),
-    /// registered in the same critical section: the tree slot is pushed,
-    /// the history tees the registration to the WAL and the certifier,
-    /// then both actions are recorded.
+    /// registered in the same critical section: the tree slot is pushed
+    /// (the live certifier reads the tree), the history tees the
+    /// registration to the WAL, then both actions are recorded.
     pub(crate) fn create(
         &mut self,
         parent: TxId,

@@ -15,11 +15,12 @@
 //! stamps, never a hole in the middle.
 //!
 //! A registration goes the same way. The critical section that records a
-//! transaction's `REQUEST_CREATE` first hands its shape to
-//! [`History::register`], which stages the WAL's `TreeAdd` record and
-//! registers it with the live certifier: both learn a transaction
-//! strictly before any action naming it, and the WAL's tree records land
-//! in `TxId` order.
+//! transaction's `REQUEST_CREATE` first pushes it onto the session tree
+//! and hands its shape to [`History::register`], which stages the WAL's
+//! `TreeAdd` record: the WAL and the live certifier, which reads that
+//! tree, both learn a transaction strictly before any action naming it,
+//! and the WAL's tree records land in `TxId` order. When an action
+//! latches a violation, `record` cuts the report's slice from the log.
 //!
 //! A stamp is a position. Stamps are drawn once per appended entry, from
 //! one counter, under the one lock, so they are dense and in append
@@ -167,10 +168,11 @@ impl History {
 
     /// A history whose head is `head`, the recovered prefix (stamps
     /// `0..head.len()`, in order), whose clock resumes at `next`, and that
-    /// tees every new registration and action into `sink` and
-    /// `certifier`. The head is already in the WAL and is not appended
-    /// again; the certifier is preloaded with it here, so it must already
-    /// know the recovered tree.
+    /// tees every new registration into `sink` and every new action into
+    /// `sink` and `certifier`. The head is already in the WAL and is not
+    /// appended again; the certifier is preloaded with it here, so it must
+    /// already read the recovered tree. With a certifier, `next` is
+    /// `head.len()`: a violation's slice is cut from the log by position.
     pub fn recovered(
         head: Vec<Action>,
         next: u64,
@@ -196,19 +198,17 @@ impl History {
     }
 
     /// Tee the registration of `t` under `parent` (accesses carry their
-    /// object and operation) into the WAL and the certifier, before any
-    /// action naming `t` is recorded.
+    /// object and operation) into the WAL, before any action naming `t`
+    /// is recorded.
     pub fn register(&mut self, t: TxId, parent: TxId, access: Option<&(ObjId, Op)>) {
         if let Some(sink) = &self.sink {
             sink.append_tree_add(t, parent, access.map(|(x, op)| (*x, op)));
         }
-        if let Some(c) = &mut self.certifier {
-            c.tree_add(t, parent, access.cloned());
-        }
     }
 
     /// Stamp `action`, stage it in the WAL, step the certifier with it,
-    /// and append it.
+    /// and append it — then, if it latched a violation, cut the report's
+    /// slice from the log.
     pub fn record(&mut self, action: Action) {
         let (sink, certifier) = (&self.sink, &mut self.certifier);
         self.log.record_with(&self.clock, action, |stamp, action| {
@@ -219,6 +219,9 @@ impl History {
                 c.act(stamp, action);
             }
         });
+        if let Some(c) = &mut self.certifier {
+            c.cut_slice(self.log.segments.iter().flatten());
+        }
     }
 
     /// The history so far: a prefix of β.
@@ -243,8 +246,10 @@ impl History {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SessionTree;
+    use nt_model::Value;
     use nt_obs::TraceHandle;
-    use nt_sgt_live::SgtConfig;
+    use nt_sgt_live::{SgtConfig, SgtMaintainer};
     use std::sync::Mutex;
 
     struct CaptureSink(Mutex<Vec<(u64, Action)>>);
@@ -342,10 +347,14 @@ mod tests {
     /// `next` and is the certifier's next input.
     #[test]
     fn a_recovered_history_preloads_its_certifier_and_resumes_the_clock() {
-        let (top, access, x) = (TxId(1), TxId(2), ObjId(0));
+        let x = ObjId(0);
+        let (tree, mut appends) = SessionTree::new(8);
+        let top = tree.add(&mut appends, TxId::ROOT, None).expect("top");
+        let access = tree
+            .add(&mut appends, top, Some((x, Op::Write(3))))
+            .expect("access");
         let mut certifier = LiveCertifier::new(SgtConfig::default(), TraceHandle::disabled());
-        certifier.tree_add(top, TxId::ROOT, None);
-        certifier.tree_add(access, top, Some((x, Op::Write(3))));
+        certifier.read_tree(Arc::new(tree));
         let head = vec![
             Action::RequestCreate(top),
             Action::Create(top),
@@ -365,5 +374,52 @@ mod tests {
         assert_eq!(live(&mut history).processed, next + 1);
         assert!(live(&mut history).ok);
         assert_eq!(history.snapshot().len(), head.len() + 1);
+    }
+
+    /// The crossed two-top history, recorded through `History::record`:
+    /// the certifier latches at `b`'s commit, the history cuts the
+    /// report's slice from its log, and the report is the one a replay of
+    /// the same β over the same tree builds, byte for byte.
+    #[test]
+    fn a_recorded_violation_reports_what_a_replay_reports() {
+        let (x, y) = (ObjId(0), ObjId(1));
+        let (tree, mut appends) = SessionTree::new(8);
+        let mut add = |parent, access| tree.add(&mut appends, parent, access).expect("room");
+        let a = add(TxId::ROOT, None);
+        let b = add(TxId::ROOT, None);
+        let ax = add(a, Some((x, Op::Write(1))));
+        let ay = add(a, Some((y, Op::Read)));
+        let bx = add(b, Some((x, Op::Read)));
+        let by = add(b, Some((y, Op::Write(2))));
+        let beta = [
+            Action::RequestCreate(a),
+            Action::RequestCreate(b),
+            Action::RequestCommit(ax, Value::Ok),
+            Action::Commit(ax),
+            Action::RequestCommit(by, Value::Ok),
+            Action::Commit(by),
+            Action::RequestCommit(bx, Value::Int(1)),
+            Action::Commit(bx),
+            Action::RequestCommit(ay, Value::Int(2)),
+            Action::Commit(ay),
+            Action::RequestCommit(a, Value::Ok),
+            Action::Commit(a),
+            Action::RequestCommit(b, Value::Ok),
+            Action::Commit(b),
+        ];
+        let frozen = tree.to_tx_tree();
+        let mut certifier = LiveCertifier::new(SgtConfig::default(), TraceHandle::disabled());
+        certifier.read_tree(Arc::new(tree));
+        let mut history = History::recovered(Vec::new(), 0, None, Some(certifier));
+        for act in &beta {
+            history.record(act.clone());
+        }
+        let status = history.certifier().expect("mounted").status();
+        let live = status.violation.expect("the crossed tops cycle");
+        let replayed = SgtMaintainer::replay(&frozen, &beta, SgtConfig::default())
+            .violation()
+            .expect("the replay latches too");
+        assert!(!live.slice.is_empty());
+        assert_eq!(live.to_json(), replayed.to_json());
     }
 }

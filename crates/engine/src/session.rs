@@ -30,9 +30,8 @@ use crate::locktable::{Acquired, Acquisition, LockTable, Ticket, WakeHandle};
 use crate::recorder::{ActionSink, History, SeqClock};
 use crate::session_tree::{SessionTree, TreeError};
 use crate::status::StatusTable;
-use crate::tree_view::TreeView;
 use nt_model::rw::RwInitials;
-use nt_model::{Action, ObjId, Op, TxId, TxTree, Value};
+use nt_model::{Action, ObjId, Op, TreeView, TxId, TxTree, Value};
 use nt_obs::json::JsonObj;
 use nt_obs::TraceHandle;
 use nt_sgt_live::{LiveCertifier, LiveStatus};
@@ -218,12 +217,13 @@ impl SessionEngine {
     /// the lock table's initials, and the clock resumes past the recovered
     /// stamps.
     ///
-    /// With a live `certifier`, every registration and recorded action
-    /// steps the maintainer in the critical section that makes it:
-    /// recovered registrations replay first, then the recovered history
-    /// preloads (its unresolved tops finalize as aborted — recovery rolled
-    /// them back), and only then does live recording begin, so the
-    /// certifier sees one seamless behavior across the crash boundary.
+    /// With a live `certifier`, it reads the engine's session tree and
+    /// every recorded action steps it in the critical section that
+    /// records it: the recovered registrations replay into the tree
+    /// first, then the recovered history preloads (its unresolved tops
+    /// finalize as aborted — recovery rolled them back), and only then
+    /// does live recording begin, so the certifier sees one seamless
+    /// behavior across the crash boundary.
     pub fn start_recovered(
         capacity: usize,
         telemetry: TraceHandle,
@@ -233,15 +233,14 @@ impl SessionEngine {
     ) -> Result<Arc<SessionEngine>, TreeError> {
         let (tree, mut appends) = SessionTree::new(capacity);
         for (parent, access) in seed.nodes {
-            // New to this incarnation's maintainer, unlike to the WAL.
-            let t = tree.add(&mut appends, parent, access)?;
-            if let Some(c) = &mut certifier {
-                c.tree_add(t, parent, tree.access(t).cloned());
-            }
+            tree.add(&mut appends, parent, access)?;
         }
         let tree = Arc::new(tree);
-        // After the registrations above: the certifier preloads the
+        // The certifier reads the recovered tree, then preloads the
         // recovered head here, before any live action is recorded.
+        if let Some(c) = &mut certifier {
+            c.read_tree(Arc::clone(&tree) as Arc<dyn TreeView>);
+        }
         let fresh = seed.entries.is_empty();
         let history = History::recovered(seed.entries, seed.next_stamp, sink, certifier);
         let clock = Arc::clone(history.clock());
@@ -453,7 +452,7 @@ impl Session {
     /// The top-level ancestor-or-self of `t`, once validated that `t`
     /// exists and this session began that top.
     pub fn owned_top(&self, t: TxId) -> Result<TxId, SessionError> {
-        if t == TxId::ROOT || !self.tree().contains(t) {
+        if t == TxId::ROOT || t.index() >= self.tree().len() {
             return Err(SessionError::UnknownTx(t));
         }
         let top = if self.tree().parent(t) == Some(TxId::ROOT) {

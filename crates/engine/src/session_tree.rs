@@ -32,8 +32,7 @@
 //! a `u32`, so a capacity above `u32::MAX` is refused at construction
 //! rather than wrapping the length to 0.
 
-use crate::tree_view::TreeView;
-use nt_model::{ObjId, Op, TxId, TxTree};
+use nt_model::{ObjId, Op, TreeView, TxId, TxTree};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
@@ -118,24 +117,9 @@ impl SessionTree {
         (tree, Appends(()))
     }
 
-    /// Registered transactions (monotone; includes `T0`).
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire) as usize
-    }
-
-    /// Is only `T0` registered?
-    pub fn is_empty(&self) -> bool {
-        self.len() <= 1
-    }
-
     /// The arena capacity: the most names it will ever register.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Is `t` a registered transaction?
-    pub fn contains(&self, t: TxId) -> bool {
-        t.index() < self.len()
     }
 
     fn node(&self, t: TxId) -> &Node {
@@ -209,6 +193,10 @@ impl SessionTree {
 }
 
 impl TreeView for SessionTree {
+    /// Registered transactions (monotone; includes `T0`).
+    fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire) as usize
+    }
     fn parent(&self, t: TxId) -> Option<TxId> {
         if t == TxId::ROOT {
             None

@@ -6,8 +6,7 @@
 //! refuses doomed ones. Exactly one of the two wins, so no global mutex is
 //! needed on the hot commit path.
 
-use crate::tree_view::TreeView;
-use nt_model::TxId;
+use nt_model::{TreeView, TxId};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 const RUNNING: u8 = 0;

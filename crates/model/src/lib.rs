@@ -9,6 +9,8 @@
 //! This crate owns the vocabulary shared by every other crate:
 //!
 //! * [`tree`] — transaction naming trees / system types (§2.2);
+//! * [`tree_view`] — [`TreeView`], the read side of a naming tree that
+//!   may still be growing (the engine's session tree, or a [`TxTree`]);
 //! * [`value`] and [`op`] — return values and access operations;
 //! * [`action`] — the global action alphabet and the derived maps
 //!   `transaction`, `hightransaction`, `lowtransaction`, `object` (§2.2.4);
@@ -35,6 +37,7 @@ pub mod order;
 pub mod rw;
 pub mod seq;
 pub mod tree;
+pub mod tree_view;
 pub mod value;
 pub mod wellformed;
 
@@ -43,4 +46,5 @@ pub use op::Op;
 pub use order::SiblingOrder;
 pub use seq::{Operation, Status};
 pub use tree::{ObjId, TxId, TxKind, TxTree};
+pub use tree_view::TreeView;
 pub use value::Value;

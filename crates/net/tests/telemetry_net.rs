@@ -366,25 +366,41 @@ fn resident_graph_stays_bounded_across_load_waves() {
 
 /// A violation surfaces when it closes, not at drain: the poll thread
 /// journals it (once) on the first flush after the verdict flips. The
-/// cycle is planted straight into the server's certifier — the crossed
-/// two-top history, under transaction names the engine never issued.
+/// crossed two-top history is half recorded, half planted: an in-process
+/// session registers the six names — `ax` and `by` are granted, `bx` and
+/// `ay` park behind them and are cancelled — and the crossing reads and
+/// the commits are planted straight into the server's certifier.
 #[test]
 fn violation_is_journaled_on_the_next_flush_once() {
+    use nt_engine::{AccessOutcome, AccessStep, WakeHandle};
     use nt_model::{Action, ObjId, Op, TxId, Value};
     let (addr, handle) = start(ServerConfig {
         live_certify: true,
         ..ServerConfig::default()
     });
     let engine = handle.engine();
-    let [a, b, ax, ay, bx, by] = [900, 901, 902, 903, 904, 905].map(TxId);
     let (x, y) = (ObjId(0), ObjId(1));
+    let mut session = engine.open_session();
+    let a = session.begin_top().expect("top a");
+    let b = session.begin_top().expect("top b");
+    let granted = |out| assert_eq!(out, AccessOutcome::Done(Value::Ok));
+    granted(session.access(a, x, Op::Write(1)).expect("ax"));
+    granted(session.access(b, y, Op::Write(2)).expect("by"));
+    let wake = WakeHandle::new(0, || {});
+    let mut park_and_cancel = |parent, obj| -> TxId {
+        let AccessStep::Parked(p) = session
+            .access_start(parent, obj, Op::Read, &wake)
+            .expect("read")
+        else {
+            panic!("the read waits behind the other top's write lock");
+        };
+        let t = p.tx();
+        session.access_cancel(p);
+        t
+    };
+    let bx = park_and_cancel(b, x);
+    let ay = park_and_cancel(a, y);
     let crossed = [
-        Action::RequestCreate(a),
-        Action::RequestCreate(b),
-        Action::RequestCommit(ax, Value::Ok),
-        Action::Commit(ax),
-        Action::RequestCommit(by, Value::Ok),
-        Action::Commit(by),
         Action::RequestCommit(bx, Value::Int(1)),
         Action::Commit(bx),
         Action::RequestCommit(ay, Value::Int(2)),
@@ -392,16 +408,10 @@ fn violation_is_journaled_on_the_next_flush_once() {
         Action::Commit(a),
         Action::Commit(b),
     ];
-    // Planted under the engine lock. No session has recorded yet, so the
-    // clock is where the maintainer is.
+    // Planted under the engine lock, at the stamps after everything
+    // recorded so far.
     let base = engine.clock_now();
     let ok = engine.with_certifier(|live| {
-        live.tree_add(a, TxId::ROOT, None);
-        live.tree_add(b, TxId::ROOT, None);
-        live.tree_add(ax, a, Some((x, Op::Write(1))));
-        live.tree_add(ay, a, Some((y, Op::Read)));
-        live.tree_add(bx, b, Some((x, Op::Read)));
-        live.tree_add(by, b, Some((y, Op::Write(2))));
         for (i, act) in crossed.iter().enumerate() {
             live.act(base + i as u64, act);
         }

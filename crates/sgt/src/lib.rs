@@ -18,10 +18,12 @@
 //!   watermark GC that prunes the committed acyclic prefix.
 //! * [`live`] — [`LiveCertifier`]: the maintainer as plain data, owned
 //!   by the engine's history and stepped inline under the engine lock
-//!   that records each action (no thread, no channel), publishing `sgt.live.*` gauges through an `nt-obs` recorder.
-//! * [`report`] — [`ViolationReport`] (cycle + inserting edge + flight
-//!   ring history slice) and the JSON schemas consumed by `nt-lint sgt`
-//!   and the `CERT` wire op.
+//!   that records each action (no thread, no channel), reading the
+//!   engine's naming tree, publishing `sgt.live.*` gauges through an
+//!   `nt-obs` recorder.
+//! * [`report`] — [`ViolationReport`] (cycle + inserting edge + a
+//!   history slice cut by whoever owns β) and the JSON schemas consumed
+//!   by `nt-lint sgt` and the `CERT` wire op.
 //!
 //! The maintainer's verdict provably agrees with the post-hoc graph
 //! stage: serialization-graph edges are monotone (visibility to `T0` only

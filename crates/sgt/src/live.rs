@@ -7,20 +7,20 @@
 //!
 //! ## Why stepping inline is sound
 //!
-//! `SG(β)` is a function of the recorded behavior `β`, and `β` has one
-//! order: the recorder's stamp order. Visibility to `T0` is monotone, so
-//! every edge, once determined by a prefix of `β`, is in the graph of
-//! every extension (see [`maintainer`](crate::maintainer)). A state
-//! machine stepped once per action in stamp order therefore computes
-//! exactly the graph the post-hoc gate builds from the finished history —
-//! nothing in the construction asks for a second agent, only for the
-//! order. The engine's one history gives it that order by construction:
-//! it draws each stamp and calls [`act`](LiveCertifier::act) in one
-//! critical section, and a transaction's [`tree_add`](LiveCertifier::
-//! tree_add) comes in the critical section that records its
-//! `REQUEST_CREATE`, before that action — so the maintainer knows every
-//! transaction's shape before any action names it, and never sees a
-//! stamp before its predecessor.
+//! `SG(β)` is a function of the recorded behavior `β` and the naming
+//! tree, and `β` has one order: the recorder's stamp order. Visibility
+//! to `T0` is monotone, so every edge, once determined by a prefix of
+//! `β`, is in the graph of every extension (see
+//! [`maintainer`](crate::maintainer)). A state machine stepped once per
+//! action in stamp order therefore computes exactly the graph the
+//! post-hoc gate builds from the finished history — nothing in the
+//! construction asks for a second agent, only for the order. The
+//! engine's one history gives it that order by construction: it draws
+//! each stamp and calls [`act`](LiveCertifier::act) in one critical
+//! section, and the session tree the certifier reads registers a
+//! transaction in the critical section that records its
+//! `REQUEST_CREATE`, before that action. The certifier copies neither
+//! input: the history cuts a violation's slice from its own log.
 //!
 //! ## Gauges and cost
 //!
@@ -31,7 +31,7 @@
 
 use crate::maintainer::{SgtConfig, SgtMaintainer};
 use crate::report::{ViolationReport, CERT_SCHEMA};
-use nt_model::{Action, ObjId, Op, TxId};
+use nt_model::{Action, TreeView};
 use nt_obs::json::JsonObj;
 use nt_obs::TraceHandle;
 use std::sync::Arc;
@@ -113,11 +113,11 @@ impl LiveCertifier {
         }
     }
 
-    /// Register a transaction (must precede any action naming it; the
-    /// engine calls this in the critical section that records its
-    /// `REQUEST_CREATE`, before that action).
-    pub fn tree_add(&mut self, t: TxId, parent: TxId, access: Option<(ObjId, Op)>) {
-        self.m.tree_add(t, parent, access);
+    /// Read `tree`, which must hold every transaction an action names by
+    /// the time that action is stepped (the engine hands over its session
+    /// tree before the recovered prefix is preloaded).
+    pub fn read_tree(&mut self, tree: Arc<dyn TreeView>) {
+        self.m.read_tree(tree);
     }
 
     /// Replay a recovered prefix into the maintainer before live traffic
@@ -135,12 +135,19 @@ impl LiveCertifier {
         // (finalization + GC); everything else is O(1) bookkeeping.
         let resolves = matches!(action, Action::Commit(t) | Action::Abort(t) if self.m.is_top(*t));
         let started = resolves.then(Instant::now);
-        self.m.apply(stamp, action.clone());
+        self.m.step(stamp, action);
         if let Some(started) = started {
             self.check_ns += started.elapsed().as_nanos() as u64;
             self.samples += 1;
             self.publish();
         }
+    }
+
+    /// Cut a latched violation report's history slice from `beta`, the
+    /// owner's β from stamp 0 through the latching action. A no-op
+    /// unless a violation latched since the last cut.
+    pub fn cut_slice<'a>(&mut self, beta: impl IntoIterator<Item = &'a Action>) {
+        self.m.cut_slice(beta);
     }
 
     /// Write the gauges (recorder attached only; once per resolved top).
@@ -179,7 +186,7 @@ impl LiveCertifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nt_model::{TxTree, Value};
+    use nt_model::{Op, TxId, TxTree, Value};
 
     fn gauges_of(t: &TraceHandle) -> std::collections::HashMap<&'static str, u64> {
         t.gauges().into_iter().collect()

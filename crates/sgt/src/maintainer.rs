@@ -45,21 +45,26 @@
 //!
 //! ## Assumptions
 //!
-//! Histories are well-formed engine histories: a transaction's tree
-//! registration precedes any action naming it, and completions inside a
-//! subtree precede the subtree root's own completion (the engine's
-//! controller guarantees both; the recorder's stamp order preserves
-//! causality).
+//! `SG(β)` is a function of β and the naming tree, and the maintainer
+//! copies neither: it reads the tree through a [`TreeView`], and a
+//! violation report's history slice is cut by whoever owns β
+//! ([`cut_slice`](SgtMaintainer::cut_slice)). Histories are well-formed
+//! engine histories: an action's transaction is in the tree when the
+//! action is fed (an id past the tree is ignored), and completions
+//! inside a subtree precede the subtree root's own completion. One bit
+//! per id remembers a finalized top, so a late action in its subtree is
+//! ignored rather than bringing the top back.
 
 use crate::report::{live_snapshot_json, ReportEdge, ViolationReport};
 use crate::topo::{DynTopo, Insert};
-use nt_model::{Action, ObjId, Op, TxId, TxTree, Value};
+use nt_model::{Action, ObjId, Op, TreeView, TxId, TxTree, Value};
 use nt_serial::ObjectTypes;
-use nt_sgt::EdgeKind;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use nt_sgt::{ConflictSource, EdgeKind};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-/// Where the live conflict relation comes from (owned mirror of
+/// Where the live conflict relation comes from (owned form of
 /// `nt_sgt::ConflictSource`, which borrows).
 #[derive(Clone)]
 pub enum LiveConflicts {
@@ -71,14 +76,13 @@ pub enum LiveConflicts {
 
 impl LiveConflicts {
     /// Do `(op_a, v_a)` then `(op_b, v_b)` on `x` conflict (`op_a` is the
-    /// earlier operation)?
+    /// earlier operation)? The post-hoc graph's relation, borrowed.
     fn conflicts(&self, x: ObjId, op_a: &Op, v_a: &Value, op_b: &Op, v_b: &Value) -> bool {
-        match self {
-            LiveConflicts::ReadWrite => !(op_a.is_rw_read() && op_b.is_rw_read()),
-            LiveConflicts::Types(types) => !types
-                .get(x)
-                .commutes_backward(&(op_a.clone(), v_a.clone()), &(op_b.clone(), v_b.clone())),
-        }
+        let source = match self {
+            LiveConflicts::ReadWrite => ConflictSource::ReadWrite,
+            LiveConflicts::Types(types) => ConflictSource::Types(types),
+        };
+        source.conflicts(x, op_a, v_a, op_b, v_b)
     }
 }
 
@@ -92,9 +96,9 @@ pub struct SgtConfig {
     pub gc: bool,
 }
 
-/// Flight-ring capacity: how many recent `(stamp, action)` entries are
-/// retained for the violation report's history slice.
-const SLICE_CAP: usize = 4096;
+/// How far back from the latching stamp a violation report's history
+/// slice reaches.
+const SLICE_STAMPS: u64 = 4096;
 
 impl Default for SgtConfig {
     fn default() -> Self {
@@ -105,16 +109,9 @@ impl Default for SgtConfig {
     }
 }
 
-/// Mirror of one registered transaction.
-struct NodeInfo {
-    parent: TxId,
-    access: Option<(ObjId, Op)>,
-}
-
 /// State of one top-level transaction (child of `T0`).
 struct TopState {
     first_stamp: u64,
-    resolved: bool,
     /// `(object, stamp)` of each visible access, for prune-time removal
     /// from the per-object index.
     visible_accesses: Vec<(ObjId, u64)>,
@@ -139,7 +136,8 @@ struct SubtreeBuf {
     committed: HashSet<TxId>,
     /// Inner precedes candidates awaiting the parent-visibility check.
     precedes_cand: Vec<CandEdge>,
-    /// First report stamp of each inner child, for precedes candidates.
+    /// First report stamp of each inner descendant, for precedes
+    /// candidates against its later-created siblings.
     first_report: HashMap<TxId, u64>,
 }
 
@@ -154,15 +152,17 @@ struct ObjEntry {
 /// docs for the algorithm.
 pub struct SgtMaintainer {
     cfg: SgtConfig,
+    /// The naming tree the fed actions name.
+    tree: Arc<dyn TreeView>,
     /// One past the last stamp fed (the watermark while no top is live).
     next_stamp: u64,
     processed: u64,
 
-    nodes: HashMap<TxId, NodeInfo>,
-    children: HashMap<TxId, Vec<TxId>>,
-
     topo: DynTopo,
+    /// Unpruned tops that have been touched.
     tops: HashMap<TxId, TopState>,
+    /// One bit per id: set once the top with that id is finalized.
+    finalized: Vec<u64>,
     /// first_stamp → top, over unresolved tops; the min key is `low`.
     live_firsts: BTreeMap<u64, TxId>,
     /// Unpruned tops with a report event, with the first report stamp
@@ -172,27 +172,30 @@ pub struct SgtMaintainer {
     /// stamp → visible access, per object, over unpruned tops.
     per_object: HashMap<ObjId, BTreeMap<u64, ObjEntry>>,
 
-    ring: VecDeque<(u64, Action)>,
     violation: Option<Arc<ViolationReport>>,
+    /// The stamp that latched `violation`, until its slice is cut.
+    slice_due: Option<u64>,
 }
 
 impl SgtMaintainer {
-    /// A fresh maintainer.
+    /// A fresh maintainer. It reads an empty tree, so every action is
+    /// ignored until [`read_tree`](Self::read_tree) or
+    /// [`seed_tree`](Self::seed_tree) hands it the real one.
     pub fn new(cfg: SgtConfig) -> SgtMaintainer {
         SgtMaintainer {
             cfg,
+            tree: Arc::new(TxTree::new()),
             next_stamp: 0,
             processed: 0,
-            nodes: HashMap::new(),
-            children: HashMap::new(),
             topo: DynTopo::new(),
             tops: HashMap::new(),
+            finalized: Vec::new(),
             live_firsts: BTreeMap::new(),
             reported: HashMap::new(),
             subtrees: HashMap::new(),
             per_object: HashMap::new(),
-            ring: VecDeque::new(),
             violation: None,
+            slice_due: None,
         }
     }
 
@@ -200,38 +203,29 @@ impl SgtMaintainer {
     // Feeding
     // ------------------------------------------------------------------
 
-    /// Register transaction `t` under `parent` (leaf accesses carry their
-    /// object and operation). Must happen before any action naming `t` is
-    /// processed — the engine's session tree guarantees this ordering.
-    pub fn tree_add(&mut self, t: TxId, parent: TxId, access: Option<(ObjId, Op)>) {
-        if self.nodes.contains_key(&t) {
-            return;
-        }
-        self.nodes.insert(t, NodeInfo { parent, access });
-        if parent != TxId::ROOT {
-            self.children.entry(parent).or_default().push(t);
-        }
+    /// Read `tree` from now on: it must hold every transaction an action
+    /// names by the time that action is fed (the engine's session tree
+    /// registers a transaction in the critical section that records its
+    /// `REQUEST_CREATE`).
+    pub fn read_tree(&mut self, tree: Arc<dyn TreeView>) {
+        self.tree = tree;
     }
 
-    /// Register every transaction of a statically known tree.
+    /// Read a copy of a statically known tree.
     pub fn seed_tree(&mut self, tree: &TxTree) {
-        for t in tree.all_tx() {
-            if t == TxId::ROOT {
-                continue;
-            }
-            let parent = tree.parent(t).expect("non-root has a parent");
-            let access = tree
-                .object_of(t)
-                .map(|x| (x, tree.op_of(t).expect("access has an op").clone()));
-            self.tree_add(t, parent, access);
-        }
+        self.read_tree(Arc::new(tree.clone()));
     }
 
     /// Feed one stamped action. Stamps increase: every feeder delivers
     /// them in order — [`LiveCertifier::act`](crate::LiveCertifier::act)
-    /// under the engine's history mutex, [`preload`](Self::preload) and
+    /// under the engine lock, [`preload`](Self::preload) and
     /// [`replay`](Self::replay) in history order.
     pub fn apply(&mut self, stamp: u64, action: Action) {
+        self.step(stamp, &action);
+    }
+
+    /// [`apply`](Self::apply) without taking the action.
+    pub(crate) fn step(&mut self, stamp: u64, action: &Action) {
         debug_assert!(
             stamp >= self.next_stamp,
             "stamp {stamp} fed after stamp {}",
@@ -251,8 +245,9 @@ impl SgtMaintainer {
     pub fn preload(&mut self, entries: &[Action], resume_at: u64) {
         debug_assert!(resume_at >= entries.len() as u64, "resume past the prefix");
         for (s, a) in entries.iter().enumerate() {
-            self.process(s as u64, a.clone());
+            self.process(s as u64, a);
         }
+        self.cut_slice(entries);
         let unresolved: Vec<TxId> = self.live_firsts.values().copied().collect();
         for t in unresolved {
             self.finalize_top(t, false);
@@ -266,9 +261,34 @@ impl SgtMaintainer {
         let mut m = SgtMaintainer::new(cfg);
         m.seed_tree(tree);
         for (i, a) in beta.iter().enumerate() {
-            m.apply(i as u64, a.clone());
+            m.step(i as u64, a);
         }
+        m.cut_slice(beta);
         m
+    }
+
+    /// Cut the latched violation report's history slice from `beta`,
+    /// which the caller owns and yields from stamp 0 on, through at least
+    /// the latching action: the slice holds the stamps of the witness
+    /// span among the last [`SLICE_STAMPS`] up to the latching one. A
+    /// no-op until a violation latches, and after its slice is cut.
+    pub fn cut_slice<'a>(&mut self, beta: impl IntoIterator<Item = &'a Action>) {
+        let (Some(latch), Some(rep)) = (self.slice_due, self.violation.as_mut()) else {
+            return;
+        };
+        self.slice_due = None;
+        let edges = || rep.cycle_edges.iter().chain([&rep.edge]);
+        let lo = edges().map(|e| e.witness.0).min().unwrap_or(latch);
+        let lo = lo.max((latch + 1).saturating_sub(SLICE_STAMPS));
+        let hi = edges().map(|e| e.witness.1).max().unwrap_or(latch);
+        let slice = beta
+            .into_iter()
+            .enumerate()
+            .skip(lo as usize)
+            .take((hi + 1).saturating_sub(lo) as usize)
+            .map(|(s, a)| (s as u64, a.clone()))
+            .collect();
+        Arc::make_mut(rep).slice = slice;
     }
 
     // ------------------------------------------------------------------
@@ -311,9 +331,9 @@ impl SgtMaintainer {
         self.live_firsts.len()
     }
 
-    /// Is `t` a registered (and not yet pruned) child of `T0`?
+    /// Is `t` a registered child of `T0` that is not yet finalized?
     pub fn is_top(&self, t: TxId) -> bool {
-        self.nodes.get(&t).is_some_and(|n| n.parent == TxId::ROOT)
+        self.registered(t) && self.parent(t) == TxId::ROOT && !self.is_finalized(t)
     }
 
     /// Render the maintained root graph as an `nt-sgt/live/v1` document.
@@ -338,103 +358,97 @@ impl SgtMaintainer {
             .map_or(self.next_stamp, |(&s, _)| s)
     }
 
-    /// The child-of-`T0` ancestor of `t` (`t` itself if its parent is the
-    /// root), or `None` if `t` is unregistered.
-    fn top_of(&self, t: TxId) -> Option<TxId> {
-        let mut cur = t;
-        loop {
-            let info = self.nodes.get(&cur)?;
-            if info.parent == TxId::ROOT {
-                return Some(cur);
-            }
-            cur = info.parent;
-        }
+    /// Is `t` a transaction of the tree other than `T0`?
+    fn registered(&self, t: TxId) -> bool {
+        t != TxId::ROOT && t.index() < self.tree.len()
     }
 
-    fn depth_below_root(&self, t: TxId) -> usize {
-        let mut d = 0;
-        let mut cur = t;
-        while let Some(info) = self.nodes.get(&cur) {
-            if info.parent == TxId::ROOT {
-                return d + 1;
-            }
-            cur = info.parent;
-            d += 1;
-        }
-        d
+    /// The parent of registered `t`.
+    fn parent(&self, t: TxId) -> TxId {
+        self.tree.parent(t).expect("non-root has a parent")
     }
 
-    /// `(lca, child_toward(lca, a), child_toward(lca, b))` within the
-    /// mirror. Both must be registered and in the same top's subtree.
+    fn is_finalized(&self, t: TxId) -> bool {
+        let i = t.index();
+        self.finalized
+            .get(i / 64)
+            .is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// The child-of-`T0` ancestor-or-self of registered `t`, if that top
+    /// is still unresolved (its state is created by its first action,
+    /// at `stamp`).
+    fn live_top(&mut self, t: TxId, stamp: u64) -> Option<TxId> {
+        let top = self.tree.child_toward(TxId::ROOT, t);
+        self.touch_top(top, stamp).then_some(top)
+    }
+
+    /// `(lca, child_toward(lca, a), child_toward(lca, b))`. Both must be
+    /// registered and in the same top's subtree.
     fn collapse(&self, a: TxId, b: TxId) -> (TxId, TxId, TxId) {
         let (mut x, mut y) = (a, b);
-        let (mut dx, mut dy) = (self.depth_below_root(x), self.depth_below_root(y));
+        let (mut dx, mut dy) = (self.tree.depth(x), self.tree.depth(y));
         while dx > dy {
-            x = self.nodes[&x].parent;
+            x = self.parent(x);
             dx -= 1;
         }
         while dy > dx {
-            y = self.nodes[&y].parent;
+            y = self.parent(y);
             dy -= 1;
         }
-        while self.nodes[&x].parent != self.nodes[&y].parent {
-            x = self.nodes[&x].parent;
-            y = self.nodes[&y].parent;
+        while self.parent(x) != self.parent(y) {
+            x = self.parent(x);
+            y = self.parent(y);
         }
-        (self.nodes[&x].parent, x, y)
+        (self.parent(x), x, y)
     }
 
     /// Ensure a [`TopState`] exists for top `t` (first touch at `stamp`)
-    /// and return whether it is still unresolved.
+    /// and return whether it is still unresolved. A finalized top never
+    /// comes back, pruned or not.
     fn touch_top(&mut self, t: TxId, stamp: u64) -> bool {
-        if let Some(state) = self.tops.get(&t) {
-            return !state.resolved;
+        if self.is_finalized(t) {
+            return false;
         }
-        // A pruned top never comes back: prune removed its node mirror,
-        // so events naming it no longer resolve a top at all.
-        self.tops.insert(
-            t,
-            TopState {
+        if let Entry::Vacant(slot) = self.tops.entry(t) {
+            slot.insert(TopState {
                 first_stamp: stamp,
-                resolved: false,
                 visible_accesses: Vec::new(),
                 max_access_stamp: 0,
-            },
-        );
-        self.live_firsts.insert(stamp, t);
-        self.topo.ensure_node(t);
+            });
+            self.live_firsts.insert(stamp, t);
+            self.topo.ensure_node(t);
+        }
         true
     }
 
-    fn process(&mut self, stamp: u64, action: Action) {
+    fn process(&mut self, stamp: u64, action: &Action) {
         if self.violation.is_some() {
             return;
         }
         self.processed += 1;
-        if self.ring.len() == SLICE_CAP {
-            self.ring.pop_front();
-        }
-        self.ring.push_back((stamp, action.clone()));
-
         match action {
-            Action::RequestCreate(t) => self.on_request_create(t, stamp),
-            Action::RequestCommit(t, v) => self.on_request_commit(t, v, stamp),
-            Action::Commit(t) => self.on_completion(t, stamp, true),
-            Action::Abort(t) => self.on_completion(t, stamp, false),
-            Action::ReportCommit(t, _) | Action::ReportAbort(t) => self.on_report(t, stamp),
+            Action::RequestCreate(t) => self.on_request_create(*t, stamp),
+            Action::RequestCommit(t, v) => self.on_request_commit(*t, v, stamp),
+            Action::Commit(t) => self.on_completion(*t, stamp, true),
+            Action::Abort(t) => self.on_completion(*t, stamp, false),
+            Action::ReportCommit(t, _) | Action::ReportAbort(t) => self.on_report(*t, stamp),
             Action::Create(_) | Action::InformCommit(..) | Action::InformAbort(..) => {}
+        }
+        if self.violation.is_some() {
+            self.slice_due = Some(stamp);
         }
     }
 
     fn on_request_create(&mut self, t: TxId, stamp: u64) {
-        let Some(info) = self.nodes.get(&t) else {
+        if !self.registered(t) {
+            return;
+        }
+        let Some(top) = self.live_top(t, stamp) else {
             return;
         };
-        let parent = info.parent;
+        let parent = self.parent(t);
         if parent == TxId::ROOT {
-            if !self.touch_top(t, stamp) {
-                return;
-            }
             // Root precedes edges: every previously reported top precedes
             // this one (`T0` is trivially visible). These inserts cannot
             // cycle — `t` is brand new and only gains in-edges here — so
@@ -447,55 +461,44 @@ impl SgtMaintainer {
         } else {
             // Buffer inner precedes candidates against already-reported
             // siblings; the parent-visibility check runs at finalize.
-            let Some(top) = self.top_of(t) else { return };
-            if !self.touch_top(top, stamp) {
-                return;
-            }
-            let siblings: Vec<TxId> = self
-                .children
-                .get(&parent)
-                .map(|c| c.iter().copied().filter(|&s| s != t).collect())
-                .unwrap_or_default();
-            let buf = self.subtrees.entry(top).or_default();
-            for s in siblings {
-                if let Some(&r) = buf.first_report.get(&s) {
-                    if r < stamp {
-                        buf.precedes_cand.push(CandEdge {
-                            parent,
-                            from: s,
-                            to: t,
-                            kind: EdgeKind::Precedes,
-                            witness: (r, stamp),
-                        });
-                    }
+            let SubtreeBuf {
+                first_report,
+                precedes_cand,
+                ..
+            } = self.subtrees.entry(top).or_default();
+            for (&s, &r) in first_report.iter() {
+                if s != t && r < stamp && self.tree.parent(s) == Some(parent) {
+                    precedes_cand.push(CandEdge {
+                        parent,
+                        from: s,
+                        to: t,
+                        kind: EdgeKind::Precedes,
+                        witness: (r, stamp),
+                    });
                 }
             }
         }
     }
 
-    fn on_request_commit(&mut self, t: TxId, v: Value, stamp: u64) {
-        let Some(info) = self.nodes.get(&t) else {
+    fn on_request_commit(&mut self, t: TxId, v: &Value, stamp: u64) {
+        if !self.registered(t) || !self.tree.is_access(t) {
+            return;
+        }
+        let Some(top) = self.live_top(t, stamp) else {
             return;
         };
-        if info.access.is_none() {
-            return;
-        }
-        let Some(top) = self.top_of(t) else { return };
-        if !self.touch_top(top, stamp) {
-            return;
-        }
         self.subtrees
             .entry(top)
             .or_default()
             .accesses
-            .push((t, v, stamp));
+            .push((t, v.clone(), stamp));
     }
 
     fn on_completion(&mut self, t: TxId, stamp: u64, committed: bool) {
-        let Some(info) = self.nodes.get(&t) else {
+        if !self.registered(t) {
             return;
-        };
-        if info.parent == TxId::ROOT {
+        }
+        if self.parent(t) == TxId::ROOT {
             if self.touch_top(t, stamp) {
                 self.finalize_top(t, committed);
                 if self.cfg.gc {
@@ -503,8 +506,7 @@ impl SgtMaintainer {
                 }
             }
         } else if committed {
-            let Some(top) = self.top_of(t) else { return };
-            if self.touch_top(top, stamp) {
+            if let Some(top) = self.live_top(t, stamp) {
                 self.subtrees.entry(top).or_default().committed.insert(t);
             }
         }
@@ -513,21 +515,17 @@ impl SgtMaintainer {
     }
 
     fn on_report(&mut self, t: TxId, stamp: u64) {
-        let Some(info) = self.nodes.get(&t) else {
+        if !self.registered(t) {
             return;
-        };
-        if info.parent == TxId::ROOT {
+        }
+        if self.parent(t) == TxId::ROOT {
             // Only unpruned tops source future precedes edges; a pruned
             // top has provably no future in-edges, so its dropped
             // out-edges can never lie on a cycle.
             if self.tops.contains_key(&t) {
                 self.reported.entry(t).or_insert(stamp);
             }
-        } else {
-            let Some(top) = self.top_of(t) else { return };
-            if !self.touch_top(top, stamp) {
-                return;
-            }
+        } else if let Some(top) = self.live_top(t, stamp) {
             self.subtrees
                 .entry(top)
                 .or_default()
@@ -542,199 +540,171 @@ impl SgtMaintainer {
     /// visible accesses for future cross-top pairing, and drop the
     /// subtree's buffers.
     fn finalize_top(&mut self, top: TxId, committed: bool) {
-        let state = self.tops.get_mut(&top).expect("touched before finalize");
-        if state.resolved {
+        if self.is_finalized(top) {
             return;
         }
-        state.resolved = true;
+        let i = top.index();
+        if self.finalized.len() <= i / 64 {
+            self.finalized.resize(i / 64 + 1, 0);
+        }
+        self.finalized[i / 64] |= 1 << (i % 64);
+        let state = self.tops.get(&top).expect("touched before finalize");
         self.live_firsts.remove(&state.first_stamp);
         let buf = self.subtrees.remove(&top).unwrap_or_default();
+        if !committed {
+            return;
+        }
 
-        if committed {
-            // Visibility to T0 below a committed top: every node on the
-            // chain up to (and excluding) the top has a COMMIT event.
-            let mut memo: HashMap<TxId, bool> = HashMap::new();
-            let mut visible_to_root = |nodes: &HashMap<TxId, NodeInfo>, t: TxId| -> bool {
-                let mut chain = Vec::new();
-                let mut cur = t;
-                let vis = loop {
-                    if cur == top {
-                        break true;
-                    }
-                    if let Some(&v) = memo.get(&cur) {
-                        break v;
-                    }
-                    if !buf.committed.contains(&cur) {
-                        break false;
-                    }
-                    chain.push(cur);
-                    cur = nodes[&cur].parent;
-                };
-                // Memoize the committed prefix of the walk (the first
-                // uncommitted node breaks the loop before being pushed).
-                for c in chain {
-                    memo.insert(c, vis);
+        // Visibility to T0 below a committed top: every node on the chain
+        // up to (and excluding) the top has a COMMIT event.
+        let tree = &self.tree;
+        let mut memo: HashMap<TxId, bool> = HashMap::new();
+        let mut visible_to_root = |t: TxId| -> bool {
+            let mut chain = Vec::new();
+            let mut cur = t;
+            let vis = loop {
+                if cur == top {
+                    break true;
                 }
-                memo.insert(t, vis);
-                vis
+                if let Some(&v) = memo.get(&cur) {
+                    break v;
+                }
+                if !buf.committed.contains(&cur) {
+                    break false;
+                }
+                chain.push(cur);
+                cur = tree.parent(cur).expect("below a top");
             };
+            // Memoize the committed prefix of the walk (the first
+            // uncommitted node breaks the loop before being pushed).
+            for c in chain {
+                memo.insert(c, vis);
+            }
+            memo.insert(t, vis);
+            vis
+        };
 
-            let mut visible: Vec<(TxId, ObjId, Op, Value, u64)> = Vec::new();
-            for (t, v, stamp) in &buf.accesses {
-                if visible_to_root(&self.nodes, *t) {
-                    let (x, op) = self.nodes[t].access.clone().expect("buffered as access");
-                    visible.push((*t, x, op, v.clone(), *stamp));
-                }
-            }
-
-            // Inner edges: conflicts whose LCA is below the root, plus
-            // precedes candidates with a visible parent. Checked in
-            // transient per-parent orders, inserting in witness order so
-            // an inner cycle is caught at its exact inserting edge.
-            let mut inner: Vec<CandEdge> = Vec::new();
-            for (i, (t1, x1, op1, v1, s1)) in visible.iter().enumerate() {
-                for (t2, x2, op2, v2, s2) in visible.iter().skip(i + 1) {
-                    if x1 != x2 || !self.cfg.conflicts.conflicts(*x1, op1, v1, op2, v2) {
-                        continue;
-                    }
-                    let (l, from, to) = self.collapse(*t1, *t2);
-                    debug_assert_ne!(from, to, "distinct accesses diverge below lca");
-                    inner.push(CandEdge {
-                        parent: l,
-                        from,
-                        to,
-                        kind: EdgeKind::Conflict,
-                        witness: (*s1, *s2),
-                    });
-                }
-            }
-            for c in buf.precedes_cand {
-                if c.parent == top || visible_to_root(&self.nodes, c.parent) {
-                    inner.push(c);
-                }
-            }
-            inner.sort_by_key(|c| (c.witness.1, c.witness.0));
-            let mut inner_topos: HashMap<TxId, DynTopo> = HashMap::new();
-            for c in inner {
-                let g = inner_topos.entry(c.parent).or_default();
-                if let Insert::Cycle(path) = g.insert_edge(c.from, c.to, c.kind, c.witness) {
-                    let report = Self::build_report(&self.ring, &c, path, g);
-                    self.violation = Some(Arc::new(report));
-                    return;
-                }
-            }
-
-            // Cross-top conflict edges against every unpruned finalized
-            // top's visible accesses, direction by stamp order of the
-            // two accesses (the earlier operation is the conflict
-            // relation's first argument, matching `conflict_edges`).
-            let mut root_cands: Vec<CandEdge> = Vec::new();
-            for (_t, x, op, v, stamp) in &visible {
-                let Some(entries) = self.per_object.get(x) else {
-                    continue;
-                };
-                for (&es, e) in entries {
-                    let conflicting = if es < *stamp {
-                        self.cfg.conflicts.conflicts(*x, &e.op, &e.value, op, v)
-                    } else {
-                        self.cfg.conflicts.conflicts(*x, op, v, &e.op, &e.value)
-                    };
-                    if !conflicting {
-                        continue;
-                    }
-                    let (from, to, w) = if es < *stamp {
-                        (e.top, top, (es, *stamp))
-                    } else {
-                        (top, e.top, (*stamp, es))
-                    };
-                    root_cands.push(CandEdge {
-                        parent: TxId::ROOT,
-                        from,
-                        to,
-                        kind: EdgeKind::Conflict,
-                        witness: w,
-                    });
-                }
-            }
-            root_cands.sort_by_key(|c| (c.witness.1, c.witness.0));
-            for c in root_cands {
-                if let Insert::Cycle(path) = self.topo.insert_edge(c.from, c.to, c.kind, c.witness)
-                {
-                    let report = Self::build_report(&self.ring, &c, path, &self.topo);
-                    self.violation = Some(Arc::new(report));
-                    return;
-                }
-            }
-
-            // Publish T's visible accesses for future pairings.
-            let state = self.tops.get_mut(&top).expect("still present");
-            for (_t, x, op, v, stamp) in visible {
-                self.per_object
-                    .entry(x)
-                    .or_default()
-                    .insert(stamp, ObjEntry { top, op, value: v });
-                state.visible_accesses.push((x, stamp));
-                state.max_access_stamp = state.max_access_stamp.max(stamp);
+        let mut visible: Vec<(TxId, ObjId, Op, Value, u64)> = Vec::new();
+        for (t, v, stamp) in &buf.accesses {
+            if visible_to_root(*t) {
+                let x = tree.object_of(*t).expect("buffered as access");
+                let op = tree.op_of(*t).expect("buffered as access");
+                visible.push((*t, x, op, v.clone(), *stamp));
             }
         }
 
-        self.drop_subtree_mirror(top);
+        // Inner edges: conflicts whose LCA is below the root, plus
+        // precedes candidates with a visible parent. Checked in transient
+        // per-parent orders, inserting in witness order so an inner cycle
+        // is caught at its exact inserting edge.
+        let mut inner: Vec<CandEdge> = Vec::new();
+        for (i, (t1, x1, op1, v1, s1)) in visible.iter().enumerate() {
+            for (t2, x2, op2, v2, s2) in visible.iter().skip(i + 1) {
+                if x1 != x2 || !self.cfg.conflicts.conflicts(*x1, op1, v1, op2, v2) {
+                    continue;
+                }
+                let (l, from, to) = self.collapse(*t1, *t2);
+                debug_assert_ne!(from, to, "distinct accesses diverge below lca");
+                inner.push(CandEdge {
+                    parent: l,
+                    from,
+                    to,
+                    kind: EdgeKind::Conflict,
+                    witness: (*s1, *s2),
+                });
+            }
+        }
+        for c in buf.precedes_cand {
+            if c.parent == top || visible_to_root(c.parent) {
+                inner.push(c);
+            }
+        }
+        inner.sort_by_key(|c| (c.witness.1, c.witness.0));
+        let mut inner_topos: HashMap<TxId, DynTopo> = HashMap::new();
+        for c in inner {
+            let g = inner_topos.entry(c.parent).or_default();
+            if let Insert::Cycle(path) = g.insert_edge(c.from, c.to, c.kind, c.witness) {
+                self.violation = Some(Arc::new(Self::build_report(&c, path, g)));
+                return;
+            }
+        }
+
+        // Cross-top conflict edges against every unpruned finalized top's
+        // visible accesses, direction by stamp order of the two accesses
+        // (the earlier operation is the conflict relation's first
+        // argument, matching `conflict_edges`).
+        let mut root_cands: Vec<CandEdge> = Vec::new();
+        for (_t, x, op, v, stamp) in &visible {
+            let Some(entries) = self.per_object.get(x) else {
+                continue;
+            };
+            for (&es, e) in entries {
+                let conflicting = if es < *stamp {
+                    self.cfg.conflicts.conflicts(*x, &e.op, &e.value, op, v)
+                } else {
+                    self.cfg.conflicts.conflicts(*x, op, v, &e.op, &e.value)
+                };
+                if !conflicting {
+                    continue;
+                }
+                let (from, to, w) = if es < *stamp {
+                    (e.top, top, (es, *stamp))
+                } else {
+                    (top, e.top, (*stamp, es))
+                };
+                root_cands.push(CandEdge {
+                    parent: TxId::ROOT,
+                    from,
+                    to,
+                    kind: EdgeKind::Conflict,
+                    witness: w,
+                });
+            }
+        }
+        root_cands.sort_by_key(|c| (c.witness.1, c.witness.0));
+        for c in root_cands {
+            if let Insert::Cycle(path) = self.topo.insert_edge(c.from, c.to, c.kind, c.witness) {
+                self.violation = Some(Arc::new(Self::build_report(&c, path, &self.topo)));
+                return;
+            }
+        }
+
+        // Publish T's visible accesses for future pairings.
+        let state = self.tops.get_mut(&top).expect("still present");
+        for (_t, x, op, v, stamp) in visible {
+            self.per_object
+                .entry(x)
+                .or_default()
+                .insert(stamp, ObjEntry { top, op, value: v });
+            state.visible_accesses.push((x, stamp));
+            state.max_access_stamp = state.max_access_stamp.max(stamp);
+        }
     }
 
-    fn build_report(
-        ring: &VecDeque<(u64, Action)>,
-        inserting: &CandEdge,
-        path: Vec<TxId>,
-        graph: &DynTopo,
-    ) -> ViolationReport {
+    /// The report of the cycle `path` closed by `inserting`; its history
+    /// slice is cut later, by the owner of β.
+    fn build_report(inserting: &CandEdge, path: Vec<TxId>, graph: &DynTopo) -> ViolationReport {
         let edge = ReportEdge {
             from: inserting.from,
             to: inserting.to,
             kind: inserting.kind,
             witness: inserting.witness,
         };
-        let mut cycle_edges = Vec::new();
-        for pair in path.windows(2) {
-            match graph.meta(pair[0], pair[1]) {
-                Some(m) => cycle_edges.push(ReportEdge::new(pair[0], pair[1], m)),
+        let cycle_edges = path
+            .windows(2)
+            .map(|pair| match graph.meta(pair[0], pair[1]) {
+                Some(m) => ReportEdge::new(pair[0], pair[1], m),
                 // The closing hop is the rejected edge itself (never
                 // added to the graph).
-                None => cycle_edges.push(edge.clone()),
-            }
-        }
-        let lo = cycle_edges
-            .iter()
-            .map(|e| e.witness.0)
-            .min()
-            .unwrap_or(inserting.witness.0);
-        let hi = cycle_edges
-            .iter()
-            .map(|e| e.witness.1)
-            .max()
-            .unwrap_or(inserting.witness.1);
-        let slice: Vec<(u64, Action)> = ring
-            .iter()
-            .filter(|(s, _)| (lo..=hi).contains(s))
-            .cloned()
+                None => edge.clone(),
+            })
             .collect();
         ViolationReport {
             parent: inserting.parent,
             cycle: path,
             edge,
             cycle_edges,
-            slice,
-        }
-    }
-
-    /// Drop the mirror entries of every strict descendant of `top` (the
-    /// top's own entry lives until prune: late reports still need it).
-    fn drop_subtree_mirror(&mut self, top: TxId) {
-        let mut stack = self.children.remove(&top).unwrap_or_default();
-        while let Some(t) = stack.pop() {
-            self.nodes.remove(&t);
-            if let Some(kids) = self.children.remove(&t) {
-                stack.extend(kids);
-            }
+            slice: Vec::new(),
         }
     }
 
@@ -748,7 +718,9 @@ impl SgtMaintainer {
                 .tops
                 .iter()
                 .filter(|(t, s)| {
-                    s.resolved && s.max_access_stamp < low && self.topo.indegree(**t) == 0
+                    self.is_finalized(**t)
+                        && s.max_access_stamp < low
+                        && self.topo.indegree(**t) == 0
                 })
                 .map(|(&t, _)| t)
                 .collect();
@@ -764,7 +736,6 @@ impl SgtMaintainer {
     fn prune(&mut self, t: TxId) {
         self.topo.remove_node(t);
         self.reported.remove(&t);
-        self.nodes.remove(&t);
         if let Some(state) = self.tops.remove(&t) {
             for (x, stamp) in state.visible_accesses {
                 if let Some(entries) = self.per_object.get_mut(&x) {
@@ -1166,6 +1137,31 @@ mod tests {
         assert_eq!(m.node_count(), 0);
         m.apply(4, Action::ReportCommit(a, Value::Ok));
         assert_eq!(m.node_count(), 0);
+        assert!(m.ok());
+    }
+
+    /// An orphan's action after its top aborted and was pruned is
+    /// ignored: the top does not come back as a live top pinning the
+    /// watermark.
+    #[test]
+    fn late_subtree_action_after_prune_is_ignored() {
+        let mut tree = TxTree::new();
+        let x = tree.add_object();
+        let a = tree.add_inner(TxId::ROOT);
+        let c = tree.add_inner(a);
+        let u = tree.add_access(c, x, nt_model::Op::Write(1));
+        let mut m = SgtMaintainer::new(SgtConfig::default());
+        m.seed_tree(&tree);
+        m.apply(0, Action::RequestCreate(a));
+        m.apply(1, Action::RequestCreate(c));
+        m.apply(2, Action::Abort(a));
+        assert_eq!((m.live_tops(), m.watermark()), (0, 3), "a pruned");
+        m.apply(3, Action::RequestCreate(u));
+        m.apply(4, Action::RequestCommit(u, Value::Ok));
+        m.apply(5, Action::Commit(u));
+        m.apply(6, Action::Commit(c));
+        assert_eq!((m.live_tops(), m.node_count()), (0, 0));
+        assert_eq!(m.watermark(), 7);
         assert!(m.ok());
     }
 }

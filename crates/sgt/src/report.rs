@@ -77,9 +77,11 @@ pub struct ViolationReport {
     /// Every edge along the cycle (the inserting edge last, since it was
     /// never added to the graph).
     pub cycle_edges: Vec<ReportEdge>,
-    /// `(stamp, action)` entries cut from the flight ring covering the
-    /// witness span. Bounded by the ring capacity, so a report is always
-    /// small even if the violating actions are far apart.
+    /// `(stamp, action)` entries of the witness span, cut from β by its
+    /// owner ([`SgtMaintainer::cut_slice`](crate::SgtMaintainer::cut_slice)).
+    /// They reach back at most 4,096 stamps from the latching action, so
+    /// a report is always small even if the violating actions are far
+    /// apart.
     pub slice: Vec<(u64, Action)>,
 }
 

@@ -324,14 +324,17 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
     let mut aborted: BTreeSet<TxId> = BTreeSet::new();
     let mut write: BTreeMap<ObjId, BTreeMap<TxId, i64>> = BTreeMap::new();
     let mut read: BTreeMap<ObjId, BTreeSet<TxId>> = BTreeMap::new();
-    for action in &history {
+    for (stamp, action) in history.iter().enumerate() {
+        // The engine registers a transaction (a tree record; `T0` has
+        // none) before any action but `CREATE(T0)` names it.
+        let t = action.subject();
+        if !nodes.contains_key(&t.0) && *action != Action::Create(TxId::ROOT) {
+            return Err(StoreError::Corrupt(format!(
+                "stamp {stamp}: {action} names unregistered transaction {t}"
+            )));
+        }
         match action {
             Action::Create(t) => {
-                if *t != TxId::ROOT && !nodes.contains_key(&t.0) {
-                    return Err(StoreError::Corrupt(format!(
-                        "action names unregistered transaction {t}"
-                    )));
-                }
                 created.insert(*t);
             }
             Action::Commit(t) => {
@@ -353,9 +356,7 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
                 }
             }
             Action::InformCommit(x, t) => {
-                let parent = nodes.get(&t.0).map(|n| n.parent).ok_or_else(|| {
-                    StoreError::Corrupt(format!("INFORM_COMMIT names unregistered {t}"))
-                })?;
+                let parent = nodes[&t.0].parent;
                 if let Some(w) = write.get_mut(x) {
                     if let Some(v) = w.remove(t) {
                         w.insert(parent, v);

@@ -529,6 +529,61 @@ fn a_wal_with_a_spliced_out_middle_extent_is_refused() {
     }
 }
 
+/// A WAL action naming a transaction no tree record registers is
+/// corruption, whatever the action: recovery refuses the mount with
+/// `Corrupt`, naming the stamp and the transaction — it neither panics
+/// replaying it nor certifies a history the wire would refuse.
+#[test]
+fn a_wal_action_naming_an_unregistered_transaction_is_refused() {
+    use nt_model::{Action, TxId};
+    use nt_store::Record;
+    let scratch = Scratch::new("unregistered");
+    {
+        let (store, rec) = Store::open(&scratch.0, DurabilityMode::None).expect("open");
+        let engine = boot(&store, rec);
+        commit_write(&engine, ObjId(0), 1);
+        store.close();
+    }
+    let wal_path = scratch.0.join(WAL_FILE);
+    let bytes = std::fs::read(&wal_path).expect("read wal");
+    let next = nt_store::decode_stream(&bytes)
+        .records
+        .iter()
+        .filter(|r| matches!(r, Record::Act { .. }))
+        .count() as u64;
+    let (x, ghost) = (ObjId(0), TxId(999));
+    let cases = [
+        Action::Create(ghost),
+        Action::RequestCreate(ghost),
+        Action::RequestCommit(ghost, Value::Ok),
+        Action::Commit(ghost),
+        Action::Abort(ghost),
+        Action::ReportCommit(ghost, Value::Ok),
+        Action::ReportAbort(ghost),
+        Action::InformCommit(x, ghost),
+        Action::InformAbort(x, ghost),
+    ];
+    for action in cases {
+        let mut planted = bytes.clone();
+        let frame = Record::Act {
+            stamp: next,
+            action: action.clone(),
+        }
+        .encode_frame()
+        .expect("encode");
+        planted.extend_from_slice(&frame);
+        std::fs::write(&wal_path, &planted).expect("plant the action");
+        match Store::open(&scratch.0, DurabilityMode::None) {
+            Err(StoreError::Corrupt(what)) => assert!(
+                what.contains(&format!("stamp {next}:")) && what.contains("T999"),
+                "{action}: must name stamp {next} and T999: {what}"
+            ),
+            Err(other) => panic!("{action}: expected a corrupt-log error, got {other}"),
+            Ok((_, rec)) => panic!("{action}: mounted: {}", rec.report.to_json()),
+        }
+    }
+}
+
 mod record_roundtrip_props {
     //! Property tests over the frame codec driven through real files:
     //! random record sequences written through a [`Store`]-level WAL
