@@ -66,10 +66,7 @@ pub use locktable::{Acquired, Acquisition, LockTable, Ticket, WaitEdge, WakeHand
 pub use nt_model::TreeView;
 pub use nt_sgt_live::{LiveCertifier, LiveStatus};
 pub use recorder::{ActionSink, History, SeqClock, WorkerLog};
-pub use run::{
-    run_plan, run_plan_gated, run_workload, EnginePlan, EngineReport, EngineStats, PreflightGate,
-    Victim,
-};
+pub use run::{run_plan, run_workload, EnginePlan, EngineReport, EngineStats, Victim};
 pub use session::{
     AccessOutcome, AccessStep, BeginOutcome, CommitOutcome, ParkedAccess, RecoveredSeed, Session,
     SessionEngine, SessionError,

@@ -395,29 +395,6 @@ pub fn run_workload(w: &Workload, cfg: &EngineConfig) -> Result<EngineReport, St
     run_plan(&EnginePlan::from_workload(w), cfg)
 }
 
-/// A pre-flight admission check run against the plan before any worker
-/// starts. `Err` rejects the whole run with the gate's message. The static
-/// serializability analyzer (`nt_lint::engine_preflight`) is the canonical
-/// gate; keeping the signature a plain callback keeps the dependency
-/// arrow pointing from the analyzer to the engine, not back.
-pub type PreflightGate = dyn Fn(&EnginePlan) -> Result<(), String>;
-
-/// [`run_plan`] with an optional pre-flight analyze step: the gate sees
-/// the validated plan and can veto execution (e.g. because some schedule
-/// of it could produce a cyclic serialization graph).
-pub fn run_plan_gated(
-    plan: &EnginePlan,
-    cfg: &EngineConfig,
-    gate: Option<&PreflightGate>,
-) -> Result<EngineReport, String> {
-    cfg.validate()?;
-    plan.validate()?;
-    if let Some(g) = gate {
-        g(plan).map_err(|e| format!("pre-flight gate rejected the plan: {e}"))?;
-    }
-    run_plan(plan, cfg)
-}
-
 /// Run an [`EnginePlan`]: one [`SessionEngine`] sized to the plan (each
 /// plan transaction is begun at most once), `cfg.threads` workers driving
 /// sessions, the calling thread as watchdog, and the engine's
@@ -698,28 +675,5 @@ mod tests {
         // Disabled by default: no live status.
         let r2 = run_workload(&w, &EngineConfig::default()).expect("runs");
         assert!(r2.live.is_none());
-    }
-
-    #[test]
-    fn preflight_gate_can_veto_and_pass() {
-        let w = WorkloadSpec {
-            top_level: 2,
-            objects: 2,
-            seed: 1,
-            ..WorkloadSpec::default()
-        }
-        .generate();
-        let plan = EnginePlan::from_workload(&w);
-        let cfg = EngineConfig::default();
-        let veto: Box<PreflightGate> = Box::new(|_| Err("not on my watch".into()));
-        let err = match run_plan_gated(&plan, &cfg, Some(veto.as_ref())) {
-            Err(e) => e,
-            Ok(_) => panic!("gate must veto the run"),
-        };
-        assert!(err.contains("pre-flight gate"), "{err}");
-        assert!(err.contains("not on my watch"), "{err}");
-        let pass: Box<PreflightGate> = Box::new(|_| Ok(()));
-        let r = run_plan_gated(&plan, &cfg, Some(pass.as_ref())).expect("gate passes");
-        assert!(r.certify().is_serially_correct());
     }
 }

@@ -451,7 +451,7 @@ impl Session {
 
     /// The top-level ancestor-or-self of `t`, once validated that `t`
     /// exists and this session began that top.
-    pub fn owned_top(&self, t: TxId) -> Result<TxId, SessionError> {
+    fn owned_top(&self, t: TxId) -> Result<TxId, SessionError> {
         if t == TxId::ROOT || t.index() >= self.tree().len() {
             return Err(SessionError::UnknownTx(t));
         }

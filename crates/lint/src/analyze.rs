@@ -60,7 +60,6 @@
 
 use crate::conflict::{ops_may_conflict, StaticConflictMode};
 use crate::report::{Finding, Severity};
-use nt_engine::EnginePlan;
 use nt_model::{Action, ObjId, Op, TxId, TxTree, Value};
 use nt_obs::json::Json;
 use nt_serial::ObjectTypes;
@@ -106,24 +105,6 @@ impl std::fmt::Debug for StaticPlan {
 }
 
 impl StaticPlan {
-    /// Lift an [`EnginePlan`] (read/write-only by engine validation).
-    pub fn from_engine_plan(name: impl Into<String>, plan: &EnginePlan) -> StaticPlan {
-        StaticPlan {
-            name: name.into(),
-            tree: plan.tree.clone(),
-            types: plan.types.clone(),
-            mode: StaticConflictMode::ReadWrite,
-            orders: plan.plans.iter().map(|(t, p)| (*t, p.order)).collect(),
-            skip: plan
-                .retry_chains
-                .values()
-                .flatten()
-                .flatten()
-                .copied()
-                .collect(),
-        }
-    }
-
     /// Lift a generated [`Workload`] (read/write registers).
     pub fn from_workload(name: impl Into<String>, w: &Workload) -> StaticPlan {
         StaticPlan {
@@ -939,27 +920,6 @@ pub fn lint_static_plan(plan: &StaticPlan) -> Vec<Finding> {
     out
 }
 
-/// Pre-flight gate for the engine: `Err` with a witness description iff
-/// some schedule of the plan could produce a cyclic serialization graph.
-pub fn engine_preflight(plan: &EnginePlan) -> Result<(), String> {
-    let sp = StaticPlan::from_engine_plan("engine-preflight", plan);
-    let a = analyze(&sp);
-    if a.certified() {
-        Ok(())
-    } else {
-        let first = a
-            .witnesses
-            .first()
-            .map(|w| w.describe())
-            .unwrap_or_else(|| "potential cycle".into());
-        Err(format!(
-            "static analysis: {} potential cycle component(s); first witness: {}",
-            a.cyclic.len(),
-            first
-        ))
-    }
-}
-
 // ---------------------------------------------------------------------------
 // `.access.json` static-plan documents
 // ---------------------------------------------------------------------------
@@ -1345,57 +1305,7 @@ mod tests {
             ..WorkloadSpec::default()
         };
         let w = spec.generate();
-        let plan = EnginePlan::from_workload(&w);
-        assert!(engine_preflight(&plan).is_ok());
         let sp = StaticPlan::from_workload("flat-partitioned", &w);
         assert!(analyze(&sp).certified());
-    }
-
-    #[test]
-    fn engine_preflight_rejects_crossing_plans() {
-        use nt_model::rw::RwInitials;
-        use nt_sim::ScriptPlan;
-        let mut tree = TxTree::new();
-        let x = tree.add_object();
-        let y = tree.add_object();
-        let a = tree.add_inner(TxId::ROOT);
-        let b = tree.add_inner(TxId::ROOT);
-        let a1 = tree.add_access(a, x, Op::Write(1));
-        let a2 = tree.add_access(a, y, Op::Write(1));
-        let b1 = tree.add_access(b, x, Op::Write(2));
-        let b2 = tree.add_access(b, y, Op::Write(2));
-        let plans = BTreeMap::from([
-            (
-                TxId::ROOT,
-                ScriptPlan {
-                    children: vec![a, b],
-                    order: ChildOrder::Parallel,
-                },
-            ),
-            (
-                a,
-                ScriptPlan {
-                    children: vec![a1, a2],
-                    order: ChildOrder::Parallel,
-                },
-            ),
-            (
-                b,
-                ScriptPlan {
-                    children: vec![b1, b2],
-                    order: ChildOrder::Parallel,
-                },
-            ),
-        ]);
-        let plan = EnginePlan {
-            tree: Arc::new(tree),
-            plans,
-            top: vec![a, b],
-            retry_chains: BTreeMap::new(),
-            initials: RwInitials::uniform(0),
-            types: ObjectTypes::uniform(2, Arc::new(RwRegister::new(0))),
-        };
-        let err = engine_preflight(&plan).expect_err("crossing writes must be rejected");
-        assert!(err.contains("potential cycle"), "got: {err}");
     }
 }

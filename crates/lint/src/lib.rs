@@ -34,9 +34,7 @@
 //!    produce — and either certify the plan "serializable under all
 //!    schedules" or emit ranked concrete potential-cycle witnesses, each
 //!    realizable into a behavior the Theorem 8/19 checker re-judges
-//!    ([`analyze::validate_witness`], experiment E17). Also the
-//!    `run_plan_gated` pre-flight ([`analyze::engine_preflight`]) and the
-//!    `nt-serve --static-gate` admission rule build on this pass.
+//!    ([`analyze::validate_witness`], experiment E17).
 //! 7. **Lock-order / deadlock-potential analysis** ([`lockorder`]): from
 //!    each top's depth-first footprint, flag object pairs acquired in
 //!    opposite orders under Moss modes (cross-top deadlock potential) and
@@ -71,8 +69,8 @@ pub mod store;
 pub mod workload;
 
 pub use analyze::{
-    analyze as analyze_static, engine_preflight, parse_access_plan, Analysis, CycleWitness,
-    StaticPlan, WitnessValidation,
+    analyze as analyze_static, parse_access_plan, Analysis, CycleWitness, StaticPlan,
+    WitnessValidation,
 };
 pub use conflict::{ops_may_conflict, AccessSummary, StaticConflictMode};
 pub use lockorder::{lock_order, LockOrderReport};

@@ -77,8 +77,8 @@ fn cli_rejects_the_batch_framing_fixture() {
 fn retired_knobs_fail_the_pass_by_name() {
     // The reactor's executor pool is gone and `workers` with it; so are
     // the threaded front end, the WAL's group-commit window, the
-    // deadlock detector's period, the span-ring size and the lock-table
-    // shards. A server config still carrying one of
+    // deadlock detector's period, the span-ring size, the lock-table
+    // shards and the static admission gate. A server config still carrying one of
     // them must fail the pass as an unparsable document — naming the key,
     // and for those with a reason to give, the reason — not be silently
     // accepted.
@@ -104,6 +104,7 @@ fn retired_knobs_fail_the_pass_by_name() {
             r#""shards":12"#,
             "the lock table is one engine lock, not shards",
         ),
+        (r#""static_gate":true"#, "Theorem 17"),
     ] {
         let doc = format!(
             r#"{{"schema":"nt-net-config-v1","role":"server","addr":"127.0.0.1:0",{knob}}}"#

@@ -3,23 +3,17 @@
 //!
 //! ```text
 //! nt-load [--config FILE.net.json] [--addr HOST:PORT] [--smoke]
-//!         [--gate-probe] [--cert] [--shutdown]
-//!         [--batch N] [--conns N,N,...]
+//!         [--cert] [--shutdown] [--batch N] [--conns N,N,...]
 //! ```
 //!
 //! * `--addr` targets a running server (overrides the config's `addr`).
-//!   With `--smoke`/`--gate-probe` and no address, an in-process server
-//!   is started instead, so both gates are self-contained.
+//!   With `--smoke` and no address, an in-process server is started
+//!   instead, so the smoke gate is self-contained.
 //! * `--smoke` runs a small contended preset and asserts the run
 //!   certifies serially correct; output is one machine-readable JSON
 //!   line on stdout.
-//! * `--gate-probe` exercises a `--static-gate` server's admission
-//!   rules over the wire: a declared top crossing two objects with a
-//!   live declared top must be refused with the typed `STATIC_GATE`
-//!   error, a single-object overlap must be admitted (the gate is the
-//!   analyzer's weight-2 criterion, not naive set-disjointness), and
-//!   committing the blocker must reopen admission. Exit 0 iff all
-//!   three hold.
+//! * `--gate-probe` is refused (exit 2): the static admission gate it
+//!   probed is gone.
 //! * `--cert` fetches the server's live serialization-graph certificate
 //!   (the `CERT` wire op) after the run, embeds it in the output line,
 //!   and fails if a live certifier reports a violation. A server running
@@ -40,7 +34,7 @@
 
 use nt_faults::TransportPlan;
 use nt_net::client::{fetch_and_certify, Conn, ConnConfig};
-use nt_net::wire::{err_code, Request, Response};
+use nt_net::config::STATIC_GATE_RETIRED;
 use nt_net::{run_load, LoadConfig, NetConfig, NetServer, ServerConfig};
 use nt_obs::json::{Json, JsonObj};
 use nt_obs::SmokeLine;
@@ -48,7 +42,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: nt-load [--config FILE.net.json] [--addr HOST:PORT] [--smoke] [--gate-probe] [--cert] [--shutdown] [--batch N] [--conns N,N,...]"
+        "usage: nt-load [--config FILE.net.json] [--addr HOST:PORT] [--smoke] [--cert] [--shutdown] [--batch N] [--conns N,N,...]"
     );
     ExitCode::from(2)
 }
@@ -75,54 +69,6 @@ fn smoke_fault() -> TransportPlan {
         delay_period: 5,
         delay_us: 200,
     }
-}
-
-/// Commit `tx` over `conn`, expecting a clean `Committed`.
-fn probe_commit(conn: &mut Conn, tx: u32) -> Result<(), String> {
-    match conn.request(&Request::Commit { tx }) {
-        Ok(Response::Committed) => Ok(()),
-        Ok(other) => Err(format!("commit of T{tx} answered {other:?}")),
-        Err(e) => Err(format!("commit of T{tx} failed: {e}")),
-    }
-}
-
-/// Drive the static admission gate over the wire: crossing declarations
-/// refused with the typed code, single-object overlap admitted, and
-/// admission reopened once the blocker commits.
-fn probe_gate(conn: &mut Conn) -> Result<(bool, bool, bool), String> {
-    let step = |r: Result<Result<u32, (u16, String)>, nt_net::WireError>, what: &str| match r {
-        Ok(inner) => Ok(inner),
-        Err(e) => Err(format!("{what} failed: {e}")),
-    };
-    // A live top declaring writes on X0 and X1.
-    let a = step(conn.begin_top_declared(&[], &[0, 1]), "declared begin A")?
-        .map_err(|(c, m)| format!("A unexpectedly refused ({c}): {m}"))?;
-    // Single-object overlap: one conflict pair cannot cycle — admitted.
-    let single_admitted = match step(conn.begin_top_declared(&[], &[0]), "declared begin C")? {
-        Ok(c) => {
-            probe_commit(conn, c)?;
-            true
-        }
-        Err(_) => false,
-    };
-    // Crossing both objects must be refused with the typed gate error.
-    let crossing_refused = match step(conn.begin_top_declared(&[], &[0, 1]), "declared begin B")? {
-        Ok(b) => {
-            probe_commit(conn, b)?;
-            false
-        }
-        Err((code, _)) => code == err_code::STATIC_GATE,
-    };
-    // Committing the blocker releases its ledger entry.
-    probe_commit(conn, a)?;
-    let reopened = match step(conn.begin_top_declared(&[], &[0, 1]), "declared begin B2")? {
-        Ok(b2) => {
-            probe_commit(conn, b2)?;
-            true
-        }
-        Err(_) => false,
-    };
-    Ok((crossing_refused, single_admitted, reopened))
 }
 
 /// Run the load once per connection count, emitting one `net-sweep`
@@ -165,69 +111,11 @@ fn run_sweep(addr: &str, base: &LoadConfig, sweep: &[usize]) -> Result<bool, Str
     Ok(all_ok)
 }
 
-fn run_gate_probe(addr: Option<String>, shutdown: bool) -> ExitCode {
-    // Self-host a static-gate server when no target was given.
-    let (addr, own_server) = match addr {
-        Some(a) => (a, None),
-        None => {
-            let server = match NetServer::bind(ServerConfig {
-                static_gate: true,
-                ..ServerConfig::default()
-            }) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("nt-load: cannot self-host gate-probe server: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            (server.local_addr().to_string(), Some(server.serve()))
-        }
-    };
-    let mut conn = match Conn::connect(&addr, 0, ConnConfig::default()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("nt-load: cannot connect to {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let probed = probe_gate(&mut conn);
-    if shutdown || own_server.is_some() {
-        if let Err(e) = conn.shutdown_server() {
-            eprintln!("nt-load: shutdown request failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(handle) = own_server {
-        let _ = handle.wait();
-    }
-    let (crossing_refused, single_admitted, reopened) = match probed {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("nt-load: gate probe failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut o = JsonObj::new();
-    o.str("suite", "gate-probe")
-        .num("static_gate_code", u64::from(err_code::STATIC_GATE))
-        .bool("crossing_refused", crossing_refused)
-        .bool("single_overlap_admitted", single_admitted)
-        .bool("reopened_after_commit", reopened);
-    println!("{}", o.build());
-    if crossing_refused && single_admitted && reopened {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("nt-load: gate probe observed wrong admission behavior");
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg: Option<LoadConfig> = None;
     let mut addr_override = None;
     let mut smoke = false;
-    let mut gate_probe = false;
     let mut cert_probe = false;
     let mut shutdown = false;
     let mut batch_override: Option<usize> = None;
@@ -271,8 +159,8 @@ fn main() -> ExitCode {
                 i += 1;
             }
             "--gate-probe" => {
-                gate_probe = true;
-                i += 1;
+                eprintln!("nt-load: --gate-probe was removed: {STATIC_GATE_RETIRED}");
+                return ExitCode::from(2);
             }
             "--cert" => {
                 cert_probe = true;
@@ -312,9 +200,6 @@ fn main() -> ExitCode {
             }
             _ => return usage(),
         }
-    }
-    if gate_probe {
-        return run_gate_probe(addr_override, shutdown);
     }
     let mut load = cfg.unwrap_or_else(|| {
         if smoke {

@@ -3,20 +3,17 @@
 //!
 //! ```text
 //! nt-serve [--config FILE.net.json] [--addr HOST:PORT]
-//!          [--port-file FILE] [--journal FILE] [--static-gate]
-//!          [--metrics-out FILE] [--trace-out FILE] [--live-certify]
-//!          [--data-dir DIR] [--durability none|fsync]
+//!          [--port-file FILE] [--journal FILE] [--metrics-out FILE]
+//!          [--trace-out FILE] [--live-certify] [--data-dir DIR]
+//!          [--durability none|fsync]
 //! ```
 //!
 //! Binds (port 0 = ephemeral), prints `nt-serve listening on ADDR`,
 //! optionally writes the resolved address to `--port-file` (for CI
 //! orchestration), serves until a wire `Shutdown` request drains it, and
 //! prints a one-line JSON drain summary. `--journal` dumps the
-//! observability event lines after the drain. `--static-gate` turns on
-//! the static admission gate: `BEGIN_TOP_DECLARED` requests whose
-//! declared read/write sets could close a potential serialization cycle
-//! against the live declared tops are refused with a typed
-//! `STATIC_GATE` error before they acquire any lock.
+//! observability event lines after the drain. `--static-gate` is refused
+//! (exit 2): the static admission gate is gone.
 //!
 //! `--metrics-out FILE` enables runtime telemetry and rewrites `FILE`
 //! with a live `nt-net/stats/v3` snapshot every `metrics_period_ms`
@@ -54,6 +51,7 @@
 //! reader never observes a torn snapshot.
 
 use nt_engine::DurabilityMode;
+use nt_net::config::STATIC_GATE_RETIRED;
 use nt_net::{NetConfig, NetServer, ServerConfig};
 use nt_obs::json::JsonObj;
 use nt_store::write_atomic;
@@ -63,7 +61,7 @@ use std::time::Duration;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: nt-serve [--config FILE.net.json] [--addr HOST:PORT] [--port-file FILE] [--journal FILE] [--static-gate] [--metrics-out FILE] [--trace-out FILE] [--live-certify] [--data-dir DIR] [--durability none|fsync]\n(the reactor is the only front end and takes no flag; fsync covers a poll round, the only group commit)"
+        "usage: nt-serve [--config FILE.net.json] [--addr HOST:PORT] [--port-file FILE] [--journal FILE] [--metrics-out FILE] [--trace-out FILE] [--live-certify] [--data-dir DIR] [--durability none|fsync]\n(the reactor is the only front end and takes no flag; fsync covers a poll round, the only group commit)"
     );
     ExitCode::from(2)
 }
@@ -74,7 +72,6 @@ fn main() -> ExitCode {
     let mut addr_override = None;
     let mut port_file = None;
     let mut journal_file = None;
-    let mut static_gate = false;
     let mut live_certify = false;
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
@@ -129,8 +126,8 @@ fn main() -> ExitCode {
                 i += 2;
             }
             "--static-gate" => {
-                static_gate = true;
-                i += 1;
+                eprintln!("nt-serve: --static-gate was removed: {STATIC_GATE_RETIRED}");
+                return ExitCode::from(2);
             }
             "--live-certify" => {
                 live_certify = true;
@@ -175,9 +172,6 @@ fn main() -> ExitCode {
     }
     if let Some(a) = addr_override {
         cfg.addr = a;
-    }
-    if static_gate {
-        cfg.static_gate = true;
     }
     if let Some(d) = data_dir {
         cfg.data_dir = Some(d);

@@ -300,28 +300,6 @@ impl Conn {
         self.sent
     }
 
-    /// Begin a top with a declared access summary, for servers running
-    /// the static admission gate. `Ok(Ok(tx))` means the top was
-    /// admitted and begun; `Ok(Err((code, msg)))` carries the server's
-    /// typed refusal (`err_code::STATIC_GATE` when the gate refused).
-    pub fn begin_top_declared(
-        &mut self,
-        reads: &[u32],
-        writes: &[u32],
-    ) -> Result<Result<u32, (u16, String)>, WireError> {
-        let req = Request::BeginTopDeclared {
-            reads: reads.to_vec(),
-            writes: writes.to_vec(),
-        };
-        match self.request(&req)? {
-            Response::Begun { tx } => Ok(Ok(tx)),
-            Response::Error { code, msg } => Ok(Err((code, msg))),
-            other => Err(WireError::BadPayload(format!(
-                "expected Begun or Error, got {other:?}"
-            ))),
-        }
-    }
-
     /// Fetch the server's recorded history and rebuild it locally.
     pub fn fetch_history(&mut self) -> Result<(TxTree, Vec<Action>), WireError> {
         match self.request(&Request::HistoryFetch)? {

@@ -17,6 +17,12 @@ use nt_obs::json::{Json, JsonObj};
 /// The schema identifier embedded in every `*.net.json` document.
 pub const SCHEMA_ID: &str = "nt-net-config-v1";
 
+/// Why the static admission gate's `static_gate` key and its
+/// `--static-gate` / `--gate-probe` flags are refused.
+pub const STATIC_GATE_RETIRED: &str = "by Theorem 17 Moss locking already keeps SG(β) \
+     acyclic, and the deadlock detector resolves the deadlock potential the static \
+     admission gate refused";
+
 /// Server-role settings.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServerConfig {
@@ -45,11 +51,6 @@ pub struct ServerConfig {
     pub max_frame_len: usize,
     /// Optional deterministic transport fault plan on the receive path.
     pub fault: Option<TransportPlan>,
-    /// Run the static admission gate: `BEGIN_TOP_DECLARED` requests are
-    /// checked against the live declared tops and refused (with
-    /// `err_code::STATIC_GATE`) when their potential conflict component
-    /// could close a serialization cycle.
-    pub static_gate: bool,
     /// Enable runtime telemetry: per-request lifecycle spans (a fixed ring
     /// of `nt_obs::SPAN_RING`, newest win), lock-wait attribution, phase
     /// histograms, and the `STATS` document's histogram/gauge section.
@@ -88,7 +89,6 @@ impl Default for ServerConfig {
             queue_depth: 32,
             max_frame_len: crate::wire::DEFAULT_MAX_FRAME,
             fault: None,
-            static_gate: false,
             telemetry: false,
             live_certify: false,
             metrics_period_ms: 1000,
@@ -253,7 +253,6 @@ impl ServerConfig {
             .num("capacity", self.capacity as u64)
             .num("queue_depth", self.queue_depth as u64)
             .num("max_frame_len", self.max_frame_len as u64)
-            .bool("static_gate", self.static_gate)
             .bool("telemetry", self.telemetry)
             .bool("live_certify", self.live_certify)
             .num("metrics_period_ms", self.metrics_period_ms)
@@ -381,10 +380,6 @@ impl NetConfig {
                         "queue_depth" => c.queue_depth = int(val, key)?,
                         "max_frame_len" => c.max_frame_len = int(val, key)?,
                         "fault" => c.fault = Some(TransportPlan::from_json_value(val)?),
-                        "static_gate" => match val {
-                            Json::Bool(b) => c.static_gate = *b,
-                            _ => return Err("static_gate must be a boolean".to_string()),
-                        },
                         "telemetry" => match val {
                             Json::Bool(b) => c.telemetry = *b,
                             _ => return Err("telemetry must be a boolean".to_string()),
@@ -409,9 +404,9 @@ impl NetConfig {
                             )?;
                         }
                         // Retired with the threaded front end, the detector
-                        // thread, the second observability crate and the
-                        // sharded lock table: refused with the reason, not
-                        // silently accepted.
+                        // thread, the second observability crate, the
+                        // sharded lock table and the static admission gate:
+                        // refused with the reason, not silently accepted.
                         "frontend" => {
                             return Err("net server config key \"frontend\" was removed: \
                                         the reactor is the only front end"
@@ -432,6 +427,12 @@ impl NetConfig {
                             return Err("net server config key \"shards\" was removed: \
                                         the lock table is one engine lock, not shards"
                                 .to_string());
+                        }
+                        "static_gate" => {
+                            return Err(format!(
+                                "net server config key \"static_gate\" was removed: \
+                                 {STATIC_GATE_RETIRED}"
+                            ));
                         }
                         other => return Err(format!("unknown net server config key {other:?}")),
                     }
@@ -503,7 +504,6 @@ mod tests {
                 delay_period: 3,
                 delay_us: 200,
             }),
-            static_gate: true,
             telemetry: true,
             live_certify: true,
             metrics_period_ms: 250,
@@ -546,6 +546,9 @@ mod tests {
         let err =
             NetConfig::from_json(r#"{"role":"server","span_ring":512}"#).expect_err("retired knob");
         assert!(err.contains("a fixed 4096 entries"), "{err}");
+        let err = NetConfig::from_json(r#"{"role":"server","static_gate":true}"#)
+            .expect_err("retired knob");
+        assert!(err.contains("Theorem 17"), "{err}");
         let err = NetConfig::from_json(r#"{"role":"proxy"}"#).expect_err("role rejected");
         assert!(err.contains("proxy"), "{err}");
         let err = NetConfig::from_json(r#"{"shards":4}"#).expect_err("missing role");

@@ -415,14 +415,12 @@ impl Service for ConnService {
     fn hangup(&mut self, frames: u64) {
         // The client is gone (EOF, protocol error, write failure, or
         // drain): withdraw a queued lock request, abort whatever it left
-        // open so held locks cannot starve other sessions, and free its
-        // admission slots.
+        // open so held locks cannot starve other sessions.
         if let Some(Waiting::Op(_, p)) = self.waiting.take() {
             self.session.access_cancel(p);
         }
         for t in std::mem::take(&mut self.open_tops) {
             let _ = self.session.abort(t);
-            self.shared.release_admission(t);
         }
         self.shared.drop_cache(std::mem::take(&mut self.cache));
         self.shared.rec.record(Event::ConnClosed {

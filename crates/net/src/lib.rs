@@ -31,12 +31,7 @@
 //!   real `nt-serve` on an `nt-store` data directory, `SIGKILL` it
 //!   mid-load at a seeded point, restart, and verify recovery —
 //!   Theorem 17 re-certification, zero committed-transaction loss, and
-//!   byte-identical replies to resent pre-crash frames;
-//! * [`admission`] — the static admission gate's ledger: under
-//!   `nt-serve --static-gate`, `BEGIN_TOP_DECLARED` requests carry
-//!   declared read/write sets, and a top whose potential conflict
-//!   component could close a serialization cycle is refused with a
-//!   typed `STATIC_GATE` error before it acquires any lock.
+//!   byte-identical replies to resent pre-crash frames.
 //!
 //! Runtime observability (one `nt-obs` recorder per server, DESIGN.md
 //! §8g) threads through the server: per-request phase spans with dual
@@ -45,12 +40,11 @@
 //! histograms, SGT health gauges, live wait-for graph), `nt-serve
 //! --metrics-out`/`--trace-out`, the live certifier running the
 //! recorded actions through the Theorem 17 gate while the server runs,
-//! and the journal's flight tail dumped on stuck drains, static-gate
-//! refusals, and certifier violations.
+//! and the journal's flight tail dumped on stuck drains and certifier
+//! violations.
 
 #![forbid(unsafe_code)]
 
-pub mod admission;
 pub mod client;
 pub mod config;
 pub mod crashdrv;
@@ -60,7 +54,6 @@ pub mod load;
 pub mod server;
 pub mod wire;
 
-pub use admission::{AdmissionLedger, DeclaredSets};
 pub use client::{certify_history, fetch_and_certify, Conn, ConnConfig};
 pub use config::{LoadConfig, LoadMode, NetConfig, ServerConfig};
 pub use history::HistoryDoc;

@@ -27,10 +27,10 @@
 //! The server owns one `nt-obs` recorder, built in [`NetServer::bind`]:
 //! every event (`conn_accepted`, `frame_fault`, `deadlock_victim`, …) is
 //! recorded into it once, [`DrainReport::journal`] is its journal and the
-//! flight dump written to stderr on a drain timeout, a static-gate
-//! refusal, or a live certifier violation is that journal's tail — same
-//! lines, same `seq`. When the config enables telemetry the recorder is a
-//! *timed* one: each request's lifecycle (arrived → started → finished)
+//! flight dump written to stderr on a drain timeout or a live certifier
+//! violation is that journal's tail — same lines, same `seq`. When the
+//! config enables telemetry the recorder is a *timed* one: each
+//! request's lifecycle (arrived → started → finished)
 //! is stamped into an [`nt_obs::ReqSpan`] carrying dual
 //! wall-clock/`SeqClock` stamps, and the engine's lock table and the
 //! certifier's gauges feed the same registry. With `live_certify` on, the
@@ -53,15 +53,14 @@
 //! then is the engine torn down — so a drained server's recorded history
 //! is complete and certifiable.
 
-use crate::admission::{AdmissionLedger, DeclaredSets};
 use crate::config::ServerConfig;
 use crate::history::HistoryDoc;
-use crate::wire::{encode_response, err_code, parse_frame, Request, Response};
+use crate::wire::{encode_response, err_code, parse_frame, Request, Response, CRC_LEN};
 use nt_engine::{
     AccessOutcome, AccessStep, ActionSink, BeginOutcome, CommitOutcome, ParkedAccess,
     RecoveredSeed, Session, SessionEngine, SessionError, WakeHandle,
 };
-use nt_model::{ObjId, Op, TxId};
+use nt_model::{ObjId, TxId};
 use nt_obs::json::JsonObj;
 use nt_obs::{Event, Recorder, StatsCell, TraceHandle};
 use nt_sgt_live::{cert_disabled_json, LiveCertifier, SgtConfig};
@@ -118,8 +117,6 @@ pub(crate) struct Shared {
     /// reading, answers everything already dispatched, flushes, and exits.
     drainer: nt_reactor::Drainer,
     pub(crate) stats: StatsCell<ServerStats>,
-    /// Declared summaries of live tops (the static admission gate).
-    admission: Mutex<AdmissionLedger>,
     /// The live certifier's violation has been journaled and dumped.
     violation_surfaced: AtomicBool,
     /// Deadlock victims journaled so far (a prefix of the engine's list).
@@ -205,7 +202,7 @@ impl Shared {
     }
 
     /// Dump the flight ring and a stats snapshot to stderr (called on a
-    /// drain timeout, a static-gate refusal, or a certifier violation).
+    /// drain timeout or a certifier violation).
     fn dump_diagnostics(&self, reason: &str) {
         self.rec.dump_flight_to_stderr(reason);
         eprintln!("=== nt-net stats snapshot ({reason}) ===");
@@ -303,14 +300,6 @@ impl Shared {
         if held > 0 {
             self.stats.update(|s| s.reply_cache -= held);
         }
-    }
-
-    /// Forget a top's declared summary (no-op for undeclared tops).
-    pub(crate) fn release_admission(&self, tx: TxId) {
-        self.admission
-            .lock()
-            .expect("admission poisoned")
-            .release(tx.0);
     }
 
     /// Initiate a graceful drain (idempotent, non-blocking).
@@ -431,7 +420,6 @@ impl NetServer {
             addr,
             drainer: nt_reactor::Drainer::new(),
             stats: StatsCell::default(),
-            admission: Mutex::new(AdmissionLedger::new()),
             violation_surfaced: AtomicBool::new(false),
             victims_surfaced: AtomicUsize::new(0),
             store,
@@ -664,8 +652,11 @@ fn answer_without_running(shared: &Shared, cache: &ReplyCache, seq: u64) -> Opti
 /// *barrier* is the round's flush. A read-only op (`HISTORY_FETCH`,
 /// `STATS`, `CERT`, `PING`, `SHUTDOWN`) is not cached: re-executing it
 /// changes nothing, and caching it would keep every snapshot a polling
-/// client fetched until its ack passed. `None` only on response-encoding
-/// failure (connection-fatal).
+/// client fetched until its ack passed. An answer whose frame would pass
+/// the server's `max_frame_len` — a client reading with the same cap
+/// would drop it as a bad length — is replaced by a typed
+/// `FRAME_TOO_LARGE` refusal, and the connection stays open. `None` only
+/// on response-encoding failure (connection-fatal).
 fn finish_op(
     shared: &Shared,
     session: &mut Session,
@@ -675,7 +666,15 @@ fn finish_op(
     resp: &Response,
 ) -> Option<OpAnswer> {
     let lock_wait_us = session.take_lock_wait_us();
-    let bytes = encode_response(seq, resp).ok()?;
+    let mut bytes = encode_response(seq, resp).ok()?;
+    let (len, cap) = (bytes.len() - 4 - CRC_LEN, shared.cfg.max_frame_len);
+    if len > cap {
+        let refusal = Response::Error {
+            code: err_code::FRAME_TOO_LARGE,
+            msg: format!("answer frame length {len} exceeds max_frame_len {cap}"),
+        };
+        bytes = encode_response(seq, &refusal).ok()?;
+    }
     let kept = mutates(req);
     if kept {
         cache.replies.insert(seq, bytes.clone());
@@ -740,7 +739,7 @@ impl OpsRun {
         while let Some((seq, req)) = self.ops.get(self.answers.len()) {
             let ans = 'answer: {
                 let exec = match resumed.take() {
-                    Some(p) => resume(shared, session, open_tops, p),
+                    Some(p) => resume(session, open_tops, p),
                     None => match answer_without_running(shared, cache, *seq) {
                         Some(ans) => break 'answer ans,
                         None => execute(shared, session, open_tops, req, wake),
@@ -832,7 +831,6 @@ fn mutates(req: &Request) -> bool {
     matches!(
         req,
         Request::BeginTop
-            | Request::BeginTopDeclared { .. }
             | Request::BeginChild { .. }
             | Request::Access { .. }
             | Request::Commit { .. }
@@ -850,69 +848,21 @@ pub(crate) enum Exec {
 }
 
 /// The response of an access that ran to its outcome.
-fn access_response(
-    shared: &Shared,
-    open_tops: &mut BTreeSet<TxId>,
-    outcome: AccessOutcome,
-) -> Response {
+fn access_response(open_tops: &mut BTreeSet<TxId>, outcome: AccessOutcome) -> Response {
     match outcome {
         AccessOutcome::Done(v) => Response::AccessOk { value: v },
         AccessOutcome::Aborted(v) => {
             open_tops.remove(&v);
-            shared.release_admission(v);
             Response::Aborted { victim: v.0 }
         }
     }
 }
 
-/// Journal a static-gate refusal of `what`, dump the flight tail, and
-/// answer it with the typed `STATIC_GATE` error.
-fn static_gate_refusal(shared: &Shared, what: &str, msg: &str) -> Response {
-    shared.rec.record(Event::Violation {
-        reason: format!("static gate refusal: {msg}"),
-    });
-    shared.dump_diagnostics("static gate refusal");
-    Response::Error {
-        code: err_code::STATIC_GATE,
-        msg: format!("static gate refused {what}: {msg}"),
-    }
-}
-
-/// The static gate's contract, enforced: with the gate on, an `ACCESS`
-/// under a declared top must stay inside the declaration. `Some` refusal
-/// before the access registers or takes a lock; `None` lets the session
-/// run it — also when the session will refuse it itself (an unknown or
-/// foreign parent, a non-read/write op), so those keep their own codes.
-fn gate_access(
-    shared: &Shared,
-    session: &Session,
-    parent: TxId,
-    obj: ObjId,
-    op: &Op,
-) -> Option<Response> {
-    if !shared.cfg.static_gate || !(op.is_rw_read() || op.is_rw_write()) {
-        return None;
-    }
-    let top = session.owned_top(parent).ok()?;
-    let verdict = shared
-        .admission
-        .lock()
-        .expect("admission poisoned")
-        .check_access(top.0, obj.0, op.is_rw_write());
-    let msg = verdict.err()?;
-    Some(static_gate_refusal(shared, "the access", &msg))
-}
-
 /// Continue a parked access after its wake fired (spurious wakes park
 /// again).
-fn resume(
-    shared: &Shared,
-    session: &mut Session,
-    open_tops: &mut BTreeSet<TxId>,
-    parked: ParkedAccess,
-) -> Exec {
+fn resume(session: &mut Session, open_tops: &mut BTreeSet<TxId>, parked: ParkedAccess) -> Exec {
     match session.access_resume(parked) {
-        AccessStep::Done(out) => Exec::Done(access_response(shared, open_tops, out)),
+        AccessStep::Done(out) => Exec::Done(access_response(open_tops, out)),
         AccessStep::Parked(p) => Exec::Parked(p),
     }
 }
@@ -935,46 +885,19 @@ fn execute(
             }
             Err(e) => session_error_response(&e),
         },
-        Request::BeginTopDeclared { reads, writes } => {
-            if !shared.cfg.static_gate {
-                // Gate disabled: a declared begin degrades to BeginTop.
-                return execute(shared, session, open_tops, &Request::BeginTop, wake);
-            }
-            let sets = DeclaredSets::new(reads, writes);
-            // Hold the ledger across check + record so two connections
-            // cannot jointly admit a component of weight >= 2.
-            let mut ledger = shared.admission.lock().expect("admission poisoned");
-            if let Err(msg) = ledger.check(&sets) {
-                drop(ledger);
-                return Exec::Done(static_gate_refusal(shared, "the top", &msg));
-            }
-            match session.begin_top() {
-                Ok(t) => {
-                    ledger.record(t.0, sets);
-                    open_tops.insert(t);
-                    Response::Begun { tx: t.0 }
-                }
-                Err(e) => session_error_response(&e),
-            }
-        }
         Request::BeginChild { parent } => match session.begin_child(TxId(*parent)) {
             Ok(BeginOutcome::Fresh(t)) => Response::Begun { tx: t.0 },
             Ok(BeginOutcome::Aborted(v)) => {
                 // If the victim is the top itself it is gone; a deeper
                 // victim is not in `open_tops` and the remove is a no-op.
                 open_tops.remove(&v);
-                shared.release_admission(v);
                 Response::Aborted { victim: v.0 }
             }
             Err(e) => session_error_response(&e),
         },
         Request::Access { parent, obj, op } => {
-            let (parent, obj) = (TxId(*parent), ObjId(*obj));
-            if let Some(refusal) = gate_access(shared, session, parent, obj, op) {
-                return Exec::Done(refusal);
-            }
-            match session.access_start(parent, obj, op.clone(), wake) {
-                Ok(AccessStep::Done(out)) => access_response(shared, open_tops, out),
+            match session.access_start(TxId(*parent), ObjId(*obj), op.clone(), wake) {
+                Ok(AccessStep::Done(out)) => access_response(open_tops, out),
                 Ok(AccessStep::Parked(p)) => return Exec::Parked(p),
                 Err(e) => session_error_response(&e),
             }
@@ -982,12 +905,10 @@ fn execute(
         Request::Commit { tx } => match session.commit(TxId(*tx)) {
             Ok(CommitOutcome::Committed) => {
                 open_tops.remove(&TxId(*tx));
-                shared.release_admission(TxId(*tx));
                 Response::Committed
             }
             Ok(CommitOutcome::Aborted(v)) => {
                 open_tops.remove(&v);
-                shared.release_admission(v);
                 Response::Aborted { victim: v.0 }
             }
             Err(e) => session_error_response(&e),
@@ -995,7 +916,6 @@ fn execute(
         Request::Abort { tx } => match session.abort(TxId(*tx)) {
             Ok(()) => {
                 open_tops.remove(&TxId(*tx));
-                shared.release_admission(TxId(*tx));
                 Response::AbortOk
             }
             Err(e) => session_error_response(&e),
@@ -1025,6 +945,7 @@ fn execute(
 mod tests {
     use super::*;
     use crate::wire::parse_response;
+    use nt_model::Op;
 
     /// One connection's protocol state, driven the way the reactor's
     /// service drives it, minus the socket.

@@ -156,19 +156,6 @@ fn finish(r: &Reader<'_>) -> Result<(), WireError> {
 pub enum Request {
     /// Begin a fresh top-level transaction.
     BeginTop,
-    /// Begin a top-level transaction *with a declared access summary*:
-    /// the objects it may read and the objects it may write. When the
-    /// server runs with the static admission gate enabled, the declared
-    /// sets feed an [`crate::admission::AdmissionLedger`] that refuses
-    /// (with [`err_code::STATIC_GATE`]) any top whose potential conflict
-    /// graph against the currently live declared tops could close a
-    /// serialization cycle. Without the gate this behaves as `BeginTop`.
-    BeginTopDeclared {
-        /// Objects the transaction may read.
-        reads: Vec<u32>,
-        /// Objects the transaction may write.
-        writes: Vec<u32>,
-    },
     /// Begin a child under `parent` (which this connection's session owns).
     BeginChild {
         /// The parent transaction.
@@ -222,7 +209,6 @@ impl Request {
             Request::HistoryFetch => 0x06,
             Request::Ping => 0x07,
             Request::Shutdown => 0x08,
-            Request::BeginTopDeclared { .. } => 0x09,
             Request::Stats => 0x0A,
             Request::Cert => 0x0B,
         }
@@ -249,15 +235,6 @@ impl Request {
                 put_u32(out, *tx);
                 Ok(())
             }
-            Request::BeginTopDeclared { reads, writes } => {
-                for set in [reads, writes] {
-                    put_u32(out, set.len() as u32);
-                    for &obj in set {
-                        put_u32(out, obj);
-                    }
-                }
-                Ok(())
-            }
         }
     }
 
@@ -277,19 +254,10 @@ impl Request {
             0x06 => Request::HistoryFetch,
             0x07 => Request::Ping,
             0x08 => Request::Shutdown,
-            0x09 => {
-                let mut sets = [Vec::new(), Vec::new()];
-                for set in &mut sets {
-                    let n = cur.u32()?;
-                    for _ in 0..n {
-                        set.push(cur.u32()?);
-                    }
-                }
-                let [reads, writes] = sets;
-                Request::BeginTopDeclared { reads, writes }
-            }
             0x0A => Request::Stats,
             0x0B => Request::Cert,
+            // 0x09, the retired BEGIN_TOP_DECLARED, is unknown like any
+            // unassigned kind.
             k => return Err(WireError::UnknownKind(k)),
         };
         finish(&cur)?;
@@ -313,15 +281,20 @@ pub mod err_code {
     pub const NON_RW_OP: u16 = 6;
     /// The connection sent a malformed frame.
     pub const PROTOCOL: u16 = 7;
-    /// The static admission gate refused the declared access summary:
-    /// admitting it could close a potential serialization cycle.
-    pub const STATIC_GATE: u16 = 8;
+    // 8 was STATIC_GATE, the static admission gate's refusal; the gate
+    // is gone (Theorem 17 already rules out the cycle it refused) and
+    // the code stays reserved, never reassigned.
     /// The op's seq is below the connection's cumulative ack and its reply
     /// is no longer cached: the client already received it. Nothing ran.
     pub const ACKED: u16 = 9;
     /// The access names an object id outside the range (`u32::MAX` is
     /// reserved). Nothing was registered.
     pub const BAD_OBJECT: u16 = 10;
+    /// The answer's frame would exceed the server's `max_frame_len`, the
+    /// cap a client reading with the same limit enforces; the message
+    /// names the frame length and the cap. The op ran; only its answer is
+    /// refused, and the connection stays open.
+    pub const FRAME_TOO_LARGE: u16 = 11;
 }
 
 /// A server-to-client response (its `seq` echoes the request's).

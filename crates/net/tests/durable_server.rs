@@ -600,14 +600,22 @@ fn wal_history_and_certifier_see_one_order_across_a_crash_restart() {
 /// replaced it — never accepted as a silent alias.
 #[test]
 fn nt_serve_refuses_retired_flags_naming_the_replacement() {
-    for (args, names) in [
-        (&["--threaded"][..], "the reactor is the only front end"),
-        (&["--durability", "group:100"][..], "fsync"),
+    let serve = env!("CARGO_BIN_EXE_nt-serve");
+    let load = env!("CARGO_BIN_EXE_nt-load");
+    for (bin, args, names) in [
+        (
+            serve,
+            &["--threaded"][..],
+            "the reactor is the only front end",
+        ),
+        (serve, &["--durability", "group:100"][..], "fsync"),
+        (serve, &["--static-gate"][..], "Theorem 17"),
+        (load, &["--gate-probe"][..], "Theorem 17"),
     ] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_nt-serve"))
+        let out = std::process::Command::new(bin)
             .args(args)
             .output()
-            .expect("spawn nt-serve");
+            .expect("spawn the binary");
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(names), "{args:?}: {stderr}");

@@ -91,6 +91,49 @@ fn single_session_runs_a_nested_transaction_end_to_end() {
     assert_eq!(report.victims, 0);
 }
 
+/// The server caps the frames it writes as it caps the frames it reads:
+/// a history that outgrows `max_frame_len` is refused with a typed error
+/// naming the frame length and the cap, instead of a frame every client
+/// reading with that cap drops, and the connection keeps serving.
+#[test]
+fn an_answer_past_max_frame_len_is_refused_typed_and_the_connection_lives() {
+    let (addr, handle) = start_server(ServerConfig {
+        max_frame_len: 4096,
+        ..ServerConfig::default()
+    });
+    let mut conn = Conn::connect(&addr, 1, ConnConfig::default()).expect("connect");
+    for i in 0..48 {
+        let top = match conn.request(&Request::BeginTop).expect("begin top") {
+            Response::Begun { tx } => tx,
+            other => panic!("expected Begun, got {other:?}"),
+        };
+        let (obj, op) = (i as u32 % 4, Op::Write(i));
+        let wrote = conn.request(&Request::Access {
+            parent: top,
+            obj,
+            op,
+        });
+        assert!(matches!(wrote, Ok(Response::AccessOk { .. })), "{wrote:?}");
+        let done = conn.request(&Request::Commit { tx: top });
+        assert!(matches!(done, Ok(Response::Committed)), "{done:?}");
+    }
+    let fetched = conn.request(&Request::HistoryFetch);
+    match fetched.expect("a reply, not a dropped frame") {
+        Response::Error { code, msg } => {
+            assert_eq!(code, err_code::FRAME_TOO_LARGE, "{msg}");
+            assert!(msg.contains("max_frame_len 4096"), "{msg}");
+        }
+        other => panic!(
+            "expected the frame-cap refusal, got kind {:#04x}",
+            other.kind()
+        ),
+    }
+    assert!(matches!(conn.request(&Request::Ping), Ok(Response::Pong)));
+    conn.shutdown_server().expect("shutdown");
+    drop(conn);
+    handle.wait();
+}
+
 /// A client can name any `u32` object. `u32::MAX` is refused with a typed
 /// error; `u32::MAX - 1` is served, and the history fetched afterwards —
 /// its tree counts `u32::MAX` objects — is built and certified without

@@ -48,11 +48,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
         Just(Request::HistoryFetch),
         Just(Request::Ping),
         Just(Request::Shutdown),
-        (
-            prop::collection::vec(any::<u32>(), 0..6),
-            prop::collection::vec(any::<u32>(), 0..6),
-        )
-            .prop_map(|(reads, writes)| Request::BeginTopDeclared { reads, writes }),
     ]
 }
 
@@ -369,14 +364,14 @@ fn corrupt_frame_corpus_yields_typed_errors() {
         Err(WireError::BadVersion(99))
     ));
 
-    // Unknown kind, under a valid CRC.
-    let mut bad = payload.clone();
-    bad[7] = 0x7F;
-    reseal(&mut bad);
-    assert!(matches!(
-        parse_request(&bad),
-        Err(WireError::UnknownKind(0x7F))
-    ));
+    // Unknown kind, under a valid CRC: unassigned, or retired (0x09,
+    // BEGIN_TOP_DECLARED).
+    for kind in [0x7F, 0x09] {
+        let mut bad = payload.clone();
+        bad[7] = kind;
+        reseal(&mut bad);
+        assert_eq!(parse_request(&bad), Err(WireError::UnknownKind(kind)));
+    }
 
     // Bad CRC: flip a body byte.
     let mut bad = payload.clone();
@@ -573,10 +568,6 @@ fn golden_cases() -> Vec<Vec<u8>> {
     let mut cases = Vec::new();
     let requests = [
         Request::BeginTop,
-        Request::BeginTopDeclared {
-            reads: vec![1, 2],
-            writes: vec![3],
-        },
         Request::BeginChild {
             parent: 0x0A0B_0C0D,
         },
@@ -715,7 +706,6 @@ fn golden_cases() -> Vec<Vec<u8>> {
 /// codec. A changed byte here is a format change, not a refactor.
 const GOLDEN: &[(&str, &str)] = &[
     ("BeginTop", "14000000032c63e8544e020108070605040302011817161514131211"),
-    ("BeginTopDeclared", "28000000f20d21ce544e0209080706050403020118171615141312110200000001000000020000000100000003000000"),
     ("BeginChild", "18000000d70ee861544e0202080706050403020118171615141312110d0c0b0a"),
     ("Access/read", "1d000000656b89e1544e020308070605040302011817161514131211050000000600000000"),
     ("Access/write", "250000007ed624c7544e020308070605040302011817161514131211050000000600000001feffffffffffffff"),
