@@ -2,35 +2,50 @@
 //! the post-run fetch-and-certify path.
 //!
 //! [`Conn`] assigns every request a monotone sequence number and keeps
-//! the encoded frame in an in-flight map until its response arrives, so
-//! a response that never comes (the server's fault plan dropped the
-//! frame) is survivable: the receive wait times out, the client re-sends
-//! the *same* bytes after `BackoffPolicy` delay, and the server's
-//! per-`seq` cache guarantees the retry executes nothing twice.
-//! Pipelining falls out of the same structure — send any number of
-//! requests, then await their responses in any order.
+//! it in a seq-ordered in-flight window — its encoded frame, when that
+//! frame left, and its answer once one arrives — until [`Conn::recv`]
+//! takes the answer. A response that never comes (the server's fault
+//! plan dropped the frame) is survivable: the receive wait times out,
+//! the client re-sends the *same* bytes after `BackoffPolicy` delay, and
+//! the server's per-`seq` cache guarantees the retry executes nothing
+//! twice. Pipelining falls out of the same structure — send any number
+//! of requests, then await their responses in any order.
+//!
+//! The connection is corked: [`Conn::send`] and [`Conn::send_batch`]
+//! only encode into one output buffer, and its bytes leave in one write
+//! when a [`Conn::recv`] has to wait on the socket, on [`Conn::flush`],
+//! or once the buffer passes 64 KiB. A pipelined run of k requests is
+//! one client write, one server read and one reply write. A caller that
+//! sends on one connection and then waits on anything else — another
+//! connection, server state — flushes first.
 //!
 //! Every frame carries the connection's cumulative ack, the smallest seq
-//! still awaited: the server keeps a mutating reply only until the ack
-//! passes it, so its exactly-once cache holds what is in flight, not
-//! everything this connection was ever answered. A resend carries the
-//! ack of its first send, which promises less and is therefore still true.
+//! still awaited when it was encoded: the server keeps a mutating reply
+//! only until the ack passes it, so its exactly-once cache holds what is
+//! in flight, not everything this connection was ever answered. A frame
+//! that waits in the cork, and a resend, carry the ack of their encoding,
+//! which promises less than the truth and is therefore still true.
 
 use crate::config::LoadConfig;
 use crate::wire::{
-    decode_frame, encode_batch_request_acked, encode_request_acked, FrameReader, Request, Response,
-    WireError, DEFAULT_MAX_FRAME, KIND_BATCH_RESP,
+    decode_batch_response, decode_frame, encode_batch_request_into, encode_request_into,
+    read_frame, Request, Response, WireError, DEFAULT_MAX_FRAME, KIND_BATCH_RESP,
 };
 use nt_faults::BackoffPolicy;
 use nt_model::{Action, Op, TxTree};
 use nt_obs::{Event, Histogram, Stamped};
+use nt_reactor::FrameBuf;
 use nt_serial::{ObjectTypes, RwRegister};
 use nt_sgt::{certify_recorded, ConflictSource, RecordedCertificate};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Encoded bytes past which a send writes the cork out without waiting
+/// for a [`Conn::recv`]: a long pipelined run leaves in bounded writes.
+const CORK_LIMIT: usize = 64 * 1024;
 
 /// Retry/timeout knobs (a slice of [`LoadConfig`]).
 #[derive(Clone, Copy, Debug)]
@@ -68,23 +83,33 @@ impl From<&LoadConfig> for ConnConfig {
     }
 }
 
-struct InFlight {
+/// One awaited request in [`Conn`]'s in-flight window.
+struct Slot {
+    seq: u64,
     /// The frame to re-send on timeout. Members of one `BATCH` share the
     /// same frame bytes: a retry re-sends the *whole* batch, and the
     /// server's per-op cache answers already-executed members
     /// byte-identically (exactly-once per op).
-    bytes: Arc<Vec<u8>>,
-    sent_at: Instant,
+    bytes: Arc<[u8]>,
+    /// When the frame left: stamped by the flush that wrote it.
+    sent_at: Option<Instant>,
+    /// The answer, from its arrival until [`Conn::recv`] takes it.
+    answer: Option<Response>,
 }
 
 /// One client connection: sequence numbers, pipelining, retries.
 pub struct Conn {
     stream: TcpStream,
-    fr: FrameReader,
+    inbuf: FrameBuf,
+    /// Encoded frames not yet written: the cork.
+    out: Vec<u8>,
+    /// Every frame of a seq below this one has been written.
+    flushed_below: u64,
     next_seq: u64,
     sent: u64,
-    in_flight: BTreeMap<u64, InFlight>,
-    got: BTreeMap<u64, Response>,
+    /// Every seq sent and not yet taken by [`Conn::recv`], in seq order;
+    /// the front slot's seq is the cumulative ack.
+    window: VecDeque<Slot>,
     cfg: ConnConfig,
     conn_id: u64,
     /// Resends performed (observability).
@@ -110,13 +135,15 @@ impl Conn {
 
     /// Connect to `addr` (blocking socket with a read timeout).
     pub fn connect(addr: &str, conn_id: u64, cfg: ConnConfig) -> Result<Conn, WireError> {
+        let base = Conn::seq_base(conn_id);
         Ok(Conn {
             stream: open_stream(addr, &cfg)?,
-            fr: FrameReader::new(),
-            next_seq: Conn::seq_base(conn_id),
+            inbuf: FrameBuf::new(),
+            out: Vec::new(),
+            flushed_below: base,
+            next_seq: base,
             sent: 0,
-            in_flight: BTreeMap::new(),
-            got: BTreeMap::new(),
+            window: VecDeque::new(),
             cfg,
             conn_id,
             retries: 0,
@@ -128,12 +155,13 @@ impl Conn {
 
     /// Connect this connection's seq band to `addr` again — a server
     /// restarted on the same data directory — keeping its place in the
-    /// band. A request still awaited is re-sent when its wait times out and
-    /// answered from the recovered cache if the first server ran it; the
-    /// next frame's ack lets the server forget the band's older replies.
+    /// band. Frames still in the cork go to the new server; a request
+    /// still awaited is re-sent when its wait times out and answered from
+    /// the recovered cache if the first server ran it; the next frame's
+    /// ack lets the server forget the band's older replies.
     pub fn reconnect(&mut self, addr: &str) -> Result<(), WireError> {
         self.stream = open_stream(addr, &self.cfg)?;
-        self.fr = FrameReader::new();
+        self.inbuf = FrameBuf::new();
         Ok(())
     }
 
@@ -141,69 +169,73 @@ impl Conn {
     /// awaited, or the next seq when nothing is. Every seq below it was
     /// answered and the answer taken by [`Conn::recv`].
     fn acked_below(&self) -> u64 {
-        self.in_flight
-            .first_key_value()
-            .map_or(self.next_seq, |(&seq, _)| seq)
+        self.window.front().map_or(self.next_seq, |slot| slot.seq)
+    }
+
+    /// Queue `seqs`, all encoded in `out[at..]`, in the window; write the
+    /// cork out if it passed [`CORK_LIMIT`].
+    fn enqueue(&mut self, at: usize, seqs: std::ops::Range<u64>) -> Result<(), WireError> {
+        let bytes: Arc<[u8]> = Arc::from(&self.out[at..]);
+        self.window.extend(seqs.map(|seq| Slot {
+            seq,
+            bytes: Arc::clone(&bytes),
+            sent_at: None,
+            answer: None,
+        }));
+        if self.out.len() >= CORK_LIMIT {
+            self.flush()?;
+        }
+        Ok(())
     }
 
     /// Send a request without waiting (pipelining). Returns its `seq`.
+    /// The frame waits in the cork until a [`Conn::recv`] has to wait or
+    /// [`Conn::flush`] is called.
     pub fn send(&mut self, req: &Request) -> Result<u64, WireError> {
-        let acked_below = self.acked_below();
-        let seq = self.next_seq;
+        let (seq, acked_below, at) = (self.next_seq, self.acked_below(), self.out.len());
+        encode_request_into(&mut self.out, seq, acked_below, req)?;
         self.next_seq += 1;
         self.sent += 1;
-        let bytes = encode_request_acked(seq, acked_below, req)?;
-        self.stream
-            .write_all(&bytes)
-            .map_err(|e| WireError::from_io(&e))?;
-        self.in_flight.insert(
-            seq,
-            InFlight {
-                bytes: Arc::new(bytes),
-                sent_at: Instant::now(),
-            },
-        );
+        self.enqueue(at, seq..seq + 1)?;
         Ok(seq)
     }
 
-    /// Send many requests as one `BATCH` frame (one syscall round-trip,
-    /// one server-side durability barrier for the lot). Returns the
-    /// per-op seqs in request order; await each with [`Conn::recv`]. A
-    /// timed-out member re-sends the whole batch — safe, because every
-    /// member executes exactly once under the server's per-op cache.
+    /// Send many requests as one `BATCH` frame (one server read, one
+    /// server-side durability barrier for the lot), corked like
+    /// [`Conn::send`]. Returns the per-op seqs in request order; await
+    /// each with [`Conn::recv`]. A timed-out member re-sends the whole
+    /// batch — safe, because every member executes exactly once under the
+    /// server's per-op cache.
     pub fn send_batch(&mut self, reqs: &[Request]) -> Result<Vec<u64>, WireError> {
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
-        let acked_below = self.acked_below();
-        let outer = self.next_seq;
-        self.next_seq += 1;
-        let ops: Vec<(u64, Request)> = reqs
-            .iter()
-            .map(|r| {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                (seq, r.clone())
-            })
-            .collect();
+        let (outer, acked_below, at) = (self.next_seq, self.acked_below(), self.out.len());
+        encode_batch_request_into(&mut self.out, outer, acked_below, reqs)?;
+        let ops = outer + 1..outer + 1 + reqs.len() as u64;
+        self.next_seq = ops.end;
         self.sent += reqs.len() as u64;
-        let bytes = Arc::new(encode_batch_request_acked(outer, acked_below, &ops)?);
-        self.stream
-            .write_all(&bytes)
-            .map_err(|e| WireError::from_io(&e))?;
-        let sent_at = Instant::now();
-        let mut seqs = Vec::with_capacity(ops.len());
-        for (seq, _) in &ops {
-            self.in_flight.insert(
-                *seq,
-                InFlight {
-                    bytes: Arc::clone(&bytes),
-                    sent_at,
-                },
-            );
-            seqs.push(*seq);
+        self.enqueue(at, ops.clone())?;
+        Ok(ops.collect())
+    }
+
+    /// Write every corked frame to the socket in one `write_all`, and
+    /// stamp their slots' send time. On a write error the bytes stay
+    /// corked, for a [`Conn::reconnect`] to carry over.
+    pub fn flush(&mut self) -> Result<(), WireError> {
+        if self.out.is_empty() {
+            return Ok(());
         }
-        Ok(seqs)
+        self.stream
+            .write_all(&self.out)
+            .map_err(|e| WireError::from_io(&e))?;
+        self.out.clear();
+        let (now, from) = (Instant::now(), self.flushed_below);
+        for slot in self.window.iter_mut().rev().take_while(|s| s.seq >= from) {
+            slot.sent_at = Some(now);
+        }
+        self.flushed_below = self.next_seq;
+        Ok(())
     }
 
     /// Send a batch and await every member, in order.
@@ -212,45 +244,46 @@ impl Conn {
         seqs.into_iter().map(|seq| self.recv(seq)).collect()
     }
 
+    /// Read one frame and file its answers in the window. An answer for a
+    /// seq not awaited — a duplicate from a resend, answered again or
+    /// `ACKED` once the ack passed it — drops on the floor
+    /// (at-least-once transport).
     fn poll(&mut self) -> Result<(), WireError> {
-        match self.fr.read_frame(&mut self.stream, DEFAULT_MAX_FRAME)? {
-            None => Err(WireError::Io("server closed the connection".to_string())),
-            Some(frame) => {
-                let f = decode_frame(&frame)?;
-                if f.kind == KIND_BATCH_RESP {
-                    // Per-op responses; duplicates (from a whole-batch
-                    // resend) for completed seqs — answered again, or
-                    // `ACKED` once the ack passed them — drop on the floor.
-                    for (seq, resp) in crate::wire::decode_batch_response(f.body)? {
-                        if self.in_flight.contains_key(&seq) {
-                            self.got.insert(seq, resp);
-                        }
-                    }
-                    return Ok(());
-                }
-                let resp = Response::decode(f.kind, f.body)?;
-                // A duplicate response for an already-completed seq is
-                // dropped on the floor (at-least-once transport).
-                if self.in_flight.contains_key(&f.seq) {
-                    self.got.insert(f.seq, resp);
-                }
-                Ok(())
+        let Some(frame) = read_frame(&mut self.inbuf, &mut self.stream, DEFAULT_MAX_FRAME)? else {
+            return Err(WireError::Io("server closed the connection".to_string()));
+        };
+        let f = decode_frame(frame)?;
+        if f.kind == KIND_BATCH_RESP {
+            for (seq, resp) in decode_batch_response(f.body)? {
+                file_answer(&mut self.window, seq, resp);
             }
+        } else {
+            file_answer(&mut self.window, f.seq, Response::decode(f.kind, f.body)?);
         }
+        Ok(())
     }
 
     /// Await the response for `seq`, re-sending the original frame with
-    /// capped exponential backoff when the wait times out.
+    /// capped exponential backoff when the wait times out. Waiting writes
+    /// the cork out first. A `seq` not in flight — never sent on this
+    /// connection, or its answer already taken — is
+    /// [`WireError::NotInFlight`] at once.
     pub fn recv(&mut self, seq: u64) -> Result<Response, WireError> {
         let mut attempt: u32 = 0;
         loop {
-            if let Some(resp) = self.got.remove(&seq) {
-                if let Some(inf) = self.in_flight.remove(&seq) {
-                    let us = inf.sent_at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+            let i = self
+                .window
+                .binary_search_by_key(&seq, |slot| slot.seq)
+                .map_err(|_| WireError::NotInFlight(seq))?;
+            if self.window[i].answer.is_some() {
+                let slot = self.window.remove(i).expect("the slot just found");
+                if let Some(at) = slot.sent_at {
+                    let us = at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
                     self.req_hist.observe(us);
                 }
-                return Ok(resp);
+                return Ok(slot.answer.expect("checked above"));
             }
+            self.flush()?;
             match self.poll() {
                 Ok(()) => continue,
                 Err(WireError::TimedOut) => {
@@ -275,13 +308,9 @@ impl Conn {
                     );
                     let rounds = self.cfg.backoff.delay(attempt);
                     std::thread::sleep(Duration::from_micros(rounds * self.cfg.backoff_round_us));
-                    let bytes = self
-                        .in_flight
-                        .get(&seq)
-                        .map(|inf| inf.bytes.clone())
-                        .ok_or(WireError::TimedOut)?;
+                    // `poll` files answers but takes no slot: `i` holds.
                     self.stream
-                        .write_all(&bytes)
+                        .write_all(&self.window[i].bytes)
                         .map_err(|e| WireError::from_io(&e))?;
                 }
                 Err(e) => return Err(e),
@@ -343,6 +372,13 @@ impl Conn {
                 "expected ShuttingDown, got {other:?}"
             ))),
         }
+    }
+}
+
+/// File `resp` in the slot awaiting `seq`, if any.
+fn file_answer(window: &mut VecDeque<Slot>, seq: u64, resp: Response) {
+    if let Ok(i) = window.binary_search_by_key(&seq, |slot| slot.seq) {
+        window[i].answer = Some(resp);
     }
 }
 

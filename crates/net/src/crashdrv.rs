@@ -25,11 +25,12 @@
 //! bytes check 4 needs.
 
 use crate::wire::{
-    encode_request, parse_response, FrameReader, Request, Response, WireError, DEFAULT_MAX_FRAME,
+    encode_request, parse_response, read_frame, Request, Response, WireError, DEFAULT_MAX_FRAME,
 };
 use nt_faults::CrashPlan;
 use nt_model::{Action, Op, TxId};
 use nt_obs::json::{Json, JsonObj};
+use nt_reactor::FrameBuf;
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::TcpStream;
@@ -43,7 +44,7 @@ use std::time::{Duration, Instant};
 /// when the server dies mid-read the error surfaces immediately.
 pub struct RawConn {
     stream: TcpStream,
-    fr: FrameReader,
+    fr: FrameBuf,
     next_seq: u64,
 }
 
@@ -59,7 +60,7 @@ impl RawConn {
             .map_err(|e| WireError::from_io(&e))?;
         Ok(RawConn {
             stream,
-            fr: FrameReader::new(),
+            fr: FrameBuf::new(),
             next_seq: crate::Conn::seq_base(conn_id),
         })
     }
@@ -89,12 +90,12 @@ impl RawConn {
 
     fn await_seq(&mut self, seq: u64) -> Result<Vec<u8>, WireError> {
         loop {
-            match self.fr.read_frame(&mut self.stream, DEFAULT_MAX_FRAME)? {
+            match read_frame(&mut self.fr, &mut self.stream, DEFAULT_MAX_FRAME)? {
                 None => return Err(WireError::Io("server closed the connection".to_string())),
                 Some(frame) => {
-                    let (got, _) = parse_response(&frame)?;
+                    let (got, _) = parse_response(frame)?;
                     if got == seq {
-                        return Ok(frame);
+                        return Ok(frame.to_vec());
                     }
                 }
             }

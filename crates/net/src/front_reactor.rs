@@ -29,10 +29,10 @@
 //! the engine's stamp order (what the certifier steps through) is the
 //! order each client saw its answers in.
 
-use crate::server::{pay_durability, OpsRun, ReplyCache, Shared, Step};
+use crate::server::{batch_member_cap, pay_durability, OpsRun, ReplyCache, Shared, Step};
 use crate::wire::{
-    decode_batch_request, decode_frame, encode_batch_response, encode_response, err_code, Request,
-    Response, WireError, KIND_BATCH_REQ,
+    decode_batch_request, decode_frame, encode_response, err_code, Request, Response, WireError,
+    KIND_BATCH_REQ,
 };
 use nt_engine::{ParkedAccess, Session, WakeHandle};
 use nt_faults::FrameFate;
@@ -149,7 +149,8 @@ enum Waiting {
     },
 }
 
-/// What arrived behind a waiting frame.
+/// What arrived behind a waiting frame: the one place a frame is copied
+/// out of the reactor's read buffer.
 enum Arrived {
     Frame(Vec<u8>, Instant),
     Corrupt(BadFrame),
@@ -201,7 +202,9 @@ impl ConnService {
         self.closed = true;
     }
 
-    /// Decode one frame, apply the fault plan, execute it.
+    /// Decode one frame, apply the fault plan, execute it. A `BATCH` with
+    /// more members than one `BATCH_RESP` within `max_frame_len` can
+    /// answer is a protocol error, refused before any member runs.
     fn process(&mut self, frame: &[u8], enqueued: Instant) {
         if self.closed {
             // Dispatched after a protocol error: account it so the
@@ -219,6 +222,15 @@ impl ConnService {
                 return;
             }
         };
+        let cap = batch_member_cap(self.shared.cfg.max_frame_len);
+        if decoded.kind == KIND_BATCH_REQ && decoded.ops.len() > cap {
+            self.protocol_error(WireError::BadPayload(format!(
+                "a BATCH of {} members exceeds the {cap} one BATCH_RESP within max_frame_len {} can answer",
+                decoded.ops.len(),
+                self.shared.cfg.max_frame_len
+            )));
+            return;
+        }
         let fate = self
             .shared
             .cfg
@@ -271,7 +283,7 @@ impl ConnService {
         let inflight = InFlight {
             seq: d.seq,
             kind: d.kind,
-            run: OpsRun::new(d.ops),
+            run: OpsRun::new(d.ops, batch),
             echo,
             // The reactor stamped the dispatch with its own `Instant`;
             // place it on the recorder's timeline so `queue_wait` is real.
@@ -307,7 +319,7 @@ impl ConnService {
     /// Every op is answered: buffer the frame's reply and record its span.
     fn complete(&mut self, mut f: InFlight) {
         let bytes = if f.kind == KIND_BATCH_REQ {
-            let Some(entries) = f.run.batch_entries() else {
+            let Some(bytes) = f.run.batch_response(f.seq) else {
                 self.protocol_error(WireError::BadPayload(
                     "response encoding failed".to_string(),
                 ));
@@ -318,11 +330,15 @@ impl ConnService {
                     .rec
                     .observe("phase.batch_assemble", t_asm.elapsed().as_micros() as u64);
             }
-            encode_batch_response(f.seq, &entries)
+            bytes
         } else {
             f.run.answers.swap_remove(0)
         };
-        self.pending.extend_from_slice(&bytes);
+        if self.pending.is_empty() {
+            self.pending = bytes;
+        } else {
+            self.pending.extend_from_slice(&bytes);
+        }
         self.pending_frames += 1;
         if self.shared.rec.is_timed() {
             // The barrier is deferred to flush: the span ends here and the
@@ -352,10 +368,15 @@ impl ConnService {
 
 impl Service for ConnService {
     fn frame(&mut self, frame: Vec<u8>, enqueued: Instant) {
+        self.frame_lent(&frame, enqueued);
+    }
+
+    fn frame_lent(&mut self, frame: &[u8], enqueued: Instant) {
         if self.waiting.is_some() {
-            self.backlog.push_back(Arrived::Frame(frame, enqueued));
+            self.backlog
+                .push_back(Arrived::Frame(frame.to_vec(), enqueued));
         } else {
-            self.process(&frame, enqueued);
+            self.process(frame, enqueued);
         }
     }
 

@@ -17,7 +17,8 @@
 //!   deterministic transport fault injection
 //!   (`nt_faults::TransportPlan`) on the receive path, one durability
 //!   barrier per poll round, graceful drain;
-//! * [`client`] — pipelining connection with retry-with-backoff
+//! * [`client`] — corked, pipelining connection (a pipelined run leaves
+//!   in one write) with retry-with-backoff
 //!   (`nt_faults::BackoffPolicy`) and the post-run fetch-and-certify
 //!   path: pull the server's recorded history over the wire and run it
 //!   through `nt_sgt::certify_recorded` (Theorem 17, post hoc);

@@ -55,7 +55,10 @@
 
 use crate::config::ServerConfig;
 use crate::history::HistoryDoc;
-use crate::wire::{encode_response, err_code, parse_frame, Request, Response, CRC_LEN};
+use crate::wire::{
+    encode_batch_response_from, encode_response, err_code, Request, Response, CRC_LEN, HEADER_LEN,
+    MAGIC, MIN_PAYLOAD, VERSION,
+};
 use nt_engine::{
     AccessOutcome, AccessStep, ActionSink, BeginOutcome, CommitOutcome, ParkedAccess,
     RecoveredSeed, Session, SessionEngine, SessionError, WakeHandle,
@@ -65,7 +68,7 @@ use nt_obs::json::JsonObj;
 use nt_obs::{Event, Recorder, StatsCell, TraceHandle};
 use nt_sgt_live::{cert_disabled_json, LiveCertifier, SgtConfig};
 use nt_store::{RecoveryReport, Store, WalError};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -126,8 +129,10 @@ pub(crate) struct Shared {
     /// Responses recovered from the previous incarnation's WAL, keyed by
     /// wire `seq`: a client resending a pre-crash request gets the byte-
     /// identical cached answer instead of a second execution. A band's
-    /// entries go once one of its connections acks past them. Touched
-    /// only on the poll thread, so the mutex is never contended.
+    /// entries go once one of its connections acks past them; nothing is
+    /// ever added after bind, so a band found empty stays empty and its
+    /// connections stop taking the mutex (`ReplyCache::clear_band`).
+    /// Touched only on the poll thread, so the mutex is never contended.
     recovered_cache: Mutex<BTreeMap<u64, Vec<u8>>>,
     /// The running reactor's counters (`reactor.*` in the stats
     /// document), set by `serve`.
@@ -281,17 +286,34 @@ impl Shared {
         if freed > 0 {
             self.stats.update(|s| s.reply_cache -= freed as u64);
         }
-        let mut recovered = self.recovered();
-        if !recovered.is_empty() {
-            let band = acked_below >> 32 << 32;
-            let gone: Vec<u64> = recovered
-                .range(band..acked_below)
-                .map(|(&seq, _)| seq)
-                .collect();
-            for seq in gone {
-                recovered.remove(&seq);
-            }
+        let band = acked_below >> 32;
+        if cache.clear_band == Some(band) {
+            return;
         }
+        let mut recovered = self.recovered();
+        let gone: Vec<u64> = recovered
+            .range(band << 32..acked_below)
+            .map(|(&seq, _)| seq)
+            .collect();
+        for seq in gone {
+            recovered.remove(&seq);
+        }
+        cache.note_band(&recovered, band);
+    }
+
+    /// The recovered pre-crash reply to `seq`, if any — without the mutex
+    /// once `seq`'s band is known to hold none.
+    fn recovered_reply(&self, cache: &mut ReplyCache, seq: u64) -> Option<Vec<u8>> {
+        let band = seq >> 32;
+        if cache.clear_band == Some(band) {
+            return None;
+        }
+        let recovered = self.recovered();
+        let hit = recovered.get(&seq).cloned();
+        if hit.is_none() {
+            cache.note_band(&recovered, band);
+        }
+        hit
     }
 
     /// A connection closed: its cached replies go with it.
@@ -538,6 +560,45 @@ impl ServerHandle {
     }
 }
 
+/// The longest message an error reply carries: every message the server
+/// writes is a fixed sentence around at most two integers, and
+/// [`error_reply`] cuts anything longer, so an error entry has a bound a
+/// `BATCH_RESP` can be sized by.
+const MAX_ERROR_MSG: usize = 96;
+
+/// An error reply whose message is at most [`MAX_ERROR_MSG`] bytes.
+pub(crate) fn error_reply(code: u16, mut msg: String) -> Response {
+    if msg.len() > MAX_ERROR_MSG {
+        let mut cut = MAX_ERROR_MSG;
+        while !msg.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        msg.truncate(cut);
+    }
+    Response::Error { code, msg }
+}
+
+/// Bytes of the largest `BATCH_RESP` entry an answer that does not grow
+/// with server state can take: `seq u64 | kind u8 | body_len u32`, then an
+/// error body (`code u16 | msg_len u32 | msg`) — larger than every other
+/// such body (`ACCESS_OK`'s tagged `i64` is nine bytes).
+const MAX_BATCH_ENTRY: usize = 8 + 1 + 4 + 2 + 4 + MAX_ERROR_MSG;
+
+/// The most members a `BATCH` may carry on a server whose cap is
+/// `max_frame_len`: that many of the largest entries, with the count
+/// before them, fit one `BATCH_RESP` frame. Answers that grow with server
+/// state (`HISTORY_FETCH`, `STATS`, `CERT`) are refused as members, so
+/// with this bound no `BATCH_RESP` can pass the cap.
+pub(crate) fn batch_member_cap(max_frame_len: usize) -> usize {
+    max_frame_len.saturating_sub(MIN_PAYLOAD + 4) / MAX_BATCH_ENTRY
+}
+
+/// Whether a request's answer grows with server state — refused as a
+/// `BATCH` member, answered when sent alone.
+fn grows(req: &Request) -> bool {
+    matches!(req, Request::HistoryFetch | Request::Stats | Request::Cert)
+}
+
 pub(crate) fn session_error_response(e: &SessionError) -> Response {
     let code = match e {
         SessionError::Capacity => err_code::CAPACITY,
@@ -548,22 +609,22 @@ pub(crate) fn session_error_response(e: &SessionError) -> Response {
         SessionError::NonRwOp => err_code::NON_RW_OP,
         SessionError::BadObject(_) => err_code::BAD_OBJECT,
     };
-    Response::Error {
-        code,
-        msg: e.to_string(),
-    }
+    error_reply(code, e.to_string())
 }
 
 /// One connection's exactly-once window: the replies to its mutating ops
-/// (full frames, prefix included) keyed by `seq`, kept until the client's
+/// (full frames, prefix included) in seq order, kept until the client's
 /// cumulative ack passes them. It holds what the client may still resend
 /// — at most its pipelined run — not everything it was ever answered.
 #[derive(Default)]
 pub(crate) struct ReplyCache {
-    replies: BTreeMap<u64, Vec<u8>>,
+    replies: VecDeque<(u64, Vec<u8>)>,
     /// The largest ack the client sent: it has the answer to every seq
     /// below. Acks only grow; a resend's older ack changes nothing.
     acked_below: u64,
+    /// A seq band (`seq >> 32`) found to hold no recovered reply: the
+    /// recovered cache only shrinks, so the connection stops looking.
+    clear_band: Option<u64>,
 }
 
 impl ReplyCache {
@@ -577,12 +638,38 @@ impl ReplyCache {
         let held = self.replies.len();
         while self
             .replies
-            .first_key_value()
-            .is_some_and(|(&seq, _)| seq < acked_below)
+            .front()
+            .is_some_and(|&(seq, _)| seq < acked_below)
         {
-            self.replies.pop_first();
+            self.replies.pop_front();
         }
         Some(held - self.replies.len())
+    }
+
+    fn get(&self, seq: u64) -> Option<&Vec<u8>> {
+        let i = self.replies.binary_search_by_key(&seq, |&(s, _)| s).ok()?;
+        Some(&self.replies[i].1)
+    }
+
+    /// Keep the reply to `seq`, which is not held yet. A reply is
+    /// appended; one that arrives out of order — the resend of a frame the
+    /// fault plan dropped executes after later seqs — is placed by binary
+    /// search.
+    fn insert(&mut self, seq: u64, reply: Vec<u8>) {
+        let at = self.replies.partition_point(|&(s, _)| s < seq);
+        debug_assert!(self.replies.get(at).is_none_or(|&(s, _)| s != seq));
+        self.replies.insert(at, (seq, reply));
+    }
+
+    /// Remember `band` as clear when `recovered` holds nothing in it.
+    fn note_band(&mut self, recovered: &BTreeMap<u64, Vec<u8>>, band: u64) {
+        let clear = recovered
+            .range(band << 32..)
+            .next()
+            .is_none_or(|(&seq, _)| seq >> 32 != band);
+        if clear {
+            self.clear_band = Some(band);
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -599,6 +686,9 @@ enum Source {
     Cached,
     /// Below the ack and no longer cached: refused with `ACKED`.
     Acked,
+    /// A `BATCH` member whose answer grows with server state: refused with
+    /// `UNBATCHABLE`, nothing ran.
+    Refused,
 }
 
 /// The outcome of answering one op (a single request, or one member of a
@@ -618,22 +708,21 @@ struct OpAnswer {
 /// then the recovered pre-crash one (a request resent after restart gets
 /// the byte-identical response, never a second execution), else — below
 /// the connection's ack — the `ACKED` refusal. `None`: the op must run.
-fn answer_without_running(shared: &Shared, cache: &ReplyCache, seq: u64) -> Option<OpAnswer> {
-    let cached = cache
-        .replies
-        .get(&seq)
-        .cloned()
-        .or_else(|| shared.recovered().get(&seq).cloned());
+fn answer_without_running(shared: &Shared, cache: &mut ReplyCache, seq: u64) -> Option<OpAnswer> {
+    let cached = match cache.get(seq) {
+        Some(bytes) => Some(bytes.clone()),
+        None => shared.recovered_reply(cache, seq),
+    };
     let (bytes, source) = match cached {
         Some(bytes) => (bytes, Source::Cached),
         None if seq < cache.acked_below => {
-            let refusal = Response::Error {
-                code: err_code::ACKED,
-                msg: format!(
+            let refusal = error_reply(
+                err_code::ACKED,
+                format!(
                     "seq {seq} is below the connection's ack {}: its reply was delivered",
                     cache.acked_below
                 ),
-            };
+            );
             let bytes = encode_response(seq, &refusal).expect("an error reply always encodes");
             (bytes, Source::Acked)
         }
@@ -669,15 +758,15 @@ fn finish_op(
     let mut bytes = encode_response(seq, resp).ok()?;
     let (len, cap) = (bytes.len() - 4 - CRC_LEN, shared.cfg.max_frame_len);
     if len > cap {
-        let refusal = Response::Error {
-            code: err_code::FRAME_TOO_LARGE,
-            msg: format!("answer frame length {len} exceeds max_frame_len {cap}"),
-        };
+        let refusal = error_reply(
+            err_code::FRAME_TOO_LARGE,
+            format!("answer frame length {len} exceeds max_frame_len {cap}"),
+        );
         bytes = encode_response(seq, &refusal).ok()?;
     }
     let kept = mutates(req);
     if kept {
-        cache.replies.insert(seq, bytes.clone());
+        cache.insert(seq, bytes.clone());
         if let Some(store) = &shared.store {
             store.append_cache(seq, &bytes);
         }
@@ -706,6 +795,9 @@ pub(crate) enum Step {
 /// elsewhere parks the run.
 pub(crate) struct OpsRun {
     ops: Vec<(u64, Request)>,
+    /// The ops are a `BATCH`'s members: one whose answer grows with server
+    /// state is refused, not run.
+    batch: bool,
     /// Full single-response frames, one per answered op, in op order.
     pub(crate) answers: Vec<Vec<u8>>,
     /// Summed lock wait of the fresh executions.
@@ -715,18 +807,20 @@ pub(crate) struct OpsRun {
 }
 
 impl OpsRun {
-    pub(crate) fn new(ops: Vec<(u64, Request)>) -> OpsRun {
+    pub(crate) fn new(ops: Vec<(u64, Request)>, batch: bool) -> OpsRun {
         OpsRun {
             answers: Vec::with_capacity(ops.len()),
             ops,
+            batch,
             lock_wait_us: 0,
             shutdown: false,
         }
     }
 
-    /// Answer ops in order from the cursor — cache, else refuse below the
-    /// ack, else execute, cache and journal — until the frame is finished
-    /// or an op parks. `resumed` continues the op that parked last time.
+    /// Answer ops in order from the cursor — refuse a growing `BATCH`
+    /// member, else cache, else refuse below the ack, else execute, cache
+    /// and journal — until the frame is finished or an op parks.
+    /// `resumed` continues the op that parked last time.
     pub(crate) fn step(
         &mut self,
         shared: &Shared,
@@ -738,6 +832,9 @@ impl OpsRun {
     ) -> Step {
         while let Some((seq, req)) = self.ops.get(self.answers.len()) {
             let ans = 'answer: {
+                if self.batch && grows(req) {
+                    break 'answer unbatchable(*seq, req);
+                }
                 let exec = match resumed.take() {
                     Some(p) => resume(session, open_tops, p),
                     None => match answer_without_running(shared, cache, *seq) {
@@ -762,22 +859,40 @@ impl OpsRun {
         Step::Finished
     }
 
-    /// The answers as `BATCH_RESP` entries: each cached single-response
-    /// frame (4-byte length prefix + header + body) lifted into its kind
-    /// and body. `None` on a malformed cached frame (connection-fatal).
-    pub(crate) fn batch_entries(&self) -> Option<Vec<crate::wire::BatchEntry>> {
-        self.ops
+    /// The answers as one `BATCH_RESP` frame echoing `seq`: each
+    /// single-response frame (length prefix, CRC, header, body) the run
+    /// built or cached is lifted into its entry's kind and body in place.
+    /// `None` on a malformed cached frame (connection-fatal).
+    pub(crate) fn batch_response(&self, seq: u64) -> Option<Vec<u8>> {
+        let entries = self
+            .ops
             .iter()
             .zip(&self.answers)
-            .map(|((seq, _), bytes)| {
-                let (kind, _seq, body) = parse_frame(&bytes[4..]).ok()?;
-                Some(crate::wire::BatchEntry {
-                    seq: *seq,
-                    kind,
-                    body: body.to_vec(),
-                })
+            .map(|(&(op_seq, _), bytes)| {
+                let head = bytes.get(4 + CRC_LEN..4 + HEADER_LEN)?;
+                let sound = head[..2] == MAGIC.to_le_bytes() && head[2] == VERSION;
+                sound.then(|| (op_seq, head[3], &bytes[4 + HEADER_LEN..]))
             })
-            .collect()
+            .collect::<Option<Vec<_>>>()?;
+        Some(encode_batch_response_from(seq, entries.into_iter()))
+    }
+}
+
+/// The typed refusal of a `BATCH` member whose answer grows with server
+/// state; nothing runs.
+fn unbatchable(seq: u64, req: &Request) -> OpAnswer {
+    let refusal = error_reply(
+        err_code::UNBATCHABLE,
+        format!(
+            "kind {:#04x} grows with the server; send it alone",
+            req.kind()
+        ),
+    );
+    OpAnswer {
+        bytes: encode_response(seq, &refusal).expect("an error reply always encodes"),
+        source: Source::Refused,
+        kept: false,
+        lock_wait_us: 0,
     }
 }
 
@@ -789,6 +904,7 @@ fn count_answer(shared: &Shared, ans: &OpAnswer, held: usize) {
             Source::Executed => s.executed += 1,
             Source::Cached => s.cache_hits += 1,
             Source::Acked => s.acked_refusals += 1,
+            Source::Refused => {}
         }
         if ans.kept {
             s.reply_cache += 1;
@@ -924,10 +1040,7 @@ fn execute(
             let (tree, actions) = shared.engine.history_snapshot();
             match HistoryDoc::from_run(&tree, &actions) {
                 Ok(doc) => Response::History(doc),
-                Err(e) => Response::Error {
-                    code: err_code::PROTOCOL,
-                    msg: e.to_string(),
-                },
+                Err(e) => error_reply(err_code::PROTOCOL, e.to_string()),
             }
         }
         Request::Ping => Response::Pong,
@@ -972,7 +1085,7 @@ mod tests {
         /// One frame: take its ack, then answer its ops.
         fn frame(&mut self, acked_below: u64, ops: Vec<(u64, Request)>) -> Vec<Vec<u8>> {
             self.shared.take_ack(&mut self.cache, acked_below);
-            let mut run = OpsRun::new(ops);
+            let mut run = OpsRun::new(ops, false);
             let step = run.step(
                 &self.shared,
                 &mut self.session,
@@ -990,7 +1103,7 @@ mod tests {
         }
 
         fn cached(&self) -> Vec<u64> {
-            self.cache.replies.keys().copied().collect()
+            self.cache.replies.iter().map(|&(seq, _)| seq).collect()
         }
 
         fn stats(&self) -> ServerStats {
@@ -1080,6 +1193,24 @@ mod tests {
         assert!(is_acked_refusal(
             &c.frame(1, vec![(1, Request::BeginTop)])[0]
         ));
+    }
+
+    /// A reply that arrives out of seq order — the resend of a dropped
+    /// frame runs after a later seq — is placed before the later reply,
+    /// answered from there, and acked in seq order.
+    #[test]
+    fn an_out_of_order_reply_is_cached_in_seq_order() {
+        let server = NetServer::bind(ServerConfig::default()).expect("bind loopback");
+        let mut c = Client::new(&server);
+        c.answer(7, Request::BeginTop);
+        let late = c.answer(5, Request::BeginTop);
+        c.answer(6, Request::BeginTop);
+        assert_eq!(c.cached(), [5, 6, 7]);
+        let registered = c.shared.engine.tx_count();
+        assert_eq!(c.answer(5, Request::BeginTop), late);
+        assert_eq!(c.shared.engine.tx_count(), registered, "nothing re-ran");
+        c.frame(6, vec![(8, Request::Ping)]);
+        assert_eq!(c.cached(), [6, 7]);
     }
 
     /// A `BATCH` resent after the client received and acknowledged its

@@ -33,6 +33,7 @@
 //! [`WireError::BadPayload`] both ways.
 
 use nt_model::{Op, Value};
+use nt_reactor::{BadFrame, FrameBuf};
 use nt_store::record::{
     begin_frame, check_crc, decode_op, decode_value, encode_op, encode_value, put_str, put_u16,
     put_u32, put_u64, seal_frame, CodecError, Reader,
@@ -93,6 +94,9 @@ pub enum WireError {
     Trailing(usize),
     /// The payload is structurally valid but semantically impossible.
     BadPayload(String),
+    /// A receive named a seq this connection is not awaiting: never sent
+    /// on it, or its answer was already taken.
+    NotInFlight(u64),
 }
 
 impl std::fmt::Display for WireError {
@@ -118,6 +122,10 @@ impl std::fmt::Display for WireError {
             WireError::Truncated => write!(f, "truncated payload"),
             WireError::Trailing(n) => write!(f, "{n} trailing payload bytes"),
             WireError::BadPayload(m) => write!(f, "bad payload: {m}"),
+            WireError::NotInFlight(seq) => write!(
+                f,
+                "seq {seq} is not in flight: never sent, or its answer was already taken"
+            ),
         }
     }
 }
@@ -295,6 +303,11 @@ pub mod err_code {
     /// names the frame length and the cap. The op ran; only its answer is
     /// refused, and the connection stays open.
     pub const FRAME_TOO_LARGE: u16 = 11;
+    /// A `BATCH` member whose answer grows with the server's state
+    /// (`HISTORY_FETCH`, `STATS`, `CERT`): refused inside the `BATCH_RESP`
+    /// so that the reply frame stays within `max_frame_len`. Nothing ran;
+    /// sent alone, the request is answered. The connection stays open.
+    pub const UNBATCHABLE: u16 = 12;
 }
 
 /// A server-to-client response (its `seq` echoes the request's).
@@ -415,8 +428,31 @@ impl Response {
 
 // --- Frame assembly and parsing -------------------------------------------
 
-/// Build one frame in place: the WAL's `len | crc` prefix, the header,
-/// then whatever `put_body` appends; the prefix is sealed last.
+/// Append one frame to `out`: the WAL's `len | crc` prefix, the header,
+/// then whatever `put_body` appends; the prefix is sealed last. On a body
+/// error `out` is left as it was.
+fn encode_frame_into(
+    out: &mut Vec<u8>,
+    kind: u8,
+    seq: u64,
+    acked_below: u64,
+    put_body: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    let at = begin_frame(out);
+    put_u16(out, MAGIC);
+    out.push(VERSION);
+    out.push(kind);
+    put_u64(out, seq);
+    put_u64(out, acked_below);
+    if let Err(e) = put_body(out) {
+        out.truncate(at);
+        return Err(e);
+    }
+    seal_frame(out, at);
+    Ok(())
+}
+
+/// [`encode_frame_into`] a fresh buffer.
 fn encode_frame(
     kind: u8,
     seq: u64,
@@ -424,14 +460,7 @@ fn encode_frame(
     put_body: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
 ) -> Result<Vec<u8>, WireError> {
     let mut out = Vec::with_capacity(64);
-    let at = begin_frame(&mut out);
-    put_u16(&mut out, MAGIC);
-    out.push(VERSION);
-    out.push(kind);
-    put_u64(&mut out, seq);
-    put_u64(&mut out, acked_below);
-    put_body(&mut out)?;
-    seal_frame(&mut out, at);
+    encode_frame_into(&mut out, kind, seq, acked_below, put_body)?;
     Ok(out)
 }
 
@@ -449,6 +478,16 @@ pub fn encode_request_acked(
     req: &Request,
 ) -> Result<Vec<u8>, WireError> {
     encode_frame(req.kind(), seq, acked_below, |out| req.put_body(out))
+}
+
+/// [`encode_request_acked`], appended to `out` (left as it was on error).
+pub(crate) fn encode_request_into(
+    out: &mut Vec<u8>,
+    seq: u64,
+    acked_below: u64,
+    req: &Request,
+) -> Result<(), WireError> {
+    encode_frame_into(out, req.kind(), seq, acked_below, |out| req.put_body(out))
 }
 
 /// Encode one response frame (length prefix included).
@@ -567,19 +606,50 @@ pub fn encode_batch_request_acked(
         return Err(WireError::BadPayload("empty batch".into()));
     }
     encode_frame(KIND_BATCH_REQ, seq, acked_below, |out| {
-        put_u32(out, ops.len() as u32);
-        for (op_seq, req) in ops {
-            put_u64(out, *op_seq);
-            out.push(req.kind());
-            // The entry's length, patched in once its body is written.
-            let at = out.len();
-            put_u32(out, 0);
-            req.put_body(out)?;
-            let len = (out.len() - at - 4) as u32;
-            out[at..at + 4].copy_from_slice(&len.to_le_bytes());
-        }
-        Ok(())
+        put_batch_ops(out, ops.iter().map(|(op_seq, req)| (*op_seq, req)))
     })
+}
+
+/// A `BATCH` request frame appended to `out` whose ops take the seqs
+/// right after the frame's own, `seq + 1 ..= seq + reqs.len()` — how
+/// [`crate::Conn`] numbers them. `out` is left as it was on error.
+pub(crate) fn encode_batch_request_into(
+    out: &mut Vec<u8>,
+    seq: u64,
+    acked_below: u64,
+    reqs: &[Request],
+) -> Result<(), WireError> {
+    if reqs.is_empty() {
+        return Err(WireError::BadPayload("empty batch".into()));
+    }
+    encode_frame_into(out, KIND_BATCH_REQ, seq, acked_below, |out| {
+        put_batch_ops(
+            out,
+            reqs.iter()
+                .enumerate()
+                .map(|(k, req)| (seq + 1 + k as u64, req)),
+        )
+    })
+}
+
+/// A batch body: the op count, then `seq u64 | kind u8 | body_len u32 |
+/// body` per op.
+fn put_batch_ops<'a>(
+    out: &mut Vec<u8>,
+    ops: impl ExactSizeIterator<Item = (u64, &'a Request)>,
+) -> Result<(), WireError> {
+    put_u32(out, ops.len() as u32);
+    for (op_seq, req) in ops {
+        put_u64(out, op_seq);
+        out.push(req.kind());
+        // The entry's length, patched in once its body is written.
+        let at = out.len();
+        put_u32(out, 0);
+        req.put_body(out)?;
+        let len = (out.len() - at - 4) as u32;
+        out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    }
+    Ok(())
 }
 
 /// Decode a `BATCH` request body into its `(seq, request)` ops. Total:
@@ -609,13 +679,21 @@ pub fn decode_batch_request(body: &[u8]) -> Result<Vec<(u64, Request)>, WireErro
 /// Encode a `BATCH` response frame: the outer `seq` echoes the batch's,
 /// each entry carries one op's `(seq, status kind, body)`.
 pub fn encode_batch_response(seq: u64, entries: &[BatchEntry]) -> Vec<u8> {
+    encode_batch_response_from(seq, entries.iter().map(|e| (e.seq, e.kind, &e.body[..])))
+}
+
+/// [`encode_batch_response`] from borrowed `(seq, kind, body)` entries.
+pub(crate) fn encode_batch_response_from<'a>(
+    seq: u64,
+    entries: impl ExactSizeIterator<Item = (u64, u8, &'a [u8])>,
+) -> Vec<u8> {
     let body = |out: &mut Vec<u8>| {
         put_u32(out, entries.len() as u32);
-        for e in entries {
-            put_u64(out, e.seq);
-            out.push(e.kind);
-            put_u32(out, e.body.len() as u32);
-            out.extend_from_slice(&e.body);
+        for (op_seq, kind, op_body) in entries {
+            put_u64(out, op_seq);
+            out.push(kind);
+            put_u32(out, op_body.len() as u32);
+            out.extend_from_slice(op_body);
         }
         Ok(())
     };
@@ -638,64 +716,35 @@ pub fn decode_batch_response(body: &[u8]) -> Result<Vec<(u64, Response)>, WireEr
     Ok(out)
 }
 
-// --- Stream framing -------------------------------------------------------
+// --- Blocking stream reads -------------------------------------------------
 
-/// Accumulates socket bytes and yields complete frames (sans length
-/// prefix: the CRC, then the `len` payload bytes). Robust to partial reads
-/// and read timeouts mid-frame: a [`WireError::TimedOut`] leaves
-/// accumulated bytes in place, so the next call resumes where the stream
-/// paused.
-#[derive(Default)]
-pub struct FrameReader {
-    buf: Vec<u8>,
-}
-
-impl FrameReader {
-    /// An empty reader.
-    pub fn new() -> FrameReader {
-        FrameReader::default()
-    }
-
-    fn take_frame(&mut self, max_len: usize) -> Result<Option<Vec<u8>>, WireError> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
-        if len < MIN_PAYLOAD || len > max_len {
-            return Err(WireError::BadLength { len, max: max_len });
-        }
-        let end = 4 + CRC_LEN + len;
-        if self.buf.len() < end {
-            return Ok(None);
-        }
-        let frame = self.buf[4..end].to_vec();
-        self.buf.drain(..end);
-        Ok(Some(frame))
-    }
-
-    /// Read until one complete frame is available. `Ok(None)` is clean
-    /// EOF at a frame boundary; EOF mid-frame is [`WireError::Truncated`].
-    pub fn read_frame(
-        &mut self,
-        r: &mut impl Read,
-        max_len: usize,
-    ) -> Result<Option<Vec<u8>>, WireError> {
-        loop {
-            if let Some(frame) = self.take_frame(max_len)? {
-                return Ok(Some(frame));
-            }
-            let mut chunk = [0u8; 4096];
-            match r.read(&mut chunk) {
-                Ok(0) => {
-                    if self.buf.is_empty() {
-                        return Ok(None);
-                    }
-                    return Err(WireError::Truncated);
-                }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(WireError::from_io(&e)),
-            }
+/// Read from the blocking `r` into `fb` until a whole frame is buffered,
+/// then pop it — sans length prefix: the CRC, then the `len` payload bytes
+/// — lent from `fb`. `Ok(None)` is clean EOF at a frame boundary; EOF
+/// mid-frame is [`WireError::Truncated`]. A read timeout is
+/// [`WireError::TimedOut`] and keeps what arrived in `fb`, so the next
+/// call resumes where the stream paused.
+pub fn read_frame<'b>(
+    fb: &'b mut FrameBuf,
+    r: &mut impl Read,
+    max_len: usize,
+) -> Result<Option<&'b [u8]>, WireError> {
+    let bad = |b: BadFrame| WireError::BadLength {
+        len: b.len,
+        max: b.max,
+    };
+    while fb
+        .ready(MIN_PAYLOAD, max_len, CRC_LEN)
+        .map_err(bad)?
+        .is_none()
+    {
+        match fb.read_from(r) {
+            Ok((0, _)) if fb.is_empty() => return Ok(None),
+            Ok((0, _)) => return Err(WireError::Truncated),
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(WireError::from_io(&e)),
         }
     }
+    fb.pop(MIN_PAYLOAD, max_len, CRC_LEN).map_err(bad)
 }

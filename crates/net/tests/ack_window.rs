@@ -7,9 +7,11 @@
 use nt_faults::TransportPlan;
 use nt_model::Op;
 use nt_net::wire::{
-    decode_frame, FrameReader, Request, CRC_LEN, DEFAULT_MAX_FRAME, KIND_BATCH_REQ,
+    decode_frame, encode_request_acked, parse_response, read_frame, Request, CRC_LEN,
+    DEFAULT_MAX_FRAME, KIND_BATCH_REQ,
 };
 use nt_net::{certify_history, Conn, ConnConfig, NetServer, Response, ServerConfig, ServerStats};
+use nt_reactor::FrameBuf;
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::thread::JoinHandle;
@@ -52,13 +54,13 @@ fn spawn_relay(server: String) -> (String, JoinHandle<()>) {
         let down = std::thread::spawn(move || {
             let _ = std::io::copy(&mut down_from, &mut down_to);
         });
-        let mut fr = FrameReader::new();
+        let mut fr = FrameBuf::new();
         let (mut batch, mut replayed) = (None, false);
-        while let Ok(Some(frame)) = fr.read_frame(&mut client, DEFAULT_MAX_FRAME) {
+        while let Ok(Some(frame)) = read_frame(&mut fr, &mut client, DEFAULT_MAX_FRAME) {
             let mut wire = ((frame.len() - CRC_LEN) as u32).to_le_bytes().to_vec();
-            wire.extend_from_slice(&frame);
+            wire.extend_from_slice(frame);
             upstream.write_all(&wire).expect("forward");
-            let kind = decode_frame(&frame).expect("a client frame").kind;
+            let kind = decode_frame(frame).expect("a client frame").kind;
             if kind == KIND_BATCH_REQ && batch.is_none() {
                 batch = Some(wire);
             } else if kind == Request::Ping.kind() && !replayed {
@@ -111,6 +113,86 @@ fn a_batch_resent_past_its_acked_member_runs_nothing_twice() {
     assert!(certify_history(&tree, &actions).is_serially_correct());
     drop(conn);
     relay.join().expect("relay");
+    handle.wait();
+}
+
+/// A frame the fault plan dropped is resent after a later seq already ran
+/// and was cached: the resend executes once, late, and its reply takes the
+/// out-of-order slot before that later seq's. A second resend is answered
+/// from that slot byte for byte, and nothing runs twice.
+#[test]
+fn a_dropped_frame_resent_after_later_seqs_executes_once_and_is_cached_in_order() {
+    let (addr, handle) = start_server(ServerConfig {
+        fault: Some(TransportPlan {
+            drop_period: 4,
+            ..TransportPlan::default()
+        }),
+        ..ServerConfig::default()
+    });
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let mut fb = FrameBuf::new();
+    let mut exchange = |wire: &[u8]| -> Vec<u8> {
+        stream.write_all(wire).expect("send");
+        let frame = read_frame(&mut fb, &mut stream, DEFAULT_MAX_FRAME).expect("read");
+        frame.expect("a reply").to_vec()
+    };
+    let b = Conn::seq_base(1);
+    let frame = |seq, acked_below, req: &Request| {
+        encode_request_acked(seq, acked_below, req).expect("encode")
+    };
+    // Frames 1–3 are delivered.
+    let top = match parse_response(&exchange(&frame(b, b, &Request::BeginTop))) {
+        Ok((_, Response::Begun { tx })) => tx,
+        other => panic!("expected Begun, got {other:?}"),
+    };
+    let registered = handle.engine().tx_count();
+    for seq in [b + 1, b + 2] {
+        exchange(&frame(seq, seq, &Request::Ping));
+    }
+    // Pipelined in one write: frame 4, the write to object 0, is dropped;
+    // frame 5 writes object 1 under the next seq, still acknowledging
+    // only below the first.
+    let lost = frame(b + 3, b + 3, &write(top, 0));
+    let later = exchange(&[lost.clone(), frame(b + 4, b + 3, &write(top, 1))].concat());
+    assert_eq!(parse_response(&later).expect("a reply").0, b + 4);
+    let stats = |h: &nt_net::ServerHandle| -> ServerStats { h.probe().stats().1 };
+    assert_eq!((stats(&handle).dropped, stats(&handle).reply_cache), (1, 1));
+    // Frame 6 resends the lost write: it runs now, after seq b + 4.
+    let first = exchange(&lost);
+    assert!(matches!(
+        parse_response(&first),
+        Ok((seq, Response::AccessOk { .. })) if seq == b + 3
+    ));
+    assert_eq!(stats(&handle).reply_cache, 2, "both writes are held");
+    // Frame 7 resends it again: answered from the cache, byte for byte.
+    let executed = stats(&handle).executed;
+    assert_eq!(exchange(&lost), first);
+    let s = stats(&handle);
+    assert_eq!(
+        (s.executed, s.cache_hits),
+        (executed, 1),
+        "nothing ran twice"
+    );
+    assert_eq!(
+        handle.engine().tx_count(),
+        registered + 2,
+        "the two writes, each registered once"
+    );
+    // The client now has the write's answer: an ack past it, but not
+    // past the later seq, frees exactly that slot. (Frame 8, a ping,
+    // is dropped; frame 9 carries the same ack.)
+    let acked = [
+        frame(b + 5, b + 4, &Request::Ping),
+        frame(b + 6, b + 4, &Request::Ping),
+    ];
+    let pong = exchange(&acked.concat());
+    assert_eq!(parse_response(&pong), Ok((b + 6, Response::Pong)));
+    assert_eq!(
+        stats(&handle).reply_cache,
+        1,
+        "only the later write is held"
+    );
+    drop(stream);
     handle.wait();
 }
 

@@ -7,7 +7,10 @@
 use nt_faults::TransportPlan;
 use nt_model::{Op, Value};
 use nt_net::client::tx_reply;
-use nt_net::wire::{crc32, err_code, parse_response, CRC_LEN, VERSION};
+use nt_net::wire::{
+    crc32, decode_batch_response, decode_frame, encode_batch_request, err_code, parse_response,
+    read_frame, WireError, CRC_LEN, KIND_BATCH_RESP, VERSION,
+};
 use nt_net::{
     fetch_and_certify, run_load, Conn, ConnConfig, LoadConfig, NetServer, Request, Response,
     ServerConfig,
@@ -130,6 +133,132 @@ fn an_answer_past_max_frame_len_is_refused_typed_and_the_connection_lives() {
     }
     assert!(matches!(conn.request(&Request::Ping), Ok(Response::Pong)));
     conn.shutdown_server().expect("shutdown");
+    drop(conn);
+    handle.wait();
+}
+
+/// A `BATCH_RESP` never passes the server's own `max_frame_len`: members
+/// whose answers grow with server state are refused inside it, before any
+/// member runs, and the connection lives. The reply is read with the
+/// server's cap, as a client with the same limit would read it.
+#[test]
+fn a_batch_of_history_fetches_is_refused_within_max_frame_len() {
+    const CAP: usize = 4096;
+    let (addr, handle) = start_server(ServerConfig {
+        max_frame_len: CAP,
+        ..ServerConfig::default()
+    });
+    let mut conn = Conn::connect(&addr, 1, ConnConfig::default()).expect("connect");
+    for i in 0..8 {
+        let top = match conn.request(&Request::BeginTop).expect("begin top") {
+            Response::Begun { tx } => tx,
+            other => panic!("expected Begun, got {other:?}"),
+        };
+        let wrote = conn.request(&Request::Access {
+            parent: top,
+            obj: i as u32 % 4,
+            op: Op::Write(i),
+        });
+        assert!(matches!(wrote, Ok(Response::AccessOk { .. })), "{wrote:?}");
+        let done = conn.request(&Request::Commit { tx: top });
+        assert!(matches!(done, Ok(Response::Committed)), "{done:?}");
+    }
+    let mut raw = TcpStream::connect(&addr).expect("connect raw");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("timeout");
+    let base = Conn::seq_base(2);
+    let ops: Vec<(u64, Request)> = (1..=16)
+        .map(|k| (base + k, Request::HistoryFetch))
+        .collect();
+    raw.write_all(&encode_batch_request(base, &ops).expect("encode"))
+        .expect("send batch");
+    let mut fb = nt_reactor::FrameBuf::new();
+    let frame = read_frame(&mut fb, &mut raw, CAP)
+        .expect("the BATCH_RESP fits the server's cap")
+        .expect("a reply");
+    let f = decode_frame(frame).expect("a sound frame");
+    assert_eq!((f.kind, f.seq), (KIND_BATCH_RESP, base));
+    let members = decode_batch_response(f.body).expect("entries");
+    assert_eq!(members.len(), 16);
+    for (k, (seq, resp)) in members.into_iter().enumerate() {
+        assert_eq!(seq, base + 1 + k as u64);
+        match resp {
+            Response::Error { code, msg } => assert_eq!(code, err_code::UNBATCHABLE, "{msg}"),
+            other => panic!(
+                "member {k}: expected the refusal, got kind {:#04x}",
+                other.kind()
+            ),
+        }
+    }
+    let ping = nt_net::wire::encode_request(base + 17, &Request::Ping).expect("encode");
+    raw.write_all(&ping).expect("send ping");
+    let frame = read_frame(&mut fb, &mut raw, CAP)
+        .expect("read")
+        .expect("a reply");
+    assert_eq!(parse_response(frame), Ok((base + 17, Response::Pong)));
+    // Sent alone, a fetch is answered.
+    assert!(matches!(
+        conn.request(&Request::HistoryFetch),
+        Ok(Response::History(_))
+    ));
+    drop((conn, raw));
+    handle.wait();
+}
+
+/// A `BATCH` with more members than one `BATCH_RESP` within the cap can
+/// answer is a protocol error, and none of its members runs.
+#[test]
+fn a_batch_longer_than_one_reply_frame_can_answer_runs_nothing() {
+    let (addr, handle) = start_server(ServerConfig {
+        max_frame_len: 4096,
+        ..ServerConfig::default()
+    });
+    let mut raw = TcpStream::connect(&addr).expect("connect");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("timeout");
+    let registered = handle.engine().tx_count();
+    let ops: Vec<(u64, Request)> = (1..=64).map(|k| (k, Request::BeginTop)).collect();
+    raw.write_all(&encode_batch_request(100, &ops).expect("encode"))
+        .expect("send batch");
+    let mut fb = nt_reactor::FrameBuf::new();
+    let frame = read_frame(&mut fb, &mut raw, 4096)
+        .expect("read")
+        .expect("a reply");
+    match parse_response(frame) {
+        Ok((0, Response::Error { code, msg })) => {
+            assert_eq!(code, err_code::PROTOCOL, "{msg}");
+            assert!(msg.contains("64 members"), "{msg}");
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    assert_eq!(handle.engine().tx_count(), registered, "no member ran");
+    drop(raw);
+    handle.wait();
+}
+
+/// `recv` of a seq this connection is not awaiting — never sent, or its
+/// answer already taken — is a typed error at once: no wait, no resend.
+#[test]
+fn recv_of_a_seq_not_in_flight_is_refused_at_once() {
+    let (addr, handle) = start_server(ServerConfig::default());
+    let cfg = ConnConfig {
+        timeout_ms: 2_000,
+        ..ConnConfig::default()
+    };
+    let mut conn = Conn::connect(&addr, 1, cfg).expect("connect");
+    let seq = conn.send(&Request::Ping).expect("send");
+    assert_eq!(conn.recv(seq), Ok(Response::Pong));
+    let start = std::time::Instant::now();
+    assert_eq!(conn.recv(seq), Err(WireError::NotInFlight(seq)), "taken");
+    let never = seq + 1_000;
+    assert_eq!(conn.recv(never), Err(WireError::NotInFlight(never)));
+    assert!(
+        start.elapsed() < std::time::Duration::from_millis(500),
+        "waited {:?}",
+        start.elapsed()
+    );
+    assert_eq!(conn.retries, 0);
+    assert!(conn.journal.is_empty(), "{:?}", conn.journal);
     drop(conn);
     handle.wait();
 }
@@ -362,6 +491,7 @@ fn a_victim_doomed_just_before_a_drain_is_journaled() {
     }
     // Cross over; b's access closes the cycle and both are answered.
     let sa = a.send(&write(ta, 1)).expect("send");
+    a.flush().expect("flush");
     let rb = b.request(&write(tb, 0)).expect("b's access");
     let ra = a.recv(sa).expect("a's access");
     assert!(
@@ -423,6 +553,7 @@ fn journal_flight_dump_and_counters_are_one_sequence() {
         ));
     }
     let sa = a.send(&write(ta, 1)).expect("send");
+    a.flush().expect("flush");
     b.request(&write(tb, 0)).expect("b's access");
     a.recv(sa).expect("a's access");
     // A third connection pings through a delay, a duplicate and a drop.
@@ -542,6 +673,7 @@ fn fault_plan_delay_on_one_connection_does_not_delay_another() {
     let seqs: Vec<u64> = (0..4)
         .map(|_| a.send(&Request::Ping).expect("send"))
         .collect();
+    a.flush().expect("flush");
     // B's frames 1 and 2 are untouched by the plan.
     for _ in 0..2 {
         assert!(matches!(b.request(&Request::Ping), Ok(Response::Pong)));

@@ -19,13 +19,16 @@ pub struct BadFrame {
 const READ_CHUNK: usize = 16 * 1024;
 
 /// Accumulates raw socket bytes and yields complete `u32le`-length-prefixed
-/// frames (sans prefix). The nonblocking twin of nt-net's blocking
-/// `FrameReader`: bytes go in whenever the socket is readable, frames come
-/// out whenever enough have arrived, and a partial tail just waits.
+/// frames (sans prefix) — the workspace's one frame accumulator: the
+/// reactor reads each connection through one, and so do nt-net's blocking
+/// clients. Bytes go in whenever the socket is readable, frames come out
+/// whenever enough have arrived, and a partial tail just waits.
 ///
 /// `buf[start..end]` holds the unread bytes; `buf[end..]` is initialised
 /// spare capacity that [`FrameBuf::read_from`] reads straight into, so a
-/// readiness event costs no zeroing and no intermediate copy.
+/// readiness event costs no zeroing and no intermediate copy. A popped
+/// frame is lent out of `buf` in place: nothing is copied or shifted until
+/// the next read needs the room.
 #[derive(Default)]
 pub struct FrameBuf {
     buf: Vec<u8>,
@@ -43,6 +46,10 @@ impl FrameBuf {
     /// bytes to the front before growing.
     fn reserve(&mut self, want: usize) {
         if self.start == self.end {
+            if self.buf.len() > 4 * READ_CHUNK {
+                // A large frame passed through: give its room back.
+                self.buf = Vec::new();
+            }
             self.start = 0;
             self.end = 0;
         }
@@ -94,17 +101,17 @@ impl FrameBuf {
         self.end = 0;
     }
 
-    /// Pop the next complete frame — everything after its length prefix,
-    /// which is the declared length plus the `checksum_len` bytes the
-    /// length does not count — `Ok(None)` when more bytes are needed, or
+    /// The length of the next frame past its prefix — the declared length
+    /// plus the `checksum_len` bytes the length does not count — once all
+    /// of it is buffered; `Ok(None)` when more bytes are needed, or
     /// [`BadFrame`] when the prefix declares a length below `min_len` (too
     /// short to hold a header) or above `max_len`.
-    pub fn pop(
-        &mut self,
+    pub fn ready(
+        &self,
         min_len: usize,
         max_len: usize,
         checksum_len: usize,
-    ) -> Result<Option<Vec<u8>>, BadFrame> {
+    ) -> Result<Option<usize>, BadFrame> {
         let unread = &self.buf[self.start..self.end];
         if unread.len() < 4 {
             return Ok(None);
@@ -113,18 +120,25 @@ impl FrameBuf {
         if len < min_len || len > max_len {
             return Err(BadFrame { len, max: max_len });
         }
-        let end = 4 + checksum_len + len;
-        if unread.len() < end {
+        let whole = checksum_len + len;
+        Ok((unread.len() >= 4 + whole).then_some(whole))
+    }
+
+    /// Pop the next complete frame (everything after its length prefix, as
+    /// [`FrameBuf::ready`] measures it), lent in place until the next call
+    /// that takes `&mut self`; `Ok(None)` and [`BadFrame`] as `ready`.
+    pub fn pop(
+        &mut self,
+        min_len: usize,
+        max_len: usize,
+        checksum_len: usize,
+    ) -> Result<Option<&[u8]>, BadFrame> {
+        let Some(whole) = self.ready(min_len, max_len, checksum_len)? else {
             return Ok(None);
-        }
-        let frame = unread[4..end].to_vec();
-        self.start += end;
-        if self.start == self.end && self.buf.len() > 4 * READ_CHUNK {
-            // A large frame passed through: give its room back.
-            self.buf = Vec::new();
-            self.clear();
-        }
-        Ok(Some(frame))
+        };
+        let at = self.start + 4;
+        self.start = at + whole;
+        Ok(Some(&self.buf[at..at + whole]))
     }
 }
 
@@ -147,7 +161,7 @@ mod tests {
         fb.extend(&wire[3..7]);
         assert_eq!(fb.pop(1, 1024, 0), Ok(None));
         fb.extend(&wire[7..]);
-        assert_eq!(fb.pop(1, 1024, 0), Ok(Some(b"hello".to_vec())));
+        assert_eq!(fb.pop(1, 1024, 0), Ok(Some(&b"hello"[..])));
         assert!(fb.is_empty());
     }
 
@@ -156,8 +170,8 @@ mod tests {
         let mut fb = FrameBuf::new();
         fb.extend(&framed(b"a"));
         fb.extend(&framed(b"bb"));
-        assert_eq!(fb.pop(1, 1024, 0), Ok(Some(b"a".to_vec())));
-        assert_eq!(fb.pop(1, 1024, 0), Ok(Some(b"bb".to_vec())));
+        assert_eq!(fb.pop(1, 1024, 0), Ok(Some(&b"a"[..])));
+        assert_eq!(fb.pop(1, 1024, 0), Ok(Some(&b"bb"[..])));
         assert_eq!(fb.pop(1, 1024, 0), Ok(None));
     }
 
@@ -170,7 +184,7 @@ mod tests {
         fb.extend(&wire[..9]);
         assert_eq!(fb.pop(2, 1024, 4), Ok(None), "one payload byte short");
         fb.extend(&wire[9..]);
-        assert_eq!(fb.pop(2, 1024, 4), Ok(Some(b"CRC!xy".to_vec())));
+        assert_eq!(fb.pop(2, 1024, 4), Ok(Some(&b"CRC!xy"[..])));
         assert!(fb.is_empty());
     }
 
@@ -199,7 +213,7 @@ mod tests {
             (READ_CHUNK, true),
             "region filled: more may wait"
         );
-        assert_eq!(fb.pop(1, 1 << 20, 0), Ok(Some(b"first".to_vec())));
+        assert_eq!(fb.pop(1, 1 << 20, 0), Ok(Some(&b"first"[..])));
         assert_eq!(fb.pop(1, 1 << 20, 0), Ok(None));
         let mut short = false;
         while !short {
@@ -207,7 +221,7 @@ mod tests {
             short = !full;
             assert!(n > 0 || short);
         }
-        assert_eq!(fb.pop(1, 1 << 20, 0), Ok(Some(big)));
+        assert_eq!(fb.pop(1, 1 << 20, 0), Ok(Some(&big[..])));
         assert!(fb.is_empty());
         let (n, full) = fb.read_from(&mut src).expect("read");
         assert_eq!((n, full), (0, false), "EOF is a zero-byte short read");

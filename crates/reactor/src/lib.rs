@@ -12,8 +12,8 @@
 //! dependency-free.
 //!
 //! A round is: `poll` → read every readable socket into its
-//! [`FrameBuf`] → call [`Service::frame`] inline for every complete
-//! frame → [`Service::resume`] for every connection whose resume handle
+//! [`FrameBuf`] → call [`Service::frame_lent`] inline for every complete
+//! frame, lent in place from that buffer → [`Service::resume`] for every connection whose resume handle
 //! fired → one [`Service::flush`] per connection touched this round →
 //! write. The embedder supplies one [`Service`] per connection via a
 //! [`ServiceFactory`]. A service never blocks: the one case that cannot
@@ -108,7 +108,8 @@ impl Default for ReactorConfig {
 /// and must not block; replies go through the [`ReplySink`] handed to
 /// [`ServiceFactory::open`].
 pub trait Service: Send {
-    /// One complete frame (sans length prefix) arrived. `enqueued` is the
+    /// One complete frame (sans length prefix) arrived, handed over owned
+    /// by [`Service::frame_lent`]'s default. `enqueued` is the
     /// instant the reactor popped it off the socket buffer. The service
     /// may reply now via the sink, buffer the reply until
     /// [`Service::flush`], or — when it cannot finish yet — keep the
@@ -118,6 +119,15 @@ pub trait Service: Send {
     /// frame — e.g. a fault-plan drop — sends empty bytes with
     /// `frames_done = 1`).
     fn frame(&mut self, frame: Vec<u8>, enqueued: Instant);
+
+    /// The same frame, lent straight out of the connection's [`FrameBuf`]
+    /// for the length of the call — the reactor dispatches every frame
+    /// through here. A service that keeps a frame past the call copies it
+    /// then; the default copies every frame and hands it to
+    /// [`Service::frame`].
+    fn frame_lent(&mut self, frame: &[u8], enqueued: Instant) {
+        self.frame(frame.to_vec(), enqueued);
+    }
 
     /// Every frame of this round has executed: emit buffered replies.
     /// This is the group-commit point — a durability barrier paid here
@@ -804,7 +814,7 @@ impl ReactorLoop {
                 Ok(Some(frame)) => {
                     c.frames += 1;
                     c.outstanding += 1;
-                    c.svc.frame(frame, Instant::now());
+                    c.svc.frame_lent(frame, Instant::now());
                     self.hub.counters.frames.fetch_add(1, Ordering::Relaxed);
                     ran = true;
                 }

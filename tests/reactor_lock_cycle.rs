@@ -124,6 +124,7 @@ fn two_connection_lock_cycle_is_broken_by_the_access_that_closes_it() {
         a.send(&write(ta, 1, 11)).expect("send"),
         a.send(&Request::Ping).expect("send"),
     );
+    a.flush().expect("flush");
     assert_eq!(parked_edges(c, 1.0), vec![(1.0, 1.0)]);
     let engine = handle.engine();
     assert_eq!(engine.detector_passes(), 1, "one enqueue, one pass");
@@ -136,6 +137,7 @@ fn two_connection_lock_cycle_is_broken_by_the_access_that_closes_it() {
         b.send(&write(tb, 0, 21)).expect("send"),
         b.send(&Request::Ping).expect("send"),
     );
+    b.flush().expect("flush");
     let (ra, rb) = (a.recv(sa).expect("a's access"), b.recv(sb).expect("b's"));
     let (a_won, victim) = match (&ra, &rb) {
         (Response::AccessOk { .. }, Response::Aborted { victim }) => (true, *victim),
@@ -190,10 +192,12 @@ fn two_waiters_park_behind_one_holder_while_a_third_connection_is_served() {
         a.send(&write(ta, 0, 2)).expect("send"),
         a.send(&Request::Ping).expect("send"),
     );
+    a.flush().expect("flush");
     let (sb, pb) = (
         b.send(&write(tb, 0, 3)).expect("send"),
         b.send(&Request::Ping).expect("send"),
     );
+    b.flush().expect("flush");
     // Two continuations parked at once; the poll thread is waiting on
     // neither, so the fourth connection gets its answers (these STATS
     // round trips and the pings).
