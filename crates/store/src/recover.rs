@@ -319,6 +319,7 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
     }
 
     // Status + object replay in stamp order.
+    let mut requested: BTreeSet<TxId> = BTreeSet::new();
     let mut created: BTreeSet<TxId> = BTreeSet::new();
     let mut committed: BTreeSet<TxId> = BTreeSet::new();
     let mut aborted: BTreeSet<TxId> = BTreeSet::new();
@@ -334,6 +335,9 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
             )));
         }
         match action {
+            Action::RequestCreate(t) => {
+                requested.insert(*t);
+            }
             Action::Create(t) => {
                 created.insert(*t);
             }
@@ -376,7 +380,7 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
                     r.retain(|h| !is_anc(&nodes, *d, *h));
                 }
             }
-            Action::RequestCreate(_) | Action::ReportCommit(_, _) | Action::ReportAbort(_) => {}
+            Action::ReportCommit(_, _) | Action::ReportAbort(_) => {}
         }
     }
 
@@ -412,13 +416,11 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
             v = cur;
             cur = nodes[&v.0].parent;
         }
-        if !created.contains(&v) {
-            // The registration survived but its CREATE was in the torn
-            // tail (or the node is a placeholder): resurrect the create
-            // so the abort below closes a well-formed lifecycle.
+        if !requested.contains(&v) {
             push_act(Action::RequestCreate(v), &mut history, &mut synthesized);
+        }
+        if !created.contains(&v) {
             push_act(Action::Create(v), &mut history, &mut synthesized);
-            created.insert(v);
         }
         push_act(Action::Abort(v), &mut history, &mut synthesized);
         let objects: Vec<ObjId> = write
@@ -451,6 +453,40 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
         push_act(Action::ReportAbort(v), &mut history, &mut synthesized);
         aborted.insert(v);
         losers.push(v.0);
+    }
+
+    // A committed holder whose INFORM_COMMIT the cut lost passes its lock up.
+    let objects: Vec<ObjId> = write
+        .keys()
+        .chain(read.keys())
+        .copied()
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    for x in objects {
+        loop {
+            let h = write
+                .get(&x)
+                .into_iter()
+                .flat_map(|w| w.keys())
+                .chain(read.get(&x).into_iter().flatten())
+                .copied()
+                .filter(|h| *h != TxId::ROOT && committed.contains(h))
+                .max_by_key(|h| ancestors(&nodes, *h).count());
+            let Some(h) = h else { break };
+            let parent = nodes[&h.0].parent;
+            if let Some(w) = write.get_mut(&x) {
+                if let Some(v) = w.remove(&h) {
+                    w.insert(parent, v);
+                }
+            }
+            if let Some(r) = read.get_mut(&x) {
+                if r.remove(&h) {
+                    r.insert(parent);
+                }
+            }
+            push_act(Action::InformCommit(x, h), &mut history, &mut synthesized);
+        }
     }
 
     // Committed values: after the rollback every surviving write entry
