@@ -173,7 +173,9 @@ pub struct WaitEdge {
     pub blockers: Vec<TxId>,
 }
 
-/// Lock state of one object.
+/// Lock state of one object. A default one has no holder, not even `T0`
+/// (the replay's: its `T0` entry is a committed write inherited to it).
+#[derive(Default)]
 struct ObjLocks {
     /// Write-lockholders with their tentative values (the paper's
     /// `value` map). `T0` initially write-holds the initial value.
@@ -186,15 +188,36 @@ struct ObjLocks {
 }
 
 impl ObjLocks {
-    fn new(init: i64) -> Self {
-        let mut write = BTreeMap::new();
-        write.insert(TxId::ROOT, init);
-        ObjLocks {
-            write,
-            read: BTreeSet::new(),
-            waiters: Vec::new(),
-            since: BTreeMap::new(),
+    /// The apply half of a grant: `t` holds the lock, a write lock with
+    /// its tentative value when `write` carries one.
+    fn hold(&mut self, t: TxId, write: Option<i64>) {
+        if let Some(data) = write {
+            self.write.insert(t, data);
+        } else {
+            self.read.insert(t);
         }
+    }
+
+    /// The apply half of `INFORM_COMMIT(t)`: `t`'s locks and tentative
+    /// value pass to `parent`.
+    fn inherit(&mut self, t: TxId, parent: TxId) {
+        if let Some(v) = self.write.remove(&t) {
+            self.write.insert(parent, v);
+        }
+        if self.read.remove(&t) {
+            self.read.insert(parent);
+        }
+    }
+
+    /// The apply half of `INFORM_ABORT(d)`: every lock a
+    /// descendant-or-self of `d` holds is gone.
+    fn drop_under(&mut self, tree: &impl TreeView, d: TxId) {
+        self.write.retain(|h, _| !tree.is_ancestor(d, *h));
+        self.read.retain(|h| !tree.is_ancestor(d, *h));
+    }
+
+    fn holders(&self) -> impl Iterator<Item = TxId> + '_ {
+        self.write.keys().chain(&self.read).copied()
     }
 
     /// The tentative value a read observes: the deepest write-lockholder's
@@ -365,16 +388,10 @@ impl<T: TreeView> LockTable<T> {
         write: Option<i64>,
     ) -> Value {
         let value = match write {
-            Some(data) => {
-                locks.write.insert(t, data);
-                Value::Ok
-            }
-            None => {
-                let v = locks.read_value(&self.tree);
-                locks.read.insert(t);
-                Value::Int(v)
-            }
+            Some(_) => Value::Ok,
+            None => Value::Int(locks.read_value(&self.tree)),
         };
+        locks.hold(t, write);
         if self.telemetry.is_timed() {
             locks.since.insert(t, Instant::now());
         }
@@ -595,9 +612,10 @@ impl<T: TreeView> Held<'_, T> {
         if let Some(d) = table.doom_of(ledger, t) {
             return Acquisition::Doomed(d);
         }
-        let locks = objects
-            .entry(x.0)
-            .or_insert_with(|| ObjLocks::new(table.initials.initial(x)));
+        let locks = objects.entry(x.0).or_insert_with(|| ObjLocks {
+            write: BTreeMap::from([(TxId::ROOT, table.initials.initial(x))]),
+            ..ObjLocks::default()
+        });
         // No queued waiter is eligible (every state change settles the
         // queue), so the arrival defers to nobody: its own precondition
         // decides.
@@ -665,12 +683,7 @@ impl<T: TreeView> Held<'_, T> {
         for x in objs {
             let mut locks = objects.get_mut(&x.0);
             if let Some(locks) = locks.as_deref_mut() {
-                if let Some(v) = locks.write.remove(&t) {
-                    locks.write.insert(parent, v);
-                }
-                if locks.read.remove(&t) {
-                    locks.read.insert(parent);
-                }
+                locks.inherit(t, parent);
                 // `t`'s hold ends here; the inherited lock starts the
                 // parent's hold clock (unless it already holds one).
                 if let Some(start) = locks.since.remove(&t) {
@@ -693,25 +706,99 @@ impl<T: TreeView> Held<'_, T> {
         for x in objs {
             let mut locks = objects.get_mut(&x.0);
             if let Some(locks) = locks.as_deref_mut() {
-                locks.write.retain(|h, _| !table.tree.is_ancestor(d, *h));
-                locks.read.retain(|h| !table.tree.is_ancestor(d, *h));
-                let dead: Vec<TxId> = locks
-                    .since
-                    .keys()
-                    .copied()
-                    .filter(|h| table.tree.is_ancestor(d, *h))
-                    .collect();
-                for h in dead {
-                    if let Some(start) = locks.since.remove(&h) {
-                        table.end_hold(start, &mut ledger.counters);
+                locks.drop_under(&table.tree, d);
+                locks.since.retain(|h, start| {
+                    let ended = table.tree.is_ancestor(d, *h);
+                    if ended {
+                        table.end_hold(*start, &mut ledger.counters);
                     }
-                }
+                    !ended
+                });
             }
             ledger.history.record(Action::InformAbort(x, d));
             if let Some(locks) = locks {
                 table.settle(x, locks, ledger);
             }
         }
+    }
+
+    /// `ABORT(v)`, `INFORM_ABORT(v)` at each of `objs` (the objects a
+    /// lock of `v`'s subtree holds, in id order), `REPORT_ABORT(v)`, `v`
+    /// marked aborted: the one abort, a session's and recovery's.
+    pub(crate) fn abort(&mut self, v: TxId, objs: impl IntoIterator<Item = ObjId>) {
+        self.table.status.mark_aborted(v);
+        self.record(Action::Abort(v));
+        self.discard(v, objs);
+        self.record(Action::ReportAbort(v));
+    }
+
+    /// Apply `beta`'s effects to the holders and the status table in
+    /// order, recording nothing: the apply halves only, with no Lemma 9
+    /// check — `beta` is a decoded log, and no input may panic here.
+    pub(crate) fn apply(&mut self, beta: &[Action]) {
+        let LockTable { tree, status, .. } = self.table;
+        let objects = &mut self.eng.objects;
+        for action in beta {
+            match *action {
+                Action::RequestCommit(t, _) => {
+                    if let (Some(x), Some(op)) = (tree.object_of(t), tree.op_of(t)) {
+                        objects.entry(x.0).or_default().hold(t, op.write_data());
+                    }
+                }
+                Action::InformCommit(x, t) => {
+                    if let (Some(locks), Some(parent)) = (objects.get_mut(&x.0), tree.parent(t)) {
+                        locks.inherit(t, parent);
+                    }
+                }
+                Action::InformAbort(x, d) => {
+                    if let Some(locks) = objects.get_mut(&x.0) {
+                        locks.drop_under(tree, d);
+                    }
+                }
+                Action::Commit(t) => {
+                    status.try_commit(t);
+                }
+                Action::Abort(t) => status.mark_aborted(t),
+                _ => {}
+            }
+        }
+    }
+
+    /// The objects a lock of `v`'s subtree holds, in id order.
+    pub(crate) fn held_under(&self, v: TxId) -> Vec<ObjId> {
+        let tree = &self.table.tree;
+        let under = |locks: &ObjLocks| locks.holders().any(|h| tree.is_ancestor(v, h));
+        let objects = self.eng.objects.iter();
+        objects
+            .filter(|(_, l)| under(l))
+            .map(|(&x, _)| ObjId(x))
+            .collect()
+    }
+
+    /// Record the `INFORM_COMMIT`s a cut between `COMMIT(t)` and `t`'s
+    /// informs lost (the controller may inform any time after a commit):
+    /// at each object the deepest committed holder but `T0` passes its
+    /// locks up, until none is left.
+    pub(crate) fn inform_committed(&mut self) {
+        let LockTable { tree, status, .. } = self.table;
+        let Engine { objects, ledger } = &mut *self.eng;
+        for (&x, locks) in objects.iter_mut() {
+            while let Some(h) = locks
+                .holders()
+                .filter(|&h| h != TxId::ROOT && status.is_committed(h))
+                .max_by_key(|&h| tree.depth(h))
+            {
+                locks.inherit(h, tree.parent(h).expect("only T0 has no parent"));
+                ledger.history.record(Action::InformCommit(ObjId(x), h));
+            }
+        }
+    }
+
+    /// Each object's `T0` write entry, in id order: its committed value.
+    pub(crate) fn root_values(&self) -> Vec<(ObjId, i64)> {
+        let root =
+            |(&x, locks): (&u32, &ObjLocks)| Some((ObjId(x), *locks.write.get(&TxId::ROOT)?));
+        self.eng.objects.iter().filter_map(root).collect()
     }
 
     /// See [`LockTable::waiting_snapshot`].

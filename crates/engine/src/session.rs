@@ -154,25 +154,96 @@ pub enum CommitOutcome {
 /// prefix of the restarted engine's recorded history, so one
 /// `certify_recorded` pass covers pre- and post-crash work as a single
 /// behavior.
+///
+/// [`RecoveredSeed::replay`] decides `committed`, `aborted` and
+/// `initials`: what the lock table's transitions leave after the
+/// recovered history. They stay fields because the benchmark's durability
+/// gate reads them from a seed it never boots (until ROADMAP 6(a)).
 #[derive(Clone, Debug, Default)]
 pub struct RecoveredSeed {
     /// Tree registrations in `TxId` order starting at `TxId(1)`: each
     /// entry is `(parent, access)` where accesses carry object and op.
     pub nodes: Vec<(TxId, Option<(ObjId, Op)>)>,
-    /// Transactions recovered as committed.
+    /// Transactions recovered as committed, in id order.
     pub committed: Vec<TxId>,
-    /// Transactions recovered as aborted (loser subtree roots included;
-    /// their descendants stay `Running`, exactly as a live abort leaves
-    /// them).
+    /// Transactions recovered as aborted, in id order (loser subtree
+    /// roots included; their descendants stay `Running`, exactly as a
+    /// live abort leaves them).
     pub aborted: Vec<TxId>,
-    /// Per-object committed values (objects not listed keep the default
-    /// initial value 0).
+    /// Per-object committed values, in id order (objects not listed keep
+    /// the default initial value 0).
     pub initials: Vec<(ObjId, i64)>,
     /// The recovered history: `entries[i]` is the action stamped `i`, so
     /// it covers stamps `0..entries.len()` (recovery refuses a hole).
     pub entries: Vec<Action>,
     /// First stamp the restarted clock issues (past every recovered one).
     pub next_stamp: u64,
+}
+
+impl RecoveredSeed {
+    /// Rebuild the state a durable prefix leaves through the lock table's
+    /// own transitions, over `tree` (`nodes`, frozen) and a status table,
+    /// with no sink and no certifier. `history[i]` is the action stamped
+    /// `i`; every action but `CREATE(T0)` must name a transaction of
+    /// `tree`. β applies in stamp order; then every topmost running
+    /// transaction (a crash-time loser) aborts through the session's
+    /// abort, after whichever of its `REQUEST_CREATE`/`CREATE` the cut
+    /// lost, and committed holders get the `INFORM_COMMIT`s the cut lost,
+    /// all appended to the history. Returns the seed and the losers.
+    pub fn replay(
+        tree: Arc<TxTree>,
+        nodes: Vec<(TxId, Option<(ObjId, Op)>)>,
+        mut history: Vec<Action>,
+    ) -> (RecoveredSeed, Vec<TxId>) {
+        let status = Arc::new(StatusTable::new(tree.len()));
+        let table = LockTable::recording(
+            Arc::clone(&tree),
+            None,
+            Arc::clone(&status),
+            History::recovered(Vec::new(), history.len() as u64, None, None),
+            RwInitials::uniform(0),
+            TraceHandle::disabled(),
+        );
+        let mut eng = table.lock();
+        eng.apply(&history);
+        let (mut requested, mut created) = (vec![false; tree.len()], vec![false; tree.len()]);
+        for action in &history {
+            match *action {
+                Action::RequestCreate(t) => requested[t.index()] = true,
+                Action::Create(t) => created[t.index()] = true,
+                _ => {}
+            }
+        }
+        let mut losers = Vec::new();
+        for v in tree.all_tx().skip(1) {
+            let mut above = tree.ancestors(v).skip(1);
+            if status.is_complete(v) || !above.all(|u| u == TxId::ROOT || status.is_committed(u)) {
+                continue;
+            }
+            if !requested[v.index()] {
+                eng.record(Action::RequestCreate(v));
+            }
+            if !created[v.index()] {
+                eng.record(Action::Create(v));
+            }
+            let objs = eng.held_under(v);
+            eng.abort(v, objs);
+            losers.push(v);
+        }
+        eng.inform_committed();
+        let initials = eng.root_values();
+        history.extend(eng.snapshot());
+        let ids = || tree.all_tx().skip(1);
+        let seed = RecoveredSeed {
+            nodes,
+            committed: ids().filter(|&t| status.is_committed(t)).collect(),
+            aborted: ids().filter(|&t| status.is_aborted(t)).collect(),
+            initials,
+            next_stamp: history.len() as u64,
+            entries: history,
+        };
+        (seed, losers)
+    }
 }
 
 /// The shared engine a server embeds: one growable tree, one status
@@ -484,38 +555,23 @@ impl Session {
         highest
     }
 
-    /// Abort `v`'s subtree if not already aborted, recording the abort
-    /// actions once. Returns `v` for reporting.
+    /// Abort `v`'s subtree if not already aborted, in one critical section
+    /// that discards every lock this session's bookkeeping says a
+    /// descendant-or-self of `v` holds. Returns `v` for reporting.
     fn ensure_aborted(&mut self, v: TxId) -> TxId {
-        if !self.engine.status.is_aborted(v) {
-            self.abort_subtree(v);
+        if self.engine.status.is_aborted(v) {
+            return v;
         }
-        v
-    }
-
-    /// `ABORT(v)`, discard every lock a descendant-or-self of `v` holds
-    /// (`INFORM_ABORT` per object), `REPORT_ABORT(v)`: one critical
-    /// section.
-    fn abort_subtree(&mut self, v: TxId) {
-        self.engine.status.mark_aborted(v);
-        let mut discarded: BTreeSet<ObjId> = BTreeSet::new();
-        let dead: Vec<TxId> = self
-            .held
-            .keys()
-            .copied()
-            .filter(|&h| self.tree().is_ancestor(v, h))
-            .collect();
-        for h in dead {
-            if let Some(objs) = self.held.remove(&h) {
-                discarded.extend(objs);
+        let (tree, mut discarded) = (&self.engine.tree, BTreeSet::new());
+        self.held.retain(|&h, objs| {
+            let dead = tree.is_ancestor(v, h);
+            if dead {
+                discarded.append(objs);
             }
-        }
-        let mut eng = self.engine.table.lock();
-        eng.record(Action::Abort(v));
-        if !discarded.is_empty() {
-            eng.discard(v, discarded);
-        }
-        eng.record(Action::ReportAbort(v));
+            !dead
+        });
+        self.engine.table.lock().abort(v, discarded);
+        v
     }
 
     /// Begin a fresh top-level transaction.

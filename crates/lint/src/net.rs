@@ -7,7 +7,7 @@
 //!
 //! * server: a capacity that can register transactions, a
 //!   nonzero request queue (a zero-depth queue dispatches no frame), a
-//!   frame limit large enough to carry a history response, a nonzero
+//!   frame limit large enough to answer a one-member `BATCH`, a nonzero
 //!   drain deadline, and a coherent transport fault plan;
 //! * load: at least one connection driving at least one transaction over
 //!   at least one object, probabilities that are probabilities, a
@@ -104,6 +104,16 @@ mod tests {
         assert!(es.iter().any(|m| m.contains("queue_depth")), "{es:?}");
         assert!(es.iter().any(|m| m.contains("max_frame_len")), "{es:?}");
         assert!(es.iter().any(|m| m.contains("drop_period")), "{es:?}");
+        // The floor is the smallest cap whose BATCH_RESP holds one member.
+        let frame = |max_frame_len| {
+            let cfg = NetConfig::Server(ServerConfig {
+                max_frame_len,
+                ..ServerConfig::default()
+            });
+            errors(&lint_config("frame", &cfg)).len()
+        };
+        assert_eq!(frame(138), 1, "138 answers no BATCH");
+        assert_eq!(frame(139), 0, "139 answers a one-member BATCH");
     }
 
     #[test]

@@ -220,9 +220,9 @@ impl ServerConfig {
         if self.queue_depth == 0 {
             out.push("queue_depth of 0 lets no frame be dispatched".to_string());
         }
-        if self.max_frame_len < crate::wire::HEADER_LEN + 64 {
+        if crate::server::batch_member_cap(self.max_frame_len) == 0 {
             out.push(format!(
-                "max_frame_len {} cannot carry a history response",
+                "max_frame_len {} cannot carry a one-member BATCH_RESP, so every BATCH would be refused",
                 self.max_frame_len
             ));
         }

@@ -15,12 +15,13 @@
 //!
 //! Opening a data dir runs full crash recovery ([`recover::analyze`]):
 //! decode the durable prefix (stopping, with a typed error, at the first
-//! torn or corrupt frame), replay the history to rebuild object state,
-//! analyze the Transaction Status Table to find crash-time losers, roll
-//! them back with the paper's nested undo (the same `ABORT` /
-//! `INFORM_ABORT` / `REPORT_ABORT` sequence a live abort records), and
-//! **re-certify the recovered history through `certify_recorded`
-//! (Theorem 17)** — the store refuses to open a history the gate rejects.
+//! torn or corrupt frame), refuse what no crash can produce, and hand the
+//! history to [`nt_engine::RecoveredSeed::replay`], which runs it through
+//! the lock table's own transitions and rolls the crash-time losers back
+//! through the engine's one abort (`ABORT` / `INFORM_ABORT` /
+//! `REPORT_ABORT`, as a live abort records). Then **re-certify the
+//! recovered history through `certify_recorded` (Theorem 17)** — the
+//! store refuses to open a history the gate rejects.
 //! Fuzzy checkpoints compact the log while the server runs; rotation at
 //! drain bumps a generation number so a crash between checkpoint rename
 //! and WAL reset is unambiguous at the next recovery.
@@ -170,8 +171,8 @@ impl Store {
             records,
             mode,
         )?;
-        // Make the loser rollback durable before the engine serves: the
-        // synthesized aborts are part of the certified history.
+        // Make what the replay appended durable before the engine serves:
+        // it is part of the certified history.
         for rec in &recovered.synthesized {
             wal.append(rec);
         }

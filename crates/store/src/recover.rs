@@ -1,21 +1,18 @@
-//! Crash recovery: decode the durable prefix, rebuild the lock-table
-//! state by replaying the recorded history, analyze the Transaction
-//! Status Table to find crash-time losers, roll the losers back with the
-//! same nested undo a live abort performs, and re-certify the result
-//! through the Theorem 17 gate before the engine accepts new work.
+//! Crash recovery: decode the durable prefix, refuse what no crash can
+//! produce, hand the rest to the engine's replay, and re-certify the
+//! result through the Theorem 17 gate before the engine accepts new work.
 //!
-//! ## Why replay mirrors the lock table
+//! ## Why recovery runs through the lock table
 //!
 //! The WAL records the *history* (the paper's action alphabet), not
-//! physical pages. Replaying it therefore re-executes the lock table's
-//! own transition rules in stamp order: a granted access's
-//! `REQUEST_COMMIT` installs a tentative version (write) or a read mark,
-//! `INFORM_COMMIT(x, t)` inherits `t`'s entry to its parent, and
-//! `INFORM_ABORT(x, d)` discards every descendant-or-self entry — the
-//! nested undo applied **at its place in the history**, which matters:
-//! undoing a mid-run abort at the end instead would clobber later
-//! winners' writes. After replay, an object's committed value is exactly
-//! its `T0` write entry.
+//! physical pages, so the state a prefix leaves is whatever the lock
+//! table's transitions make of it, and this module does not implement
+//! them a second time. [`RecoveredSeed::replay`] applies β through
+//! `nt_engine`'s own `LockTable` in stamp order, each `INFORM_ABORT` at
+//! its place; the crash-time losers, the topmost running transactions,
+//! then abort through the one abort a session uses, and a commit the cut
+//! split gets the `INFORM_COMMIT`s it lost. An object's committed value
+//! is its `T0` write entry. Left here: decoding, refusals, the gate.
 //!
 //! ## Why a stamp can be a position
 //!
@@ -27,19 +24,20 @@
 //! intact — but describes a history no crash can produce, and recovery
 //! refuses it with [`StoreError::Corrupt`] naming the first missing
 //! stamp. Past that check β is held once, as one `Vec<Action>` whose
-//! indices are its stamps: the replay reads it, the loser pass appends
-//! to it, the Theorem 17 gate certifies it, and the seed hands it to the
-//! engine as the head of its history.
+//! indices are its stamps: the replay applies it and appends to it, the
+//! Theorem 17 gate certifies it, and the seed hands it to the engine as
+//! the head of its history.
 //!
 //! ## Why re-certification is sound
 //!
-//! Losers are rolled back by appending the same action sequence a live
-//! abort records (`ABORT`, the `INFORM_ABORT`s, `REPORT_ABORT`), stamped
-//! after everything recovered. The result is a history a crash-free
-//! server that had simply aborted those tops could itself have produced
-//! — so `certify_recorded` applies verbatim, and a passing verdict means
-//! the recovered state is serially correct, not merely internally
-//! consistent.
+//! Losers are rolled back by appending the action sequence a live abort
+//! records (`ABORT`, the `INFORM_ABORT`s, `REPORT_ABORT`), stamped after
+//! everything recovered, and a split commit's missing `INFORM_COMMIT`s
+//! are ones the controller may send any time after the `COMMIT`. The
+//! result is a history a crash-free server that had simply aborted those
+//! tops could itself have produced — so `certify_recorded` applies
+//! verbatim, and a passing verdict means the recovered state is serially
+//! correct, not merely internally consistent.
 
 use crate::record::{Decoded, FileKind, Record, WalError};
 use crate::StoreError;
@@ -48,7 +46,7 @@ use nt_model::{Action, ObjId, Op, TxId, TxTree};
 use nt_obs::json::JsonObj;
 use nt_serial::{ObjectTypes, RwRegister};
 use nt_sgt::{certify_recorded, ConflictSource};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The WAL file name inside a data dir.
@@ -102,16 +100,6 @@ impl MergedState {
     }
 }
 
-/// `t`, its parent, …, `T0`, in the recovered tree.
-fn ancestors(nodes: &BTreeMap<u32, NodeRec>, t: TxId) -> impl Iterator<Item = TxId> + '_ {
-    std::iter::successors(Some(t), |&u| (u != TxId::ROOT).then(|| nodes[&u.0].parent))
-}
-
-/// Is `a` an ancestor-or-self of `b` in the recovered tree?
-fn is_anc(nodes: &BTreeMap<u32, NodeRec>, a: TxId, b: TxId) -> bool {
-    ancestors(nodes, b).any(|u| u == a)
-}
-
 /// Everything recovery learned, summarized for the operator (and the
 /// crash-campaign driver, which parses it from `nt-serve`'s stdout).
 #[derive(Clone, Debug, Default)]
@@ -130,7 +118,7 @@ pub struct RecoveryReport {
     pub committed: usize,
     /// Crash-time losers rolled back (subtree roots).
     pub losers: Vec<u32>,
-    /// Actions synthesized for the loser rollback.
+    /// Actions the replay appended (loser rollbacks, lost informs).
     pub synthesized_actions: usize,
     /// Placeholder nodes resurrected for torn registrations.
     pub placeholders: usize,
@@ -194,7 +182,7 @@ pub struct Recovered {
     /// crash landed between checkpoint rename and WAL reset) and must be
     /// recreated rather than resumed.
     pub(crate) wal_stale: bool,
-    /// Rollback records to append (and fsync) before serving.
+    /// The appended actions, to append (and fsync) before serving.
     pub(crate) synthesized: Vec<Record>,
 }
 
@@ -284,7 +272,7 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
         nodes.entry(id).or_insert_with(|| {
             placeholders += 1;
             // Resurrected as an inner node under `T0`; never `CREATE`d in
-            // the recovered history, so the loser pass below synthesizes
+            // the recovered history, so the replay's loser pass records
             // its create-then-abort lifecycle.
             NodeRec {
                 parent: TxId::ROOT,
@@ -306,7 +294,8 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
     // A crash loses a suffix of stamps, never the middle (`wal.rs`): the
     // merged stamps must be exactly `0..n`. Check it while moving β into
     // the one vector recovery keeps, whose indices are its stamps from
-    // here on — the seed hands it to the engine as is.
+    // here on — the seed hands it to the engine as is. Every action but
+    // `CREATE(T0)` names a transaction with a tree record.
     let mut history: Vec<Action> = Vec::with_capacity(acts.len());
     for (stamp, action) in acts {
         let want = history.len() as u64;
@@ -315,217 +304,46 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
                 "the history has a hole: stamp {want} is missing, the next recovered is {stamp}"
             )));
         }
-        history.push(action);
-    }
-
-    // Status + object replay in stamp order.
-    let mut requested: BTreeSet<TxId> = BTreeSet::new();
-    let mut created: BTreeSet<TxId> = BTreeSet::new();
-    let mut committed: BTreeSet<TxId> = BTreeSet::new();
-    let mut aborted: BTreeSet<TxId> = BTreeSet::new();
-    let mut write: BTreeMap<ObjId, BTreeMap<TxId, i64>> = BTreeMap::new();
-    let mut read: BTreeMap<ObjId, BTreeSet<TxId>> = BTreeMap::new();
-    for (stamp, action) in history.iter().enumerate() {
-        // The engine registers a transaction (a tree record; `T0` has
-        // none) before any action but `CREATE(T0)` names it.
         let t = action.subject();
-        if !nodes.contains_key(&t.0) && *action != Action::Create(TxId::ROOT) {
+        if !nodes.contains_key(&t.0) && action != Action::Create(TxId::ROOT) {
             return Err(StoreError::Corrupt(format!(
                 "stamp {stamp}: {action} names unregistered transaction {t}"
             )));
         }
-        match action {
-            Action::RequestCreate(t) => {
-                requested.insert(*t);
-            }
-            Action::Create(t) => {
-                created.insert(*t);
-            }
-            Action::Commit(t) => {
-                committed.insert(*t);
-            }
-            Action::Abort(t) => {
-                aborted.insert(*t);
-            }
-            Action::RequestCommit(t, _) => {
-                if let Some((x, op)) = nodes.get(&t.0).and_then(|n| n.access.clone()) {
-                    match op {
-                        Op::Write(d) => {
-                            write.entry(x).or_default().insert(*t, d);
-                        }
-                        _ => {
-                            read.entry(x).or_default().insert(*t);
-                        }
-                    }
-                }
-            }
-            Action::InformCommit(x, t) => {
-                let parent = nodes[&t.0].parent;
-                if let Some(w) = write.get_mut(x) {
-                    if let Some(v) = w.remove(t) {
-                        w.insert(parent, v);
-                    }
-                }
-                if let Some(r) = read.get_mut(x) {
-                    if r.remove(t) {
-                        r.insert(parent);
-                    }
-                }
-            }
-            Action::InformAbort(x, d) => {
-                if let Some(w) = write.get_mut(x) {
-                    w.retain(|h, _| !is_anc(&nodes, *d, *h));
-                }
-                if let Some(r) = read.get_mut(x) {
-                    r.retain(|h| !is_anc(&nodes, *d, *h));
-                }
-            }
-            Action::ReportCommit(_, _) | Action::ReportAbort(_) => {}
-        }
-    }
-
-    // TST analysis: every transaction neither committed nor under an
-    // aborted root is a crash-time loser. Roll back its topmost running
-    // ancestor exactly as a live abort would, stamped after everything
-    // recovered: appended to `history`, so its stamp is its position.
-    let mut synthesized: Vec<Record> = Vec::new();
-    let mut losers: Vec<u32> = Vec::new();
-    let push_act = |action: Action, history: &mut Vec<Action>, synthesized: &mut Vec<Record>| {
-        synthesized.push(Record::Act {
-            stamp: history.len() as u64,
-            action: action.clone(),
-        });
         history.push(action);
-    };
-    let ids: Vec<u32> = nodes.keys().copied().collect();
-    for id in ids {
-        let t = TxId(id);
-        let status_running = |u: TxId| !committed.contains(&u) && !aborted.contains(&u);
-        if !status_running(t) {
-            continue;
-        }
-        // Already covered by an aborted ancestor (recovered or a loser
-        // rolled back earlier this pass)? One walk up, one lookup a step.
-        if ancestors(&nodes, t).any(|a| aborted.contains(&a)) {
-            continue;
-        }
-        // Topmost running ancestor: walk up until T0 or a completed node.
-        let mut v = t;
-        let mut cur = nodes[&v.0].parent;
-        while cur != TxId::ROOT && status_running(cur) {
-            v = cur;
-            cur = nodes[&v.0].parent;
-        }
-        if !requested.contains(&v) {
-            push_act(Action::RequestCreate(v), &mut history, &mut synthesized);
-        }
-        if !created.contains(&v) {
-            push_act(Action::Create(v), &mut history, &mut synthesized);
-        }
-        push_act(Action::Abort(v), &mut history, &mut synthesized);
-        let objects: Vec<ObjId> = write
-            .keys()
-            .chain(read.keys())
-            .copied()
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        for x in objects {
-            let holds = write
-                .get(&x)
-                .map(|w| w.keys().any(|h| is_anc(&nodes, v, *h)))
-                .unwrap_or(false)
-                || read
-                    .get(&x)
-                    .map(|r| r.iter().any(|h| is_anc(&nodes, v, *h)))
-                    .unwrap_or(false);
-            if !holds {
-                continue;
-            }
-            if let Some(w) = write.get_mut(&x) {
-                w.retain(|h, _| !is_anc(&nodes, v, *h));
-            }
-            if let Some(r) = read.get_mut(&x) {
-                r.retain(|h| !is_anc(&nodes, v, *h));
-            }
-            push_act(Action::InformAbort(x, v), &mut history, &mut synthesized);
-        }
-        push_act(Action::ReportAbort(v), &mut history, &mut synthesized);
-        aborted.insert(v);
-        losers.push(v.0);
     }
 
-    // A committed holder whose INFORM_COMMIT the cut lost passes its lock up.
-    let objects: Vec<ObjId> = write
-        .keys()
-        .chain(read.keys())
-        .copied()
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    for x in objects {
-        loop {
-            let h = write
-                .get(&x)
-                .into_iter()
-                .flat_map(|w| w.keys())
-                .chain(read.get(&x).into_iter().flatten())
-                .copied()
-                .filter(|h| *h != TxId::ROOT && committed.contains(h))
-                .max_by_key(|h| ancestors(&nodes, *h).count());
-            let Some(h) = h else { break };
-            let parent = nodes[&h.0].parent;
-            if let Some(w) = write.get_mut(&x) {
-                if let Some(v) = w.remove(&h) {
-                    w.insert(parent, v);
-                }
-            }
-            if let Some(r) = read.get_mut(&x) {
-                if r.remove(&h) {
-                    r.insert(parent);
-                }
-            }
-            push_act(Action::InformCommit(x, h), &mut history, &mut synthesized);
-        }
-    }
-
-    // Committed values: after the rollback every surviving write entry
-    // belongs to T0.
-    let initials: Vec<(ObjId, i64)> = write
-        .iter()
-        .filter_map(|(x, w)| w.get(&TxId::ROOT).map(|v| (*x, *v)))
-        .collect();
-
-    // Re-certify the recovered history through the Theorem 17 gate.
     let seed_nodes: Vec<(TxId, Option<(ObjId, Op)>)> = nodes
         .values()
         .map(|n| (n.parent, n.access.clone()))
         .collect();
-    let certified;
-    let mut sg_nodes = 0;
-    let mut sg_edges = 0;
-    if history.is_empty() {
-        certified = true;
-    } else {
-        let mut tree = TxTree::new();
-        for (parent, access) in &seed_nodes {
-            match access {
-                None => tree.add_inner(*parent),
-                Some((x, op)) => tree.add_access(*parent, *x, op.clone()),
-            };
-        }
-        // One type for every object: nothing is sized by the largest id.
-        let types = ObjectTypes::uniform(tree.num_objects(), Arc::new(RwRegister::new(0)));
-        let cert = certify_recorded(&tree, &history, &types, ConflictSource::ReadWrite);
-        certified = cert.is_serially_correct();
-        sg_nodes = cert.sg_nodes;
-        sg_edges = cert.sg_edges;
-        if !certified {
-            return Err(StoreError::CertificationFailed {
-                verdict: cert.verdict.name().to_string(),
-                violations: cert.violations,
-            });
-        }
+    let mut tree = TxTree::new();
+    for (parent, access) in &seed_nodes {
+        match access {
+            None => tree.add_inner(*parent),
+            Some((x, op)) => tree.add_access(*parent, *x, op.clone()),
+        };
+    }
+    let tree = Arc::new(tree);
+    let recovered = history.len();
+    let (seed, losers) = RecoveredSeed::replay(Arc::clone(&tree), seed_nodes, history);
+    let synthesized: Vec<Record> = (recovered..)
+        .zip(&seed.entries[recovered..])
+        .map(|(stamp, action)| Record::Act {
+            stamp: stamp as u64,
+            action: action.clone(),
+        })
+        .collect();
+
+    // Re-certify the recovered history through the Theorem 17 gate. One
+    // type for every object: nothing is sized by the largest id.
+    let types = ObjectTypes::uniform(tree.num_objects(), Arc::new(RwRegister::new(0)));
+    let cert = certify_recorded(&tree, &seed.entries, &types, ConflictSource::ReadWrite);
+    if !cert.is_serially_correct() {
+        return Err(StoreError::CertificationFailed {
+            verdict: cert.verdict.name().to_string(),
+            violations: cert.violations,
+        });
     }
 
     let report = RecoveryReport {
@@ -534,23 +352,15 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
         wal_records,
         torn,
         tx_count: nodes.len(),
-        committed: committed.len(),
-        losers: losers.clone(),
+        committed: seed.committed.len(),
+        losers: losers.iter().map(|t| t.0).collect(),
         synthesized_actions: synthesized.len(),
         placeholders,
         cache_entries: cache.len(),
-        history_len: history.len(),
-        certified,
-        sg_nodes,
-        sg_edges,
-    };
-    let seed = RecoveredSeed {
-        nodes: seed_nodes,
-        committed: committed.into_iter().filter(|t| *t != TxId::ROOT).collect(),
-        aborted: aborted.into_iter().collect(),
-        initials,
-        next_stamp: history.len() as u64,
-        entries: history,
+        history_len: seed.entries.len(),
+        certified: true,
+        sg_nodes: cert.sg_nodes,
+        sg_edges: cert.sg_edges,
     };
     Ok(Recovered {
         seed,

@@ -183,36 +183,21 @@ fn expected(records: &[Record]) -> (Vec<Action>, Expected) {
             Record::Header { .. } | Record::Cache { .. } => {}
         }
     }
-    let of =
-        |pick: fn(&Action) -> Option<TxId>| beta.iter().filter_map(pick).collect::<BTreeSet<_>>();
-    let committed = of(|a| {
-        if let Action::Commit(t) = a {
-            Some(*t)
-        } else {
-            None
-        }
-    });
-    let aborted = of(|a| {
-        if let Action::Abort(t) = a {
-            Some(*t)
-        } else {
-            None
-        }
-    });
-    let requested = of(|a| {
-        if let Action::RequestCreate(t) = a {
-            Some(*t)
-        } else {
-            None
-        }
-    });
-    let created = of(|a| {
-        if let Action::Create(t) = a {
-            Some(*t)
-        } else {
-            None
-        }
-    });
+    let (mut committed, mut aborted, mut requested, mut created) = (
+        BTreeSet::new(),
+        BTreeSet::new(),
+        BTreeSet::new(),
+        BTreeSet::new(),
+    );
+    for action in &beta {
+        match *action {
+            Action::Commit(t) => committed.insert(t),
+            Action::Abort(t) => aborted.insert(t),
+            Action::RequestCreate(t) => requested.insert(t),
+            Action::Create(t) => created.insert(t),
+            _ => false,
+        };
+    }
     let ancestors = |t: TxId| std::iter::successors(Some(t), |u| parent.get(u).copied());
     let committed_above = |t: TxId| {
         ancestors(t)
