@@ -17,8 +17,10 @@
 //! regime real lock managers live in; CPU-bound scaling would additionally
 //! need physical cores).
 //!
-//! Every run's recorded history is certified against Theorem 17 post-hoc;
-//! a run that fails certification fails the whole harness. Results land in
+//! Every run's recorded history is certified against Theorem 17 by the
+//! post-hoc oracle (`nt_sgt::check_serial_correctness`), whose whole
+//! `SG(β)` the `sg_nodes`/`sg_edges` columns count; a run that fails
+//! certification fails the whole harness. Results land in
 //! `BENCH_engine.json`.
 //!
 //! ```sh
@@ -29,6 +31,7 @@
 use nt_engine::{run_workload, EngineConfig, EngineReport};
 use nt_obs::json::JsonObj;
 use nt_obs::SmokeLine;
+use nt_sgt::{check_serial_correctness, ConflictSource, Verdict};
 use nt_sim::{Workload, WorkloadSpec};
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -100,15 +103,29 @@ impl Row {
     }
 }
 
+/// The oracle's verdict on the run and the size of the `SG(β)` it built
+/// (0 when it refused before its graph stage).
+fn oracle(report: &EngineReport) -> (Verdict, usize, usize) {
+    let (tree, types) = (&report.tree, &report.types);
+    let v = check_serial_correctness(tree, &report.history, types, ConflictSource::ReadWrite);
+    let (nodes, edges) = match &v {
+        Verdict::SeriallyCorrect { graph, .. } | Verdict::Cyclic { graph, .. } => {
+            (graph.node_count(), graph.edge_count())
+        }
+        _ => (0, 0),
+    };
+    (v, nodes, edges)
+}
+
 fn run_cell(workload: &'static str, w: &Workload, cfg: &EngineConfig) -> Row {
     let report = run_workload(w, cfg).expect("engine run");
-    let cert = report.certify();
+    let (verdict, sg_nodes, sg_edges) = oracle(&report);
     let row = Row {
         workload,
         threads: cfg.threads,
-        certified: cert.is_serially_correct(),
-        sg_nodes: cert.sg_nodes,
-        sg_edges: cert.sg_edges,
+        certified: verdict.is_serially_correct(),
+        sg_nodes,
+        sg_edges,
         report,
     };
     let (p50, p95, _) = row.report.top_latency.p50_p95_p99();
@@ -129,7 +146,7 @@ fn run_cell(workload: &'static str, w: &Workload, cfg: &EngineConfig) -> Row {
         row.certified,
         "{workload}@{} threads: recorded history failed certification: {}",
         cfg.threads,
-        cert.verdict.name()
+        verdict.name()
     );
     row
 }
@@ -145,19 +162,23 @@ fn smoke() {
     };
     let report = run_workload(&w, &cfg).expect("engine smoke run");
     let cert = report.certify();
+    let (verdict, sg_nodes, sg_edges) = oracle(&report);
     SmokeLine::new("engine-smoke")
         .num("committed_top", report.committed_top as u64)
         .num("aborted_top", report.aborted_top as u64)
         .num("victims", report.victims.len() as u64)
         .num("actions", report.history.len() as u64)
-        .num("sg_nodes", cert.sg_nodes as u64)
-        .num("sg_edges", cert.sg_edges as u64)
+        .num("sg_nodes", sg_nodes as u64)
+        .num("sg_edges", sg_edges as u64)
         .percentiles("top_us", &report.top_latency)
-        .bool("serially_correct", cert.is_serially_correct())
+        .bool(
+            "serially_correct",
+            cert.is_serially_correct() && verdict.is_serially_correct(),
+        )
         .emit();
     assert!(!report.gave_up, "engine smoke run hit the watchdog");
     assert!(
-        cert.is_serially_correct(),
+        cert.is_serially_correct() && verdict.is_serially_correct(),
         "engine smoke run failed SGT certification"
     );
     assert!(

@@ -17,10 +17,10 @@
 //! of correctness comes with machine-checked evidence.
 
 use crate::graph::SerializationGraph;
-use crate::relations::{build_sg, build_sg_traced, ConflictSource};
+use crate::relations::{build_sg_traced, ConflictSource};
 use crate::witness::{reconstruct_witness, WitnessError};
 use nt_model::rw::{is_current, is_safe, RwInitials};
-use nt_model::seq::{operations, serial_projection, visible_indices, Status};
+use nt_model::seq::{serial_projection, visible_indices, Status};
 use nt_model::wellformed::check_simple_behavior;
 use nt_model::{Action, ObjId, SiblingOrder, TxId, TxTree, Value};
 use nt_obs::{Event, TraceHandle};
@@ -294,82 +294,10 @@ fn check_stages(
     }
 }
 
-/// The post-hoc certificate for a *recorded* concurrent history (the
-/// threaded engine's one stamped history): the full Theorem 8/19
-/// verdict plus the summary numbers reports and benchmarks want.
-#[derive(Debug)]
-pub struct RecordedCertificate {
-    /// The checker's verdict (with witness/graph evidence when correct).
-    pub verdict: Verdict,
-    /// 0 when the run certified serially correct, 1 otherwise — the count
-    /// experiment tables and CI gates sum across runs.
-    pub violations: usize,
-    /// Actions in the recorded history (including `INFORM_*`).
-    pub actions: usize,
-    /// Actions surviving the `serial(β)` projection.
-    pub serial_actions: usize,
-    /// Serialization-graph size (0 when the checker rejected before
-    /// building the graph).
-    pub sg_nodes: usize,
-    /// See `sg_nodes`.
-    pub sg_edges: usize,
-}
-
-impl RecordedCertificate {
-    /// Did the recorded run certify?
-    pub fn is_serially_correct(&self) -> bool {
-        self.violations == 0
-    }
-}
-
-/// Certify a recorded concurrent history post-hoc: run the full
-/// [`check_serial_correctness`] pipeline over it and summarize. This is
-/// the `nt-engine` → `nt-sgt` bridge: every threaded run's recorded history
-/// lands here, so genuine-concurrency executions get the same Theorem 17
-/// certification as simulated ones.
-pub fn certify_recorded(
-    tree: &TxTree,
-    history: &[Action],
-    types: &ObjectTypes,
-    source: ConflictSource<'_>,
-) -> RecordedCertificate {
-    let serial_actions = history.iter().filter(|a| a.is_serial()).count();
-    let verdict = check_serial_correctness(tree, history, types, source);
-    let (sg_nodes, sg_edges) = match &verdict {
-        Verdict::SeriallyCorrect { graph, .. } | Verdict::Cyclic { graph, .. } => {
-            (graph.node_count(), graph.edge_count())
-        }
-        _ => (0, 0),
-    };
-    RecordedCertificate {
-        violations: usize::from(!verdict.is_serially_correct()),
-        verdict,
-        actions: history.len(),
-        serial_actions,
-        sg_nodes,
-        sg_edges,
-    }
-}
-
-/// Lightweight acyclicity-only check (for benchmarking the construction
-/// itself): build `SG(serial(β))` and test for cycles.
-pub fn sg_is_acyclic(tree: &TxTree, beta: &[Action], source: ConflictSource<'_>) -> bool {
-    let serial = serial_projection(beta);
-    build_sg(tree, &serial, source).is_acyclic()
-}
-
-/// Extract `operations(visible(β,T0))` per object — exposed for tests and
-/// experiment code.
-pub fn visible_operations(tree: &TxTree, beta: &[Action]) -> Vec<(TxId, Value)> {
-    let serial = serial_projection(beta);
-    let vis = visible_indices(tree, &serial, TxId::ROOT);
-    let projected: Vec<Action> = vis.iter().map(|&i| serial[i].clone()).collect();
-    operations(tree, &projected)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relations::build_sg;
     use nt_model::Op;
     use nt_serial::RwRegister;
     use std::sync::Arc;
@@ -497,7 +425,8 @@ mod tests {
             }
             other => panic!("expected cycle, got {other:?}"),
         }
-        assert!(!sg_is_acyclic(&tree, &beta, ConflictSource::ReadWrite));
+        let serial = serial_projection(&beta);
+        assert!(!build_sg(&tree, &serial, ConflictSource::ReadWrite).is_acyclic());
     }
 
     #[test]
@@ -607,40 +536,5 @@ mod view_tests {
             nt_serial::replay(types.get(ObjId(0)).as_ref(), &resolved).is_some(),
             "view in R order must replay legally: {v:?}"
         );
-    }
-
-    #[test]
-    fn visible_operations_extraction() {
-        let mut tree = TxTree::new();
-        let x = tree.add_object();
-        let a = tree.add_inner(TxId::ROOT);
-        let u = tree.add_access(a, x, Op::Write(3));
-        let w = tree.add_access(a, x, Op::Write(4));
-        // u committed through to root; w responded but its chain did not
-        // commit (a never commits) — wait, then u isn't visible either.
-        // Use two top-level branches instead.
-        let b = tree.add_inner(TxId::ROOT);
-        let z = tree.add_access(b, x, Op::Write(5));
-        let beta = vec![
-            Action::RequestCreate(a),
-            Action::Create(a),
-            Action::RequestCreate(u),
-            Action::Create(u),
-            Action::RequestCommit(u, Value::Ok),
-            Action::Commit(u),
-            Action::RequestCreate(w),
-            Action::Create(w),
-            Action::RequestCommit(w, Value::Ok), // w never commits
-            Action::RequestCommit(a, Value::Ok),
-            Action::Commit(a),
-            Action::RequestCreate(b),
-            Action::Create(b),
-            Action::RequestCreate(z),
-            Action::Create(z),
-            Action::RequestCommit(z, Value::Ok),
-            Action::Commit(z), // but b never commits: z invisible
-        ];
-        let ops = visible_operations(&tree, &beta);
-        assert_eq!(ops, vec![(u, Value::Ok)], "only u's chain reaches T0");
     }
 }

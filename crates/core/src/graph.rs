@@ -108,14 +108,6 @@ impl SerializationGraph {
         self.graphs.keys().copied()
     }
 
-    /// Nodes of `SG(β, parent)`.
-    pub fn nodes_of(&self, parent: TxId) -> Vec<TxId> {
-        self.graphs
-            .get(&parent)
-            .map(|g| g.nodes.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
     /// Successors of `child` within its parent's subgraph.
     pub fn successors(&self, parent: TxId, child: TxId) -> Vec<TxId> {
         self.graphs

@@ -29,7 +29,7 @@
 //! witness** serial behavior `γ` with `γ|T0 = β|T0` (following the
 //! theorem's proof) and validates it against the serial system — so every
 //! "serially correct" verdict carries machine-checked evidence
-//! ([`witness::reconstruct_witness`]).
+//! ([`witness::reconstruct_witness`]); the serving gate's test oracle.
 //!
 //! [`classical`] implements the textbook flat serialization graph as the
 //! comparison baseline the paper generalizes.
@@ -75,9 +75,8 @@ pub mod relations;
 pub mod witness;
 
 pub use checker::{
-    appropriate_return_values, certify_recorded, check_current_and_safe, check_serial_correctness,
-    check_serial_correctness_traced, sg_is_acyclic, view, visible_operations, Inappropriate,
-    RecordedCertificate, RwConditionFailure, Verdict,
+    appropriate_return_values, check_current_and_safe, check_serial_correctness,
+    check_serial_correctness_traced, view, Inappropriate, RwConditionFailure, Verdict,
 };
 pub use classical::{build_classical_sg, ClassicalSg};
 pub use graph::{EdgeKind, SerializationGraph, SgEdge};

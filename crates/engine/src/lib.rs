@@ -34,9 +34,9 @@
 //!   certifier; object-level actions are recorded in the critical section
 //!   that makes their state change, so the history linearizes exactly the
 //!   synchronization the engine actually performed;
-//! * the history feeds `nt_sgt::certify_recorded`, certifying each
-//!   concurrent run against Theorem 17 post-hoc: the serialization graph
-//!   must be acyclic and every return value appropriate;
+//! * the history feeds `nt_sgt_live::certify_recorded`, certifying each
+//!   concurrent run against Theorem 17 after it ends: every return value
+//!   appropriate, and a replay through the maintainer closing no cycle;
 //! * the engine takes one `nt_obs::TraceHandle`: handed a *timed*
 //!   recorder (a server with telemetry on), the lock table feeds its
 //!   `lock_blocked` / `lock_hold` histograms and sessions attribute lock

@@ -170,19 +170,16 @@ impl History {
     /// `0..head.len()`, in order), whose clock resumes at `next`, and that
     /// tees every new registration into `sink` and every new action into
     /// `sink` and `certifier`. The head is already in the WAL and is not
-    /// appended again; the certifier is preloaded with it here, so it must
-    /// already read the recovered tree. With a certifier, `next` is
+    /// appended again, and the certifier has already been fed it: it
+    /// resumes from the mount gate's replay. With a certifier, `next` is
     /// `head.len()`: a violation's slice is cut from the log by position.
     pub fn recovered(
         head: Vec<Action>,
         next: u64,
         sink: Option<Arc<dyn ActionSink>>,
-        mut certifier: Option<LiveCertifier>,
+        certifier: Option<LiveCertifier>,
     ) -> History {
         debug_assert!(next >= head.len() as u64, "the clock resumes past the head");
-        if let Some(c) = &mut certifier {
-            c.preload(&head, next);
-        }
         History {
             clock: Arc::new(SeqClock(AtomicU64::new(next))),
             sink,
@@ -342,19 +339,22 @@ mod tests {
         assert_eq!(seen, vec![(2, Action::Create(TxId(2)))]);
     }
 
-    /// The certifier is preloaded with the head at stamps `0..head.len()`
-    /// and the clock resumes at `next`: the first live action is stamped
-    /// `next` and is the certifier's next input.
+    /// The certifier resumes from a replay of the head (stamps
+    /// `0..head.len()`, over a static copy of the tree) and the clock
+    /// resumes at `next`: the first live action is stamped `next` and is
+    /// the certifier's next input, read through the session tree.
     #[test]
-    fn a_recovered_history_preloads_its_certifier_and_resumes_the_clock() {
+    fn a_recovered_history_resumes_its_certifier_and_the_clock() {
         let x = ObjId(0);
         let (tree, mut appends) = SessionTree::new(8);
         let top = tree.add(&mut appends, TxId::ROOT, None).expect("top");
         let access = tree
             .add(&mut appends, top, Some((x, Op::Write(3))))
             .expect("access");
-        let mut certifier = LiveCertifier::new(SgtConfig::default(), TraceHandle::disabled());
-        certifier.read_tree(Arc::new(tree));
+        let mut copy = nt_model::TxTree::new();
+        copy.add_object();
+        let copied_top = copy.add_inner(TxId::ROOT);
+        copy.add_access(copied_top, x, Op::Write(3));
         let head = vec![
             Action::RequestCreate(top),
             Action::Create(top),
@@ -363,6 +363,9 @@ mod tests {
             Action::RequestCommit(access, nt_model::Value::Ok),
             Action::Commit(access),
         ];
+        let replay = SgtMaintainer::replay(&copy, &head, SgtConfig::default());
+        let mut certifier = LiveCertifier::new(replay, TraceHandle::disabled());
+        certifier.read_tree(Arc::new(tree));
         let next = head.len() as u64;
         let mut history = History::recovered(head.clone(), next, None, Some(certifier));
         let live = |h: &mut History| h.certifier().expect("mounted").status();
@@ -408,7 +411,7 @@ mod tests {
             Action::Commit(b),
         ];
         let frozen = tree.to_tx_tree();
-        let mut certifier = LiveCertifier::new(SgtConfig::default(), TraceHandle::disabled());
+        let mut certifier = LiveCertifier::new(SgtMaintainer::default(), TraceHandle::disabled());
         certifier.read_tree(Arc::new(tree));
         let mut history = History::recovered(Vec::new(), 0, None, Some(certifier));
         for act in &beta {

@@ -47,8 +47,9 @@ use nt_model::rw::RwInitials;
 use nt_model::{Action, ObjId, TxId, TxTree};
 use nt_obs::{Event, Histogram, TraceHandle};
 use nt_serial::ObjectTypes;
-use nt_sgt::{certify_recorded, ConflictSource, RecordedCertificate};
-use nt_sgt_live::{LiveCertifier, LiveStatus, SgtConfig};
+use nt_sgt_live::{
+    certify_recorded, LiveCertifier, LiveStatus, RecordedCertificate, SgtMaintainer,
+};
 use nt_sim::{ScriptPlan, Workload};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -207,16 +208,11 @@ pub struct EngineReport {
 }
 
 impl EngineReport {
-    /// Certify the recorded history against Theorem 17 post-hoc: simple-
-    /// behavior constraints, appropriate return values, acyclic `SG`, and
-    /// a validated witness.
+    /// Certify the recorded history against Theorem 17 through the gate
+    /// (`nt_sgt_live::certify_recorded`): simple-behavior constraints,
+    /// appropriate return values, and one replay through the maintainer.
     pub fn certify(&self) -> RecordedCertificate {
-        certify_recorded(
-            &self.tree,
-            &self.history,
-            &self.types,
-            ConflictSource::ReadWrite,
-        )
+        certify_recorded(&self.tree, &self.history, &self.types)
     }
 
     /// Journal the run through an observability sink: `run_start`, one
@@ -410,7 +406,7 @@ pub fn run_plan(plan: &EnginePlan, cfg: &EngineConfig) -> Result<EngineReport, S
     };
     let certifier = cfg
         .live_certify
-        .then(|| LiveCertifier::new(SgtConfig::default(), TraceHandle::disabled()));
+        .then(|| LiveCertifier::new(SgtMaintainer::default(), TraceHandle::disabled()));
     let engine = SessionEngine::start_recovered(
         plan.tree.len(),
         TraceHandle::disabled(),

@@ -22,8 +22,8 @@
 //! an abort's `ABORT` through `REPORT_ABORT`. So
 //! [`SessionEngine::history_snapshot`] reads a recorded history that
 //! refines both each session's program order and each object's actual
-//! serialization — certifiable by `nt_sgt::certify_recorded`, also across
-//! a process boundary.
+//! serialization — certifiable by `nt_sgt_live::certify_recorded`, also
+//! across a process boundary.
 
 pub use crate::detector::Victim;
 use crate::locktable::{Acquired, Acquisition, LockTable, Ticket, WakeHandle};
@@ -153,7 +153,8 @@ pub enum CommitOutcome {
 /// history (with its crash-time losers already rolled back) becomes the
 /// prefix of the restarted engine's recorded history, so one
 /// `certify_recorded` pass covers pre- and post-crash work as a single
-/// behavior.
+/// behavior, and so does a live certifier that resumes from the mount
+/// gate's replay.
 ///
 /// [`RecoveredSeed::replay`] decides `committed`, `aborted` and
 /// `initials`: what the lock table's transitions leave after the
@@ -290,11 +291,10 @@ impl SessionEngine {
     ///
     /// With a live `certifier`, it reads the engine's session tree and
     /// every recorded action steps it in the critical section that
-    /// records it: the recovered registrations replay into the tree
-    /// first, then the recovered history preloads (its unresolved tops
-    /// finalize as aborted — recovery rolled them back), and only then
-    /// does live recording begin, so the certifier sees one seamless
-    /// behavior across the crash boundary.
+    /// records it. Over a recovered seed it must already have been fed
+    /// `seed.entries` — the mount gate's replay, `nt_store::Recovered::gate`
+    /// — so the certifier sees one seamless behavior across the crash
+    /// boundary and β is replayed once.
     pub fn start_recovered(
         capacity: usize,
         telemetry: TraceHandle,
@@ -307,8 +307,8 @@ impl SessionEngine {
             tree.add(&mut appends, parent, access)?;
         }
         let tree = Arc::new(tree);
-        // The certifier reads the recovered tree, then preloads the
-        // recovered head here, before any live action is recorded.
+        // The certifier reads the session tree, which names what the
+        // recovered tree named, before any live action is recorded.
         if let Some(c) = &mut certifier {
             c.read_tree(Arc::clone(&tree) as Arc<dyn TreeView>);
         }
@@ -806,17 +806,17 @@ mod tests {
     use super::*;
     use crate::detector::convict;
     use nt_serial::{ObjectTypes, RwRegister};
-    use nt_sgt::{certify_recorded, ConflictSource};
+    use nt_sgt_live::{certify_recorded, RecordedCertificate};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn engine() -> Arc<SessionEngine> {
         SessionEngine::start(1024, 4, Duration::from_micros(200))
     }
 
-    fn certify(e: &SessionEngine) -> nt_sgt::RecordedCertificate {
+    fn certify(e: &SessionEngine) -> RecordedCertificate {
         let (tree, history) = e.history_snapshot();
         let types = ObjectTypes::uniform(tree.num_objects(), Arc::new(RwRegister::new(0)));
-        certify_recorded(&tree, &history, &types, ConflictSource::ReadWrite)
+        certify_recorded(&tree, &history, &types)
     }
 
     #[test]

@@ -14,8 +14,7 @@ use nt_engine::{
 use nt_model::{Action, ObjId, Op, TxId};
 use nt_obs::TraceHandle;
 use nt_serial::{ObjectTypes, RwRegister};
-use nt_sgt::{certify_recorded, ConflictSource};
-use nt_sgt_live::SgtConfig;
+use nt_sgt_live::{certify_recorded, SgtMaintainer};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
@@ -122,7 +121,7 @@ fn every_cross_thread_reader_sees_a_prefix_of_one_history() {
             RecoveredSeed::default(),
             Some(Arc::clone(&sink) as Arc<dyn ActionSink>),
             Some(LiveCertifier::new(
-                SgtConfig::default(),
+                SgtMaintainer::default(),
                 TraceHandle::disabled(),
             )),
         )
@@ -208,7 +207,7 @@ fn every_cross_thread_reader_sees_a_prefix_of_one_history() {
     assert!(live.ok);
     assert_eq!(live.processed, history.len() as u64);
     let types = ObjectTypes::uniform(tree.num_objects(), Arc::new(RwRegister::new(0)));
-    let cert = certify_recorded(&tree, &history, &types, ConflictSource::ReadWrite);
+    let cert = certify_recorded(&tree, &history, &types);
     assert!(cert.is_serially_correct(), "{}", cert.verdict.name());
     eprintln!(
         "reads {}, victims {}, queued {}, client aborts {client_aborts}",

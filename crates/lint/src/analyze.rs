@@ -1,6 +1,6 @@
 //! Static serializability analysis: the **potential conflict graph**.
 //!
-//! The Theorem 17 gate (`nt_sgt::certify_recorded`) judges one recorded
+//! The Theorem 17 gate (`nt_sgt_live::certify_recorded`) judges one recorded
 //! behavior after the fact. This pass judges a *plan* before any run: it
 //! over-approximates every serialization graph `SG(β)` that **any**
 //! interleaving of the plan could produce, and decides whether a cyclic

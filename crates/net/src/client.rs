@@ -32,11 +32,11 @@ use crate::wire::{
     read_frame, Request, Response, WireError, DEFAULT_MAX_FRAME, KIND_BATCH_RESP,
 };
 use nt_faults::BackoffPolicy;
-use nt_model::{Action, Op, TxTree};
+use nt_model::{Action, TxTree};
 use nt_obs::{Event, Histogram, Stamped};
 use nt_reactor::FrameBuf;
 use nt_serial::{ObjectTypes, RwRegister};
-use nt_sgt::{certify_recorded, ConflictSource, RecordedCertificate};
+use nt_sgt_live::{certify_recorded, RecordedCertificate};
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::TcpStream;
@@ -395,18 +395,18 @@ fn open_stream(addr: &str, cfg: &ConnConfig) -> Result<TcpStream, WireError> {
 }
 
 /// Fetch the server's recorded history over the wire and certify it with
-/// the Theorem 17 post-hoc pipeline (read/write conflicts, registers
-/// initially 0 — matching the session engine's initial values).
+/// the Theorem 17 gate (read/write conflicts, registers initially 0 —
+/// matching the session engine's initial values).
 pub fn fetch_and_certify(addr: &str, cfg: ConnConfig) -> Result<RecordedCertificate, WireError> {
     let mut conn = Conn::connect(addr, 0, cfg)?;
     let (tree, actions) = conn.fetch_history()?;
     Ok(certify_history(&tree, &actions))
 }
 
-/// Certify an already-fetched history.
+/// Certify an already-fetched history through `nt_sgt_live::certify_recorded`.
 pub fn certify_history(tree: &TxTree, actions: &[Action]) -> RecordedCertificate {
     let types = ObjectTypes::uniform(tree.num_objects(), Arc::new(RwRegister::new(0)));
-    certify_recorded(tree, actions, &types, ConflictSource::ReadWrite)
+    certify_recorded(tree, actions, &types)
 }
 
 /// A typed view of the three response shapes a transaction request can
@@ -427,10 +427,4 @@ pub fn tx_reply(resp: Response) -> Result<TxReply, WireError> {
         }
         other => Ok(TxReply::Ok(other)),
     }
-}
-
-/// An `Op` restricted to what the wire carries — re-exported convenience
-/// for workload code.
-pub fn is_wire_op(op: &Op) -> bool {
-    matches!(op, Op::Read | Op::Write(_))
 }

@@ -9,7 +9,7 @@
 //! 1. the restart succeeds at all — `nt-serve` refuses to serve unless
 //!    the recovered history passes the Theorem 17 gate in-process;
 //! 2. the recovered history, re-fetched over the wire, certifies
-//!    acyclic *client-side* too;
+//!    *client-side* too, by the independent post-hoc oracle;
 //! 3. every top-level transaction whose `COMMIT` was acknowledged
 //!    before the kill is present and committed in the recovered
 //!    history (zero committed-transaction loss);
@@ -31,11 +31,14 @@ use nt_faults::CrashPlan;
 use nt_model::{Action, Op, TxId};
 use nt_obs::json::{Json, JsonObj};
 use nt_reactor::FrameBuf;
+use nt_serial::{ObjectTypes, RwRegister};
+use nt_sgt::{check_serial_correctness, ConflictSource};
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A frame-level client that keeps the bytes: every request is sent
@@ -336,7 +339,8 @@ pub fn run_one(
     let (tree, actions) = conn
         .fetch_history()
         .map_err(|e| format!("post-restart history fetch: {e}"))?;
-    let cert = crate::certify_history(&tree, &actions);
+    let types = ObjectTypes::uniform(tree.num_objects(), Arc::new(RwRegister::new(0)));
+    let oracle = check_serial_correctness(&tree, &actions, &types, ConflictSource::ReadWrite);
     let committed: BTreeSet<u32> = actions
         .iter()
         .filter_map(|a| match a {
@@ -389,7 +393,7 @@ pub fn run_one(
         lost_commits: lost,
         resends,
         resends_matched,
-        certified: cert.is_serially_correct(),
+        certified: oracle.is_serially_correct(),
         server_certified,
         losers,
     };

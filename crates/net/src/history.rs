@@ -1,7 +1,7 @@
 //! The on-wire form of a recorded run: the server's transaction naming
 //! tree plus its recorded action history, fetched by clients with
 //! [`Request::HistoryFetch`](crate::wire::Request::HistoryFetch) and
-//! certified locally with `nt_sgt::certify_recorded`.
+//! certified locally with `nt_sgt_live::certify_recorded`.
 //!
 //! The encoding is positional: node `i` of the document is `TxId(i + 1)`
 //! (`T0` is implicit), so rebuilding the tree by replaying nodes in order

@@ -21,7 +21,7 @@
 //!   in one write) with retry-with-backoff
 //!   (`nt_faults::BackoffPolicy`) and the post-run fetch-and-certify
 //!   path: pull the server's recorded history over the wire and run it
-//!   through `nt_sgt::certify_recorded` (Theorem 17, post hoc);
+//!   through `nt_sgt_live::certify_recorded` (the Theorem 17 gate);
 //! * [`load`] — the load driver: `nt-sim` workload specs replayed as
 //!   wire traffic, open- or closed-loop, one `nt_obs::Histogram` each
 //!   for request and top latency;

@@ -60,13 +60,13 @@ use crate::wire::{
     MAGIC, MIN_PAYLOAD, VERSION,
 };
 use nt_engine::{
-    AccessOutcome, AccessStep, ActionSink, BeginOutcome, CommitOutcome, ParkedAccess,
-    RecoveredSeed, Session, SessionEngine, SessionError, WakeHandle,
+    AccessOutcome, AccessStep, ActionSink, BeginOutcome, CommitOutcome, ParkedAccess, Session,
+    SessionEngine, SessionError, WakeHandle,
 };
 use nt_model::{ObjId, TxId};
 use nt_obs::json::JsonObj;
 use nt_obs::{Event, Recorder, StatsCell, TraceHandle};
-use nt_sgt_live::{cert_disabled_json, LiveCertifier, SgtConfig};
+use nt_sgt_live::{cert_disabled_json, LiveCertifier};
 use nt_store::{RecoveryReport, Store, WalError};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::{SocketAddr, TcpListener};
@@ -419,20 +419,20 @@ impl NetServer {
         } else {
             (Recorder::full(), TraceHandle::disabled())
         };
-        let (store, recovered_cache, seed) = match &cfg.data_dir {
+        let (store, recovered_cache, seed, gate) = match &cfg.data_dir {
             Some(dir) => {
-                let (store, recovered) = Store::open(Path::new(dir), cfg.durability)
+                let (store, r) = Store::open(Path::new(dir), cfg.durability)
                     .map_err(|e| std::io::Error::other(format!("store open: {e}")))?;
-                (Some(Arc::new(store)), recovered.cache, recovered.seed)
+                (Some(Arc::new(store)), r.cache, r.seed, r.gate)
             }
-            None => (None, BTreeMap::new(), RecoveredSeed::default()),
+            None => Default::default(),
         };
         let sink = store
             .as_ref()
             .map(|s| Arc::clone(s.wal()) as Arc<dyn ActionSink>);
         let certifier = cfg
             .live_certify
-            .then(|| LiveCertifier::new(SgtConfig::default(), probes.clone()));
+            .then(|| LiveCertifier::new(gate, probes.clone()));
         let engine = SessionEngine::start_recovered(cfg.capacity, probes, seed, sink, certifier)
             .map_err(|e| std::io::Error::other(format!("recovered seed replay: {e}")))?;
         let shared = Arc::new(Shared {

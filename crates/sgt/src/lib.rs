@@ -1,11 +1,9 @@
 //! # nt-sgt-live
 //!
 //! The serialization graph of Fekete–Lynch–Weihl (PODS 1990) as a **live
-//! object**: an incremental maintainer the engine feeds one recorded
-//! action at a time, turning the post-hoc Theorem 17 gate
-//! (`nt_sgt::certify_recorded`, which replays the entire history) into a
-//! continuous invariant monitor with memory bounded by the window of live
-//! top-level transactions.
+//! object**: an incremental maintainer fed one recorded action at a time,
+//! with memory bounded by the window of live top-level transactions —
+//! the serving binary's one builder of `SG(β)`.
 //!
 //! * [`topo`] — a Pearce–Kelly dynamic topological order with two-way
 //!   bounded search on edge insert: O(1) for order-respecting edges, a
@@ -16,6 +14,8 @@
 //!   eagerly, everything else at top finalization), honoring
 //!   `commutes_backward` and the nested ancestor-collapse rules, plus the
 //!   watermark GC that prunes the committed acyclic prefix.
+//! * [`gate`] — [`certify_recorded`], the Theorem 17 gate on a recorded
+//!   history: simple behavior, return values, one GC'd replay.
 //! * [`live`] — [`LiveCertifier`]: the maintainer as plain data, owned
 //!   by the engine's history and stepped inline under the engine lock
 //!   that records each action (no thread, no channel), reading the
@@ -25,19 +25,20 @@
 //!   history slice cut by whoever owns β) and the JSON schemas consumed
 //!   by `nt-lint sgt` and the `CERT` wire op.
 //!
-//! The maintainer's verdict provably agrees with the post-hoc graph
-//! stage: serialization-graph edges are monotone (visibility to `T0` only
-//! ever grows), pruned nodes can never regain an in-edge, and the
-//! differential suite in `tests/live_vs_posthoc.rs` checks agreement on
-//! every recorded engine history and on planted violations.
+//! The verdict agrees with the test oracle, `nt_sgt::check_serial_correctness`:
+//! edges are monotone (visibility to `T0` only ever grows), pruned nodes
+//! can never regain an in-edge, and `tests/live_vs_posthoc.rs` compares
+//! the two on every history it has.
 
 #![forbid(unsafe_code)]
 
+pub mod gate;
 pub mod live;
 pub mod maintainer;
 pub mod report;
 pub mod topo;
 
+pub use gate::{certify_recorded, certify_replay, GateVerdict, RecordedCertificate};
 pub use live::{cert_disabled_json, LiveCertifier, LiveStatus};
 pub use maintainer::{LiveConflicts, SgtConfig, SgtMaintainer};
 pub use report::{ReportEdge, ViolationReport, CERT_SCHEMA, LIVE_SCHEMA, VIOLATION_SCHEMA};

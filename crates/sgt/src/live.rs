@@ -7,20 +7,15 @@
 //!
 //! ## Why stepping inline is sound
 //!
-//! `SG(β)` is a function of the recorded behavior `β` and the naming
-//! tree, and `β` has one order: the recorder's stamp order. Visibility
-//! to `T0` is monotone, so every edge, once determined by a prefix of
-//! `β`, is in the graph of every extension (see
-//! [`maintainer`](crate::maintainer)). A state machine stepped once per
-//! action in stamp order therefore computes exactly the graph the
-//! post-hoc gate builds from the finished history — nothing in the
-//! construction asks for a second agent, only for the order. The
-//! engine's one history gives it that order by construction: it draws
-//! each stamp and calls [`act`](LiveCertifier::act) in one critical
-//! section, and the session tree the certifier reads registers a
-//! transaction in the critical section that records its
-//! `REQUEST_CREATE`, before that action. The certifier copies neither
-//! input: the history cuts a violation's slice from its own log.
+//! The gate replays a finished β through the same maintainer in stamp
+//! order ([`crate::gate`]); the live certifier steps it in that order as
+//! β is recorded, so after every action its verdict is the gate's on the
+//! prefix so far — edges are monotone ([`maintainer`](crate::maintainer)).
+//! The engine's one history gives it that order: it draws each stamp and
+//! calls [`act`](LiveCertifier::act) in one critical section, and the
+//! session tree registers a transaction in the critical section that
+//! records its `REQUEST_CREATE`, before that action. The certifier copies
+//! neither input: the history cuts a violation's slice from its own log.
 //!
 //! ## Gauges and cost
 //!
@@ -29,7 +24,7 @@
 //! graph's shape. `check_us` accumulates
 //! the wall time of those steps (finalization plus watermark GC).
 
-use crate::maintainer::{SgtConfig, SgtMaintainer};
+use crate::maintainer::SgtMaintainer;
 use crate::report::{ViolationReport, CERT_SCHEMA};
 use nt_model::{Action, TreeView};
 use nt_obs::json::JsonObj;
@@ -103,10 +98,12 @@ pub struct LiveCertifier {
 }
 
 impl LiveCertifier {
-    /// A fresh certifier. Gauges go to `telemetry` when it is enabled.
-    pub fn new(cfg: SgtConfig, telemetry: TraceHandle) -> LiveCertifier {
+    /// A certifier that goes on from `m`: a fresh maintainer, or the
+    /// mount gate's replay of a recovered head ([`crate::certify_replay`]).
+    /// Gauges go to `telemetry` when it is enabled.
+    pub fn new(m: SgtMaintainer, telemetry: TraceHandle) -> LiveCertifier {
         LiveCertifier {
-            m: SgtMaintainer::new(cfg),
+            m,
             check_ns: 0,
             samples: 0,
             telemetry,
@@ -115,16 +112,9 @@ impl LiveCertifier {
 
     /// Read `tree`, which must hold every transaction an action names by
     /// the time that action is stepped (the engine hands over its session
-    /// tree before the recovered prefix is preloaded).
+    /// tree, which names what the recovered tree named, before recording).
     pub fn read_tree(&mut self, tree: Arc<dyn TreeView>) {
         self.m.read_tree(tree);
-    }
-
-    /// Replay a recovered prefix into the maintainer before live traffic
-    /// (crash–restart): `entries[i]` carries stamp `i`. `resume_at` is the
-    /// recovered clock's next stamp.
-    pub fn preload(&mut self, entries: &[Action], resume_at: u64) {
-        self.m.preload(entries, resume_at);
     }
 
     /// Step the maintainer with an action stamped elsewhere, in stamp
@@ -135,7 +125,7 @@ impl LiveCertifier {
         // (finalization + GC); everything else is O(1) bookkeeping.
         let resolves = matches!(action, Action::Commit(t) | Action::Abort(t) if self.m.is_top(*t));
         let started = resolves.then(Instant::now);
-        self.m.step(stamp, action);
+        self.m.apply(stamp, action);
         if let Some(started) = started {
             self.check_ns += started.elapsed().as_nanos() as u64;
             self.samples += 1;
@@ -186,6 +176,7 @@ impl LiveCertifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maintainer::SgtConfig;
     use nt_model::{Op, TxId, TxTree, Value};
 
     fn gauges_of(t: &TraceHandle) -> std::collections::HashMap<&'static str, u64> {
@@ -211,7 +202,7 @@ mod tests {
             Action::Commit(b),
         ];
         let telemetry = nt_obs::Recorder::full();
-        let mut live = LiveCertifier::new(SgtConfig::default(), telemetry.clone());
+        let mut live = LiveCertifier::new(SgtMaintainer::default(), telemetry.clone());
         live.m.seed_tree(&tree);
         for (i, act) in beta.iter().enumerate() {
             live.act(i as u64, act);
@@ -265,7 +256,7 @@ mod tests {
             Action::Commit(b),                        // 13: cycle closes
         ];
         let telemetry = nt_obs::Recorder::full();
-        let mut live = LiveCertifier::new(SgtConfig::default(), telemetry.clone());
+        let mut live = LiveCertifier::new(SgtMaintainer::default(), telemetry.clone());
         live.m.seed_tree(&tree);
         let (last, prefix) = beta.split_last().expect("non-empty");
         for (i, act) in prefix.iter().enumerate() {
@@ -283,7 +274,7 @@ mod tests {
 
     #[test]
     fn cert_documents_render() {
-        let live = LiveCertifier::new(SgtConfig::default(), TraceHandle::disabled());
+        let live = LiveCertifier::new(SgtMaintainer::default(), TraceHandle::disabled());
         let doc = live.status().cert_json();
         let v = nt_obs::json::Json::parse(&doc).expect("valid json");
         assert_eq!(v.get("schema").unwrap().as_str(), Some(CERT_SCHEMA));

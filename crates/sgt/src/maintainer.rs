@@ -1,7 +1,7 @@
 //! The incremental serialization-graph maintainer: `SG(β)` as a live
-//! object fed one stamped action at a time, with the same verdict as the
-//! post-hoc `nt_sgt::certify_recorded` graph stage and memory bounded by
-//! the live-transaction window instead of history length.
+//! object fed one stamped action at a time (by the live certifier and the
+//! [`gate`](crate::gate) alike), with memory bounded by the
+//! live-transaction window instead of history length.
 //!
 //! ## How edges become insertable
 //!
@@ -60,6 +60,7 @@ use crate::topo::{DynTopo, Insert};
 use nt_model::{Action, ObjId, Op, TreeView, TxId, TxTree, Value};
 use nt_serial::ObjectTypes;
 use nt_sgt::{ConflictSource, EdgeKind};
+use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -175,6 +176,15 @@ pub struct SgtMaintainer {
     violation: Option<Arc<ViolationReport>>,
     /// The stamp that latched `violation`, until its slice is cut.
     slice_due: Option<u64>,
+    /// Top-level nodes and edges (root and inner) inserted so far, pruned
+    /// ones included: the gate's graph size.
+    pub(crate) inserted: (usize, usize),
+}
+
+impl Default for SgtMaintainer {
+    fn default() -> Self {
+        SgtMaintainer::new(SgtConfig::default())
+    }
 }
 
 impl SgtMaintainer {
@@ -196,6 +206,7 @@ impl SgtMaintainer {
             per_object: HashMap::new(),
             violation: None,
             slice_due: None,
+            inserted: (0, 0),
         }
     }
 
@@ -218,50 +229,25 @@ impl SgtMaintainer {
 
     /// Feed one stamped action. Stamps increase: every feeder delivers
     /// them in order — [`LiveCertifier::act`](crate::LiveCertifier::act)
-    /// under the engine lock, [`preload`](Self::preload) and
-    /// [`replay`](Self::replay) in history order.
-    pub fn apply(&mut self, stamp: u64, action: Action) {
-        self.step(stamp, &action);
-    }
-
-    /// [`apply`](Self::apply) without taking the action.
-    pub(crate) fn step(&mut self, stamp: u64, action: &Action) {
+    /// under the engine lock, [`replay`](Self::replay) in history order.
+    pub fn apply(&mut self, stamp: u64, action: impl Borrow<Action>) {
         debug_assert!(
             stamp >= self.next_stamp,
             "stamp {stamp} fed after stamp {}",
             self.next_stamp - 1
         );
         self.next_stamp = stamp + 1;
-        self.process(stamp, action);
+        self.process(stamp, action.borrow());
     }
 
-    /// Replay a recovered prefix (crash–restart): `entries[i]` carries
-    /// stamp `i` — recovery refuses a history with a hole, so the prefix
-    /// covers stamps `0..entries.len()` — and entries are processed in
-    /// order. Then every still-unresolved top is finalized as aborted —
-    /// recovery discards uncommitted work, so those subtrees are
-    /// permanently invisible — and the expected next stamp is advanced to
-    /// `resume_at` so live feeding continues seamlessly.
-    pub fn preload(&mut self, entries: &[Action], resume_at: u64) {
-        debug_assert!(resume_at >= entries.len() as u64, "resume past the prefix");
-        for (s, a) in entries.iter().enumerate() {
-            self.process(s as u64, a);
-        }
-        self.cut_slice(entries);
-        let unresolved: Vec<TxId> = self.live_firsts.values().copied().collect();
-        for t in unresolved {
-            self.finalize_top(t, false);
-        }
-        self.next_stamp = self.next_stamp.max(resume_at);
-    }
-
-    /// Convenience for differential tests: seed from `tree` and replay
-    /// `beta` with stamps `0..beta.len()`.
+    /// Seed from `tree` and replay `beta` with stamps `0..beta.len()`: the
+    /// gate's stage 3. A mount hands the result to the live certifier,
+    /// which goes on at stamp `beta.len()`.
     pub fn replay(tree: &TxTree, beta: &[Action], cfg: SgtConfig) -> SgtMaintainer {
         let mut m = SgtMaintainer::new(cfg);
         m.seed_tree(tree);
         for (i, a) in beta.iter().enumerate() {
-            m.step(i as u64, a);
+            m.apply(i as u64, a);
         }
         m.cut_slice(beta);
         m
@@ -418,6 +404,7 @@ impl SgtMaintainer {
             });
             self.live_firsts.insert(stamp, t);
             self.topo.ensure_node(t);
+            self.inserted.0 += 1;
         }
         true
     }
@@ -456,6 +443,7 @@ impl SgtMaintainer {
             let incoming: Vec<(TxId, u64)> = self.reported.iter().map(|(&s, &r)| (s, r)).collect();
             for (s, r) in incoming {
                 let verdict = self.topo.insert_edge(s, t, EdgeKind::Precedes, (r, stamp));
+                self.inserted.1 += usize::from(verdict == Insert::Added);
                 debug_assert!(!matches!(verdict, Insert::Cycle(_)), "in-edge only");
             }
         } else {
@@ -623,7 +611,9 @@ impl SgtMaintainer {
         let mut inner_topos: HashMap<TxId, DynTopo> = HashMap::new();
         for c in inner {
             let g = inner_topos.entry(c.parent).or_default();
-            if let Insert::Cycle(path) = g.insert_edge(c.from, c.to, c.kind, c.witness) {
+            let verdict = g.insert_edge(c.from, c.to, c.kind, c.witness);
+            self.inserted.1 += usize::from(verdict == Insert::Added);
+            if let Insert::Cycle(path) = verdict {
                 self.violation = Some(Arc::new(Self::build_report(&c, path, g)));
                 return;
             }
@@ -663,7 +653,9 @@ impl SgtMaintainer {
         }
         root_cands.sort_by_key(|c| (c.witness.1, c.witness.0));
         for c in root_cands {
-            if let Insert::Cycle(path) = self.topo.insert_edge(c.from, c.to, c.kind, c.witness) {
+            let verdict = self.topo.insert_edge(c.from, c.to, c.kind, c.witness);
+            self.inserted.1 += usize::from(verdict == Insert::Added);
+            if let Insert::Cycle(path) = verdict {
                 self.violation = Some(Arc::new(Self::build_report(&c, path, &self.topo)));
                 return;
             }
@@ -756,10 +748,9 @@ mod tests {
     use nt_sgt::{build_sg, ConflictSource};
     /// The maintainer mirrors exactly the serialization-graph stage of the
     /// post-hoc pipeline, so the oracle here is `build_sg` acyclicity (the
-    /// full `certify_recorded` additionally gates on well-formedness and
-    /// return values, which planted fixtures need not satisfy; the
-    /// end-to-end agreement against the whole pipeline lives in
-    /// `tests/live_vs_posthoc.rs` on real recorded histories).
+    /// gate and the oracle's full pipeline additionally check simple
+    /// behavior and return values, which planted fixtures need not
+    /// satisfy; `tests/live_vs_posthoc.rs` compares whole verdicts).
     fn agrees_with_posthoc(tree: &TxTree, beta: &[Action]) {
         let m = SgtMaintainer::replay(tree, beta, SgtConfig::default());
         let sg = build_sg(tree, beta, ConflictSource::ReadWrite);
@@ -980,42 +971,6 @@ mod tests {
         let snap = m.snapshot_json();
         assert!(snap.contains("\"kind\":\"precedes\""));
         agrees_with_posthoc(&tree, &beta);
-    }
-
-    /// Preload of a torn recovered prefix: unresolved tops are finalized
-    /// as aborted, the watermark advances, and live feeding resumes at
-    /// the recovered clock.
-    #[test]
-    fn preload_force_resolves_pending_tops() {
-        let mut tree = TxTree::new();
-        let x = tree.add_object();
-        let a = tree.add_inner(TxId::ROOT);
-        let b = tree.add_inner(TxId::ROOT);
-        let u = tree.add_access(a, x, nt_model::Op::Write(5));
-        let w = tree.add_access(b, x, nt_model::Op::Read);
-        // Stamps 0..6, one per position.
-        let recovered = vec![
-            Action::RequestCreate(a),
-            Action::RequestCreate(b),
-            Action::RequestCommit(u, Value::Ok),
-            Action::Commit(u),
-            Action::RequestCommit(a, Value::Ok),
-            Action::Commit(a),
-            // b's subtree is torn off: b stays unresolved in the prefix.
-        ];
-        let mut m = SgtMaintainer::new(SgtConfig::default());
-        m.seed_tree(&tree);
-        m.preload(&recovered, 10);
-        assert!(m.ok());
-        assert_eq!(m.processed(), recovered.len() as u64);
-        assert_eq!(m.live_tops(), 0, "pending b force-resolved as aborted");
-        assert_eq!(m.watermark(), 10);
-        // The restarted run re-executes b's work under a fresh name; here
-        // just feed a fresh read access (w reuses the registered name).
-        m.apply(10, Action::RequestCreate(w));
-        m.apply(11, Action::RequestCommit(w, Value::Int(5)));
-        m.apply(12, Action::Commit(w));
-        assert!(m.ok());
     }
 
     /// The watermark is held back by a long-running live top, and the

@@ -1,24 +1,36 @@
-//! Differential suite: the incremental maintainer's verdict must equal
-//! the post-hoc Theorem 17 pipeline's on every recorded history — fresh
-//! seeded engine runs across config variants, histories fetched from a
-//! real networked server, and planted-violation fixtures that must be caught at the *exact*
-//! inserting edge.
-//!
-//! Oracles: on well-formed engine histories the full `certify_recorded`
-//! pipeline (via `EngineReport::certify` / `certify_history`); on planted
-//! fixtures the graph stage alone (`build_sg` acyclicity), because a
-//! hand-planted cycle need not satisfy the pipeline's earlier
-//! return-value gates.
+//! Differential suite: the serving binary's one `SG(β)` builder — the
+//! incremental maintainer, stepped live by the engine or replayed by the
+//! Theorem 17 gate (`nt_sgt_live::certify_recorded`) — against the test
+//! oracle, `nt_sgt::check_serial_correctness`, which builds `SG(β)` from
+//! scratch, sorts it and validates a witness. Every history here (fresh
+//! seeded engine runs, a history fetched from a real networked server,
+//! planted fixtures) is judged by both and compared by verdict class: ok,
+//! not simple, inappropriate, cyclic. A bare replay must also agree with
+//! `build_sg` acyclicity, because a planted fixture that is not a simple
+//! behavior never reaches either pipeline's graph stage, and a planted
+//! cycle must be caught at the *exact* inserting edge.
 
 use nt_engine::{run_workload, EngineConfig};
-use nt_model::{Action, TxId, TxTree, Value};
-use nt_net::{certify_history, Conn, ConnConfig, LoadConfig, NetServer, ServerConfig};
-use nt_sgt::{build_sg, ConflictSource};
-use nt_sgt_live::{SgtConfig, SgtMaintainer};
+use nt_model::{Action, Op, TxId, TxTree, Value};
+use nt_net::{Conn, ConnConfig, LoadConfig, NetServer, ServerConfig};
+use nt_serial::{ObjectTypes, RwRegister};
+use nt_sgt::{build_sg, check_serial_correctness, ConflictSource};
+use nt_sgt_live::{certify_recorded, SgtConfig, SgtMaintainer};
 use nt_sim::WorkloadSpec;
+use std::sync::Arc;
 
-/// Replay `beta` through a fresh maintainer and compare with the graph
-/// stage of the post-hoc pipeline.
+/// Judge `beta` by the gate and by the oracle (registers initially 0)
+/// and require the same verdict class; return it.
+fn class(tree: &TxTree, beta: &[Action]) -> &'static str {
+    let types = ObjectTypes::uniform(tree.num_objects(), Arc::new(RwRegister::new(0)));
+    let oracle = check_serial_correctness(tree, beta, &types, ConflictSource::ReadWrite);
+    let gate = certify_recorded(tree, beta, &types);
+    assert_eq!(gate.verdict.name(), oracle.name(), "gate vs oracle");
+    oracle.name()
+}
+
+/// Replay `beta` through a fresh maintainer and compare with the
+/// oracle's graph stage alone.
 fn verdicts(tree: &TxTree, beta: &[Action]) -> (bool, bool) {
     let m = SgtMaintainer::replay(tree, beta, SgtConfig::default());
     let sg = build_sg(tree, beta, ConflictSource::ReadWrite);
@@ -27,7 +39,7 @@ fn verdicts(tree: &TxTree, beta: &[Action]) -> (bool, bool) {
 
 /// 12 fresh seeded runs across engine-config and workload variants: the
 /// in-engine live certifier, a from-scratch replay of the recorded
-/// history, and the full post-hoc pipeline must all agree.
+/// history, the gate and the oracle must all agree.
 #[test]
 fn fresh_seeded_runs_agree_with_posthoc() {
     for seed in 0..12u64 {
@@ -46,16 +58,15 @@ fn fresh_seeded_runs_agree_with_posthoc() {
             ..EngineConfig::default()
         };
         let r = run_workload(&w, &cfg).expect("engine runs");
-        let cert = r.certify();
+        let verdict = class(&r.tree, &r.history);
         let live = r.live.as_ref().expect("live status present when enabled");
 
-        // In-engine live verdict vs full post-hoc pipeline.
+        // In-engine live verdict vs the oracle.
         assert_eq!(
             live.ok,
-            cert.is_serially_correct(),
-            "seed {seed}: live {} vs post-hoc {}",
+            verdict == "serially_correct",
+            "seed {seed}: live {} vs oracle {verdict}",
             live.ok,
-            cert.verdict.name()
         );
         assert_eq!(live.processed, r.history.len() as u64, "seed {seed}");
         assert!(live.watermark > 0, "seed {seed}: watermark never advanced");
@@ -65,7 +76,7 @@ fn fresh_seeded_runs_agree_with_posthoc() {
         // state must land exactly where a from-scratch in-order replay of
         // the same history lands — same graph shape, same GC watermark,
         // same live-top count.
-        let m = nt_sgt_live::SgtMaintainer::replay(&r.tree, &r.history, SgtConfig::default());
+        let m = SgtMaintainer::replay(&r.tree, &r.history, SgtConfig::default());
         assert_eq!(live.nodes, m.node_count(), "seed {seed}: node gauge");
         assert_eq!(live.edges, m.edge_count(), "seed {seed}: edge gauge");
         assert_eq!(
@@ -82,12 +93,12 @@ fn fresh_seeded_runs_agree_with_posthoc() {
         // From-scratch replay of the merged history vs the graph stage.
         let (replayed, acyclic) = verdicts(&r.tree, &r.history);
         assert_eq!(replayed, acyclic, "seed {seed}: replay disagrees");
-        assert_eq!(replayed, cert.is_serially_correct(), "seed {seed}");
+        assert_eq!(replayed, verdict == "serially_correct", "seed {seed}");
     }
 }
 
 /// A history recorded by the real networked server (fetched over the
-/// wire) replays to the same verdict as `certify_history`.
+/// wire) gets the same verdict from the gate, the oracle and a replay.
 #[test]
 fn net_recorded_history_agrees_with_posthoc() {
     let server = NetServer::bind(ServerConfig {
@@ -110,11 +121,13 @@ fn net_recorded_history_agrees_with_posthoc() {
 
     let mut conn = Conn::connect(&addr, 9, ConnConfig::default()).expect("connect");
     let (tree, actions) = conn.fetch_history().expect("history fetched");
-    let cert = certify_history(&tree, &actions);
-    assert!(cert.is_serially_correct(), "{}", cert.verdict.name());
+    assert_eq!(class(&tree, &actions), "serially_correct");
 
     let m = SgtMaintainer::replay(&tree, &actions, SgtConfig::default());
-    assert!(m.ok(), "live replay disagrees with post-hoc on net history");
+    assert!(
+        m.ok(),
+        "live replay disagrees with the oracle on net history"
+    );
     assert_eq!(m.processed(), actions.len() as u64);
 
     conn.shutdown_server().expect("shutdown");
@@ -122,9 +135,125 @@ fn net_recorded_history_agrees_with_posthoc() {
     handle.wait();
 }
 
+/// The actions of one committed transaction `t` that returns `v`, around
+/// `body` (an inner transaction's children), as the engine records them.
+fn committed(t: TxId, v: Value, body: Vec<Action>) -> Vec<Action> {
+    let mut acts = vec![Action::RequestCreate(t), Action::Create(t)];
+    acts.extend(body);
+    acts.extend([
+        Action::RequestCommit(t, v.clone()),
+        Action::Commit(t),
+        Action::ReportCommit(t, v),
+    ]);
+    acts
+}
+
+/// Two tops crossing on `x` and `y`: `a` writes `x` and reads `y`, `b`
+/// writes `y` and reads `x`. `steps` runs the accesses — 0: `a` writes
+/// `x`, 1: `b` writes `y`, 2: `b` reads `x`, 3: `a` reads `y` — in order,
+/// each returning its value; then both tops commit.
+fn crossed(steps: [(usize, Value); 4]) -> (TxTree, Vec<Action>) {
+    let mut tree = TxTree::new();
+    let (x, y) = (tree.add_object(), tree.add_object());
+    let (a, b) = (tree.add_inner(TxId::ROOT), tree.add_inner(TxId::ROOT));
+    let accesses = [
+        tree.add_access(a, x, Op::Write(1)),
+        tree.add_access(b, y, Op::Write(2)),
+        tree.add_access(b, x, Op::Read),
+        tree.add_access(a, y, Op::Read),
+    ];
+    let mut beta = vec![
+        Action::RequestCreate(a),
+        Action::Create(a),
+        Action::RequestCreate(b),
+        Action::Create(b),
+    ];
+    for (i, v) in steps {
+        beta.extend(committed(accesses[i], v, vec![]));
+    }
+    for t in [a, b] {
+        beta.extend([
+            Action::RequestCommit(t, Value::Ok),
+            Action::Commit(t),
+            Action::ReportCommit(t, Value::Ok),
+        ]);
+    }
+    (tree, beta)
+}
+
+/// Histories that reach each verdict class: the gate and the oracle name
+/// the same one, and a bare replay agrees with `build_sg`.
+#[test]
+fn every_verdict_class_agrees_with_the_oracle() {
+    let ok = Value::Ok;
+    let serial = crossed([
+        (0, ok.clone()),
+        (2, Value::Int(1)),
+        (3, Value::Int(0)),
+        (1, ok.clone()),
+    ]);
+    let cyclic = crossed([
+        (0, ok.clone()),
+        (1, ok.clone()),
+        (2, Value::Int(1)),
+        (3, Value::Int(2)),
+    ]);
+    let wrong_read = crossed([
+        (0, ok.clone()),
+        (1, ok.clone()),
+        (2, Value::Int(5)),
+        (3, Value::Int(2)),
+    ]);
+    let (tree, mut unrequested) = cyclic.clone();
+    unrequested.remove(0); // CREATE(a) without its request
+    let cases = [
+        (serial, "serially_correct"),
+        (cyclic, "cyclic"),
+        (wrong_read, "inappropriate_return_values"),
+        ((tree, unrequested), "not_simple"),
+    ];
+    for ((tree, beta), want) in cases {
+        assert_eq!(class(&tree, &beta), want);
+        let (replayed, acyclic) = verdicts(&tree, &beta);
+        assert_eq!(replayed, acyclic, "{want}: replay vs build_sg");
+    }
+}
+
+/// The gate's replay does work in proportion to β while the watermark
+/// advances: on a 2,000-top single-session run (77,302 actions) it
+/// inserts fewer edges than β has actions, where the oracle's `build_sg`
+/// draws about 2.3 million.
+#[test]
+fn the_gate_inserts_fewer_edges_than_the_history_has_actions() {
+    let w = WorkloadSpec {
+        top_level: 2000,
+        objects: 64,
+        hotspot: 0.1,
+        max_depth: 2,
+        seed: 7,
+        ..WorkloadSpec::default()
+    }
+    .generate();
+    let cfg = EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    };
+    let r = run_workload(&w, &cfg).expect("engine runs");
+    let cert = r.certify();
+    assert!(cert.is_serially_correct(), "{}", cert.verdict.name());
+    assert_eq!(cert.actions, r.history.len());
+    assert!(
+        cert.sg_edges < cert.actions,
+        "{} edges inserted for {} actions",
+        cert.sg_edges,
+        cert.actions
+    );
+}
+
 // ---------------------------------------------------------------------
 // Planted violations: each must flip the verdict AND be reported at the
-// exact edge whose insertion closes the cycle.
+// exact edge whose insertion closes the cycle. They are bare graph
+// fixtures, so the oracle's graph stage is the one compared.
 // ---------------------------------------------------------------------
 
 /// Crossed read/write pair: 2-cycle at the root, closed by the b→a edge
@@ -136,10 +265,10 @@ fn planted_two_cycle_caught_at_inserting_edge() {
     let y = tree.add_object();
     let a = tree.add_inner(TxId::ROOT);
     let b = tree.add_inner(TxId::ROOT);
-    let ax = tree.add_access(a, x, nt_model::Op::Write(1));
-    let ay = tree.add_access(a, y, nt_model::Op::Read);
-    let bx = tree.add_access(b, x, nt_model::Op::Read);
-    let by = tree.add_access(b, y, nt_model::Op::Write(2));
+    let ax = tree.add_access(a, x, Op::Write(1));
+    let ay = tree.add_access(a, y, Op::Read);
+    let bx = tree.add_access(b, x, Op::Read);
+    let by = tree.add_access(b, y, Op::Write(2));
     let beta = vec![
         Action::RequestCreate(a),                 // 0
         Action::RequestCreate(b),                 // 1
@@ -155,6 +284,8 @@ fn planted_two_cycle_caught_at_inserting_edge() {
         Action::Commit(b),                        // 11: cycle closes
     ];
     let (live, acyclic) = verdicts(&tree, &beta);
+    // No CREATEs: the gate and the oracle refuse before the graph stage.
+    assert_eq!(class(&tree, &beta), "not_simple");
     assert!(!live && !acyclic, "both oracles must see the cycle");
 
     let m = SgtMaintainer::replay(&tree, &beta, SgtConfig::default());
@@ -177,12 +308,12 @@ fn planted_three_cycle_caught_at_inserting_edge() {
     let a = tree.add_inner(TxId::ROOT);
     let b = tree.add_inner(TxId::ROOT);
     let c = tree.add_inner(TxId::ROOT);
-    let awx = tree.add_access(a, x, nt_model::Op::Write(1));
-    let arz = tree.add_access(a, z, nt_model::Op::Read);
-    let brx = tree.add_access(b, x, nt_model::Op::Read);
-    let bwy = tree.add_access(b, y, nt_model::Op::Write(2));
-    let cry = tree.add_access(c, y, nt_model::Op::Read);
-    let cwz = tree.add_access(c, z, nt_model::Op::Write(3));
+    let awx = tree.add_access(a, x, Op::Write(1));
+    let arz = tree.add_access(a, z, Op::Read);
+    let brx = tree.add_access(b, x, Op::Read);
+    let bwy = tree.add_access(b, y, Op::Write(2));
+    let cry = tree.add_access(c, y, Op::Read);
+    let cwz = tree.add_access(c, z, Op::Write(3));
     let beta = vec![
         Action::RequestCreate(a),                  // 0
         Action::RequestCreate(b),                  // 1
@@ -203,6 +334,8 @@ fn planted_three_cycle_caught_at_inserting_edge() {
         Action::Commit(c),                         // 16: ring complete
     ];
     let (live, acyclic) = verdicts(&tree, &beta);
+    // No CREATEs: the gate and the oracle refuse before the graph stage.
+    assert_eq!(class(&tree, &beta), "not_simple");
     assert!(!live && !acyclic, "both oracles must see the ring");
 
     let m = SgtMaintainer::replay(&tree, &beta, SgtConfig::default());
@@ -224,10 +357,10 @@ fn planted_inner_cycle_caught_with_inner_parent() {
     let a = tree.add_inner(TxId::ROOT);
     let a1 = tree.add_inner(a);
     let a2 = tree.add_inner(a);
-    let u1x = tree.add_access(a1, x, nt_model::Op::Write(1));
-    let u1y = tree.add_access(a1, y, nt_model::Op::Write(3));
-    let u2x = tree.add_access(a2, x, nt_model::Op::Write(2));
-    let u2y = tree.add_access(a2, y, nt_model::Op::Write(4));
+    let u1x = tree.add_access(a1, x, Op::Write(1));
+    let u1y = tree.add_access(a1, y, Op::Write(3));
+    let u2x = tree.add_access(a2, x, Op::Write(2));
+    let u2y = tree.add_access(a2, y, Op::Write(4));
     let beta = vec![
         Action::RequestCommit(u1x, Value::Ok), // 0
         Action::Commit(u1x),                   // 1
@@ -242,6 +375,8 @@ fn planted_inner_cycle_caught_with_inner_parent() {
         Action::Commit(a),                     // 10: finalize → inner cycle
     ];
     let (live, acyclic) = verdicts(&tree, &beta);
+    // No CREATEs: the gate and the oracle refuse before the graph stage.
+    assert_eq!(class(&tree, &beta), "not_simple");
     assert!(!live && !acyclic, "both oracles must see the inner cycle");
 
     let m = SgtMaintainer::replay(&tree, &beta, SgtConfig::default());
@@ -259,10 +394,10 @@ fn planted_cycle_with_aborted_side_is_clean() {
     let y = tree.add_object();
     let a = tree.add_inner(TxId::ROOT);
     let b = tree.add_inner(TxId::ROOT);
-    let ax = tree.add_access(a, x, nt_model::Op::Write(1));
-    let ay = tree.add_access(a, y, nt_model::Op::Read);
-    let bx = tree.add_access(b, x, nt_model::Op::Read);
-    let by = tree.add_access(b, y, nt_model::Op::Write(2));
+    let ax = tree.add_access(a, x, Op::Write(1));
+    let ay = tree.add_access(a, y, Op::Read);
+    let bx = tree.add_access(b, x, Op::Read);
+    let by = tree.add_access(b, y, Op::Write(2));
     let beta = vec![
         Action::RequestCreate(a),
         Action::RequestCreate(b),
@@ -278,5 +413,7 @@ fn planted_cycle_with_aborted_side_is_clean() {
         Action::Abort(b),
     ];
     let (live, acyclic) = verdicts(&tree, &beta);
+    // No CREATEs: the gate and the oracle refuse before the graph stage.
+    assert_eq!(class(&tree, &beta), "not_simple");
     assert!(live && acyclic, "aborted side must not plant an edge");
 }

@@ -20,8 +20,8 @@
 //! the lock table's own transitions and rolls the crash-time losers back
 //! through the engine's one abort (`ABORT` / `INFORM_ABORT` /
 //! `REPORT_ABORT`, as a live abort records). Then **re-certify the
-//! recovered history through `certify_recorded` (Theorem 17)** — the
-//! store refuses to open a history the gate rejects.
+//! recovered history through `nt_sgt_live::certify_replay` (Theorem 17)**
+//! — the store refuses to open a history the gate rejects.
 //! Fuzzy checkpoints compact the log while the server runs; rotation at
 //! drain bumps a generation number so a crash between checkpoint rename
 //! and WAL reset is unambiguous at the next recovery.

@@ -25,8 +25,8 @@
 //! refuses it with [`StoreError::Corrupt`] naming the first missing
 //! stamp. Past that check β is held once, as one `Vec<Action>` whose
 //! indices are its stamps: the replay applies it and appends to it, the
-//! Theorem 17 gate certifies it, and the seed hands it to the engine as
-//! the head of its history.
+//! Theorem 17 gate certifies it ([`Recovered::gate`] keeps its replay for
+//! the live certifier), and the seed hands it to the engine as its head.
 //!
 //! ## Why re-certification is sound
 //!
@@ -35,7 +35,7 @@
 //! everything recovered, and a split commit's missing `INFORM_COMMIT`s
 //! are ones the controller may send any time after the `COMMIT`. The
 //! result is a history a crash-free server that had simply aborted those
-//! tops could itself have produced — so `certify_recorded` applies
+//! tops could itself have produced — so `certify_replay` applies
 //! verbatim, and a passing verdict means the recovered state is serially
 //! correct, not merely internally consistent.
 
@@ -45,7 +45,7 @@ use nt_engine::RecoveredSeed;
 use nt_model::{Action, ObjId, Op, TxId, TxTree};
 use nt_obs::json::JsonObj;
 use nt_serial::{ObjectTypes, RwRegister};
-use nt_sgt::{certify_recorded, ConflictSource};
+use nt_sgt_live::{certify_replay, SgtMaintainer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -126,11 +126,11 @@ pub struct RecoveryReport {
     pub cache_entries: usize,
     /// Total recovered history length (including synthesized actions).
     pub history_len: usize,
-    /// Did `certify_recorded` pass on the recovered history?
+    /// Did the Theorem 17 gate pass on the recovered history?
     pub certified: bool,
-    /// Serialization-graph size at certification.
+    /// Top-level nodes the gate's replay inserted.
     pub sg_nodes: usize,
-    /// Serialization-graph edge count at certification.
+    /// Edges the gate's replay inserted.
     pub sg_edges: usize,
 }
 
@@ -174,6 +174,8 @@ pub struct Recovered {
     pub cache: BTreeMap<u64, Vec<u8>>,
     /// The operator-facing summary.
     pub report: RecoveryReport,
+    /// The gate's maintainer, fed `seed.entries`, for a live certifier.
+    pub gate: SgtMaintainer,
     /// Rotation generation to resume at.
     pub(crate) gen: u64,
     /// Valid byte length of the WAL (0 when the file must be recreated).
@@ -338,7 +340,7 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
     // Re-certify the recovered history through the Theorem 17 gate. One
     // type for every object: nothing is sized by the largest id.
     let types = ObjectTypes::uniform(tree.num_objects(), Arc::new(RwRegister::new(0)));
-    let cert = certify_recorded(&tree, &seed.entries, &types, ConflictSource::ReadWrite);
+    let (cert, gate) = certify_replay(&tree, &seed.entries, &types);
     if !cert.is_serially_correct() {
         return Err(StoreError::CertificationFailed {
             verdict: cert.verdict.name().to_string(),
@@ -366,6 +368,7 @@ pub fn analyze(dir: &std::path::Path) -> Result<Recovered, StoreError> {
         seed,
         cache,
         report,
+        gate,
         gen,
         wal_valid_len,
         wal_stale,

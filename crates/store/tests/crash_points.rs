@@ -309,6 +309,19 @@ fn every_record_boundary_of_a_two_session_run_recovers_what_its_history_says() {
         let entries = &rec.seed.entries;
         assert_eq!(entries[..beta.len()], beta[..], "prefix {k}: β is the head");
         assert_eq!(rec.seed.next_stamp, entries.len() as u64, "prefix {k}");
+        // A live certifier resumes from the gate's replay of the head:
+        // recovery resolved every top, so the watermark is the head's
+        // length and the GC left nothing resident.
+        let gate = &rec.gate;
+        let head = entries.len() as u64;
+        assert!(gate.ok(), "prefix {k}");
+        assert_eq!(
+            (gate.processed(), gate.watermark()),
+            (head, head),
+            "prefix {k}"
+        );
+        let gauges = (gate.node_count(), gate.edge_count(), gate.live_tops());
+        assert_eq!(gauges, (0, 0, 0), "prefix {k}");
         // After the rollback, recovery may only pass committed locks up.
         let (rollback, rest) =
             entries[beta.len()..].split_at(want.rollback.len().min(entries.len() - beta.len()));
