@@ -312,6 +312,59 @@ mod tests {
         assert_eq!((e.from, e.to), (a, b));
     }
 
+    /// Commutativity-based conflicts (§6.1): two counter increments
+    /// commute, so the schedule whose straddling accesses cycle under
+    /// read/write draws no conflict edge under the counter's
+    /// `commutes_backward`.
+    #[test]
+    fn commuting_operations_draw_no_conflict_edges() {
+        use nt_serial::SerialType;
+        #[derive(Debug)]
+        struct Counter;
+        impl SerialType for Counter {
+            fn type_name(&self) -> &'static str {
+                "test-counter"
+            }
+            fn initial(&self) -> Value {
+                Value::Int(0)
+            }
+            fn apply(&self, state: &Value, op: &Op) -> (Value, Value) {
+                let (Value::Int(n), Op::Add(d)) = (state, op) else {
+                    panic!("a counter adds to an int")
+                };
+                (Value::Int(n + d), Value::Ok)
+            }
+            fn commutes_backward(&self, a: &(Op, Value), b: &(Op, Value)) -> bool {
+                matches!((&a.0, &b.0), (Op::Add(_), Op::Add(_)))
+            }
+        }
+        let mut tree = TxTree::new();
+        let x = tree.add_object();
+        let a = tree.add_inner(TxId::ROOT);
+        let b = tree.add_inner(TxId::ROOT);
+        let ua = tree.add_access(a, x, Op::Add(1));
+        let ub = tree.add_access(b, x, Op::Add(2));
+        let ua2 = tree.add_access(a, x, Op::Add(3));
+        let beta = vec![
+            Action::RequestCommit(ua, Value::Ok),
+            Action::Commit(ua),
+            Action::RequestCommit(ub, Value::Ok),
+            Action::Commit(ub),
+            Action::RequestCommit(ua2, Value::Ok),
+            Action::Commit(ua2),
+            Action::Commit(a),
+            Action::Commit(b),
+        ];
+        let types = ObjectTypes::uniform(1, Arc::new(Counter));
+        let g = build_sg(&tree, &beta, ConflictSource::Types(&types));
+        assert_eq!(g.edge_count(), 0, "adds commute: no conflict edges");
+        assert!(g.is_acyclic());
+        // Under read/write the same schedule has conflict edges both ways
+        // (a's two accesses straddle b's): a 2-cycle.
+        let rw = build_sg(&tree, &beta, ConflictSource::ReadWrite);
+        assert!(!rw.is_acyclic());
+    }
+
     #[test]
     fn nested_conflict_projects_to_lca_children() {
         // a has two subtransactions a1, a2, each with a write access:

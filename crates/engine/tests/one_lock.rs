@@ -6,9 +6,13 @@
 //! with) the final state, and the body must finish: a reader that
 //! re-enters the engine lock deadlocks, and the join deadline turns that
 //! into a failure instead of a hung run.
+//!
+//! Nothing is left to the scheduler: the sessions and the reader start
+//! behind one barrier, the reader reads at least once after that, and two
+//! sessions close one wait-for cycle by construction before the mix.
 
 use nt_engine::{
-    AccessOutcome, ActionSink, BeginOutcome, CommitOutcome, LiveCertifier, RecoveredSeed,
+    AccessOutcome, ActionSink, BeginOutcome, CommitOutcome, LiveCertifier, RecoveredSeed, Session,
     SessionEngine, Victim,
 };
 use nt_model::{Action, ObjId, Op, TxId};
@@ -16,7 +20,7 @@ use nt_obs::TraceHandle;
 use nt_serial::{ObjectTypes, RwRegister};
 use nt_sgt_live::{certify_recorded, SgtMaintainer};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::Duration;
 
 const SESSIONS: u32 = 4;
@@ -45,11 +49,53 @@ impl ActionSink for Capture {
     }
 }
 
+/// Sessions 0 and 1 close one wait-for cycle: each writes its own
+/// object, they meet, then each requests the other's. Whichever request
+/// comes second closes the cycle, so a victim is always chosen.
+fn close_one_cycle(s: &mut Session, i: u32, meet: &Barrier) {
+    let top = s.begin_top().expect("top");
+    let BeginOutcome::Fresh(inner) = s.begin_child(top).expect("child") else {
+        unreachable!("a fresh top is not doomed before it waits");
+    };
+    let mine = s.access(inner, ObjId(i), Op::Write(1)).expect("own");
+    assert!(
+        matches!(mine, AccessOutcome::Done(_)),
+        "no one else holds it"
+    );
+    meet.wait();
+    let theirs = s
+        .access(inner, ObjId(1 - i), Op::Write(2))
+        .expect("other's");
+    if matches!(theirs, AccessOutcome::Done(_))
+        && s.commit(inner).expect("inner") == CommitOutcome::Committed
+    {
+        s.commit(top).expect("top");
+    } else {
+        s.abort(top).expect("abort");
+    }
+}
+
+/// The barriers the sessions pass: all of them and the reader at the
+/// start, sessions 0 and 1 inside their cycle, all sessions before the
+/// mix (no other session touches objects 0 and 1 while the cycle forms,
+/// so neither write queues behind a session that waits on the other).
+struct Barriers {
+    start: Barrier,
+    meet: Barrier,
+    mix: Barrier,
+}
+
 /// One session's share of the mix: every top writes two objects in an
 /// order that crosses the other sessions' (so requests queue and cycles
-/// close), and every fifth top the client aborts after its work.
-fn drive(e: &Arc<SessionEngine>, i: u32) -> u32 {
+/// close), and every fifth top the client aborts after its work. Sessions
+/// 0 and 1 first close one cycle by construction.
+fn drive(e: &Arc<SessionEngine>, i: u32, b: &Barriers) -> u32 {
     let mut s = e.open_session();
+    b.start.wait();
+    if i < 2 {
+        close_one_cycle(&mut s, i, &b.meet);
+    }
+    b.mix.wait();
     let mut client_aborts = 0;
     for k in 0..TOPS {
         let top = s.begin_top().expect("top");
@@ -82,10 +128,14 @@ struct Readings {
     reads: u64,
 }
 
-fn read_everything(e: &SessionEngine, done: &AtomicBool) -> Readings {
+/// Read until the sessions have finished, at least once after they
+/// started.
+fn read_everything(e: &SessionEngine, done: &AtomicBool, start: &Barrier) -> Readings {
     let mut r = Readings::default();
     let mut last_grants = 0;
-    while !done.load(Ordering::Acquire) {
+    start.wait();
+    loop {
+        let finished = done.load(Ordering::Acquire);
         let (_, history) = e.history_snapshot();
         let victims = e.victims();
         let half = victims.len() / 2;
@@ -106,8 +156,10 @@ fn read_everything(e: &SessionEngine, done: &AtomicBool) -> Readings {
             r.victims.push(victims);
         }
         r.reads += 1;
+        if finished {
+            return r;
+        }
     }
-    r
 }
 
 #[test]
@@ -127,15 +179,20 @@ fn every_cross_thread_reader_sees_a_prefix_of_one_history() {
         )
         .expect("an empty seed replays");
         let done = AtomicBool::new(false);
+        let barriers = Barriers {
+            start: Barrier::new(SESSIONS as usize + 1),
+            meet: Barrier::new(2),
+            mix: Barrier::new(SESSIONS as usize),
+        };
         let (client_aborts, readings) = std::thread::scope(|scope| {
             let sessions: Vec<_> = (0..SESSIONS)
                 .map(|i| {
-                    let e = &engine;
-                    scope.spawn(move || drive(e, i))
+                    let (e, b) = (&engine, &barriers);
+                    scope.spawn(move || drive(e, i, b))
                 })
                 .collect();
-            let (e, done) = (&engine, &done);
-            let reader = scope.spawn(move || read_everything(e, done));
+            let (e, done, start) = (&engine, &done, &barriers.start);
+            let reader = scope.spawn(move || read_everything(e, done, start));
             let aborts: u32 = sessions
                 .into_iter()
                 .map(|h| h.join().expect("session"))

@@ -261,11 +261,7 @@ pub fn lint_defaults() -> Vec<Finding> {
         Action::Commit(a),
         Action::Commit(b),
     ];
-    let cfg = SgtConfig {
-        gc: false,
-        ..SgtConfig::default()
-    };
-    let m = SgtMaintainer::replay(&tree, &beta, cfg);
+    let m = SgtMaintainer::replay(&tree, &beta, SgtConfig { gc: false });
     lint_sgt_json("default/snapshot", &m.snapshot_json())
 }
 

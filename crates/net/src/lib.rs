@@ -58,6 +58,6 @@ pub mod wire;
 pub use client::{certify_history, fetch_and_certify, Conn, ConnConfig};
 pub use config::{LoadConfig, LoadMode, NetConfig, ServerConfig};
 pub use history::HistoryDoc;
-pub use load::{run_load, workload_spec, LoadReport};
+pub use load::{fresh_conn_base, run_load, workload_spec, LoadReport};
 pub use server::{DrainReport, NetServer, ServerHandle, ServerProbe, ServerStats};
 pub use wire::{Request, Response, WireError};

@@ -16,7 +16,7 @@ use crate::client::{Conn, ConnConfig};
 use crate::config::{LoadConfig, LoadMode};
 use crate::wire::{Request, Response, WireError};
 use nt_model::{Op, TxId, TxTree};
-use nt_obs::json::JsonObj;
+use nt_obs::json::{Json, JsonObj};
 use nt_obs::Histogram;
 use nt_sim::{OpMix, WorkloadSpec};
 use std::time::{Duration, Instant};
@@ -273,7 +273,22 @@ impl LoadReport {
     }
 }
 
-/// Drive the configured load against `addr` and gather the report.
+/// The first connection id a fresh client may use against `addr`: above
+/// every seq band the server recovered replies for (its `STATS`
+/// `recovered_band_max`), so none of its requests is answered from a
+/// previous run's cache. A server with no recovered replies gives 1.
+pub fn fresh_conn_base(addr: &str, cfg: ConnConfig) -> Result<u64, WireError> {
+    // Connection 0's band only ever carries unmutating requests (fetch,
+    // stats, cert, shutdown), so it holds no recovered reply.
+    let stats = Conn::connect(addr, 0, cfg)?.stats()?;
+    let doc = Json::parse(&stats).map_err(|e| WireError::BadPayload(format!("stats: {e}")))?;
+    let band = doc.get("recovered_band_max").and_then(Json::as_num);
+    // Band `b` is connection `b - 1`'s (`Conn::seq_base`).
+    Ok((band.unwrap_or(0.0) as u64).max(1))
+}
+
+/// Drive the configured load against `addr` and gather the report. Its
+/// connections are numbered from [`fresh_conn_base`] on.
 pub fn run_load(addr: &str, cfg: &LoadConfig) -> Result<LoadReport, WireError> {
     let spec = workload_spec(cfg);
     let workload = spec.generate();
@@ -292,6 +307,7 @@ pub fn run_load(addr: &str, cfg: &LoadConfig) -> Result<LoadReport, WireError> {
         }
     };
     let conn_cfg = ConnConfig::from(cfg);
+    let conn_base = fresh_conn_base(addr, conn_cfg)?;
     let mut handles = Vec::new();
     for c in 0..cfg.connections {
         // Stripe templates round-robin: connection c drives tops c,
@@ -309,7 +325,7 @@ pub fn run_load(addr: &str, cfg: &LoadConfig) -> Result<LoadReport, WireError> {
         let batch = cfg.batch.max(1);
         handles.push(std::thread::spawn(
             move || -> Result<LoadReport, WireError> {
-                let mut conn = Conn::connect(&addr, c as u64 + 1, conn_cfg)?;
+                let mut conn = Conn::connect(&addr, conn_base + c as u64, conn_cfg)?;
                 let mut rep = LoadReport::default();
                 for (k, template) in mine.iter().enumerate() {
                     let top_start = if interval_us > 0 {

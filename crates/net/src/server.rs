@@ -134,6 +134,10 @@ pub(crate) struct Shared {
     /// connections stop taking the mutex (`ReplyCache::clear_band`).
     /// Touched only on the poll thread, so the mutex is never contended.
     recovered_cache: Mutex<BTreeMap<u64, Vec<u8>>>,
+    /// The highest seq band (`seq >> 32`) the recovered cache held at
+    /// bind, 0 if none: a fresh client numbers its connections above it
+    /// (`run_load`), so no new request lands on a recovered reply.
+    recovered_band_max: u64,
     /// The running reactor's counters (`reactor.*` in the stats
     /// document), set by `serve`.
     reactor_probe: OnceLock<nt_reactor::ReactorProbe>,
@@ -160,6 +164,7 @@ impl Shared {
             .num("reply_cache", s.reply_cache)
             .num("reply_cache_max", s.reply_cache_max)
             .num("recovered_cache", self.recovered().len() as u64)
+            .num("recovered_band_max", self.recovered_band_max)
             .num("tx_count", self.engine.tx_count() as u64)
             .num("victims", self.engine.victims().len() as u64)
             .num("lock_grants", self.engine.lock_grants())
@@ -445,6 +450,10 @@ impl NetServer {
             violation_surfaced: AtomicBool::new(false),
             victims_surfaced: AtomicUsize::new(0),
             store,
+            recovered_band_max: recovered_cache
+                .keys()
+                .next_back()
+                .map_or(0, |seq| seq >> 32),
             recovered_cache: Mutex::new(recovered_cache),
             reactor_probe: OnceLock::new(),
         });

@@ -272,6 +272,50 @@ fn an_ack_after_restart_prunes_its_band_from_the_recovered_cache() {
     handle.wait();
 }
 
+/// A second load against a restarted server runs its own requests: its
+/// connections are numbered above every band the recovered cache holds,
+/// so not one request is answered from the first run's replies.
+#[test]
+fn a_second_load_after_restart_executes_every_request() {
+    let dir = Scratch::new("second-load");
+    let load = LoadConfig {
+        connections: 3,
+        tops_per_conn: 8,
+        objects: 8,
+        seed: 23,
+        ..LoadConfig::default()
+    };
+    let server = NetServer::bind(durable_cfg(&dir, DurabilityMode::None)).expect("bind");
+    let addr = server.local_addr().to_string();
+    let handle = server.serve();
+    let first = run_load(&addr, &load).expect("first load");
+    assert!(first.committed_tops > 0);
+    handle.wait();
+
+    let server = NetServer::bind(durable_cfg(&dir, DurabilityMode::None)).expect("rebind");
+    assert!(server.recovery_report().expect("mounted").cache_entries > 0);
+    let addr = server.local_addr().to_string();
+    let handle = server.serve();
+    let mut observer = Conn::connect(&addr, 0, ConnConfig::default()).expect("connect");
+    let band_max = stat(&mut observer, "recovered_band_max");
+    assert_eq!(band_max, 4.0, "connections 1–3 use bands 2–4");
+    drop(observer);
+    let executed_before = handle.probe().stats().1.executed;
+    let second = run_load(&addr, &load).expect("second load");
+    assert!(second.committed_tops > 0);
+    let drained = handle.wait();
+    assert_eq!(
+        drained.stats.cache_hits, 0,
+        "a request hit the first run's replies"
+    );
+    assert!(
+        drained.stats.executed - executed_before >= second.requests,
+        "{} executed for {} requests",
+        drained.stats.executed - executed_before,
+        second.requests
+    );
+}
+
 #[test]
 fn wal_counters_surface_in_the_stats_document() {
     let dir = Scratch::new("stats");

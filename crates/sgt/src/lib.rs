@@ -11,9 +11,15 @@
 //!   when an insert would break acyclicity.
 //! * [`maintainer`] — [`SgtMaintainer`]: conflict and precedes edges
 //!   inserted exactly when visibility determines them (root precedes
-//!   eagerly, everything else at top finalization), honoring
-//!   `commutes_backward` and the nested ancestor-collapse rules, plus the
-//!   watermark GC that prunes the committed acyclic prefix.
+//!   eagerly, everything else at top finalization), under the nested
+//!   ancestor-collapse rules. It draws frontier edges — a published
+//!   access's nearest conflicting neighbours per object, root precedes
+//!   from the reported frontier — which keep the all-pairs graph's
+//!   reachability among resident tops (DESIGN §8i), so an access adds
+//!   O(frontier) edges; its state lives in reused per-top slots, so a
+//!   certified action allocates nothing in steady state; and the
+//!   watermark GC prunes the committed acyclic prefix, visiting only
+//!   candidate tops.
 //! * [`gate`] — [`certify_recorded`], the Theorem 17 gate on a recorded
 //!   history: simple behavior, return values, one GC'd replay.
 //! * [`live`] — [`LiveCertifier`]: the maintainer as plain data, owned
@@ -27,8 +33,10 @@
 //!
 //! The verdict agrees with the test oracle, `nt_sgt::check_serial_correctness`:
 //! edges are monotone (visibility to `T0` only ever grows), pruned nodes
-//! can never regain an in-edge, and `tests/live_vs_posthoc.rs` compares
-//! the two on every history it has.
+//! can never regain an in-edge, the frontier keeps reachability, and
+//! `tests/live_vs_posthoc.rs` and `tests/frontier_vs_oracle.rs` compare
+//! the two on every history they have — the latter down to the stamp
+//! that latches a violation.
 
 #![forbid(unsafe_code)]
 
@@ -40,6 +48,6 @@ pub mod topo;
 
 pub use gate::{certify_recorded, certify_replay, GateVerdict, RecordedCertificate};
 pub use live::{cert_disabled_json, LiveCertifier, LiveStatus};
-pub use maintainer::{LiveConflicts, SgtConfig, SgtMaintainer};
+pub use maintainer::{SgtConfig, SgtMaintainer};
 pub use report::{ReportEdge, ViolationReport, CERT_SCHEMA, LIVE_SCHEMA, VIOLATION_SCHEMA};
 pub use topo::{DynTopo, EdgeMeta, Insert};

@@ -22,11 +22,42 @@
 //!
 //! Edges between top-level transactions land in one persistent
 //! Pearce–Kelly order ([`DynTopo`]); edges strictly inside a committed
-//! top's subtree are checked at finalization with transient per-parent
-//! orders (the subtree is complete by then, and its buffers are dropped
-//! afterwards, committed or not). Insertions are ordered by the stamp of
-//! the *second* witness action, so a cycle is reported at the exact edge
-//! whose insertion closes it.
+//! top's subtree are checked at finalization in one scratch order (an
+//! edge only joins siblings, so every inner parent's graph shares it
+//! without a cycle ever crossing between them). Insertions are ordered by
+//! the stamp of the *second* witness action, so a cycle is reported at
+//! the edge whose insertion closes it.
+//!
+//! ## Frontier edges
+//!
+//! Acyclicity only needs reachability, so the maintainer draws a reduced
+//! graph with the same reachability among resident tops as the all-pairs
+//! `SG(β)` (DESIGN §8i states and proves the invariant):
+//!
+//! * **per object**, the visible accesses of unpruned tops are kept in
+//!   stamp order, and a newly published access gets edges only to its
+//!   nearest conflicting neighbours on each side — the nearest write,
+//!   and for a write also the reads between it and that write. Both
+//!   sides are needed: a top publishes its accesses when it resolves,
+//!   and tops do not resolve in stamp order;
+//! * **root precedes** edges come from the reported frontier only: the
+//!   reported tops that no later-reported top follows. A reported top
+//!   leaves the frontier once a top created after its report reports
+//!   too, and it reaches that top;
+//! * a conflict edge `T → T'` is not drawn when `T` reported before `T'`
+//!   was created: the precedes edges already lead from `T` to `T'`;
+//! * inside one top, the same per-object frontier and a per-parent
+//!   reported frontier give the inner edges.
+//!
+//! ## Flat state
+//!
+//! A top lives in a slot: its slot in the root order indexes the per-top
+//! state too, and a window over the ids of resident tops maps an id to
+//! it. A slot keeps its buffers when its top is pruned — the subtree's
+//! accesses, commits and precedes candidates, the published accesses —
+//! and finalization works in scratch the maintainer owns (the visible
+//! accesses, the candidate lists, the inner order), so once the window
+//! has reached its size a certified action allocates nothing.
 //!
 //! ## Watermark GC
 //!
@@ -39,9 +70,12 @@
 //! `REQUEST_CREATE`, already past. A node that can never (again) gain an
 //! in-edge lies on no cycle of any extension, so dropping it and its
 //! out-edges preserves the verdict; pruning cascades because removals
-//! expose new in-degree-zero tops. The published watermark is `low`:
-//! everything certified below it is permanently acyclic — the live form
-//! of Theorem 17's committed-prefix claim.
+//! expose new in-degree-zero tops. GC visits only candidates: resolved
+//! tops wait in a heap keyed by their last visible access until `low`
+//! passes it, and a waiting top whose last in-edge goes is pruned then.
+//! The published watermark is `low`: everything certified below it is
+//! permanently acyclic — the live form of Theorem 17's committed-prefix
+//! claim.
 //!
 //! ## Assumptions
 //!
@@ -53,45 +87,22 @@
 //! action is fed (an id past the tree is ignored), and completions
 //! inside a subtree precede the subtree root's own completion. One bit
 //! per id remembers a finalized top, so a late action in its subtree is
-//! ignored rather than bringing the top back.
+//! ignored rather than bringing the top back. Objects are read/write
+//! registers (§4): two accesses conflict unless both are reads.
 
 use crate::report::{live_snapshot_json, ReportEdge, ViolationReport};
 use crate::topo::{DynTopo, Insert};
-use nt_model::{Action, ObjId, Op, TreeView, TxId, TxTree, Value};
-use nt_serial::ObjectTypes;
-use nt_sgt::{ConflictSource, EdgeKind};
+use nt_model::{Action, ObjId, TreeView, TxId, TxTree};
+use nt_sgt::EdgeKind;
 use std::borrow::Borrow;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
-
-/// Where the live conflict relation comes from (owned form of
-/// `nt_sgt::ConflictSource`, which borrows).
-#[derive(Clone)]
-pub enum LiveConflicts {
-    /// §4 read/write conflicts: everything conflicts except read/read.
-    ReadWrite,
-    /// §6.1 commutativity-based conflicts from the objects' serial types.
-    Types(Arc<ObjectTypes>),
-}
-
-impl LiveConflicts {
-    /// Do `(op_a, v_a)` then `(op_b, v_b)` on `x` conflict (`op_a` is the
-    /// earlier operation)? The post-hoc graph's relation, borrowed.
-    fn conflicts(&self, x: ObjId, op_a: &Op, v_a: &Value, op_b: &Op, v_b: &Value) -> bool {
-        let source = match self {
-            LiveConflicts::ReadWrite => ConflictSource::ReadWrite,
-            LiveConflicts::Types(types) => ConflictSource::Types(types),
-        };
-        source.conflicts(x, op_a, v_a, op_b, v_b)
-    }
-}
 
 /// Maintainer configuration.
 #[derive(Clone)]
 pub struct SgtConfig {
-    /// Conflict relation on operations.
-    pub conflicts: LiveConflicts,
     /// Run the watermark GC (disable to keep every node, e.g. to export
     /// the complete graph after a bounded test run).
     pub gc: bool,
@@ -101,25 +112,45 @@ pub struct SgtConfig {
 /// slice reaches.
 const SLICE_STAMPS: u64 = 4096;
 
+/// A stamp not (yet) seen.
+const NONE: u64 = u64::MAX;
+
 impl Default for SgtConfig {
     fn default() -> Self {
-        SgtConfig {
-            conflicts: LiveConflicts::ReadWrite,
-            gc: true,
-        }
+        SgtConfig { gc: true }
     }
 }
 
-/// State of one top-level transaction (child of `T0`).
-struct TopState {
-    first_stamp: u64,
-    /// `(object, stamp)` of each visible access, for prune-time removal
-    /// from the per-object index.
-    visible_accesses: Vec<(ObjId, u64)>,
-    max_access_stamp: u64,
+/// One multiply per key: the per-object map is keyed by small integers,
+/// so SipHash's flooding resistance buys nothing there.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.0 = u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
-/// A buffered precedes candidate below the root, resolved at finalize.
+/// One published access in an object's stamp-ordered list.
+#[derive(Clone, Copy)]
+struct Published {
+    stamp: u64,
+    /// The slot of the top it belongs to.
+    slot: u32,
+    write: bool,
+}
+
+/// A precedes or conflict candidate below the root, resolved at finalize.
+#[derive(Clone, Copy)]
 struct CandEdge {
     parent: TxId,
     from: TxId,
@@ -128,25 +159,155 @@ struct CandEdge {
     witness: (u64, u64),
 }
 
-/// Per-top subtree buffer, dropped at finalization.
-#[derive(Default)]
-struct SubtreeBuf {
-    /// Access `REQUEST_COMMIT`s in stamp order: `(access, value, stamp)`.
-    accesses: Vec<(TxId, Value, u64)>,
-    /// Subtree members with a `COMMIT` event.
-    committed: HashSet<TxId>,
-    /// Inner precedes candidates awaiting the parent-visibility check.
-    precedes_cand: Vec<CandEdge>,
-    /// First report stamp of each inner descendant, for precedes
-    /// candidates against its later-created siblings.
-    first_report: HashMap<TxId, u64>,
+/// A conflict candidate between two tops' slots.
+#[derive(Clone, Copy)]
+struct RootCand {
+    from: u32,
+    to: u32,
+    witness: (u64, u64),
 }
 
-/// One visible access of another (already finalized) top.
-struct ObjEntry {
+/// One access `REQUEST_COMMIT` of a top: what pairing needs of it.
+#[derive(Clone, Copy)]
+struct Access {
+    x: ObjId,
+    stamp: u64,
+    access: TxId,
+    write: bool,
+}
+
+/// What the precedes frontier needs of one inner transaction.
+struct InnerTx {
+    id: TxId,
+    created: u64,
+    reported: u64,
+}
+
+/// Per-top subtree buffers, cleared (not dropped) at finalization.
+#[derive(Default)]
+struct Subtree {
+    /// Access `REQUEST_COMMIT`s in stamp order.
+    accesses: Vec<Access>,
+    /// Subtree members with a `COMMIT` event.
+    committed: Vec<TxId>,
+    /// Inner transactions with a `REQUEST_CREATE` or a report, by id.
+    inner: Vec<InnerTx>,
+    /// Every inner parent's reported frontier: `(child, parent, first
+    /// report)` of the reported children no later-reported sibling
+    /// follows.
+    frontier: Vec<(TxId, TxId, u64)>,
+    /// Inner precedes candidates awaiting the parent-visibility check.
+    precedes: Vec<CandEdge>,
+    /// An inner transaction reported without a `REQUEST_CREATE` before:
+    /// precedes edges alone may then cycle.
+    disordered: bool,
+}
+
+impl Subtree {
+    fn clear(&mut self) {
+        self.accesses.clear();
+        self.committed.clear();
+        self.inner.clear();
+        self.frontier.clear();
+        self.precedes.clear();
+        self.disordered = false;
+    }
+
+    fn inner_tx(&mut self, t: TxId) -> &mut InnerTx {
+        let i = match self.inner.binary_search_by_key(&t, |e| e.id) {
+            Ok(i) => i,
+            Err(i) => {
+                self.inner.insert(
+                    i,
+                    InnerTx {
+                        id: t,
+                        created: NONE,
+                        reported: NONE,
+                    },
+                );
+                i
+            }
+        };
+        &mut self.inner[i]
+    }
+}
+
+/// State of one top-level transaction (child of `T0`), in its slot.
+struct Top {
+    id: TxId,
+    first_stamp: u64,
+    /// Stamp of its `REQUEST_CREATE`, or [`NONE`].
+    created: u64,
+    /// Stamp of its first report while resident, or [`NONE`].
+    reported: u64,
+    /// Not yet finalized.
+    live: bool,
+    /// Finalized, and `low` has passed its last visible access.
+    ripe: bool,
+    max_access_stamp: u64,
+    /// `(object, stamp)` of each published access, for prune-time
+    /// removal from the per-object lists.
+    published: Vec<(ObjId, u64)>,
+    sub: Subtree,
+}
+
+/// One transaction's place in the tree, as last looked up.
+#[derive(Clone, Copy)]
+struct Lineage {
+    tx: u32,
+    parent: TxId,
     top: TxId,
-    op: Op,
-    value: Value,
+}
+
+/// Entries of the lineage cache (direct-mapped by id).
+const LINEAGE_WAYS: usize = 256;
+
+/// The slot of each resident top, indexed by id minus `base`: a window
+/// over the ids from the lowest resident top's to the highest's.
+#[derive(Default)]
+struct SlotIndex {
+    base: usize,
+    slots: VecDeque<u32>,
+}
+
+impl SlotIndex {
+    const VACANT: u32 = u32::MAX;
+
+    fn get(&self, t: TxId) -> Option<usize> {
+        let i = t.index().checked_sub(self.base)?;
+        match self.slots.get(i) {
+            Some(&s) if s != Self::VACANT => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    fn insert(&mut self, t: TxId, slot: usize) {
+        let i = t.index();
+        if self.slots.is_empty() {
+            self.base = i;
+        }
+        while i < self.base {
+            self.slots.push_front(Self::VACANT);
+            self.base -= 1;
+        }
+        while i >= self.base + self.slots.len() {
+            self.slots.push_back(Self::VACANT);
+        }
+        self.slots[i - self.base] = slot as u32;
+    }
+
+    fn remove(&mut self, t: TxId) {
+        if let Some(s) = self.slots.get_mut(t.index() - self.base) {
+            *s = Self::VACANT;
+        }
+        while self.slots.front() == Some(&Self::VACANT) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        while self.slots.back() == Some(&Self::VACANT) {
+            self.slots.pop_back();
+        }
+    }
 }
 
 /// The live incremental serialization-graph maintainer. See the module
@@ -155,23 +316,47 @@ pub struct SgtMaintainer {
     cfg: SgtConfig,
     /// The naming tree the fed actions name.
     tree: Arc<dyn TreeView>,
+    /// `tree.len()` when last read: ids below it are registered.
+    tree_len: usize,
+    /// Parent and top of recently named transactions: the actions of one
+    /// transaction come close together, and a tree walk is several calls
+    /// through the [`TreeView`].
+    lineage: [Lineage; LINEAGE_WAYS],
     /// One past the last stamp fed (the watermark while no top is live).
     next_stamp: u64,
     processed: u64,
 
+    /// The root graph. A top's slot here indexes `tops` as well.
     topo: DynTopo,
-    /// Unpruned tops that have been touched.
-    tops: HashMap<TxId, TopState>,
+    tops: Vec<Top>,
+    index: SlotIndex,
     /// One bit per id: set once the top with that id is finalized.
     finalized: Vec<u64>,
-    /// first_stamp → top, over unresolved tops; the min key is `low`.
-    live_firsts: BTreeMap<u64, TxId>,
-    /// Unpruned tops with a report event, with the first report stamp
-    /// (sources of future root precedes edges).
-    reported: HashMap<TxId, u64>,
-    subtrees: HashMap<TxId, SubtreeBuf>,
-    /// stamp → visible access, per object, over unpruned tops.
-    per_object: HashMap<ObjId, BTreeMap<u64, ObjEntry>>,
+    /// `(first stamp, slot)` of tops in the order they were touched; the
+    /// front is live, and its stamp is `low`.
+    live: VecDeque<(u64, u32)>,
+    live_count: usize,
+    /// The root's reported frontier: slots of the resident reported tops
+    /// that no later-reported top follows (sources of future root
+    /// precedes edges).
+    reported: Vec<u32>,
+    /// Resolved tops by their last visible access, until `low` passes it.
+    waiting: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Slots the GC has found prunable and not yet pruned.
+    doomed: Vec<usize>,
+    /// Object → index into `lists`, over objects with a published access.
+    objects: HashMap<ObjId, u32, BuildHasherDefault<IdHasher>>,
+    /// Published accesses of unpruned tops, per object, in stamp order.
+    lists: Vec<VecDeque<Published>>,
+    /// Indices of empty `lists`, for reuse.
+    spare_lists: Vec<u32>,
+
+    // Finalization scratch, kept across tops.
+    visible: Vec<Access>,
+    inner_cands: Vec<CandEdge>,
+    root_cands: Vec<RootCand>,
+    inner_ids: Vec<TxId>,
+    inner: DynTopo,
 
     violation: Option<Arc<ViolationReport>>,
     /// The stamp that latched `violation`, until its slice is cut.
@@ -187,6 +372,61 @@ impl Default for SgtMaintainer {
     }
 }
 
+/// `(lca, child_toward(lca, a), child_toward(lca, b))`. Both must be
+/// registered and in the same top's subtree.
+fn collapse(tree: &dyn TreeView, a: TxId, b: TxId) -> (TxId, TxId, TxId) {
+    let parent = |t: TxId| tree.parent(t).expect("non-root has a parent");
+    let (mut x, mut y) = (a, b);
+    let (mut dx, mut dy) = (tree.depth(x), tree.depth(y));
+    while dx > dy {
+        x = parent(x);
+        dx -= 1;
+    }
+    while dy > dx {
+        y = parent(y);
+        dy -= 1;
+    }
+    while parent(x) != parent(y) {
+        x = parent(x);
+        y = parent(y);
+    }
+    (parent(x), x, y)
+}
+
+/// The report of the cycle `path` (slots of `graph`) closed by the edge
+/// `from → to`; its history slice is cut later, by the owner of β.
+fn build_report(
+    graph: &DynTopo,
+    parent: TxId,
+    (from, to): (usize, usize),
+    kind: EdgeKind,
+    witness: (u64, u64),
+    path: Vec<usize>,
+) -> ViolationReport {
+    let edge = ReportEdge {
+        from: graph.label(from),
+        to: graph.label(to),
+        kind,
+        witness,
+    };
+    let cycle_edges = path
+        .windows(2)
+        .map(|pair| match graph.meta(pair[0], pair[1]) {
+            Some(m) => ReportEdge::new(graph.label(pair[0]), graph.label(pair[1]), m),
+            // The closing hop is the rejected edge itself (never added to
+            // the graph).
+            None => edge.clone(),
+        })
+        .collect();
+    ViolationReport {
+        parent,
+        cycle: path.into_iter().map(|s| graph.label(s)).collect(),
+        edge,
+        cycle_edges,
+        slice: Vec::new(),
+    }
+}
+
 impl SgtMaintainer {
     /// A fresh maintainer. It reads an empty tree, so every action is
     /// ignored until [`read_tree`](Self::read_tree) or
@@ -195,15 +435,31 @@ impl SgtMaintainer {
         SgtMaintainer {
             cfg,
             tree: Arc::new(TxTree::new()),
+            tree_len: 0,
+            lineage: [Lineage {
+                tx: u32::MAX,
+                parent: TxId::ROOT,
+                top: TxId::ROOT,
+            }; LINEAGE_WAYS],
             next_stamp: 0,
             processed: 0,
             topo: DynTopo::new(),
-            tops: HashMap::new(),
+            tops: Vec::new(),
+            index: SlotIndex::default(),
             finalized: Vec::new(),
-            live_firsts: BTreeMap::new(),
-            reported: HashMap::new(),
-            subtrees: HashMap::new(),
-            per_object: HashMap::new(),
+            live: VecDeque::new(),
+            live_count: 0,
+            reported: Vec::new(),
+            waiting: BinaryHeap::new(),
+            doomed: Vec::new(),
+            objects: HashMap::default(),
+            lists: Vec::new(),
+            spare_lists: Vec::new(),
+            visible: Vec::new(),
+            inner_cands: Vec::new(),
+            root_cands: Vec::new(),
+            inner_ids: Vec::new(),
+            inner: DynTopo::new(),
             violation: None,
             slice_due: None,
             inserted: (0, 0),
@@ -220,6 +476,10 @@ impl SgtMaintainer {
     /// `REQUEST_CREATE`).
     pub fn read_tree(&mut self, tree: Arc<dyn TreeView>) {
         self.tree = tree;
+        self.tree_len = 0;
+        for e in &mut self.lineage {
+            e.tx = u32::MAX;
+        }
     }
 
     /// Read a copy of a statically known tree.
@@ -312,9 +572,14 @@ impl SgtMaintainer {
         self.topo.edge_count()
     }
 
+    /// Edges inserted so far, root and inner, pruned ones included.
+    pub fn inserted_edges(&self) -> usize {
+        self.inserted.1
+    }
+
     /// Unresolved top-level transactions.
     pub fn live_tops(&self) -> usize {
-        self.live_firsts.len()
+        self.live_count
     }
 
     /// Is `t` a registered child of `T0` that is not yet finalized?
@@ -339,9 +604,7 @@ impl SgtMaintainer {
     // ------------------------------------------------------------------
 
     fn low(&self) -> u64 {
-        self.live_firsts
-            .first_key_value()
-            .map_or(self.next_stamp, |(&s, _)| s)
+        self.live.front().map_or(self.next_stamp, |&(s, _)| s)
     }
 
     /// Is `t` a transaction of the tree other than `T0`?
@@ -354,6 +617,40 @@ impl SgtMaintainer {
         self.tree.parent(t).expect("non-root has a parent")
     }
 
+    /// `(parent, top)` of `t` — its top is the child-of-`T0`
+    /// ancestor-or-self — or `None` for `T0` and ids past the tree.
+    fn lineage(&mut self, t: TxId) -> Option<(TxId, TxId)> {
+        let way = t.index() % LINEAGE_WAYS;
+        let e = self.lineage[way];
+        if e.tx == t.0 {
+            return Some((e.parent, e.top));
+        }
+        if t == TxId::ROOT {
+            return None;
+        }
+        if t.index() >= self.tree_len {
+            self.tree_len = self.tree.len();
+            if t.index() >= self.tree_len {
+                return None;
+            }
+        }
+        let parent = self.parent(t);
+        let top = if parent == TxId::ROOT {
+            t
+        } else {
+            match self.lineage[parent.index() % LINEAGE_WAYS] {
+                p if p.tx == parent.0 => p.top,
+                _ => self.tree.child_toward(TxId::ROOT, parent),
+            }
+        };
+        self.lineage[way] = Lineage {
+            tx: t.0,
+            parent,
+            top,
+        };
+        Some((parent, top))
+    }
+
     fn is_finalized(&self, t: TxId) -> bool {
         let i = t.index();
         self.finalized
@@ -361,52 +658,43 @@ impl SgtMaintainer {
             .is_some_and(|w| w >> (i % 64) & 1 == 1)
     }
 
-    /// The child-of-`T0` ancestor-or-self of registered `t`, if that top
-    /// is still unresolved (its state is created by its first action,
-    /// at `stamp`).
-    fn live_top(&mut self, t: TxId, stamp: u64) -> Option<TxId> {
-        let top = self.tree.child_toward(TxId::ROOT, t);
-        self.touch_top(top, stamp).then_some(top)
-    }
-
-    /// `(lca, child_toward(lca, a), child_toward(lca, b))`. Both must be
-    /// registered and in the same top's subtree.
-    fn collapse(&self, a: TxId, b: TxId) -> (TxId, TxId, TxId) {
-        let (mut x, mut y) = (a, b);
-        let (mut dx, mut dy) = (self.tree.depth(x), self.tree.depth(y));
-        while dx > dy {
-            x = self.parent(x);
-            dx -= 1;
-        }
-        while dy > dx {
-            y = self.parent(y);
-            dy -= 1;
-        }
-        while self.parent(x) != self.parent(y) {
-            x = self.parent(x);
-            y = self.parent(y);
-        }
-        (self.parent(x), x, y)
-    }
-
-    /// Ensure a [`TopState`] exists for top `t` (first touch at `stamp`)
-    /// and return whether it is still unresolved. A finalized top never
-    /// comes back, pruned or not.
-    fn touch_top(&mut self, t: TxId, stamp: u64) -> bool {
+    /// The slot of top `t`, given one at its first touch (at `stamp`), if
+    /// `t` is still unresolved. A finalized top never comes back, pruned
+    /// or not.
+    fn touch_top(&mut self, t: TxId, stamp: u64) -> Option<usize> {
         if self.is_finalized(t) {
-            return false;
+            return None;
         }
-        if let Entry::Vacant(slot) = self.tops.entry(t) {
-            slot.insert(TopState {
-                first_stamp: stamp,
-                visible_accesses: Vec::new(),
+        if let Some(slot) = self.index.get(t) {
+            return Some(slot);
+        }
+        let slot = self.topo.add_node(t);
+        if slot == self.tops.len() {
+            self.tops.push(Top {
+                id: t,
+                first_stamp: 0,
+                created: NONE,
+                reported: NONE,
+                live: false,
+                ripe: false,
                 max_access_stamp: 0,
+                published: Vec::new(),
+                sub: Subtree::default(),
             });
-            self.live_firsts.insert(stamp, t);
-            self.topo.ensure_node(t);
-            self.inserted.0 += 1;
         }
-        true
+        let top = &mut self.tops[slot];
+        top.id = t;
+        top.first_stamp = stamp;
+        top.created = NONE;
+        top.reported = NONE;
+        top.live = true;
+        top.ripe = false;
+        top.max_access_stamp = 0;
+        self.index.insert(t, slot);
+        self.live.push_back((stamp, slot as u32));
+        self.live_count += 1;
+        self.inserted.0 += 1;
+        Some(slot)
     }
 
     fn process(&mut self, stamp: u64, action: &Action) {
@@ -416,7 +704,7 @@ impl SgtMaintainer {
         self.processed += 1;
         match action {
             Action::RequestCreate(t) => self.on_request_create(*t, stamp),
-            Action::RequestCommit(t, v) => self.on_request_commit(*t, v, stamp),
+            Action::RequestCommit(t, _) => self.on_request_commit(*t, stamp),
             Action::Commit(t) => self.on_completion(*t, stamp, true),
             Action::Abort(t) => self.on_completion(*t, stamp, false),
             Action::ReportCommit(t, _) | Action::ReportAbort(t) => self.on_report(*t, stamp),
@@ -428,35 +716,47 @@ impl SgtMaintainer {
     }
 
     fn on_request_create(&mut self, t: TxId, stamp: u64) {
-        if !self.registered(t) {
-            return;
-        }
-        let Some(top) = self.live_top(t, stamp) else {
+        let Some((parent, top)) = self.lineage(t) else {
             return;
         };
-        let parent = self.parent(t);
+        let Some(slot) = self.touch_top(top, stamp) else {
+            return;
+        };
         if parent == TxId::ROOT {
-            // Root precedes edges: every previously reported top precedes
-            // this one (`T0` is trivially visible). These inserts cannot
-            // cycle — `t` is brand new and only gains in-edges here — so
-            // insertion order is irrelevant.
-            let incoming: Vec<(TxId, u64)> = self.reported.iter().map(|(&s, &r)| (s, r)).collect();
-            for (s, r) in incoming {
-                let verdict = self.topo.insert_edge(s, t, EdgeKind::Precedes, (r, stamp));
+            // Root precedes edges: every reported top precedes this one
+            // (`T0` is trivially visible), and every reported top reaches
+            // one on the reported frontier. These inserts cannot cycle —
+            // `t` is brand new and only gains in-edges here — so insertion
+            // order is irrelevant.
+            let top = &mut self.tops[slot];
+            if top.created == NONE {
+                top.created = stamp;
+            }
+            for &s in &self.reported {
+                let s = s as usize;
+                if s == slot {
+                    continue;
+                }
+                let witness = (self.tops[s].reported, stamp);
+                let verdict = self.topo.insert_edge(s, slot, EdgeKind::Precedes, witness);
                 self.inserted.1 += usize::from(verdict == Insert::Added);
                 debug_assert!(!matches!(verdict, Insert::Cycle(_)), "in-edge only");
             }
         } else {
-            // Buffer inner precedes candidates against already-reported
-            // siblings; the parent-visibility check runs at finalize.
-            let SubtreeBuf {
-                first_report,
-                precedes_cand,
-                ..
-            } = self.subtrees.entry(top).or_default();
-            for (&s, &r) in first_report.iter() {
-                if s != t && r < stamp && self.tree.parent(s) == Some(parent) {
-                    precedes_cand.push(CandEdge {
+            // Buffer inner precedes candidates against the reported
+            // frontier of `parent`; the parent-visibility check runs at
+            // finalize.
+            let sub = &mut self.tops[slot].sub;
+            let me = sub.inner_tx(t);
+            if me.created == NONE {
+                me.created = stamp;
+            }
+            let Subtree {
+                frontier, precedes, ..
+            } = sub;
+            for &(s, p, r) in frontier.iter() {
+                if p == parent && s != t {
+                    precedes.push(CandEdge {
                         parent,
                         from: s,
                         to: t,
@@ -468,34 +768,38 @@ impl SgtMaintainer {
         }
     }
 
-    fn on_request_commit(&mut self, t: TxId, v: &Value, stamp: u64) {
-        if !self.registered(t) || !self.tree.is_access(t) {
-            return;
-        }
-        let Some(top) = self.live_top(t, stamp) else {
+    fn on_request_commit(&mut self, t: TxId, stamp: u64) {
+        let Some((_, top)) = self.lineage(t) else {
             return;
         };
-        self.subtrees
-            .entry(top)
-            .or_default()
-            .accesses
-            .push((t, v.clone(), stamp));
+        let Some(x) = self.tree.object_of(t) else {
+            return;
+        };
+        let write = !self.tree.op_of(t).is_some_and(|op| op.is_rw_read());
+        if let Some(slot) = self.touch_top(top, stamp) {
+            self.tops[slot].sub.accesses.push(Access {
+                x,
+                stamp,
+                access: t,
+                write,
+            });
+        }
     }
 
     fn on_completion(&mut self, t: TxId, stamp: u64, committed: bool) {
-        if !self.registered(t) {
+        let Some((parent, top)) = self.lineage(t) else {
             return;
-        }
-        if self.parent(t) == TxId::ROOT {
-            if self.touch_top(t, stamp) {
-                self.finalize_top(t, committed);
+        };
+        if parent == TxId::ROOT {
+            if let Some(slot) = self.touch_top(t, stamp) {
+                self.finalize_top(slot, committed);
                 if self.cfg.gc {
                     self.gc();
                 }
             }
         } else if committed {
-            if let Some(top) = self.live_top(t, stamp) {
-                self.subtrees.entry(top).or_default().committed.insert(t);
+            if let Some(slot) = self.touch_top(top, stamp) {
+                self.tops[slot].sub.committed.push(t);
             }
         }
         // An inner abort needs no bookkeeping: absence of a commit makes
@@ -503,248 +807,333 @@ impl SgtMaintainer {
     }
 
     fn on_report(&mut self, t: TxId, stamp: u64) {
-        if !self.registered(t) {
+        let Some((parent, top)) = self.lineage(t) else {
             return;
-        }
-        if self.parent(t) == TxId::ROOT {
+        };
+        if parent == TxId::ROOT {
             // Only unpruned tops source future precedes edges; a pruned
             // top has provably no future in-edges, so its dropped
             // out-edges can never lie on a cycle.
-            if self.tops.contains_key(&t) {
-                self.reported.entry(t).or_insert(stamp);
+            let Some(slot) = self.index.get(t) else {
+                return;
+            };
+            if self.tops[slot].reported != NONE {
+                return;
             }
-        } else if let Some(top) = self.live_top(t, stamp) {
-            self.subtrees
-                .entry(top)
-                .or_default()
-                .first_report
-                .entry(t)
-                .or_insert(stamp);
+            self.tops[slot].reported = stamp;
+            // A frontier top reported before `t` was created reaches `t`
+            // through the precedes edges `t` got then: `t` follows it.
+            let created = self.tops[slot].created;
+            if created != NONE {
+                let tops = &self.tops;
+                self.reported
+                    .retain(|&s| tops[s as usize].reported >= created);
+            }
+            self.reported.push(slot as u32);
+        } else if let Some(slot) = self.touch_top(top, stamp) {
+            let sub = &mut self.tops[slot].sub;
+            let me = sub.inner_tx(t);
+            if me.reported != NONE {
+                return;
+            }
+            me.reported = stamp;
+            let created = me.created;
+            sub.disordered |= created == NONE;
+            if created != NONE {
+                sub.frontier
+                    .retain(|&(_, p, r)| p != parent || r >= created);
+            }
+            sub.frontier.push((t, parent, stamp));
         }
     }
 
-    /// Resolve top `T`: judge subtree visibility, insert all now-determined
-    /// edges (inner subgraphs first, then the root graph), publish `T`'s
-    /// visible accesses for future cross-top pairing, and drop the
+    /// Resolve the top in `slot`: judge subtree visibility, insert all
+    /// now-determined edges (inner subgraphs first, then the root graph),
+    /// publish its visible accesses for future pairing, and clear the
     /// subtree's buffers.
-    fn finalize_top(&mut self, top: TxId, committed: bool) {
-        if self.is_finalized(top) {
-            return;
-        }
-        let i = top.index();
+    fn finalize_top(&mut self, slot: usize, committed: bool) {
+        let top = &mut self.tops[slot];
+        let i = top.id.index();
         if self.finalized.len() <= i / 64 {
             self.finalized.resize(i / 64 + 1, 0);
         }
         self.finalized[i / 64] |= 1 << (i % 64);
-        let state = self.tops.get(&top).expect("touched before finalize");
-        self.live_firsts.remove(&state.first_stamp);
-        let buf = self.subtrees.remove(&top).unwrap_or_default();
-        if !committed {
-            return;
-        }
-
-        // Visibility to T0 below a committed top: every node on the chain
-        // up to (and excluding) the top has a COMMIT event.
-        let tree = &self.tree;
-        let mut memo: HashMap<TxId, bool> = HashMap::new();
-        let mut visible_to_root = |t: TxId| -> bool {
-            let mut chain = Vec::new();
-            let mut cur = t;
-            let vis = loop {
-                if cur == top {
-                    break true;
-                }
-                if let Some(&v) = memo.get(&cur) {
-                    break v;
-                }
-                if !buf.committed.contains(&cur) {
-                    break false;
-                }
-                chain.push(cur);
-                cur = tree.parent(cur).expect("below a top");
-            };
-            // Memoize the committed prefix of the walk (the first
-            // uncommitted node breaks the loop before being pushed).
-            for c in chain {
-                memo.insert(c, vis);
+        top.live = false;
+        self.live_count -= 1;
+        while let Some(&(s, k)) = self.live.front() {
+            let front = &self.tops[k as usize];
+            if front.live && front.first_stamp == s {
+                break;
             }
-            memo.insert(t, vis);
-            vis
-        };
-
-        let mut visible: Vec<(TxId, ObjId, Op, Value, u64)> = Vec::new();
-        for (t, v, stamp) in &buf.accesses {
-            if visible_to_root(*t) {
-                let x = tree.object_of(*t).expect("buffered as access");
-                let op = tree.op_of(*t).expect("buffered as access");
-                visible.push((*t, x, op, v.clone(), *stamp));
-            }
+            self.live.pop_front();
         }
-
-        // Inner edges: conflicts whose LCA is below the root, plus
-        // precedes candidates with a visible parent. Checked in transient
-        // per-parent orders, inserting in witness order so an inner cycle
-        // is caught at its exact inserting edge.
-        let mut inner: Vec<CandEdge> = Vec::new();
-        for (i, (t1, x1, op1, v1, s1)) in visible.iter().enumerate() {
-            for (t2, x2, op2, v2, s2) in visible.iter().skip(i + 1) {
-                if x1 != x2 || !self.cfg.conflicts.conflicts(*x1, op1, v1, op2, v2) {
-                    continue;
-                }
-                let (l, from, to) = self.collapse(*t1, *t2);
-                debug_assert_ne!(from, to, "distinct accesses diverge below lca");
-                inner.push(CandEdge {
-                    parent: l,
-                    from,
-                    to,
-                    kind: EdgeKind::Conflict,
-                    witness: (*s1, *s2),
-                });
-            }
+        let mut sub = std::mem::take(&mut self.tops[slot].sub);
+        if committed {
+            self.resolve_committed(slot, &mut sub);
         }
-        for c in buf.precedes_cand {
-            if c.parent == top || visible_to_root(c.parent) {
-                inner.push(c);
-            }
-        }
-        inner.sort_by_key(|c| (c.witness.1, c.witness.0));
-        let mut inner_topos: HashMap<TxId, DynTopo> = HashMap::new();
-        for c in inner {
-            let g = inner_topos.entry(c.parent).or_default();
-            let verdict = g.insert_edge(c.from, c.to, c.kind, c.witness);
-            self.inserted.1 += usize::from(verdict == Insert::Added);
-            if let Insert::Cycle(path) = verdict {
-                self.violation = Some(Arc::new(Self::build_report(&c, path, g)));
-                return;
-            }
-        }
-
-        // Cross-top conflict edges against every unpruned finalized top's
-        // visible accesses, direction by stamp order of the two accesses
-        // (the earlier operation is the conflict relation's first
-        // argument, matching `conflict_edges`).
-        let mut root_cands: Vec<CandEdge> = Vec::new();
-        for (_t, x, op, v, stamp) in &visible {
-            let Some(entries) = self.per_object.get(x) else {
-                continue;
-            };
-            for (&es, e) in entries {
-                let conflicting = if es < *stamp {
-                    self.cfg.conflicts.conflicts(*x, &e.op, &e.value, op, v)
-                } else {
-                    self.cfg.conflicts.conflicts(*x, op, v, &e.op, &e.value)
-                };
-                if !conflicting {
-                    continue;
-                }
-                let (from, to, w) = if es < *stamp {
-                    (e.top, top, (es, *stamp))
-                } else {
-                    (top, e.top, (*stamp, es))
-                };
-                root_cands.push(CandEdge {
-                    parent: TxId::ROOT,
-                    from,
-                    to,
-                    kind: EdgeKind::Conflict,
-                    witness: w,
-                });
-            }
-        }
-        root_cands.sort_by_key(|c| (c.witness.1, c.witness.0));
-        for c in root_cands {
-            let verdict = self.topo.insert_edge(c.from, c.to, c.kind, c.witness);
-            self.inserted.1 += usize::from(verdict == Insert::Added);
-            if let Insert::Cycle(path) = verdict {
-                self.violation = Some(Arc::new(Self::build_report(&c, path, &self.topo)));
-                return;
-            }
-        }
-
-        // Publish T's visible accesses for future pairings.
-        let state = self.tops.get_mut(&top).expect("still present");
-        for (_t, x, op, v, stamp) in visible {
-            self.per_object
-                .entry(x)
-                .or_default()
-                .insert(stamp, ObjEntry { top, op, value: v });
-            state.visible_accesses.push((x, stamp));
-            state.max_access_stamp = state.max_access_stamp.max(stamp);
+        sub.clear();
+        let top = &mut self.tops[slot];
+        top.sub = sub;
+        if self.cfg.gc {
+            self.waiting
+                .push(Reverse((top.max_access_stamp, slot as u32)));
         }
     }
 
-    /// The report of the cycle `path` closed by `inserting`; its history
-    /// slice is cut later, by the owner of β.
-    fn build_report(inserting: &CandEdge, path: Vec<TxId>, graph: &DynTopo) -> ViolationReport {
-        let edge = ReportEdge {
-            from: inserting.from,
-            to: inserting.to,
-            kind: inserting.kind,
-            witness: inserting.witness,
+    fn resolve_committed(&mut self, slot: usize, sub: &mut Subtree) {
+        let top = self.tops[slot].id;
+        let tree = Arc::clone(&self.tree);
+        let tree = &*tree;
+        // Visibility to T0 below a committed top: every node on the chain
+        // up to (and excluding) the top has a COMMIT event.
+        sub.committed.sort_unstable();
+        let committed = &sub.committed;
+        let visible_to_root = |t: TxId| -> bool {
+            let mut cur = t;
+            while cur != top {
+                if committed.binary_search(&cur).is_err() {
+                    return false;
+                }
+                cur = tree.parent(cur).expect("below a top");
+            }
+            true
         };
-        let cycle_edges = path
-            .windows(2)
-            .map(|pair| match graph.meta(pair[0], pair[1]) {
-                Some(m) => ReportEdge::new(pair[0], pair[1], m),
-                // The closing hop is the rejected edge itself (never
-                // added to the graph).
-                None => edge.clone(),
-            })
-            .collect();
-        ViolationReport {
-            parent: inserting.parent,
-            cycle: path,
-            edge,
-            cycle_edges,
-            slice: Vec::new(),
+        self.visible.clear();
+        self.visible
+            .extend(sub.accesses.iter().filter(|v| visible_to_root(v.access)));
+        self.visible.sort_unstable_by_key(|v| (v.x, v.stamp));
+
+        // Inner edges: the per-object frontier among the top's own
+        // visible accesses (pairs whose LCA is below the root), plus
+        // precedes candidates with a visible parent.
+        self.inner_cands.clear();
+        let vis = &self.visible;
+        let mut run = 0;
+        while run < vis.len() {
+            let end = run + vis[run..].iter().take_while(|v| v.x == vis[run].x).count();
+            let mut last_write = None;
+            for j in run..end {
+                let b = vis[j];
+                // A write conflicts with the last write and the reads
+                // since; a read with the last write only.
+                let pairs = match (b.write, last_write) {
+                    (true, w) => w.unwrap_or(run)..j,
+                    (false, Some(w)) => w..w + 1,
+                    (false, None) => j..j,
+                };
+                for a in &vis[pairs] {
+                    let (parent, from, to) = collapse(tree, a.access, b.access);
+                    debug_assert_ne!(from, to, "distinct accesses diverge below lca");
+                    self.inner_cands.push(CandEdge {
+                        parent,
+                        from,
+                        to,
+                        kind: EdgeKind::Conflict,
+                        witness: (a.stamp, b.stamp),
+                    });
+                }
+                if b.write {
+                    last_write = Some(j);
+                }
+            }
+            run = end;
         }
+        let conflicts = self.inner_cands.len();
+        for c in &sub.precedes {
+            if c.parent == top || visible_to_root(c.parent) {
+                self.inner_cands.push(*c);
+            }
+        }
+        if conflicts == 0 && !sub.disordered {
+            // Precedes edges alone cannot cycle when every reporter was
+            // created before it reported: along an edge `T → T'`,
+            // create(T) < report(T) < create(T').
+            self.inserted.1 += self.inner_cands.len();
+        } else if !self.check_inner() {
+            return;
+        }
+
+        // Publish the top's visible accesses, each drawing conflict edges
+        // to its nearest conflicting neighbours among other tops'
+        // published accesses on the same object.
+        self.root_cands.clear();
+        let me = slot as u32;
+        for k in 0..self.visible.len() {
+            let v = self.visible[k];
+            let li = match self.objects.get(&v.x) {
+                Some(&li) => li as usize,
+                None => {
+                    let li = match self.spare_lists.pop() {
+                        Some(li) => li as usize,
+                        None => {
+                            self.lists.push(VecDeque::new());
+                            self.lists.len() - 1
+                        }
+                    };
+                    self.objects.insert(v.x, li as u32);
+                    li
+                }
+            };
+            let list = &mut self.lists[li];
+            let at = list.partition_point(|a| a.stamp < v.stamp);
+            list.insert(
+                at,
+                Published {
+                    stamp: v.stamp,
+                    slot: me,
+                    write: v.write,
+                },
+            );
+            for a in list.range(..at).rev() {
+                if v.write || a.write {
+                    if a.slot != me {
+                        self.root_cands.push(RootCand {
+                            from: a.slot,
+                            to: me,
+                            witness: (a.stamp, v.stamp),
+                        });
+                    }
+                    if a.write {
+                        break;
+                    }
+                }
+            }
+            for a in list.range(at + 1..) {
+                if v.write || a.write {
+                    if a.slot != me {
+                        self.root_cands.push(RootCand {
+                            from: me,
+                            to: a.slot,
+                            witness: (v.stamp, a.stamp),
+                        });
+                    }
+                    if a.write {
+                        break;
+                    }
+                }
+            }
+            let state = &mut self.tops[slot];
+            state.published.push((v.x, v.stamp));
+            state.max_access_stamp = state.max_access_stamp.max(v.stamp);
+        }
+
+        self.root_cands
+            .sort_unstable_by_key(|c| (c.witness.1, c.witness.0));
+        for k in 0..self.root_cands.len() {
+            let c = self.root_cands[k];
+            let (from, to) = (c.from as usize, c.to as usize);
+            // `from` reported before `to` was created: the precedes edges
+            // already lead from one to the other.
+            let (reported, created) = (self.tops[from].reported, self.tops[to].created);
+            if created != NONE && reported < created {
+                continue;
+            }
+            let verdict = self
+                .topo
+                .insert_edge(from, to, EdgeKind::Conflict, c.witness);
+            self.inserted.1 += usize::from(verdict == Insert::Added);
+            if let Insert::Cycle(path) = verdict {
+                let rep = build_report(
+                    &self.topo,
+                    TxId::ROOT,
+                    (from, to),
+                    EdgeKind::Conflict,
+                    c.witness,
+                    path,
+                );
+                self.violation = Some(Arc::new(rep));
+                return;
+            }
+        }
+    }
+
+    /// Check the inner candidates in one scratch order over their
+    /// endpoints, in witness order; `false` if one closed a cycle (the
+    /// violation is latched).
+    fn check_inner(&mut self) -> bool {
+        self.inner_cands
+            .sort_unstable_by_key(|c| (c.witness.1, c.witness.0));
+        self.inner_ids.clear();
+        self.inner_ids
+            .extend(self.inner_cands.iter().flat_map(|c| [c.from, c.to]));
+        self.inner_ids.sort_unstable();
+        self.inner_ids.dedup();
+        self.inner.clear();
+        for &t in &self.inner_ids {
+            self.inner.add_node(t);
+        }
+        let slot = |t: TxId| self.inner_ids.binary_search(&t).expect("an endpoint");
+        for c in &self.inner_cands {
+            let (from, to) = (slot(c.from), slot(c.to));
+            let verdict = self.inner.insert_edge(from, to, c.kind, c.witness);
+            self.inserted.1 += usize::from(verdict == Insert::Added);
+            if let Insert::Cycle(path) = verdict {
+                let rep = build_report(&self.inner, c.parent, (from, to), c.kind, c.witness, path);
+                self.violation = Some(Arc::new(rep));
+                return false;
+            }
+        }
+        true
     }
 
     /// Watermark GC: prune resolved tops with no in-edges whose visible
     /// accesses all lie below `low`, cascading as removals expose new
-    /// in-degree-zero tops. See the module docs for the safety argument.
+    /// in-degree-zero tops. Only candidates are visited: the tops `low`
+    /// has just passed, and the successors a prune leaves without
+    /// in-edges. See the module docs for the safety argument.
     fn gc(&mut self) {
         let low = self.low();
-        loop {
-            let victims: Vec<TxId> = self
-                .tops
-                .iter()
-                .filter(|(t, s)| {
-                    self.is_finalized(**t)
-                        && s.max_access_stamp < low
-                        && self.topo.indegree(**t) == 0
-                })
-                .map(|(&t, _)| t)
-                .collect();
-            if victims.is_empty() {
-                return;
+        while let Some(&Reverse((last, slot))) = self.waiting.peek() {
+            if last >= low {
+                break;
             }
-            for t in victims {
-                self.prune(t);
+            self.waiting.pop();
+            let slot = slot as usize;
+            self.tops[slot].ripe = true;
+            if self.topo.indegree(slot) == 0 {
+                self.doomed.push(slot);
             }
+        }
+        while let Some(slot) = self.doomed.pop() {
+            self.prune(slot);
         }
     }
 
-    fn prune(&mut self, t: TxId) {
-        self.topo.remove_node(t);
-        self.reported.remove(&t);
-        if let Some(state) = self.tops.remove(&t) {
-            for (x, stamp) in state.visible_accesses {
-                if let Some(entries) = self.per_object.get_mut(&x) {
-                    entries.remove(&stamp);
-                    if entries.is_empty() {
-                        self.per_object.remove(&x);
-                    }
-                }
+    fn prune(&mut self, slot: usize) {
+        let SgtMaintainer {
+            topo, tops, doomed, ..
+        } = self;
+        topo.remove_node(slot, |s| {
+            if tops[s].ripe {
+                doomed.push(s);
+            }
+        });
+        let top = &mut self.tops[slot];
+        if top.reported != NONE {
+            if let Some(i) = self.reported.iter().position(|&s| s as usize == slot) {
+                self.reported.swap_remove(i);
             }
         }
+        for &(x, stamp) in &top.published {
+            let li = self.objects[&x];
+            let list = &mut self.lists[li as usize];
+            let at = list.partition_point(|a| a.stamp < stamp);
+            list.remove(at);
+            if list.is_empty() {
+                self.objects.remove(&x);
+                self.spare_lists.push(li);
+            }
+        }
+        top.published.clear();
+        top.ripe = false;
+        self.index.remove(top.id);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nt_model::TxTree;
+    use nt_model::{TxTree, Value};
     use nt_sgt::{build_sg, ConflictSource};
     /// The maintainer mirrors exactly the serialization-graph stage of the
     /// post-hoc pipeline, so the oracle here is `build_sg` acyclicity (the
@@ -818,10 +1207,7 @@ mod tests {
             Action::Commit(a),
             Action::Commit(b),
         ];
-        let cfg = SgtConfig {
-            gc: false,
-            ..SgtConfig::default()
-        };
+        let cfg = SgtConfig { gc: false };
         let m = SgtMaintainer::replay(&tree, &beta, cfg);
         assert!(m.ok());
         assert_eq!(m.node_count(), 2);
@@ -961,10 +1347,7 @@ mod tests {
             Action::RequestCommit(b, Value::Ok),
             Action::Commit(b),
         ];
-        let cfg = SgtConfig {
-            gc: false,
-            ..SgtConfig::default()
-        };
+        let cfg = SgtConfig { gc: false };
         let m = SgtMaintainer::replay(&tree, &beta, cfg);
         assert!(m.ok());
         assert_eq!(m.edge_count(), 1);
@@ -1013,66 +1396,6 @@ mod tests {
         assert_eq!(m.live_tops(), 0);
         assert_eq!(m.node_count(), 0, "cascade drains the whole chain");
         assert_eq!(m.watermark(), stamp);
-    }
-
-    /// Commutativity-based conflicts: two counter increments commute, so
-    /// the crossed schedule that cycles under read/write is clean under
-    /// the counter type's commutes_backward.
-    #[test]
-    fn type_based_conflicts_respect_commutativity() {
-        use nt_serial::SerialType;
-        #[derive(Debug)]
-        struct Counter;
-        impl SerialType for Counter {
-            fn type_name(&self) -> &'static str {
-                "test-counter"
-            }
-            fn initial(&self) -> Value {
-                Value::Int(0)
-            }
-            fn apply(&self, state: &Value, op: &Op) -> (Value, Value) {
-                let Value::Int(n) = state else {
-                    panic!("counter state is an int")
-                };
-                match op {
-                    Op::Add(d) => (Value::Int(n + d), Value::Ok),
-                    Op::GetCount => (state.clone(), state.clone()),
-                    other => panic!("counter does not support {other}"),
-                }
-            }
-            fn commutes_backward(&self, a: &(Op, Value), b: &(Op, Value)) -> bool {
-                matches!((&a.0, &b.0), (Op::Add(_), Op::Add(_)))
-            }
-        }
-        let mut tree = TxTree::new();
-        let x = tree.add_object();
-        let a = tree.add_inner(TxId::ROOT);
-        let b = tree.add_inner(TxId::ROOT);
-        let ua = tree.add_access(a, x, Op::Add(1));
-        let ub = tree.add_access(b, x, Op::Add(2));
-        let ua2 = tree.add_access(a, x, Op::Add(3));
-        let beta = vec![
-            Action::RequestCommit(ua, Value::Ok),
-            Action::Commit(ua),
-            Action::RequestCommit(ub, Value::Ok),
-            Action::Commit(ub),
-            Action::RequestCommit(ua2, Value::Ok),
-            Action::Commit(ua2),
-            Action::Commit(a),
-            Action::Commit(b),
-        ];
-        let types = Arc::new(ObjectTypes::uniform(1, Arc::new(Counter)));
-        let cfg = SgtConfig {
-            conflicts: LiveConflicts::Types(Arc::clone(&types)),
-            gc: false,
-        };
-        let m = SgtMaintainer::replay(&tree, &beta, cfg);
-        assert!(m.ok());
-        assert_eq!(m.edge_count(), 0, "adds commute: no conflict edges");
-        // Under read/write the same schedule has w/w edges both ways
-        // (a's two accesses straddle b's): a 2-cycle.
-        let m_rw = SgtMaintainer::replay(&tree, &beta, SgtConfig::default());
-        assert!(!m_rw.ok());
     }
 
     /// Late report after prune must not resurrect the top.

@@ -20,13 +20,21 @@
 //!
 //! A cycle-producing edge is **not** added: the structure stays a DAG,
 //! so the caller can latch the violation while the order remains
-//! consistent for diagnostics. Nodes can be removed (watermark GC); the
-//! vacated `ord` slots are simply never reused — `u64` positions make
-//! exhaustion unreachable.
+//! consistent for diagnostics.
+//!
+//! ## Flat state
+//!
+//! Nodes live in slots, a `Vec` index the graph hands out
+//! ([`add_node`](DynTopo::add_node)) and takes back
+//! ([`remove_node`](DynTopo::remove_node), the watermark GC); each slot
+//! carries the [`TxId`] it stands for. A slot keeps its adjacency
+//! vectors when it is freed, and the searches run on scratch vectors the
+//! graph owns, so once the slots in use have grown to the window's size
+//! an insert or a removal allocates nothing. Vacated `ord` positions are
+//! never reused — `u64` positions make exhaustion unreachable.
 
 use nt_model::TxId;
 use nt_sgt::EdgeKind;
-use std::collections::{BTreeSet, HashMap};
 
 /// Provenance of one maintained edge: its kind plus the stamps of the
 /// two actions that induced it (first-insertion wins, like the post-hoc
@@ -46,20 +54,46 @@ pub enum Insert {
     Exists,
     /// The edge was added and the graph is still acyclic.
     Added,
-    /// The edge would close this cycle (`cycle[0] == cycle[last]`; the
-    /// final hop is the rejected edge). The edge was **not** added.
-    Cycle(Vec<TxId>),
+    /// The edge would close this cycle, as slots (`cycle[0] ==
+    /// cycle[last]`; the final hop is the rejected edge). The edge was
+    /// **not** added.
+    Cycle(Vec<usize>),
 }
 
-/// The dynamic topological order over one sibling digraph.
+/// `ord` of a slot that holds no node.
+const VACANT: u64 = u64::MAX;
+
+#[derive(Clone, Debug)]
+struct Node {
+    /// Position in the topological order, or [`VACANT`].
+    ord: u64,
+    label: TxId,
+    out: Vec<(u32, EdgeMeta)>,
+    inn: Vec<u32>,
+    /// The search (an epoch) that last reached this node.
+    mark: u32,
+    /// The node the forward search reached this one from.
+    via: u32,
+}
+
+/// The dynamic topological order over one sibling digraph (or over
+/// several disjoint ones: an edge only ever joins siblings, so a cycle
+/// never crosses from one parent's children to another's).
 #[derive(Clone, Debug, Default)]
 pub struct DynTopo {
-    ord: HashMap<TxId, u64>,
-    succ: HashMap<TxId, BTreeSet<TxId>>,
-    pred: HashMap<TxId, BTreeSet<TxId>>,
-    meta: HashMap<(TxId, TxId), EdgeMeta>,
-    next_ord: u64,
+    nodes: Vec<Node>,
+    /// Slots handed out since the last [`clear`](Self::clear).
+    high: usize,
+    /// Freed slots below `high`.
+    free: Vec<u32>,
+    count: usize,
     edges: usize,
+    next_ord: u64,
+    epoch: u32,
+    stack: Vec<u32>,
+    fwd: Vec<u32>,
+    back: Vec<u32>,
+    slots: Vec<u64>,
 }
 
 impl DynTopo {
@@ -68,22 +102,62 @@ impl DynTopo {
         DynTopo::default()
     }
 
-    /// Register `t` (appended at the end of the current order).
-    pub fn ensure_node(&mut self, t: TxId) {
-        if !self.ord.contains_key(&t) {
-            self.ord.insert(t, self.next_ord);
-            self.next_ord += 1;
-        }
+    /// Add a node standing for `label`, last in the current order, and
+    /// return its slot: a freed one if there is one, else the next.
+    pub fn add_node(&mut self, label: TxId) -> usize {
+        let slot = match self.free.pop() {
+            Some(s) => s as usize,
+            None => {
+                if self.high == self.nodes.len() {
+                    self.nodes.push(Node {
+                        ord: VACANT,
+                        label,
+                        out: Vec::new(),
+                        inn: Vec::new(),
+                        mark: 0,
+                        via: 0,
+                    });
+                }
+                self.high += 1;
+                self.high - 1
+            }
+        };
+        let n = &mut self.nodes[slot];
+        n.ord = self.next_ord;
+        n.label = label;
+        self.next_ord += 1;
+        self.count += 1;
+        slot
     }
 
-    /// Whether `t` is currently a node.
-    pub fn contains(&self, t: TxId) -> bool {
-        self.ord.contains_key(&t)
+    /// Drop every node and edge, keeping every buffer for reuse: the
+    /// next [`add_node`](Self::add_node)s hand out slots `0, 1, …`.
+    pub fn clear(&mut self) {
+        for n in &mut self.nodes[..self.high] {
+            n.ord = VACANT;
+            n.out.clear();
+            n.inn.clear();
+        }
+        self.high = 0;
+        self.free.clear();
+        self.count = 0;
+        self.edges = 0;
+        self.next_ord = 0;
+    }
+
+    /// Whether `slot` holds a node.
+    pub fn contains(&self, slot: usize) -> bool {
+        self.nodes.get(slot).is_some_and(|n| n.ord != VACANT)
+    }
+
+    /// The transaction `slot` stands for.
+    pub fn label(&self, slot: usize) -> TxId {
+        self.nodes[slot].label
     }
 
     /// Current node count.
     pub fn node_count(&self) -> usize {
-        self.ord.len()
+        self.count
     }
 
     /// Current count of distinct `(from, to)` pairs.
@@ -91,160 +165,210 @@ impl DynTopo {
         self.edges
     }
 
-    /// Current in-degree of `t`.
-    pub fn indegree(&self, t: TxId) -> usize {
-        self.pred.get(&t).map_or(0, BTreeSet::len)
+    /// Current in-degree of `slot`.
+    pub fn indegree(&self, slot: usize) -> usize {
+        self.nodes[slot].inn.len()
     }
 
     /// The provenance recorded for `(from, to)`, if the edge exists.
-    pub fn meta(&self, from: TxId, to: TxId) -> Option<&EdgeMeta> {
-        self.meta.get(&(from, to))
+    pub fn meta(&self, from: usize, to: usize) -> Option<&EdgeMeta> {
+        let to = to as u32;
+        self.nodes[from]
+            .out
+            .iter()
+            .find(|(t, _)| *t == to)
+            .map(|(_, m)| m)
     }
 
-    /// Iterate every maintained edge with its provenance.
+    /// Iterate every maintained edge with its provenance, by label.
     pub fn edges(&self) -> impl Iterator<Item = (TxId, TxId, &EdgeMeta)> + '_ {
-        self.meta.iter().map(|(&(f, t), m)| (f, t, m))
+        self.nodes[..self.high]
+            .iter()
+            .filter(|n| n.ord != VACANT)
+            .flat_map(move |n| {
+                n.out
+                    .iter()
+                    .map(move |(t, m)| (n.label, self.nodes[*t as usize].label, m))
+            })
     }
 
-    /// Iterate the current nodes in topological order.
+    /// The current nodes' labels in topological order.
     pub fn nodes_in_order(&self) -> Vec<TxId> {
-        let mut v: Vec<(u64, TxId)> = self.ord.iter().map(|(&t, &o)| (o, t)).collect();
+        let mut v: Vec<(u64, TxId)> = self.nodes[..self.high]
+            .iter()
+            .filter(|n| n.ord != VACANT)
+            .map(|n| (n.ord, n.label))
+            .collect();
         v.sort_unstable();
         v.into_iter().map(|(_, t)| t).collect()
     }
 
-    /// Insert `from → to`. See [`Insert`]; on [`Insert::Cycle`] the graph
-    /// is left exactly as it was.
+    /// Insert `from → to` between two present slots. See [`Insert`]; on
+    /// [`Insert::Cycle`] the graph is left exactly as it was.
     pub fn insert_edge(
         &mut self,
-        from: TxId,
-        to: TxId,
+        from: usize,
+        to: usize,
         kind: EdgeKind,
         witness: (u64, u64),
     ) -> Insert {
+        debug_assert!(self.contains(from) && self.contains(to), "absent slot");
         if from == to {
             return Insert::Cycle(vec![from, from]);
         }
-        self.ensure_node(from);
-        self.ensure_node(to);
-        if self.succ.get(&from).is_some_and(|s| s.contains(&to)) {
+        if self.meta(from, to).is_some() {
             return Insert::Exists;
         }
-        let lo = self.ord[&to];
-        let hi = self.ord[&from];
+        let lo = self.nodes[to].ord;
+        let hi = self.nodes[from].ord;
         if hi > lo {
             // The affected region is ord[to] ..= ord[from]. Forward
-            // bounded DFS from `to`: reaching `from` closes a cycle.
-            match self.forward_reach(to, from, hi) {
-                Ok(fwd) => {
-                    let back = self.backward_reach(from, lo);
-                    self.reorder(&back, &fwd);
-                }
-                Err(mut path) => {
-                    // path is to → … → from; close it with the rejected
-                    // edge from → to.
-                    path.push(to);
-                    return Insert::Cycle(path);
-                }
+            // bounded search from `to`: reaching `from` closes a cycle.
+            if let Some(mut path) = self.forward_reach(to, from, hi) {
+                // path is to → … → from; close it with the rejected edge.
+                path.push(to);
+                return Insert::Cycle(path);
             }
+            self.backward_reach(from, lo);
+            self.reorder();
         }
-        self.succ.entry(from).or_default().insert(to);
-        self.pred.entry(to).or_default().insert(from);
-        self.meta
-            .entry((from, to))
-            .or_insert(EdgeMeta { kind, witness });
+        self.nodes[from]
+            .out
+            .push((to as u32, EdgeMeta { kind, witness }));
+        self.nodes[to].inn.push(from as u32);
         self.edges += 1;
         Insert::Added
     }
 
-    /// Forward DFS from `start` restricted to `ord <= hi`. `Ok` is the
-    /// discovered set; `Err` is a path `start → … → target`.
-    fn forward_reach(&self, start: TxId, target: TxId, hi: u64) -> Result<Vec<TxId>, Vec<TxId>> {
-        let mut seen: BTreeSet<TxId> = BTreeSet::from([start]);
-        let mut parent: HashMap<TxId, TxId> = HashMap::new();
-        let mut stack = vec![start];
-        while let Some(n) = stack.pop() {
-            if let Some(nexts) = self.succ.get(&n) {
-                for &m in nexts {
-                    if m == target {
-                        // Reconstruct start → … → n, then the last hop.
-                        let mut path = vec![n];
-                        let mut cur = n;
-                        while let Some(&p) = parent.get(&cur) {
-                            path.push(p);
-                            cur = p;
-                        }
-                        path.reverse();
-                        path.push(target);
-                        return Err(path);
+    /// A fresh search mark.
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            for n in &mut self.nodes {
+                n.mark = 0;
+            }
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+
+    /// Search forward from `start` over `ord <= hi`, collecting what it
+    /// reaches into `fwd`; a path `start → … → target` if it reaches
+    /// `target`.
+    fn forward_reach(&mut self, start: usize, target: usize, hi: u64) -> Option<Vec<usize>> {
+        let epoch = self.next_epoch();
+        self.fwd.clear();
+        self.stack.clear();
+        self.nodes[start].mark = epoch;
+        self.fwd.push(start as u32);
+        self.stack.push(start as u32);
+        while let Some(n) = self.stack.pop() {
+            for i in 0..self.nodes[n as usize].out.len() {
+                let m = self.nodes[n as usize].out[i].0;
+                if m as usize == target {
+                    // Walk back start ← … ← n, then add the last hop.
+                    let mut path = vec![target, n as usize];
+                    let mut cur = n as usize;
+                    while cur != start {
+                        cur = self.nodes[cur].via as usize;
+                        path.push(cur);
                     }
-                    if self.ord[&m] <= hi && seen.insert(m) {
-                        parent.insert(m, n);
-                        stack.push(m);
-                    }
+                    path.reverse();
+                    return Some(path);
+                }
+                let node = &mut self.nodes[m as usize];
+                if node.ord <= hi && node.mark != epoch {
+                    node.mark = epoch;
+                    node.via = n;
+                    self.fwd.push(m);
+                    self.stack.push(m);
                 }
             }
         }
-        Ok(seen.into_iter().collect())
+        None
     }
 
-    /// Backward DFS from `start` restricted to `ord >= lo`.
-    fn backward_reach(&self, start: TxId, lo: u64) -> Vec<TxId> {
-        let mut seen: BTreeSet<TxId> = BTreeSet::from([start]);
-        let mut stack = vec![start];
-        while let Some(n) = stack.pop() {
-            if let Some(prevs) = self.pred.get(&n) {
-                for &m in prevs {
-                    if self.ord[&m] >= lo && seen.insert(m) {
-                        stack.push(m);
-                    }
+    /// Search backward from `start` over `ord >= lo` into `back`.
+    fn backward_reach(&mut self, start: usize, lo: u64) {
+        let epoch = self.next_epoch();
+        self.back.clear();
+        self.stack.clear();
+        self.nodes[start].mark = epoch;
+        self.back.push(start as u32);
+        self.stack.push(start as u32);
+        while let Some(n) = self.stack.pop() {
+            for i in 0..self.nodes[n as usize].inn.len() {
+                let m = self.nodes[n as usize].inn[i];
+                let node = &mut self.nodes[m as usize];
+                if node.ord >= lo && node.mark != epoch {
+                    node.mark = epoch;
+                    self.back.push(m);
+                    self.stack.push(m);
                 }
             }
         }
-        seen.into_iter().collect()
     }
 
-    /// Re-slot the affected nodes: everything that reaches `from`
-    /// (backward set) must precede everything reachable from `to`
-    /// (forward set), reusing exactly the vacated `ord` positions.
-    fn reorder(&mut self, back: &[TxId], fwd: &[TxId]) {
-        let mut slots: Vec<u64> = back.iter().chain(fwd.iter()).map(|t| self.ord[t]).collect();
+    /// Re-slot the affected nodes: everything that reaches `from` (the
+    /// backward set) must precede everything reachable from `to` (the
+    /// forward set), reusing exactly the vacated `ord` positions.
+    fn reorder(&mut self) {
+        let DynTopo {
+            nodes,
+            fwd,
+            back,
+            slots,
+            ..
+        } = self;
+        slots.clear();
+        slots.extend(
+            back.iter()
+                .chain(fwd.iter())
+                .map(|&t| nodes[t as usize].ord),
+        );
         slots.sort_unstable();
-        let by_old = |set: &[TxId]| -> Vec<TxId> {
-            let mut v: Vec<(u64, TxId)> = set.iter().map(|&t| (self.ord[&t], t)).collect();
-            v.sort_unstable();
-            v.into_iter().map(|(_, t)| t).collect()
-        };
-        let ordered: Vec<TxId> = by_old(back).into_iter().chain(by_old(fwd)).collect();
-        for (t, slot) in ordered.into_iter().zip(slots) {
-            self.ord.insert(t, slot);
+        back.sort_unstable_by_key(|&t| nodes[t as usize].ord);
+        fwd.sort_unstable_by_key(|&t| nodes[t as usize].ord);
+        for (&t, &slot) in back.iter().chain(fwd.iter()).zip(slots.iter()) {
+            nodes[t as usize].ord = slot;
         }
     }
 
-    /// Remove `t` and every edge touching it. The watermark GC only
-    /// removes in-degree-0 nodes, but removal is implemented generally.
-    pub fn remove_node(&mut self, t: TxId) {
-        if self.ord.remove(&t).is_none() {
+    /// Remove the node in `slot` and every edge touching it, and free the
+    /// slot; `now_source` is called with each successor the removal left
+    /// with in-degree zero.
+    pub fn remove_node(&mut self, slot: usize, mut now_source: impl FnMut(usize)) {
+        if !self.contains(slot) {
             return;
         }
-        if let Some(outs) = self.succ.remove(&t) {
-            for s in outs {
-                if let Some(p) = self.pred.get_mut(&s) {
-                    p.remove(&t);
-                }
-                self.meta.remove(&(t, s));
-                self.edges -= 1;
+        let me = slot as u32;
+        let mut out = std::mem::take(&mut self.nodes[slot].out);
+        for &(s, _) in &out {
+            let inn = &mut self.nodes[s as usize].inn;
+            if let Some(i) = inn.iter().position(|&p| p == me) {
+                inn.swap_remove(i);
+            }
+            if inn.is_empty() {
+                now_source(s as usize);
             }
         }
-        if let Some(ins) = self.pred.remove(&t) {
-            for p in ins {
-                if let Some(s) = self.succ.get_mut(&p) {
-                    s.remove(&t);
-                }
-                self.meta.remove(&(p, t));
-                self.edges -= 1;
+        self.edges -= out.len();
+        out.clear();
+        let mut inn = std::mem::take(&mut self.nodes[slot].inn);
+        for &p in &inn {
+            let outs = &mut self.nodes[p as usize].out;
+            if let Some(i) = outs.iter().position(|&(t, _)| t == me) {
+                outs.swap_remove(i);
             }
         }
+        self.edges -= inn.len();
+        inn.clear();
+        let n = &mut self.nodes[slot];
+        n.out = out;
+        n.inn = inn;
+        n.ord = VACANT;
+        self.count -= 1;
+        self.free.push(me);
     }
 }
 
@@ -252,18 +376,24 @@ impl DynTopo {
 mod tests {
     use super::*;
     use nt_sgt::EdgeKind;
+    use std::collections::BTreeSet;
 
-    fn t(i: u32) -> TxId {
-        TxId(i)
+    /// A graph with nodes `0..n`, each labeled with its own slot.
+    fn graph(n: u32) -> DynTopo {
+        let mut g = DynTopo::new();
+        for i in 0..n {
+            assert_eq!(g.add_node(TxId(i)), i as usize);
+        }
+        g
     }
 
-    fn add(g: &mut DynTopo, a: u32, b: u32) -> Insert {
-        g.insert_edge(t(a), t(b), EdgeKind::Conflict, (0, 0))
+    fn add(g: &mut DynTopo, a: usize, b: usize) -> Insert {
+        g.insert_edge(a, b, EdgeKind::Conflict, (0, 0))
     }
 
     fn order_respects_edges(g: &DynTopo) -> bool {
+        let nodes = g.nodes_in_order();
         g.edges().all(|(f, to, _)| {
-            let nodes = g.nodes_in_order();
             let pf = nodes.iter().position(|&n| n == f).unwrap();
             let pt = nodes.iter().position(|&n| n == to).unwrap();
             pf < pt
@@ -272,38 +402,33 @@ mod tests {
 
     #[test]
     fn forward_inserts_are_trivial_and_dedup_works() {
-        let mut g = DynTopo::new();
+        let mut g = graph(4);
         assert_eq!(add(&mut g, 1, 2), Insert::Added);
         assert_eq!(add(&mut g, 2, 3), Insert::Added);
         assert_eq!(add(&mut g, 1, 3), Insert::Added);
         assert_eq!(add(&mut g, 1, 2), Insert::Exists);
-        assert_eq!(g.node_count(), 3);
+        assert_eq!(g.node_count(), 4);
         assert_eq!(g.edge_count(), 3);
         assert!(order_respects_edges(&g));
     }
 
     #[test]
     fn back_edge_triggers_reorder_not_cycle() {
-        let mut g = DynTopo::new();
-        // Register in the "wrong" discovery order, then insert an edge
-        // against it: 2 gets ord 0, 1 gets ord 1, edge 1→2 must reorder.
-        g.ensure_node(t(2));
-        g.ensure_node(t(1));
-        assert_eq!(add(&mut g, 1, 2), Insert::Added);
+        // Slot 0 is first in the order; an edge 1→0 must reorder.
+        let mut g = graph(2);
+        assert_eq!(add(&mut g, 1, 0), Insert::Added);
         assert!(order_respects_edges(&g));
+        assert_eq!(g.nodes_in_order(), vec![TxId(1), TxId(0)]);
     }
 
     #[test]
     fn cycle_is_reported_with_path_and_graph_unchanged() {
-        let mut g = DynTopo::new();
+        let mut g = graph(4);
         add(&mut g, 1, 2);
         add(&mut g, 2, 3);
         let edges_before = g.edge_count();
         match add(&mut g, 3, 1) {
-            Insert::Cycle(path) => {
-                assert_eq!(path.first(), path.last());
-                assert_eq!(path, vec![t(1), t(2), t(3), t(1)]);
-            }
+            Insert::Cycle(path) => assert_eq!(path, vec![1, 2, 3, 1]),
             other => panic!("expected cycle, got {other:?}"),
         }
         assert_eq!(g.edge_count(), edges_before);
@@ -314,35 +439,44 @@ mod tests {
 
     #[test]
     fn self_loop_is_a_cycle() {
-        let mut g = DynTopo::new();
-        assert_eq!(add(&mut g, 7, 7), Insert::Cycle(vec![t(7), t(7)]));
+        let mut g = graph(8);
+        assert_eq!(add(&mut g, 7, 7), Insert::Cycle(vec![7, 7]));
     }
 
     #[test]
     fn two_hop_cycle_after_interleaved_inserts() {
-        let mut g = DynTopo::new();
-        add(&mut g, 10, 20);
-        match add(&mut g, 20, 10) {
-            Insert::Cycle(path) => assert_eq!(path, vec![t(10), t(20), t(10)]),
+        let mut g = graph(2);
+        add(&mut g, 0, 1);
+        match add(&mut g, 1, 0) {
+            Insert::Cycle(path) => assert_eq!(path, vec![0, 1, 0]),
             other => panic!("expected cycle, got {other:?}"),
         }
     }
 
     #[test]
     fn remove_node_drops_its_edges() {
-        let mut g = DynTopo::new();
+        let mut g = graph(4);
         add(&mut g, 1, 2);
         add(&mut g, 2, 3);
         add(&mut g, 1, 3);
-        g.remove_node(t(1));
-        assert_eq!(g.node_count(), 2);
+        let mut sources = Vec::new();
+        g.remove_node(1, |s| sources.push(s));
+        assert_eq!(sources, vec![2], "3 keeps its in-edge from 2");
+        assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.indegree(t(3)), 1);
-        // 2 is now in-degree 0 and 1's edges are gone: inserting what
-        // would have been a cycle through 1 is fine now.
-        assert_eq!(add(&mut g, 3, 2), Insert::Cycle(vec![t(2), t(3), t(2)]));
-        g.remove_node(t(2));
+        assert_eq!(g.indegree(3), 1);
+        assert_eq!(add(&mut g, 3, 2), Insert::Cycle(vec![2, 3, 2]));
+        g.remove_node(2, |_| {});
         assert_eq!(g.edge_count(), 0);
+        // Freed slots come back, last freed first, labeled anew.
+        assert_eq!(g.add_node(TxId(9)), 2);
+        assert_eq!(g.label(2), TxId(9));
+        assert_eq!(g.indegree(2), 0);
+        assert_eq!(g.add_node(TxId(8)), 1);
+        assert_eq!(g.add_node(TxId(7)), 4);
+        g.clear();
+        assert_eq!((g.node_count(), g.edge_count()), (0, 0));
+        assert_eq!(g.add_node(TxId(5)), 0);
     }
 
     #[test]
@@ -356,14 +490,20 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as u32
         };
+        let mut g = DynTopo::new();
         for _round in 0..50 {
             let n = 8;
-            let mut g = DynTopo::new();
+            // One graph, cleared between rounds: reuse must not leak
+            // edges or order from the previous round.
+            g.clear();
+            for i in 0..n {
+                g.add_node(TxId(i));
+            }
             let mut edges: BTreeSet<(u32, u32)> = BTreeSet::new();
             for _ in 0..24 {
                 let a = next() % n;
                 let b = next() % n;
-                let verdict = add(&mut g, a, b);
+                let verdict = add(&mut g, a as usize, b as usize);
                 let mut trial = edges.clone();
                 trial.insert((a, b));
                 let acyclic = kahn_acyclic(n, &trial);

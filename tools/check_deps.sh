@@ -41,7 +41,23 @@ if grep -rnE 'TelemetryHandle|PhaseHists|HIST_BOUNDS|fn kind_counter' crates/*/s
     fail=1
 fi
 
+# The counting allocator is for tests: `allocshim` may only be a
+# dev-dependency, and nothing outside a test installs a global allocator,
+# so no binary (nt-serve above all) pays for counting.
+for manifest in Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; do
+    if awk '/^\[/{sect=$0} /^allocshim/ && sect != "[dev-dependencies]" && sect != "[workspace.dependencies]" {found=1} END {exit !found}' "$manifest"; then
+        echo "check_deps: $manifest takes allocshim outside [dev-dependencies]" >&2
+        fail=1
+    fi
+done
+if grep -rn 'global_allocator' crates/*/src src shims/*/src benchmark/src 2>/dev/null \
+    | grep -v '^shims/allocshim/src/lib.rs:.*//'; then
+    echo "check_deps: a global allocator is installed outside a test (see above)" >&2
+    fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
-    echo "check_deps: all declared dependencies are referenced; retired crates stay retired"
+    echo "check_deps: all declared dependencies are referenced; retired crates stay retired;"
+    echo "check_deps: allocshim is a test-only dependency"
 fi
 exit "$fail"
